@@ -394,7 +394,15 @@ fn procedural_count(proto: &str, era: Era) -> Option<u32> {
     }
 }
 
-/// FNV-1a over bytes; the deterministic seed of all procedural shapes.
+/// An FNV-1a *variant* over bytes; the deterministic seed of all
+/// procedural shapes.
+///
+/// The multiplier is `0x1000_0000_01b3`, not the FNV-1a 64-bit prime
+/// `0x100_0000_01b3` that `fingerprint::wire::fnv1a64` uses, so this is
+/// deliberately not folded into that function: every prototype shape is
+/// seeded from these exact values, and changing them would change every
+/// generated fingerprint, every trained model and every committed
+/// `results/exp_*.txt`. The reference vectors in the tests pin it.
 pub(crate) fn fnv1a(bytes: &[u8]) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for &b in bytes {
@@ -416,6 +424,16 @@ pub(crate) fn fnv1a_pair(a: u64, b: u64) -> u64 {
 mod tests {
     use super::*;
     use crate::engine::Engine;
+
+    #[test]
+    fn fnv1a_variant_matches_its_reference_vectors() {
+        // Not the published FNV-1a 64 vectors (0xaf63dc4c8601ec8c for
+        // "a"): the multiplier differs, see `fnv1a`.
+        assert_eq!(fnv1a(b""), 0xcbf2_9ce4_8422_2325);
+        assert_eq!(fnv1a(b"a"), 0xaf74_d84c_8601_ec8c);
+        assert_eq!(fnv1a(b"foobar"), 0xf8ac_2471_f739_67e8);
+        assert_eq!(fnv1a_pair(1, 2), 0xdd7c_2803_63c8_e066);
+    }
 
     #[test]
     fn candidate_list_has_200_unique_names() {

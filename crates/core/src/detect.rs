@@ -28,29 +28,35 @@ pub struct Assessment {
     pub risk_factor: u32,
 }
 
-/// The compiled fast-path companion of a [`TrainedModel`]: the fused
-/// fixed-point projection plus per-cluster lookups that the staged path
-/// recomputes (and re-allocates) on every frame. Everything here is a
-/// pure function of the model, so both paths answer identically.
+/// What claim verification needs to know about one predicted cluster.
+/// A pure function of the model, built once in [`Detector::new`].
 #[derive(Debug, Clone)]
-struct CompiledQuant {
-    model: QuantModel,
-    /// `effective[c] = nearest_populated_cluster(c)`.
-    effective: Vec<usize>,
-    /// `residents[c] = cluster_table.user_agents_in(effective[c])`.
-    residents: Vec<Vec<UserAgent>>,
+struct ClaimTarget {
+    /// `nearest_populated_cluster(c)`: a spare centroid (k = 11 over ~9
+    /// natural groups) can hold a configuration-variant *satellite* of a
+    /// populated cluster — extension users of one popular release. Claim
+    /// verification runs against the satellite's nearest populated
+    /// cluster: a session in a satellite of its own expected cluster is
+    /// consistent, not fraud (§7.1 attributes exactly these to "certain
+    /// extensions or browser configurations").
+    effective: usize,
+    /// `cluster_table.user_agents_in(effective)`: what Algorithm 1 sizes
+    /// a flagged claim against.
+    residents: Vec<UserAgent>,
 }
 
 /// The online detector: a trained model plus the claim-verification rule.
 ///
-/// Optionally carries a quantized compiled form ([`Detector::quantize`])
-/// used by [`Detector::assess_many`]; the compiled form is derived state
-/// and is deliberately not serialized — a deserialized detector
-/// recompiles it on demand.
+/// Optionally carries the model's quantized compiled form
+/// ([`Detector::quantize`]) used by [`Detector::assess_many`]; like the
+/// per-cluster claim targets it is derived state and is deliberately not
+/// serialized — a deserialized detector recompiles it on demand.
 #[derive(Debug, Clone)]
 pub struct Detector {
     model: TrainedModel,
-    quant: Option<CompiledQuant>,
+    /// One entry per centroid, indexed by predicted cluster.
+    targets: Vec<ClaimTarget>,
+    quant: Option<QuantModel>,
 }
 
 // Hand-written (de)serialization keeping the original derived shape,
@@ -77,7 +83,20 @@ impl Deserialize for Detector {
 impl Detector {
     /// Wraps a trained model.
     pub fn new(model: TrainedModel) -> Self {
-        Self { model, quant: None }
+        let targets = (0..model.kmeans().centroids().rows())
+            .map(|cluster| {
+                let effective = model.nearest_populated_cluster(cluster);
+                ClaimTarget {
+                    effective,
+                    residents: model.cluster_table().user_agents_in(effective),
+                }
+            })
+            .collect();
+        Self {
+            model,
+            targets,
+            quant: None,
+        }
     }
 
     /// The wrapped model.
@@ -91,20 +110,7 @@ impl Detector {
     /// [`polygraph_ml::QuantModel::compile`]), leaving the detector
     /// serving on the staged path.
     pub fn quantize(&mut self) -> Result<(), PolygraphError> {
-        let model = self.model.quantize()?;
-        let k = model.k();
-        let effective: Vec<usize> = (0..k)
-            .map(|c| self.model.nearest_populated_cluster(c))
-            .collect();
-        let residents: Vec<Vec<UserAgent>> = effective
-            .iter()
-            .map(|&e| self.model.cluster_table().user_agents_in(e))
-            .collect();
-        self.quant = Some(CompiledQuant {
-            model,
-            effective,
-            residents,
-        });
+        self.quant = Some(self.model.quantize()?);
         Ok(())
     }
 
@@ -116,31 +122,26 @@ impl Detector {
     /// Assesses one session from its raw feature row and claimed
     /// user-agent.
     pub fn assess(&self, values: &[f64], claimed: UserAgent) -> Result<Assessment, PolygraphError> {
-        let predicted = self.model.predict_cluster(values)?;
+        Ok(self.verify_claim(self.model.predict_cluster(values)?, claimed))
+    }
+
+    /// The claim-verification rule, shared by the staged and quantized
+    /// paths: `predicted` is a cluster either predictor returned, so it
+    /// indexes `targets`.
+    fn verify_claim(&self, predicted: usize, claimed: UserAgent) -> Assessment {
+        let target = &self.targets[predicted];
         let expected = self.model.cluster_table().expected_cluster(claimed);
-        // A spare centroid (k = 11 over ~9 natural groups) can hold a
-        // configuration-variant *satellite* of a populated cluster —
-        // extension users of one popular release. Claim verification runs
-        // against the satellite's nearest populated cluster: a session in
-        // a satellite of its own expected cluster is consistent, not
-        // fraud (§7.1 attributes exactly these to "certain extensions or
-        // browser configurations").
-        let effective = self.model.nearest_populated_cluster(predicted);
-        let flagged = expected != Some(effective);
-        let risk = if flagged {
-            risk_factor(
-                claimed,
-                &self.model.cluster_table().user_agents_in(effective),
-            )
-        } else {
-            0
-        };
-        Ok(Assessment {
+        let flagged = expected != Some(target.effective);
+        Assessment {
             predicted_cluster: predicted,
             expected_cluster: expected,
             flagged,
-            risk_factor: risk,
-        })
+            risk_factor: if flagged {
+                risk_factor(claimed, &target.residents)
+            } else {
+                0
+            },
+        }
     }
 
     /// Assesses a batch of sessions in order, one result per session.
@@ -159,12 +160,12 @@ impl Detector {
         sessions: &[(Vec<f64>, UserAgent)],
     ) -> Vec<Result<Assessment, PolygraphError>> {
         match &self.quant {
-            Some(compiled) => {
-                let mut scratch = compiled.model.scratch();
+            Some(quant) => {
+                let mut scratch = quant.scratch();
                 sessions
                     .iter()
                     .map(|(values, claimed)| {
-                        self.assess_quantized(compiled, values, *claimed, &mut scratch)
+                        self.assess_quantized(quant, values, *claimed, &mut scratch)
                     })
                     .collect()
             }
@@ -180,7 +181,7 @@ impl Detector {
     /// the certificate cannot vouch for reruns on the staged path.
     fn assess_quantized(
         &self,
-        compiled: &CompiledQuant,
+        quant: &QuantModel,
         values: &[f64],
         claimed: UserAgent,
         scratch: &mut polygraph_ml::QuantScratch,
@@ -192,34 +193,11 @@ impl Detector {
                 expected: expected_width,
             });
         }
-        let predicted = match compiled.model.predict_row(values, scratch)? {
+        let predicted = match quant.predict_row(values, scratch)? {
             Some(cluster) => cluster,
             None => self.model.predict_cluster(values)?,
         };
-        let expected = self.model.cluster_table().expected_cluster(claimed);
-        let effective = compiled
-            .effective
-            .get(predicted)
-            .copied()
-            .unwrap_or(predicted);
-        let flagged = expected != Some(effective);
-        let risk = if flagged {
-            match compiled.residents.get(predicted) {
-                Some(residents) => risk_factor(claimed, residents),
-                None => risk_factor(
-                    claimed,
-                    &self.model.cluster_table().user_agents_in(effective),
-                ),
-            }
-        } else {
-            0
-        };
-        Ok(Assessment {
-            predicted_cluster: predicted,
-            expected_cluster: expected,
-            flagged,
-            risk_factor: risk,
-        })
+        Ok(self.verify_claim(predicted, claimed))
     }
 
     /// Assesses a batch of sessions in order, failing on the first

@@ -350,8 +350,8 @@ impl TrainedModel {
     /// Skipping the Isolation-Forest pass and the PCA eigensolve — plus
     /// replacing `n_init` full Lloyd restarts with a few warm-started
     /// mini-batch epochs — is what makes a per-checkpoint candidate cheap
-    /// enough to run continuously; `bench_retrain` gates the cost at
-    /// ≤ 0.5x a full-window [`TrainedModel::fit`].
+    /// enough to run continuously (`BENCHMARK.json`: `retrain_cycle`'s
+    /// `throughput_per_s` beside `full_fit_s`).
     pub fn refit_streaming(
         &self,
         data: &TrainingSet,

@@ -64,8 +64,10 @@ const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 /// Hand-rolled FNV-1a over `bytes`: a fixed, platform-independent 64-bit
 /// hash. The verdict cache keys on this — never on `RandomState` — so
 /// the same frame maps to the same cache slot in every process and every
-/// replay (lint rule POLY-D004 pins the invariant).
-fn fnv1a64(bytes: &[u8]) -> u64 {
+/// replay (lint rule POLY-D004 pins the invariant). Public so the fleet
+/// ring and the server's user-agent memo hash with this one function
+/// instead of a copy of it.
+pub fn fnv1a64(bytes: &[u8]) -> u64 {
     let mut h = FNV_OFFSET;
     for &b in bytes {
         h ^= u64::from(b);

@@ -39,7 +39,7 @@ use crate::proto::Verdict;
 use crate::registry::ModelRegistry;
 use crate::server::{start_risk_server_with, RiskServerConfig, RiskServerHandle, RiskServerStats};
 use browser_engine::UserAgent;
-use fingerprint::{encode_submission, submission_cache_key, Submission};
+use fingerprint::{encode_submission, fnv1a64, submission_cache_key, Submission};
 use polygraph_core::{Detector, TrainedModel};
 use polygraph_obs::{Counter, Registry};
 use std::io;
@@ -74,21 +74,6 @@ pub mod metric_names {
     pub fn node_version(node: usize) -> String {
         format!("fleet.node{node}.model_version")
     }
-}
-
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-/// FNV-1a over `bytes` — the same deterministic, seed-free hash family
-/// the wire cache key uses, so ring placement never depends on process
-/// state.
-fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut hash = FNV_OFFSET;
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(FNV_PRIME);
-    }
-    hash
 }
 
 /// A consistent-hash ring mapping `u64` keys to node indices.

@@ -24,8 +24,8 @@
 //! Both backends run the same private batch path (`process_buffered`)
 //! over the same [`crate::framing::FrameAccumulator`] parse state, so
 //! their verdict byte streams and counter identities are exactly equal —
-//! pinned by the backend-parametrized conformance suites and raced on
-//! identical seeded traffic by `bench_serving`.
+//! pinned by the backend-parametrized conformance suites
+//! (`tests/common::for_each_backend`) and `tests/reactor_prop.rs`.
 //!
 //! ## Observability
 //!
@@ -65,7 +65,7 @@ use crate::framing::{FrameAccumulator, FrameStatus};
 use crate::proto::{encode_stats_response, Verdict, VerdictStatus};
 use crate::reactor::{ConnMachine, Events, Interest, Poll, Token, Waker, WAKE_TOKEN};
 use browser_engine::UserAgent;
-use fingerprint::{decode_submission_view, is_stats_request, submission_cache_key};
+use fingerprint::{decode_submission_view, fnv1a64, is_stats_request, submission_cache_key};
 use parking_lot::RwLock;
 use polygraph_cache::{Lookup, VerdictCache};
 use polygraph_core::{Assessment, Detector, PolygraphError, TrainedModel};
@@ -1457,18 +1457,6 @@ pub fn assess_frame(frame: &[u8], detector: &RwLock<Detector>, registry: &Regist
 /// so a small direct-mapped table hits almost always.
 const UA_MEMO_SLOTS: usize = 64;
 
-/// FNV-1a 64-bit over `bytes` — the same fixed, platform-independent
-/// hash family the verdict cache keys on (POLY-D004): never
-/// `RandomState`, so replays behave identically in every process.
-fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
 /// Per-connection memo of parsed user-agent strings, direct-mapped by
 /// FNV-1a of the raw bytes.
 ///
@@ -1696,12 +1684,14 @@ mod tests {
         server.shutdown();
     }
 
-    /// A server on the quantized fast path must answer the exact same
-    /// reply bytes — and charge the exact same counters — as the staged
-    /// default, across honest, lying, malformed, bad-UA, and
-    /// wrong-width traffic.
+    /// A server on the quantized fast path, with or without the verdict
+    /// cache, must answer the exact same reply bytes — and charge the
+    /// exact same counters — as the staged, uncached default, across
+    /// honest, lying, malformed, bad-UA, and wrong-width traffic that
+    /// repeats every frame eight times.
     #[test]
     fn quantized_server_answers_byte_identically() {
+        const ROUNDS: usize = 8;
         let frames = [
             frame_for(vec![10, 10], UserAgent::new(Vendor::Chrome, 100)),
             frame_for(vec![20, 20], UserAgent::new(Vendor::Chrome, 100)),
@@ -1710,39 +1700,52 @@ mod tests {
             frame_for(vec![1, 2, 3, 4], UserAgent::new(Vendor::Chrome, 100)), // width → SchemaMismatch
             frame_for(vec![10, 10], UserAgent::new(Vendor::Firefox, 100)),
         ];
-        let run = |quantized: bool| {
+        let run = |quantized: bool, cache_capacity: usize| {
             let config = RiskServerConfig {
                 quantized,
+                cache_capacity,
                 ..Default::default()
             };
             let server = start_risk_server_with("127.0.0.1:0", tiny_detector(), config).unwrap();
             let mut stream = TcpStream::connect(server.local_addr()).unwrap();
             stream.set_nodelay(true).unwrap();
-            let mut wire = Vec::new();
-            for _ in 0..8 {
-                for frame in &frames {
+            let mut replies = Vec::new();
+            // Round one is answered before the repeats are sent, so a
+            // cache has every cacheable verdict by then and the hit
+            // count asserted below is exact.
+            for rounds in [1, ROUNDS - 1] {
+                let mut wire = Vec::new();
+                for frame in frames.iter().cycle().take(rounds * frames.len()) {
                     wire.extend_from_slice(&(frame.len() as u16).to_le_bytes());
                     wire.extend_from_slice(frame);
                 }
+                stream.write_all(&wire).unwrap();
+                let mut chunk = vec![0u8; rounds * frames.len() * crate::proto::VERDICT_LEN];
+                stream.read_exact(&mut chunk).unwrap();
+                replies.extend(chunk);
             }
-            stream.write_all(&wire).unwrap();
-            let mut replies = vec![0u8; 8 * frames.len() * crate::proto::VERDICT_LEN];
-            stream.read_exact(&mut replies).unwrap();
             drop(stream);
             thread::sleep(Duration::from_millis(20));
             let stats = server.stats();
             server.shutdown();
             (replies, stats)
         };
-        let (staged_bytes, staged_stats) = run(false);
-        let (quant_bytes, quant_stats) = run(true);
-        assert_eq!(
-            staged_bytes, quant_bytes,
-            "verdict streams must be byte-identical"
-        );
-        assert_eq!(staged_stats.assessed, quant_stats.assessed);
-        assert_eq!(staged_stats.flagged, quant_stats.flagged);
-        assert_eq!(staged_stats.malformed, quant_stats.malformed);
+        let (staged_bytes, staged_stats) = run(false, 0);
+        for (quantized, cache_capacity) in [(true, 0), (false, 64), (true, 64)] {
+            let context = format!("quantized {quantized}, cache capacity {cache_capacity}");
+            let (bytes, stats) = run(quantized, cache_capacity);
+            assert_eq!(
+                bytes, staged_bytes,
+                "[{context}] verdict streams must be byte-identical"
+            );
+            assert_eq!(stats.assessed, staged_stats.assessed, "[{context}]");
+            assert_eq!(stats.flagged, staged_stats.flagged, "[{context}]");
+            assert_eq!(stats.malformed, staged_stats.malformed, "[{context}]");
+            // Four of the six frames are `Assessed`, and only those are
+            // ever cached: every repeat of them is a hit.
+            let cached_rounds = if cache_capacity > 0 { ROUNDS - 1 } else { 0 };
+            assert_eq!(stats.cache_hits, 4 * cached_rounds as u64, "[{context}]");
+        }
     }
 
     #[test]

@@ -19,6 +19,9 @@ use polygraph_service::{
     RiskClientConfig, RiskFleet, RiskServerConfig, RolloutController, RolloutStage, RolloutStep,
     VerdictStatus,
 };
+use rand::{Rng, SeedableRng};
+use rand_chacha::ChaCha8Rng;
+use std::collections::BTreeSet;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -155,6 +158,72 @@ fn merged_verdict_stream_is_identical_across_node_counts() {
             );
         }
     });
+}
+
+/// What adding a node buys without a second core: its cache. On a seeded
+/// replay over a key population larger than one node's cache, with the
+/// per-node capacity fixed, fleet-wide hits rise with every node added —
+/// and once no node's share of the keys exceeds its capacity, every key
+/// misses exactly once.
+#[test]
+fn fleet_wide_cache_hits_rise_with_node_count_at_fixed_node_capacity() {
+    const KEYS: u32 = 90;
+    const FRAMES: u64 = 1500;
+    const NODE_CAPACITY: usize = 40;
+    let model = tiny_model();
+    let mut rng = ChaCha8Rng::seed_from_u64(CHAOS_SEED);
+    let sequence: Vec<u32> = (0..FRAMES).map(|_| rng.gen_range(0..KEYS)).collect();
+    let distinct = sequence.iter().collect::<BTreeSet<_>>().len() as u64;
+
+    let mut hits_by_node_count = Vec::new();
+    for nodes in [1usize, 2, 3] {
+        let fleet = RiskFleet::start(
+            &model,
+            FleetConfig {
+                nodes,
+                node: RiskServerConfig {
+                    cache_shards: 1,
+                    cache_capacity: NODE_CAPACITY,
+                    ..Default::default()
+                },
+                ..Default::default()
+            },
+        )
+        .unwrap();
+        let mut client = FleetClient::connect(&fleet, fleet_client_config());
+        for &key in &sequence {
+            let sub = Submission {
+                session_id: [0u8; 16],
+                // One cache key per `key`, differing early in the hashed
+                // bytes: FNV-1a barely moves the high bits the ring orders
+                // by when only a frame's trailing bytes differ.
+                user_agent: UserAgent::new(Vendor::Chrome, 100 + key).to_ua_string(),
+                values: vec![10, 10],
+            };
+            let v = client.assess_submission(&sub).unwrap();
+            assert_eq!(v.status, VerdictStatus::Assessed);
+        }
+        let (mut hits, mut misses) = (0u64, 0u64);
+        for node in 0..nodes {
+            assert_books_balanced(&fleet, node, &format!("{nodes} nodes"));
+            let stats = fleet.node_stats(node).unwrap();
+            hits += stats.cache_hits;
+            misses += stats.cache_misses;
+        }
+        assert_eq!(hits + misses, FRAMES, "{nodes} nodes lost a frame");
+        hits_by_node_count.push(hits);
+        drop(client);
+        fleet.shutdown();
+    }
+    assert!(
+        hits_by_node_count.windows(2).all(|w| w[0] < w[1]),
+        "fleet-wide hits must rise 1 -> 2 -> 3 nodes: {hits_by_node_count:?}"
+    );
+    assert_eq!(
+        hits_by_node_count[2],
+        FRAMES - distinct,
+        "three nodes hold the whole population: one miss per distinct key"
+    );
 }
 
 /// Satellite: seeded storm with one node killed at each rollout stage.

@@ -20,6 +20,7 @@ use polygraph_service::{
     RolloutController, RolloutStep, ShadowConfig, SwapPolicy, VerdictStatus,
 };
 use std::time::Duration;
+use traffic::TrafficConfig;
 
 const CHAOS_SEED: u64 = 0x5EED;
 
@@ -326,6 +327,71 @@ fn divergent_candidate_is_rejected_without_a_publish() {
     // v1 still serves.
     let v = client.assess_submission(&probe_submission(100)).unwrap();
     assert!(v.flagged);
+    drop(client);
+    server.shutdown();
+}
+
+/// The other side of the gate: a `refit_streaming` candidate trained on
+/// a window drawn from the serving model's own traffic distribution,
+/// shadowing a replay of that distribution, is compared on every frame
+/// and stays inside the default divergence budget — so
+/// [`ShadowConfig::default`] promotes the candidates it exists to
+/// promote.
+#[test]
+fn same_distribution_candidate_stays_inside_the_default_divergence_budget() {
+    const REPLAY: usize = 1_000;
+    let features = FeatureSet::table8();
+    let window = |sessions: usize, seed: u64| {
+        traffic::generate(
+            &features,
+            &TrafficConfig::paper_training()
+                .with_sessions(sessions)
+                .with_seed(CHAOS_SEED + seed),
+        )
+    };
+    let training_set = |data: &traffic::TrafficDataset| {
+        let (rows, uas) = data.rows_and_user_agents();
+        TrainingSet::from_rows(rows, uas).unwrap()
+    };
+    let serving = TrainedModel::fit(
+        features.clone(),
+        &training_set(&window(6_000, 0)),
+        TrainConfig::default(),
+    )
+    .unwrap();
+    let candidate = serving
+        .refit_streaming(
+            &training_set(&window(3_000, 1)),
+            2,
+            &polygraph_ml::ThreadPool::serial(),
+        )
+        .unwrap();
+
+    // No verdict cache, so every replayed frame is assessed and therefore
+    // double-scored.
+    let server = start_risk_server_with(
+        "127.0.0.1:0",
+        Detector::new(serving),
+        RiskServerConfig::default(),
+    )
+    .unwrap();
+    server.attach_shadow(candidate);
+    let mut client = RiskClient::connect(server.local_addr()).unwrap();
+    for session in &window(REPLAY, 2).sessions {
+        let sub = Submission {
+            session_id: session.session_id,
+            user_agent: session.claimed.to_ua_string(),
+            values: session.values.clone(),
+        };
+        let v = client.assess_submission(&sub).unwrap();
+        assert_eq!(v.status, VerdictStatus::Assessed);
+    }
+    let (compared, diverged) = server.shadow_counts().expect("shadow attached");
+    assert_eq!(compared, REPLAY as u64);
+    assert!(
+        diverged as f64 <= ShadowConfig::default().max_divergence * compared as f64,
+        "{diverged} of {compared} frames diverged"
+    );
     drop(client);
     server.shutdown();
 }

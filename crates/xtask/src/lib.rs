@@ -15,7 +15,6 @@
 //! final report is sorted by `(file, line, rule)`, so the pooled and
 //! serial schedules render byte-identically.
 
-pub mod bench;
 pub mod concurrency;
 pub mod config;
 pub mod lexer;
@@ -23,7 +22,6 @@ pub mod parser;
 pub mod report;
 pub mod rules;
 
-pub use bench::{BenchCheckConfig, BenchCheckReport};
 pub use config::{AllowEntry, LintConfig};
 pub use report::LintReport;
 pub use rules::{Diagnostic, FileClass, RULE_CATALOG};

@@ -8,23 +8,6 @@
 //!   clean, 1 when violations or stale allow entries survive, 2 on
 //!   usage or I/O errors. `--self-check` instead lints the linter's own
 //!   fixture corpus and verifies every rule still fires where expected.
-//! * `bench-check [--current PATH] [--baseline PATH]
-//!   [--max-regress-pct N] [--min-speedup X] [--fleet PATH]
-//!   [--fleet-only] [--min-fleet-scaling X] [--retrain PATH]
-//!   [--retrain-only] [--min-retrain-speedup X]
-//!   [--min-shadow-agreement X] [--root PATH]` — the
-//!   performance gate: compare `results/BENCH_serving.json` (freshly
-//!   emitted by `bench_serving --smoke`) against the committed
-//!   `results/bench_baseline.json`. When `results/BENCH_fleet.json`
-//!   exists (or `--fleet` names one), the fleet gate runs too: merged
-//!   verdict identity, monotonic node-count scaling, and the chaos
-//!   leg's invariants. Likewise `results/BENCH_retrain.json` (or
-//!   `--retrain`) adds the streaming-retrain gate: mini-batch refit
-//!   speedup, shadow-leg agreement, and promoted-verdict byte identity.
-//!   `--fleet-only` / `--retrain-only` skip the serving comparison —
-//!   the CI fleet and retrain jobs emit only their own artifact. Exit 0
-//!   when within thresholds, 1 on a regression, 2 on usage or I/O
-//!   errors.
 //!
 //! This is a binary target, so the console belongs to it (POLY-H002
 //! exempts `main.rs`); everything else lives in the `xtask` library so
@@ -34,13 +17,12 @@ use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
-use xtask::{BenchCheckConfig, LintConfig};
+use xtask::LintConfig;
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     match args.first().map(String::as_str) {
         Some("lint") => lint_command(&args[1..]),
-        Some("bench-check") => bench_check_command(&args[1..]),
         Some(other) => {
             let _ = writeln!(std::io::stderr(), "unknown subcommand {other:?}\n{USAGE}");
             ExitCode::from(2)
@@ -53,172 +35,7 @@ fn main() -> ExitCode {
 }
 
 const USAGE: &str = "usage: cargo xtask lint [--format text|json|sarif] [--root PATH] \
-                     [--config PATH] [--self-check]\n       \
-                     cargo xtask bench-check [--current PATH] [--baseline PATH] \
-                     [--max-regress-pct N] [--min-speedup X] [--fleet PATH] [--fleet-only] \
-                     [--min-fleet-scaling X] [--retrain PATH] [--retrain-only] \
-                     [--min-retrain-speedup X] [--min-shadow-agreement X] [--root PATH]";
-
-fn bench_check_command(args: &[String]) -> ExitCode {
-    let mut root: Option<PathBuf> = None;
-    let mut current: Option<PathBuf> = None;
-    let mut baseline: Option<PathBuf> = None;
-    let mut fleet: Option<PathBuf> = None;
-    let mut fleet_only = false;
-    let mut retrain: Option<PathBuf> = None;
-    let mut retrain_only = false;
-    let mut config = BenchCheckConfig::default();
-    let mut i = 0;
-    while i < args.len() {
-        let take_value = |i: usize| -> Option<&String> { args.get(i + 1) };
-        match args.get(i).map(String::as_str) {
-            Some("--root") if take_value(i).is_some() => {
-                root = args.get(i + 1).map(PathBuf::from);
-                i += 2;
-            }
-            Some("--current") if take_value(i).is_some() => {
-                current = args.get(i + 1).map(PathBuf::from);
-                i += 2;
-            }
-            Some("--baseline") if take_value(i).is_some() => {
-                baseline = args.get(i + 1).map(PathBuf::from);
-                i += 2;
-            }
-            Some("--max-regress-pct") if take_value(i).is_some() => {
-                match args.get(i + 1).and_then(|v| v.parse().ok()) {
-                    Some(v) => config.max_regress_pct = v,
-                    None => {
-                        let _ = writeln!(std::io::stderr(), "invalid --max-regress-pct\n{USAGE}");
-                        return ExitCode::from(2);
-                    }
-                }
-                i += 2;
-            }
-            Some("--min-speedup") if take_value(i).is_some() => {
-                match args.get(i + 1).and_then(|v| v.parse().ok()) {
-                    Some(v) => config.min_speedup = v,
-                    None => {
-                        let _ = writeln!(std::io::stderr(), "invalid --min-speedup\n{USAGE}");
-                        return ExitCode::from(2);
-                    }
-                }
-                i += 2;
-            }
-            Some("--fleet") if take_value(i).is_some() => {
-                fleet = args.get(i + 1).map(PathBuf::from);
-                i += 2;
-            }
-            Some("--fleet-only") => {
-                fleet_only = true;
-                i += 1;
-            }
-            Some("--min-fleet-scaling") if take_value(i).is_some() => {
-                match args.get(i + 1).and_then(|v| v.parse().ok()) {
-                    Some(v) => config.min_fleet_scaling = v,
-                    None => {
-                        let _ = writeln!(std::io::stderr(), "invalid --min-fleet-scaling\n{USAGE}");
-                        return ExitCode::from(2);
-                    }
-                }
-                i += 2;
-            }
-            Some("--retrain") if take_value(i).is_some() => {
-                retrain = args.get(i + 1).map(PathBuf::from);
-                i += 2;
-            }
-            Some("--retrain-only") => {
-                retrain_only = true;
-                i += 1;
-            }
-            Some("--min-retrain-speedup") if take_value(i).is_some() => {
-                match args.get(i + 1).and_then(|v| v.parse().ok()) {
-                    Some(v) => config.min_retrain_speedup = v,
-                    None => {
-                        let _ =
-                            writeln!(std::io::stderr(), "invalid --min-retrain-speedup\n{USAGE}");
-                        return ExitCode::from(2);
-                    }
-                }
-                i += 2;
-            }
-            Some("--min-shadow-agreement") if take_value(i).is_some() => {
-                match args.get(i + 1).and_then(|v| v.parse().ok()) {
-                    Some(v) => config.min_shadow_agreement = v,
-                    None => {
-                        let _ =
-                            writeln!(std::io::stderr(), "invalid --min-shadow-agreement\n{USAGE}");
-                        return ExitCode::from(2);
-                    }
-                }
-                i += 2;
-            }
-            Some(other) => {
-                let _ = writeln!(std::io::stderr(), "unknown argument {other:?}\n{USAGE}");
-                return ExitCode::from(2);
-            }
-            None => break,
-        }
-    }
-
-    let root = match root.map(Ok).unwrap_or_else(find_workspace_root) {
-        Ok(r) => r,
-        Err(e) => {
-            let _ = writeln!(std::io::stderr(), "error: {e}");
-            return ExitCode::from(2);
-        }
-    };
-    let current = current.unwrap_or_else(|| root.join("results/BENCH_serving.json"));
-    let baseline = baseline.unwrap_or_else(|| root.join("results/bench_baseline.json"));
-    let fleet_path = fleet.unwrap_or_else(|| root.join("results/BENCH_fleet.json"));
-    let retrain_path = retrain.unwrap_or_else(|| root.join("results/BENCH_retrain.json"));
-
-    let mut pass = true;
-    if !fleet_only && !retrain_only {
-        match xtask::bench::check_files(&current, &baseline, config) {
-            Ok(report) => {
-                let _ = write!(std::io::stdout(), "{}", report.text);
-                pass &= report.pass;
-            }
-            Err(e) => {
-                let _ = writeln!(std::io::stderr(), "error: {e}");
-                return ExitCode::from(2);
-            }
-        }
-    }
-    // Each artifact gate runs whenever its artifact is around (and
-    // always under its `--*-only` flag, where a missing artifact is an
-    // error, not a silent pass). An `--*-only` flag narrows the run to
-    // that single gate.
-    if fleet_only || (!retrain_only && fleet_path.exists()) {
-        match xtask::bench::check_fleet_file(&fleet_path, config) {
-            Ok(report) => {
-                let _ = write!(std::io::stdout(), "{}", report.text);
-                pass &= report.pass;
-            }
-            Err(e) => {
-                let _ = writeln!(std::io::stderr(), "error: {e}");
-                return ExitCode::from(2);
-            }
-        }
-    }
-    if retrain_only || (!fleet_only && retrain_path.exists()) {
-        match xtask::bench::check_retrain_file(&retrain_path, config) {
-            Ok(report) => {
-                let _ = write!(std::io::stdout(), "{}", report.text);
-                pass &= report.pass;
-            }
-            Err(e) => {
-                let _ = writeln!(std::io::stderr(), "error: {e}");
-                return ExitCode::from(2);
-            }
-        }
-    }
-    if pass {
-        ExitCode::SUCCESS
-    } else {
-        ExitCode::from(1)
-    }
-}
+                     [--config PATH] [--self-check]";
 
 #[derive(Clone, Copy, PartialEq)]
 enum LintFormat {
