@@ -99,8 +99,8 @@ pub fn count_frames(pending: &[u8]) -> usize {
 ///
 /// The threaded backend owns one per connection worker; the reactor
 /// backend owns one per connection slot and feeds it whatever each
-/// readiness event delivered — the parse position survives across
-/// arbitrarily split reads, so a frame torn over many readiness events
+/// scan's reads delivered — the parse position survives across
+/// arbitrarily split reads, so a frame torn over many scans
 /// reassembles exactly once.
 #[derive(Debug, Default)]
 pub struct FrameAccumulator {

@@ -10,9 +10,10 @@
 //! * [`framing`] — the panic-free u16-length-prefixed request framing
 //!   shared by both server backends and their tests, including the
 //!   resumable per-connection [`framing::FrameAccumulator`].
-//! * [`reactor`] — a hand-rolled poll/readiness layer over non-blocking
-//!   sockets plus the explicit per-connection state machine
-//!   ([`reactor::ConnMachine`]) behind the event-driven backend.
+//! * [`reactor`] — the explicit, I/O-free per-connection state machine
+//!   ([`reactor::ConnMachine`]) behind the reactor backend, and the
+//!   interval its shard loop parks for. There is no readiness layer: a
+//!   shard scans the non-blocking sockets it owns.
 //! * [`server`] — the TCP risk service with a hot-swappable detector:
 //!   retraining never drops a connection. Two interchangeable connection
 //!   cores sit behind [`server::ServerBackend`] — thread-per-connection

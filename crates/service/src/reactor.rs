@@ -1,319 +1,41 @@
-//! A small hand-rolled readiness reactor over non-blocking sockets —
-//! the multiplexed I/O core behind [`crate::server::ServerBackend::Reactor`].
+//! The per-connection state machine behind
+//! [`crate::server::ServerBackend::Reactor`], and the interval its shard
+//! loop parks for.
 //!
-//! The workspace vendors every dependency, so instead of `mio` this
-//! module provides the same shape from `std` alone:
+//! There is no readiness layer here. The workspace vendors no `libc` and
+//! the crate forbids `unsafe`, so there is no `poll(2)`/`epoll` to call;
+//! a reactor shard (`server.rs::reactor_shard_loop`) instead scans the
+//! non-blocking sockets it owns — one `read` per connection per pass —
+//! and parks for [`SCAN_INTERVAL`] only after a pass that accepted
+//! nothing and moved no byte.
 //!
-//! * [`Poll`] — a registration table of non-blocking [`TcpStream`]s.
-//!   [`Poll::poll`] scans registered sources for readiness (a
-//!   non-consuming `peek` probes read readiness; write readiness is
-//!   reported level-triggered while a source keeps write interest) and
-//!   parks in short scan intervals until an event, a wakeup, or the
-//!   timeout.
-//! * [`Waker`] — the self-pipe: a loopback socket pair owned by the
-//!   `Poll`. Writing one byte from any thread makes the next scan return
-//!   immediately with [`WAKE_TOKEN`], so shutdown latency is one poll
-//!   cycle, never a read-timeout tick.
-//! * [`ConnMachine`] — the explicit per-connection state machine
-//!   (`Idle → Reading → Assessing → Writing → Idle`) that owns the
-//!   resumable [`FrameAccumulator`] parse state and the partially
-//!   flushed output buffer. It is pure with respect to I/O — bytes go in
-//!   via [`ConnMachine::on_bytes`] and come out via
-//!   [`ConnMachine::flush_into`] — so property tests drive it with
-//!   arbitrary interleavings of partial reads, partial writes, and
-//!   readiness events without a socket in sight.
+//! What this module keeps is the part worth testing without a socket:
+//! [`ConnMachine`], the explicit per-connection state machine
+//! (`Idle → Reading → Assessing → Writing → Idle`) that owns the
+//! resumable [`FrameAccumulator`] parse state and the partially flushed
+//! output buffer. It is pure with respect to I/O — bytes go in via
+//! [`ConnMachine::on_bytes`] and come out via
+//! [`ConnMachine::flush_into`] — so property tests drive it with
+//! arbitrary interleavings of partial reads and partial writes.
 //!
 //! This module sits in both the determinism and panic-safety lint zones
-//! (`cargo xtask lint`): it never reads a wall clock (timeouts are
-//! counted in fixed scan intervals; the server tracks idle deadlines
-//! through its injected `Clock`), and it never unwinds on network input.
+//! (`cargo xtask lint`): it never reads a wall clock (the server tracks
+//! idle deadlines through its injected `Clock`), and it never unwinds on
+//! network input.
 
 use crate::framing::{FrameAccumulator, FrameStatus};
-use std::collections::BTreeMap;
-use std::io::{self, Read, Write};
-use std::net::{TcpListener, TcpStream};
-use std::thread;
+use std::io::{self, Write};
 use std::time::Duration;
 
-/// How long one scan interval lasts: the granularity at which
-/// [`Poll::poll`] re-probes readiness while nothing is ready. Wakeups
-/// and newly readable sources are noticed within one interval.
+/// How long a reactor shard parks after a scan that accepted no
+/// connection and moved no byte. New connections, newly readable sockets
+/// and the server's stop flag are all noticed within one interval.
 pub const SCAN_INTERVAL: Duration = Duration::from_micros(500);
-
-/// The reserved token [`Poll::poll`] reports when a [`Waker`] fired.
-/// Connection tokens must never use this value.
-pub const WAKE_TOKEN: Token = Token(usize::MAX);
-
-/// Identifies one registered source in [`Poll`] events.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct Token(pub usize);
-
-/// Which readiness a registered source is watched for.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Interest {
-    /// Report the source when bytes (or EOF, or a socket error) can be
-    /// read without blocking.
-    pub readable: bool,
-    /// Report the source as writable on every scan (level-triggered):
-    /// the owner attempts the write and re-arms on `WouldBlock`.
-    pub writable: bool,
-}
-
-impl Interest {
-    /// Read readiness only.
-    pub const READABLE: Interest = Interest {
-        readable: true,
-        writable: false,
-    };
-
-    /// Write readiness only.
-    pub const WRITABLE: Interest = Interest {
-        readable: false,
-        writable: true,
-    };
-
-    /// Both directions.
-    pub const BOTH: Interest = Interest {
-        readable: true,
-        writable: true,
-    };
-}
-
-/// One readiness report.
-#[derive(Debug, Clone, Copy)]
-pub struct Event {
-    /// The registered source (or [`WAKE_TOKEN`]).
-    pub token: Token,
-    /// Read readiness: data, EOF, or a pending socket error.
-    pub readable: bool,
-    /// Write readiness (level-triggered while write interest is held).
-    pub writable: bool,
-}
-
-/// Reusable event buffer filled by [`Poll::poll`].
-#[derive(Debug, Default)]
-pub struct Events {
-    inner: Vec<Event>,
-}
-
-impl Events {
-    /// An empty buffer.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// The events of the last poll.
-    pub fn iter(&self) -> impl Iterator<Item = &Event> {
-        self.inner.iter()
-    }
-
-    /// Whether the last poll returned no events (pure timeout).
-    pub fn is_empty(&self) -> bool {
-        self.inner.is_empty()
-    }
-
-    /// Number of events from the last poll.
-    pub fn len(&self) -> usize {
-        self.inner.len()
-    }
-}
-
-#[derive(Debug)]
-struct Source {
-    /// A `try_clone` of the registered stream, used only for
-    /// non-consuming readiness probes (`peek`).
-    probe: TcpStream,
-    interest: Interest,
-}
-
-/// The registration table plus the self-pipe. One `Poll` serves one
-/// event-loop thread; `Waker`s clone out of it and may be fired from
-/// anywhere.
-#[derive(Debug)]
-pub struct Poll {
-    sources: BTreeMap<usize, Source>,
-    wake_rx: TcpStream,
-    wake_tx: TcpStream,
-}
-
-/// Cross-thread wakeup handle for a [`Poll`] (the self-pipe write end).
-#[derive(Debug)]
-pub struct Waker {
-    tx: TcpStream,
-}
-
-impl Waker {
-    /// Makes the paired [`Poll::poll`] return within one scan interval,
-    /// reporting [`WAKE_TOKEN`]. A full pipe counts as already woken.
-    pub fn wake(&self) -> io::Result<()> {
-        match (&self.tx).write(&[1u8]) {
-            Ok(_) => Ok(()),
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => Ok(()),
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => Ok(()),
-            Err(e) => Err(e),
-        }
-    }
-}
-
-/// Builds the loopback socket pair backing the self-pipe: a throwaway
-/// ephemeral listener, one connect, one accept. Both ends end up
-/// non-blocking; the listener is dropped immediately.
-fn socket_pair() -> io::Result<(TcpStream, TcpStream)> {
-    let listener = TcpListener::bind("127.0.0.1:0")?;
-    let tx = TcpStream::connect(listener.local_addr()?)?;
-    let (rx, _) = listener.accept()?;
-    tx.set_nonblocking(true)?;
-    tx.set_nodelay(true)?;
-    rx.set_nonblocking(true)?;
-    Ok((tx, rx))
-}
-
-impl Poll {
-    /// A new registration table with its self-pipe.
-    pub fn new() -> io::Result<Self> {
-        let (wake_tx, wake_rx) = socket_pair()?;
-        Ok(Self {
-            sources: BTreeMap::new(),
-            wake_rx,
-            wake_tx,
-        })
-    }
-
-    /// A wakeup handle for this poll, usable from any thread.
-    pub fn waker(&self) -> io::Result<Waker> {
-        Ok(Waker {
-            tx: self.wake_tx.try_clone()?,
-        })
-    }
-
-    /// Registers `stream` under `token`. The stream itself stays with
-    /// the caller; the poll keeps only a probing clone.
-    pub fn register(
-        &mut self,
-        stream: &TcpStream,
-        token: Token,
-        interest: Interest,
-    ) -> io::Result<()> {
-        if token == WAKE_TOKEN {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidInput,
-                "WAKE_TOKEN is reserved for the self-pipe",
-            ));
-        }
-        let probe = stream.try_clone()?;
-        self.sources.insert(token.0, Source { probe, interest });
-        Ok(())
-    }
-
-    /// Changes the interest of an already-registered source.
-    pub fn reregister(&mut self, token: Token, interest: Interest) -> io::Result<()> {
-        match self.sources.get_mut(&token.0) {
-            Some(src) => {
-                src.interest = interest;
-                Ok(())
-            }
-            None => Err(io::Error::new(
-                io::ErrorKind::NotFound,
-                "reregister of an unknown token",
-            )),
-        }
-    }
-
-    /// Removes a source from the table.
-    pub fn deregister(&mut self, token: Token) {
-        self.sources.remove(&token.0);
-    }
-
-    /// Number of registered sources.
-    pub fn registered(&self) -> usize {
-        self.sources.len()
-    }
-
-    /// Drains the self-pipe; reports whether any wakeup byte arrived.
-    fn drain_wake(&mut self) -> io::Result<bool> {
-        let mut woken = false;
-        let mut buf = [0u8; 64];
-        loop {
-            match self.wake_rx.read(&mut buf) {
-                Ok(0) => return Ok(woken), // write end gone: treat as woken state
-                Ok(_) => woken = true,
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => return Ok(woken),
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                Err(e) => return Err(e),
-            }
-        }
-    }
-
-    /// Waits up to `timeout` for readiness, filling `events`.
-    ///
-    /// Returns immediately when any source is read-ready or a wakeup
-    /// fired. Sources holding only write interest are reported after one
-    /// scan interval (level-triggered with a throttle, so a peer that
-    /// stopped reading cannot spin the loop hot). With nothing ready the
-    /// call parks in [`SCAN_INTERVAL`] steps until the timeout lapses
-    /// and returns an empty `events`.
-    pub fn poll(&mut self, events: &mut Events, timeout: Duration) -> io::Result<()> {
-        events.inner.clear();
-        let interval_us = SCAN_INTERVAL.as_micros().max(1);
-        let scans = (timeout.as_micros() / interval_us).max(1);
-        let mut scan: u128 = 0;
-        loop {
-            let woken = self.drain_wake()?;
-            if woken {
-                events.inner.push(Event {
-                    token: WAKE_TOKEN,
-                    readable: true,
-                    writable: false,
-                });
-            }
-            let mut any_read = woken;
-            let mut probe_byte = [0u8; 1];
-            for (&token, source) in &self.sources {
-                let mut readable = false;
-                if source.interest.readable {
-                    readable = match source.probe.peek(&mut probe_byte) {
-                        // Data buffered, or EOF (peek returns Ok(0)):
-                        // either way the owner's read will not block.
-                        Ok(_) => true,
-                        Err(e) if e.kind() == io::ErrorKind::WouldBlock => false,
-                        Err(e) if e.kind() == io::ErrorKind::Interrupted => false,
-                        // A pending socket error is readiness too — the
-                        // owner's read surfaces it and closes the slot.
-                        Err(_) => true,
-                    };
-                }
-                let writable = source.interest.writable;
-                if readable || writable {
-                    events.inner.push(Event {
-                        token: Token(token),
-                        readable,
-                        writable,
-                    });
-                }
-                any_read |= readable;
-            }
-            if any_read {
-                return Ok(());
-            }
-            if !events.inner.is_empty() {
-                // Only optimistic write readiness: throttle one interval
-                // before handing the retry back to the caller.
-                thread::sleep(SCAN_INTERVAL);
-                return Ok(());
-            }
-            scan += 1;
-            if scan >= scans {
-                return Ok(());
-            }
-            thread::sleep(SCAN_INTERVAL);
-        }
-    }
-}
 
 /// Where a connection currently sits in its serve cycle.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ConnPhase {
-    /// No buffered input, no pending output: waiting for readiness.
+    /// No buffered input, no pending output: waiting for the peer.
     #[default]
     Idle,
     /// Bytes buffered but no complete frame taken yet.
@@ -334,9 +56,9 @@ pub struct FlushProgress {
 }
 
 /// The explicit per-connection state machine shared by the reactor
-/// event loop and the property tests.
+/// shard loop and the property tests.
 ///
-/// All I/O stays outside: readiness events feed bytes in through
+/// All I/O stays outside: the shard's scan feeds bytes in through
 /// [`ConnMachine::on_bytes`], the server takes batches with
 /// [`ConnMachine::take_frames`], queues replies with
 /// [`ConnMachine::queue_output`], and drains them with
@@ -366,8 +88,7 @@ impl ConnMachine {
         self.phase
     }
 
-    /// Feeds bytes delivered by a readiness event into the resumable
-    /// frame parser.
+    /// Feeds bytes read off the socket into the resumable frame parser.
     pub fn on_bytes(&mut self, chunk: &[u8]) {
         if chunk.is_empty() {
             return;
@@ -445,7 +166,7 @@ impl ConnMachine {
         self.out.len().saturating_sub(self.flushed)
     }
 
-    /// Whether the machine needs write readiness.
+    /// Whether output is queued and not yet flushed.
     pub fn wants_write(&self) -> bool {
         self.pending_output() > 0
     }
@@ -464,7 +185,7 @@ impl ConnMachine {
 
     /// Writes as much pending output as `sink` accepts. `WouldBlock`
     /// pauses the flush (the machine keeps its position and retries on
-    /// the next writable event); any other error propagates.
+    /// the next scan); any other error propagates.
     pub fn flush_into<W: Write>(&mut self, sink: &mut W) -> io::Result<FlushProgress> {
         let mut wrote = 0usize;
         loop {
@@ -517,78 +238,6 @@ impl ConnMachine {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn socket_pair_waker_wakes_within_one_scan() {
-        let mut poll = Poll::new().unwrap();
-        let waker = poll.waker().unwrap();
-        let mut events = Events::new();
-
-        // Without a wake, a short poll times out empty.
-        poll.poll(&mut events, Duration::from_millis(2)).unwrap();
-        assert!(events.is_empty());
-
-        // With a wake (even fired before the poll), it returns WAKE_TOKEN.
-        waker.wake().unwrap();
-        poll.poll(&mut events, Duration::from_secs(5)).unwrap();
-        assert_eq!(events.len(), 1);
-        assert_eq!(events.iter().next().unwrap().token, WAKE_TOKEN);
-
-        // The wake is edge-consumed: the next poll is quiet again.
-        poll.poll(&mut events, Duration::from_millis(2)).unwrap();
-        assert!(events.is_empty());
-    }
-
-    #[test]
-    fn peek_probe_reports_read_readiness_without_consuming() {
-        let (a, b) = socket_pair().unwrap();
-        let mut poll = Poll::new().unwrap();
-        poll.register(&b, Token(7), Interest::READABLE).unwrap();
-
-        let mut events = Events::new();
-        poll.poll(&mut events, Duration::from_millis(2)).unwrap();
-        assert!(events.is_empty(), "nothing written yet");
-
-        (&a).write_all(b"xyz").unwrap();
-        poll.poll(&mut events, Duration::from_secs(5)).unwrap();
-        let ev = events.iter().next().unwrap();
-        assert_eq!(ev.token, Token(7));
-        assert!(ev.readable);
-
-        // The probe must not have consumed the bytes.
-        let mut buf = [0u8; 3];
-        let mut owned = b;
-        owned.set_nonblocking(false).unwrap();
-        owned.read_exact(&mut buf).unwrap();
-        assert_eq!(&buf, b"xyz");
-    }
-
-    #[test]
-    fn write_interest_is_reported_level_triggered() {
-        let (_a, b) = socket_pair().unwrap();
-        let mut poll = Poll::new().unwrap();
-        poll.register(&b, Token(3), Interest::WRITABLE).unwrap();
-        let mut events = Events::new();
-        poll.poll(&mut events, Duration::from_secs(5)).unwrap();
-        let ev = events.iter().next().unwrap();
-        assert!(ev.writable && !ev.readable);
-
-        poll.reregister(Token(3), Interest::READABLE).unwrap();
-        poll.poll(&mut events, Duration::from_millis(2)).unwrap();
-        assert!(events.is_empty(), "write interest dropped");
-        poll.deregister(Token(3));
-        assert_eq!(poll.registered(), 0);
-    }
-
-    #[test]
-    fn wake_token_cannot_be_registered() {
-        let (_a, b) = socket_pair().unwrap();
-        let mut poll = Poll::new().unwrap();
-        let err = poll
-            .register(&b, WAKE_TOKEN, Interest::READABLE)
-            .unwrap_err();
-        assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
-    }
 
     #[test]
     fn conn_machine_walks_reading_assessing_writing_idle() {

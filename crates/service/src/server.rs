@@ -15,11 +15,12 @@
 //!
 //! * [`ServerBackend::Threaded`] — one OS thread per connection (the
 //!   original core, still the default).
-//! * [`ServerBackend::Reactor`] — per-core acceptor shards, each running
-//!   a readiness-driven event loop over non-blocking sockets
-//!   ([`crate::reactor`]) with an explicit per-connection state machine
-//!   ([`crate::reactor::ConnMachine`]), so one shard thread serves
-//!   thousands of connections.
+//! * [`ServerBackend::Reactor`] — per-core acceptor shards, each one
+//!   thread that scans the non-blocking sockets it accepted: a `read`
+//!   per connection per pass into an explicit per-connection state
+//!   machine ([`crate::reactor::ConnMachine`]), parking for
+//!   [`crate::reactor::SCAN_INTERVAL`] only after a pass that accepted
+//!   nothing and moved no byte. No thread per idle connection.
 //!
 //! Both backends run the same private batch path (`process_buffered`)
 //! over the same [`crate::framing::FrameAccumulator`] parse state, so
@@ -63,14 +64,13 @@
 
 use crate::framing::{FrameAccumulator, FrameStatus};
 use crate::proto::{encode_stats_response, Verdict, VerdictStatus};
-use crate::reactor::{ConnMachine, Events, Interest, Poll, Token, Waker, WAKE_TOKEN};
+use crate::reactor::{ConnMachine, SCAN_INTERVAL};
 use browser_engine::UserAgent;
 use fingerprint::{decode_submission_view, fnv1a64, is_stats_request, submission_cache_key};
 use parking_lot::RwLock;
 use polygraph_cache::{Lookup, VerdictCache};
 use polygraph_core::{Assessment, Detector, PolygraphError, TrainedModel};
 use polygraph_obs::{Clock, Counter, Gauge, Histogram, MonotonicClock, Registry, Snapshot};
-use std::collections::BTreeMap;
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -162,10 +162,10 @@ pub enum ServerBackend {
     /// concurrent connections.
     #[default]
     Threaded,
-    /// Readiness-driven multiplexed event loops ([`crate::reactor`]):
-    /// [`RiskServerConfig::reactor_shards`] acceptor shards, each a
-    /// single thread serving every connection it accepted through an
-    /// explicit per-connection state machine over non-blocking sockets.
+    /// Multiplexed scan loops: [`RiskServerConfig::reactor_shards`]
+    /// acceptor shards, each a single thread serving every connection it
+    /// accepted through an explicit per-connection state machine
+    /// ([`crate::reactor::ConnMachine`]) over non-blocking sockets.
     Reactor,
 }
 
@@ -200,7 +200,7 @@ pub struct RiskServerConfig {
     /// [`ServerBackend::Threaded`]).
     pub backend: ServerBackend,
     /// Acceptor-shard count for [`ServerBackend::Reactor`]: each shard is
-    /// one event-loop thread with its own clone of the listener. `0` (the
+    /// one scan-loop thread with its own clone of the listener. `0` (the
     /// default) sizes to the machine's available parallelism, capped at 8.
     /// Ignored by the threaded backend.
     pub reactor_shards: usize,
@@ -399,14 +399,19 @@ impl CacheLayer {
     /// one hit or one miss (unkeyable and stale-epoch frames are misses),
     /// so the cache counters balance against the verdict counters. A hit
     /// also charges `local` — to the client a cached answer *is* an
-    /// assessment.
-    fn lookup_for_assess(&self, frame: &[u8], local: &mut LocalCounters) -> Option<Verdict> {
+    /// assessment. The frame's key comes back with the answer, so a miss
+    /// is stored under it without hashing the frame again.
+    fn lookup_for_assess(
+        &self,
+        frame: &[u8],
+        local: &mut LocalCounters,
+    ) -> (Option<u64>, Option<Verdict>) {
         let Some(key) = submission_cache_key(frame) else {
             self.misses.inc();
-            return None;
+            return (None, None);
         };
         let start = self.clock.now_micros();
-        match self.cache.lookup(key) {
+        let hit = match self.cache.lookup(key) {
             Lookup::Hit(v) => {
                 self.hits.inc();
                 self.hit_micros
@@ -426,7 +431,8 @@ impl CacheLayer {
                 self.misses.inc();
                 None
             }
-        }
+        };
+        (Some(key), hit)
     }
 
     /// Shed-path lookup: a backlog frame the cache can answer is served
@@ -449,17 +455,15 @@ impl CacheLayer {
         }
     }
 
-    /// Caches an assessed verdict under the epoch read *before* the
-    /// detector guard was taken. Error verdicts are never cached — a
-    /// malformed frame must stay malformed-on-arrival, and a shed frame
-    /// is never cached at all (it is never assessed).
-    fn store(&self, frame: &[u8], epoch: u64, verdict: Verdict) {
+    /// Caches an assessed verdict under the key its lookup returned and
+    /// the epoch read *before* the detector guard was taken. Error
+    /// verdicts are never cached — a malformed frame must stay
+    /// malformed-on-arrival, and a shed frame is never cached at all (it
+    /// is never assessed).
+    fn store(&self, key: u64, epoch: u64, verdict: Verdict) {
         if verdict.status != VerdictStatus::Assessed {
             return;
         }
-        let Some(key) = submission_cache_key(frame) else {
-            return;
-        };
         if self.cache.insert(key, epoch, verdict).evicted {
             self.evictions.inc();
         }
@@ -516,11 +520,7 @@ pub struct RiskServerHandle {
     /// serving detector is at least `v` — fleet rollout relies on this
     /// to prove a node has (or has not) been reached.
     model_version: Arc<AtomicU64>,
-    /// One self-pipe waker per reactor shard (empty for the threaded
-    /// backend), fired at shutdown so every shard leaves its poll within
-    /// one cycle instead of waiting out a tick.
-    wakers: Vec<Waker>,
-    /// The acceptor thread (threaded backend) or the shard event-loop
+    /// The acceptor thread (threaded backend) or the shard scan-loop
     /// threads (reactor backend).
     workers: Vec<thread::JoinHandle<()>>,
 }
@@ -672,13 +672,10 @@ impl RiskServerHandle {
     /// Stops the acceptor *and* every connection worker, then joins them.
     /// Threaded workers check the stop flag on every loop, so this
     /// returns within roughly one read-timeout tick even with
-    /// connected-but-silent clients; reactor shards are woken through
-    /// their self-pipes and exit within one poll cycle.
+    /// connected-but-silent clients; reactor shards read the flag at the
+    /// top of every scan and exit within one scan interval.
     pub fn shutdown(mut self) {
         self.stop.store(true, Ordering::SeqCst);
-        for waker in &self.wakers {
-            let _ = waker.wake();
-        }
         for handle in self.workers.drain(..) {
             let _ = handle.join();
         }
@@ -763,7 +760,6 @@ pub fn start_risk_server_with(
         shed_limit: config.shed_limit,
     };
 
-    let mut wakers = Vec::new();
     let mut workers = Vec::new();
     match config.backend {
         ServerBackend::Threaded => {
@@ -774,12 +770,10 @@ pub fn start_risk_server_with(
             let clock = Arc::clone(&config.clock);
             for _ in 0..shards {
                 let shard_listener = listener.try_clone()?;
-                let poll = Poll::new()?;
-                wakers.push(poll.waker()?);
                 let shard_ctx = ctx.clone();
                 let shard_clock = Arc::clone(&clock);
                 workers.push(thread::spawn(move || {
-                    reactor_shard_loop(shard_listener, poll, shard_ctx, shard_clock)
+                    reactor_shard_loop(shard_listener, shard_ctx, shard_clock)
                 }));
             }
         }
@@ -794,7 +788,6 @@ pub fn start_risk_server_with(
         shadow,
         quantized: config.quantized,
         model_version: Arc::new(AtomicU64::new(0)),
-        wakers,
         workers,
     })
 }
@@ -982,15 +975,20 @@ fn process_buffered(
     // between batches, never inside one. `STATS` frames are answered
     // outside the guard. `verdicts` stays in submission order: a
     // `Some` is a cache hit, a `None` a miss the detector phase
-    // fills in place.
+    // fills in place; `miss_keys` holds each miss's cache key, in order.
     let n_submissions = frames.iter().filter(|f| !is_stats_request(f)).count();
     let mut verdicts: Vec<Option<Verdict>> = Vec::with_capacity(n_submissions);
+    let mut miss_keys: Vec<Option<u64>> = Vec::new();
     if n_submissions > 0 {
         let mut local = LocalCounters::default();
         match ctx.cache.as_deref() {
             Some(cache) => {
                 for f in frames.iter().filter(|f| !is_stats_request(f)) {
-                    verdicts.push(cache.lookup_for_assess(f, &mut local));
+                    let (key, hit) = cache.lookup_for_assess(f, &mut local);
+                    if hit.is_none() {
+                        miss_keys.push(key);
+                    }
+                    verdicts.push(hit);
                 }
             }
             None => verdicts.resize_with(n_submissions, || None),
@@ -1040,12 +1038,8 @@ fn process_buffered(
             // counters the single-frame path charges.
             let mut results = assessments.into_iter();
             let mut was_decoded = miss_decoded.into_iter();
-            let mut slots = verdicts.iter_mut();
-            for f in frames.iter().filter(|f| !is_stats_request(f)) {
-                let Some(slot) = slots.next() else { break };
-                if slot.is_some() {
-                    continue;
-                }
+            let mut keys = miss_keys.into_iter();
+            for slot in verdicts.iter_mut().filter(|slot| slot.is_none()) {
                 let v = if was_decoded.next() == Some(true) {
                     match results.next() {
                         Some(result) => verdict_from_assessment(result, &mut local),
@@ -1060,8 +1054,11 @@ fn process_buffered(
                     local.malformed += 1;
                     Verdict::error(VerdictStatus::Malformed)
                 };
-                if let (Some(cache), Some(epoch)) = (ctx.cache.as_deref(), insert_epoch) {
-                    cache.store(f, epoch, v);
+                // Unkeyable frames (and a disabled cache) have no key.
+                if let (Some(cache), Some(epoch), Some(key)) =
+                    (ctx.cache.as_deref(), insert_epoch, keys.next().flatten())
+                {
+                    cache.store(key, epoch, v);
                 }
                 *slot = Some(v);
             }
@@ -1193,11 +1190,6 @@ fn verdicts_agree(
     }
 }
 
-/// Poll granularity of a reactor shard: bounds accept latency and the
-/// idle-sweep granularity. Shutdown is *not* coupled to this tick — the
-/// self-pipe waker interrupts a poll within one scan interval.
-const REACTOR_TICK: Duration = Duration::from_millis(5);
-
 /// One reactor connection slot: the owned non-blocking socket plus its
 /// state machine and activity bookkeeping.
 struct ConnSlot {
@@ -1207,11 +1199,9 @@ struct ConnSlot {
     memo: UaMemo,
     /// Clock micros of the last read/write progress (or idle tick).
     last_activity: u64,
-    /// The interest currently registered with the poll.
-    interest: Interest,
 }
 
-/// How a slot leaves (or stays in) the connection table.
+/// How a slot leaves (or stays in) the shard's connection list.
 enum SlotFate {
     Keep,
     Closed,
@@ -1220,52 +1210,41 @@ enum SlotFate {
 
 /// One reactor shard: accepts from its clone of the shared non-blocking
 /// listener and serves every accepted connection on this single thread
-/// through per-connection [`ConnMachine`]s. Counter semantics mirror the
-/// threaded backend exactly: idle keep-alive ticks survive, stalled
-/// partial frames and stuck writes error, slots reclaimed while serving
-/// count as reaped, and slots closed by shutdown count only as closed.
-fn reactor_shard_loop(
-    listener: TcpListener,
-    mut poll: Poll,
-    ctx: ConnContext,
-    clock: Arc<dyn Clock>,
-) {
-    let mut events = Events::new();
-    let mut conns: BTreeMap<usize, ConnSlot> = BTreeMap::new();
-    let mut next_token: usize = 0;
+/// through per-connection [`ConnMachine`]s. Each pass drains the
+/// listener, drives every slot once, and parks for [`SCAN_INTERVAL`]
+/// only when it accepted nothing and moved no byte; the stop flag is
+/// read at the top of every pass, so shutdown takes one scan interval.
+/// Counter semantics mirror the threaded backend exactly: idle
+/// keep-alive ticks survive, stalled partial frames and stuck writes
+/// error, slots reclaimed while serving count as reaped, and slots
+/// closed by shutdown count only as closed.
+fn reactor_shard_loop(listener: TcpListener, ctx: ConnContext, clock: Arc<dyn Clock>) {
+    let mut conns: Vec<ConnSlot> = Vec::new();
     let timeout_us = ctx.read_timeout.as_micros().min(u64::MAX as u128) as u64;
     'run: while !ctx.stop.load(Ordering::SeqCst) {
+        let mut progressed = false;
         // Accept every pending connection. All shards share the
         // non-blocking listener, so `WouldBlock` may just mean another
         // shard got there first.
         loop {
             match listener.accept() {
                 Ok((stream, _)) => {
+                    progressed = true;
                     ctx.metrics.connections_opened.inc();
-                    let token = Token(next_token);
-                    next_token = next_token.wrapping_add(1);
-                    if next_token == WAKE_TOKEN.0 {
-                        next_token = 0;
-                    }
                     let prepared = stream
                         .set_nonblocking(true)
-                        .and_then(|()| stream.set_nodelay(true))
-                        .and_then(|()| poll.register(&stream, token, Interest::READABLE));
+                        .and_then(|()| stream.set_nodelay(true));
                     if prepared.is_err() {
                         ctx.metrics.connections_errored.inc();
                         continue;
                     }
                     ctx.metrics.connections_open.add(1);
-                    conns.insert(
-                        token.0,
-                        ConnSlot {
-                            stream,
-                            machine: ConnMachine::new(),
-                            memo: UaMemo::new(),
-                            last_activity: clock.now_micros(),
-                            interest: Interest::READABLE,
-                        },
-                    );
+                    conns.push(ConnSlot {
+                        stream,
+                        machine: ConnMachine::new(),
+                        memo: UaMemo::new(),
+                        last_activity: clock.now_micros(),
+                    });
                 }
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
@@ -1273,89 +1252,62 @@ fn reactor_shard_loop(
             }
         }
 
-        if poll.poll(&mut events, REACTOR_TICK).is_err() {
-            break 'run; // self-pipe broken: the shard cannot be woken safely
-        }
-        if ctx.stop.load(Ordering::SeqCst) {
-            break 'run;
-        }
-
         let now = clock.now_micros();
-        let mut retired: Vec<(usize, SlotFate)> = Vec::new();
-        for event in events.iter() {
-            if event.token == WAKE_TOKEN {
-                continue;
+        conns.retain_mut(|slot| {
+            let mut fate = drive_slot(slot, &ctx, now, &mut progressed);
+            // Idle / stall sweep — the reactor mirror of the threaded
+            // backend's read-timeout semantics: an idle keep-alive client
+            // survives (and is counted); a stalled partial frame or a
+            // write the peer will not drain fails the connection.
+            if matches!(fate, SlotFate::Keep)
+                && now.saturating_sub(slot.last_activity) >= timeout_us
+            {
+                if slot.machine.has_partial_input() || slot.machine.wants_write() {
+                    fate = SlotFate::Errored;
+                } else {
+                    ctx.metrics.idle_timeouts.inc();
+                    slot.last_activity = now;
+                }
             }
-            let Some(slot) = conns.get_mut(&event.token.0) else {
-                continue;
-            };
-            match drive_slot(slot, event.readable, &ctx, now) {
-                SlotFate::Keep => {}
-                fate => retired.push((event.token.0, fate)),
-            }
-        }
-
-        // Idle / stall sweep — the reactor mirror of the threaded
-        // backend's read-timeout semantics: an idle keep-alive client
-        // survives (and is counted); a stalled partial frame or a write
-        // the peer will not drain fails the connection.
-        for (&token, slot) in conns.iter_mut() {
-            if now.saturating_sub(slot.last_activity) < timeout_us {
-                continue;
-            }
-            if slot.machine.has_partial_input() || slot.machine.wants_write() {
-                retired.push((token, SlotFate::Errored));
-            } else {
-                ctx.metrics.idle_timeouts.inc();
-                slot.last_activity = now;
-            }
-        }
-
-        for (token, fate) in retired {
-            // A slot can be nominated twice (event + sweep); the first
-            // removal wins.
-            if conns.remove(&token).is_none() {
-                continue;
-            }
-            poll.deregister(Token(token));
             match fate {
+                SlotFate::Keep => return true,
+                SlotFate::Closed => ctx.metrics.connections_closed.inc(),
                 SlotFate::Errored => ctx.metrics.connections_errored.inc(),
-                SlotFate::Closed | SlotFate::Keep => ctx.metrics.connections_closed.inc(),
             }
             ctx.metrics.connections_open.add(-1);
             // Reclaimed while the shard kept serving — the reactor's
             // analogue of the threaded backend's worker reap.
             ctx.metrics.connections_reaped.inc();
-        }
+            false
+        });
 
-        // Re-arm interests to match what each surviving machine needs.
-        for (&token, slot) in conns.iter_mut() {
-            let desired = Interest {
-                readable: !slot.machine.saw_eof() && !slot.machine.close_requested(),
-                writable: slot.machine.wants_write(),
-            };
-            if desired != slot.interest && poll.reregister(Token(token), desired).is_ok() {
-                slot.interest = desired;
-            }
+        if !progressed {
+            thread::sleep(SCAN_INTERVAL);
         }
     }
 
-    // Shutdown (or a fatal listener/self-pipe error): remaining
-    // connections close cleanly, exactly like threaded workers observing
-    // the stop flag. Not counted as reaped — `reaped` means reclaimed
-    // while the server kept running.
-    for _slot in conns.into_values() {
+    // Shutdown (or a fatal listener error): remaining connections close
+    // cleanly, exactly like threaded workers observing the stop flag.
+    // Not counted as reaped — `reaped` means reclaimed while the server
+    // kept running.
+    for _slot in conns {
         ctx.metrics.connections_closed.inc();
         ctx.metrics.connections_open.add(-1);
     }
 }
 
-/// Runs one readiness event's worth of work on a slot: non-blocking
-/// reads into the state machine, the shared batch path over whatever
-/// frames became complete, and a flush of queued output.
-fn drive_slot(slot: &mut ConnSlot, readable: bool, ctx: &ConnContext, now: u64) -> SlotFate {
+/// Runs one scan's worth of work on a slot: non-blocking reads into the
+/// state machine, the shared batch path over whatever frames became
+/// complete, and a flush of queued output. Sets `progressed` when a byte
+/// moved in either direction.
+fn drive_slot(slot: &mut ConnSlot, ctx: &ConnContext, now: u64, progressed: &mut bool) -> SlotFate {
     let metrics = &ctx.metrics;
-    if readable && !slot.machine.saw_eof() && !slot.machine.close_requested() {
+    // Nothing is read while replies are still queued: a peer that
+    // pipelines and never reads must fill its own socket and stall
+    // (caught by the sweep), not grow the reply buffer without bound —
+    // the threaded core's blocking `write_all` gives the same
+    // back-pressure.
+    if !slot.machine.saw_eof() && !slot.machine.close_requested() && !slot.machine.wants_write() {
         let target = drain_target(ctx);
         let mut chunk = [0u8; 4096];
         loop {
@@ -1371,6 +1323,7 @@ fn drive_slot(slot: &mut ConnSlot, readable: bool, ctx: &ConnContext, now: u64) 
                     metrics.bytes_read.add(n as u64);
                     slot.machine.on_bytes(chunk.get(..n).unwrap_or_default());
                     slot.last_activity = now;
+                    *progressed = true;
                 }
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
@@ -1391,14 +1344,15 @@ fn drive_slot(slot: &mut ConnSlot, readable: bool, ctx: &ConnContext, now: u64) 
         }
     }
 
-    // Flush whatever is queued; `WouldBlock` pauses and re-arms write
-    // interest, so a slow reader never blocks the shard.
+    // Flush whatever is queued; `WouldBlock` pauses until the next scan,
+    // so a slow reader never blocks the shard.
     if slot.machine.wants_write() {
         let mut sink = &slot.stream;
         match slot.machine.flush_into(&mut sink) {
             Ok(progress) => {
                 if progress.wrote > 0 {
                     slot.last_activity = now;
+                    *progressed = true;
                 }
             }
             Err(_) => {

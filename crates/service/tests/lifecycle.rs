@@ -6,10 +6,13 @@
 //!   reactor;
 //! * an idle keep-alive client survives read-timeout ticks, while a
 //!   stalled partial frame does not;
+//! * a peer that pipelines and never reads a reply is stopped by
+//!   back-pressure and errored after the read timeout, while its
+//!   neighbours keep being served;
 //! * shutdown is bounded even with a connected-but-silent client;
-//! * the reactor's self-pipe wakeup decouples shutdown latency from the
-//!   read timeout entirely: even a multi-second timeout shuts down
-//!   within one poll cycle.
+//! * reactor shutdown latency is decoupled from the read timeout
+//!   entirely: a shard reads the stop flag at the top of every scan, so
+//!   even a multi-second timeout shuts down within one scan interval.
 
 mod common;
 
@@ -194,6 +197,87 @@ fn stalled_partial_frame_fails_the_connection() {
     });
 }
 
+/// A peer that pipelines frames and never reads a reply must be stopped
+/// by back-pressure — its `write` fails (timeout, or a reset once the
+/// server gives up on it) long before the cap — and the server must
+/// count it errored once it has stalled for the read timeout, exactly
+/// like a stalled partial frame. Before the fix the reactor kept reading
+/// while replies were queued: it buffered them without bound, every read
+/// refreshed the slot's activity stamp, and the stall sweep never fired.
+#[test]
+fn never_reading_peer_blocks_and_is_errored() {
+    const CAP: usize = 128 << 20;
+    for_each_backend(|config, backend| {
+        let read_timeout = Duration::from_millis(300);
+        let config = RiskServerConfig {
+            read_timeout,
+            reactor_shards: 1, // the flooder and the probe share one shard
+            ..config
+        };
+        let server = start_risk_server_with("127.0.0.1:0", tiny_detector(), config).unwrap();
+
+        let addr = server.local_addr();
+        let flooder = std::thread::spawn(move || {
+            let mut stream = TcpStream::connect(addr).unwrap();
+            stream
+                .set_write_timeout(Some(Duration::from_secs(5)))
+                .unwrap();
+            let frame = honest_frame();
+            let mut wire = Vec::new();
+            for _ in 0..512 {
+                wire.extend_from_slice(&(frame.len() as u16).to_le_bytes());
+                wire.extend_from_slice(&frame);
+            }
+            let mut sent = 0usize;
+            while sent < CAP {
+                if stream.write_all(&wire).is_err() {
+                    break;
+                }
+                sent += wire.len();
+            }
+            // The stream goes back to the caller still open and unread.
+            (sent, stream)
+        });
+
+        // Meanwhile a well-behaved neighbour keeps getting real answers.
+        let mut probe = TcpStream::connect(addr).unwrap();
+        probe.set_nodelay(true).unwrap();
+        probe
+            .set_read_timeout(Some(Duration::from_secs(10)))
+            .unwrap();
+        let mut probes = 0u64;
+        loop {
+            let flood_over = flooder.is_finished();
+            send_frame(&mut probe, &honest_frame());
+            assert_eq!(
+                read_verdict(&mut probe).status,
+                VerdictStatus::Assessed,
+                "[{backend}] probe {probes} during the flood"
+            );
+            probes += 1;
+            if flood_over {
+                break;
+            }
+        }
+
+        let (sent, flood_stream) = flooder.join().unwrap();
+        assert!(
+            sent < CAP,
+            "[{backend}] a peer that never reads pushed {sent} bytes without ever blocking"
+        );
+        wait_for(
+            &server,
+            3 * read_timeout,
+            |errored| errored >= 1,
+            |s| s.stats().connections_errored,
+        );
+        assert_eq!(server.stats().connections_errored, 1, "[{backend}]");
+        drop(flood_stream);
+        drop(probe);
+        server.shutdown();
+    });
+}
+
 #[test]
 fn shutdown_is_bounded_with_silent_connected_client() {
     for_each_backend(|config, backend| {
@@ -205,7 +289,7 @@ fn shutdown_is_bounded_with_silent_connected_client() {
 
         // A connected client that never sends a byte. Threaded workers
         // notice the stop flag within one read-timeout tick; reactor
-        // shards are woken through the self-pipe.
+        // shards read it at the top of every scan.
         let stream = TcpStream::connect(server.local_addr()).unwrap();
         std::thread::sleep(Duration::from_millis(50)); // let the accept land
 
@@ -220,12 +304,11 @@ fn shutdown_is_bounded_with_silent_connected_client() {
     });
 }
 
-/// The self-pipe wakeup fix, pinned: with a read timeout of ten seconds —
-/// long enough that any tick-coupled shutdown would blow the assertion —
-/// the reactor still shuts down within one poll cycle, because
-/// `shutdown()` fires each shard's waker and the poll returns
-/// immediately instead of waiting out its timeout (let alone the read
-/// timeout a pre-fix acceptor tick was coupled to).
+/// Reactor shutdown is not coupled to the read timeout, pinned: with a
+/// read timeout of ten seconds — long enough that any tick-coupled
+/// shutdown would blow the assertion — the reactor still shuts down
+/// within one scan interval, because every shard reads the stop flag at
+/// the top of each pass and never parks longer than `SCAN_INTERVAL`.
 #[test]
 fn reactor_shutdown_completes_within_one_poll_cycle() {
     let config = RiskServerConfig {
@@ -246,8 +329,8 @@ fn reactor_shutdown_completes_within_one_poll_cycle() {
     let elapsed = start.elapsed();
     assert!(
         elapsed < Duration::from_millis(500),
-        "reactor shutdown must be decoupled from the 10 s read timeout \
-         by the self-pipe wakeup, took {elapsed:?}"
+        "reactor shutdown must be decoupled from the 10 s read timeout, \
+         took {elapsed:?}"
     );
     drop(stream);
 }

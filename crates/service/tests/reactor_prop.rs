@@ -1,11 +1,11 @@
 //! Property tests for the reactor's per-connection state machine
 //! ([`ConnMachine`]): arbitrary seeded interleavings of partial reads,
-//! partial writes, and readiness events must never drop, duplicate, or
+//! bounded batch takes and partial writes must never drop, duplicate, or
 //! reorder a frame — and the reply byte stream must come out exactly as
 //! if the connection had been served synchronously.
 //!
 //! The machine is pure with respect to I/O, so these tests drive it the
-//! same way the reactor event loop does (bytes in via `on_bytes`,
+//! same way the reactor shard loop does (bytes in via `on_bytes`,
 //! batches out via `take_frames`, replies out via `flush_into`) but with
 //! adversarial schedules no real socket would reliably produce.
 
