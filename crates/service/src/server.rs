@@ -1702,6 +1702,185 @@ mod tests {
         }
     }
 
+    /// A connection context built by hand, so a test can drive
+    /// `process_buffered` with no socket in the way.
+    fn socketless_context(cache_capacity: usize, shed_limit: usize) -> ConnContext {
+        let clock: Arc<dyn Clock> = Arc::new(MonotonicClock::new());
+        let registry = Arc::new(Registry::new(Arc::clone(&clock)));
+        let cache = (cache_capacity > 0)
+            .then(|| Arc::new(CacheLayer::new(&registry, clock, 8, cache_capacity)));
+        ConnContext {
+            detector: Arc::new(RwLock::new(tiny_detector())),
+            metrics: Arc::new(ServerMetrics::new(registry)),
+            cache,
+            shadow: Arc::new(RwLock::new(None)),
+            stop: Arc::new(AtomicBool::new(false)),
+            read_timeout: Duration::from_secs(5),
+            shed_limit,
+        }
+    }
+
+    /// One parsed element of a reply byte stream.
+    #[derive(Debug, PartialEq)]
+    enum Reply {
+        /// `(status, flagged)` of a verdict.
+        Verdict(VerdictStatus, bool),
+        /// The JSON body of a `STATS` response.
+        Stats(String),
+    }
+
+    fn parse_replies(mut out: &[u8]) -> Vec<Reply> {
+        use crate::proto::{
+            decode_stats_response_header, STATS_RESPONSE_HEADER_LEN, STATS_RESPONSE_MAGIC,
+            VERDICT_LEN,
+        };
+        let mut replies = Vec::new();
+        while !out.is_empty() {
+            if out.starts_with(&STATS_RESPONSE_MAGIC) {
+                let (header, rest) = out.split_at(STATS_RESPONSE_HEADER_LEN);
+                let len = decode_stats_response_header(header.try_into().unwrap()).unwrap();
+                let (body, rest) = rest.split_at(len);
+                replies.push(Reply::Stats(String::from_utf8(body.to_vec()).unwrap()));
+                out = rest;
+            } else {
+                let (verdict, rest) = out.split_at(VERDICT_LEN);
+                let v = Verdict::decode(verdict).unwrap();
+                replies.push(Reply::Verdict(v.status, v.flagged));
+                out = rest;
+            }
+        }
+        replies
+    }
+
+    /// Every branch of one batch cycle, fed from a hand-built
+    /// accumulator: a full batch holding each kind of frame, then a
+    /// backlog (shed at `shed_limit: 0`) holding a repeat, a `STATS`
+    /// frame and a never-seen frame, then an oversize header. Pins the
+    /// exact reply sequence and every counter, with the cache off and on.
+    #[test]
+    fn one_batch_cycle_answers_every_kind_of_frame_in_order() {
+        use VerdictStatus::{Assessed, Degraded, Malformed, SchemaMismatch};
+        let honest = frame_for(vec![10, 10], UserAgent::new(Vendor::Chrome, 100));
+        let lying = frame_for(vec![20, 20], UserAgent::new(Vendor::Chrome, 100));
+        let never_seen = frame_for(vec![0, 0], UserAgent::new(Vendor::Chrome, 60));
+        let wrong_width = frame_for(vec![1, 2, 3, 4], UserAgent::new(Vendor::Chrome, 100));
+        let bad_ua = encode_submission(&Submission {
+            session_id: [0u8; 16],
+            user_agent: "curl/8.0".into(),
+            values: vec![1, 2],
+        })
+        .unwrap()
+        .to_vec();
+        let stats_req = fingerprint::encode_stats_request().to_vec();
+
+        let mut bodies: Vec<&[u8]> = vec![
+            &honest[..],
+            &stats_req[..],
+            &honest[..],
+            &[9u8, 9, 9][..], // undecodable
+            &wrong_width[..],
+            &bad_ua[..],
+        ];
+        // Fill the batch, so what follows is a backlog.
+        bodies.resize(MAX_BATCH_PER_GUARD, &lying[..]);
+        bodies.extend([&honest[..], &stats_req[..], &never_seen[..]]);
+        let mut wire = Vec::new();
+        for body in &bodies {
+            wire.extend_from_slice(&(body.len() as u16).to_le_bytes());
+            wire.extend_from_slice(body);
+        }
+        wire.extend_from_slice(&2000u16.to_le_bytes()); // oversize header
+        let filler = MAX_BATCH_PER_GUARD - 6;
+
+        for cache_capacity in [0usize, 64] {
+            let cached = cache_capacity > 0;
+            let context = format!("cache capacity {cache_capacity}");
+            let ctx = socketless_context(cache_capacity, 0);
+            let mut acc = FrameAccumulator::new();
+            acc.extend(&wire);
+            let outcome = process_buffered(&mut acc, &mut UaMemo::new(), &ctx);
+            assert!(outcome.close, "[{context}] an oversize header closes");
+
+            let replies = parse_replies(&outcome.out);
+            // `STATS` bodies are checked below; compare the rest by shape.
+            let shape: Vec<Reply> = replies
+                .iter()
+                .map(|r| match r {
+                    Reply::Verdict(status, flagged) => Reply::Verdict(*status, *flagged),
+                    Reply::Stats(_) => Reply::Stats(String::new()),
+                })
+                .collect();
+            let mut expected = vec![
+                Reply::Verdict(Assessed, false),
+                Reply::Stats(String::new()),
+                Reply::Verdict(Assessed, false),
+                Reply::Verdict(Malformed, false),
+                Reply::Verdict(SchemaMismatch, false),
+                Reply::Verdict(Malformed, false),
+            ];
+            expected.extend((0..filler).map(|_| Reply::Verdict(Assessed, true)));
+            // The backlog: a repeat is served from the cache when there
+            // is one, `STATS` is always answered, a never-seen frame is
+            // shed; then the oversize header's closing verdict.
+            expected.push(if cached {
+                Reply::Verdict(Assessed, false)
+            } else {
+                Reply::Verdict(Degraded, false)
+            });
+            expected.push(Reply::Stats(String::new()));
+            expected.push(Reply::Verdict(Degraded, false));
+            expected.push(Reply::Verdict(Malformed, false));
+            assert_eq!(shape, expected, "[{context}]");
+
+            // The batch's `STATS` frame sees its own batch's assessments;
+            // the backlog's is a fresh snapshot.
+            let assessed = 2 + filler as u64;
+            let stats_bodies: Vec<&String> = replies
+                .iter()
+                .filter_map(|r| match r {
+                    Reply::Stats(json) => Some(json),
+                    Reply::Verdict(..) => None,
+                })
+                .collect();
+            assert_eq!(stats_bodies.len(), 2, "[{context}]");
+            for (json, requests) in stats_bodies.iter().zip([1, 2]) {
+                assert!(
+                    json.contains(&format!("\"server.frames.assessed\":{assessed}")),
+                    "[{context}] {json}"
+                );
+                assert!(
+                    json.contains(&format!("\"server.stats_requests\":{requests}")),
+                    "[{context}] {json}"
+                );
+            }
+
+            let stats = ctx.metrics.stats();
+            assert_eq!(stats.assessed, assessed, "[{context}]");
+            assert_eq!(stats.flagged, filler as u64, "[{context}]");
+            // Three in the batch plus the oversize header.
+            assert_eq!(stats.malformed, 4, "[{context}]");
+            assert_eq!(stats.shed, if cached { 1 } else { 2 }, "[{context}]");
+            assert_eq!(stats.stats_requests, 2, "[{context}]");
+            assert_eq!(stats.batches, 1, "[{context}]");
+            assert_eq!(stats.bytes_written, outcome.out.len() as u64, "[{context}]");
+            if let Some(cache) = ctx.cache.as_deref() {
+                // Lookups all precede the detector phase, so the second
+                // honest frame of the batch misses like the first.
+                assert_eq!(cache.hits.get(), 1, "[{context}]");
+                assert_eq!(cache.misses.get(), MAX_BATCH_PER_GUARD as u64 - 1);
+                assert_eq!(cache.shed_exempt.get(), 1, "[{context}]");
+                // The books balance over every frame that was looked up;
+                // the oversize header is charged `malformed` with no
+                // frame to look up.
+                assert_eq!(
+                    cache.hits.get() + cache.misses.get(),
+                    stats.assessed + (stats.malformed - 1) + cache.shed_exempt.get(),
+                    "[{context}]"
+                );
+            }
+        }
+    }
+
     #[test]
     fn overload_backlog_is_shed_with_degraded() {
         // shed_limit 0: after each assessed batch, every frame still

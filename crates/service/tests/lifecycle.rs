@@ -9,6 +9,8 @@
 //! * a peer that pipelines and never reads a reply is stopped by
 //!   back-pressure and errored after the read timeout, while its
 //!   neighbours keep being served;
+//! * an oversize length header is answered once, after every frame that
+//!   preceded it, and then closes the connection cleanly;
 //! * shutdown is bounded even with a connected-but-silent client;
 //! * reactor shutdown latency is decoupled from the read timeout
 //!   entirely: a shard reads the stop flag at the top of every scan, so
@@ -301,6 +303,59 @@ fn shutdown_is_bounded_with_silent_connected_client() {
             "[{backend}] shutdown must be bounded by ~one read-timeout tick, took {elapsed:?}"
         );
         drop(stream);
+    });
+}
+
+/// An oversize length header cannot be resynchronised past: every frame
+/// before it is still answered, the header itself gets one `Malformed`
+/// verdict, and the server then closes the connection — a *clean* close
+/// on both cores, never an error.
+#[test]
+fn oversize_header_answers_preceding_frames_then_closes_cleanly() {
+    for_each_backend(|config, backend| {
+        let server = start_risk_server_with("127.0.0.1:0", tiny_detector(), config).unwrap();
+        let mut stream = TcpStream::connect(server.local_addr()).unwrap();
+        stream.set_nodelay(true).unwrap();
+        stream
+            .set_read_timeout(Some(Duration::from_secs(10)))
+            .unwrap();
+
+        for _ in 0..3 {
+            send_frame(&mut stream, &honest_frame());
+        }
+        stream.write_all(&2000u16.to_le_bytes()).unwrap();
+
+        for i in 0..3 {
+            assert_eq!(
+                read_verdict(&mut stream).status,
+                VerdictStatus::Assessed,
+                "[{backend}] frame {i}"
+            );
+        }
+        assert_eq!(
+            read_verdict(&mut stream).status,
+            VerdictStatus::Malformed,
+            "[{backend}] the oversize header is answered once"
+        );
+        let mut rest = Vec::new();
+        assert_eq!(
+            stream.read_to_end(&mut rest).unwrap(),
+            0,
+            "[{backend}] the server closes after the malformed verdict"
+        );
+
+        wait_for(
+            &server,
+            Duration::from_secs(5),
+            |closed| closed >= 1,
+            |s| s.stats().connections_closed,
+        );
+        let stats = server.stats();
+        assert_eq!(stats.connections_closed, 1, "[{backend}]");
+        assert_eq!(stats.connections_errored, 0, "[{backend}]");
+        assert_eq!(stats.assessed, 3, "[{backend}]");
+        assert_eq!(stats.malformed, 1, "[{backend}]");
+        server.shutdown();
     });
 }
 
