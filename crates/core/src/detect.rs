@@ -28,6 +28,21 @@ pub struct Assessment {
     pub risk_factor: u32,
 }
 
+/// Whether two assessments of one session would reach the client as the
+/// same verdict: `flagged` and `risk_factor` equal, or both errors. The
+/// one agreement rule behind the serve path's shadow comparison and the
+/// fleet rollout's divergence gate, so both measure the same thing.
+pub fn verdicts_agree(
+    a: &Result<Assessment, PolygraphError>,
+    b: &Result<Assessment, PolygraphError>,
+) -> bool {
+    match (a, b) {
+        (Ok(a), Ok(b)) => a.flagged == b.flagged && a.risk_factor == b.risk_factor,
+        (Err(_), Err(_)) => true,
+        _ => false,
+    }
+}
+
 /// What claim verification needs to know about one predicted cluster.
 /// A pure function of the model, built once in [`Detector::new`].
 #[derive(Debug, Clone)]

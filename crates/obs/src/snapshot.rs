@@ -119,61 +119,6 @@ impl Snapshot {
         out
     }
 
-    /// Parses a rendered text exposition back into a snapshot. The
-    /// inverse of [`Snapshot::render_text`] for well-formed input; used
-    /// by clients consuming `STATS` responses and by the golden-file
-    /// test. Unrecognised lines are skipped rather than fatal so the
-    /// format can grow new line kinds compatibly.
-    pub fn parse_text(text: &str) -> Snapshot {
-        let mut snap = Snapshot::default();
-        for line in text.lines() {
-            let mut parts = line.split(' ');
-            match parts.next() {
-                Some("counter") => {
-                    if let (Some(name), Some(v)) = (parts.next(), parts.next()) {
-                        if let Ok(v) = v.parse() {
-                            snap.counters.insert(name.to_string(), v);
-                        }
-                    }
-                }
-                Some("gauge") => {
-                    if let (Some(name), Some(v)) = (parts.next(), parts.next()) {
-                        if let Ok(v) = v.parse() {
-                            snap.gauges.insert(name.to_string(), v);
-                        }
-                    }
-                }
-                Some("histogram") => {
-                    let fields: Vec<&str> = parts.collect();
-                    if let [name, "count", count, "sum", sum, "buckets", list] = fields.as_slice() {
-                        let (Ok(count), Ok(sum)) = (count.parse(), sum.parse()) else {
-                            continue;
-                        };
-                        let mut buckets = [0u64; BUCKETS];
-                        let parsed: Vec<u64> =
-                            list.split(',').filter_map(|c| c.parse().ok()).collect();
-                        if parsed.len() != BUCKETS {
-                            continue;
-                        }
-                        for (dst, src) in buckets.iter_mut().zip(&parsed) {
-                            *dst = *src;
-                        }
-                        snap.histograms.insert(
-                            name.to_string(),
-                            HistogramSnapshot {
-                                count,
-                                sum,
-                                buckets,
-                            },
-                        );
-                    }
-                }
-                _ => {}
-            }
-        }
-        snap
-    }
-
     /// Parses a rendered JSON snapshot back into a `Snapshot` — the
     /// inverse of [`Snapshot::render_json`], used by clients consuming
     /// `STATS` responses. Returns `None` on malformed input. Unknown
@@ -525,12 +470,6 @@ mod tests {
         let bucket_line = text.lines().find(|l| l.starts_with("histogram")).unwrap();
         let list = bucket_line.rsplit(' ').next().unwrap();
         assert_eq!(list.split(',').count(), BUCKETS);
-    }
-
-    #[test]
-    fn text_round_trips_through_parse() {
-        let snap = sample();
-        assert_eq!(Snapshot::parse_text(&snap.render_text()), snap);
     }
 
     #[test]

@@ -11,10 +11,12 @@
 //! * [`FleetRouter`] — a consistent-hash ring over
 //!   [`fingerprint::submission_cache_key`]: each node owns
 //!   `replicas_per_node` pseudo-random points on a `u64` circle, a key is
-//!   served by the first point clockwise from its hash, and killing a
-//!   node reassigns *only that node's* key ranges (to each range's next
-//!   distinct live node), leaving every other key's owner — and therefore
-//!   every other node's verdict cache — untouched.
+//!   served by the first point clockwise from its hash (finalised by a
+//!   fixed 64-bit mix, so frames that differ only in their last bytes
+//!   still spread), and killing a node reassigns *only that node's* key
+//!   ranges (to each range's next distinct live node), leaving every
+//!   other key's owner — and therefore every other node's verdict cache —
+//!   untouched.
 //! * [`RiskFleet`] — N in-process servers (either connection backend)
 //!   sharing one on-disk [`ModelRegistry`]; each node keeps its own swap
 //!   epoch ([`RiskServerHandle::cache_epoch`]) and serving-model version
@@ -40,6 +42,7 @@ use crate::registry::ModelRegistry;
 use crate::server::{start_risk_server_with, RiskServerConfig, RiskServerHandle, RiskServerStats};
 use browser_engine::UserAgent;
 use fingerprint::{encode_submission, fnv1a64, submission_cache_key, Submission};
+use polygraph_core::detect::verdicts_agree;
 use polygraph_core::{Detector, TrainedModel};
 use polygraph_obs::{Counter, Registry};
 use std::io;
@@ -76,6 +79,14 @@ pub mod metric_names {
     }
 }
 
+/// The splitmix64 finaliser: a fixed bijective multiply-xorshift mix in
+/// which every input bit reaches every output bit.
+fn mix64(mut z: u64) -> u64 {
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}
+
 /// A consistent-hash ring mapping `u64` keys to node indices.
 ///
 /// Immutable once built: liveness is an argument
@@ -99,15 +110,7 @@ impl FleetRouter {
         let mut ring = Vec::with_capacity(nodes.saturating_mul(replicas));
         for node in 0..nodes {
             for replica in 0..replicas {
-                let mut tag = [0u8; 16];
-                for (dst, src) in tag.iter_mut().zip(
-                    (node as u64)
-                        .to_le_bytes()
-                        .into_iter()
-                        .chain((replica as u64).to_le_bytes()),
-                ) {
-                    *dst = src;
-                }
+                let tag = [(node as u64).to_le_bytes(), (replica as u64).to_le_bytes()].concat();
                 ring.push((fnv1a64(&tag), node));
             }
         }
@@ -123,10 +126,14 @@ impl FleetRouter {
         self.nodes
     }
 
-    /// Index of the first ring point at or after `key`, wrapping.
+    /// Index of the first ring point at or after `key`'s place on the
+    /// circle, wrapping. The place is the key finalised by [`mix64`]:
+    /// cache keys are raw FNV-1a, whose high bits — what the ring orders
+    /// by — barely move between frames that differ only at the end.
     fn ring_start(&self, key: u64) -> usize {
+        let place = mix64(key);
         let len = self.ring.len().max(1);
-        match self.ring.binary_search_by(|probe| probe.0.cmp(&key)) {
+        match self.ring.binary_search_by(|probe| probe.0.cmp(&place)) {
             Ok(i) => i,
             Err(i) => i % len,
         }
@@ -588,31 +595,21 @@ impl RolloutController {
     }
 
     /// `(compared, diverged)` of the candidate against `node`'s serving
-    /// model over the fixed sample. Divergence means: flaggedness or
-    /// risk factor changed, or one side errored where the other did not.
+    /// model over the fixed sample; divergence is the negation of
+    /// [`verdicts_agree`].
     fn divergence_against(&self, node: &RiskServerHandle) -> (u64, u64) {
-        // Clone the serving model out of the slot so no detector guard
-        // is held across the replay below.
-        let serving = {
-            let slot = node.detector_slot();
-            let guard = slot.read();
-            guard.model().clone()
-        };
-        let serving = Detector::new(serving);
-        let mut diverged = 0u64;
-        for (values, claimed) in &self.sample {
-            let old = serving.assess(values, *claimed);
-            let new = self.candidate.assess(values, *claimed);
-            let same = match (old, new) {
-                (Ok(a), Ok(b)) => a.flagged == b.flagged && a.risk_factor == b.risk_factor,
-                (Err(_), Err(_)) => true,
-                _ => false,
-            };
-            if !same {
-                diverged = diverged.saturating_add(1);
-            }
-        }
-        (self.sample.len() as u64, diverged)
+        let serving = Detector::new(node.serving_model());
+        let diverged = self
+            .sample
+            .iter()
+            .filter(|(values, claimed)| {
+                !verdicts_agree(
+                    &serving.assess(values, *claimed),
+                    &self.candidate.assess(values, *claimed),
+                )
+            })
+            .count();
+        (self.sample.len() as u64, diverged as u64)
     }
 }
 
@@ -673,6 +670,44 @@ mod tests {
             } else {
                 assert_eq!(owner, after, "only the dead node's keys may move");
             }
+        }
+    }
+
+    /// Key placement is part of the fleet's contract — two clients of
+    /// one fleet must agree on every owner — so the mix is pinned. The
+    /// third vector is splitmix64's published first output for seed 0.
+    #[test]
+    fn mix64_matches_its_reference_vectors() {
+        assert_eq!(mix64(0), 0);
+        assert_eq!(mix64(1), 0x5692_161D_100B_05E5);
+        assert_eq!(mix64(0x9E37_79B9_7F4A_7C15), 0xE220_A839_7B1D_CDAF);
+        assert_eq!(mix64(u64::MAX), 0xB4D0_55FC_F2CB_BD7B);
+    }
+
+    /// A frame's cache key is FNV-1a over its bytes, so frames that
+    /// differ only at the end get keys whose high bits — what a ring
+    /// sorts by — barely differ. The ring must spread them anyway.
+    #[test]
+    fn keys_differing_only_in_trailing_bytes_reach_every_node() {
+        const KEYS: usize = 90;
+        let keys: Vec<u64> = (0..KEYS as u8)
+            .map(|i| {
+                let mut frame = [0x42u8; 64];
+                frame[62] = i / 10;
+                frame[63] = i % 10;
+                fnv1a64(&frame)
+            })
+            .collect();
+        for nodes in [2usize, 3] {
+            let router = FleetRouter::new(nodes, 64);
+            let mut owned = vec![0usize; nodes];
+            for &key in &keys {
+                owned[router.route(key)] += 1;
+            }
+            assert!(
+                owned.iter().all(|&n| n >= KEYS / (2 * nodes)),
+                "{nodes} nodes: keys per node {owned:?}"
+            );
         }
     }
 

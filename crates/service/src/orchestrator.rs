@@ -336,6 +336,9 @@ impl<'s> Orchestrator<'s> {
     /// candidate earns the full [`ShadowConfig::required_checkpoints`]
     /// again rather than inheriting unverifiable progress.
     pub fn adopt_shadow(&mut self, model: TrainedModel) {
+        // Baselines are read *before* attaching, so comparisons that
+        // land between attach and the next checkpoint all count toward
+        // the candidate's first window.
         let obs = self.server.registry();
         let baseline_compared = obs.counter(metric_names::SHADOW_COMPARED).get();
         let baseline_diverged = obs.counter(metric_names::SHADOW_DIVERGED).get();
@@ -367,17 +370,10 @@ impl<'s> Orchestrator<'s> {
             return Ok(outcome);
         }
 
-        // Measure against the *currently serving* model. The model is
-        // cloned out of the detector slot so the read guard is released
-        // before the checkpoint measurement runs — holding it across
-        // `DriftDetector::checkpoint` (a full re-clustering pass over the
-        // fresh window) would starve `swap_detector` and block serving
-        // writers for the whole measurement (POLY-L002).
-        let serving_model = {
-            let slot = self.server.detector_slot();
-            let guard = slot.read();
-            guard.model().clone()
-        };
+        // Measure against the *currently serving* model — a copy, so no
+        // detector guard is held across `DriftDetector::checkpoint` (a
+        // full re-clustering pass over the fresh window).
+        let serving_model = self.server.serving_model();
         let (observations, decision) = {
             let monitor = DriftDetector::new(&serving_model);
             monitor.checkpoint(fresh, releases)?
@@ -439,11 +435,7 @@ impl<'s> Orchestrator<'s> {
             return Ok(outcome);
         }
 
-        let serving_model = {
-            let slot = self.server.detector_slot();
-            let guard = slot.read();
-            guard.model().clone()
-        };
+        let serving_model = self.server.serving_model();
         let (observations, decision) = stream.checkpoint(&serving_model, releases)?;
         obs.counter(metric_names::DRIFT_EVALUATIONS)
             .add(observations.len() as u64);
@@ -537,15 +529,8 @@ impl<'s> Orchestrator<'s> {
             return Ok(None);
         };
         self.server.detach_shadow();
-        let version = self.registry.publish(&candidate.model)?;
-        obs.counter(metric_names::REGISTRY_PUBLISHES).inc();
-        self.registry.prune(self.config.keep_versions)?;
-        if self.config.swap == SwapPolicy::PublishAndSwap {
-            self.server
-                .publish_model_versioned(candidate.model, version);
-        }
+        let version = self.promote(candidate.model)?;
         obs.counter(metric_names::SHADOW_PROMOTED).inc();
-        obs.counter(metric_names::RETRAINS).inc();
         Ok(Some(RetrainOutcome::ShadowPromoted {
             version,
             checkpoints: clean,
@@ -570,36 +555,37 @@ impl<'s> Orchestrator<'s> {
         }
 
         if self.config.shadow.is_some() {
-            // Baselines are read *before* attaching, so comparisons that
-            // land between attach and the next checkpoint all count
-            // toward the candidate's first window.
-            let baseline_compared = obs.counter(metric_names::SHADOW_COMPARED).get();
-            let baseline_diverged = obs.counter(metric_names::SHADOW_DIVERGED).get();
-            self.server.attach_shadow(candidate.clone());
-            self.shadow = Some(ShadowCandidate {
-                model: candidate,
-                clean_checkpoints: 0,
-                baseline_compared,
-                baseline_diverged,
-            });
+            self.adopt_shadow(candidate);
             obs.counter(metric_names::SHADOW_STARTED).inc();
             retrain_span.finish();
             return Ok(RetrainOutcome::ShadowStarted { triggers, accuracy });
         }
 
-        let version = self.registry.publish(&candidate)?;
-        obs.counter(metric_names::REGISTRY_PUBLISHES).inc();
-        self.registry.prune(self.config.keep_versions)?;
-        if self.config.swap == SwapPolicy::PublishAndSwap {
-            self.server.publish_model(candidate);
-        }
-        obs.counter(metric_names::RETRAINS).inc();
+        let version = self.promote(candidate)?;
         retrain_span.finish();
         Ok(RetrainOutcome::Retrained {
             triggers,
             version,
             accuracy,
         })
+    }
+
+    /// The one publish-and-swap step, behind a direct retrain and a
+    /// shadow promotion alike: publishes `model` as the next registry
+    /// version, prunes old versions and — under
+    /// [`SwapPolicy::PublishAndSwap`] — swaps this server to it, tagged
+    /// with that version so [`RiskServerHandle::active_model_version`]
+    /// always names what serves.
+    fn promote(&self, model: TrainedModel) -> io::Result<u64> {
+        let obs = self.server.registry();
+        let version = self.registry.publish(&model)?;
+        obs.counter(metric_names::REGISTRY_PUBLISHES).inc();
+        self.registry.prune(self.config.keep_versions)?;
+        if self.config.swap == SwapPolicy::PublishAndSwap {
+            self.server.publish_model_versioned(model, version);
+        }
+        obs.counter(metric_names::RETRAINS).inc();
+        Ok(version)
     }
 
     /// A corrupt retrain window must not take the checkpoint loop down.
@@ -614,18 +600,16 @@ impl<'s> Orchestrator<'s> {
     ) -> Result<RetrainOutcome, OrchestratorError> {
         let obs = self.server.registry();
         obs.counter(metric_names::FALLBACKS).inc();
-        let version = match self.registry.load_latest_versioned()? {
-            Some((version, last_good)) => {
-                // Under `PublishOnly` the serving model belongs to the
-                // fleet rollout — re-asserting last-good here would swap
-                // behind its back.
-                if self.config.swap == SwapPolicy::PublishAndSwap {
-                    self.server.publish_model(last_good);
-                }
-                Some(version)
+        let last_good = self.registry.load_latest_versioned()?;
+        let version = last_good.map(|(version, last_good)| {
+            // Under `PublishOnly` the serving model belongs to the fleet
+            // rollout — re-asserting last-good here would swap behind
+            // its back.
+            if self.config.swap == SwapPolicy::PublishAndSwap {
+                self.server.publish_model_versioned(last_good, version);
             }
-            None => None,
-        };
+            version
+        });
         Ok(RetrainOutcome::Fallback {
             triggers,
             version,
@@ -832,6 +816,11 @@ mod tests {
             other => panic!("expected retrain, got {other:?}"),
         }
         assert_eq!(server.stats().swaps, 1);
+        assert_eq!(
+            server.active_model_version(),
+            1,
+            "a direct retrain swaps versioned, like a shadow promotion"
+        );
         // The published model is loadable and knows the new release.
         let restored = orch.registry().load_latest().unwrap().expect("published");
         assert!(restored
@@ -905,6 +894,7 @@ mod tests {
             other => panic!("expected fallback, got {other:?}"),
         }
         assert_eq!(server.stats().swaps, 1, "last-good model was re-asserted");
+        assert_eq!(server.active_model_version(), 1);
         // The serving detector is the registry model, not a half-trained
         // candidate: known shapes still assess cleanly.
         let slot = server.detector_slot();

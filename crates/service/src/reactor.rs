@@ -1,4 +1,4 @@
-//! The per-connection state machine behind
+//! The per-connection state behind
 //! [`crate::server::ServerBackend::Reactor`], and the interval its shard
 //! loop parks for.
 //!
@@ -10,11 +10,12 @@
 //! nothing and moved no byte.
 //!
 //! What this module keeps is the part worth testing without a socket:
-//! [`ConnMachine`], the explicit per-connection state machine
-//! (`Idle → Reading → Assessing → Writing → Idle`) that owns the
-//! resumable [`FrameAccumulator`] parse state and the partially flushed
-//! output buffer. It is pure with respect to I/O — bytes go in via
-//! [`ConnMachine::on_bytes`] and come out via
+//! [`ConnMachine`], which owns a connection's resumable
+//! [`FrameAccumulator`] parse state, its partially flushed reply buffer,
+//! and the two flags (peer half-closed, close after flush) that decide
+//! when the slot retires. There is no phase enum: where a connection
+//! stands is read off what is buffered. It is pure with respect to I/O —
+//! bytes go in through [`ConnMachine::accumulator_mut`] and come out via
 //! [`ConnMachine::flush_into`] — so property tests drive it with
 //! arbitrary interleavings of partial reads and partial writes.
 //!
@@ -32,20 +33,6 @@ use std::time::Duration;
 /// and the server's stop flag are all noticed within one interval.
 pub const SCAN_INTERVAL: Duration = Duration::from_micros(500);
 
-/// Where a connection currently sits in its serve cycle.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ConnPhase {
-    /// No buffered input, no pending output: waiting for the peer.
-    #[default]
-    Idle,
-    /// Bytes buffered but no complete frame taken yet.
-    Reading,
-    /// A batch of complete frames has been taken and is being assessed.
-    Assessing,
-    /// Output is queued and not yet fully flushed.
-    Writing,
-}
-
 /// Progress report of one [`ConnMachine::flush_into`] call.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FlushProgress {
@@ -55,12 +42,12 @@ pub struct FlushProgress {
     pub complete: bool,
 }
 
-/// The explicit per-connection state machine shared by the reactor
-/// shard loop and the property tests.
+/// One reactor connection's buffered state, shared by the shard loop and
+/// the property tests.
 ///
-/// All I/O stays outside: the shard's scan feeds bytes in through
-/// [`ConnMachine::on_bytes`], the server takes batches with
-/// [`ConnMachine::take_frames`], queues replies with
+/// All I/O stays outside: the shard's scan reads into
+/// [`ConnMachine::accumulator_mut`], the server's batch path splits
+/// frames off the same accumulator, queues replies with
 /// [`ConnMachine::queue_output`], and drains them with
 /// [`ConnMachine::flush_into`] — which tolerates arbitrary partial
 /// writes (`WouldBlock`) and resumes where it stopped. No frame is ever
@@ -72,31 +59,14 @@ pub struct ConnMachine {
     acc: FrameAccumulator,
     out: Vec<u8>,
     flushed: usize,
-    phase: ConnPhase,
     close_after_flush: bool,
     eof: bool,
 }
 
 impl ConnMachine {
-    /// A fresh connection in [`ConnPhase::Idle`].
+    /// A fresh connection: nothing buffered, nothing queued.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Current phase.
-    pub fn phase(&self) -> ConnPhase {
-        self.phase
-    }
-
-    /// Feeds bytes read off the socket into the resumable frame parser.
-    pub fn on_bytes(&mut self, chunk: &[u8]) {
-        if chunk.is_empty() {
-            return;
-        }
-        self.acc.extend(chunk);
-        if matches!(self.phase, ConnPhase::Idle) {
-            self.phase = ConnPhase::Reading;
-        }
     }
 
     /// Records that the peer half-closed: buffered frames are still
@@ -130,18 +100,8 @@ impl ConnMachine {
         self.acc.status() == FrameStatus::Oversize
     }
 
-    /// Takes up to `max` complete frames (moving to
-    /// [`ConnPhase::Assessing`]); the bool reports an oversize header.
-    pub fn take_frames(&mut self, max: usize) -> (Vec<Vec<u8>>, bool) {
-        let split = self.acc.split(max);
-        if !split.0.is_empty() || split.1 {
-            self.phase = ConnPhase::Assessing;
-        }
-        split
-    }
-
-    /// Direct access to the accumulator, for the server's shared
-    /// batch-and-shed path.
+    /// The connection's parse state: socket reads are appended to it and
+    /// the server's shared batch-and-shed path splits frames off it.
     pub fn accumulator_mut(&mut self) -> &mut FrameAccumulator {
         &mut self.acc
     }
@@ -153,11 +113,6 @@ impl ConnMachine {
         self.out.extend_from_slice(bytes);
         if close_after {
             self.close_after_flush = true;
-        }
-        if self.pending_output() > 0 {
-            self.phase = ConnPhase::Writing;
-        } else {
-            self.settle_phase();
         }
     }
 
@@ -193,7 +148,6 @@ impl ConnMachine {
             if pending.is_empty() {
                 self.out.clear();
                 self.flushed = 0;
-                self.settle_phase();
                 return Ok(FlushProgress {
                     wrote,
                     complete: true,
@@ -221,18 +175,6 @@ impl ConnMachine {
             }
         }
     }
-
-    /// After a full flush (or an empty queue), falls back to the phase
-    /// the buffered input implies.
-    fn settle_phase(&mut self) {
-        self.phase = if self.acc.ready_frames() > 0 {
-            ConnPhase::Assessing
-        } else if !self.acc.is_empty() {
-            ConnPhase::Reading
-        } else {
-            ConnPhase::Idle
-        };
-    }
 }
 
 #[cfg(test)]
@@ -240,32 +182,32 @@ mod tests {
     use super::*;
 
     #[test]
-    fn conn_machine_walks_reading_assessing_writing_idle() {
+    fn conn_machine_buffers_a_torn_frame_and_flushes_its_reply() {
         let mut m = ConnMachine::new();
-        assert_eq!(m.phase(), ConnPhase::Idle);
+        assert!(!m.has_partial_input());
 
         let mut wire = Vec::new();
         wire.extend_from_slice(&3u16.to_le_bytes());
         wire.extend_from_slice(b"abc");
-        m.on_bytes(&wire[..2]);
-        assert_eq!(m.phase(), ConnPhase::Reading);
+        m.accumulator_mut().extend(&wire[..2]);
+        assert!(m.has_partial_input());
         assert_eq!(m.frames_ready(), 0);
-        m.on_bytes(&wire[2..]);
+        m.accumulator_mut().extend(&wire[2..]);
         assert_eq!(m.frames_ready(), 1);
 
-        let (frames, oversize) = m.take_frames(32);
-        assert_eq!(m.phase(), ConnPhase::Assessing);
+        let (frames, oversize) = m.accumulator_mut().split(32);
         assert!(!oversize);
         assert_eq!(frames, vec![b"abc".to_vec()]);
+        assert!(!m.has_partial_input());
 
         m.queue_output(b"REPLY", false);
-        assert_eq!(m.phase(), ConnPhase::Writing);
+        assert!(m.wants_write());
         let mut sink = Vec::new();
         let progress = m.flush_into(&mut sink).unwrap();
         assert!(progress.complete);
         assert_eq!(progress.wrote, 5);
         assert_eq!(sink, b"REPLY");
-        assert_eq!(m.phase(), ConnPhase::Idle);
+        assert!(!m.wants_write());
         assert!(!m.should_close());
     }
 
@@ -303,7 +245,6 @@ mod tests {
         assert!(!p.complete);
         assert_eq!(p.wrote, 4);
         assert!(m.wants_write());
-        assert_eq!(m.phase(), ConnPhase::Writing);
 
         // More output queued while the first flush is stuck mid-buffer.
         m.queue_output(b"ABC", false);

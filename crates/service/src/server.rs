@@ -69,6 +69,7 @@ use browser_engine::UserAgent;
 use fingerprint::{decode_submission_view, fnv1a64, is_stats_request, submission_cache_key};
 use parking_lot::RwLock;
 use polygraph_cache::{Lookup, VerdictCache};
+use polygraph_core::detect::verdicts_agree;
 use polygraph_core::{Assessment, Detector, PolygraphError, TrainedModel};
 use polygraph_obs::{Clock, Counter, Gauge, Histogram, MonotonicClock, Registry, Snapshot};
 use std::io::{self, Read, Write};
@@ -336,14 +337,7 @@ impl ServerMetrics {
     }
 
     fn stats(&self) -> RiskServerStats {
-        // Cache counters are filled in by `RiskServerHandle::stats` when
-        // the cache layer exists; from here they are zero.
         RiskServerStats {
-            cache_hits: 0,
-            cache_misses: 0,
-            cache_evictions: 0,
-            cache_stale_epoch: 0,
-            cache_shed_exempt: 0,
             assessed: self.assessed.get(),
             flagged: self.flagged.get(),
             malformed: self.malformed.get(),
@@ -359,6 +353,9 @@ impl ServerMetrics {
             connections_open: self.connections_open.get(),
             bytes_read: self.bytes_read.get(),
             bytes_written: self.bytes_written.get(),
+            // The cache counters live in the cache layer, when there is
+            // one: `RiskServerHandle::stats` fills them in.
+            ..Default::default()
         }
     }
 }
@@ -381,10 +378,10 @@ struct CacheLayer {
 }
 
 impl CacheLayer {
-    fn new(registry: &Registry, clock: Arc<dyn Clock>, shards: usize, capacity: usize) -> Self {
+    fn new(registry: &Registry, shards: usize, capacity: usize) -> Self {
         Self {
             cache: VerdictCache::new(shards, capacity),
-            clock,
+            clock: Arc::clone(registry.clock()),
             hits: registry.counter(metric_names::CACHE_HITS),
             misses: registry.counter(metric_names::CACHE_MISSES),
             evictions: registry.counter(metric_names::CACHE_EVICTIONS),
@@ -393,6 +390,19 @@ impl CacheLayer {
             occupancy: registry.gauge(metric_names::CACHE_OCCUPANCY),
             hit_micros: registry.histogram(metric_names::CACHE_HIT_MICROS),
         }
+    }
+
+    /// A cache lookup that charges a hit (`cache.hits`, `cache.hit_micros`)
+    /// where it happens; what a non-hit costs is the caller's to charge.
+    fn lookup(&self, key: u64) -> Lookup<Verdict> {
+        let start = self.clock.now_micros();
+        let found = self.cache.lookup(key);
+        if matches!(found, Lookup::Hit(_)) {
+            self.hits.inc();
+            self.hit_micros
+                .record(self.clock.now_micros().saturating_sub(start));
+        }
+        found
     }
 
     /// Normal-path lookup: every submission frame is charged as exactly
@@ -410,29 +420,19 @@ impl CacheLayer {
             self.misses.inc();
             return (None, None);
         };
-        let start = self.clock.now_micros();
-        let hit = match self.cache.lookup(key) {
-            Lookup::Hit(v) => {
-                self.hits.inc();
-                self.hit_micros
-                    .record(self.clock.now_micros().saturating_sub(start));
-                local.assessed += 1;
-                if v.flagged {
-                    local.flagged += 1;
-                }
-                Some(v)
+        let found = self.lookup(key);
+        if let Lookup::Hit(v) = found {
+            local.assessed += 1;
+            if v.flagged {
+                local.flagged += 1;
             }
-            Lookup::Stale => {
-                self.stale_epoch.inc();
-                self.misses.inc();
-                None
-            }
-            Lookup::Miss => {
-                self.misses.inc();
-                None
-            }
-        };
-        (Some(key), hit)
+            return (Some(key), Some(v));
+        }
+        if matches!(found, Lookup::Stale) {
+            self.stale_epoch.inc();
+        }
+        self.misses.inc();
+        (Some(key), None)
     }
 
     /// Shed-path lookup: a backlog frame the cache can answer is served
@@ -441,14 +441,9 @@ impl CacheLayer {
     /// the cache cannot answer charges nothing here; the caller answers
     /// `Degraded` and charges `server.frames.shed`.
     fn lookup_shed(&self, frame: &[u8]) -> Option<Verdict> {
-        let key = submission_cache_key(frame)?;
-        let start = self.clock.now_micros();
-        match self.cache.lookup(key) {
+        match self.lookup(submission_cache_key(frame)?) {
             Lookup::Hit(v) => {
-                self.hits.inc();
                 self.shed_exempt.inc();
-                self.hit_micros
-                    .record(self.clock.now_micros().saturating_sub(start));
                 Some(v)
             }
             Lookup::Stale | Lookup::Miss => None,
@@ -568,6 +563,15 @@ impl RiskServerHandle {
         Arc::clone(&self.detector)
     }
 
+    /// A copy of the serving model, cloned out so the slot's read guard
+    /// is released before the caller measures against it: a drift
+    /// checkpoint or a rollout replay under the guard would starve
+    /// [`Self::swap_detector`] and every serving writer for its whole
+    /// duration (POLY-L002).
+    pub(crate) fn serving_model(&self) -> TrainedModel {
+        self.detector.read().model().clone()
+    }
+
     /// Atomically replaces the serving detector. In-flight assessments
     /// finish on the old model; the next frame uses the new one. With the
     /// verdict cache enabled this also invalidates every cached verdict
@@ -599,11 +603,18 @@ impl RiskServerHandle {
     /// [`Self::swap_detector`] guarantees (atomic swap, epoch bump)
     /// applies unchanged.
     pub fn publish_model(&self, model: TrainedModel) {
+        self.swap_detector(self.prepare_detector(model));
+    }
+
+    /// A detector for `model`, compiled onto the quantized fast path on a
+    /// [`RiskServerConfig::quantized`] server — best-effort, see
+    /// [`Self::publish_model`].
+    fn prepare_detector(&self, model: TrainedModel) -> Detector {
         let mut detector = Detector::new(model);
         if self.quantized {
             let _ = detector.quantize();
         }
-        self.swap_detector(detector);
+        detector
     }
 
     /// [`Self::publish_model`] tagged with the registry version the
@@ -634,13 +645,9 @@ impl RiskServerHandle {
     /// [`Self::publish_model`] does), so the comparison exercises the
     /// code path the candidate would serve on if promoted.
     pub fn attach_shadow(&self, model: TrainedModel) {
-        let mut detector = Detector::new(model);
-        if self.quantized {
-            let _ = detector.quantize();
-        }
         let registry = self.metrics.registry();
         let scorer = ShadowScorer {
-            detector: Arc::new(detector),
+            detector: Arc::new(self.prepare_detector(model)),
             compared: registry.counter(crate::orchestrator::metric_names::SHADOW_COMPARED),
             diverged: registry.counter(crate::orchestrator::metric_names::SHADOW_DIVERGED),
         };
@@ -688,8 +695,9 @@ impl RiskServerHandle {
 /// reaches the wire. Both counters are resolved at attach time, so a
 /// server that never shadows registers nothing and its metrics
 /// exposition is byte-identical to a build without this feature.
+#[derive(Clone)]
 struct ShadowScorer {
-    /// Behind an `Arc` so the batch path can clone the handle out of
+    /// Behind an `Arc` so the batch path can clone the scorer out of
     /// the slot and assess with no lock held.
     detector: Arc<Detector>,
     /// `orchestrator.shadow.compared` — sessions double-scored.
@@ -742,7 +750,6 @@ pub fn start_risk_server_with(
     let cache = (config.cache_capacity > 0).then(|| {
         Arc::new(CacheLayer::new(
             &registry,
-            Arc::clone(&config.clock),
             config.cache_shards,
             config.cache_capacity,
         ))
@@ -766,14 +773,11 @@ pub fn start_risk_server_with(
             workers.push(thread::spawn(move || acceptor_loop(listener, ctx)));
         }
         ServerBackend::Reactor => {
-            let shards = resolve_reactor_shards(config.reactor_shards);
-            let clock = Arc::clone(&config.clock);
-            for _ in 0..shards {
+            for _ in 0..resolve_reactor_shards(config.reactor_shards) {
                 let shard_listener = listener.try_clone()?;
                 let shard_ctx = ctx.clone();
-                let shard_clock = Arc::clone(&clock);
                 workers.push(thread::spawn(move || {
-                    reactor_shard_loop(shard_listener, shard_ctx, shard_clock)
+                    reactor_shard_loop(shard_listener, shard_ctx)
                 }));
             }
         }
@@ -862,14 +866,39 @@ fn is_timeout(e: &io::Error) -> bool {
     )
 }
 
-/// How many buffered complete frames make both backends stop reading and
-/// process: one batch plus the shed threshold plus one, so an overloaded
-/// connection's backlog becomes *visible* instead of queueing invisibly
-/// (and unboundedly) in kernel buffers.
-fn drain_target(ctx: &ConnContext) -> usize {
-    MAX_BATCH_PER_GUARD
+/// Pulls whatever the peer already sent off a non-blocking `stream` into
+/// `acc`, in 4 KiB chunks, until enough complete frames are buffered, the
+/// socket would block, or the peer closed; returns the bytes read and
+/// whether end-of-stream was seen. Both cores fill their accumulator
+/// through this one loop.
+///
+/// "Enough" is one batch plus the shed threshold plus one, so an
+/// overloaded connection's backlog becomes *visible* instead of queueing
+/// invisibly (and unboundedly) in kernel buffers.
+fn read_buffered(
+    stream: &mut TcpStream,
+    acc: &mut FrameAccumulator,
+    ctx: &ConnContext,
+) -> io::Result<(usize, bool)> {
+    let target = MAX_BATCH_PER_GUARD
         .saturating_add(ctx.shed_limit)
-        .saturating_add(1)
+        .saturating_add(1);
+    let mut chunk = [0u8; 4096];
+    let mut total = 0usize;
+    while acc.ready_frames() < target {
+        match stream.read(&mut chunk) {
+            Ok(0) => return Ok((total, true)),
+            Ok(n) => {
+                ctx.metrics.bytes_read.add(n as u64);
+                acc.extend(chunk.get(..n).unwrap_or_default());
+                total += n;
+            }
+            Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+            Err(e) => return Err(e),
+        }
+    }
+    Ok((total, false))
 }
 
 fn serve_connection(mut stream: TcpStream, ctx: &ConnContext) -> io::Result<()> {
@@ -913,26 +942,11 @@ fn serve_connection(mut stream: TcpStream, ctx: &ConnContext) -> io::Result<()> 
 
         // Drain phase: pull in whatever else the client already pipelined,
         // without blocking, so the whole backlog shares one read guard.
-        let target = drain_target(ctx);
+        // (End-of-stream seen here is met again by the next blocking read.)
         stream.set_nonblocking(true)?;
-        loop {
-            if acc.ready_frames() >= target {
-                break;
-            }
-            match stream.read(&mut chunk) {
-                Ok(0) => break,
-                Ok(n) => {
-                    metrics.bytes_read.add(n as u64);
-                    acc.extend(chunk.get(..n).unwrap_or_default());
-                }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
-                Err(e) => {
-                    stream.set_nonblocking(false)?;
-                    return Err(e);
-                }
-            }
-        }
+        let drained = read_buffered(&mut stream, &mut acc, ctx);
         stream.set_nonblocking(false)?;
+        drained?;
 
         let outcome = process_buffered(&mut acc, &mut memo, ctx);
         if outcome.close {
@@ -955,6 +969,39 @@ struct BatchOutcome {
     close: bool,
 }
 
+/// One reply of a batch cycle, in the order its frame arrived.
+enum Reply {
+    /// A `STATS` frame: answered with a rendered metrics snapshot.
+    Stats,
+    /// A submission frame's verdict.
+    Verdict(Verdict),
+}
+
+impl Reply {
+    /// Appends the wire form to `out` — the one place a `STATS` frame is
+    /// counted and answered and a verdict is encoded. `snapshot` caches
+    /// the rendered JSON between calls: a batch shares one (rendered at
+    /// its first `STATS` frame), a caller passing a fresh `None` gets a
+    /// fresh snapshot.
+    fn encode_into(
+        &self,
+        out: &mut Vec<u8>,
+        metrics: &ServerMetrics,
+        snapshot: &mut Option<Vec<u8>>,
+    ) {
+        match self {
+            Reply::Stats => {
+                metrics.stats_requests.inc();
+                let json = snapshot.get_or_insert_with(|| {
+                    metrics.registry().snapshot().render_json().into_bytes()
+                });
+                out.extend_from_slice(&encode_stats_response(json));
+            }
+            Reply::Verdict(v) => out.extend_from_slice(&v.encode()),
+        }
+    }
+}
+
 /// The assess–reply–shed cycle both backends run once at least one
 /// complete frame (or an oversize header) is buffered. Splits one batch
 /// off `acc`, answers it (cache lookups, then one detector read guard for
@@ -968,127 +1015,101 @@ fn process_buffered(
     ctx: &ConnContext,
 ) -> BatchOutcome {
     let metrics = &ctx.metrics;
+    let cache = ctx.cache.as_deref();
     let (frames, mut oversize) = acc.split(MAX_BATCH_PER_GUARD);
 
-    // Cache lookup phase, then one detector read guard for whatever
-    // the cache could not answer; a model swap therefore lands
-    // between batches, never inside one. `STATS` frames are answered
-    // outside the guard. `verdicts` stays in submission order: a
-    // `Some` is a cache hit, a `None` a miss the detector phase
-    // fills in place; `miss_keys` holds each miss's cache key, in order.
-    let n_submissions = frames.iter().filter(|f| !is_stats_request(f)).count();
-    let mut verdicts: Vec<Option<Verdict>> = Vec::with_capacity(n_submissions);
-    let mut miss_keys: Vec<Option<u64>> = Vec::new();
-    if n_submissions > 0 {
-        let mut local = LocalCounters::default();
-        match ctx.cache.as_deref() {
-            Some(cache) => {
-                for f in frames.iter().filter(|f| !is_stats_request(f)) {
-                    let (key, hit) = cache.lookup_for_assess(f, &mut local);
-                    if hit.is_none() {
-                        miss_keys.push(key);
-                    }
-                    verdicts.push(hit);
-                }
-            }
-            None => verdicts.resize_with(n_submissions, || None),
+    // Lookup phase: one reply per frame, in frame order. A cache hit is
+    // final; a miss holds `Malformed` until the detector phase says
+    // otherwise, and is remembered as (reply index, cache key) — no key
+    // for an unkeyable frame or a disabled cache.
+    let mut local = LocalCounters::default();
+    let mut replies: Vec<Reply> = Vec::with_capacity(frames.len());
+    let mut misses: Vec<(usize, Option<u64>)> = Vec::new();
+    let mut any_submission = false;
+    for f in &frames {
+        if is_stats_request(f) {
+            replies.push(Reply::Stats);
+            continue;
         }
+        any_submission = true;
+        let (key, hit) = match cache {
+            Some(cache) => cache.lookup_for_assess(f, &mut local),
+            None => (None, None),
+        };
+        if hit.is_none() {
+            misses.push((replies.len(), key));
+        }
+        replies.push(Reply::Verdict(
+            hit.unwrap_or(Verdict::error(VerdictStatus::Malformed)),
+        ));
+    }
 
-        let n_misses = verdicts.iter().filter(|v| v.is_none()).count();
-        if n_misses > 0 {
-            let span = polygraph_obs::Span::on(
-                Arc::clone(&metrics.batch_micros),
-                Arc::clone(metrics.registry().clock()),
-            );
-            // Decode the missed frames BEFORE taking the guard: frames
-            // that fail to decode never need the detector at all, and
-            // the surviving sessions feed one batched dispatch, so the
-            // read guard is held for exactly one `assess_many` call per
-            // batch — on a quantized server that is one fused
-            // fixed-point pass over the whole batch.
-            let mut sessions: Vec<(Vec<f64>, UserAgent)> = Vec::with_capacity(n_misses);
-            let mut miss_decoded: Vec<bool> = Vec::with_capacity(n_misses);
-            {
-                let mut slots = verdicts.iter();
-                for f in frames.iter().filter(|f| !is_stats_request(f)) {
-                    let Some(slot) = slots.next() else { break };
-                    if slot.is_none() {
-                        match decode_session(f, memo) {
-                            Some(session) => {
-                                sessions.push(session);
-                                miss_decoded.push(true);
-                            }
-                            None => miss_decoded.push(false),
-                        }
-                    }
+    // Detector phase: one read guard for whatever the cache could not
+    // answer; a model swap therefore lands between batches, never inside
+    // one.
+    if !misses.is_empty() {
+        let span = polygraph_obs::Span::on(
+            Arc::clone(&metrics.batch_micros),
+            Arc::clone(metrics.registry().clock()),
+        );
+        let n_misses = misses.len();
+        // Decode the missed frames BEFORE taking the guard: frames that
+        // fail to decode never need the detector at all (they keep their
+        // `Malformed`), and the surviving sessions feed one batched
+        // dispatch, so the read guard is held for exactly one
+        // `assess_many` call per batch — on a quantized server that is
+        // one fused fixed-point pass over the whole batch.
+        let mut sessions: Vec<(Vec<f64>, UserAgent)> = Vec::with_capacity(n_misses);
+        misses.retain(
+            |&(at, _)| match frames.get(at).and_then(|f| decode_session(f, memo)) {
+                Some(session) => {
+                    sessions.push(session);
+                    true
                 }
-            }
-            // The insert epoch is read BEFORE the detector guard is
-            // taken: if a swap lands in between, these verdicts are
-            // tagged with the pre-swap epoch and harmlessly miss
-            // forever — a stale verdict can never be served at the
-            // new epoch (see `RiskServerHandle::swap_detector`).
-            let insert_epoch = ctx.cache.as_deref().map(|c| c.cache.epoch());
-            let assessments = {
-                let guard = ctx.detector.read();
-                guard.assess_many(&sessions)
-            };
-            shadow_compare(ctx, &sessions, &assessments);
-            // Fill the miss slots in frame order, charging exactly the
-            // counters the single-frame path charges.
-            let mut results = assessments.into_iter();
-            let mut was_decoded = miss_decoded.into_iter();
-            let mut keys = miss_keys.into_iter();
-            for slot in verdicts.iter_mut().filter(|slot| slot.is_none()) {
-                let v = if was_decoded.next() == Some(true) {
-                    match results.next() {
-                        Some(result) => verdict_from_assessment(result, &mut local),
-                        // Unreachable: `assess_many` returns one result
-                        // per session, in order.
-                        None => {
-                            local.malformed += 1;
-                            Verdict::error(VerdictStatus::Malformed)
-                        }
-                    }
-                } else {
+                None => {
                     local.malformed += 1;
-                    Verdict::error(VerdictStatus::Malformed)
-                };
-                // Unkeyable frames (and a disabled cache) have no key.
-                if let (Some(cache), Some(epoch), Some(key)) =
-                    (ctx.cache.as_deref(), insert_epoch, keys.next().flatten())
-                {
-                    cache.store(key, epoch, v);
+                    false
                 }
-                *slot = Some(v);
+            },
+        );
+        // The insert epoch is read BEFORE the detector guard is taken: if
+        // a swap lands in between, these verdicts are tagged with the
+        // pre-swap epoch and harmlessly miss forever — a stale verdict
+        // can never be served at the new epoch (see
+        // `RiskServerHandle::swap_detector`).
+        let insert_epoch = cache.map(|c| c.cache.epoch());
+        let assessments = {
+            let guard = ctx.detector.read();
+            guard.assess_many(&sessions)
+        };
+        shadow_compare(ctx, &sessions, &assessments);
+        // `assess_many` returns one result per session, in order.
+        for ((at, key), result) in misses.into_iter().zip(assessments) {
+            let v = verdict_from_assessment(result, &mut local);
+            if let (Some(cache), Some(epoch), Some(key)) = (cache, insert_epoch, key) {
+                cache.store(key, epoch, v);
             }
-            span.finish();
-            metrics.batches.inc();
-            metrics.batch_frames.record(n_misses as u64);
+            if let Some(reply) = replies.get_mut(at) {
+                *reply = Reply::Verdict(v);
+            }
         }
-        if let Some(cache) = ctx.cache.as_deref() {
+        span.finish();
+        metrics.batches.inc();
+        metrics.batch_frames.record(n_misses as u64);
+    }
+    if any_submission {
+        if let Some(cache) = cache {
             cache.publish_occupancy();
         }
+        // Folded before the replies render, so a `STATS` frame sees
+        // every assessment of its own batch.
         local.fold_into(metrics);
     }
 
-    // Replies go back in frame order. A `STATS` frame sees every
-    // assessment of its own batch: the local counters fold before the
-    // snapshot renders.
-    let mut out = Vec::with_capacity(verdicts.len() * crate::proto::VERDICT_LEN);
-    // Every slot is `Some` by now (hits filled in the lookup phase,
-    // misses in the detector phase), so flattening preserves order.
-    let mut next_verdict = verdicts.iter().flatten();
-    let mut stats_json: Option<Vec<u8>> = None;
-    for f in &frames {
-        if is_stats_request(f) {
-            metrics.stats_requests.inc();
-            let json = stats_json
-                .get_or_insert_with(|| metrics.registry().snapshot().render_json().into_bytes());
-            out.extend_from_slice(&encode_stats_response(json));
-        } else if let Some(v) = next_verdict.next() {
-            out.extend_from_slice(&v.encode());
-        }
+    let mut out = Vec::with_capacity(replies.len() * crate::proto::VERDICT_LEN);
+    let mut batch_snapshot = None;
+    for reply in &replies {
+        reply.encode_into(&mut out, metrics, &mut batch_snapshot);
     }
     metrics.bytes_written.add(out.len() as u64);
 
@@ -1098,33 +1119,31 @@ fn process_buffered(
     // future batches. The risk verdict is one signal in a risk-based
     // authentication flow; under overload a fast "could not assess"
     // beats an unbounded queue. `STATS` frames in the backlog are
-    // still answered with a real snapshot (they are cheap and lock
-    // nothing). A backlog frame the verdict cache can answer is
-    // served from cache — also detector-free, so it respects the
+    // still answered, each with a snapshot of its own (they are cheap
+    // and lock nothing). A backlog frame the verdict cache can answer
+    // is served from cache — also detector-free, so it respects the
     // shedding contract — while a cache-missed shed frame is never
     // assessed and therefore never cached.
     if !oversize && acc.ready_frames() > ctx.shed_limit {
         let (backlog, backlog_oversize) = acc.split(usize::MAX);
-        let mut shed_out = Vec::with_capacity(backlog.len() * crate::proto::VERDICT_LEN);
+        let answered = out.len();
         let mut shed_count = 0u64;
         for f in &backlog {
-            if is_stats_request(f) {
-                metrics.stats_requests.inc();
-                let json = metrics.registry().snapshot().render_json().into_bytes();
-                shed_out.extend_from_slice(&encode_stats_response(&json));
-            } else if let Some(v) = ctx.cache.as_deref().and_then(|c| c.lookup_shed(f)) {
-                shed_out.extend_from_slice(&v.encode());
+            let reply = if is_stats_request(f) {
+                Reply::Stats
+            } else if let Some(v) = cache.and_then(|c| c.lookup_shed(f)) {
+                Reply::Verdict(v)
             } else {
-                shed_out.extend_from_slice(&Verdict::error(VerdictStatus::Degraded).encode());
                 shed_count += 1;
-            }
+                Reply::Verdict(Verdict::error(VerdictStatus::Degraded))
+            };
+            reply.encode_into(&mut out, metrics, &mut None);
         }
         metrics.shed.add(shed_count);
-        metrics.bytes_written.add(shed_out.len() as u64);
-        out.extend_from_slice(&shed_out);
-        if backlog_oversize {
-            oversize = true;
-        }
+        metrics
+            .bytes_written
+            .add(out.len().saturating_sub(answered) as u64);
+        oversize = backlog_oversize;
     }
 
     if oversize {
@@ -1132,9 +1151,11 @@ fn process_buffered(
         let err = Verdict::error(VerdictStatus::Malformed).encode();
         metrics.bytes_written.add(err.len() as u64);
         out.extend_from_slice(&err);
-        return BatchOutcome { out, close: true };
     }
-    BatchOutcome { out, close: false }
+    BatchOutcome {
+        out,
+        close: oversize,
+    }
 }
 
 /// Double-scores one batch's decoded sessions against the shadow
@@ -1151,42 +1172,18 @@ fn shadow_compare(
     if sessions.is_empty() {
         return;
     }
-    let Some((detector, compared, diverged)) = ({
-        let slot = ctx.shadow.read();
-        slot.as_ref().map(|s| {
-            (
-                Arc::clone(&s.detector),
-                Arc::clone(&s.compared),
-                Arc::clone(&s.diverged),
-            )
-        })
-    }) else {
+    let Some(scorer) = ctx.shadow.read().clone() else {
         return;
     };
-    let shadow = detector.assess_many(sessions);
+    let shadow = scorer.detector.assess_many(sessions);
     let disagreements = live
         .iter()
         .zip(&shadow)
         .filter(|(a, b)| !verdicts_agree(a, b))
         .count();
-    compared.add(sessions.len() as u64);
+    scorer.compared.add(sessions.len() as u64);
     if disagreements > 0 {
-        diverged.add(disagreements as u64);
-    }
-}
-
-/// Whether a live and a shadow assessment would encode the same wire
-/// verdict — the same comparison shape the fleet rollout divergence
-/// probe uses, so shadow agreement and rollout agreement measure one
-/// thing.
-fn verdicts_agree(
-    live: &Result<Assessment, PolygraphError>,
-    shadow: &Result<Assessment, PolygraphError>,
-) -> bool {
-    match (live, shadow) {
-        (Ok(a), Ok(b)) => a.flagged == b.flagged && a.risk_factor == b.risk_factor,
-        (Err(_), Err(_)) => true,
-        _ => false,
+        scorer.diverged.add(disagreements as u64);
     }
 }
 
@@ -1218,7 +1215,9 @@ enum SlotFate {
 /// keep-alive ticks survive, stalled partial frames and stuck writes
 /// error, slots reclaimed while serving count as reaped, and slots
 /// closed by shutdown count only as closed.
-fn reactor_shard_loop(listener: TcpListener, ctx: ConnContext, clock: Arc<dyn Clock>) {
+fn reactor_shard_loop(listener: TcpListener, ctx: ConnContext) {
+    // The injected server clock: idle deadlines never read a wall clock.
+    let clock = Arc::clone(ctx.metrics.registry().clock());
     let mut conns: Vec<ConnSlot> = Vec::new();
     let timeout_us = ctx.read_timeout.as_micros().min(u64::MAX as u128) as u64;
     'run: while !ctx.stop.load(Ordering::SeqCst) {
@@ -1301,34 +1300,23 @@ fn reactor_shard_loop(listener: TcpListener, ctx: ConnContext, clock: Arc<dyn Cl
 /// complete, and a flush of queued output. Sets `progressed` when a byte
 /// moved in either direction.
 fn drive_slot(slot: &mut ConnSlot, ctx: &ConnContext, now: u64, progressed: &mut bool) -> SlotFate {
-    let metrics = &ctx.metrics;
     // Nothing is read while replies are still queued: a peer that
     // pipelines and never reads must fill its own socket and stall
     // (caught by the sweep), not grow the reply buffer without bound —
     // the threaded core's blocking `write_all` gives the same
     // back-pressure.
     if !slot.machine.saw_eof() && !slot.machine.close_requested() && !slot.machine.wants_write() {
-        let target = drain_target(ctx);
-        let mut chunk = [0u8; 4096];
-        loop {
-            if slot.machine.frames_ready() >= target {
-                break;
-            }
-            match slot.stream.read(&mut chunk) {
-                Ok(0) => {
-                    slot.machine.on_eof();
-                    break;
-                }
-                Ok(n) => {
-                    metrics.bytes_read.add(n as u64);
-                    slot.machine.on_bytes(chunk.get(..n).unwrap_or_default());
+        match read_buffered(&mut slot.stream, slot.machine.accumulator_mut(), ctx) {
+            Ok((bytes, eof)) => {
+                if bytes > 0 {
                     slot.last_activity = now;
                     *progressed = true;
                 }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                Err(_) => return SlotFate::Errored,
+                if eof {
+                    slot.machine.on_eof();
+                }
             }
+            Err(_) => return SlotFate::Errored,
         }
     }
 
@@ -1339,9 +1327,6 @@ fn drive_slot(slot: &mut ConnSlot, ctx: &ConnContext, now: u64, progressed: &mut
     {
         let outcome = process_buffered(slot.machine.accumulator_mut(), &mut slot.memo, ctx);
         slot.machine.queue_output(&outcome.out, outcome.close);
-        if outcome.close {
-            break;
-        }
     }
 
     // Flush whatever is queued; `WouldBlock` pauses until the next scan,
@@ -1378,30 +1363,33 @@ fn drive_slot(slot: &mut ConnSlot, ctx: &ConnContext, now: u64, progressed: &mut
     SlotFate::Keep
 }
 
-/// Decodes a submission frame and assesses it against the serving model.
-/// Shared by the TCP path and in-process callers (the CLI). Takes the
-/// detector lock for the single frame and charges the counters in
-/// `registry`; the TCP path amortises both over whole batches.
+/// Decodes a submission frame and assesses it against the serving model
+/// — the single-frame form of the TCP path, for in-process callers (the
+/// CLI). Takes the detector lock for the one assessment and charges the
+/// counters in `registry`; the TCP path amortises both over whole batches.
 pub fn assess_frame(frame: &[u8], detector: &RwLock<Detector>, registry: &Registry) -> Verdict {
     let mut local = LocalCounters::default();
-    let verdict = {
-        let guard = detector.read();
-        assess_frame_with(frame, &guard, &mut local)
+    let verdict = match decode_session(frame, &mut UaMemo::new()) {
+        Some((values, claimed)) => {
+            let result = {
+                let guard = detector.read();
+                guard.assess(&values, claimed)
+            };
+            verdict_from_assessment(result, &mut local)
+        }
+        None => {
+            local.malformed += 1;
+            Verdict::error(VerdictStatus::Malformed)
+        }
     };
-    if local.assessed > 0 {
-        registry
-            .counter(metric_names::ASSESSED)
-            .add(local.assessed as u64);
-    }
-    if local.flagged > 0 {
-        registry
-            .counter(metric_names::FLAGGED)
-            .add(local.flagged as u64);
-    }
-    if local.malformed > 0 {
-        registry
-            .counter(metric_names::MALFORMED)
-            .add(local.malformed as u64);
+    for (count, name) in [
+        (local.assessed, metric_names::ASSESSED),
+        (local.flagged, metric_names::FLAGGED),
+        (local.malformed, metric_names::MALFORMED),
+    ] {
+        if count > 0 {
+            registry.counter(name).add(count as u64);
+        }
     }
     verdict
 }
@@ -1487,21 +1475,6 @@ fn verdict_from_assessment(
         Err(_) => {
             local.malformed += 1;
             Verdict::error(VerdictStatus::SchemaMismatch)
-        }
-    }
-}
-
-/// Frame assessment against an already-borrowed detector, charging a local
-/// counter set instead of the shared atomics.
-fn assess_frame_with(frame: &[u8], detector: &Detector, local: &mut LocalCounters) -> Verdict {
-    let mut memo = UaMemo::new();
-    match decode_session(frame, &mut memo) {
-        Some((values, claimed)) => {
-            verdict_from_assessment(detector.assess(&values, claimed), local)
-        }
-        None => {
-            local.malformed += 1;
-            Verdict::error(VerdictStatus::Malformed)
         }
     }
 }
@@ -1705,10 +1678,9 @@ mod tests {
     /// A connection context built by hand, so a test can drive
     /// `process_buffered` with no socket in the way.
     fn socketless_context(cache_capacity: usize, shed_limit: usize) -> ConnContext {
-        let clock: Arc<dyn Clock> = Arc::new(MonotonicClock::new());
-        let registry = Arc::new(Registry::new(Arc::clone(&clock)));
-        let cache = (cache_capacity > 0)
-            .then(|| Arc::new(CacheLayer::new(&registry, clock, 8, cache_capacity)));
+        let registry = Arc::new(Registry::monotonic());
+        let cache =
+            (cache_capacity > 0).then(|| Arc::new(CacheLayer::new(&registry, 8, cache_capacity)));
         ConnContext {
             detector: Arc::new(RwLock::new(tiny_detector())),
             metrics: Arc::new(ServerMetrics::new(registry)),
@@ -1722,14 +1694,14 @@ mod tests {
 
     /// One parsed element of a reply byte stream.
     #[derive(Debug, PartialEq)]
-    enum Reply {
+    enum Parsed {
         /// `(status, flagged)` of a verdict.
         Verdict(VerdictStatus, bool),
         /// The JSON body of a `STATS` response.
         Stats(String),
     }
 
-    fn parse_replies(mut out: &[u8]) -> Vec<Reply> {
+    fn parse_replies(mut out: &[u8]) -> Vec<Parsed> {
         use crate::proto::{
             decode_stats_response_header, STATS_RESPONSE_HEADER_LEN, STATS_RESPONSE_MAGIC,
             VERDICT_LEN,
@@ -1740,12 +1712,12 @@ mod tests {
                 let (header, rest) = out.split_at(STATS_RESPONSE_HEADER_LEN);
                 let len = decode_stats_response_header(header.try_into().unwrap()).unwrap();
                 let (body, rest) = rest.split_at(len);
-                replies.push(Reply::Stats(String::from_utf8(body.to_vec()).unwrap()));
+                replies.push(Parsed::Stats(String::from_utf8(body.to_vec()).unwrap()));
                 out = rest;
             } else {
                 let (verdict, rest) = out.split_at(VERDICT_LEN);
                 let v = Verdict::decode(verdict).unwrap();
-                replies.push(Reply::Verdict(v.status, v.flagged));
+                replies.push(Parsed::Verdict(v.status, v.flagged));
                 out = rest;
             }
         }
@@ -1803,33 +1775,33 @@ mod tests {
 
             let replies = parse_replies(&outcome.out);
             // `STATS` bodies are checked below; compare the rest by shape.
-            let shape: Vec<Reply> = replies
+            let shape: Vec<Parsed> = replies
                 .iter()
                 .map(|r| match r {
-                    Reply::Verdict(status, flagged) => Reply::Verdict(*status, *flagged),
-                    Reply::Stats(_) => Reply::Stats(String::new()),
+                    Parsed::Verdict(status, flagged) => Parsed::Verdict(*status, *flagged),
+                    Parsed::Stats(_) => Parsed::Stats(String::new()),
                 })
                 .collect();
             let mut expected = vec![
-                Reply::Verdict(Assessed, false),
-                Reply::Stats(String::new()),
-                Reply::Verdict(Assessed, false),
-                Reply::Verdict(Malformed, false),
-                Reply::Verdict(SchemaMismatch, false),
-                Reply::Verdict(Malformed, false),
+                Parsed::Verdict(Assessed, false),
+                Parsed::Stats(String::new()),
+                Parsed::Verdict(Assessed, false),
+                Parsed::Verdict(Malformed, false),
+                Parsed::Verdict(SchemaMismatch, false),
+                Parsed::Verdict(Malformed, false),
             ];
-            expected.extend((0..filler).map(|_| Reply::Verdict(Assessed, true)));
+            expected.extend((0..filler).map(|_| Parsed::Verdict(Assessed, true)));
             // The backlog: a repeat is served from the cache when there
             // is one, `STATS` is always answered, a never-seen frame is
             // shed; then the oversize header's closing verdict.
             expected.push(if cached {
-                Reply::Verdict(Assessed, false)
+                Parsed::Verdict(Assessed, false)
             } else {
-                Reply::Verdict(Degraded, false)
+                Parsed::Verdict(Degraded, false)
             });
-            expected.push(Reply::Stats(String::new()));
-            expected.push(Reply::Verdict(Degraded, false));
-            expected.push(Reply::Verdict(Malformed, false));
+            expected.push(Parsed::Stats(String::new()));
+            expected.push(Parsed::Verdict(Degraded, false));
+            expected.push(Parsed::Verdict(Malformed, false));
             assert_eq!(shape, expected, "[{context}]");
 
             // The batch's `STATS` frame sees its own batch's assessments;
@@ -1838,8 +1810,8 @@ mod tests {
             let stats_bodies: Vec<&String> = replies
                 .iter()
                 .filter_map(|r| match r {
-                    Reply::Stats(json) => Some(json),
-                    Reply::Verdict(..) => None,
+                    Parsed::Stats(json) => Some(json),
+                    Parsed::Verdict(..) => None,
                 })
                 .collect();
             assert_eq!(stats_bodies.len(), 2, "[{context}]");

@@ -194,11 +194,10 @@ fn fleet_wide_cache_hits_rise_with_node_count_at_fixed_node_capacity() {
         for &key in &sequence {
             let sub = Submission {
                 session_id: [0u8; 16],
-                // One cache key per `key`, differing early in the hashed
-                // bytes: FNV-1a barely moves the high bits the ring orders
-                // by when only a frame's trailing bytes differ.
-                user_agent: UserAgent::new(Vendor::Chrome, 100 + key).to_ua_string(),
-                values: vec![10, 10],
+                // One cache key per `key`: the frames differ only in
+                // their last two bytes.
+                user_agent: UserAgent::new(Vendor::Chrome, 100).to_ua_string(),
+                values: vec![key / 10, key % 10],
             };
             let v = client.assess_submission(&sub).unwrap();
             assert_eq!(v.status, VerdictStatus::Assessed);

@@ -1,15 +1,15 @@
-//! Property tests for the reactor's per-connection state machine
+//! Property tests for the reactor's per-connection state
 //! ([`ConnMachine`]): arbitrary seeded interleavings of partial reads,
 //! bounded batch takes and partial writes must never drop, duplicate, or
 //! reorder a frame — and the reply byte stream must come out exactly as
 //! if the connection had been served synchronously.
 //!
-//! The machine is pure with respect to I/O, so these tests drive it the
-//! same way the reactor shard loop does (bytes in via `on_bytes`,
-//! batches out via `take_frames`, replies out via `flush_into`) but with
-//! adversarial schedules no real socket would reliably produce.
+//! The machine is pure with respect to I/O, so these tests drive it
+//! through the calls the reactor shard loop makes (bytes in and batches
+//! out through `accumulator_mut()`, replies out via `flush_into`) but
+//! with adversarial schedules no real socket would reliably produce.
 
-use polygraph_service::reactor::{ConnMachine, ConnPhase};
+use polygraph_service::reactor::ConnMachine;
 use proptest::prelude::*;
 use std::io::{self, Write};
 
@@ -101,7 +101,7 @@ proptest! {
 
         for (step, chunk) in chunked(&wire, chunk_seed).into_iter().enumerate() {
             // One readable event delivers this chunk.
-            machine.on_bytes(chunk);
+            machine.accumulator_mut().extend(chunk);
             let r = mix(sched_seed, step as u64);
 
             // Sometimes the "server" takes a (bounded) batch and queues
@@ -109,7 +109,7 @@ proptest! {
             // wait — both must be safe.
             if !r.is_multiple_of(3) {
                 let max = 1 + r as usize % 4;
-                let (frames, oversize) = machine.take_frames(max);
+                let (frames, oversize) = machine.accumulator_mut().split(max);
                 prop_assert!(!oversize, "no oversize frames were sent");
                 prop_assert!(frames.len() <= max);
                 for f in frames {
@@ -131,14 +131,13 @@ proptest! {
             );
             if !progress.complete {
                 prop_assert!(machine.wants_write());
-                prop_assert_eq!(machine.phase(), ConnPhase::Writing);
             }
         }
 
         // The stream has fully arrived: drain every remaining frame,
         // then flush without throttling.
         loop {
-            let (frames, oversize) = machine.take_frames(32);
+            let (frames, oversize) = machine.accumulator_mut().split(32);
             prop_assert!(!oversize);
             if frames.is_empty() {
                 break;
@@ -165,11 +164,10 @@ proptest! {
             .collect();
         prop_assert_eq!(&sink.accepted, &expected);
 
-        // The machine settles: nothing buffered, nothing pending, Idle.
+        // The machine settles: nothing buffered, nothing pending.
         prop_assert!(!machine.wants_write());
         prop_assert!(!machine.has_partial_input());
         prop_assert_eq!(machine.frames_ready(), 0);
-        prop_assert_eq!(machine.phase(), ConnPhase::Idle);
     }
 
     /// An oversize header mid-stream: every preceding frame is still
@@ -191,9 +189,9 @@ proptest! {
         let mut taken: Vec<Vec<u8>> = Vec::new();
         let mut saw_oversize = false;
         for chunk in chunked(&wire, chunk_seed) {
-            machine.on_bytes(chunk);
+            machine.accumulator_mut().extend(chunk);
             loop {
-                let (frames, oversize) = machine.take_frames(4);
+                let (frames, oversize) = machine.accumulator_mut().split(4);
                 let drained = frames.is_empty();
                 taken.extend(frames);
                 if oversize {
@@ -216,8 +214,8 @@ proptest! {
 
         // A closing machine accepts no further frames, even if more
         // complete-looking bytes arrive after the poisoned header.
-        machine.on_bytes(&3u16.to_le_bytes());
-        machine.on_bytes(b"abc");
+        machine.accumulator_mut().extend(&3u16.to_le_bytes());
+        machine.accumulator_mut().extend(b"abc");
         prop_assert_eq!(machine.frames_ready(), 0);
         prop_assert!(machine.close_requested());
         prop_assert!(!machine.should_close(), "reply still unflushed");
@@ -227,39 +225,5 @@ proptest! {
         prop_assert!(progress.complete);
         prop_assert_eq!(&sink.accepted, b"ERR");
         prop_assert!(machine.should_close());
-    }
-
-    /// Phase bookkeeping: the machine reports `Reading` only while input
-    /// is buffered short of a frame, `Writing` only while output is
-    /// pending, and returns to `Idle` when drained — under any chunking.
-    #[test]
-    fn phases_track_buffered_state(
-        lens in proptest::collection::vec(0u16..60, 1..6),
-        body_seed in any::<u64>(),
-        chunk_seed in any::<u64>(),
-    ) {
-        let (wire, bodies) = wire_image(&lens, body_seed);
-        let mut machine = ConnMachine::new();
-        let mut taken = 0usize;
-        prop_assert_eq!(machine.phase(), ConnPhase::Idle);
-        for chunk in chunked(&wire, chunk_seed) {
-            machine.on_bytes(chunk);
-            if machine.frames_ready() > 0 {
-                let (frames, _) = machine.take_frames(usize::MAX);
-                taken += frames.len();
-                prop_assert_eq!(machine.phase(), ConnPhase::Assessing);
-                machine.queue_output(b"ok", false);
-                prop_assert_eq!(machine.phase(), ConnPhase::Writing);
-                let mut sink = ThrottledSink { accepted: Vec::new(), budget: usize::MAX };
-                machine.flush_into(&mut sink).unwrap();
-            }
-            let phase = machine.phase();
-            if machine.has_partial_input() {
-                prop_assert_eq!(phase, ConnPhase::Reading);
-            } else {
-                prop_assert_eq!(phase, ConnPhase::Idle);
-            }
-        }
-        prop_assert_eq!(taken, bodies.len());
     }
 }

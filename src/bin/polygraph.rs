@@ -247,13 +247,19 @@ fn cmd_serve(opts: &Opts) -> Result<(), String> {
         Some("reactor") => browser_polygraph::service::ServerBackend::Reactor,
         Some(other) => return Err(format!("unknown backend {other:?} (threaded|reactor)")),
     };
+    // The profile `polybench` measures (`serve_repeat` / `serve_distinct`):
+    // the verdict cache on, cache misses on the quantized fast path.
+    // Verdict bytes are identical to the staged, uncached default.
     let config = browser_polygraph::service::RiskServerConfig {
         backend,
+        cache_shards: 8,
+        cache_capacity: 8192,
+        quantized: true,
         ..Default::default()
     };
     let server =
         browser_polygraph::service::start_risk_server_with(addr, Detector::new(model), config)
-            .map_err(|e| format!("binding {addr}: {e}"))?;
+            .map_err(|e| format!("starting the risk service on {addr}: {e}"))?;
     println!(
         "risk service listening on {} ({backend:?} backend)",
         server.local_addr()
