@@ -1,0 +1,548 @@
+use super::decode::{decode_session, verdict_from_assessment, UaMemo};
+use super::handle::ConnContext;
+use super::metrics::{metric_names, LocalCounters, ServerMetrics};
+use crate::framing::FrameAccumulator;
+use crate::proto::{encode_stats_response, Verdict, VerdictStatus};
+use browser_engine::UserAgent;
+use fingerprint::is_stats_request;
+use parking_lot::RwLock;
+use polygraph_core::detect::verdicts_agree;
+use polygraph_core::{Assessment, Detector, PolygraphError};
+use polygraph_obs::Registry;
+use std::io::{self, Read};
+use std::net::TcpStream;
+use std::sync::Arc;
+
+/// Frames a connection worker may assess under a single read-guard
+/// acquisition. Bounds both verdict latency for the frames at the back of
+/// a drained batch and how long a pending model swap can be starved by
+/// one busy connection.
+pub const MAX_BATCH_PER_GUARD: usize = 32;
+
+/// Pulls whatever the peer already sent off a non-blocking `stream` into
+/// `acc`, in 4 KiB chunks, until enough complete frames are buffered, the
+/// socket would block, or the peer closed; returns the bytes read and
+/// whether end-of-stream was seen. Both cores fill their accumulator
+/// through this one loop.
+///
+/// "Enough" is one batch plus the shed threshold plus one, so an
+/// overloaded connection's backlog becomes *visible* instead of queueing
+/// invisibly (and unboundedly) in kernel buffers.
+pub(super) fn read_buffered(
+    stream: &mut TcpStream,
+    acc: &mut FrameAccumulator,
+    ctx: &ConnContext,
+) -> io::Result<(usize, bool)> {
+    let target = MAX_BATCH_PER_GUARD
+        .saturating_add(ctx.shed_limit)
+        .saturating_add(1);
+    let mut chunk = [0u8; 4096];
+    let mut total = 0usize;
+    while acc.ready_frames() < target {
+        match stream.read(&mut chunk) {
+            Ok(0) => return Ok((total, true)),
+            Ok(n) => {
+                ctx.metrics.bytes_read.add(n as u64);
+                acc.extend(chunk.get(..n).unwrap_or_default());
+                total += n;
+            }
+            Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+            Err(e) => return Err(e),
+        }
+    }
+    Ok((total, false))
+}
+
+/// Outcome of one shared batch cycle over a connection's buffered input.
+pub(super) struct BatchOutcome {
+    /// Reply bytes in frame order: batch verdicts, then any shed-path
+    /// answers, then (on oversize) the final malformed verdict.
+    pub(super) out: Vec<u8>,
+    /// Parsing stopped at an oversize header: after flushing `out` the
+    /// connection must close — there is no way to resynchronise.
+    pub(super) close: bool,
+}
+
+/// One reply of a batch cycle, in the order its frame arrived.
+enum Reply {
+    /// A `STATS` frame: answered with a rendered metrics snapshot.
+    Stats,
+    /// A submission frame's verdict.
+    Verdict(Verdict),
+}
+
+impl Reply {
+    /// Appends the wire form to `out` — the one place a `STATS` frame is
+    /// counted and answered and a verdict is encoded. `snapshot` caches
+    /// the rendered JSON between calls: a batch shares one (rendered at
+    /// its first `STATS` frame), a caller passing a fresh `None` gets a
+    /// fresh snapshot.
+    fn encode_into(
+        &self,
+        out: &mut Vec<u8>,
+        metrics: &ServerMetrics,
+        snapshot: &mut Option<Vec<u8>>,
+    ) {
+        match self {
+            Reply::Stats => {
+                metrics.stats_requests.inc();
+                let json = snapshot.get_or_insert_with(|| {
+                    metrics.registry().snapshot().render_json().into_bytes()
+                });
+                out.extend_from_slice(&encode_stats_response(json));
+            }
+            Reply::Verdict(v) => out.extend_from_slice(&v.encode()),
+        }
+    }
+}
+
+/// The assess–reply–shed cycle both backends run once at least one
+/// complete frame (or an oversize header) is buffered. Splits one batch
+/// off `acc`, answers it (cache lookups, then one detector read guard for
+/// the misses, replies in frame order), sheds any backlog beyond the shed
+/// limit, and appends the closing malformed verdict when parsing stopped
+/// at an oversize header. Every counter is charged here, identically for
+/// both cores — the backends differ only in how `out` reaches the socket.
+pub(super) fn process_buffered(
+    acc: &mut FrameAccumulator,
+    memo: &mut UaMemo,
+    ctx: &ConnContext,
+) -> BatchOutcome {
+    let metrics = &ctx.metrics;
+    let cache = ctx.cache.as_deref();
+    let (frames, mut oversize) = acc.split(MAX_BATCH_PER_GUARD);
+
+    // Lookup phase: one reply per frame, in frame order. A cache hit is
+    // final; a miss holds `Malformed` until the detector phase says
+    // otherwise, and is remembered as (reply index, cache key) — no key
+    // for an unkeyable frame or a disabled cache.
+    let mut local = LocalCounters::default();
+    let mut replies: Vec<Reply> = Vec::with_capacity(frames.len());
+    let mut misses: Vec<(usize, Option<u64>)> = Vec::new();
+    let mut any_submission = false;
+    for f in &frames {
+        if is_stats_request(f) {
+            replies.push(Reply::Stats);
+            continue;
+        }
+        any_submission = true;
+        let (key, hit) = match cache {
+            Some(cache) => cache.lookup_for_assess(f, &mut local),
+            None => (None, None),
+        };
+        if hit.is_none() {
+            misses.push((replies.len(), key));
+        }
+        replies.push(Reply::Verdict(
+            hit.unwrap_or(Verdict::error(VerdictStatus::Malformed)),
+        ));
+    }
+
+    // Detector phase: one read guard for whatever the cache could not
+    // answer; a model swap therefore lands between batches, never inside
+    // one.
+    if !misses.is_empty() {
+        let span = polygraph_obs::Span::on(
+            Arc::clone(&metrics.batch_micros),
+            Arc::clone(metrics.registry().clock()),
+        );
+        let n_misses = misses.len();
+        // Decode the missed frames BEFORE taking the guard: frames that
+        // fail to decode never need the detector at all (they keep their
+        // `Malformed`), and the surviving sessions feed one batched
+        // dispatch, so the read guard is held for exactly one
+        // `assess_many` call per batch — on a quantized server that is
+        // one fused fixed-point pass over the whole batch.
+        let mut sessions: Vec<(Vec<f64>, UserAgent)> = Vec::with_capacity(n_misses);
+        misses.retain(
+            |&(at, _)| match frames.get(at).and_then(|f| decode_session(f, memo)) {
+                Some(session) => {
+                    sessions.push(session);
+                    true
+                }
+                None => {
+                    local.malformed += 1;
+                    false
+                }
+            },
+        );
+        // The insert epoch is read BEFORE the detector guard is taken: if
+        // a swap lands in between, these verdicts are tagged with the
+        // pre-swap epoch and harmlessly miss forever — a stale verdict
+        // can never be served at the new epoch (see
+        // `RiskServerHandle::swap_detector`).
+        let insert_epoch = cache.map(|c| c.cache.epoch());
+        let assessments = {
+            let guard = ctx.detector.read();
+            guard.assess_many(&sessions)
+        };
+        shadow_compare(ctx, &sessions, &assessments);
+        // `assess_many` returns one result per session, in order.
+        for ((at, key), result) in misses.into_iter().zip(assessments) {
+            let v = verdict_from_assessment(result, &mut local);
+            if let (Some(cache), Some(epoch), Some(key)) = (cache, insert_epoch, key) {
+                cache.store(key, epoch, v);
+            }
+            if let Some(reply) = replies.get_mut(at) {
+                *reply = Reply::Verdict(v);
+            }
+        }
+        span.finish();
+        metrics.batches.inc();
+        metrics.batch_frames.record(n_misses as u64);
+    }
+    if any_submission {
+        if let Some(cache) = cache {
+            cache.publish_occupancy();
+        }
+        // Folded before the replies render, so a `STATS` frame sees
+        // every assessment of its own batch.
+        local.fold_into(metrics);
+    }
+
+    let mut out = Vec::with_capacity(replies.len() * crate::proto::VERDICT_LEN);
+    let mut batch_snapshot = None;
+    for reply in &replies {
+        reply.encode_into(&mut out, metrics, &mut batch_snapshot);
+    }
+    metrics.bytes_written.add(out.len() as u64);
+
+    // Overload shedding: complete frames still queued beyond the shed
+    // threshold after this batch are answered *now* with `Degraded` —
+    // no assessment, no detector lock — instead of waiting behind
+    // future batches. The risk verdict is one signal in a risk-based
+    // authentication flow; under overload a fast "could not assess"
+    // beats an unbounded queue. `STATS` frames in the backlog are
+    // still answered, each with a snapshot of its own (they are cheap
+    // and lock nothing). A backlog frame the verdict cache can answer
+    // is served from cache — also detector-free, so it respects the
+    // shedding contract — while a cache-missed shed frame is never
+    // assessed and therefore never cached.
+    if !oversize && acc.ready_frames() > ctx.shed_limit {
+        let (backlog, backlog_oversize) = acc.split(usize::MAX);
+        let answered = out.len();
+        let mut shed_count = 0u64;
+        for f in &backlog {
+            let reply = if is_stats_request(f) {
+                Reply::Stats
+            } else if let Some(v) = cache.and_then(|c| c.lookup_shed(f)) {
+                Reply::Verdict(v)
+            } else {
+                shed_count += 1;
+                Reply::Verdict(Verdict::error(VerdictStatus::Degraded))
+            };
+            reply.encode_into(&mut out, metrics, &mut None);
+        }
+        metrics.shed.add(shed_count);
+        metrics
+            .bytes_written
+            .add(out.len().saturating_sub(answered) as u64);
+        oversize = backlog_oversize;
+    }
+
+    if oversize {
+        metrics.malformed.inc();
+        let err = Verdict::error(VerdictStatus::Malformed).encode();
+        metrics.bytes_written.add(err.len() as u64);
+        out.extend_from_slice(&err);
+    }
+    BatchOutcome {
+        out,
+        close: oversize,
+    }
+}
+
+/// Double-scores one batch's decoded sessions against the shadow
+/// candidate, if one is attached. The slot guard is released before the
+/// candidate assesses (the detector handle is cloned out), so shadow
+/// scoring never holds a lock and can never extend a pending model
+/// swap's wait. Shadow verdicts are discarded after comparison — only
+/// the agreement counters survive.
+fn shadow_compare(
+    ctx: &ConnContext,
+    sessions: &[(Vec<f64>, UserAgent)],
+    live: &[Result<Assessment, PolygraphError>],
+) {
+    if sessions.is_empty() {
+        return;
+    }
+    let Some(scorer) = ctx.shadow.read().clone() else {
+        return;
+    };
+    let shadow = scorer.detector.assess_many(sessions);
+    let disagreements = live
+        .iter()
+        .zip(&shadow)
+        .filter(|(a, b)| !verdicts_agree(a, b))
+        .count();
+    scorer.compared.add(sessions.len() as u64);
+    if disagreements > 0 {
+        scorer.diverged.add(disagreements as u64);
+    }
+}
+
+/// Decodes a submission frame and assesses it against the serving model
+/// — the single-frame form of the TCP path, for in-process callers (the
+/// CLI). Takes the detector lock for the one assessment and charges the
+/// counters in `registry`; the TCP path amortises both over whole batches.
+pub fn assess_frame(frame: &[u8], detector: &RwLock<Detector>, registry: &Registry) -> Verdict {
+    let mut local = LocalCounters::default();
+    let verdict = match decode_session(frame, &mut UaMemo::new()) {
+        Some((values, claimed)) => {
+            let result = {
+                let guard = detector.read();
+                guard.assess(&values, claimed)
+            };
+            verdict_from_assessment(result, &mut local)
+        }
+        None => {
+            local.malformed += 1;
+            Verdict::error(VerdictStatus::Malformed)
+        }
+    };
+    for (count, name) in [
+        (local.assessed, metric_names::ASSESSED),
+        (local.flagged, metric_names::FLAGGED),
+        (local.malformed, metric_names::MALFORMED),
+    ] {
+        if count > 0 {
+            registry.counter(name).add(count as u64);
+        }
+    }
+    verdict
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::server::cache::CacheLayer;
+    use crate::server::test_support::{frame_for, tiny_detector};
+    use browser_engine::Vendor;
+    use fingerprint::{encode_submission, Submission};
+    use std::sync::atomic::AtomicBool;
+    use std::time::Duration;
+
+    #[test]
+    fn assess_frame_honest_and_lying() {
+        let detector = RwLock::new(tiny_detector());
+        let registry = Registry::monotonic();
+
+        let honest = frame_for(vec![10, 10], UserAgent::new(Vendor::Chrome, 100));
+        let v = assess_frame(&honest, &detector, &registry);
+        assert_eq!(v.status, VerdictStatus::Assessed);
+        assert!(!v.flagged);
+
+        let lying = frame_for(vec![20, 20], UserAgent::new(Vendor::Chrome, 100));
+        let v = assess_frame(&lying, &detector, &registry);
+        assert!(v.flagged);
+        assert_eq!(v.risk_factor, 20);
+        assert_eq!(registry.counter(metric_names::ASSESSED).get(), 2);
+        assert_eq!(registry.counter(metric_names::FLAGGED).get(), 1);
+    }
+
+    #[test]
+    fn assess_frame_rejects_garbage_and_bad_ua() {
+        let detector = RwLock::new(tiny_detector());
+        let registry = Registry::monotonic();
+        let v = assess_frame(&[1, 2, 3], &detector, &registry);
+        assert_eq!(v.status, VerdictStatus::Malformed);
+
+        let sub = Submission {
+            session_id: [0u8; 16],
+            user_agent: "curl/8.0".into(),
+            values: vec![1, 2],
+        };
+        let frame = encode_submission(&sub).unwrap();
+        let v = assess_frame(&frame, &detector, &registry);
+        assert_eq!(v.status, VerdictStatus::Malformed);
+        assert_eq!(registry.counter(metric_names::MALFORMED).get(), 2);
+    }
+
+    #[test]
+    fn assess_frame_schema_mismatch() {
+        let detector = RwLock::new(tiny_detector());
+        let registry = Registry::monotonic();
+        let frame = frame_for(vec![1, 2, 3, 4], UserAgent::new(Vendor::Chrome, 100));
+        let v = assess_frame(&frame, &detector, &registry);
+        assert_eq!(v.status, VerdictStatus::SchemaMismatch);
+    }
+
+    /// A connection context built by hand, so a test can drive
+    /// `process_buffered` with no socket in the way.
+    fn socketless_context(cache_capacity: usize, shed_limit: usize) -> ConnContext {
+        let registry = Arc::new(Registry::monotonic());
+        let cache =
+            (cache_capacity > 0).then(|| Arc::new(CacheLayer::new(&registry, 8, cache_capacity)));
+        ConnContext {
+            detector: Arc::new(RwLock::new(tiny_detector())),
+            metrics: Arc::new(ServerMetrics::new(registry)),
+            cache,
+            shadow: Arc::new(RwLock::new(None)),
+            stop: Arc::new(AtomicBool::new(false)),
+            read_timeout: Duration::from_secs(5),
+            shed_limit,
+        }
+    }
+
+    /// One parsed element of a reply byte stream.
+    #[derive(Debug, PartialEq)]
+    enum Parsed {
+        /// `(status, flagged)` of a verdict.
+        Verdict(VerdictStatus, bool),
+        /// The JSON body of a `STATS` response.
+        Stats(String),
+    }
+
+    fn parse_replies(mut out: &[u8]) -> Vec<Parsed> {
+        use crate::proto::{
+            decode_stats_response_header, STATS_RESPONSE_HEADER_LEN, STATS_RESPONSE_MAGIC,
+            VERDICT_LEN,
+        };
+        let mut replies = Vec::new();
+        while !out.is_empty() {
+            if out.starts_with(&STATS_RESPONSE_MAGIC) {
+                let (header, rest) = out.split_at(STATS_RESPONSE_HEADER_LEN);
+                let len = decode_stats_response_header(header.try_into().unwrap()).unwrap();
+                let (body, rest) = rest.split_at(len);
+                replies.push(Parsed::Stats(String::from_utf8(body.to_vec()).unwrap()));
+                out = rest;
+            } else {
+                let (verdict, rest) = out.split_at(VERDICT_LEN);
+                let v = Verdict::decode(verdict).unwrap();
+                replies.push(Parsed::Verdict(v.status, v.flagged));
+                out = rest;
+            }
+        }
+        replies
+    }
+
+    /// Every branch of one batch cycle, fed from a hand-built
+    /// accumulator: a full batch holding each kind of frame, then a
+    /// backlog (shed at `shed_limit: 0`) holding a repeat, a `STATS`
+    /// frame and a never-seen frame, then an oversize header. Pins the
+    /// exact reply sequence and every counter, with the cache off and on.
+    #[test]
+    fn one_batch_cycle_answers_every_kind_of_frame_in_order() {
+        use VerdictStatus::{Assessed, Degraded, Malformed, SchemaMismatch};
+        let honest = frame_for(vec![10, 10], UserAgent::new(Vendor::Chrome, 100));
+        let lying = frame_for(vec![20, 20], UserAgent::new(Vendor::Chrome, 100));
+        let never_seen = frame_for(vec![0, 0], UserAgent::new(Vendor::Chrome, 60));
+        let wrong_width = frame_for(vec![1, 2, 3, 4], UserAgent::new(Vendor::Chrome, 100));
+        let bad_ua = encode_submission(&Submission {
+            session_id: [0u8; 16],
+            user_agent: "curl/8.0".into(),
+            values: vec![1, 2],
+        })
+        .unwrap()
+        .to_vec();
+        let stats_req = fingerprint::encode_stats_request().to_vec();
+
+        let mut bodies: Vec<&[u8]> = vec![
+            &honest[..],
+            &stats_req[..],
+            &honest[..],
+            &[9u8, 9, 9][..], // undecodable
+            &wrong_width[..],
+            &bad_ua[..],
+        ];
+        // Fill the batch, so what follows is a backlog.
+        bodies.resize(MAX_BATCH_PER_GUARD, &lying[..]);
+        bodies.extend([&honest[..], &stats_req[..], &never_seen[..]]);
+        let mut wire = Vec::new();
+        for body in &bodies {
+            wire.extend_from_slice(&(body.len() as u16).to_le_bytes());
+            wire.extend_from_slice(body);
+        }
+        wire.extend_from_slice(&2000u16.to_le_bytes()); // oversize header
+        let filler = MAX_BATCH_PER_GUARD - 6;
+
+        for cache_capacity in [0usize, 64] {
+            let cached = cache_capacity > 0;
+            let context = format!("cache capacity {cache_capacity}");
+            let ctx = socketless_context(cache_capacity, 0);
+            let mut acc = FrameAccumulator::new();
+            acc.extend(&wire);
+            let outcome = process_buffered(&mut acc, &mut UaMemo::new(), &ctx);
+            assert!(outcome.close, "[{context}] an oversize header closes");
+
+            let replies = parse_replies(&outcome.out);
+            // `STATS` bodies are checked below; compare the rest by shape.
+            let shape: Vec<Parsed> = replies
+                .iter()
+                .map(|r| match r {
+                    Parsed::Verdict(status, flagged) => Parsed::Verdict(*status, *flagged),
+                    Parsed::Stats(_) => Parsed::Stats(String::new()),
+                })
+                .collect();
+            let mut expected = vec![
+                Parsed::Verdict(Assessed, false),
+                Parsed::Stats(String::new()),
+                Parsed::Verdict(Assessed, false),
+                Parsed::Verdict(Malformed, false),
+                Parsed::Verdict(SchemaMismatch, false),
+                Parsed::Verdict(Malformed, false),
+            ];
+            expected.extend((0..filler).map(|_| Parsed::Verdict(Assessed, true)));
+            // The backlog: a repeat is served from the cache when there
+            // is one, `STATS` is always answered, a never-seen frame is
+            // shed; then the oversize header's closing verdict.
+            expected.push(if cached {
+                Parsed::Verdict(Assessed, false)
+            } else {
+                Parsed::Verdict(Degraded, false)
+            });
+            expected.push(Parsed::Stats(String::new()));
+            expected.push(Parsed::Verdict(Degraded, false));
+            expected.push(Parsed::Verdict(Malformed, false));
+            assert_eq!(shape, expected, "[{context}]");
+
+            // The batch's `STATS` frame sees its own batch's assessments;
+            // the backlog's is a fresh snapshot.
+            let assessed = 2 + filler as u64;
+            let stats_bodies: Vec<&String> = replies
+                .iter()
+                .filter_map(|r| match r {
+                    Parsed::Stats(json) => Some(json),
+                    Parsed::Verdict(..) => None,
+                })
+                .collect();
+            assert_eq!(stats_bodies.len(), 2, "[{context}]");
+            for (json, requests) in stats_bodies.iter().zip([1, 2]) {
+                assert!(
+                    json.contains(&format!("\"server.frames.assessed\":{assessed}")),
+                    "[{context}] {json}"
+                );
+                assert!(
+                    json.contains(&format!("\"server.stats_requests\":{requests}")),
+                    "[{context}] {json}"
+                );
+            }
+
+            let stats = ctx.metrics.stats();
+            assert_eq!(stats.assessed, assessed, "[{context}]");
+            assert_eq!(stats.flagged, filler as u64, "[{context}]");
+            // Three in the batch plus the oversize header.
+            assert_eq!(stats.malformed, 4, "[{context}]");
+            assert_eq!(stats.shed, if cached { 1 } else { 2 }, "[{context}]");
+            assert_eq!(stats.stats_requests, 2, "[{context}]");
+            assert_eq!(stats.batches, 1, "[{context}]");
+            assert_eq!(stats.bytes_written, outcome.out.len() as u64, "[{context}]");
+            if let Some(cache) = ctx.cache.as_deref() {
+                // Lookups all precede the detector phase, so the second
+                // honest frame of the batch misses like the first.
+                assert_eq!(cache.hits.get(), 1, "[{context}]");
+                assert_eq!(cache.misses.get(), MAX_BATCH_PER_GUARD as u64 - 1);
+                assert_eq!(cache.shed_exempt.get(), 1, "[{context}]");
+                // The books balance over every frame that was looked up;
+                // the oversize header is charged `malformed` with no
+                // frame to look up.
+                assert_eq!(
+                    cache.hits.get() + cache.misses.get(),
+                    stats.assessed + (stats.malformed - 1) + cache.shed_exempt.get(),
+                    "[{context}]"
+                );
+            }
+        }
+    }
+}

@@ -1,0 +1,118 @@
+use super::metrics::{metric_names, LocalCounters};
+use crate::proto::{Verdict, VerdictStatus};
+use fingerprint::submission_cache_key;
+use polygraph_cache::{Lookup, VerdictCache};
+use polygraph_obs::{Clock, Counter, Gauge, Histogram, Registry};
+use std::sync::Arc;
+
+/// The verdict cache plus its resolved metric handles. Constructed (and
+/// its metrics registered) only when [`super::RiskServerConfig::cache_capacity`]
+/// is non-zero, so a cache-disabled server's snapshot is byte-identical
+/// to the pre-cache exposition golden.
+#[derive(Debug)]
+pub(super) struct CacheLayer {
+    pub(super) cache: VerdictCache<Verdict>,
+    pub(super) clock: Arc<dyn Clock>,
+    pub(super) hits: Arc<Counter>,
+    pub(super) misses: Arc<Counter>,
+    pub(super) evictions: Arc<Counter>,
+    pub(super) stale_epoch: Arc<Counter>,
+    pub(super) shed_exempt: Arc<Counter>,
+    pub(super) occupancy: Arc<Gauge>,
+    pub(super) hit_micros: Arc<Histogram>,
+}
+
+impl CacheLayer {
+    pub(super) fn new(registry: &Registry, shards: usize, capacity: usize) -> Self {
+        Self {
+            cache: VerdictCache::new(shards, capacity),
+            clock: Arc::clone(registry.clock()),
+            hits: registry.counter(metric_names::CACHE_HITS),
+            misses: registry.counter(metric_names::CACHE_MISSES),
+            evictions: registry.counter(metric_names::CACHE_EVICTIONS),
+            stale_epoch: registry.counter(metric_names::CACHE_STALE_EPOCH),
+            shed_exempt: registry.counter(metric_names::CACHE_SHED_EXEMPT),
+            occupancy: registry.gauge(metric_names::CACHE_OCCUPANCY),
+            hit_micros: registry.histogram(metric_names::CACHE_HIT_MICROS),
+        }
+    }
+
+    /// A cache lookup that charges a hit (`cache.hits`, `cache.hit_micros`)
+    /// where it happens; what a non-hit costs is the caller's to charge.
+    fn lookup(&self, key: u64) -> Lookup<Verdict> {
+        let start = self.clock.now_micros();
+        let found = self.cache.lookup(key);
+        if matches!(found, Lookup::Hit(_)) {
+            self.hits.inc();
+            self.hit_micros
+                .record(self.clock.now_micros().saturating_sub(start));
+        }
+        found
+    }
+
+    /// Normal-path lookup: every submission frame is charged as exactly
+    /// one hit or one miss (unkeyable and stale-epoch frames are misses),
+    /// so the cache counters balance against the verdict counters. A hit
+    /// also charges `local` — to the client a cached answer *is* an
+    /// assessment. The frame's key comes back with the answer, so a miss
+    /// is stored under it without hashing the frame again.
+    pub(super) fn lookup_for_assess(
+        &self,
+        frame: &[u8],
+        local: &mut LocalCounters,
+    ) -> (Option<u64>, Option<Verdict>) {
+        let Some(key) = submission_cache_key(frame) else {
+            self.misses.inc();
+            return (None, None);
+        };
+        let found = self.lookup(key);
+        if let Lookup::Hit(v) = found {
+            local.assessed += 1;
+            if v.flagged {
+                local.flagged += 1;
+            }
+            return (Some(key), Some(v));
+        }
+        if matches!(found, Lookup::Stale) {
+            self.stale_epoch.inc();
+        }
+        self.misses.inc();
+        (Some(key), None)
+    }
+
+    /// Shed-path lookup: a backlog frame the cache can answer is served
+    /// (hit + shed-exempt) with no detector lock — consistent with the
+    /// shedding contract, which only promises not to *queue*. A frame
+    /// the cache cannot answer charges nothing here; the caller answers
+    /// `Degraded` and charges `server.frames.shed`.
+    pub(super) fn lookup_shed(&self, frame: &[u8]) -> Option<Verdict> {
+        match self.lookup(submission_cache_key(frame)?) {
+            Lookup::Hit(v) => {
+                self.shed_exempt.inc();
+                Some(v)
+            }
+            Lookup::Stale | Lookup::Miss => None,
+        }
+    }
+
+    /// Caches an assessed verdict under the key its lookup returned and
+    /// the epoch read *before* the detector guard was taken. Error
+    /// verdicts are never cached — a malformed frame must stay
+    /// malformed-on-arrival, and a shed frame is never cached at all (it
+    /// is never assessed).
+    pub(super) fn store(&self, key: u64, epoch: u64, verdict: Verdict) {
+        if verdict.status != VerdictStatus::Assessed {
+            return;
+        }
+        if self.cache.insert(key, epoch, verdict).evicted {
+            self.evictions.inc();
+        }
+    }
+
+    pub(super) fn publish_occupancy(&self) {
+        // Current-epoch entries only: stale slots cannot serve a hit, so
+        // gauging them would overreport the live cache after every swap.
+        let occ = self.cache.current_occupancy().min(i64::MAX as usize) as i64;
+        self.occupancy.set(occ);
+    }
+}

@@ -1,0 +1,116 @@
+//! The risk-assessment TCP service.
+//!
+//! Each connection streams length-prefixed fingerprint submission frames
+//! (the same format the collection service accepts) and receives one
+//! fixed-size [`crate::proto::Verdict`] per frame. The serving detector sits behind an
+//! `Arc<RwLock<…>>` so the [`crate::orchestrator`] can swap in a
+//! retrained model without interrupting traffic — the paper's "ongoing
+//! system enhancements … minimises delays during user interaction"
+//! property (§6.5).
+//!
+//! ## Backends
+//!
+//! Two interchangeable connection cores sit behind
+//! [`RiskServerConfig::backend`]:
+//!
+//! * [`ServerBackend::Threaded`] — one OS thread per connection (the
+//!   original core, still the default).
+//! * [`ServerBackend::Reactor`] — per-core acceptor shards, each one
+//!   thread that scans the non-blocking sockets it accepted: a `read`
+//!   per connection per pass into an explicit per-connection state
+//!   machine ([`crate::reactor::ConnMachine`]), parking for
+//!   [`crate::reactor::SCAN_INTERVAL`] only after a pass that accepted
+//!   nothing and moved no byte. No thread per idle connection.
+//!
+//! Both backends run the same private batch path (`process_buffered`)
+//! over the same [`crate::framing::FrameAccumulator`] parse state, so
+//! their verdict byte streams and counter identities are exactly equal —
+//! pinned by the backend-parametrized conformance suites
+//! (`tests/common::for_each_backend`) and `tests/reactor_prop.rs`.
+//!
+//! ## Observability
+//!
+//! Every counter and latency measurement lives in a `polygraph-obs`
+//! [`polygraph_obs::Registry`] (see [`metric_names`] for the full catalogue). Clients
+//! can pull a snapshot over the wire with a `STATS` request frame
+//! ([`fingerprint::wire::encode_stats_request`]), answered in request
+//! order with a JSON snapshot; in-process callers use
+//! [`RiskServerHandle::snapshot`]. The registry's clock is injected
+//! ([`RiskServerConfig::clock`]), so tests drive a deterministic
+//! `TestClock` and production uses the monotonic wall clock.
+//!
+//! ## Connection lifecycle
+//!
+//! * Finished connection workers are reaped (joined and counted) on
+//!   every acceptor iteration — a long-running server does not
+//!   accumulate dead `JoinHandle`s.
+//! * An idle keep-alive client that triggers the read timeout with *no
+//!   partial frame buffered* stays connected (`server.idle_timeouts`
+//!   counts the ticks); only a stalled partial frame fails the
+//!   connection.
+//! * Workers observe the server's stop flag each loop, so shutdown is
+//!   bounded by roughly one read-timeout tick even with connected
+//!   clients.
+//!
+//! ## Overload shedding
+//!
+//! A connection may pipeline more frames than the detector can assess
+//! promptly. Instead of queueing unboundedly, each guard cycle assesses
+//! up to [`MAX_BATCH_PER_GUARD`] frames and then answers any backlog
+//! beyond [`RiskServerConfig::shed_limit`] immediately with
+//! [`crate::proto::VerdictStatus::Degraded`] (`server.frames.shed`) — the degradation
+//! ladder's "fast non-answer beats a slow answer" rung, consumed by
+//! `RiskPolicy::on_unassessable`.
+
+mod batch;
+mod cache;
+mod config;
+mod decode;
+mod handle;
+mod metrics;
+mod shard;
+mod threaded;
+
+pub use batch::{assess_frame, MAX_BATCH_PER_GUARD};
+pub use config::{RiskServerConfig, ServerBackend};
+pub use handle::{start_risk_server, start_risk_server_with, RiskServerHandle};
+pub use metrics::{metric_names, RiskServerStats, ServerMetrics};
+
+/// Fixtures shared by the unit tests of this module's files.
+#[cfg(test)]
+mod test_support {
+    use browser_engine::{UserAgent, Vendor};
+    use fingerprint::{encode_submission, FeatureSet, Submission};
+    use polygraph_core::{Detector, TrainConfig, TrainedModel, TrainingSet};
+
+    pub(super) fn tiny_detector() -> Detector {
+        let mut set = TrainingSet::new(2);
+        for (base, ua) in [
+            (0.0, UserAgent::new(Vendor::Chrome, 60)),
+            (10.0, UserAgent::new(Vendor::Chrome, 100)),
+            (20.0, UserAgent::new(Vendor::Firefox, 100)),
+        ] {
+            for j in 0..40 {
+                set.push(vec![base + (j % 2) as f64 * 0.1, base], ua)
+                    .unwrap();
+            }
+        }
+        let fs = FeatureSet::table8().subset(&[0, 1]);
+        let config = TrainConfig {
+            k: 3,
+            n_components: 2,
+            min_samples_for_majority: 1,
+            ..Default::default()
+        };
+        Detector::new(TrainedModel::fit(fs, &set, config).unwrap())
+    }
+
+    pub(super) fn frame_for(values: Vec<u32>, ua: UserAgent) -> Vec<u8> {
+        let sub = Submission {
+            session_id: [9u8; 16],
+            user_agent: ua.to_ua_string(),
+            values,
+        };
+        encode_submission(&sub).unwrap().to_vec()
+    }
+}

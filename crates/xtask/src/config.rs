@@ -70,7 +70,7 @@ impl Default for LintConfig {
             ],
             key_determinism_zone: vec!["crates/service/src/".into(), "crates/cache/src/".into()],
             panic_zone: vec![
-                "crates/service/src/server.rs".into(),
+                "crates/service/src/server/".into(),
                 "crates/service/src/framing.rs".into(),
                 "crates/service/src/reactor.rs".into(),
                 "crates/service/src/proto.rs".into(),

@@ -307,7 +307,7 @@ mod tests {
     #[test]
     fn library_classification() {
         assert!(is_library_file("crates/ml/src/metrics.rs"));
-        assert!(is_library_file("crates/service/src/server.rs"));
+        assert!(is_library_file("crates/service/src/server/batch.rs"));
         assert!(!is_library_file("crates/service/src/main.rs"));
         assert!(!is_library_file("crates/bench/src/bin/exp_tables.rs"));
         assert!(!is_library_file("crates/core/tests/train_integration.rs"));
@@ -322,7 +322,8 @@ mod tests {
         assert!(classify("crates/service/src/proto.rs", &c).panic_safety);
         assert!(!classify("crates/service/src/lib.rs", &c).panic_safety);
         assert!(classify("crates/cache/src/lib.rs", &c).key_determinism);
-        assert!(classify("crates/service/src/server.rs", &c).key_determinism);
+        assert!(classify("crates/service/src/server/batch.rs", &c).key_determinism);
+        assert!(classify("crates/service/src/server/batch.rs", &c).panic_safety);
         assert!(!classify("crates/ml/src/kmodes.rs", &c).key_determinism);
     }
 

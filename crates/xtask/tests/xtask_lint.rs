@@ -257,7 +257,11 @@ fn dogfooding_allows_are_load_bearing() {
     let root = workspace_root();
     let full = workspace_config();
     let cases: &[(&str, &str, &[u32])] = &[
-        ("POLY-L002", "crates/service/src/server.rs", &[1083, 1376]),
+        (
+            "POLY-L002",
+            "crates/service/src/server/batch.rs",
+            &[178, 295],
+        ),
         ("POLY-L003", "crates/cache/src/lib.rs", &[105, 114, 156]),
         ("POLY-L003", "crates/ml/src/pool.rs", &[37, 101]),
     ];
