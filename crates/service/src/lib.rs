@@ -10,16 +10,18 @@
 //! * [`framing`] — the panic-free u16-length-prefixed request framing
 //!   shared by both server backends and their tests, including the
 //!   resumable per-connection [`framing::FrameAccumulator`].
-//! * [`reactor`] — the explicit, I/O-free per-connection state machine
-//!   ([`reactor::ConnMachine`]) behind the reactor backend, and the
-//!   interval its shard loop parks for. There is no readiness layer: a
-//!   shard scans the non-blocking sockets it owns.
+//! * [`reactor`] — the I/O-free per-connection state
+//!   ([`reactor::ConnMachine`]: parse state, reply buffer, close flags)
+//!   behind the reactor backend, and the interval its shard loop parks
+//!   for. There is no readiness layer and no phase machine: a shard
+//!   scans the non-blocking sockets it owns.
 //! * [`server`] — the TCP risk service with a hot-swappable detector:
 //!   retraining never drops a connection. Two interchangeable connection
 //!   cores sit behind [`server::ServerBackend`] — thread-per-connection
-//!   (default) and the multiplexed reactor — with identical verdict
-//!   streams and counters. Fully instrumented with a `polygraph-obs`
-//!   registry, exposed over the wire via `STATS` frames.
+//!   (default) and the multiplexed reactor — over one shared batch path,
+//!   so verdict streams and counters are identical. Fully instrumented
+//!   with a `polygraph-obs` registry, exposed over the wire via `STATS`
+//!   frames. One file per responsibility under `server/`.
 //! * [`client`] — the matching client.
 //! * [`registry`] — a versioned on-disk model store (JSON), with atomic
 //!   publish and latest-model lookup.

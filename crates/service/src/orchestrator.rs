@@ -91,7 +91,7 @@ pub enum SwapPolicy {
 /// must ride the live serve path before it may be promoted.
 ///
 /// The divergence gate here and the fleet rollout's per-node divergence
-/// gate ([`crate::fleet::RolloutConfig`]) answer different questions:
+/// gate ([`crate::fleet::RolloutController`]) answer different questions:
 /// this one decides whether a candidate *becomes a version at all*
 /// (pre-publish, one server, live traffic); the fleet gate decides
 /// whether an already-published version *keeps spreading* (post-publish,

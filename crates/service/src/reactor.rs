@@ -4,7 +4,7 @@
 //!
 //! There is no readiness layer here. The workspace vendors no `libc` and
 //! the crate forbids `unsafe`, so there is no `poll(2)`/`epoll` to call;
-//! a reactor shard (`server.rs::reactor_shard_loop`) instead scans the
+//! a reactor shard (`server/shard.rs::reactor_shard_loop`) instead scans the
 //! non-blocking sockets it owns — one `read` per connection per pass —
 //! and parks for [`SCAN_INTERVAL`] only after a pass that accepted
 //! nothing and moved no byte.

@@ -1,3 +1,14 @@
+//! The path both connection cores share, from buffered bytes to reply
+//! bytes: [`read_buffered`] fills a connection's accumulator without
+//! blocking, [`process_buffered`] runs one assess–reply–shed cycle over
+//! it, and [`assess_frame`] is the same assessment for one frame in
+//! process. Every serve-path counter is charged here, so the cores
+//! cannot disagree on one.
+//!
+//! This is the only file that calls the detector under its read guard
+//! (twice: the batch's one `assess_many`, `assess_frame`'s one `assess`)
+//! — the bounded-batch design `lint.toml` audits as its POLY-L002 allow.
+
 use super::decode::{decode_session, verdict_from_assessment, UaMemo};
 use super::handle::ConnContext;
 use super::metrics::{metric_names, LocalCounters, ServerMetrics};

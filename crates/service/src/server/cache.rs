@@ -1,3 +1,8 @@
+//! The verdict cache as the serve path sees it: a
+//! `polygraph_cache::VerdictCache` plus the counters that keep the
+//! books — every looked-up frame is one hit or one miss, so
+//! `cache.hits + cache.misses == assessed + malformed + shed_exempt`.
+
 use super::metrics::{metric_names, LocalCounters};
 use crate::proto::{Verdict, VerdictStatus};
 use fingerprint::submission_cache_key;

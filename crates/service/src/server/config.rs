@@ -1,3 +1,7 @@
+//! What a caller chooses when starting a risk server: timeouts and
+//! clock, the shed threshold, the verdict cache's geometry, the
+//! connection core, and whether cache misses take the quantized path.
+
 use super::batch::MAX_BATCH_PER_GUARD;
 use polygraph_obs::{Clock, MonotonicClock};
 use std::sync::Arc;

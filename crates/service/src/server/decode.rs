@@ -1,3 +1,8 @@
+//! The two mappings at the edges of an assessment: a submission frame
+//! into an assessable session (feature row plus parsed user-agent, the
+//! parse memoised per connection), and an assessment result into the
+//! wire verdict with its counters.
+
 use super::metrics::LocalCounters;
 use crate::proto::{Verdict, VerdictStatus};
 use browser_engine::UserAgent;

@@ -1,3 +1,8 @@
+//! The running server: [`RiskServerHandle`] (stats, hot swap, versioned
+//! publish, the shadow-candidate slot, shutdown), the context every
+//! connection shares, and [`start_risk_server_with`], which binds the
+//! listener and spawns the chosen connection core.
+
 use super::cache::CacheLayer;
 use super::config::{RiskServerConfig, ServerBackend};
 use super::metrics::{RiskServerStats, ServerMetrics};

@@ -1,3 +1,8 @@
+//! The server's metric catalogue ([`metric_names`]), the handles
+//! resolved from it once at start-up ([`ServerMetrics`]), the plain-value
+//! view tests and operators read ([`RiskServerStats`]), and the
+//! per-batch counters folded into the shared ones once per batch.
+
 use polygraph_obs::{Counter, Gauge, Histogram, Registry};
 use std::sync::Arc;
 

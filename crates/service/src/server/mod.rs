@@ -2,11 +2,30 @@
 //!
 //! Each connection streams length-prefixed fingerprint submission frames
 //! (the same format the collection service accepts) and receives one
-//! fixed-size [`crate::proto::Verdict`] per frame. The serving detector sits behind an
-//! `Arc<RwLock<…>>` so the [`crate::orchestrator`] can swap in a
-//! retrained model without interrupting traffic — the paper's "ongoing
-//! system enhancements … minimises delays during user interaction"
-//! property (§6.5).
+//! fixed-size [`crate::proto::Verdict`] per frame. The serving detector
+//! sits behind an `Arc<RwLock<…>>` so the [`crate::orchestrator`] can
+//! swap in a retrained model without interrupting traffic — the paper's
+//! "ongoing system enhancements … minimises delays during user
+//! interaction" property (§6.5).
+//!
+//! ## Layout
+//!
+//! One file per responsibility; everything public is re-exported here,
+//! so callers name `server::…` and never a file:
+//!
+//! * `config` — [`RiskServerConfig`] and [`ServerBackend`].
+//! * `metrics` — the [`metric_names`] catalogue, the resolved
+//!   [`ServerMetrics`] handles and the [`RiskServerStats`] they read into.
+//! * `cache` — the verdict cache with its counters.
+//! * `handle` — [`RiskServerHandle`] (swap, publish, shadow slot, stats,
+//!   shutdown) and [`start_risk_server_with`].
+//! * `batch` — the path both cores share: the non-blocking read loop, the
+//!   assess–reply–shed cycle (`process_buffered`), the shadow comparison,
+//!   and [`assess_frame`]. The only file that assesses under the detector
+//!   read guard, and so the only one `lint.toml` exempts from POLY-L002.
+//! * `decode` — frame → session (with the per-connection user-agent
+//!   memo) and assessment → wire verdict.
+//! * `threaded` / `shard` — the two connection cores.
 //!
 //! ## Backends
 //!
@@ -17,22 +36,24 @@
 //!   original core, still the default).
 //! * [`ServerBackend::Reactor`] — per-core acceptor shards, each one
 //!   thread that scans the non-blocking sockets it accepted: a `read`
-//!   per connection per pass into an explicit per-connection state
-//!   machine ([`crate::reactor::ConnMachine`]), parking for
+//!   per connection per pass into that connection's buffered state
+//!   ([`crate::reactor::ConnMachine`]), parking for
 //!   [`crate::reactor::SCAN_INTERVAL`] only after a pass that accepted
 //!   nothing and moved no byte. No thread per idle connection.
 //!
-//! Both backends run the same private batch path (`process_buffered`)
-//! over the same [`crate::framing::FrameAccumulator`] parse state, so
-//! their verdict byte streams and counter identities are exactly equal —
+//! Both backends fill the same [`crate::framing::FrameAccumulator`]
+//! parse state through the same read loop and run the same private
+//! batch path (`process_buffered`) over it, so their verdict byte
+//! streams and counter identities are exactly equal —
 //! pinned by the backend-parametrized conformance suites
 //! (`tests/common::for_each_backend`) and `tests/reactor_prop.rs`.
 //!
 //! ## Observability
 //!
 //! Every counter and latency measurement lives in a `polygraph-obs`
-//! [`polygraph_obs::Registry`] (see [`metric_names`] for the full catalogue). Clients
-//! can pull a snapshot over the wire with a `STATS` request frame
+//! [`polygraph_obs::Registry`] (see [`metric_names`] for the full
+//! catalogue). Clients can pull a snapshot over the wire with a `STATS`
+//! request frame
 //! ([`fingerprint::wire::encode_stats_request`]), answered in request
 //! order with a JSON snapshot; in-process callers use
 //! [`RiskServerHandle::snapshot`]. The registry's clock is injected
@@ -58,9 +79,9 @@
 //! promptly. Instead of queueing unboundedly, each guard cycle assesses
 //! up to [`MAX_BATCH_PER_GUARD`] frames and then answers any backlog
 //! beyond [`RiskServerConfig::shed_limit`] immediately with
-//! [`crate::proto::VerdictStatus::Degraded`] (`server.frames.shed`) — the degradation
-//! ladder's "fast non-answer beats a slow answer" rung, consumed by
-//! `RiskPolicy::on_unassessable`.
+//! [`crate::proto::VerdictStatus::Degraded`] (`server.frames.shed`) —
+//! the degradation ladder's "fast non-answer beats a slow answer" rung,
+//! consumed by `RiskPolicy::on_unassessable`.
 
 mod batch;
 mod cache;

@@ -1,3 +1,8 @@
+//! The reactor core ([`super::ServerBackend::Reactor`]): each shard is
+//! one thread that accepts from its clone of the listener and scans the
+//! non-blocking sockets it owns, holding per-connection state in a
+//! [`ConnMachine`]. No readiness layer — see [`crate::reactor`].
+
 use super::batch::{process_buffered, read_buffered};
 use super::decode::UaMemo;
 use super::handle::ConnContext;

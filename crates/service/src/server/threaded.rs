@@ -1,3 +1,8 @@
+//! The thread-per-connection core ([`super::ServerBackend::Threaded`],
+//! the default): an acceptor that spawns and reaps one worker per
+//! socket, each worker alternating a blocking read, a non-blocking
+//! drain, one batch cycle and a blocking write.
+
 use super::batch::{process_buffered, read_buffered};
 use super::decode::UaMemo;
 use super::handle::ConnContext;

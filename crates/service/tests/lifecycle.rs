@@ -365,7 +365,7 @@ fn oversize_header_answers_preceding_frames_then_closes_cleanly() {
 /// within one scan interval, because every shard reads the stop flag at
 /// the top of each pass and never parks longer than `SCAN_INTERVAL`.
 #[test]
-fn reactor_shutdown_completes_within_one_poll_cycle() {
+fn reactor_shutdown_completes_within_one_scan_interval() {
     let config = RiskServerConfig {
         read_timeout: Duration::from_secs(10),
         backend: ServerBackend::Reactor,

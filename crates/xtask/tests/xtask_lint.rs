@@ -260,7 +260,7 @@ fn dogfooding_allows_are_load_bearing() {
         (
             "POLY-L002",
             "crates/service/src/server/batch.rs",
-            &[178, 295],
+            &[189, 306],
         ),
         ("POLY-L003", "crates/cache/src/lib.rs", &[105, 114, 156]),
         ("POLY-L003", "crates/ml/src/pool.rs", &[37, 101]),
