@@ -600,8 +600,8 @@ impl<'s> Orchestrator<'s> {
     ) -> Result<RetrainOutcome, OrchestratorError> {
         let obs = self.server.registry();
         obs.counter(metric_names::FALLBACKS).inc();
-        let last_good = self.registry.load_latest_versioned()?;
-        let version = last_good.map(|(version, last_good)| {
+        let latest = self.registry.load_latest_versioned()?;
+        let version = latest.map(|(version, last_good)| {
             // Under `PublishOnly` the serving model belongs to the fleet
             // rollout — re-asserting last-good here would swap behind
             // its back.

@@ -70,16 +70,16 @@ impl CacheLayer {
             self.misses.inc();
             return (None, None);
         };
-        let found = self.lookup(key);
-        if let Lookup::Hit(v) = found {
-            local.assessed += 1;
-            if v.flagged {
-                local.flagged += 1;
+        match self.lookup(key) {
+            Lookup::Hit(v) => {
+                local.assessed += 1;
+                if v.flagged {
+                    local.flagged += 1;
+                }
+                return (Some(key), Some(v));
             }
-            return (Some(key), Some(v));
-        }
-        if matches!(found, Lookup::Stale) {
-            self.stale_epoch.inc();
+            Lookup::Stale => self.stale_epoch.inc(),
+            Lookup::Miss => {}
         }
         self.misses.inc();
         (Some(key), None)
