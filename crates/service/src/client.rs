@@ -99,6 +99,11 @@ pub struct RiskClient {
     config: RiskClientConfig,
     /// `None` while poisoned/disconnected; the next attempt reconnects.
     stream: Option<TcpStream>,
+    /// The request being exchanged exactly as it goes on the wire —
+    /// length header, then payload — so an attempt is one `write_all`
+    /// (one segment on the `TCP_NODELAY` socket, one server read) and a
+    /// retry resends the same bytes. Reused across requests.
+    request: Vec<u8>,
     rng: ChaCha8Rng,
     next_session: u64,
     /// Failed exchanges since the last success, across requests. This —
@@ -159,6 +164,7 @@ impl RiskClient {
             rng: ChaCha8Rng::seed_from_u64(config.retry_seed),
             config,
             stream: Some(stream),
+            request: Vec::new(),
             next_session: 1,
             consecutive_failures: 0,
             round_trip: registry.histogram(metric_names::ROUND_TRIP_MICROS),
@@ -220,15 +226,32 @@ impl RiskClient {
         }
     }
 
-    fn ensure_connected(&mut self) -> io::Result<&mut TcpStream> {
+    /// Stages `payload` behind its length header in the reusable request
+    /// buffer. Fails, sending nothing, on a payload the framing cannot
+    /// carry.
+    fn stage_request(&mut self, payload: &[u8]) -> io::Result<()> {
+        let header = frame_header(payload.len())?;
+        self.request.clear();
+        self.request.extend_from_slice(&header);
+        self.request.extend_from_slice(payload);
+        Ok(())
+    }
+
+    /// Writes the staged request, header and payload in one `write_all`,
+    /// on the current (or a fresh) stream, and hands back the stream to
+    /// read the reply from.
+    fn send_request(&mut self) -> io::Result<&mut TcpStream> {
         if self.stream.is_none() {
             let stream = Self::open_stream(self.addr, &self.config)?;
             self.reconnects.inc();
             self.stream = Some(stream);
         }
-        self.stream
+        let stream = self
+            .stream
             .as_mut()
-            .ok_or_else(|| io::Error::new(io::ErrorKind::NotConnected, "not connected"))
+            .ok_or_else(|| io::Error::new(io::ErrorKind::NotConnected, "not connected"))?;
+        stream.write_all(&self.request)?;
+        Ok(stream)
     }
 
     /// Sleeps the backoff for the current failure streak, recording the
@@ -269,7 +292,13 @@ impl RiskClient {
     pub fn assess_submission(&mut self, sub: &Submission) -> io::Result<Verdict> {
         let frame = encode_submission(sub)
             .map_err(|e| io::Error::new(io::ErrorKind::InvalidInput, e.to_string()))?;
-        let header = frame_header(frame.len())?;
+        self.assess_encoded(&frame)
+    }
+
+    /// [`Self::assess_submission`] for a caller that already holds the
+    /// encoded frame (the fleet client encodes once, to route).
+    pub(crate) fn assess_encoded(&mut self, frame: &[u8]) -> io::Result<Verdict> {
+        self.stage_request(frame)?;
         self.requests.inc();
         let mut attempt: u32 = 0;
         loop {
@@ -277,7 +306,7 @@ impl RiskClient {
                 Arc::clone(&self.round_trip),
                 Arc::clone(self.registry.clock()),
             );
-            match self.try_verdict_exchange(&header, &frame) {
+            match self.try_verdict_exchange() {
                 Ok(v) => {
                     span.finish();
                     // A success ends the failure streak: the next blip
@@ -304,12 +333,11 @@ impl RiskClient {
         }
     }
 
-    /// One verdict exchange on the current (or a fresh) stream. Any error
-    /// leaves the stream in an unknown state — the caller must poison.
-    fn try_verdict_exchange(&mut self, header: &[u8; 2], frame: &[u8]) -> io::Result<Verdict> {
-        let stream = self.ensure_connected()?;
-        stream.write_all(header)?;
-        stream.write_all(frame)?;
+    /// One verdict exchange of the staged request on the current (or a
+    /// fresh) stream. Any error leaves the stream in an unknown state —
+    /// the caller must poison.
+    fn try_verdict_exchange(&mut self) -> io::Result<Verdict> {
+        let stream = self.send_request()?;
         let mut buf = [0u8; VERDICT_LEN];
         stream.read_exact(&mut buf)?;
         Verdict::decode(&buf)
@@ -340,11 +368,10 @@ impl RiskClient {
     /// request frame, answered in order with a JSON snapshot), with the
     /// same poison-and-retry discipline as submissions.
     pub fn fetch_stats(&mut self) -> io::Result<Snapshot> {
-        let req = encode_stats_request();
-        let header = frame_header(req.len())?;
+        self.stage_request(&encode_stats_request())?;
         let mut attempt: u32 = 0;
         loop {
-            match self.try_stats_exchange(&header, &req) {
+            match self.try_stats_exchange() {
                 Ok(snap) => {
                     self.stats_fetches.inc();
                     self.consecutive_failures = 0;
@@ -365,10 +392,8 @@ impl RiskClient {
         }
     }
 
-    fn try_stats_exchange(&mut self, header: &[u8; 2], req: &[u8]) -> io::Result<Snapshot> {
-        let stream = self.ensure_connected()?;
-        stream.write_all(header)?;
-        stream.write_all(req)?;
+    fn try_stats_exchange(&mut self) -> io::Result<Snapshot> {
+        let stream = self.send_request()?;
         let mut resp_header = [0u8; STATS_RESPONSE_HEADER_LEN];
         stream.read_exact(&mut resp_header)?;
         let len = decode_stats_response_header(&resp_header)
@@ -486,6 +511,72 @@ mod tests {
         );
         drop(client);
         server.shutdown();
+    }
+
+    /// A request is one write: header and payload leave in one segment,
+    /// so a peer polling its socket never sees the 2-byte header alone.
+    /// The peer here polls a non-blocking socket — the reader most
+    /// likely to catch a split — and logs the size of every read.
+    #[test]
+    fn every_request_reaches_the_peer_in_a_single_read() {
+        use crate::proto::encode_stats_response;
+        use std::net::TcpListener;
+
+        const CALLS: usize = 200;
+        let sub = Submission {
+            session_id: [3u8; 16],
+            user_agent: UserAgent::new(Vendor::Chrome, 100).to_ua_string(),
+            values: vec![10, 10],
+        };
+        let frame_len = encode_submission(&sub).unwrap().len();
+        let stats_len = encode_stats_request().len();
+        let stats_body = Registry::monotonic().snapshot().render_json();
+
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let peer = thread::spawn(move || {
+            let (mut stream, _) = listener.accept().unwrap();
+            stream.set_nonblocking(true).unwrap();
+            let mut reads = Vec::new();
+            let mut buf = [0u8; 4096];
+            // Bytes of the current request still to come, and requests
+            // answered so far.
+            let (mut pending, mut answered) = (0usize, 0usize);
+            loop {
+                match stream.read(&mut buf) {
+                    Ok(0) => return reads,
+                    Ok(n) => {
+                        reads.push(n);
+                        if pending == 0 {
+                            pending = 2 + usize::from(u16::from_le_bytes([buf[0], buf[1]]));
+                        }
+                        pending -= n;
+                        if pending == 0 {
+                            answered += 1;
+                            let reply = if answered <= CALLS {
+                                Verdict::error(VerdictStatus::Degraded).encode().to_vec()
+                            } else {
+                                encode_stats_response(stats_body.as_bytes())
+                            };
+                            stream.write_all(&reply).unwrap();
+                        }
+                    }
+                    Err(e) if e.kind() == io::ErrorKind::WouldBlock => thread::yield_now(),
+                    Err(e) => panic!("peer read failed: {e}"),
+                }
+            }
+        });
+
+        let mut client = RiskClient::connect(addr).unwrap();
+        for _ in 0..CALLS {
+            client.assess_submission(&sub).unwrap();
+        }
+        client.fetch_stats().unwrap();
+        drop(client);
+
+        let mut expected = vec![2 + frame_len; CALLS];
+        expected.push(2 + stats_len);
+        assert_eq!(peer.join().unwrap(), expected);
     }
 
     #[test]

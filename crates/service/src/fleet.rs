@@ -152,6 +152,8 @@ impl FleetRouter {
     /// moves the key to `preference(key)[1]` — and keys owned by other
     /// nodes never move, which is the whole point of the ring.
     pub fn preference(&self, key: u64) -> Vec<usize> {
+        #[cfg(test)]
+        tests::PREFERENCE_CALLS.with(|calls| calls.set(calls.get() + 1));
         let len = self.ring.len().max(1);
         let start = self.ring_start(key);
         let mut seen = vec![false; self.nodes];
@@ -384,12 +386,29 @@ impl FleetClient {
             .ok_or_else(|| io::Error::new(io::ErrorKind::NotConnected, "node client unavailable"))
     }
 
+    /// One whole client exchange with `node` (its own retries included).
+    /// A failure drops the node's client: a dead node must not keep a
+    /// poisoned slot warm, and a revived one gets a fresh connection
+    /// (and a fresh backoff slate).
+    fn try_node(&mut self, node: usize, frame: &[u8]) -> io::Result<Verdict> {
+        let result = self
+            .client_for(node)
+            .and_then(|client| client.assess_encoded(frame));
+        if result.is_err() {
+            if let Some(slot) = self.clients.get_mut(node) {
+                *slot = None;
+            }
+        }
+        result
+    }
+
     /// Routes one submission to its ring owner; on a whole-exchange
     /// failure there (the per-node client's own retries exhausted, or
     /// the node unreachable) fails over to the next distinct node in
     /// ring order, and so on around the ring. Errors only when every
     /// node failed (`fleet.client.exhausted`).
     pub fn assess_submission(&mut self, sub: &Submission) -> io::Result<Verdict> {
+        // Encoded once: the same bytes key the route and go on the wire.
         let frame = encode_submission(sub)
             .map_err(|e| io::Error::new(io::ErrorKind::InvalidInput, e.to_string()))?;
         // The exact key the node-side verdict cache shards on; frames
@@ -397,30 +416,20 @@ impl FleetClient {
         // they route by a hash of the whole frame.
         let key = submission_cache_key(&frame).unwrap_or_else(|| fnv1a64(&frame));
         self.routed.inc();
-        let mut last_err = None;
-        for (hop, node) in self.router.preference(key).into_iter().enumerate() {
-            if hop > 0 {
-                self.failovers.inc();
-            }
-            match self
-                .client_for(node)
-                .and_then(|client| client.assess_submission(sub))
-            {
+        let mut last_err = match self.try_node(self.router.route(key), &frame) {
+            Ok(verdict) => return Ok(verdict),
+            Err(e) => e,
+        };
+        // Only a failed owner pays for the rest of the preference order.
+        for node in self.router.preference(key).into_iter().skip(1) {
+            self.failovers.inc();
+            match self.try_node(node, &frame) {
                 Ok(verdict) => return Ok(verdict),
-                Err(e) => {
-                    // Drop the node's client: a dead node must not keep
-                    // a poisoned slot warm, and a revived one gets a
-                    // fresh connection (and a fresh backoff slate).
-                    if let Some(slot) = self.clients.get_mut(node) {
-                        *slot = None;
-                    }
-                    last_err = Some(e);
-                }
+                Err(e) => last_err = e,
             }
         }
         self.exhausted.inc();
-        Err(last_err
-            .unwrap_or_else(|| io::Error::new(io::ErrorKind::NotConnected, "fleet has no nodes")))
+        Err(last_err)
     }
 }
 
@@ -616,6 +625,58 @@ impl RolloutController {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::server::test_support::tiny_detector;
+    use browser_engine::Vendor;
+    use std::cell::Cell;
+
+    thread_local! {
+        /// [`FleetRouter::preference`] calls made on this thread — the
+        /// only routing step that allocates.
+        pub(super) static PREFERENCE_CALLS: Cell<usize> = const { Cell::new(0) };
+    }
+
+    /// With every node up a call routes with `route` alone — no
+    /// preference order is built, so routing allocates nothing — and
+    /// once a node is dead exactly its keys pay for one.
+    #[test]
+    fn preference_order_is_built_only_after_the_owner_fails() {
+        let model = tiny_detector().model().clone();
+        let mut fleet = RiskFleet::start(&model, FleetConfig::default()).unwrap();
+        let config = RiskClientConfig {
+            max_retries: 0,
+            ..Default::default()
+        };
+        let mut client = FleetClient::connect(&fleet, config);
+        let subs: Vec<Submission> = (0..64u8)
+            .map(|i| Submission {
+                session_id: [i; 16],
+                user_agent: UserAgent::new(Vendor::Chrome, 60 + u32::from(i)).to_ua_string(),
+                values: vec![10, 10],
+            })
+            .collect();
+
+        let before = PREFERENCE_CALLS.with(Cell::get);
+        for sub in &subs {
+            client.assess_submission(sub).unwrap();
+        }
+        assert_eq!(PREFERENCE_CALLS.with(Cell::get), before);
+        assert_eq!(fleet.obs().counter(metric_names::FAILOVERS).get(), 0);
+
+        assert!(fleet.kill_node(1));
+        for sub in &subs {
+            client.assess_submission(sub).unwrap();
+        }
+        let failovers = fleet.obs().counter(metric_names::FAILOVERS).get();
+        assert!(failovers > 0, "node 1 owned none of the 64 keys");
+        assert_eq!(
+            PREFERENCE_CALLS.with(Cell::get) - before,
+            failovers as usize
+        );
+        assert_eq!(fleet.obs().counter(metric_names::ROUTED).get(), 128);
+        assert_eq!(fleet.obs().counter(metric_names::EXHAUSTED).get(), 0);
+        drop(client);
+        fleet.shutdown();
+    }
 
     #[test]
     fn ring_is_deterministic_and_covers_every_node() {

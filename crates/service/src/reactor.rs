@@ -6,8 +6,10 @@
 //! the crate forbids `unsafe`, so there is no `poll(2)`/`epoll` to call;
 //! a reactor shard (`server/shard.rs::reactor_shard_loop`) instead scans the
 //! non-blocking sockets it owns — one `read` per connection per pass —
-//! and parks for [`SCAN_INTERVAL`] only after a pass that accepted
-//! nothing and moved no byte.
+//! and parks for [`SCAN_INTERVAL`] only once a whole [`SCAN_INTERVAL`]
+//! has gone by (on the server's injected clock) since a pass last
+//! accepted a connection or moved a byte; until then an idle pass
+//! yields and re-scans.
 //!
 //! What this module keeps is the part worth testing without a socket:
 //! [`ConnMachine`], which owns a connection's resumable
@@ -28,9 +30,12 @@ use crate::framing::{FrameAccumulator, FrameStatus};
 use std::io::{self, Write};
 use std::time::Duration;
 
-/// How long a reactor shard parks after a scan that accepted no
-/// connection and moved no byte. New connections, newly readable sockets
-/// and the server's stop flag are all noticed within one interval.
+/// How long a reactor shard parks after an idle scan — one that
+/// accepted no connection and moved no byte — and also how long after
+/// its last non-idle scan it keeps re-scanning before it parks at all:
+/// a shard never sleeps in front of a peer that spoke within the last
+/// interval. New connections, newly readable sockets and the server's
+/// stop flag are all noticed within one interval.
 pub const SCAN_INTERVAL: Duration = Duration::from_micros(500);
 
 /// Progress report of one [`ConnMachine::flush_into`] call.

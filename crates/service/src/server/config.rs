@@ -33,6 +33,14 @@ pub struct RiskServerConfig {
     /// Time source for every latency metric. Production keeps the
     /// default monotonic clock; tests inject a deterministic
     /// `TestClock` so snapshots are byte-reproducible.
+    ///
+    /// A reactor shard also measures its park window on this clock (it
+    /// re-scans instead of parking until a whole
+    /// [`crate::reactor::SCAN_INTERVAL`] has passed since a byte last
+    /// moved), so a *frozen* clock (`TestClock::new()`, never advanced)
+    /// keeps a shard that has seen traffic scanning hot until the clock
+    /// is advanced. Give a reactor server a stepping clock
+    /// (`TestClock::with_step`) or advance it.
     pub clock: Arc<dyn Clock>,
     /// Overload-shedding threshold: after a batch is taken, any complete
     /// frames still queued beyond this count are answered immediately

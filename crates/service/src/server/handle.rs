@@ -6,7 +6,7 @@
 use super::cache::CacheLayer;
 use super::config::{RiskServerConfig, ServerBackend};
 use super::metrics::{RiskServerStats, ServerMetrics};
-use super::shard::reactor_shard_loop;
+use super::shard::{reactor_shard_loop, ShardCounters};
 use super::threaded::acceptor_loop;
 use parking_lot::RwLock;
 use polygraph_core::{Detector, TrainedModel};
@@ -296,11 +296,13 @@ pub fn start_risk_server_with(
             workers.push(thread::spawn(move || acceptor_loop(listener, ctx)));
         }
         ServerBackend::Reactor => {
+            let counters = ShardCounters::register(metrics.registry());
             for _ in 0..resolve_reactor_shards(config.reactor_shards) {
                 let shard_listener = listener.try_clone()?;
                 let shard_ctx = ctx.clone();
+                let shard_counters = counters.clone();
                 workers.push(thread::spawn(move || {
-                    reactor_shard_loop(shard_listener, shard_ctx)
+                    reactor_shard_loop(shard_listener, shard_ctx, shard_counters)
                 }));
             }
         }

@@ -7,7 +7,9 @@ use polygraph_obs::{Counter, Gauge, Histogram, Registry};
 use std::sync::Arc;
 
 /// The metric names the risk server registers, grouped here so the wire
-/// consumers and the docs share one catalogue.
+/// consumers and the docs share one catalogue. A reactor server
+/// additionally registers the shard loop's own `server.reactor.passes`
+/// and `server.reactor.parks` counters (see `server/shard.rs`).
 pub mod metric_names {
     /// Submissions assessed (counter).
     pub const ASSESSED: &str = "server.frames.assessed";

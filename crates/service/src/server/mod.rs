@@ -38,8 +38,12 @@
 //!   thread that scans the non-blocking sockets it accepted: a `read`
 //!   per connection per pass into that connection's buffered state
 //!   ([`crate::reactor::ConnMachine`]), parking for
-//!   [`crate::reactor::SCAN_INTERVAL`] only after a pass that accepted
-//!   nothing and moved no byte. No thread per idle connection.
+//!   [`crate::reactor::SCAN_INTERVAL`] per idle pass only once a whole
+//!   interval has gone by since it last accepted or moved a byte (until
+//!   then it yields and re-scans, so a request/response caller is not
+//!   answered from behind a sleep). No thread per idle connection. Its
+//!   `server.reactor.passes` / `server.reactor.parks` counters, which
+//!   only a reactor server registers, give the shards' duty cycle.
 //!
 //! Both backends fill the same [`crate::framing::FrameAccumulator`]
 //! parse state through the same read loop and run the same private
@@ -99,12 +103,12 @@ pub use metrics::{metric_names, RiskServerStats, ServerMetrics};
 
 /// Fixtures shared by the unit tests of this module's files.
 #[cfg(test)]
-mod test_support {
+pub(crate) mod test_support {
     use browser_engine::{UserAgent, Vendor};
     use fingerprint::{encode_submission, FeatureSet, Submission};
     use polygraph_core::{Detector, TrainConfig, TrainedModel, TrainingSet};
 
-    pub(super) fn tiny_detector() -> Detector {
+    pub(crate) fn tiny_detector() -> Detector {
         let mut set = TrainingSet::new(2);
         for (base, ua) in [
             (0.0, UserAgent::new(Vendor::Chrome, 60)),

@@ -2,11 +2,27 @@
 //! one thread that accepts from its clone of the listener and scans the
 //! non-blocking sockets it owns, holding per-connection state in a
 //! [`ConnMachine`]. No readiness layer — see [`crate::reactor`].
+//!
+//! ## Park rule
+//!
+//! A shard parks after an idle *interval*, not after an idle pass: it
+//! remembers the injected-clock micros of the last pass that accepted a
+//! connection or moved a byte, re-scans (after a `yield_now`) while an
+//! idle pass is less than [`SCAN_INTERVAL`] past that moment, and from
+//! then on parks [`SCAN_INTERVAL`] per idle pass until something moves
+//! again. A request/response caller's next request arrives tens of
+//! microseconds after the reply was flushed, so it is met by a scan
+//! rather than by the tail of a 500 µs sleep; a shard nobody has spoken
+//! to for an interval costs what it always did. The price is CPU: while
+//! requests keep arriving less than an interval apart the shard never
+//! sleeps. `server.reactor.passes` and `server.reactor.parks` (registered
+//! on reactor servers only) expose the duty cycle — DESIGN.md §5h.
 
 use super::batch::{process_buffered, read_buffered};
 use super::decode::UaMemo;
 use super::handle::ConnContext;
 use crate::reactor::{ConnMachine, SCAN_INTERVAL};
+use polygraph_obs::{Counter, Registry};
 use std::io;
 use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::Ordering;
@@ -31,21 +47,53 @@ enum SlotFate {
     Errored,
 }
 
+/// The shard loops' own counters, shared by every shard of one server
+/// and registered only when the server runs the reactor core — a
+/// threaded server's snapshot (and the exposition golden) never sees
+/// them. `parks / passes` over a `STATS` interval is the duty cycle: 1
+/// on an idle server, falling toward 0 while requests keep arriving
+/// less than [`SCAN_INTERVAL`] apart.
+#[derive(Clone)]
+pub(super) struct ShardCounters {
+    /// `server.reactor.passes` — scans made (accept drain + every slot).
+    passes: Arc<Counter>,
+    /// `server.reactor.parks` — passes that ended in a
+    /// [`SCAN_INTERVAL`] sleep.
+    parks: Arc<Counter>,
+}
+
+impl ShardCounters {
+    pub(super) fn register(registry: &Registry) -> Self {
+        Self {
+            passes: registry.counter("server.reactor.passes"),
+            parks: registry.counter("server.reactor.parks"),
+        }
+    }
+}
+
 /// One reactor shard: accepts from its clone of the shared non-blocking
 /// listener and serves every accepted connection on this single thread
 /// through per-connection [`ConnMachine`]s. Each pass drains the
-/// listener, drives every slot once, and parks for [`SCAN_INTERVAL`]
-/// only when it accepted nothing and moved no byte; the stop flag is
-/// read at the top of every pass, so shutdown takes one scan interval.
+/// listener and drives every slot once. A pass that accepted nothing
+/// and moved no byte re-scans after a `yield_now` while the last pass
+/// that did is less than [`SCAN_INTERVAL`] old on the server's clock,
+/// and parks for [`SCAN_INTERVAL`] otherwise (the module docs say why);
+/// the stop flag is read at the top of every pass, so shutdown takes
+/// one scan interval.
 /// Counter semantics mirror the threaded backend exactly: idle
 /// keep-alive ticks survive, stalled partial frames and stuck writes
 /// error, slots reclaimed while serving count as reaped, and slots
 /// closed by shutdown count only as closed.
-pub(super) fn reactor_shard_loop(listener: TcpListener, ctx: ConnContext) {
-    // The injected server clock: idle deadlines never read a wall clock.
+pub(super) fn reactor_shard_loop(listener: TcpListener, ctx: ConnContext, counters: ShardCounters) {
+    // The injected server clock: idle deadlines and the park window
+    // never read a wall clock.
     let clock = Arc::clone(ctx.metrics.registry().clock());
     let mut conns: Vec<ConnSlot> = Vec::new();
     let timeout_us = ctx.read_timeout.as_micros().min(u64::MAX as u128) as u64;
+    let scan_us = SCAN_INTERVAL.as_micros() as u64;
+    // Clock micros of the last pass that accepted or moved a byte;
+    // `None` once a whole scan interval has gone by without one.
+    let mut last_progress: Option<u64> = None;
     'run: while !ctx.stop.load(Ordering::SeqCst) {
         let mut progressed = false;
         // Accept every pending connection. All shards share the
@@ -106,7 +154,16 @@ pub(super) fn reactor_shard_loop(listener: TcpListener, ctx: ConnContext) {
             false
         });
 
-        if !progressed {
+        counters.passes.inc();
+        if progressed {
+            last_progress = Some(now);
+        } else if last_progress.is_some_and(|at| now.saturating_sub(at) < scan_us) {
+            // A peer spoke within the last interval: its next request is
+            // more likely tens of microseconds away than 500.
+            thread::yield_now();
+        } else {
+            last_progress = None;
+            counters.parks.inc();
             thread::sleep(SCAN_INTERVAL);
         }
     }

@@ -14,7 +14,11 @@
 //! * shutdown is bounded even with a connected-but-silent client;
 //! * reactor shutdown latency is decoupled from the read timeout
 //!   entirely: a shard reads the stop flag at the top of every scan, so
-//!   even a multi-second timeout shuts down within one scan interval.
+//!   even a multi-second timeout shuts down within one scan interval;
+//! * the reactor's park rule, counted through `server.reactor.passes` /
+//!   `server.reactor.parks` rather than timed: a shard does not park in
+//!   front of a peer that spoke within the last scan interval, and an
+//!   idle shard parks on every pass.
 
 mod common;
 
@@ -22,10 +26,12 @@ use browser_engine::{UserAgent, Vendor};
 use common::for_each_backend;
 use fingerprint::{encode_submission, FeatureSet, Submission};
 use polygraph_core::{Detector, TrainConfig, TrainedModel, TrainingSet};
+use polygraph_obs::TestClock;
 use polygraph_service::server::{start_risk_server_with, RiskServerConfig, RiskServerHandle};
 use polygraph_service::{ServerBackend, Verdict, VerdictStatus};
 use std::io::{Read, Write};
 use std::net::TcpStream;
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 fn tiny_detector() -> Detector {
@@ -388,4 +394,131 @@ fn reactor_shutdown_completes_within_one_scan_interval() {
          took {elapsed:?}"
     );
     drop(stream);
+}
+
+/// A one-shard reactor server: every connection and every pass belongs
+/// to the one shard whose counters the park-rule tests read.
+fn one_shard_reactor(config: RiskServerConfig) -> RiskServerHandle {
+    let config = RiskServerConfig {
+        backend: ServerBackend::Reactor,
+        reactor_shards: 1,
+        ..config
+    };
+    start_risk_server_with("127.0.0.1:0", tiny_detector(), config).unwrap()
+}
+
+/// `(passes, parks)` from a reactor server's snapshot, read while no
+/// park completed in between. The shard charges a parking pass to
+/// `passes` first, so `passes >= parks`, with one extra when the read
+/// lands mid-pass.
+fn passes_and_parks(server: &RiskServerHandle) -> (u64, u64) {
+    let read = |name: &str| match server.snapshot().counters.get(name) {
+        Some(&count) => count,
+        None => panic!("{name} is not in the server's snapshot"),
+    };
+    loop {
+        let parks = read("server.reactor.parks");
+        let passes = read("server.reactor.passes");
+        if read("server.reactor.parks") == parks {
+            return (passes, parks);
+        }
+    }
+}
+
+/// The shard's counters exist on a reactor server only: a threaded
+/// server's snapshot — and with it the exposition golden — has neither.
+#[test]
+fn park_counters_are_registered_on_reactor_servers_only() {
+    for_each_backend(|config, backend| {
+        let server = start_risk_server_with("127.0.0.1:0", tiny_detector(), config).unwrap();
+        let snapshot = server.snapshot();
+        for name in ["server.reactor.passes", "server.reactor.parks"] {
+            assert_eq!(
+                snapshot.counters.contains_key(name),
+                backend == "reactor",
+                "[{backend}] {name}"
+            );
+        }
+        server.shutdown();
+    });
+}
+
+/// A request/response caller's next request follows the last reply by
+/// well under a scan interval — here a 100 µs sleep, so the shard always
+/// gets an idle pass in first — and the shard must meet it scanning:
+/// parking on that idle pass (the rule this replaced did, once per round
+/// trip) would put most of a scan interval into each call.
+#[test]
+fn sequential_round_trips_do_not_park_the_shard() {
+    let server = one_shard_reactor(RiskServerConfig::default());
+    let mut stream = TcpStream::connect(server.local_addr()).unwrap();
+    stream.set_nodelay(true).unwrap();
+    let frame = honest_frame();
+
+    // The first trip gets the connection accepted and the window open.
+    send_frame(&mut stream, &frame);
+    assert_eq!(read_verdict(&mut stream).status, VerdictStatus::Assessed);
+    let (_, parks_before) = passes_and_parks(&server);
+    for _ in 0..200 {
+        std::thread::sleep(Duration::from_micros(100));
+        send_frame(&mut stream, &frame);
+        assert_eq!(read_verdict(&mut stream).status, VerdictStatus::Assessed);
+    }
+    let (_, parks_after) = passes_and_parks(&server);
+    assert!(
+        parks_after - parks_before < 20,
+        "200 round trips 100 µs apart parked the shard {} times",
+        parks_after - parks_before
+    );
+    drop(stream);
+    server.shutdown();
+}
+
+/// The window is measured on the injected clock and closes: stepping
+/// 50 µs per read, one round trip is followed by about ten yield passes
+/// (500 µs of clock) and from then on by parks only — silence costs what
+/// it cost before the rule changed.
+#[test]
+fn a_silent_peer_is_rescanned_for_one_interval_then_parked_on() {
+    let server = one_shard_reactor(RiskServerConfig {
+        clock: Arc::new(TestClock::with_step(50)),
+        ..Default::default()
+    });
+    let mut stream = TcpStream::connect(server.local_addr()).unwrap();
+    stream.set_nodelay(true).unwrap();
+    send_frame(&mut stream, &honest_frame());
+    assert_eq!(read_verdict(&mut stream).status, VerdictStatus::Assessed);
+
+    // Every pass reads the clock at least once, so 500 µs of clock is
+    // at most ten passes; 50 ms of wall time is far more than they take.
+    std::thread::sleep(Duration::from_millis(50));
+    let (passes, parks) = passes_and_parks(&server);
+    let unparked = passes - parks;
+    assert!(parks > 0, "the shard never parked after the round trip");
+
+    std::thread::sleep(Duration::from_millis(50));
+    let (passes, parks_later) = passes_and_parks(&server);
+    assert!(parks_later > parks, "the shard stopped scanning");
+    assert!(
+        passes - parks_later <= unparked + 1,
+        "un-parked passes kept growing in silence: {unparked} -> {}",
+        passes - parks_later
+    );
+    // Accept, header, frame + reply: a handful of passes made progress
+    // and about ten more were inside the window.
+    assert!(unparked <= 40, "{unparked} un-parked passes for one trip");
+    drop(stream);
+    server.shutdown();
+}
+
+/// A shard nobody ever connected to has no window to be inside: every
+/// pass parks, exactly as before.
+#[test]
+fn a_shard_that_never_saw_a_connection_parks_every_pass() {
+    let server = one_shard_reactor(RiskServerConfig::default());
+    std::thread::sleep(Duration::from_millis(50));
+    let (passes, parks) = passes_and_parks(&server);
+    assert!(parks > 0, "the shard is not scanning");
+    assert!(passes - parks <= 1, "{passes} passes, {parks} parks");
+    server.shutdown();
 }

@@ -64,8 +64,9 @@ impl Default for LintConfig {
                 // under an injected clock (its one Instant::now lives in
                 // MonotonicClock, allowlisted in lint.toml).
                 "crates/obs/src/".into(),
-                // The reactor's state machine is pure; deadlines come
-                // from the injected server Clock.
+                // The reactor's state machine is pure; deadlines and
+                // the shard's park window come from the injected server
+                // Clock.
                 "crates/service/src/reactor.rs".into(),
             ],
             key_determinism_zone: vec!["crates/service/src/".into(), "crates/cache/src/".into()],
