@@ -267,6 +267,12 @@ mod tests {
         for _ in 0..40 {
             rows.push((vec![0.0, 0.0], ua(Vendor::Chrome, 112)));
         }
+        // Chrome 113 split exactly 50/50 between the two eras: the count
+        // tie must break the same way on both paths.
+        for i in 0..40 {
+            let base = if i % 2 == 0 { 0.0 } else { 10.0 };
+            rows.push((vec![base, base], ua(Vendor::Chrome, 113)));
+        }
 
         // Batch path.
         let (r, u): (Vec<_>, Vec<_>) = rows.clone().into_iter().unzip();
@@ -280,11 +286,23 @@ mod tests {
         }
         assert_eq!(acc.ingested(), rows.len());
 
-        for release in [ua(Vendor::Chrome, 111), ua(Vendor::Chrome, 112)] {
+        for release in [
+            ua(Vendor::Chrome, 111),
+            ua(Vendor::Chrome, 112),
+            ua(Vendor::Chrome, 113),
+        ] {
             let batch_obs = batch_monitor.observe(&batch, release).unwrap();
             let stream_obs = acc.observe(&model, release).unwrap();
             assert_eq!(stream_obs, batch_obs, "{}", release.label());
         }
+        let tied = acc.observe(&model, ua(Vendor::Chrome, 113)).unwrap();
+        assert_eq!((tied.sessions, tied.accuracy), (40, 0.5));
+
+        // A release absent from the window: the same error on both paths.
+        let absent = ua(Vendor::Firefox, 119);
+        let expected = Err(PolygraphError::NoObservations(absent.label()));
+        assert_eq!(batch_monitor.observe(&batch, absent), expected);
+        assert_eq!(acc.observe(&model, absent), expected);
     }
 
     #[test]
