@@ -1,5 +1,7 @@
 //! Shared harness for the experiment binaries (`exp_*`) that regenerate
-//! every table and figure of the paper.
+//! every table and figure of the paper. This crate is those binaries and
+//! nothing else: it has no bench target, and timings are `polybench`'s
+//! (`benchmark/`, `BENCHMARK.json`).
 //!
 //! Each binary accepts `--sessions N` to scale the simulated traffic
 //! (default 60 000 for quick runs; pass 205000 for the paper-scale

@@ -15,11 +15,11 @@
 //! accuracy dipped below threshold (Table 6).
 
 use crate::dataset::TrainingSet;
+use crate::drift_stream::DriftAccumulator;
 use crate::error::PolygraphError;
 use crate::train::TrainedModel;
 use browser_engine::UserAgent;
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
 
 /// The accuracy floor below which retraining is triggered (§6.6).
 pub const ACCURACY_THRESHOLD: f64 = 0.98;
@@ -59,6 +59,23 @@ pub enum DriftDecision {
     },
 }
 
+impl DriftDecision {
+    /// The checkpoint rule: retrain when any examined release triggers,
+    /// naming the triggers in observation order.
+    pub(crate) fn from_observations(observations: &[DriftObservation]) -> Self {
+        let triggers: Vec<UserAgent> = observations
+            .iter()
+            .filter(|o| o.triggers_retraining())
+            .map(|o| o.release)
+            .collect();
+        if triggers.is_empty() {
+            DriftDecision::Stable
+        } else {
+            DriftDecision::Retrain { triggers }
+        }
+    }
+}
+
 /// Evaluates new releases against a trained model.
 #[derive(Debug, Clone)]
 pub struct DriftDetector<'m> {
@@ -73,55 +90,20 @@ impl<'m> DriftDetector<'m> {
 
     /// Measures one release from freshly collected data. `data` may
     /// contain many releases; only rows whose user-agent equals `release`
-    /// are considered.
+    /// are considered. This is the streaming measurement fed from a
+    /// slice: the rows go, in order, through a fresh [`DriftAccumulator`].
     pub fn observe(
         &self,
         data: &TrainingSet,
         release: UserAgent,
     ) -> Result<DriftObservation, PolygraphError> {
-        // BTreeMap: the majority scan below must break count ties the same
-        // way on every run, or a 50/50 release would flip its "predominant
-        // cluster" between retraining checks.
-        let mut cluster_counts: BTreeMap<usize, usize> = BTreeMap::new();
-        let mut sessions = 0usize;
+        let mut counters = DriftAccumulator::new();
         for (row, ua) in data.rows().iter().zip(data.user_agents()) {
-            if *ua != release {
-                continue;
+            if *ua == release {
+                counters.ingest(self.model, row, release)?;
             }
-            sessions += 1;
-            // Same satellite semantics as the detector: a session in an
-            // unpopulated configuration-variant cluster counts for its
-            // nearest populated cluster, so extension users do not read
-            // as release drift.
-            let c = self
-                .model
-                .nearest_populated_cluster(self.model.predict_cluster(row)?);
-            *cluster_counts.entry(c).or_default() += 1;
         }
-        if sessions == 0 {
-            return Err(PolygraphError::NoObservations(release.label()));
-        }
-        let (&cluster, &majority) = cluster_counts
-            .iter()
-            .max_by_key(|(_, &count)| count)
-            .expect("sessions > 0 implies non-empty counts");
-        // "Closest release" excludes the release itself: the question is
-        // whether the *new* release behaves like its predecessor.
-        let expected_cluster = self
-            .model
-            .cluster_table()
-            .entries()
-            .iter()
-            .filter(|(u, _)| u.vendor == release.vendor && *u != release)
-            .min_by_key(|(u, _)| u.version.abs_diff(release.version))
-            .map(|(_, c)| *c);
-        Ok(DriftObservation {
-            release,
-            cluster,
-            expected_cluster,
-            accuracy: majority as f64 / sessions as f64,
-            sessions,
-        })
+        counters.observe(self.model, release)
     }
 
     /// Runs a full checkpoint over several releases and renders the
@@ -135,16 +117,7 @@ impl<'m> DriftDetector<'m> {
         for &r in releases {
             observations.push(self.observe(data, r)?);
         }
-        let triggers: Vec<UserAgent> = observations
-            .iter()
-            .filter(|o| o.triggers_retraining())
-            .map(|o| o.release)
-            .collect();
-        let decision = if triggers.is_empty() {
-            DriftDecision::Stable
-        } else {
-            DriftDecision::Retrain { triggers }
-        };
+        let decision = DriftDecision::from_observations(&observations);
         Ok((observations, decision))
     }
 }

@@ -28,9 +28,9 @@ use std::collections::BTreeMap;
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct DriftAccumulator {
     /// (release → (cluster → sessions)) counters. BTreeMap: the majority
-    /// scan in `observe` must break count ties identically on every run
-    /// (and identically to the batch detector), or a 50/50 release would
-    /// flip its predominant cluster between checkpoints.
+    /// scan in `observe` must break count ties identically on every run,
+    /// or a 50/50 release would flip its predominant cluster between
+    /// checkpoints.
     counts: BTreeMap<UserAgent, BTreeMap<usize, usize>>,
     /// Total sessions ingested (all releases).
     ingested: usize,
@@ -56,9 +56,11 @@ impl DriftAccumulator {
         self.ingested
     }
 
-    /// Ingests one session: predicts its cluster under `model` (with the
-    /// detector's satellite semantics) and counts it for its claimed
-    /// release.
+    /// Ingests one session: predicts its cluster under `model` and counts
+    /// it for its claimed release. Same satellite semantics as the
+    /// detector: a session in an unpopulated configuration-variant
+    /// cluster counts for its nearest populated cluster, so extension
+    /// users do not read as release drift.
     pub fn ingest(
         &mut self,
         model: &TrainedModel,
@@ -77,7 +79,9 @@ impl DriftAccumulator {
     }
 
     /// The checkpoint measurement for one release, from the accumulated
-    /// counters — identical semantics to `DriftDetector::observe`.
+    /// counters — the one §6.6 measurement: the batch
+    /// [`crate::drift::DriftDetector::observe`] feeds its rows through
+    /// an accumulator and returns this.
     pub fn observe(
         &self,
         model: &TrainedModel,
@@ -91,6 +95,8 @@ impl DriftAccumulator {
             .iter()
             .max_by_key(|(_, &count)| count)
             .expect("a present release has at least one session");
+        // "Closest release" excludes the release itself: the question is
+        // whether the *new* release behaves like its predecessor.
         let expected_cluster = model
             .cluster_table()
             .entries()
@@ -117,16 +123,7 @@ impl DriftAccumulator {
         for &r in releases {
             observations.push(self.observe(model, r)?);
         }
-        let triggers: Vec<UserAgent> = observations
-            .iter()
-            .filter(|o| o.triggers_retraining())
-            .map(|o| o.release)
-            .collect();
-        let decision = if triggers.is_empty() {
-            DriftDecision::Stable
-        } else {
-            DriftDecision::Retrain { triggers }
-        };
+        let decision = DriftDecision::from_observations(&observations);
         Ok((observations, decision))
     }
 

@@ -9,7 +9,7 @@
 //! 2. **Configuration-sensitive candidates** — features whose value swings
 //!    *within* the same user-agent are being moved by user configuration
 //!    (Firefox prefs zeroing `ServiceWorker*`, WebRTC blockers, privacy
-//!    forks), not by the engine → dropped. The automated criterion: some
+//!    forks), not by the engine → dropped. The automated rule: some
 //!    user-agent groups disagree internally *and* the disagreement is
 //!    large relative to the feature's overall spread. Small shifts (the
 //!    DuckDuckGo extension's +2 on `Element`) are tolerated, exactly as

@@ -244,19 +244,7 @@ impl TrainedModel {
         pool: &ThreadPool,
         registry: &Registry,
     ) -> Result<Self, PolygraphError> {
-        if data.width() != feature_set.len() {
-            return Err(PolygraphError::FeatureWidthMismatch {
-                got: data.width(),
-                expected: feature_set.len(),
-            });
-        }
-        if data.len() <= config.k {
-            return Err(PolygraphError::BadTrainingSet(format!(
-                "{} rows cannot support k={}",
-                data.len(),
-                config.k
-            )));
-        }
+        check_window(data, feature_set.len(), config.k)?;
 
         let tasks_before = polygraph_ml::total_tasks_executed();
         let total_span = registry.span(fit_metric_names::TOTAL_MICROS);
@@ -358,19 +346,7 @@ impl TrainedModel {
         epochs: usize,
         pool: &ThreadPool,
     ) -> Result<Self, PolygraphError> {
-        if data.width() != self.feature_set.len() {
-            return Err(PolygraphError::FeatureWidthMismatch {
-                got: data.width(),
-                expected: self.feature_set.len(),
-            });
-        }
-        if data.len() <= self.config.k {
-            return Err(PolygraphError::BadTrainingSet(format!(
-                "{} rows cannot support k={}",
-                data.len(),
-                self.config.k
-            )));
-        }
+        check_window(data, self.feature_set.len(), self.config.k)?;
         let scaled = self.scaler.transform(&data.to_matrix()?)?;
         let projected = self.pca.transform(&scaled)?;
         let mut minibatch = MiniBatchKMeans::warm_start(
@@ -505,6 +481,25 @@ impl TrainedModel {
         }
         best.map_or(cluster, |(c, _)| c)
     }
+}
+
+/// The window check shared by the full fit and the streaming refit: the
+/// columns must follow the feature schema and the rows must outnumber
+/// the clusters.
+fn check_window(data: &TrainingSet, width: usize, k: usize) -> Result<(), PolygraphError> {
+    if data.width() != width {
+        return Err(PolygraphError::FeatureWidthMismatch {
+            got: data.width(),
+            expected: width,
+        });
+    }
+    if data.len() <= k {
+        return Err(PolygraphError::BadTrainingSet(format!(
+            "{} rows cannot support k={k}",
+            data.len()
+        )));
+    }
+    Ok(())
 }
 
 /// The semi-supervised table-building tail shared by the full fit and

@@ -23,6 +23,7 @@
 //! +------+-----+-------------+------------------+
 //! ```
 
+use polygraph_core::Assessment;
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
@@ -149,6 +150,22 @@ impl Verdict {
                 Some(expected)
             },
         })
+    }
+}
+
+/// The one `Assessment` → wire-verdict conversion (the server's reply and
+/// `polygraph assess` both go through it). The wire fields are one byte
+/// each, so out-of-range values saturate at 255 instead of wrapping to a
+/// different, valid-looking cluster or risk.
+impl From<&Assessment> for Verdict {
+    fn from(a: &Assessment) -> Self {
+        Self {
+            status: VerdictStatus::Assessed,
+            flagged: a.flagged,
+            risk_factor: a.risk_factor.min(u8::MAX as u32) as u8,
+            predicted_cluster: a.predicted_cluster.min(u8::MAX as usize) as u8,
+            expected_cluster: a.expected_cluster.map(|c| c.min(u8::MAX as usize) as u8),
+        }
     }
 }
 
@@ -280,6 +297,23 @@ mod tests {
             expected_cluster: None,
         };
         assert_eq!(Verdict::decode(&v.encode()).unwrap(), v);
+    }
+
+    #[test]
+    fn out_of_range_assessment_fields_saturate() {
+        let a = Assessment {
+            predicted_cluster: 300,
+            expected_cluster: Some(300),
+            flagged: true,
+            risk_factor: 1_000,
+        };
+        let v = Verdict::from(&a);
+        assert_eq!(v.status, VerdictStatus::Assessed);
+        assert!(v.flagged);
+        assert_eq!(
+            (v.risk_factor, v.predicted_cluster, v.expected_cluster),
+            (255, 255, Some(255))
+        );
     }
 
     #[test]

@@ -66,9 +66,10 @@ pub(super) fn decode_session(frame: &[u8], memo: &mut UaMemo) -> Option<(Vec<f64
     Some((values, claimed))
 }
 
-/// Maps one assessment result onto the wire verdict, charging the local
-/// counters — the single source of the verdict/counter semantics for
-/// both the single-frame path and the batched miss drain.
+/// Maps one assessment result onto the wire verdict (the fields through
+/// `Verdict::from`), charging the local counters — the single source of
+/// the verdict/counter semantics for both the single-frame path and the
+/// batched miss drain.
 pub(super) fn verdict_from_assessment(
     result: Result<Assessment, PolygraphError>,
     local: &mut LocalCounters,
@@ -79,13 +80,7 @@ pub(super) fn verdict_from_assessment(
             if a.flagged {
                 local.flagged += 1;
             }
-            Verdict {
-                status: VerdictStatus::Assessed,
-                flagged: a.flagged,
-                risk_factor: a.risk_factor.min(u8::MAX as u32) as u8,
-                predicted_cluster: a.predicted_cluster.min(u8::MAX as usize) as u8,
-                expected_cluster: a.expected_cluster.map(|c| c.min(u8::MAX as usize) as u8),
-            }
+            Verdict::from(&a)
         }
         Err(_) => {
             local.malformed += 1;

@@ -1,7 +1,8 @@
 //! Lint configuration: rule zones, scan excludes, and the `lint.toml`
 //! allowlist of audited exceptions.
 //!
-//! The zone map mirrors the invariants PR 1 established dynamically:
+//! The zone map is read from `lint.toml` (there is no built-in copy) and
+//! mirrors the invariants PR 1 established dynamically:
 //!
 //! * **determinism zone** — code on the retraining path must produce
 //!   bit-identical models run-to-run (drift detection compares a
@@ -27,8 +28,10 @@ pub struct AllowEntry {
     pub reason: String,
 }
 
-/// Full configuration of a lint run.
-#[derive(Debug, Clone)]
+/// Full configuration of a lint run. The default is empty — no zone, no
+/// exclude, no allow: the workspace's values live in `lint.toml` and
+/// nowhere else.
+#[derive(Debug, Clone, Default)]
 pub struct LintConfig {
     /// Path prefixes (relative to the workspace root, `/`-separated) whose
     /// files must obey the determinism rules (POLY-D*).
@@ -50,57 +53,9 @@ pub struct LintConfig {
     pub allow: Vec<AllowEntry>,
 }
 
-impl Default for LintConfig {
-    fn default() -> Self {
-        Self {
-            determinism_zone: vec![
-                "crates/ml/src/".into(),
-                "crates/core/src/train.rs".into(),
-                "crates/core/src/drift.rs".into(),
-                "crates/core/src/drift_stream.rs".into(),
-                "crates/browser-engine/src/".into(),
-                "crates/traffic/src/generate.rs".into(),
-                // The metrics layer must render byte-identical snapshots
-                // under an injected clock (its one Instant::now lives in
-                // MonotonicClock, allowlisted in lint.toml).
-                "crates/obs/src/".into(),
-                // The reactor's state machine is pure; deadlines and
-                // the shard's park window come from the injected server
-                // Clock.
-                "crates/service/src/reactor.rs".into(),
-            ],
-            key_determinism_zone: vec!["crates/service/src/".into(), "crates/cache/src/".into()],
-            panic_zone: vec![
-                "crates/service/src/server/".into(),
-                "crates/service/src/framing.rs".into(),
-                "crates/service/src/reactor.rs".into(),
-                "crates/service/src/proto.rs".into(),
-                "crates/service/src/client.rs".into(),
-                "crates/fingerprint/src/wire.rs".into(),
-            ],
-            concurrency_zone: vec![
-                "crates/cache/src/".into(),
-                "crates/service/src/".into(),
-                "crates/ml/src/pool.rs".into(),
-                // The quantized kernel runs inside the server's detector
-                // read guard and obeys the same discipline.
-                "crates/ml/src/quant.rs".into(),
-            ],
-            exclude: vec![
-                "target/".into(),
-                "vendor/".into(),
-                ".git/".into(),
-                // The linter's own bad-code fixtures.
-                "crates/xtask/tests/lint_fixtures/".into(),
-            ],
-            allow: Vec::new(),
-        }
-    }
-}
-
 impl LintConfig {
     /// Applies a parsed `lint.toml` on top of this configuration.
-    /// `[zones]`/`[scan]` keys replace the defaults when present;
+    /// `[zones]`/`[scan]` keys replace the current lists when present;
     /// `[[allow]]` entries accumulate.
     pub fn apply_toml(&mut self, text: &str) -> Result<(), String> {
         let doc = parse_toml_subset(text)?;
@@ -370,14 +325,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn defaults_cover_the_paper_zones() {
-        let c = LintConfig::default();
-        assert!(c.determinism_zone.iter().any(|p| p.contains("ml")));
-        assert!(c.panic_zone.iter().any(|p| p.contains("wire.rs")));
-        assert!(c.exclude.iter().any(|p| p.contains("vendor")));
-    }
-
-    #[test]
     fn toml_allow_entries_parse() {
         let mut c = LintConfig::default();
         c.apply_toml(
@@ -433,32 +380,5 @@ reason = "scratch map is drained in sorted order"
         assert_eq!(c.key_determinism_zone, vec!["keys_".to_string()]);
         assert_eq!(c.panic_zone, vec!["panic_".to_string()]);
         assert_eq!(c.concurrency_zone, vec!["lock_".to_string()]);
-    }
-
-    #[test]
-    fn default_concurrency_zone_covers_cache_service_and_pool() {
-        let c = LintConfig::default();
-        assert!(c.concurrency_zone.iter().any(|p| p == "crates/cache/src/"));
-        assert!(c
-            .concurrency_zone
-            .iter()
-            .any(|p| p == "crates/service/src/"));
-        assert!(c
-            .concurrency_zone
-            .iter()
-            .any(|p| p == "crates/ml/src/pool.rs"));
-    }
-
-    #[test]
-    fn default_key_determinism_zone_covers_cache_and_service() {
-        let c = LintConfig::default();
-        assert!(c
-            .key_determinism_zone
-            .iter()
-            .any(|p| p == "crates/cache/src/"));
-        assert!(c
-            .key_determinism_zone
-            .iter()
-            .any(|p| p == "crates/service/src/"));
     }
 }

@@ -6,14 +6,14 @@
 //! rationale). Violations carry `file:line` positions; `lint.toml` holds
 //! audited exceptions.
 //!
-//! The scan has two tiers. Tier one is per-file and embarrassingly
-//! parallel: tokenize, classify, run the token-level rules, and (for
-//! concurrency-zone files) summarize lock behaviour per function. Tier
-//! two aggregates those [`concurrency::FnSummary`] values zone-wide for
-//! the lock-order and guard-scope rules, which need a call graph. The
-//! per-file work fans out over the `polygraph-ml` [`ThreadPool`]; the
-//! final report is sorted by `(file, line, rule)`, so the pooled and
-//! serial schedules render byte-identically.
+//! The scan has two tiers. Tier one is per-file: tokenize, classify, run
+//! the token-level rules, and (for concurrency-zone files) summarize lock
+//! behaviour per function. Tier two aggregates those
+//! [`concurrency::FnSummary`] values zone-wide for the lock-order and
+//! guard-scope rules, which need a call graph. Files are visited in
+//! sorted order on the calling thread (the whole workspace scans in about
+//! 0.1 s) and the report is sorted by `(file, line, rule)`. The crate has
+//! no dependency, so the linter builds without anything it lints.
 
 pub mod concurrency;
 pub mod config;
@@ -26,51 +26,31 @@ pub use config::{AllowEntry, LintConfig};
 pub use report::LintReport;
 pub use rules::{Diagnostic, FileClass, RULE_CATALOG};
 
-use polygraph_ml::pool::ThreadPool;
 use std::path::Path;
 
-/// One file's tier-one results: token-rule diagnostics plus (for
-/// concurrency-zone files) per-function lock summaries for the zone-wide
-/// passes.
-struct FileAnalysis {
-    diagnostics: Vec<Diagnostic>,
-    summaries: Vec<concurrency::FnSummary>,
-}
-
-/// Lints every `.rs` file under `root` serially. Delegates to
-/// [`lint_workspace_with_pool`]; the two must stay byte-identical (the
-/// integration suite asserts it).
+/// Lints every `.rs` file under `root`, applies the allowlist, and
+/// returns the report. Errors only on I/O or configuration problems —
+/// rule violations are data, not errors.
 pub fn lint_workspace(root: &Path, config: &LintConfig) -> Result<LintReport, String> {
-    lint_workspace_with_pool(root, config, &ThreadPool::serial())
-}
-
-/// Lints every `.rs` file under `root`, fanning the per-file analyses out
-/// over `pool`, applying the allowlist, and returning the report. Errors
-/// only on I/O or configuration problems — rule violations are data, not
-/// errors.
-pub fn lint_workspace_with_pool(
-    root: &Path,
-    config: &LintConfig,
-    pool: &ThreadPool,
-) -> Result<LintReport, String> {
     let mut files = Vec::new();
     collect_rs_files(root, root, &config.exclude, &mut files)?;
     files.sort();
 
-    let analyses: Vec<Result<FileAnalysis, String>> =
-        pool.run(files.len(), |i| analyze_file(root, &files[i], config));
-
     let mut diagnostics = Vec::new();
     let mut summaries = Vec::new();
-    for analysis in analyses {
-        let analysis = analysis?;
-        diagnostics.extend(analysis.diagnostics);
-        summaries.extend(analysis.summaries);
+    for rel in &files {
+        let source = std::fs::read_to_string(root.join(rel))
+            .map_err(|e| format!("failed to read {rel}: {e}"))?;
+        let tokens = lexer::tokenize(&source);
+        let class = classify(rel, config);
+        diagnostics.extend(rules::check_file(rel, &tokens, class));
+        if class.concurrency {
+            summaries.extend(concurrency::summarize_file(rel, &tokens));
+        }
     }
     diagnostics.extend(concurrency::check_zone(&summaries));
 
-    let (diagnostics, suppressed, unused_allows) = apply_allowlist(diagnostics, &config.allow);
-    let mut diagnostics = diagnostics;
+    let (mut diagnostics, suppressed, unused_allows) = apply_allowlist(diagnostics, &config.allow);
     diagnostics
         .sort_by(|a, b| (a.file.as_str(), a.line, a.rule).cmp(&(b.file.as_str(), b.line, b.rule)));
     Ok(LintReport {
@@ -78,25 +58,6 @@ pub fn lint_workspace_with_pool(
         files_scanned: files.len(),
         suppressed,
         unused_allows,
-    })
-}
-
-/// Tier one for a single file: read, tokenize, classify, run the
-/// per-file rules, and summarize concurrency-zone functions.
-fn analyze_file(root: &Path, rel: &str, config: &LintConfig) -> Result<FileAnalysis, String> {
-    let source = std::fs::read_to_string(root.join(rel))
-        .map_err(|e| format!("failed to read {rel}: {e}"))?;
-    let tokens = lexer::tokenize(&source);
-    let class = classify(rel, config);
-    let diagnostics = rules::check_file(rel, &tokens, class);
-    let summaries = if class.concurrency {
-        concurrency::summarize_file(rel, &tokens)
-    } else {
-        Vec::new()
-    };
-    Ok(FileAnalysis {
-        diagnostics,
-        summaries,
     })
 }
 
@@ -163,7 +124,7 @@ pub fn fixture_lint_config() -> LintConfig {
             "minibatch_".into(),
         ],
         exclude: Vec::new(),
-        ..LintConfig::default()
+        allow: Vec::new(),
     }
 }
 
@@ -316,7 +277,15 @@ mod tests {
 
     #[test]
     fn zone_classification_uses_prefixes() {
-        let c = LintConfig::default();
+        let c = LintConfig {
+            determinism_zone: vec!["crates/ml/src/".into()],
+            key_determinism_zone: vec!["crates/service/src/".into(), "crates/cache/src/".into()],
+            panic_zone: vec![
+                "crates/service/src/server/".into(),
+                "crates/service/src/proto.rs".into(),
+            ],
+            ..LintConfig::default()
+        };
         assert!(classify("crates/ml/src/kmodes.rs", &c).determinism);
         assert!(!classify("crates/ml/src/kmodes.rs", &c).panic_safety);
         assert!(classify("crates/service/src/proto.rs", &c).panic_safety);

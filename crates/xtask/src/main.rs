@@ -6,7 +6,8 @@
 //!   [--self-check]` — run the polygraph-lint static-analysis pass
 //!   (`--json` stays as an alias for `--format json`). Exit 0 when
 //!   clean, 1 when violations or stale allow entries survive, 2 on
-//!   usage or I/O errors. `--self-check` instead lints the linter's own
+//!   usage or I/O errors — a missing `lint.toml` included: the file is
+//!   the only zone map. `--self-check` instead lints the linter's own
 //!   fixture corpus and verifies every rule still fires where expected.
 //!
 //! This is a binary target, so the console belongs to it (POLY-H002
@@ -17,7 +18,7 @@ use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
-use xtask::LintConfig;
+use xtask::{LintConfig, LintReport};
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -117,28 +118,8 @@ fn lint_command(args: &[String]) -> ExitCode {
         };
     }
 
-    let mut config = LintConfig::default();
     let config_file = config_path.unwrap_or_else(|| root.join("lint.toml"));
-    match std::fs::read_to_string(&config_file) {
-        Ok(text) => {
-            if let Err(e) = config.apply_toml(&text) {
-                let _ = writeln!(std::io::stderr(), "error: {e}");
-                return ExitCode::from(2);
-            }
-        }
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => {}
-        Err(e) => {
-            let _ = writeln!(
-                std::io::stderr(),
-                "error: failed to read {}: {e}",
-                config_file.display()
-            );
-            return ExitCode::from(2);
-        }
-    }
-
-    let pool = polygraph_ml::pool::ThreadPool::with_default_parallelism();
-    let report = match xtask::lint_workspace_with_pool(&root, &config, &pool) {
+    let report = match load_and_lint(&root, &config_file) {
         Ok(r) => r,
         Err(e) => {
             let _ = writeln!(std::io::stderr(), "error: {e}");
@@ -157,6 +138,16 @@ fn lint_command(args: &[String]) -> ExitCode {
     } else {
         ExitCode::from(1)
     }
+}
+
+/// `lint.toml` is the only zone map: without it there is nothing to
+/// enforce, so a missing or unreadable file is an error, not a default.
+fn load_and_lint(root: &Path, config_file: &Path) -> Result<LintReport, String> {
+    let text = std::fs::read_to_string(config_file)
+        .map_err(|e| format!("failed to read {}: {e}", config_file.display()))?;
+    let mut config = LintConfig::default();
+    config.apply_toml(&text)?;
+    xtask::lint_workspace(root, &config)
 }
 
 /// Walks up from the current directory to the first `Cargo.toml` that

@@ -2,9 +2,8 @@
 //! the bad/good fixtures under `tests/lint_fixtures/` and against the real
 //! workspace (which must stay clean).
 
-use polygraph_ml::pool::ThreadPool;
 use std::path::{Path, PathBuf};
-use xtask::{lint_workspace, lint_workspace_with_pool, LintConfig};
+use xtask::{lint_workspace, LintConfig};
 
 fn fixtures_root() -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/lint_fixtures")
@@ -17,9 +16,6 @@ fn fixture_config() -> LintConfig {
     config
         .apply_toml(
             r#"
-[scan]
-exclude = []
-
 [zones]
 determinism = ["det_", "reactor_", "quant_", "fleet_", "minibatch_"]
 key_determinism = ["keys_"]
@@ -190,21 +186,6 @@ fn json_report_is_deterministic_and_carries_positions() {
 }
 
 #[test]
-fn pooled_scan_renders_byte_identical_to_serial() {
-    let config = fixture_config();
-    let serial = lint_workspace(&fixtures_root(), &config).expect("serial scan succeeds");
-    let pooled = lint_workspace_with_pool(
-        &fixtures_root(),
-        &config,
-        &ThreadPool::with_default_parallelism(),
-    )
-    .expect("pooled scan succeeds");
-    assert_eq!(serial.render_text(), pooled.render_text());
-    assert_eq!(serial.render_json(), pooled.render_json());
-    assert_eq!(serial.render_sarif(), pooled.render_sarif());
-}
-
-#[test]
 fn sarif_report_carries_fixture_findings() {
     let sarif = run_fixtures(&fixture_config()).render_sarif();
     assert!(sarif.contains("\"version\": \"2.1.0\""));
@@ -237,13 +218,12 @@ fn workspace_root() -> PathBuf {
 }
 
 fn workspace_config() -> LintConfig {
+    let text = std::fs::read_to_string(workspace_root().join("lint.toml"))
+        .expect("the workspace has a lint.toml");
     let mut config = LintConfig::default();
-    let lint_toml = workspace_root().join("lint.toml");
-    if let Ok(text) = std::fs::read_to_string(&lint_toml) {
-        config
-            .apply_toml(&text)
-            .expect("committed lint.toml parses");
-    }
+    config
+        .apply_toml(&text)
+        .expect("committed lint.toml parses");
     config
 }
 
@@ -302,4 +282,21 @@ fn real_workspace_is_clean() {
         report.render_text()
     );
     assert!(report.files_scanned > 50, "scan looks truncated");
+}
+
+/// `lint.toml` is the only zone map, so the CLI refuses to run without
+/// one instead of scanning under zones it made up.
+#[test]
+fn missing_lint_toml_is_exit_status_2_naming_the_file() {
+    let empty = std::env::temp_dir().join(format!("xtask-no-config-{}", std::process::id()));
+    std::fs::create_dir_all(&empty).expect("temp dir is creatable");
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_xtask"))
+        .args(["lint", "--root"])
+        .arg(&empty)
+        .output()
+        .expect("the xtask binary runs");
+    let _ = std::fs::remove_dir(&empty);
+    assert_eq!(out.status.code(), Some(2));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("lint.toml"), "stderr: {stderr}");
 }

@@ -16,7 +16,7 @@
 use browser_polygraph::core::{Detector, DriftDetector, TrainConfig, TrainedModel, TrainingSet};
 use browser_polygraph::engine::{UserAgent, Vendor};
 use browser_polygraph::fingerprint::FeatureSet;
-use browser_polygraph::service::{ModelRegistry, RiskPolicy};
+use browser_polygraph::service::{ModelRegistry, RiskPolicy, Verdict};
 use browser_polygraph::traffic::{generate, TrafficConfig};
 use std::collections::HashMap;
 use std::process::ExitCode;
@@ -177,13 +177,7 @@ fn cmd_assess(opts: &Opts) -> Result<(), String> {
     println!("expected cluster:   {:?}", a.expected_cluster);
     println!("flagged:            {}", a.flagged);
     println!("risk factor:        {}", a.risk_factor);
-    let verdict = browser_polygraph::service::Verdict {
-        status: browser_polygraph::service::VerdictStatus::Assessed,
-        flagged: a.flagged,
-        risk_factor: a.risk_factor as u8,
-        predicted_cluster: a.predicted_cluster as u8,
-        expected_cluster: a.expected_cluster.map(|c| c as u8),
-    };
+    let verdict = Verdict::from(&a);
     println!("policy action:      {:?}", policy.decide(&verdict));
     Ok(())
 }
