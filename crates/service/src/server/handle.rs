@@ -407,13 +407,21 @@ mod tests {
         server.shutdown();
     }
 
+    /// Runs on the cached, quantized profile so the swap is checked with
+    /// everything a versioned publish owes a server: the new model
+    /// compiled like the boot one, cached verdicts of the old model
+    /// unreachable, and the version naming what serves.
     #[test]
     fn detector_swap_changes_verdicts_live() {
         // Model A knows Chrome 60 at (0,0). Model B is trained with
         // Chrome 60 at (10,10) instead — after the swap the same frame
         // flips from honest to flagged.
-        let detector_a = tiny_detector();
-        let server = start_risk_server("127.0.0.1:0", detector_a).unwrap();
+        let config = RiskServerConfig {
+            cache_capacity: 64,
+            quantized: true,
+            ..Default::default()
+        };
+        let server = start_risk_server_with("127.0.0.1:0", tiny_detector(), config).unwrap();
 
         let mut set = TrainingSet::new(2);
         for (base, ua) in [
@@ -433,7 +441,7 @@ mod tests {
             min_samples_for_majority: 1,
             ..Default::default()
         };
-        let detector_b = Detector::new(TrainedModel::fit(fs, &set, config).unwrap());
+        let model_b = TrainedModel::fit(fs, &set, config).unwrap();
 
         let frame = frame_for(vec![0, 0], UserAgent::new(Vendor::Chrome, 60));
         let ask = |addr| {
@@ -452,12 +460,16 @@ mod tests {
             !ask(server.local_addr()).flagged,
             "model A: (0,0) is Chrome 60"
         );
-        server.swap_detector(detector_b);
+        assert_eq!(server.cache_epoch(), Some(0));
+        server.publish_model_versioned(model_b, 7);
         assert!(
             ask(server.local_addr()).flagged,
             "model B: (0,0) is Firefox territory"
         );
         assert_eq!(server.stats().swaps, 1);
+        assert!(server.detector_slot().read().is_quantized());
+        assert_eq!(server.cache_epoch(), Some(1));
+        assert_eq!(server.active_model_version(), 7);
         server.shutdown();
     }
 }

@@ -117,8 +117,8 @@ fn cached_v1_verdict_never_survives_publish_and_swap_to_v2() {
         ));
         let registry = ModelRegistry::open(&dir).unwrap();
         let v2 = model_v2();
-        registry.publish(&v2).unwrap();
-        server.swap_detector(Detector::new(registry.load_latest().unwrap().unwrap()));
+        let version = registry.publish(&v2).unwrap();
+        server.publish_model_versioned(registry.load_latest().unwrap().unwrap(), version);
         assert_eq!(server.cache_epoch(), Some(1), "swap bumps the epoch");
 
         // The same (fingerprint, UA) pair must now be re-assessed under v2:
@@ -192,7 +192,7 @@ fn occupancy_gauge_excludes_stale_epoch_slots_across_a_swap() {
 
         // Swap to v2, then cache a *different* key. The v1 slot stays
         // resident (stale, awaiting sweep) — only the v2 entry is live.
-        server.swap_detector(Detector::new(model_v2()));
+        server.publish_model_versioned(model_v2(), 1);
         ask_honest_chrome100(addr, 3);
         assert_eq!(
             occupancy(&server),
@@ -226,7 +226,7 @@ fn disabled_cache_reports_nothing_and_swap_is_unaffected() {
         for tag in 0..3 {
             assert!(!ask(addr, tag).flagged);
         }
-        server.swap_detector(Detector::new(model_v2()));
+        server.publish_model_versioned(model_v2(), 1);
         assert!(ask(addr, 9).flagged);
         let stats = server.stats();
         assert_eq!(stats.assessed, 4);

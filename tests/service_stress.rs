@@ -46,10 +46,10 @@ const CLIENTS: usize = 8;
 const FRAMES_PER_CLIENT: usize = 200;
 const SWAPS: usize = 50;
 
-/// A detector over three well-separated eras; `seed` varies the k-means
+/// A model over three well-separated eras; `seed` varies the k-means
 /// restarts without changing the learned geometry, so swapped-in models
 /// agree on every probe the clients send.
-fn era_detector(seed: u64) -> Detector {
+fn era_model(seed: u64) -> TrainedModel {
     let mut set = TrainingSet::new(2);
     for (base, ua) in [
         (0.0, UserAgent::new(Vendor::Chrome, 60)),
@@ -69,7 +69,11 @@ fn era_detector(seed: u64) -> Detector {
         seed,
         ..Default::default()
     };
-    Detector::new(TrainedModel::fit(fs, &set, config).expect("fit"))
+    TrainedModel::fit(fs, &set, config).expect("fit")
+}
+
+fn era_detector(seed: u64) -> Detector {
+    Detector::new(era_model(seed))
 }
 
 fn frame_for(values: Vec<u32>, ua: UserAgent, session: u8) -> Vec<u8> {
@@ -139,7 +143,7 @@ fn pipelined_clients_survive_fifty_hot_swaps() {
     // swapped-in models are trained on the same eras (different k-means
     // seed), so every in-flight probe keeps its expected verdict.
     for s in 0..SWAPS {
-        server.swap_detector(era_detector(2 + s as u64));
+        server.publish_model_versioned(era_model(2 + s as u64), 1 + s as u64);
         thread::sleep(Duration::from_millis(1));
     }
 
@@ -387,7 +391,7 @@ fn deterministic_exposition() -> String {
         if i == DET_FRAMES / 2 {
             // One deterministic mid-run swap, between round trips so no
             // request is in flight.
-            server.swap_detector(era_detector(99));
+            server.publish_model_versioned(era_model(99), 1);
         }
         let frame = if i % 2 == 0 { &honest } else { &lying };
         stream
