@@ -68,9 +68,10 @@ pub struct RiskServerConfig {
     /// Ignored by the threaded backend.
     pub reactor_shards: usize,
     /// Serve cache-missing frames on the quantized fast path: the
-    /// detector is compiled ([`polygraph_core::Detector::quantize`]) at startup and on
-    /// every [`super::RiskServerHandle::publish_model`], and the batch drain
-    /// dispatches each miss batch through the fused fixed-point kernel.
+    /// detector is compiled ([`polygraph_core::Detector::quantize`]) at
+    /// startup and on every
+    /// [`super::RiskServerHandle::publish_model_versioned`], and the batch
+    /// drain dispatches each miss batch through the fused fixed-point kernel.
     /// Off by default. Verdict streams are byte-identical either way —
     /// the fixed-point margin certificate falls any uncertain frame back
     /// to the staged f64 path (see `polygraph_ml::quant`).

@@ -1,7 +1,8 @@
-//! The running server: [`RiskServerHandle`] (stats, hot swap, versioned
-//! publish, the shadow-candidate slot, shutdown), the context every
-//! connection shares, and [`start_risk_server_with`], which binds the
-//! listener and spawns the chosen connection core.
+//! The running server: [`RiskServerHandle`] (stats, the versioned
+//! publish that is the only door into the serving slot, the
+//! shadow-candidate slot, shutdown), the context every connection
+//! shares, and [`start_risk_server_with`], which binds the listener and
+//! spawns the chosen connection core.
 
 use super::cache::CacheLayer;
 use super::config::{RiskServerConfig, ServerBackend};
@@ -63,7 +64,7 @@ impl RiskServerHandle {
     }
 
     /// The verdict-cache model epoch, or `None` while the cache is
-    /// disabled. Advances on every [`Self::swap_detector`].
+    /// disabled. Advances on every [`Self::publish_model_versioned`].
     pub fn cache_epoch(&self) -> Option<u64> {
         self.cache.as_ref().map(|c| c.cache.epoch())
     }
@@ -81,25 +82,25 @@ impl RiskServerHandle {
         self.metrics.registry().snapshot()
     }
 
-    /// A handle to the serving detector slot (for the orchestrator).
-    pub fn detector_slot(&self) -> Arc<RwLock<Detector>> {
+    /// The serving detector slot, for unit tests that probe the lock or
+    /// assess against what serves. Not a way to swap: a write through it
+    /// would skip the cache-epoch bump and the version.
+    #[cfg(test)]
+    pub(crate) fn detector_slot(&self) -> Arc<RwLock<Detector>> {
         Arc::clone(&self.detector)
     }
 
     /// A copy of the serving model, cloned out so the slot's read guard
     /// is released before the caller measures against it: a drift
     /// checkpoint or a rollout replay under the guard would starve
-    /// [`Self::swap_detector`] and every serving writer for its whole
-    /// duration (POLY-L002).
+    /// [`Self::publish_model_versioned`] and every serving writer for
+    /// its whole duration (POLY-L002).
     pub(crate) fn serving_model(&self) -> TrainedModel {
         self.detector.read().model().clone()
     }
 
-    /// Atomically replaces the serving detector. In-flight assessments
-    /// finish on the old model; the next frame uses the new one. With the
-    /// verdict cache enabled this also invalidates every cached verdict
-    /// by bumping the model epoch — O(1), no shard draining; stale
-    /// entries lazily miss.
+    /// Atomically replaces the serving detector and invalidates the
+    /// verdict cache.
     ///
     /// Ordering matters: the epoch is bumped *after* the detector write
     /// guard is released. A concurrent batch that assessed under the old
@@ -108,7 +109,7 @@ impl RiskServerHandle {
     /// entries always carry a pre-bump epoch and can never be served at
     /// the new one. The benign race (a new-model verdict tagged with the
     /// old epoch) costs one extra miss, never a stale answer.
-    pub fn swap_detector(&self, detector: Detector) {
+    fn swap_detector(&self, detector: Detector) {
         *self.detector.write() = detector;
         self.metrics.swaps.inc();
         if let Some(cache) = &self.cache {
@@ -116,38 +117,39 @@ impl RiskServerHandle {
         }
     }
 
-    /// Builds and publishes a fresh serving detector from a trained
-    /// model — the quantize-at-publish step. On a server configured
-    /// with [`RiskServerConfig::quantized`] the detector is compiled
-    /// onto the fused fixed-point path before the swap; compilation is
+    /// The one way a model reaches the serving slot: builds a detector
+    /// for `model`, swaps it in, and records the registry `version` it
+    /// was published under. In-flight assessments finish on the old
+    /// model; the next frame uses the new one. With the verdict cache
+    /// enabled the swap also invalidates every cached verdict by bumping
+    /// the model epoch — O(1), no shard draining; stale entries lazily
+    /// miss.
+    ///
+    /// This is also the quantize-at-publish step: on a server configured
+    /// with [`RiskServerConfig::quantized`] the detector is compiled onto
+    /// the fused fixed-point path before the swap. Compilation is
     /// best-effort here, because a retrained model the compiler rejects
     /// must still replace the old one — it then serves on the staged
-    /// path, which answers identically (just slower). Everything
-    /// [`Self::swap_detector`] guarantees (atomic swap, epoch bump)
-    /// applies unchanged.
-    pub fn publish_model(&self, model: TrainedModel) {
+    /// path, which answers identically (just slower).
+    ///
+    /// The version is stored *after* the swap: observing
+    /// `active_model_version() == v` proves the serving detector is at
+    /// least version `v`, which is what lets fleet rollout (and its
+    /// tests) ask which model a node is serving.
+    pub fn publish_model_versioned(&self, model: TrainedModel, version: u64) {
         self.swap_detector(self.prepare_detector(model));
+        self.model_version.store(version, Ordering::SeqCst);
     }
 
     /// A detector for `model`, compiled onto the quantized fast path on a
     /// [`RiskServerConfig::quantized`] server — best-effort, see
-    /// [`Self::publish_model`].
+    /// [`Self::publish_model_versioned`].
     fn prepare_detector(&self, model: TrainedModel) -> Detector {
         let mut detector = Detector::new(model);
         if self.quantized {
             let _ = detector.quantize();
         }
         detector
-    }
-
-    /// [`Self::publish_model`] tagged with the registry version the
-    /// model was published under, so fleet rollout (and its tests) can
-    /// ask which model a node is serving. The version is stored *after*
-    /// the swap: observing `active_model_version() == v` proves the
-    /// serving detector is at least version `v`.
-    pub fn publish_model_versioned(&self, model: TrainedModel, version: u64) {
-        self.publish_model(model);
-        self.model_version.store(version, Ordering::SeqCst);
     }
 
     /// The registry version stored by the last
@@ -165,8 +167,8 @@ impl RiskServerHandle {
     /// `orchestrator.shadow.diverged` counters move. On a
     /// [`RiskServerConfig::quantized`] server the candidate is compiled
     /// onto the same fast path (best-effort, exactly as
-    /// [`Self::publish_model`] does), so the comparison exercises the
-    /// code path the candidate would serve on if promoted.
+    /// [`Self::publish_model_versioned`] does), so the comparison
+    /// exercises the code path the candidate would serve on if promoted.
     pub fn attach_shadow(&self, model: TrainedModel) {
         let registry = self.metrics.registry();
         let scorer = ShadowScorer {

@@ -17,8 +17,8 @@
 //! * `metrics` — the [`metric_names`] catalogue, the resolved
 //!   [`ServerMetrics`] handles and the [`RiskServerStats`] they read into.
 //! * `cache` — the verdict cache with its counters.
-//! * `handle` — [`RiskServerHandle`] (swap, publish, shadow slot, stats,
-//!   shutdown) and [`start_risk_server_with`].
+//! * `handle` — [`RiskServerHandle`] (versioned publish, shadow slot,
+//!   stats, shutdown) and [`start_risk_server_with`].
 //! * `batch` — the path both cores share: the non-blocking read loop, the
 //!   assess–reply–shed cycle (`process_buffered`), the shadow comparison,
 //!   and [`assess_frame`]. The only file that assesses under the detector

@@ -6,9 +6,10 @@
 //! model rollout silently non-atomic from the client's point of view.
 //!
 //! The fix under test: every cache entry carries the model epoch it was
-//! assessed under, `RiskServerHandle::swap_detector` bumps the epoch
-//! *after* the new detector is visible, and lookups from older epochs
-//! report `Stale` and re-assess (counted by `cache.stale_epoch`).
+//! assessed under, `RiskServerHandle::publish_model_versioned` — the only
+//! way a model reaches the serving slot, so no swap can skip it — bumps
+//! the epoch *after* the new detector is visible, and lookups from older
+//! epochs report `Stale` and re-assess (counted by `cache.stale_epoch`).
 //!
 //! Both scenarios run against both connection cores via
 //! `for_each_backend`: the cache layer sits behind the shared batch path,
