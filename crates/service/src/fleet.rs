@@ -37,6 +37,7 @@
 //! a node's: node registries keep their exact single-server exposition.
 
 use crate::client::{RiskClient, RiskClientConfig};
+use crate::orchestrator::over_budget;
 use crate::proto::Verdict;
 use crate::registry::ModelRegistry;
 use crate::server::{start_risk_server_with, RiskServerConfig, RiskServerHandle, RiskServerStats};
@@ -508,7 +509,8 @@ impl RolloutController {
     /// `sample` is the fixed replay set divergence is measured on (raw
     /// feature rows plus the claimed user-agent — the same inputs
     /// [`Detector::assess`] takes); `max_divergence` is the largest
-    /// tolerated `diverged / compared` fraction per node. An empty
+    /// tolerated `diverged / compared` fraction per node — the same
+    /// budget rule the orchestrator's shadow gate applies. An empty
     /// sample disables the gate (zero compared, zero diverged).
     pub fn new(
         registry: &ModelRegistry,
@@ -576,7 +578,7 @@ impl RolloutController {
                     .obs()
                     .counter(&metric_names::diverged(index))
                     .add(diverged);
-                if compared > 0 && diverged as f64 > self.max_divergence * compared as f64 {
+                if over_budget(self.max_divergence, compared, diverged) {
                     return RolloutStep::Blocked {
                         stage,
                         node: index,

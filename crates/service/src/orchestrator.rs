@@ -19,7 +19,19 @@
 //! divergence rate stayed under [`ShadowConfig::max_divergence`] for
 //! [`ShadowConfig::required_checkpoints`] consecutive checkpoints;
 //! otherwise it is discarded without ever touching the registry or the
-//! serving slot. See DESIGN.md §5l for the full state machine.
+//! serving slot. The decision itself is a pure function of the gate
+//! settings, the clean streak and one window's two counters (`judge`,
+//! beside the budget rule it shares with the fleet rollout gate); the
+//! orchestrator reads the counters and applies the verdict. See
+//! DESIGN.md §5l for the full state machine.
+//!
+//! ## Errors
+//!
+//! A checkpoint that returns `Err` leaves a state the next checkpoint
+//! continues from. Promotion runs publish → serve → prune: a failed
+//! publish changes nothing (a shadow candidate stays attached, its clean
+//! streak intact, and the next clean checkpoint promotes it), and a
+//! failed prune is reported only after the published model serves.
 //!
 //! ## Streaming checkpoints
 //!
@@ -52,7 +64,11 @@ pub mod metric_names {
     pub const RETRAINS: &str = "orchestrator.drift.retrains";
     /// Checkpoints whose candidate failed the accuracy bar (counter).
     pub const RETRAINS_REJECTED: &str = "orchestrator.drift.rejected";
-    /// End-to-end retrain duration in µs, fit through swap (histogram).
+    /// Retrain duration in µs, from the start of the fit through the swap
+    /// — or through the attach, for a candidate that starts shadowing
+    /// (histogram). Recorded iff the checkpoint returns `Retrained` or
+    /// `ShadowStarted`; cancelled on every other outcome and on `Err`, so
+    /// `count == #Retrained + #ShadowStarted`.
     pub const RETRAIN_MICROS: &str = "orchestrator.retrain_micros";
     /// Models published to the on-disk registry (counter).
     pub const REGISTRY_PUBLISHES: &str = "orchestrator.registry.publishes";
@@ -141,7 +157,9 @@ pub struct OrchestratorConfig {
     /// When set, validated candidates shadow the live serve path and
     /// must pass the divergence gate before publishing; when `None`,
     /// a validated candidate publishes immediately (the original §6.6
-    /// loop).
+    /// loop). A candidate handed in through
+    /// [`Orchestrator::adopt_shadow`] is judged either way — under
+    /// [`ShadowConfig::default`] when this is `None`.
     pub shadow: Option<ShadowConfig>,
 }
 
@@ -334,7 +352,9 @@ impl<'s> Orchestrator<'s> {
     /// (re)attached to the server and the gate restarts from the current
     /// counter totals with zero clean checkpoints, so an adopted
     /// candidate earns the full [`ShadowConfig::required_checkpoints`]
-    /// again rather than inheriting unverifiable progress.
+    /// again rather than inheriting unverifiable progress. An adopted
+    /// candidate is always judged: an orchestrator built without
+    /// [`OrchestratorConfig::shadow`] applies [`ShadowConfig::default`].
     pub fn adopt_shadow(&mut self, model: TrainedModel) {
         // Baselines are read *before* attaching, so comparisons that
         // land between attach and the next checkpoint all count toward
@@ -394,20 +414,14 @@ impl<'s> Orchestrator<'s> {
         // against the schema that produced `decision` stays coherent.
         let retrain_span = obs.span(metric_names::RETRAIN_MICROS);
         let feature_set = serving_model.feature_set().clone();
-        let candidate = match TrainedModel::fit_observed(
+        let fitted = TrainedModel::fit_observed(
             feature_set,
             fresh,
             self.config.train,
             &ThreadPool::serial(),
             &obs,
-        ) {
-            Ok(candidate) => candidate,
-            Err(err) => {
-                retrain_span.cancel();
-                return self.fall_back_to_last_good(triggers, err);
-            }
-        };
-        self.review_candidate(candidate, triggers, retrain_span)
+        );
+        self.finish_retrain(retrain_span, fitted, triggers)
     }
 
     /// [`Self::checkpoint`] against a live [`DriftStream`]. The drift
@@ -448,19 +462,10 @@ impl<'s> Orchestrator<'s> {
         // Drift fired: now — and only now — copy the reservoir out and
         // absorb it into a warm-started candidate.
         let retrain_span = obs.span(metric_names::RETRAIN_MICROS);
-        let fresh = stream.training_window()?;
-        let candidate = match serving_model.refit_streaming(
-            &fresh,
-            self.config.refit_epochs,
-            &ThreadPool::serial(),
-        ) {
-            Ok(candidate) => candidate,
-            Err(err) => {
-                retrain_span.cancel();
-                return self.fall_back_to_last_good(triggers, err);
-            }
-        };
-        let outcome = self.review_candidate(candidate, triggers, retrain_span)?;
+        let fitted = stream.training_window().and_then(|fresh| {
+            serving_model.refit_streaming(&fresh, self.config.refit_epochs, &ThreadPool::serial())
+        });
+        let outcome = self.finish_retrain(retrain_span, fitted, triggers)?;
         if matches!(
             outcome,
             RetrainOutcome::Retrained { .. } | RetrainOutcome::ShadowStarted { .. }
@@ -472,69 +477,99 @@ impl<'s> Orchestrator<'s> {
 
     /// Judges the shadow candidate in flight, if any: reads this
     /// checkpoint's `(compared, diverged)` window off the shadow
-    /// counters, then rejects, promotes, or keeps waiting. `Ok(None)`
-    /// means no shadow is in flight and the checkpoint should proceed to
-    /// drift detection.
+    /// counters, lets [`gate::judge`] decide, and applies the verdict.
+    /// `Ok(None)` means no shadow is in flight and the checkpoint should
+    /// proceed to drift detection.
+    ///
+    /// Whether a candidate is judged depends on one being in flight, not
+    /// on [`OrchestratorConfig::shadow`]: an orchestrator built without a
+    /// gate that adopted a candidate judges it under the default gate,
+    /// so nothing double-scores the serve path unjudged.
     fn evaluate_shadow(&mut self) -> Result<Option<RetrainOutcome>, OrchestratorError> {
-        let Some(cfg) = self.config.shadow else {
+        let Some(candidate) = self.shadow.as_ref() else {
             return Ok(None);
         };
+        let cfg = self.config.shadow.unwrap_or_default();
         let obs = self.server.registry();
         let compared_total = obs.counter(metric_names::SHADOW_COMPARED).get();
         let diverged_total = obs.counter(metric_names::SHADOW_DIVERGED).get();
-        let (compared, diverged, clean_so_far) = match self.shadow.as_ref() {
-            Some(c) => (
-                compared_total.saturating_sub(c.baseline_compared),
-                diverged_total.saturating_sub(c.baseline_diverged),
-                c.clean_checkpoints,
-            ),
-            None => return Ok(None),
-        };
+        let compared = compared_total.saturating_sub(candidate.baseline_compared);
+        let diverged = diverged_total.saturating_sub(candidate.baseline_diverged);
+        let clean_so_far = candidate.clean_checkpoints;
+        let clean = clean_so_far + 1;
 
-        // A quiet window proves nothing either way: keep shadowing.
-        if compared < cfg.min_compared {
-            return Ok(Some(RetrainOutcome::ShadowPending {
+        let outcome = match gate::judge(cfg, clean_so_far, compared, diverged) {
+            // A quiet window proves nothing either way: keep shadowing,
+            // streak and baselines untouched.
+            GateVerdict::Wait => RetrainOutcome::ShadowPending {
                 compared,
                 diverged,
                 clean_checkpoints: clean_so_far,
-            }));
-        }
-
-        if diverged as f64 > cfg.max_divergence * compared as f64 {
-            // Discard: detach first so double-scoring stops, and never
-            // touch the registry — a rejected candidate must leave no
-            // trace beyond its counters.
-            self.shadow = None;
-            self.server.detach_shadow();
-            obs.counter(metric_names::SHADOW_REJECTED).inc();
-            return Ok(Some(RetrainOutcome::ShadowRejected { compared, diverged }));
-        }
-
-        let clean = clean_so_far + 1;
-        if clean < cfg.required_checkpoints {
-            if let Some(c) = self.shadow.as_mut() {
-                c.clean_checkpoints = clean;
-                c.baseline_compared = compared_total;
-                c.baseline_diverged = diverged_total;
+            },
+            GateVerdict::Clean => {
+                // Re-arm the baselines, so the next window is judged on
+                // its own and one noisy window cannot be amortised away.
+                if let Some(c) = self.shadow.as_mut() {
+                    c.clean_checkpoints = clean;
+                    c.baseline_compared = compared_total;
+                    c.baseline_diverged = diverged_total;
+                }
+                RetrainOutcome::ShadowPending {
+                    compared,
+                    diverged,
+                    clean_checkpoints: clean,
+                }
             }
-            return Ok(Some(RetrainOutcome::ShadowPending {
-                compared,
-                diverged,
-                clean_checkpoints: clean,
-            }));
-        }
-
-        // Promotion: the candidate held its agreement for the full gate.
-        let Some(candidate) = self.shadow.take() else {
-            return Ok(None);
+            GateVerdict::Reject => {
+                // Discard: detach so double-scoring stops, and never
+                // touch the registry — a rejected candidate must leave no
+                // trace beyond its counters.
+                self.shadow = None;
+                self.server.detach_shadow();
+                obs.counter(metric_names::SHADOW_REJECTED).inc();
+                RetrainOutcome::ShadowRejected { compared, diverged }
+            }
+            GateVerdict::Promote => {
+                // Publish while the candidate is still in flight: a
+                // registry failure returns here with it attached and its
+                // streak intact, and the next clean checkpoint tries
+                // again. Only a published candidate stops being one.
+                let version = self.publish(&candidate.model)?;
+                self.server.detach_shadow();
+                obs.counter(metric_names::SHADOW_PROMOTED).inc();
+                if let Some(promoted) = self.shadow.take() {
+                    self.serve_and_prune(promoted.model, version)?;
+                }
+                RetrainOutcome::ShadowPromoted {
+                    version,
+                    checkpoints: clean,
+                }
+            }
         };
-        self.server.detach_shadow();
-        let version = self.promote(candidate.model)?;
-        obs.counter(metric_names::SHADOW_PROMOTED).inc();
-        Ok(Some(RetrainOutcome::ShadowPromoted {
-            version,
-            checkpoints: clean,
-        }))
+        Ok(Some(outcome))
+    }
+
+    /// Everything after the fit, for both checkpoint entry points: a
+    /// fitted candidate is reviewed, an unusable window falls back to the
+    /// last-good model, and the retrain span closes by the one rule
+    /// [`metric_names::RETRAIN_MICROS`] documents.
+    fn finish_retrain(
+        &mut self,
+        retrain_span: Span,
+        fitted: Result<TrainedModel, PolygraphError>,
+        triggers: Vec<UserAgent>,
+    ) -> Result<RetrainOutcome, OrchestratorError> {
+        let outcome = match fitted {
+            Ok(candidate) => self.review_candidate(candidate, triggers),
+            Err(err) => self.fall_back_to_last_good(triggers, err),
+        };
+        match outcome {
+            Ok(RetrainOutcome::Retrained { .. } | RetrainOutcome::ShadowStarted { .. }) => {
+                retrain_span.finish();
+            }
+            _ => retrain_span.cancel(),
+        }
+        outcome
     }
 
     /// Validates a freshly trained candidate and routes it: below the
@@ -545,7 +580,6 @@ impl<'s> Orchestrator<'s> {
         &mut self,
         candidate: TrainedModel,
         triggers: Vec<UserAgent>,
-        retrain_span: Span,
     ) -> Result<RetrainOutcome, OrchestratorError> {
         let obs = self.server.registry();
         let accuracy = candidate.train_accuracy();
@@ -557,12 +591,11 @@ impl<'s> Orchestrator<'s> {
         if self.config.shadow.is_some() {
             self.adopt_shadow(candidate);
             obs.counter(metric_names::SHADOW_STARTED).inc();
-            retrain_span.finish();
             return Ok(RetrainOutcome::ShadowStarted { triggers, accuracy });
         }
 
-        let version = self.promote(candidate)?;
-        retrain_span.finish();
+        let version = self.publish(&candidate)?;
+        self.serve_and_prune(candidate, version)?;
         Ok(RetrainOutcome::Retrained {
             triggers,
             version,
@@ -570,22 +603,39 @@ impl<'s> Orchestrator<'s> {
         })
     }
 
-    /// The one publish-and-swap step, behind a direct retrain and a
-    /// shadow promotion alike: publishes `model` as the next registry
-    /// version, prunes old versions and — under
-    /// [`SwapPolicy::PublishAndSwap`] — swaps this server to it, tagged
-    /// with that version so [`RiskServerHandle::active_model_version`]
-    /// always names what serves.
-    fn promote(&self, model: TrainedModel) -> io::Result<u64> {
-        let obs = self.server.registry();
-        let version = self.registry.publish(&model)?;
-        obs.counter(metric_names::REGISTRY_PUBLISHES).inc();
+    /// The promote step, behind a direct retrain and a shadow promotion
+    /// alike, runs publish → serve → prune; this is its first third.
+    /// `model` becomes the next registry version. An `Err` here has
+    /// changed nothing: no version, no counter, no serving state.
+    fn publish(&self, model: &TrainedModel) -> io::Result<u64> {
+        let version = self.registry.publish(model)?;
+        self.server
+            .registry()
+            .counter(metric_names::REGISTRY_PUBLISHES)
+            .inc();
+        Ok(version)
+    }
+
+    /// The rest of the promote step: serve the version [`Self::publish`]
+    /// just wrote, then prune old ones. Pruning comes last so that its
+    /// failure cannot leave a published version unserved — it surfaces
+    /// as `Err` with the model already serving and the retrain charged.
+    fn serve_and_prune(&self, model: TrainedModel, version: u64) -> io::Result<()> {
+        self.serve_here(model, version);
+        self.server.registry().counter(metric_names::RETRAINS).inc();
         self.registry.prune(self.config.keep_versions)?;
+        Ok(())
+    }
+
+    /// Serves registry `version` on this orchestrator's server, tagged
+    /// with that version so [`RiskServerHandle::active_model_version`]
+    /// always names what serves — unless the policy is
+    /// [`SwapPolicy::PublishOnly`]: the serving model then belongs to the
+    /// fleet rollout, and a swap here would go behind its back.
+    fn serve_here(&self, model: TrainedModel, version: u64) {
         if self.config.swap == SwapPolicy::PublishAndSwap {
             self.server.publish_model_versioned(model, version);
         }
-        obs.counter(metric_names::RETRAINS).inc();
-        Ok(version)
     }
 
     /// A corrupt retrain window must not take the checkpoint loop down.
@@ -602,12 +652,7 @@ impl<'s> Orchestrator<'s> {
         obs.counter(metric_names::FALLBACKS).inc();
         let latest = self.registry.load_latest_versioned()?;
         let version = latest.map(|(version, last_good)| {
-            // Under `PublishOnly` the serving model belongs to the fleet
-            // rollout — re-asserting last-good here would swap behind
-            // its back.
-            if self.config.swap == SwapPolicy::PublishAndSwap {
-                self.server.publish_model_versioned(last_good, version);
-            }
+            self.serve_here(last_good, version);
             version
         });
         Ok(RetrainOutcome::Fallback {
@@ -617,6 +662,116 @@ impl<'s> Orchestrator<'s> {
         })
     }
 }
+
+/// The divergence gate as pure functions: no socket, no registry, no
+/// clock. [`over_budget`] is the one budget rule both gates apply — the
+/// shadow gate here and the fleet rollout's per-node gate
+/// ([`crate::fleet::RolloutController::advance`]); [`judge`] is the
+/// shadow gate's whole decision (DESIGN.md §5l's diagram), which
+/// [`Orchestrator`] only reads counters for and applies.
+mod gate {
+    use super::ShadowConfig;
+
+    /// Whether a window of `compared` verdict pairs, `diverged` of them
+    /// disagreeing, exceeds a budget of `max_divergence` (a fraction of
+    /// the comparisons). The boundary passes: exactly
+    /// `max_divergence · compared` divergences are within budget. An
+    /// empty window is within any budget, zero included.
+    pub(crate) fn over_budget(max_divergence: f64, compared: u64, diverged: u64) -> bool {
+        diverged as f64 > max_divergence * compared as f64
+    }
+
+    /// What one checkpoint's window means for a shadow candidate.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    pub(super) enum GateVerdict {
+        /// Too few comparisons to count: the window is neither clean nor
+        /// dirty, the streak neither advances nor resets.
+        Wait,
+        /// Within budget, and more clean checkpoints are still required.
+        Clean,
+        /// Over budget: the candidate is discarded.
+        Reject,
+        /// Within budget, and this window completes the required streak.
+        Promote,
+    }
+
+    /// Judges a candidate with `clean_so_far` clean checkpoints behind
+    /// it on a window of `compared` comparisons, `diverged` divergent.
+    pub(super) fn judge(
+        cfg: ShadowConfig,
+        clean_so_far: usize,
+        compared: u64,
+        diverged: u64,
+    ) -> GateVerdict {
+        if compared < cfg.min_compared {
+            GateVerdict::Wait
+        } else if over_budget(cfg.max_divergence, compared, diverged) {
+            GateVerdict::Reject
+        } else if clean_so_far + 1 < cfg.required_checkpoints {
+            GateVerdict::Clean
+        } else {
+            GateVerdict::Promote
+        }
+    }
+
+    #[cfg(test)]
+    mod tests {
+        use super::*;
+
+        #[test]
+        fn budget_boundary_passes_and_one_more_divergence_does_not() {
+            assert!(!over_budget(0.02, 100, 2));
+            assert!(over_budget(0.02, 100, 3));
+            // The rollout's corner cases go through the same rule: an
+            // empty sample is within a zero budget, and a zero budget
+            // tolerates agreement but not a single divergence.
+            assert!(!over_budget(0.0, 0, 0));
+            assert!(!over_budget(0.0, 40, 0));
+            assert!(over_budget(0.0, 40, 1));
+        }
+
+        #[test]
+        fn judge_follows_the_gate_table() {
+            use GateVerdict::{Clean, Promote, Reject, Wait};
+            let gate = |required_checkpoints, min_compared| ShadowConfig {
+                max_divergence: 0.02,
+                required_checkpoints,
+                min_compared,
+            };
+            // (gate, clean streak so far, compared, diverged) → verdict
+            let table = [
+                // Exactly on budget is clean; one more divergence rejects,
+                // whatever the streak.
+                (gate(2, 1), 0, 100, 2, Clean),
+                (gate(2, 1), 0, 100, 3, Reject),
+                (gate(2, 1), 1, 100, 3, Reject),
+                // The second clean window completes a streak of two.
+                (gate(2, 1), 1, 100, 2, Promote),
+                // A window under `min_compared` waits at any streak —
+                // even an all-divergent one, even one clean window short
+                // of promotion.
+                (gate(2, 5), 0, 4, 4, Wait),
+                (gate(2, 5), 1, 4, 0, Wait),
+                (gate(2, 5), 1, 5, 0, Promote),
+                // `min_compared: 0` counts an empty window as clean.
+                (gate(2, 0), 0, 0, 0, Clean),
+                (gate(2, 0), 1, 0, 0, Promote),
+                // A one-checkpoint gate promotes on the first clean window.
+                (gate(1, 1), 0, 10, 0, Promote),
+                (gate(1, 1), 0, 0, 0, Wait),
+            ];
+            for (cfg, streak, compared, diverged, want) in table {
+                assert_eq!(
+                    judge(cfg, streak, compared, diverged),
+                    want,
+                    "{cfg:?} at streak {streak}: {diverged} of {compared}"
+                );
+            }
+        }
+    }
+}
+pub(crate) use gate::over_budget;
+use gate::GateVerdict;
 
 #[cfg(test)]
 mod tests {
@@ -1200,6 +1355,10 @@ mod tests {
         assert_eq!(counter(metric_names::SHADOW_STARTED), n("ShadowStarted"));
         assert_eq!(counter(metric_names::SHADOW_REJECTED), n("ShadowRejected"));
         assert_eq!(counter(metric_names::SHADOW_PROMOTED), n("ShadowPromoted"));
+        assert_eq!(
+            obs.histogram(metric_names::RETRAIN_MICROS).count(),
+            n("Retrained") + n("ShadowStarted")
+        );
         // Served: the direct retrain, the promotion and the second
         // fallback — not the empty-registry fallback, not `PublishOnly`.
         assert_eq!(server.stats().swaps, 3);
@@ -1215,6 +1374,137 @@ mod tests {
         assert_eq!(server.stats().swaps, 4);
         assert_eq!(server.active_model_version(), 3);
         fleet.shutdown();
+    }
+
+    /// Promotion publishes before it takes the candidate: a registry
+    /// that cannot be written at the promoting checkpoint costs that
+    /// checkpoint, not the candidate that passed its whole gate.
+    #[test]
+    fn failed_publish_at_promotion_keeps_the_candidate_in_flight() {
+        let server = start_risk_server("127.0.0.1:0", Detector::new(serving_model())).unwrap();
+        let mut cfg = shadow_config();
+        cfg.shadow = Some(ShadowConfig {
+            max_divergence: 0.05,
+            required_checkpoints: 1,
+            min_compared: 0,
+        });
+        let registry = temp_registry("promote-unwritable");
+        let dir = registry.dir().to_path_buf();
+        let mut orch = Orchestrator::new(&server, registry, cfg);
+        let fresh = drifting_window();
+        let outcome = orch.checkpoint(&fresh, &[ua(Vendor::Chrome, 111)]).unwrap();
+        assert!(matches!(outcome, RetrainOutcome::ShadowStarted { .. }));
+
+        // The registry directory is replaced by a regular file: the
+        // promoting checkpoint cannot publish.
+        std::fs::remove_dir_all(&dir).unwrap();
+        std::fs::write(&dir, b"not a directory").unwrap();
+        let err = orch.checkpoint(&fresh, &[]).unwrap_err();
+        assert!(matches!(err, OrchestratorError::Registry(_)), "got {err}");
+        assert!(orch.shadow_in_flight());
+        assert!(server.shadow_attached());
+        assert!(orch.registry().versions().is_err());
+        assert_eq!(server.stats().swaps, 0);
+        assert_eq!(server.active_model_version(), 0);
+
+        // Directory restored: the next clean checkpoint promotes it.
+        std::fs::remove_file(&dir).unwrap();
+        std::fs::create_dir_all(&dir).unwrap();
+        let outcome = orch.checkpoint(&fresh, &[]).unwrap();
+        assert!(
+            matches!(outcome, RetrainOutcome::ShadowPromoted { version: 1, .. }),
+            "got {outcome:?}"
+        );
+        assert!(!orch.shadow_in_flight());
+        assert!(!server.shadow_attached());
+        assert_eq!(orch.registry().versions().unwrap(), vec![1]);
+        assert_eq!(server.active_model_version(), 1);
+        server.shutdown();
+    }
+
+    /// Pruning is the last third of the promote step: when it fails, the
+    /// version just published already serves and the retrain is charged.
+    #[test]
+    fn failed_prune_is_reported_after_the_published_model_serves() {
+        let server = start_risk_server("127.0.0.1:0", Detector::new(serving_model())).unwrap();
+        let registry = temp_registry("prune-fails");
+        // A directory where version 1's file would be: listed as a
+        // version, publishable past, but not removable as a file.
+        std::fs::create_dir(registry.dir().join("model-v1.json")).unwrap();
+        let mut orch = Orchestrator::new(
+            &server,
+            registry,
+            OrchestratorConfig {
+                keep_versions: 1,
+                ..config()
+            },
+        );
+        let err = orch
+            .checkpoint(&drifting_window(), &[ua(Vendor::Chrome, 111)])
+            .unwrap_err();
+        assert!(matches!(err, OrchestratorError::Registry(_)), "got {err}");
+        assert_eq!(server.stats().swaps, 1);
+        assert_eq!(server.active_model_version(), 2);
+        let obs = server.registry();
+        assert_eq!(obs.counter(metric_names::REGISTRY_PUBLISHES).get(), 1);
+        assert_eq!(obs.counter(metric_names::RETRAINS).get(), 1);
+        server.shutdown();
+    }
+
+    /// Whether a checkpoint judges a shadow depends on one being in
+    /// flight, not on the orchestrator having been built with a gate: an
+    /// adopted candidate on `shadow: None` is judged under
+    /// `ShadowConfig::default()` (two clean checkpoints, at least one
+    /// comparison each), and a quiet window leaves its streak alone.
+    #[test]
+    fn adopted_candidate_is_judged_without_a_configured_gate() {
+        let server = start_risk_server("127.0.0.1:0", Detector::new(serving_model())).unwrap();
+        let mut orch = Orchestrator::new(&server, temp_registry("adopt-ungated"), config());
+        let fresh = drifting_window();
+        let candidate = TrainedModel::fit(
+            serving_model().feature_set().clone(),
+            &fresh,
+            config().train,
+        )
+        .unwrap();
+        orch.adopt_shadow(candidate);
+        assert!(server.shadow_attached());
+
+        let obs = server.registry();
+        let releases = [ua(Vendor::Chrome, 111)];
+        let mut pending = |compared: u64, want_clean: usize| {
+            obs.counter(metric_names::SHADOW_COMPARED).add(compared);
+            let outcome = orch.checkpoint(&fresh, &releases).unwrap();
+            match outcome {
+                RetrainOutcome::ShadowPending {
+                    compared: seen,
+                    clean_checkpoints,
+                    ..
+                } => assert_eq!((seen, clean_checkpoints), (compared, want_clean)),
+                other => panic!("expected a pending shadow, got {other:?}"),
+            }
+            assert!(server.shadow_attached());
+        };
+        pending(0, 0);
+        pending(100, 1);
+        pending(0, 1);
+        obs.counter(metric_names::SHADOW_COMPARED).add(100);
+        let outcome = orch.checkpoint(&fresh, &releases).unwrap();
+        assert!(
+            matches!(
+                outcome,
+                RetrainOutcome::ShadowPromoted {
+                    version: 1,
+                    checkpoints: 2
+                }
+            ),
+            "got {outcome:?}"
+        );
+        assert!(!server.shadow_attached());
+        assert!(!orch.shadow_in_flight());
+        assert_eq!(server.stats().swaps, 1);
+        assert_eq!(server.active_model_version(), 1);
+        server.shutdown();
     }
 
     #[test]
