@@ -193,29 +193,6 @@ impl RiskClient {
         &self.registry
     }
 
-    /// The server address this client currently talks to.
-    pub fn addr(&self) -> SocketAddr {
-        self.addr
-    }
-
-    /// Points the client at a different server (a fleet router moving
-    /// this key range to another node). The current stream is dropped
-    /// without counting a poisoning — it is healthy, just no longer the
-    /// right peer — and the failure streak is cleared so the new node
-    /// starts from a clean backoff slate.
-    pub fn retarget(&mut self, addr: SocketAddr) {
-        if addr != self.addr {
-            self.addr = addr;
-            self.stream = None;
-            self.consecutive_failures = 0;
-        }
-    }
-
-    /// Whether the client currently holds a live (non-poisoned) stream.
-    pub fn is_connected(&self) -> bool {
-        self.stream.is_some()
-    }
-
     /// Discards the current stream after an error. A timed-out request may
     /// still be answered later; reading those stale bytes as the next
     /// response would return a garbage verdict, so a stream that saw any
@@ -300,29 +277,53 @@ impl RiskClient {
     pub(crate) fn assess_encoded(&mut self, frame: &[u8]) -> io::Result<Verdict> {
         self.stage_request(frame)?;
         self.requests.inc();
+        let result = self.with_retries(|client| {
+            let span = Span::on(
+                Arc::clone(&client.round_trip),
+                Arc::clone(client.registry.clock()),
+            );
+            let verdict = client.try_verdict_exchange();
+            // Only completed round trips belong in the latency
+            // histogram; a failed attempt is counted, not timed.
+            match verdict {
+                Ok(_) => {
+                    span.finish();
+                }
+                Err(_) => span.cancel(),
+            }
+            verdict
+        });
+        if result.is_err() {
+            self.errors.inc();
+        }
+        result
+    }
+
+    /// Runs `exchange` on the staged request until it succeeds or the
+    /// retry budget is spent — the one copy of the fault discipline every
+    /// request kind shares. A failed attempt poisons the stream and
+    /// lengthens the failure streak; while [`RiskClientConfig::max_retries`]
+    /// allows, it is counted in `client.retries` and retried on a fresh
+    /// connection after the streak's backoff. Which success and error
+    /// counters the request lands in is the caller's business.
+    fn with_retries<T>(
+        &mut self,
+        mut exchange: impl FnMut(&mut Self) -> io::Result<T>,
+    ) -> io::Result<T> {
         let mut attempt: u32 = 0;
         loop {
-            let span = Span::on(
-                Arc::clone(&self.round_trip),
-                Arc::clone(self.registry.clock()),
-            );
-            match self.try_verdict_exchange() {
-                Ok(v) => {
-                    span.finish();
+            match exchange(self) {
+                Ok(reply) => {
                     // A success ends the failure streak: the next blip
                     // backs off from `backoff_base` again instead of
                     // inheriting this connection's old escalation.
                     self.consecutive_failures = 0;
-                    return Ok(v);
+                    return Ok(reply);
                 }
                 Err(e) => {
-                    // Only completed round trips belong in the latency
-                    // histogram; the failure is counted, not timed.
-                    span.cancel();
                     self.poison();
                     self.consecutive_failures = self.consecutive_failures.saturating_add(1);
                     if attempt >= self.config.max_retries {
-                        self.errors.inc();
                         return Err(e);
                     }
                     attempt += 1;
@@ -369,27 +370,12 @@ impl RiskClient {
     /// same poison-and-retry discipline as submissions.
     pub fn fetch_stats(&mut self) -> io::Result<Snapshot> {
         self.stage_request(&encode_stats_request())?;
-        let mut attempt: u32 = 0;
-        loop {
-            match self.try_stats_exchange() {
-                Ok(snap) => {
-                    self.stats_fetches.inc();
-                    self.consecutive_failures = 0;
-                    return Ok(snap);
-                }
-                Err(e) => {
-                    self.poison();
-                    self.consecutive_failures = self.consecutive_failures.saturating_add(1);
-                    if attempt >= self.config.max_retries {
-                        self.stats_errors.inc();
-                        return Err(e);
-                    }
-                    attempt += 1;
-                    self.retries.inc();
-                    self.sleep_backoff();
-                }
-            }
+        let result = self.with_retries(Self::try_stats_exchange);
+        match result {
+            Ok(_) => self.stats_fetches.inc(),
+            Err(_) => self.stats_errors.inc(),
         }
+        result
     }
 
     fn try_stats_exchange(&mut self) -> io::Result<Snapshot> {
@@ -412,29 +398,8 @@ mod tests {
     use super::*;
     use crate::proto::VerdictStatus;
     use crate::server::start_risk_server;
+    use crate::server::test_support::tiny_detector;
     use browser_engine::{UserAgent, Vendor};
-    use polygraph_core::{Detector, TrainConfig, TrainedModel, TrainingSet};
-
-    fn tiny_detector() -> Detector {
-        let mut set = TrainingSet::new(2);
-        for (base, ua) in [
-            (0.0, UserAgent::new(Vendor::Chrome, 60)),
-            (10.0, UserAgent::new(Vendor::Chrome, 100)),
-        ] {
-            for j in 0..40 {
-                set.push(vec![base + (j % 2) as f64 * 0.1, base], ua)
-                    .unwrap();
-            }
-        }
-        let fs = FeatureSet::table8().subset(&[0, 1]);
-        let config = TrainConfig {
-            k: 2,
-            n_components: 2,
-            min_samples_for_majority: 1,
-            ..Default::default()
-        };
-        Detector::new(TrainedModel::fit(fs, &set, config).unwrap())
-    }
 
     #[test]
     fn client_round_trips_submissions() {
@@ -598,7 +563,7 @@ mod tests {
     }
 
     #[test]
-    fn success_resets_the_failure_streak_and_retarget_clears_it() {
+    fn success_resets_the_failure_streak() {
         let server = start_risk_server("127.0.0.1:0", tiny_detector()).unwrap();
         let mut client = RiskClient::connect(server.local_addr()).unwrap();
         // Simulate a long failure streak inherited from a dead peer.
@@ -613,20 +578,7 @@ mod tests {
             client.consecutive_failures, 0,
             "a successful exchange must end the failure streak"
         );
-
-        // Retargeting drops the (healthy) stream without a poison count
-        // and starts the new node from a clean backoff slate.
-        client.consecutive_failures = 3;
-        let other = start_risk_server("127.0.0.1:0", tiny_detector()).unwrap();
-        client.retarget(other.local_addr());
-        assert_eq!(client.addr(), other.local_addr());
-        assert!(!client.is_connected());
-        assert_eq!(client.consecutive_failures, 0);
-        let snap = client.registry().snapshot();
-        assert_eq!(snap.counters.get(metric_names::POISONED), Some(&0));
-        client.assess_submission(&sub).unwrap();
         drop(client);
-        other.shutdown();
         server.shutdown();
     }
 
