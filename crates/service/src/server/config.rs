@@ -92,3 +92,19 @@ impl Default for RiskServerConfig {
         }
     }
 }
+
+impl RiskServerConfig {
+    /// The production profile — what `polygraph serve` runs and what
+    /// `polybench` measures: the verdict cache on (8 shards, 8 192
+    /// entries in all) and cache misses on the quantized fast path,
+    /// everything else as [`Default`]. Verdict bytes are identical to the
+    /// staged, uncached default.
+    pub fn production() -> Self {
+        Self {
+            cache_shards: 8,
+            cache_capacity: 8192,
+            quantized: true,
+            ..Self::default()
+        }
+    }
+}

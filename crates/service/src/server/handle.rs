@@ -245,7 +245,9 @@ pub(super) struct ConnContext {
 }
 
 /// Starts a risk server on `addr` (use `127.0.0.1:0` for an ephemeral
-/// port) serving `detector`, with the default production configuration.
+/// port) serving `detector` under [`RiskServerConfig::default`] — no
+/// cache, staged path; [`RiskServerConfig::production`] is the profile an
+/// operator runs.
 pub fn start_risk_server(addr: &str, detector: Detector) -> io::Result<RiskServerHandle> {
     start_risk_server_with(addr, detector, RiskServerConfig::default())
 }
@@ -409,21 +411,21 @@ mod tests {
         server.shutdown();
     }
 
-    /// Runs on the cached, quantized profile so the swap is checked with
-    /// everything a versioned publish owes a server: the new model
-    /// compiled like the boot one, cached verdicts of the old model
+    /// Runs on the production profile (cached, quantized) so the swap is
+    /// checked with everything a versioned publish owes a server: the new
+    /// model compiled like the boot one, cached verdicts of the old model
     /// unreachable, and the version naming what serves.
     #[test]
     fn detector_swap_changes_verdicts_live() {
         // Model A knows Chrome 60 at (0,0). Model B is trained with
         // Chrome 60 at (10,10) instead — after the swap the same frame
         // flips from honest to flagged.
-        let config = RiskServerConfig {
-            cache_capacity: 64,
-            quantized: true,
-            ..Default::default()
-        };
-        let server = start_risk_server_with("127.0.0.1:0", tiny_detector(), config).unwrap();
+        let server = start_risk_server_with(
+            "127.0.0.1:0",
+            tiny_detector(),
+            RiskServerConfig::production(),
+        )
+        .unwrap();
 
         let mut set = TrainingSet::new(2);
         for (base, ua) in [

@@ -241,15 +241,10 @@ fn cmd_serve(opts: &Opts) -> Result<(), String> {
         Some("reactor") => browser_polygraph::service::ServerBackend::Reactor,
         Some(other) => return Err(format!("unknown backend {other:?} (threaded|reactor)")),
     };
-    // The profile `polybench` measures (`serve_repeat` / `serve_distinct`):
-    // the verdict cache on, cache misses on the quantized fast path.
-    // Verdict bytes are identical to the staged, uncached default.
+    // The profile `polybench` measures (`serve_repeat` / `serve_distinct`).
     let config = browser_polygraph::service::RiskServerConfig {
         backend,
-        cache_shards: 8,
-        cache_capacity: 8192,
-        quantized: true,
-        ..Default::default()
+        ..browser_polygraph::service::RiskServerConfig::production()
     };
     let server =
         browser_polygraph::service::start_risk_server_with(addr, Detector::new(model), config)
