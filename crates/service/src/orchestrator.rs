@@ -800,6 +800,22 @@ mod tests {
         set
     }
 
+    /// The training eras plus Chrome 111 shipping with a shape back near
+    /// era A: its sessions land in Chrome 100's cluster instead of its
+    /// predecessor's — drift.
+    fn drifting_window() -> TrainingSet {
+        let mut fresh = training(0.0);
+        for j in 0..80 {
+            fresh
+                .push(
+                    vec![-0.5 + (j % 3) as f64 * 0.05, -0.5],
+                    ua(Vendor::Chrome, 111),
+                )
+                .unwrap();
+        }
+        fresh
+    }
+
     fn config() -> OrchestratorConfig {
         OrchestratorConfig {
             train: TrainConfig {
@@ -918,15 +934,7 @@ mod tests {
                 ..config()
             },
         );
-        let mut fresh = training(0.0);
-        for j in 0..80 {
-            fresh
-                .push(
-                    vec![-0.5 + (j % 3) as f64 * 0.05, -0.5],
-                    ua(Vendor::Chrome, 111),
-                )
-                .unwrap();
-        }
+        let fresh = drifting_window();
         let outcome = orch.checkpoint(&fresh, &[ua(Vendor::Chrome, 111)]).unwrap();
         assert!(matches!(
             outcome,
@@ -946,17 +954,7 @@ mod tests {
         let server = start_risk_server("127.0.0.1:0", Detector::new(serving_model())).unwrap();
         let registry = temp_registry("retrain");
         let mut orch = Orchestrator::new(&server, registry, config());
-        // Chrome 111 ships with a shape back near era A: its sessions land
-        // in Chrome 100's cluster instead of its predecessor's — drift.
-        let mut fresh = training(0.0);
-        for j in 0..80 {
-            fresh
-                .push(
-                    vec![-0.5 + (j % 3) as f64 * 0.05, -0.5],
-                    ua(Vendor::Chrome, 111),
-                )
-                .unwrap();
-        }
+        let fresh = drifting_window();
         let outcome = orch.checkpoint(&fresh, &[ua(Vendor::Chrome, 111)]).unwrap();
         match outcome {
             RetrainOutcome::Retrained {
@@ -998,12 +996,7 @@ mod tests {
         let mut cfg = config();
         cfg.min_accuracy = 1.1; // impossible bar
         let mut orch = Orchestrator::new(&server, temp_registry("reject"), cfg);
-        let mut fresh = training(0.0);
-        for _ in 0..80 {
-            fresh
-                .push(vec![-0.5, -0.5], ua(Vendor::Chrome, 111))
-                .unwrap();
-        }
+        let fresh = drifting_window();
         let outcome = orch.checkpoint(&fresh, &[ua(Vendor::Chrome, 111)]).unwrap();
         assert!(matches!(outcome, RetrainOutcome::RetrainRejected { .. }));
         assert_eq!(server.stats().swaps, 0);
@@ -1015,12 +1008,7 @@ mod tests {
     /// the fresh set, so `fit_observed` errors after drift has already
     /// fired — the corrupt-collection-run scenario.
     fn drifting_but_unfittable() -> (TrainingSet, OrchestratorConfig) {
-        let mut fresh = training(0.0);
-        for _ in 0..80 {
-            fresh
-                .push(vec![-0.5, -0.5], ua(Vendor::Chrome, 111))
-                .unwrap();
-        }
+        let fresh = drifting_window();
         let mut cfg = config();
         cfg.train.k = 10_000;
         (fresh, cfg)
@@ -1086,19 +1074,6 @@ mod tests {
             }),
             ..config()
         }
-    }
-
-    fn drifting_window() -> TrainingSet {
-        let mut fresh = training(0.0);
-        for j in 0..80 {
-            fresh
-                .push(
-                    vec![-0.5 + (j % 3) as f64 * 0.05, -0.5],
-                    ua(Vendor::Chrome, 111),
-                )
-                .unwrap();
-        }
-        fresh
     }
 
     #[test]
@@ -1218,162 +1193,6 @@ mod tests {
             assert!(server.shadow_attached());
         }
         server.shutdown();
-    }
-
-    /// The control plane's books, over one scripted run that returns
-    /// every [`RetrainOutcome`] variant: each counter equals the number
-    /// of outcomes it is documented to count, and
-    /// `active_model_version()` names the version last served — after a
-    /// direct retrain, a shadow promotion, a fallback and a rollout
-    /// stage alike. Five orchestrators, differing only in the one config
-    /// field each step needs, share one server and one registry.
-    #[test]
-    fn every_outcome_is_counted_once_and_the_version_names_what_serves() {
-        use crate::fleet::{FleetConfig, RiskFleet, RolloutController, RolloutStep};
-
-        let fleet = RiskFleet::start(
-            &serving_model(),
-            FleetConfig {
-                nodes: 1,
-                ..Default::default()
-            },
-        )
-        .unwrap();
-        let server = fleet.node(0).unwrap();
-        let registry = temp_registry("books");
-        let orch = |config| Orchestrator::new(server, registry.clone(), config);
-        let mut direct = orch(config());
-        let mut strict = orch(OrchestratorConfig {
-            min_accuracy: 1.1,
-            ..config()
-        });
-        let mut unfittable = orch(drifting_but_unfittable().1);
-        let mut gated = orch(OrchestratorConfig {
-            shadow: Some(ShadowConfig {
-                max_divergence: 0.05,
-                required_checkpoints: 2,
-                min_compared: 1,
-            }),
-            ..config()
-        });
-        let mut publish_only = orch(OrchestratorConfig {
-            swap: SwapPolicy::PublishOnly,
-            ..config()
-        });
-
-        // Each window adds one release whose sessions land in the other
-        // era than its predecessor's: drift against the model trained
-        // on the window before it.
-        let release = |v| ua(Vendor::Chrome, v);
-        let with_release = |base: &TrainingSet, v: u32, at: f64| {
-            let mut set = base.clone();
-            for j in 0..80 {
-                set.push(vec![at + (j % 3) as f64 * 0.05, at], release(v))
-                    .unwrap();
-            }
-            set
-        };
-        let stable = with_release(&training(0.0), 111, 10.0);
-        let w1 = with_release(&training(0.0), 111, -0.5);
-        let w2 = with_release(&w1, 112, 10.0);
-        let w3 = with_release(&w2, 113, -0.5);
-        let obs = server.registry();
-        let shadow_traffic = |compared, diverged| {
-            obs.counter(metric_names::SHADOW_COMPARED).add(compared);
-            obs.counter(metric_names::SHADOW_DIVERGED).add(diverged);
-        };
-
-        let mut outcomes = Vec::new();
-        let mut run = |o: Result<RetrainOutcome, OrchestratorError>| outcomes.push(o.unwrap());
-        run(direct.checkpoint(&stable, &[release(111)])); // Stable
-        run(strict.checkpoint(&w1, &[release(111)])); // RetrainRejected
-        run(unfittable.checkpoint(&w1, &[release(111)])); // Fallback, nothing to serve
-        assert_eq!(server.active_model_version(), 0);
-        run(direct.checkpoint(&w1, &[release(111)])); // Retrained v1
-        assert_eq!(server.active_model_version(), 1);
-        run(gated.checkpoint(&w2, &[release(112)])); // ShadowStarted
-        run(gated.checkpoint(&w2, &[])); // ShadowPending, quiet window
-        shadow_traffic(100, 50);
-        run(gated.checkpoint(&w2, &[])); // ShadowRejected
-        run(gated.checkpoint(&w2, &[release(112)])); // ShadowStarted
-        shadow_traffic(100, 0);
-        run(gated.checkpoint(&w2, &[])); // ShadowPending, one clean window
-        shadow_traffic(100, 5);
-        run(gated.checkpoint(&w2, &[])); // ShadowPromoted v2
-        assert_eq!(server.active_model_version(), 2);
-        run(unfittable.checkpoint(&w3, &[release(113)])); // Fallback, re-serves v2
-        assert_eq!(server.active_model_version(), 2);
-        run(publish_only.checkpoint(&w3, &[release(113)])); // Retrained v3, unserved
-        assert_eq!(server.active_model_version(), 2);
-
-        let kinds: Vec<&str> = outcomes
-            .iter()
-            .map(|o| match o {
-                RetrainOutcome::Stable { .. } => "Stable",
-                RetrainOutcome::Retrained { .. } => "Retrained",
-                RetrainOutcome::RetrainRejected { .. } => "RetrainRejected",
-                RetrainOutcome::Fallback { .. } => "Fallback",
-                RetrainOutcome::ShadowStarted { .. } => "ShadowStarted",
-                RetrainOutcome::ShadowPending { .. } => "ShadowPending",
-                RetrainOutcome::ShadowPromoted { .. } => "ShadowPromoted",
-                RetrainOutcome::ShadowRejected { .. } => "ShadowRejected",
-            })
-            .collect();
-        assert_eq!(
-            kinds,
-            [
-                "Stable",
-                "RetrainRejected",
-                "Fallback",
-                "Retrained",
-                "ShadowStarted",
-                "ShadowPending",
-                "ShadowRejected",
-                "ShadowStarted",
-                "ShadowPending",
-                "ShadowPromoted",
-                "Fallback",
-                "Retrained",
-            ]
-        );
-        let n = |kind: &str| kinds.iter().filter(|k| **k == kind).count() as u64;
-        let counter = |name: &str| obs.counter(name).get();
-        assert_eq!(counter(metric_names::CHECKPOINTS), kinds.len() as u64);
-        assert_eq!(
-            counter(metric_names::RETRAINS),
-            n("Retrained") + n("ShadowPromoted")
-        );
-        assert_eq!(
-            counter(metric_names::REGISTRY_PUBLISHES),
-            counter(metric_names::RETRAINS)
-        );
-        assert_eq!(
-            counter(metric_names::RETRAINS_REJECTED),
-            n("RetrainRejected")
-        );
-        assert_eq!(counter(metric_names::FALLBACKS), n("Fallback"));
-        assert_eq!(counter(metric_names::SHADOW_STARTED), n("ShadowStarted"));
-        assert_eq!(counter(metric_names::SHADOW_REJECTED), n("ShadowRejected"));
-        assert_eq!(counter(metric_names::SHADOW_PROMOTED), n("ShadowPromoted"));
-        assert_eq!(
-            obs.histogram(metric_names::RETRAIN_MICROS).count(),
-            n("Retrained") + n("ShadowStarted")
-        );
-        // Served: the direct retrain, the promotion and the second
-        // fallback — not the empty-registry fallback, not `PublishOnly`.
-        assert_eq!(server.stats().swaps, 3);
-        assert_eq!(registry.versions().unwrap(), vec![2, 3], "keep_versions: 2");
-
-        // The published-only v3 reaches the server through a rollout
-        // stage, the one remaining way a model gets to serve.
-        let mut rollout = RolloutController::new(&registry, Vec::new(), 0.0).unwrap();
-        assert!(matches!(
-            rollout.advance(&fleet),
-            RolloutStep::Promoted { .. }
-        ));
-        assert_eq!(server.stats().swaps, 4);
-        assert_eq!(server.active_model_version(), 3);
-        fleet.shutdown();
     }
 
     /// Promotion publishes before it takes the candidate: a registry

@@ -396,6 +396,170 @@ fn same_distribution_candidate_stays_inside_the_default_divergence_budget() {
     server.shutdown();
 }
 
+/// The control plane's books, over one scripted run that returns every
+/// [`RetrainOutcome`] variant: each counter equals the number of
+/// outcomes it is documented to count, and `active_model_version()`
+/// names the version last served — after a direct retrain, a shadow
+/// promotion, a fallback and a rollout stage alike. Five orchestrators,
+/// differing only in the one config field each step needs, share one
+/// server (a one-node fleet, so a rollout can reach it) and one
+/// registry. Shadow windows are the serve path's own two counters,
+/// ticked by hand.
+#[test]
+fn every_outcome_is_counted_once_and_the_version_names_what_serves() {
+    let fleet = RiskFleet::start(
+        &serving_model(),
+        FleetConfig {
+            nodes: 1,
+            ..Default::default()
+        },
+    )
+    .unwrap();
+    let server = fleet.node(0).unwrap();
+    let registry = temp_registry("books");
+    let gate = ShadowConfig {
+        max_divergence: 0.05,
+        required_checkpoints: 2,
+        min_compared: 1,
+    };
+    let ungated = OrchestratorConfig {
+        shadow: None,
+        ..orch_config(gate, SwapPolicy::PublishAndSwap)
+    };
+    let orch = |config| Orchestrator::new(server, registry.clone(), config);
+    let mut direct = orch(ungated);
+    let mut strict = orch(OrchestratorConfig {
+        min_accuracy: 1.1,
+        ..ungated
+    });
+    let mut unfittable = orch(OrchestratorConfig {
+        train: TrainConfig {
+            k: 10_000,
+            ..train_config()
+        },
+        ..ungated
+    });
+    let mut gated = orch(orch_config(gate, SwapPolicy::PublishAndSwap));
+    let mut publish_only = orch(OrchestratorConfig {
+        swap: SwapPolicy::PublishOnly,
+        ..ungated
+    });
+
+    // Each window adds one release whose sessions land in the other era
+    // than its predecessor's: drift against the model trained on the
+    // window before it.
+    let release = |v| ua(Vendor::Chrome, v);
+    let with_release = |base: &TrainingSet, v: u32, at: f64| {
+        let mut set = base.clone();
+        for j in 0..80 {
+            set.push(vec![at + (j % 3) as f64 * 0.1, at], release(v))
+                .unwrap();
+        }
+        set
+    };
+    let stable = with_release(&serving_training(), 101, 10.0);
+    let w1 = drift_window();
+    let w2 = with_release(&w1, 102, 10.0);
+    let w3 = with_release(&w2, 103, 0.3);
+    let obs = server.registry();
+    let shadow_traffic = |compared, diverged| {
+        obs.counter(orch_metrics::SHADOW_COMPARED).add(compared);
+        obs.counter(orch_metrics::SHADOW_DIVERGED).add(diverged);
+    };
+
+    let mut outcomes = Vec::new();
+    let mut run = |o: Result<RetrainOutcome, _>| outcomes.push(o.unwrap());
+    run(direct.checkpoint(&stable, &[release(101)])); // Stable
+    run(strict.checkpoint(&w1, &[release(101)])); // RetrainRejected
+    run(unfittable.checkpoint(&w1, &[release(101)])); // Fallback, nothing to serve
+    assert_eq!(server.active_model_version(), 0);
+    run(direct.checkpoint(&w1, &[release(101)])); // Retrained v1
+    assert_eq!(server.active_model_version(), 1);
+    run(gated.checkpoint(&w2, &[release(102)])); // ShadowStarted
+    run(gated.checkpoint(&w2, &[])); // ShadowPending, quiet window
+    shadow_traffic(100, 50);
+    run(gated.checkpoint(&w2, &[])); // ShadowRejected
+    run(gated.checkpoint(&w2, &[release(102)])); // ShadowStarted
+    shadow_traffic(100, 0);
+    run(gated.checkpoint(&w2, &[])); // ShadowPending, one clean window
+    shadow_traffic(100, 5);
+    run(gated.checkpoint(&w2, &[])); // ShadowPromoted v2
+    assert_eq!(server.active_model_version(), 2);
+    run(unfittable.checkpoint(&w3, &[release(103)])); // Fallback, re-serves v2
+    assert_eq!(server.active_model_version(), 2);
+    run(publish_only.checkpoint(&w3, &[release(103)])); // Retrained v3, unserved
+    assert_eq!(server.active_model_version(), 2);
+
+    let kinds: Vec<&str> = outcomes
+        .iter()
+        .map(|o| match o {
+            RetrainOutcome::Stable { .. } => "Stable",
+            RetrainOutcome::Retrained { .. } => "Retrained",
+            RetrainOutcome::RetrainRejected { .. } => "RetrainRejected",
+            RetrainOutcome::Fallback { .. } => "Fallback",
+            RetrainOutcome::ShadowStarted { .. } => "ShadowStarted",
+            RetrainOutcome::ShadowPending { .. } => "ShadowPending",
+            RetrainOutcome::ShadowPromoted { .. } => "ShadowPromoted",
+            RetrainOutcome::ShadowRejected { .. } => "ShadowRejected",
+        })
+        .collect();
+    assert_eq!(
+        kinds,
+        [
+            "Stable",
+            "RetrainRejected",
+            "Fallback",
+            "Retrained",
+            "ShadowStarted",
+            "ShadowPending",
+            "ShadowRejected",
+            "ShadowStarted",
+            "ShadowPending",
+            "ShadowPromoted",
+            "Fallback",
+            "Retrained",
+        ]
+    );
+    let n = |kind: &str| kinds.iter().filter(|k| **k == kind).count() as u64;
+    let counter = |name: &str| obs.counter(name).get();
+    assert_eq!(counter(orch_metrics::CHECKPOINTS), kinds.len() as u64);
+    assert_eq!(
+        counter(orch_metrics::RETRAINS),
+        n("Retrained") + n("ShadowPromoted")
+    );
+    assert_eq!(
+        counter(orch_metrics::REGISTRY_PUBLISHES),
+        counter(orch_metrics::RETRAINS)
+    );
+    assert_eq!(
+        counter(orch_metrics::RETRAINS_REJECTED),
+        n("RetrainRejected")
+    );
+    assert_eq!(counter(orch_metrics::FALLBACKS), n("Fallback"));
+    assert_eq!(counter(orch_metrics::SHADOW_STARTED), n("ShadowStarted"));
+    assert_eq!(counter(orch_metrics::SHADOW_REJECTED), n("ShadowRejected"));
+    assert_eq!(counter(orch_metrics::SHADOW_PROMOTED), n("ShadowPromoted"));
+    assert_eq!(
+        obs.histogram(orch_metrics::RETRAIN_MICROS).count(),
+        n("Retrained") + n("ShadowStarted")
+    );
+    // Served: the direct retrain, the promotion and the second fallback
+    // — not the empty-registry fallback, not `PublishOnly`.
+    assert_eq!(server.stats().swaps, 3);
+    assert_eq!(registry.versions().unwrap(), vec![1, 2, 3]);
+
+    // The published-only v3 reaches the server through a rollout stage,
+    // the one remaining way a model gets to serve.
+    let mut rollout = RolloutController::new(&registry, Vec::new(), 0.0).unwrap();
+    assert!(matches!(
+        rollout.advance(&fleet),
+        RolloutStep::Promoted { .. }
+    ));
+    assert_eq!(server.stats().swaps, 4);
+    assert_eq!(server.active_model_version(), 3);
+    fleet.shutdown();
+}
+
 /// Fleet leg: a candidate shadows node 0 under `PublishOnly`, a node is
 /// killed mid-shadow (seeded storm keeps flowing over the failover
 /// ring, and a successor orchestrator adopts the in-flight candidate —
