@@ -981,9 +981,7 @@ mod tests {
             .cluster_of(ua(Vendor::Chrome, 111))
             .is_some());
         // And the serving detector now accepts the new shape.
-        let slot = server.detector_slot();
-        let verdict = slot
-            .read()
+        let verdict = Detector::new(server.serving_model())
             .assess(&[-0.5, -0.5], ua(Vendor::Chrome, 111))
             .unwrap();
         assert!(!verdict.flagged, "after the swap the new shape is known");
@@ -1040,9 +1038,7 @@ mod tests {
         assert_eq!(server.active_model_version(), 1);
         // The serving detector is the registry model, not a half-trained
         // candidate: known shapes still assess cleanly.
-        let slot = server.detector_slot();
-        let verdict = slot
-            .read()
+        let verdict = Detector::new(server.serving_model())
             .assess(&[0.0, 0.0], ua(Vendor::Chrome, 100))
             .unwrap();
         assert!(!verdict.flagged);
@@ -1202,10 +1198,9 @@ mod tests {
     fn failed_publish_at_promotion_keeps_the_candidate_in_flight() {
         let server = start_risk_server("127.0.0.1:0", Detector::new(serving_model())).unwrap();
         let mut cfg = shadow_config();
-        cfg.shadow = Some(ShadowConfig {
-            max_divergence: 0.05,
+        cfg.shadow = cfg.shadow.map(|gate| ShadowConfig {
             required_checkpoints: 1,
-            min_compared: 0,
+            ..gate
         });
         let registry = temp_registry("promote-unwritable");
         let dir = registry.dir().to_path_buf();
@@ -1280,13 +1275,7 @@ mod tests {
         let server = start_risk_server("127.0.0.1:0", Detector::new(serving_model())).unwrap();
         let mut orch = Orchestrator::new(&server, temp_registry("adopt-ungated"), config());
         let fresh = drifting_window();
-        let candidate = TrainedModel::fit(
-            serving_model().feature_set().clone(),
-            &fresh,
-            config().train,
-        )
-        .unwrap();
-        orch.adopt_shadow(candidate);
+        orch.adopt_shadow(serving_model());
         assert!(server.shadow_attached());
 
         let obs = server.registry();
