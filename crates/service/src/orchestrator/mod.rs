@@ -318,16 +318,12 @@ impl<'s> Orchestrator<'s> {
                 RetrainOutcome::ShadowRejected { compared, diverged }
             }
             GateVerdict::Promote => {
-                // Publish while the candidate is still in flight: a
-                // registry failure returns here with it attached and its
-                // streak intact, and the next clean checkpoint tries
-                // again. Only a published candidate stops being one.
-                let version = self.publish(&candidate.model)?;
-                self.server.detach_shadow();
+                // Promoted from a copy: the candidate itself stays in
+                // flight until `promote` has published it, so a registry
+                // failure returns here with it attached and its streak
+                // intact, and the next clean checkpoint tries again.
+                let version = self.promote(candidate.model.clone())?;
                 obs.counter(metric_names::SHADOW_PROMOTED).inc();
-                if let Some(promoted) = self.shadow.take() {
-                    self.serve_and_prune(promoted.model, version)?;
-                }
                 RetrainOutcome::ShadowPromoted {
                     version,
                     checkpoints: clean,
@@ -382,8 +378,7 @@ impl<'s> Orchestrator<'s> {
             return Ok(RetrainOutcome::ShadowStarted { triggers, accuracy });
         }
 
-        let version = self.publish(&candidate)?;
-        self.serve_and_prune(candidate, version)?;
+        let version = self.promote(candidate)?;
         Ok(RetrainOutcome::Retrained {
             triggers,
             version,
@@ -391,28 +386,26 @@ impl<'s> Orchestrator<'s> {
         })
     }
 
-    /// The promote step, behind a direct retrain and a shadow promotion
-    /// alike, runs publish → serve → prune; this is its first third.
-    /// `model` becomes the next registry version. An `Err` here has
-    /// changed nothing: no version, no counter, no serving state.
-    fn publish(&self, model: &TrainedModel) -> io::Result<u64> {
-        let version = self.registry.publish(model)?;
-        self.server
-            .registry()
-            .counter(metric_names::REGISTRY_PUBLISHES)
-            .inc();
-        Ok(version)
-    }
-
-    /// The rest of the promote step: serve the version [`Self::publish`]
-    /// just wrote, then prune old ones. Pruning comes last so that its
-    /// failure cannot leave a published version unserved — it surfaces
-    /// as `Err` with the model already serving and the retrain charged.
-    fn serve_and_prune(&self, model: TrainedModel, version: u64) -> io::Result<()> {
+    /// The one promote step, behind a direct retrain and a shadow
+    /// promotion alike: publish → serve → prune.
+    ///
+    /// The order is what makes an `Err` continuable. A failed publish has
+    /// changed nothing — no version, no counter, no serving state, and a
+    /// shadow candidate still in flight. Only a published candidate stops
+    /// being one. Pruning comes last so that its failure cannot leave a
+    /// published version unserved: it surfaces with the model already
+    /// serving and the retrain charged.
+    fn promote(&mut self, model: TrainedModel) -> io::Result<u64> {
+        let obs = self.server.registry();
+        let version = self.registry.publish(&model)?;
+        obs.counter(metric_names::REGISTRY_PUBLISHES).inc();
+        if self.shadow.take().is_some() {
+            self.server.detach_shadow();
+        }
         self.serve_here(model, version);
-        self.server.registry().counter(metric_names::RETRAINS).inc();
+        obs.counter(metric_names::RETRAINS).inc();
         self.registry.prune(self.config.keep_versions)?;
-        Ok(())
+        Ok(version)
     }
 
     /// Serves registry `version` on this orchestrator's server, tagged
