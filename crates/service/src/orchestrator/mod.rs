@@ -274,7 +274,7 @@ impl<'s> Orchestrator<'s> {
     /// gate that adopted a candidate judges it under the default gate,
     /// so nothing double-scores the serve path unjudged.
     fn evaluate_shadow(&mut self) -> Result<Option<RetrainOutcome>, OrchestratorError> {
-        let Some(candidate) = self.shadow.as_ref() else {
+        let Some(candidate) = self.shadow.as_mut() else {
             return Ok(None);
         };
         let cfg = self.config.shadow.unwrap_or_default();
@@ -297,11 +297,9 @@ impl<'s> Orchestrator<'s> {
             GateVerdict::Clean => {
                 // Re-arm the baselines, so the next window is judged on
                 // its own and one noisy window cannot be amortised away.
-                if let Some(c) = self.shadow.as_mut() {
-                    c.clean_checkpoints = clean;
-                    c.baseline_compared = compared_total;
-                    c.baseline_diverged = diverged_total;
-                }
+                candidate.clean_checkpoints = clean;
+                candidate.baseline_compared = compared_total;
+                candidate.baseline_diverged = diverged_total;
                 RetrainOutcome::ShadowPending {
                     compared,
                     diverged,
@@ -322,7 +320,8 @@ impl<'s> Orchestrator<'s> {
                 // flight until `promote` has published it, so a registry
                 // failure returns here with it attached and its streak
                 // intact, and the next clean checkpoint tries again.
-                let version = self.promote(candidate.model.clone())?;
+                let model = candidate.model.clone();
+                let version = self.promote(model)?;
                 obs.counter(metric_names::SHADOW_PROMOTED).inc();
                 RetrainOutcome::ShadowPromoted {
                     version,
