@@ -139,6 +139,11 @@ fn frame_header(len: usize) -> io::Result<[u8; 2]> {
     }
 }
 
+/// `d` in whole microseconds, saturating at `u64::MAX`.
+fn saturating_micros(d: Duration) -> u64 {
+    d.as_micros().min(u128::from(u64::MAX)) as u64
+}
+
 impl RiskClient {
     /// Connects to a risk server, recording round-trip latency into a
     /// private monotonic-clock registry (see [`RiskClient::registry`]).
@@ -236,8 +241,7 @@ impl RiskClient {
     /// schedule (including its reset-on-success) without timing a sleep.
     fn sleep_backoff(&mut self) {
         let delay = self.backoff(self.consecutive_failures);
-        let micros = delay.as_micros().min(u128::from(u64::MAX)) as u64;
-        self.backoff_taken.record(micros);
+        self.backoff_taken.record(saturating_micros(delay));
         thread::sleep(delay);
     }
 
@@ -245,16 +249,8 @@ impl RiskClient {
     /// (1-based): `base · 2^(attempt-1)` capped at `backoff_cap`, then
     /// jittered into `[d/2, d]` by the seeded ChaCha stream.
     fn backoff(&mut self, attempt: u32) -> Duration {
-        let base = self
-            .config
-            .backoff_base
-            .as_micros()
-            .min(u128::from(u64::MAX)) as u64;
-        let cap = self
-            .config
-            .backoff_cap
-            .as_micros()
-            .min(u128::from(u64::MAX)) as u64;
+        let base = saturating_micros(self.config.backoff_base);
+        let cap = saturating_micros(self.config.backoff_cap);
         let shift = attempt.saturating_sub(1).min(20);
         let full = base.saturating_mul(1u64 << shift).min(cap.max(base));
         let half = full / 2;
@@ -300,12 +296,10 @@ impl RiskClient {
     }
 
     /// Runs `exchange` on the staged request until it succeeds or the
-    /// retry budget is spent — the one copy of the fault discipline every
-    /// request kind shares. A failed attempt poisons the stream and
-    /// lengthens the failure streak; while [`RiskClientConfig::max_retries`]
-    /// allows, it is counted in `client.retries` and retried on a fresh
-    /// connection after the streak's backoff. Which success and error
-    /// counters the request lands in is the caller's business.
+    /// retry budget is spent — the fault discipline every request kind
+    /// shares: a failed attempt poisons the stream and lengthens the
+    /// streak, then retries on a fresh connection after its backoff.
+    /// Which success and error counters it lands in is the caller's.
     fn with_retries<T>(
         &mut self,
         mut exchange: impl FnMut(&mut Self) -> io::Result<T>,

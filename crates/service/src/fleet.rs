@@ -509,8 +509,7 @@ impl RolloutController {
     /// `sample` is the fixed replay set divergence is measured on (raw
     /// feature rows plus the claimed user-agent — the same inputs
     /// [`Detector::assess`] takes); `max_divergence` is the largest
-    /// tolerated `diverged / compared` fraction per node — the same
-    /// budget rule the orchestrator's shadow gate applies. An empty
+    /// tolerated `diverged / compared` fraction per node. An empty
     /// sample disables the gate (zero compared, zero diverged).
     pub fn new(
         registry: &ModelRegistry,

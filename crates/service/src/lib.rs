@@ -16,9 +16,9 @@
 //!   for. There is no readiness layer and no phase machine: a shard
 //!   scans the non-blocking sockets it owns.
 //! * [`server`] — the TCP risk service with a hot-swappable detector:
-//!   retraining never drops a connection, and
-//!   [`RiskServerHandle::publish_model_versioned`] is the only way a model
-//!   reaches the serving slot. Two interchangeable connection
+//!   retraining never drops a connection
+//!   ([`RiskServerHandle::publish_model_versioned`] is the only way into
+//!   the serving slot). Two interchangeable connection
 //!   cores sit behind [`server::ServerBackend`] — thread-per-connection
 //!   (default) and the multiplexed reactor — over one shared batch path,
 //!   so verdict streams and counters are identical. Fully instrumented
@@ -28,10 +28,8 @@
 //! * [`registry`] — a versioned on-disk model store (JSON), with atomic
 //!   publish and latest-model lookup.
 //! * [`orchestrator`] — the §6.6 loop: run drift checkpoints on fresh
-//!   traffic, retrain when a release shifts, validate, shadow if a gate is
-//!   configured, then publish → serve → prune. The shadow gate's decision
-//!   is a pure function beside the divergence budget it shares with the
-//!   fleet rollout.
+//!   traffic, retrain when a release shifts, validate, shadow if a gate
+//!   is configured, then publish → serve → prune.
 //! * [`fleet`] — web-scale horizontal layer: a consistent-hash
 //!   [`fleet::FleetRouter`] over N in-process risk servers, a
 //!   router-aware failover client, and a [`fleet::RolloutController`]

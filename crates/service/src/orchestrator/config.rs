@@ -1,5 +1,5 @@
-//! What an operator sets and reads: the [`metric_names`] catalogue, the
-//! swap policy, the shadow gate's settings and [`OrchestratorConfig`].
+//! What an operator sets and reads: [`metric_names`], the swap policy,
+//! the shadow gate's settings and [`OrchestratorConfig`].
 
 use polygraph_core::TrainConfig;
 
@@ -14,11 +14,10 @@ pub mod metric_names {
     pub const RETRAINS: &str = "orchestrator.drift.retrains";
     /// Checkpoints whose candidate failed the accuracy bar (counter).
     pub const RETRAINS_REJECTED: &str = "orchestrator.drift.rejected";
-    /// Retrain duration in µs, from the start of the fit through the swap
-    /// — or through the attach, for a candidate that starts shadowing
-    /// (histogram). Recorded iff the checkpoint returns `Retrained` or
-    /// `ShadowStarted`; cancelled on every other outcome and on `Err`, so
-    /// `count == #Retrained + #ShadowStarted`.
+    /// Retrain duration in µs, fit through swap — or through attach, for
+    /// a candidate that starts shadowing (histogram). Recorded iff the
+    /// checkpoint returns `Retrained` or `ShadowStarted`; cancelled on
+    /// every other outcome and on `Err`.
     pub const RETRAIN_MICROS: &str = "orchestrator.retrain_micros";
     /// Models published to the on-disk registry (counter).
     pub const REGISTRY_PUBLISHES: &str = "orchestrator.registry.publishes";
@@ -107,9 +106,8 @@ pub struct OrchestratorConfig {
     /// When set, validated candidates shadow the live serve path and
     /// must pass the divergence gate before publishing; when `None`,
     /// a validated candidate publishes immediately (the original §6.6
-    /// loop). A candidate handed in through
-    /// [`super::Orchestrator::adopt_shadow`] is judged either way — under
-    /// [`ShadowConfig::default`] when this is `None`.
+    /// loop). An adopted candidate ([`super::Orchestrator::adopt_shadow`])
+    /// is judged either way — under the default gate when this is `None`.
     pub shadow: Option<ShadowConfig>,
 }
 

@@ -1,17 +1,13 @@
 //! The divergence gate as pure functions: no socket, no registry, no
-//! clock. [`over_budget`] is the one budget rule both gates apply — the
-//! shadow gate here and the fleet rollout's per-node gate
-//! ([`crate::fleet::RolloutController::advance`]); [`judge`] is the
-//! shadow gate's whole decision (DESIGN.md §5l's diagram), which
-//! [`super::Orchestrator`] only reads counters for and applies.
+//! clock. [`over_budget`] is the one budget rule both the shadow gate and
+//! the fleet rollout's per-node gate apply; [`judge`] is the shadow
+//! gate's whole decision (DESIGN.md §5l's diagram).
 
 use super::ShadowConfig;
 
-/// Whether a window of `compared` verdict pairs, `diverged` of them
-/// disagreeing, exceeds a budget of `max_divergence` (a fraction of
-/// the comparisons). The boundary passes: exactly
-/// `max_divergence · compared` divergences are within budget. An
-/// empty window is within any budget, zero included.
+/// Whether `diverged` of `compared` verdict pairs exceed a budget of
+/// `max_divergence` (a fraction of the comparisons). The boundary
+/// passes, and an empty window is within any budget, zero included.
 pub(crate) fn over_budget(max_divergence: f64, compared: u64, diverged: u64) -> bool {
     diverged as f64 > max_divergence * compared as f64
 }
@@ -19,8 +15,8 @@ pub(crate) fn over_budget(max_divergence: f64, compared: u64, diverged: u64) -> 
 /// What one checkpoint's window means for a shadow candidate.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(super) enum GateVerdict {
-    /// Too few comparisons to count: the window is neither clean nor
-    /// dirty, the streak neither advances nor resets.
+    /// Too few comparisons to count: the streak neither advances nor
+    /// resets.
     Wait,
     /// Within budget, and more clean checkpoints are still required.
     Clean,
@@ -30,8 +26,8 @@ pub(super) enum GateVerdict {
     Promote,
 }
 
-/// Judges a candidate with `clean_so_far` clean checkpoints behind
-/// it on a window of `compared` comparisons, `diverged` divergent.
+/// Judges a candidate with `clean_so_far` clean checkpoints behind it
+/// on a window of `compared` comparisons, `diverged` divergent.
 pub(super) fn judge(
     cfg: ShadowConfig,
     clean_so_far: usize,

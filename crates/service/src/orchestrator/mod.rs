@@ -6,19 +6,6 @@
 //! the candidate model (a bad window must never replace a good model),
 //! publishes it to the registry, and hot-swaps the serving detector.
 //!
-//! ## Layout
-//!
-//! Everything public is re-exported here, so callers name
-//! `orchestrator::…` and never a file:
-//!
-//! * `config` — [`metric_names`], [`SwapPolicy`], [`ShadowConfig`],
-//!   [`OrchestratorConfig`].
-//! * `outcome` — [`RetrainOutcome`] and [`OrchestratorError`].
-//! * `gate` — the divergence budget and the shadow gate's decision, as
-//!   pure functions.
-//! * this file — [`Orchestrator`]: the two checkpoint entry points, the
-//!   shadow candidate's bookkeeping, and the promote / fall-back steps.
-//!
 //! ## Shadow deployment
 //!
 //! With [`OrchestratorConfig::shadow`] set, a validated candidate is not
@@ -32,19 +19,15 @@
 //! divergence rate stayed under [`ShadowConfig::max_divergence`] for
 //! [`ShadowConfig::required_checkpoints`] consecutive checkpoints;
 //! otherwise it is discarded without ever touching the registry or the
-//! serving slot. The decision itself is a pure function of the gate
-//! settings, the clean streak and one window's two counters (`judge`,
-//! beside the budget rule it shares with the fleet rollout gate); the
-//! orchestrator reads the counters and applies the verdict. See
+//! serving slot. The decision is a pure function (`gate::judge`); the
+//! orchestrator reads the two counters and applies the verdict. See
 //! DESIGN.md §5l for the full state machine.
 //!
-//! ## Errors
-//!
 //! A checkpoint that returns `Err` leaves a state the next checkpoint
-//! continues from. Promotion runs publish → serve → prune: a failed
-//! publish changes nothing (a shadow candidate stays attached, its clean
-//! streak intact, and the next clean checkpoint promotes it), and a
-//! failed prune is reported only after the published model serves.
+//! continues from: promotion runs publish → serve → prune, so a failed
+//! publish changes nothing (a shadow candidate stays in flight with its
+//! clean streak) and a failed prune is reported only after the published
+//! model serves.
 //!
 //! ## Streaming checkpoints
 //!
@@ -140,9 +123,8 @@ impl<'s> Orchestrator<'s> {
     /// (re)attached to the server and the gate restarts from the current
     /// counter totals with zero clean checkpoints, so an adopted
     /// candidate earns the full [`ShadowConfig::required_checkpoints`]
-    /// again rather than inheriting unverifiable progress. An adopted
-    /// candidate is always judged: an orchestrator built without
-    /// [`OrchestratorConfig::shadow`] applies [`ShadowConfig::default`].
+    /// again rather than inheriting unverifiable progress — under
+    /// [`ShadowConfig::default`] on an orchestrator built without a gate.
     pub fn adopt_shadow(&mut self, model: TrainedModel) {
         // Baselines are read *before* attaching, so comparisons that
         // land between attach and the next checkpoint all count toward
@@ -182,10 +164,8 @@ impl<'s> Orchestrator<'s> {
         // detector guard is held across `DriftDetector::checkpoint` (a
         // full re-clustering pass over the fresh window).
         let serving_model = self.server.serving_model();
-        let (observations, decision) = {
-            let monitor = DriftDetector::new(&serving_model);
-            monitor.checkpoint(fresh, releases)?
-        };
+        let (observations, decision) =
+            DriftDetector::new(&serving_model).checkpoint(fresh, releases)?;
         obs.counter(metric_names::DRIFT_EVALUATIONS)
             .add(observations.len() as u64);
 
@@ -266,13 +246,9 @@ impl<'s> Orchestrator<'s> {
     /// Judges the shadow candidate in flight, if any: reads this
     /// checkpoint's `(compared, diverged)` window off the shadow
     /// counters, lets [`gate::judge`] decide, and applies the verdict.
-    /// `Ok(None)` means no shadow is in flight and the checkpoint should
-    /// proceed to drift detection.
-    ///
-    /// Whether a candidate is judged depends on one being in flight, not
-    /// on [`OrchestratorConfig::shadow`]: an orchestrator built without a
-    /// gate that adopted a candidate judges it under the default gate,
-    /// so nothing double-scores the serve path unjudged.
+    /// `Ok(None)` means no shadow is in flight — that, not
+    /// [`OrchestratorConfig::shadow`] being set, is what decides — and
+    /// the checkpoint should proceed to drift detection.
     fn evaluate_shadow(&mut self) -> Result<Option<RetrainOutcome>, OrchestratorError> {
         let Some(candidate) = self.shadow.as_mut() else {
             return Ok(None);
@@ -316,10 +292,9 @@ impl<'s> Orchestrator<'s> {
                 RetrainOutcome::ShadowRejected { compared, diverged }
             }
             GateVerdict::Promote => {
-                // Promoted from a copy: the candidate itself stays in
-                // flight until `promote` has published it, so a registry
-                // failure returns here with it attached and its streak
-                // intact, and the next clean checkpoint tries again.
+                // From a copy: the candidate stays in flight until
+                // `promote` has published it, so a registry failure here
+                // costs this checkpoint, not the candidate.
                 let model = candidate.model.clone();
                 let version = self.promote(model)?;
                 obs.counter(metric_names::SHADOW_PROMOTED).inc();
@@ -332,9 +307,8 @@ impl<'s> Orchestrator<'s> {
         Ok(Some(outcome))
     }
 
-    /// Everything after the fit, for both checkpoint entry points: a
-    /// fitted candidate is reviewed, an unusable window falls back to the
-    /// last-good model, and the retrain span closes by the one rule
+    /// Everything after the fit, for both entry points: review the
+    /// candidate or fall back, then close the retrain span by the rule
     /// [`metric_names::RETRAIN_MICROS`] documents.
     fn finish_retrain(
         &mut self,
@@ -386,14 +360,10 @@ impl<'s> Orchestrator<'s> {
     }
 
     /// The one promote step, behind a direct retrain and a shadow
-    /// promotion alike: publish → serve → prune.
-    ///
-    /// The order is what makes an `Err` continuable. A failed publish has
-    /// changed nothing — no version, no counter, no serving state, and a
-    /// shadow candidate still in flight. Only a published candidate stops
-    /// being one. Pruning comes last so that its failure cannot leave a
-    /// published version unserved: it surfaces with the model already
-    /// serving and the retrain charged.
+    /// promotion alike: publish → serve → prune. The order is what makes
+    /// an `Err` continuable: a failed publish has changed nothing (a
+    /// shadow candidate is taken only once published), and a failed prune
+    /// surfaces with the model already serving and the retrain charged.
     fn promote(&mut self, model: TrainedModel) -> io::Result<u64> {
         let obs = self.server.registry();
         let version = self.registry.publish(&model)?;
@@ -407,11 +377,10 @@ impl<'s> Orchestrator<'s> {
         Ok(version)
     }
 
-    /// Serves registry `version` on this orchestrator's server, tagged
-    /// with that version so [`RiskServerHandle::active_model_version`]
-    /// always names what serves — unless the policy is
-    /// [`SwapPolicy::PublishOnly`]: the serving model then belongs to the
-    /// fleet rollout, and a swap here would go behind its back.
+    /// Serves registry `version` on this orchestrator's server — unless
+    /// the policy is [`SwapPolicy::PublishOnly`]: the serving model then
+    /// belongs to the fleet rollout, and a swap here would go behind its
+    /// back.
     fn serve_here(&self, model: TrainedModel, version: u64) {
         if self.config.swap == SwapPolicy::PublishAndSwap {
             self.server.publish_model_versioned(model, version);

@@ -68,10 +68,9 @@ pub struct RiskServerConfig {
     /// Ignored by the threaded backend.
     pub reactor_shards: usize,
     /// Serve cache-missing frames on the quantized fast path: the
-    /// detector is compiled ([`polygraph_core::Detector::quantize`]) at
-    /// startup and on every
-    /// [`super::RiskServerHandle::publish_model_versioned`], and the batch
-    /// drain dispatches each miss batch through the fused fixed-point kernel.
+    /// detector is compiled ([`polygraph_core::Detector::quantize`]) at startup and on
+    /// every [`super::RiskServerHandle::publish_model_versioned`], and the batch drain
+    /// dispatches each miss batch through the fused fixed-point kernel.
     /// Off by default. Verdict streams are byte-identical either way —
     /// the fixed-point margin certificate falls any uncertain frame back
     /// to the staged f64 path (see `polygraph_ml::quant`).
@@ -94,11 +93,9 @@ impl Default for RiskServerConfig {
 }
 
 impl RiskServerConfig {
-    /// The production profile — what `polygraph serve` runs and what
-    /// `polybench` measures: the verdict cache on (8 shards, 8 192
-    /// entries in all) and cache misses on the quantized fast path,
-    /// everything else as [`Default`]. Verdict bytes are identical to the
-    /// staged, uncached default.
+    /// The production profile, what `polygraph serve` runs and `polybench`
+    /// measures: verdict cache on (8 shards, 8 192 entries in all), cache
+    /// misses on the quantized fast path, everything else [`Default`].
     pub fn production() -> Self {
         Self {
             cache_shards: 8,

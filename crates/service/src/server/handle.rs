@@ -1,8 +1,8 @@
 //! The running server: [`RiskServerHandle`] (stats, the versioned
-//! publish that is the only door into the serving slot, the
-//! shadow-candidate slot, shutdown), the context every connection
-//! shares, and [`start_risk_server_with`], which binds the listener and
-//! spawns the chosen connection core.
+//! publish that is the only door into the serving slot, the shadow
+//! slot, shutdown), the context every connection shares, and
+//! [`start_risk_server_with`], which binds the listener and spawns the
+//! chosen connection core.
 
 use super::cache::CacheLayer;
 use super::config::{RiskServerConfig, ServerBackend};
@@ -82,9 +82,8 @@ impl RiskServerHandle {
         self.metrics.registry().snapshot()
     }
 
-    /// The serving detector slot, for unit tests that probe the lock or
-    /// assess against what serves. Not a way to swap: a write through it
-    /// would skip the cache-epoch bump and the version.
+    /// The serving detector slot, for unit tests that probe the lock. Not
+    /// a way to swap: a write through it would skip the epoch bump.
     #[cfg(test)]
     pub(crate) fn detector_slot(&self) -> Arc<RwLock<Detector>> {
         Arc::clone(&self.detector)
@@ -125,17 +124,14 @@ impl RiskServerHandle {
     /// the model epoch — O(1), no shard draining; stale entries lazily
     /// miss.
     ///
-    /// This is also the quantize-at-publish step: on a server configured
-    /// with [`RiskServerConfig::quantized`] the detector is compiled onto
-    /// the fused fixed-point path before the swap. Compilation is
-    /// best-effort here, because a retrained model the compiler rejects
-    /// must still replace the old one — it then serves on the staged
-    /// path, which answers identically (just slower).
-    ///
-    /// The version is stored *after* the swap: observing
+    /// This is also the quantize-at-publish step: on a
+    /// [`RiskServerConfig::quantized`] server the detector is compiled
+    /// onto the fused fixed-point path first — best-effort, because a
+    /// retrained model the compiler rejects must still replace the old
+    /// one; it then serves on the staged path, which answers identically
+    /// (just slower). The version is stored *after* the swap: observing
     /// `active_model_version() == v` proves the serving detector is at
-    /// least version `v`, which is what lets fleet rollout (and its
-    /// tests) ask which model a node is serving.
+    /// least version `v`, which fleet rollout relies on.
     pub fn publish_model_versioned(&self, model: TrainedModel, version: u64) {
         self.swap_detector(self.prepare_detector(model));
         self.model_version.store(version, Ordering::SeqCst);
@@ -245,9 +241,8 @@ pub(super) struct ConnContext {
 }
 
 /// Starts a risk server on `addr` (use `127.0.0.1:0` for an ephemeral
-/// port) serving `detector` under [`RiskServerConfig::default`] — no
-/// cache, staged path; [`RiskServerConfig::production`] is the profile an
-/// operator runs.
+/// port) serving `detector` under [`RiskServerConfig::default`] (no
+/// cache, staged path — not [`RiskServerConfig::production`]).
 pub fn start_risk_server(addr: &str, detector: Detector) -> io::Result<RiskServerHandle> {
     start_risk_server_with(addr, detector, RiskServerConfig::default())
 }
