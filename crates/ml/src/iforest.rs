@@ -290,6 +290,7 @@ fn c_factor(n: usize) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn dataset_with_outlier() -> Matrix {
         // Tight cluster around (0, 0) plus one far outlier.
@@ -433,6 +434,33 @@ mod tests {
         let f = IsolationForest::fit(&x, IsolationForestConfig::default()).unwrap();
         for s in f.score(&x) {
             assert!((0.0..=1.0).contains(&s));
+        }
+    }
+
+    proptest! {
+        /// Every row is one of at most eight vectors, so almost every row
+        /// repeats another — the input no bit-exact test in this module has.
+        /// `score_row` walks the forest for the one row it is given, so it
+        /// is the reference for whatever `score` does with equal rows.
+        #[test]
+        fn grouped_scores_equal_per_row_scores(
+            vectors in proptest::collection::vec(
+                proptest::collection::vec(-50.0f64..50.0, 3..4), 1..9),
+            picks in proptest::collection::vec(0usize..8, 2..300),
+            seed in any::<u64>(),
+        ) {
+            let rows: Vec<Vec<f64>> = picks
+                .iter()
+                .map(|&p| vectors[p % vectors.len()].clone())
+                .collect();
+            let x = Matrix::from_rows(&rows).unwrap();
+            let cfg = IsolationForestConfig { n_trees: 20, sample_size: 32, seed };
+            let forest = IsolationForest::fit(&x, cfg).unwrap();
+            let scores = forest.score(&x);
+            prop_assert_eq!(scores.len(), x.rows());
+            for (r, s) in scores.iter().enumerate() {
+                prop_assert_eq!(s.to_bits(), forest.score_row(x.row(r)).to_bits(), "row {}", r);
+            }
         }
     }
 }

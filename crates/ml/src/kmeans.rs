@@ -628,6 +628,98 @@ mod tests {
         );
     }
 
+    /// `copies.len()` distinct `dims`-wide vectors, vector `v` repeated
+    /// `copies[v]` times, the copies scattered by a fixed stride so equal
+    /// rows are never neighbours and every [`ROW_CHUNK`] holds them all.
+    /// The values are sevenths, so sums of copies round: `n` additions of
+    /// `v` and `n × v` differ, and so does the mean of equal rows from
+    /// the rows themselves.
+    fn duplicated(copies: &[usize], dims: usize) -> Matrix {
+        let mut ids: Vec<usize> = Vec::new();
+        for (v, &n) in copies.iter().enumerate() {
+            ids.extend(std::iter::repeat_n(v, n));
+        }
+        let n = ids.len();
+        // 7919 is prime and divides neither row count used below, so the
+        // stride visits every position once.
+        assert_ne!(n % 7919, 0);
+        let rows: Vec<Vec<f64>> = (0..n)
+            .map(|i| {
+                let v = ids[i * 7919 % n];
+                (0..dims)
+                    .map(|d| ((v + 1) * (10 * d + 7) % 101) as f64 / 7.0 - 1.3)
+                    .collect()
+            })
+            .collect();
+        Matrix::from_rows(&rows).unwrap()
+    }
+
+    /// What a fit is pinned by: `fnv1a64` of the centroid bits, the WCSS
+    /// bits, the winning restart's iteration count.
+    fn fit_pin(x: &Matrix, cfg: KMeansConfig) -> (u64, u64, usize) {
+        let model = KMeans::fit(x, cfg).unwrap();
+        let bytes: Vec<u8> = model
+            .centroids()
+            .as_slice()
+            .iter()
+            .flat_map(|v| v.to_bits().to_le_bytes())
+            .collect();
+        (
+            fingerprint::fnv1a64(&bytes),
+            model.wcss().to_bits(),
+            model.iterations(),
+        )
+    }
+
+    /// Fits on matrices that are almost all repeated rows, pinned to
+    /// constants recorded from the per-row kernels this module had before
+    /// it evaluated each distinct row once. No other test in the crate
+    /// holds the bits of a fit on repeated rows, and serial-vs-pool
+    /// equality runs the same body on both sides, so a recorded constant
+    /// is the only reference left.
+    #[test]
+    fn duplicate_heavy_fits_are_pinned() {
+        // 37 vectors, unequal multiplicities, 2 170 rows: three row chunks.
+        let mut copies = vec![50usize; 37];
+        copies[0] = 400;
+        copies[36] = 20;
+        let heavy = duplicated(&copies, 3);
+        assert_eq!(heavy.rows(), 2170);
+        // Fewer distinct rows than `k`: k-means++ runs out of distance
+        // (`total <= 0.0`, the uniform draw), duplicate centroids leave
+        // clusters empty, and `farthest_point` re-seeds them — from
+        // rounding-sized distances, a mean of equal rows being a few ulps
+        // off the rows.
+        let starved = duplicated(&[50; 6], 2);
+        // Rows: seeds 1, 42, 0xDEAD_BEEF, each with `n_init` 1 then 4.
+        let heavy_pins = [
+            (0x178cdc33fa5c8e85, 0x40e0ccc57e899cb2, 5),
+            (0x13228210704857b8, 0x40de1a127d3245fd, 7),
+            (0xa36a87ed6fc0e61f, 0x40e00a8ae301c7b1, 6),
+            (0xa36a87ed6fc0e61f, 0x40e00a8ae301c7b1, 6),
+            (0x6d676f7bb8ac53bb, 0x40e0d270f36112b5, 3),
+            (0xab9ef51376b0d548, 0x40df7a30ddd5f2e7, 3),
+        ];
+        let starved_pins = [
+            (0x8769f5ccb00f98fb, 0x3a639c5000000000, 5),
+            (0x8769f5ccb00f98fb, 0x3a639c5000000000, 5),
+            (0x9e63fe17544bb78b, 0x3a639c5000000000, 5),
+            (0x9e63fe17544bb78b, 0x3a639c5000000000, 5),
+            (0xfd3745ce5a9333c7, 0x3a639c5000000000, 5),
+            (0xfd3745ce5a9333c7, 0x3a639c5000000000, 5),
+        ];
+        for (x, k, expected) in [(&heavy, 5, heavy_pins), (&starved, 8, starved_pins)] {
+            let mut got = Vec::new();
+            for seed in [1u64, 42, 0xDEAD_BEEF] {
+                for n_init in [1usize, 4] {
+                    let cfg = KMeansConfig::new(k).with_seed(seed).with_n_init(n_init);
+                    got.push(fit_pin(x, cfg));
+                }
+            }
+            assert_eq!(got, expected, "k = {k}: {got:#x?}");
+        }
+    }
+
     proptest! {
         #[test]
         fn prop_every_point_assigned_to_nearest_centroid(
