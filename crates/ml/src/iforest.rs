@@ -5,10 +5,17 @@
 //! a legitimate browser's feature values. This is the standard isolation
 //! forest: an ensemble of random isolation trees; anomalies are points with
 //! short average path lengths.
+//!
+//! Scoring a matrix walks the forest once per *distinct* row: a score is a
+//! pure function of the row, training windows are mostly repeated rows
+//! (coarse-grained fingerprints collide by design), and a leaf already
+//! holds the path length it credits. [`IsolationForest::score_row`] is the
+//! one traversal; [`IsolationForest::score_with_pool`] decides which rows
+//! it runs on.
 
 use crate::error::MlError;
-use crate::matrix::Matrix;
-use crate::pool::{ThreadPool, ROW_CHUNK};
+use crate::matrix::{Matrix, RowGroups};
+use crate::pool::ThreadPool;
 use rand::Rng;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -57,8 +64,20 @@ enum Node {
         left: usize,
         right: usize,
     },
-    /// Leaf holding `size` training points at depth `depth`.
-    Leaf { size: usize, depth: usize },
+    /// Leaf, holding the path length a row that ends here is credited:
+    /// the leaf's depth plus [`c_factor`] of the training points it holds
+    /// (an unbuilt subtree counts as the average BST search over them).
+    /// Computed once at build: `c_factor` is an `ln`, and a leaf is visited
+    /// once per row and tree.
+    Leaf { path_length: f64 },
+}
+
+impl Node {
+    fn leaf(size: usize, depth: usize) -> Self {
+        Node::Leaf {
+            path_length: depth as f64 + c_factor(size),
+        }
+    }
 }
 
 impl IsolationForest {
@@ -118,21 +137,20 @@ impl IsolationForest {
 
     /// Anomaly scores for every row of `x`.
     pub fn score(&self, x: &Matrix) -> Vec<f64> {
-        x.iter_rows().map(|r| self.score_row(r)).collect()
+        self.score_with_pool(x, &ThreadPool::serial())
     }
 
-    /// [`IsolationForest::score`] on a thread pool. Each row's score is
-    /// independent, so rows are chunked over fixed [`ROW_CHUNK`] ranges and
-    /// the output is bit-identical to the serial scan.
+    /// [`IsolationForest::score`] on a thread pool.
+    ///
+    /// A score is a pure function of one row, so the forest is walked
+    /// once per group of bit-identical rows — [`IsolationForest::score_row`]
+    /// on the group's first row, groups chunked over the pool — and every
+    /// row reads its group's score: the same bits as walking the forest
+    /// for each row, on any pool width.
     pub fn score_with_pool(&self, x: &Matrix, pool: &ThreadPool) -> Vec<f64> {
-        pool.run_chunks(x.rows(), ROW_CHUNK, |lo, hi| {
-            (lo..hi)
-                .map(|r| self.score_row(x.row(r)))
-                .collect::<Vec<f64>>()
-        })
-        .into_iter()
-        .flatten()
-        .collect()
+        let groups = RowGroups::of(x);
+        let scores = groups.map(pool, |row| self.score_row(row));
+        groups.group_of().iter().map(|&g| scores[g]).collect()
     }
 
     /// Returns the indices of the `contamination` fraction of rows with the
@@ -201,10 +219,7 @@ impl Tree {
         nodes: &mut Vec<Node>,
     ) -> usize {
         if indices.len() <= 1 || depth >= height_limit {
-            nodes.push(Node::Leaf {
-                size: indices.len(),
-                depth,
-            });
+            nodes.push(Node::leaf(indices.len(), depth));
             return nodes.len() - 1;
         }
         // Pick a random feature with spread; fall back to a leaf if every
@@ -226,10 +241,7 @@ impl Tree {
             }
         }
         let Some((feature, lo, hi)) = chosen else {
-            nodes.push(Node::Leaf {
-                size: indices.len(),
-                depth,
-            });
+            nodes.push(Node::leaf(indices.len(), depth));
             return nodes.len() - 1;
         };
         let value = rng.gen_range(lo..hi);
@@ -238,7 +250,7 @@ impl Tree {
 
         // Reserve our slot before recursing so children follow the parent.
         let slot = nodes.len();
-        nodes.push(Node::Leaf { size: 0, depth }); // placeholder
+        nodes.push(Node::Leaf { path_length: 0.0 }); // placeholder
         let left = Self::build_node(x, left_idx, depth + 1, height_limit, rng, nodes);
         let right = Self::build_node(x, right_idx, depth + 1, height_limit, rng, nodes);
         nodes[slot] = Node::Split {
@@ -266,11 +278,7 @@ impl Tree {
                         *right
                     };
                 }
-                Node::Leaf { size, depth } => {
-                    // Unbuilt subtrees are credited the average path length
-                    // of a BST over `size` points.
-                    return *depth as f64 + c_factor(*size);
-                }
+                Node::Leaf { path_length } => return *path_length,
             }
         }
     }

@@ -4,9 +4,23 @@
 //! of Squares (WCSS) against `k` (Figure 3) and the *relative* WCSS
 //! improvement (Figure 4), picking the `k` after which additional clusters
 //! stop paying for themselves. [`elbow_scan`] computes both series.
+//!
+//! ## Equal rows are searched once
+//!
+//! Training windows are mostly repeated rows (coarse-grained fingerprints
+//! collide by design), so a fit partitions its rows by bit-identical
+//! content once, shares the partition between restarts, and runs every
+//! *pure per-row function* — the k-means++ distance to the nearest chosen
+//! centroid, Lloyd's nearest-centroid search, the WCSS distance, the
+//! farthest-point search — once per group. Every *reduction over rows* —
+//! the k-means++ total and its sampling walk, the update step's sums and
+//! counts, the WCSS partials — still takes one operand per row, in row
+//! order, and only looks the operand up by group. Floating-point addition
+//! is not associative, so that is what keeps a fit the same bits whether
+//! no row repeats or all of them do.
 
 use crate::error::MlError;
-use crate::matrix::Matrix;
+use crate::matrix::{Matrix, RowGroups};
 use crate::pool::{ThreadPool, ROW_CHUNK};
 use rand::Rng;
 use rand::SeedableRng;
@@ -79,7 +93,7 @@ impl KMeans {
     ///
     /// Restarts are independently seeded (`seed + restart`), so with more
     /// than one restart the pool runs whole restarts in parallel; with a
-    /// single restart it parallelises the per-row assignment step inside
+    /// single restart it parallelises the per-group assignment step inside
     /// Lloyd's loop instead. Either way the result is bit-identical to
     /// the serial fit: per-restart RNG streams never interleave, and row
     /// reductions fold over fixed [`ROW_CHUNK`] boundaries in chunk
@@ -90,17 +104,18 @@ impl KMeans {
         pool: &ThreadPool,
     ) -> Result<Self, MlError> {
         validate(x, &config)?;
+        let groups = RowGroups::of(x);
         let runs: Vec<Result<KMeans, MlError>> = if config.n_init > 1 && !pool.is_serial() {
             pool.run(config.n_init, |restart| {
                 let mut rng = ChaCha8Rng::seed_from_u64(config.seed.wrapping_add(restart as u64));
-                Self::fit_once(x, &config, &mut rng, &ThreadPool::serial(), None)
+                Self::fit_once(&groups, &config, &mut rng, &ThreadPool::serial(), None)
             })
         } else {
             (0..config.n_init)
                 .map(|restart| {
                     let mut rng =
                         ChaCha8Rng::seed_from_u64(config.seed.wrapping_add(restart as u64));
-                    Self::fit_once(x, &config, &mut rng, pool, None)
+                    Self::fit_once(&groups, &config, &mut rng, pool, None)
                 })
                 .collect()
         };
@@ -119,12 +134,13 @@ impl KMeans {
     /// the property tests assert.
     pub fn fit_traced(x: &Matrix, config: KMeansConfig) -> Result<(Self, Vec<f64>), MlError> {
         validate(x, &config)?;
+        let groups = RowGroups::of(x);
         let pool = ThreadPool::serial();
         let mut best: Option<(KMeans, Vec<f64>)> = None;
         for restart in 0..config.n_init {
             let mut rng = ChaCha8Rng::seed_from_u64(config.seed.wrapping_add(restart as u64));
             let mut trace = Vec::new();
-            let run = Self::fit_once(x, &config, &mut rng, &pool, Some(&mut trace))?;
+            let run = Self::fit_once(&groups, &config, &mut rng, &pool, Some(&mut trace))?;
             if best.as_ref().is_none_or(|(b, _)| run.wcss < b.wcss) {
                 best = Some((run, trace));
             }
@@ -132,27 +148,30 @@ impl KMeans {
         Ok(best.expect("n_init >= 1 guarantees at least one run"))
     }
 
+    /// One k-means++-seeded run of Lloyd's algorithm over the rows
+    /// `groups` partitions (see the module docs for what is taken per
+    /// group and what per row).
     fn fit_once(
-        x: &Matrix,
+        groups: &RowGroups<'_>,
         config: &KMeansConfig,
         rng: &mut ChaCha8Rng,
         pool: &ThreadPool,
         mut trace: Option<&mut Vec<f64>>,
     ) -> Result<Self, MlError> {
-        let mut centroids = kmeans_pp_init(x, config.k, rng);
-        let n = x.rows();
-        let mut assignment = Vec::with_capacity(n);
+        let x = groups.matrix();
+        let mut centroids = kmeans_pp_init(groups, config.k, rng);
 
         let mut iterations = 0;
         for it in 0..config.max_iter {
             iterations = it + 1;
-            // Assignment step (parallel over fixed row chunks).
-            assign_rows(x, &centroids, pool, &mut assignment);
-            // Update step.
+            // Assignment step: one nearest-centroid search per group.
+            let nearest = groups.map(pool, |row| nearest_centroid(row, &centroids).0);
+            // Update step: a reduction, so every row adds itself, in row
+            // order, to the cluster its group was assigned.
             let mut sums = Matrix::zeros(config.k, x.cols())?;
             let mut counts = vec![0usize; config.k];
-            for (i, row) in x.iter_rows().enumerate() {
-                let c = assignment[i];
+            for (row, &g) in x.iter_rows().zip(groups.group_of()) {
+                let c = nearest[g];
                 counts[c] += 1;
                 for (s, &v) in sums.row_mut(c).iter_mut().zip(row) {
                     *s += v;
@@ -164,7 +183,7 @@ impl KMeans {
                 if counts[c] == 0 {
                     // Re-seed an empty cluster at the point farthest from
                     // its assigned centroid; keeps k populated clusters.
-                    let far = farthest_point(x, &centroids, &assignment);
+                    let far = farthest_point(groups, &centroids, &nearest);
                     let row = x.row(far).to_vec();
                     movement += Matrix::sq_dist(centroids.row(c), &row);
                     centroids.row_mut(c).copy_from_slice(&row);
@@ -178,14 +197,14 @@ impl KMeans {
                 movement += Matrix::sq_dist(&old, centroids.row(c));
             }
             if let Some(t) = trace.as_deref_mut() {
-                t.push(wcss_of(x, &centroids, pool));
+                t.push(wcss_of(groups, &centroids, pool));
             }
             if movement <= config.tol {
                 break;
             }
         }
 
-        let wcss = wcss_of(x, &centroids, pool);
+        let wcss = wcss_of(groups, &centroids, pool);
         Ok(KMeans {
             centroids,
             wcss,
@@ -357,29 +376,16 @@ fn validate(x: &Matrix, config: &KMeansConfig) -> Result<(), MlError> {
     Ok(())
 }
 
-/// Assigns every row to its nearest centroid, writing into `assignment`.
-/// Chunked over fixed [`ROW_CHUNK`] ranges so the serial and parallel
-/// schedules produce the same buffer.
-fn assign_rows(x: &Matrix, centroids: &Matrix, pool: &ThreadPool, assignment: &mut Vec<usize>) {
-    let parts = pool.run_chunks(x.rows(), ROW_CHUNK, |lo, hi| {
-        (lo..hi)
-            .map(|r| nearest_centroid(x.row(r), centroids).0)
-            .collect::<Vec<usize>>()
-    });
-    assignment.clear();
-    for part in parts {
-        assignment.extend_from_slice(&part);
-    }
-}
-
-/// Total squared distance from each row to its nearest centroid. Per-chunk
-/// partial sums fold in chunk order, so the float result is independent of
-/// the pool width.
-fn wcss_of(x: &Matrix, centroids: &Matrix, pool: &ThreadPool) -> f64 {
-    pool.run_chunks(x.rows(), ROW_CHUNK, |lo, hi| {
-        (lo..hi)
-            .map(|r| nearest_centroid(x.row(r), centroids).1)
-            .sum::<f64>()
+/// Total squared distance from each row to its nearest centroid. The
+/// distance is found once per group; the sum still takes one operand per
+/// row, in row order within fixed [`ROW_CHUNK`] ranges whose partials fold
+/// in chunk order, so the float result is independent of the pool width
+/// and of how many rows repeat.
+fn wcss_of(groups: &RowGroups<'_>, centroids: &Matrix, pool: &ThreadPool) -> f64 {
+    let nearest = groups.map(pool, |row| nearest_centroid(row, centroids).1);
+    let group_of = groups.group_of();
+    pool.run_chunks(group_of.len(), ROW_CHUNK, |lo, hi| {
+        group_of[lo..hi].iter().map(|&g| nearest[g]).sum::<f64>()
     })
     .into_iter()
     .sum()
@@ -396,12 +402,17 @@ fn nearest_centroid(row: &[f64], centroids: &Matrix) -> (usize, f64) {
     best
 }
 
-fn farthest_point(x: &Matrix, centroids: &Matrix, assignment: &[usize]) -> usize {
+/// The first row, in row order, farthest from the centroid it is assigned
+/// (`nearest`, per group). Rows of a group are equally far and groups are
+/// numbered by first row, so that is the first row of the first farthest
+/// group.
+fn farthest_point(groups: &RowGroups<'_>, centroids: &Matrix, nearest: &[usize]) -> usize {
+    let x = groups.matrix();
     let mut best = (0usize, -1.0f64);
-    for (i, row) in x.iter_rows().enumerate() {
-        let d = Matrix::sq_dist(row, centroids.row(assignment[i]));
+    for (&rep, &c) in groups.reps().iter().zip(nearest) {
+        let d = Matrix::sq_dist(x.row(rep), centroids.row(c));
         if d > best.1 {
-            best = (i, d);
+            best = (rep, d);
         }
     }
     best.0
@@ -409,27 +420,31 @@ fn farthest_point(x: &Matrix, centroids: &Matrix, assignment: &[usize]) -> usize
 
 /// k-means++ seeding: the first centroid is uniform, each subsequent one is
 /// sampled proportionally to the squared distance from the nearest centroid
-/// chosen so far.
-fn kmeans_pp_init(x: &Matrix, k: usize, rng: &mut ChaCha8Rng) -> Matrix {
+/// chosen so far. The distances are kept per group; the total and the
+/// sampling walk are reductions and visit every row.
+fn kmeans_pp_init(groups: &RowGroups<'_>, k: usize, rng: &mut ChaCha8Rng) -> Matrix {
+    let x = groups.matrix();
+    let (reps, group_of) = (groups.reps(), groups.group_of());
     let n = x.rows();
     let mut centroids = Matrix::zeros(k, x.cols()).expect("k >= 1, cols >= 1");
     let first = rng.gen_range(0..n);
     centroids.row_mut(0).copy_from_slice(x.row(first));
 
-    let mut dist: Vec<f64> = x
-        .iter_rows()
-        .map(|row| Matrix::sq_dist(row, centroids.row(0)))
+    let mut dist: Vec<f64> = reps
+        .iter()
+        .map(|&r| Matrix::sq_dist(x.row(r), centroids.row(0)))
         .collect();
 
     for c in 1..k {
-        let total: f64 = dist.iter().sum();
+        let total: f64 = group_of.iter().map(|&g| dist[g]).sum();
         let chosen = if total <= 0.0 {
             // All points coincide with existing centroids; pick uniformly.
             rng.gen_range(0..n)
         } else {
             let mut target = rng.gen::<f64>() * total;
             let mut idx = n - 1;
-            for (i, &d) in dist.iter().enumerate() {
+            for (i, &g) in group_of.iter().enumerate() {
+                let d = dist[g];
                 if target < d {
                     idx = i;
                     break;
@@ -439,10 +454,10 @@ fn kmeans_pp_init(x: &Matrix, k: usize, rng: &mut ChaCha8Rng) -> Matrix {
             idx
         };
         centroids.row_mut(c).copy_from_slice(x.row(chosen));
-        for (i, row) in x.iter_rows().enumerate() {
-            let d = Matrix::sq_dist(row, centroids.row(c));
-            if d < dist[i] {
-                dist[i] = d;
+        for (known, &r) in dist.iter_mut().zip(reps) {
+            let d = Matrix::sq_dist(x.row(r), centroids.row(c));
+            if d < *known {
+                *known = d;
             }
         }
     }
@@ -721,6 +736,43 @@ mod tests {
     }
 
     proptest! {
+        /// The per-group kernels against their definitions, one row at a
+        /// time, on matrices where nearly every row repeats another. The
+        /// window stays under one [`ROW_CHUNK`], so the WCSS definition is
+        /// a plain sum in row order.
+        #[test]
+        fn prop_grouped_kernels_equal_per_row_evaluation(
+            vectors in proptest::collection::vec(
+                proptest::collection::vec(-9.0f64..9.0, 2..3), 1..7),
+            picks in proptest::collection::vec(0usize..6, 2..200),
+            centres in proptest::collection::vec(-9.0f64..9.0, 6..7),
+        ) {
+            let rows: Vec<Vec<f64>> = picks
+                .iter()
+                .map(|&p| vectors[p % vectors.len()].clone())
+                .collect();
+            let x = Matrix::from_rows(&rows).unwrap();
+            let centroids = Matrix::from_vec(3, 2, centres).unwrap();
+            let groups = RowGroups::of(&x);
+            let pool = ThreadPool::serial();
+
+            let per_row: Vec<(usize, f64)> =
+                x.iter_rows().map(|row| nearest_centroid(row, &centroids)).collect();
+            let nearest = groups.map(&pool, |row| nearest_centroid(row, &centroids).0);
+            for (r, &g) in groups.group_of().iter().enumerate() {
+                prop_assert_eq!(nearest[g], per_row[r].0, "row {}", r);
+            }
+            let wcss: f64 = per_row.iter().map(|&(_, d)| d).sum();
+            prop_assert_eq!(wcss_of(&groups, &centroids, &pool).to_bits(), wcss.to_bits());
+            let mut far = (0usize, -1.0f64);
+            for (r, &(_, d)) in per_row.iter().enumerate() {
+                if d > far.1 {
+                    far = (r, d);
+                }
+            }
+            prop_assert_eq!(farthest_point(&groups, &centroids, &nearest), far.0);
+        }
+
         #[test]
         fn prop_every_point_assigned_to_nearest_centroid(
             seed in any::<u64>(), k in 1usize..5

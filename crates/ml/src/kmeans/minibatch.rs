@@ -19,7 +19,7 @@
 
 use super::{kmeans_pp_init, nearest_centroid, wcss_of, KMeans};
 use crate::error::MlError;
-use crate::matrix::Matrix;
+use crate::matrix::{Matrix, RowGroups};
 use crate::pool::{ThreadPool, ROW_CHUNK};
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
@@ -106,7 +106,7 @@ impl MiniBatchKMeans {
             });
         }
         let mut rng = ChaCha8Rng::seed_from_u64(config.seed);
-        let centroids = kmeans_pp_init(x, config.k, &mut rng);
+        let centroids = kmeans_pp_init(&RowGroups::of(x), config.k, &mut rng);
         Ok(Self {
             counts: vec![0; config.k],
             config,
@@ -222,7 +222,7 @@ impl MiniBatchKMeans {
                 what: "columns",
             });
         }
-        let wcss = wcss_of(x, &self.centroids, pool);
+        let wcss = wcss_of(&RowGroups::of(x), &self.centroids, pool);
         Ok(KMeans {
             wcss,
             iterations: self.epochs as usize,

@@ -8,6 +8,8 @@
 use crate::error::MlError;
 use crate::pool::{ThreadPool, ROW_CHUNK};
 use serde::{Deserialize, Serialize};
+use std::cmp::Ordering;
+use std::collections::BTreeMap;
 
 /// A dense, row-major matrix of `f64`.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -343,6 +345,110 @@ impl Matrix {
     }
 }
 
+/// The rows of a matrix partitioned by bit-identical content.
+///
+/// Coarse-grained fingerprints collide by design — a 205 000-session
+/// training window holds a few hundred distinct rows — so a kernel that
+/// evaluates a *pure function of one row* (a forest traversal, a
+/// nearest-centroid search) over the whole window evaluates it once per
+/// group ([`RowGroups::map`]) and lets every row read its group's value.
+///
+/// That is the only thing a group may be used for. A *reduction over
+/// rows* (a sum of distances, a centroid's mean, a sampling walk) keeps
+/// its row order and its operand count and merely looks each operand up
+/// by group: `n` additions of `v` and one `n × v` round differently, and
+/// the fitted model is pinned byte for byte (`tests/fit_bytes.rs`).
+///
+/// Identity is [`f64::to_bits`], never `==`: `0.0` and `-0.0` compare
+/// equal yet `1.0 / x` tells them apart, and a NaN equals nothing, itself
+/// included. The pass is deterministic and seedless (an ordered map, no
+/// hasher): group `g` is the `g`-th distinct row in row order.
+#[derive(Debug)]
+pub(crate) struct RowGroups<'a> {
+    x: &'a Matrix,
+    /// First row of each group, so strictly ascending.
+    reps: Vec<usize>,
+    /// Group of every row: `group_of[reps[g]] == g`.
+    group_of: Vec<usize>,
+}
+
+/// A row ordered by the bits of its values, lexicographically.
+struct RowBits<'a>(&'a [f64]);
+
+impl Ord for RowBits<'_> {
+    fn cmp(&self, other: &Self) -> Ordering {
+        let bits = |v: &f64| v.to_bits();
+        self.0.iter().map(bits).cmp(other.0.iter().map(bits))
+    }
+}
+
+impl PartialOrd for RowBits<'_> {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl PartialEq for RowBits<'_> {
+    fn eq(&self, other: &Self) -> bool {
+        self.cmp(other) == Ordering::Equal
+    }
+}
+
+impl Eq for RowBits<'_> {}
+
+impl<'a> RowGroups<'a> {
+    /// Partitions the rows of `x` in one pass over them.
+    pub(crate) fn of(x: &'a Matrix) -> Self {
+        let mut ids: BTreeMap<RowBits<'a>, usize> = BTreeMap::new();
+        let mut reps = Vec::new();
+        let group_of = x
+            .iter_rows()
+            .enumerate()
+            .map(|(r, row)| {
+                *ids.entry(RowBits(row)).or_insert_with(|| {
+                    reps.push(r);
+                    reps.len() - 1
+                })
+            })
+            .collect();
+        Self { x, reps, group_of }
+    }
+
+    /// The partitioned matrix.
+    pub(crate) fn matrix(&self) -> &'a Matrix {
+        self.x
+    }
+
+    /// First row of each group, ascending.
+    pub(crate) fn reps(&self) -> &[usize] {
+        &self.reps
+    }
+
+    /// Group of every row.
+    pub(crate) fn group_of(&self) -> &[usize] {
+        &self.group_of
+    }
+
+    /// Evaluates `f` on one row of each group and returns the values in
+    /// group order. Groups are chunked over fixed [`ROW_CHUNK`] ranges, so
+    /// a pure `f` gives the same vector on any pool width.
+    pub(crate) fn map<T, F>(&self, pool: &ThreadPool, f: F) -> Vec<T>
+    where
+        T: Send,
+        F: Fn(&[f64]) -> T + Sync,
+    {
+        pool.run_chunks(self.reps.len(), ROW_CHUNK, |lo, hi| {
+            self.reps[lo..hi]
+                .iter()
+                .map(|&r| f(self.x.row(r)))
+                .collect::<Vec<T>>()
+        })
+        .into_iter()
+        .flatten()
+        .collect()
+    }
+}
+
 impl std::ops::Index<(usize, usize)> for Matrix {
     type Output = f64;
     #[inline]
@@ -511,7 +617,111 @@ mod tests {
         assert!(a.pairwise_sq_dists(&bad, &ThreadPool::serial()).is_err());
     }
 
+    /// The invariants every `RowGroups` must satisfy, whatever the input.
+    fn assert_well_formed(g: &RowGroups<'_>) {
+        let x = g.matrix();
+        assert_eq!(g.group_of().len(), x.rows());
+        assert!(g.reps().windows(2).all(|w| w[0] < w[1]), "{:?}", g.reps());
+        for (id, &rep) in g.reps().iter().enumerate() {
+            assert_eq!(g.group_of()[rep], id);
+            // The representative is the group's first row.
+            assert_eq!(g.group_of().iter().position(|&o| o == id), Some(rep));
+        }
+        let bits = |r: usize| x.row(r).iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        for (r, &id) in g.group_of().iter().enumerate() {
+            assert_eq!(bits(r), bits(g.reps()[id]), "row {r}");
+        }
+    }
+
+    #[test]
+    fn row_groups_number_distinct_rows_by_first_occurrence() {
+        let (a, b, c): (&[f64], &[f64], &[f64]) = (&[1.0, 2.0], &[1.0, 3.0], &[0.5, 2.0]);
+        let x = m(&[a, b, a, c, b, a]);
+        let g = RowGroups::of(&x);
+        assert_eq!(g.reps(), &[0, 1, 3]);
+        assert_eq!(g.group_of(), &[0, 1, 0, 2, 1, 0]);
+        assert_well_formed(&g);
+    }
+
+    #[test]
+    fn row_groups_of_equal_rows_and_of_distinct_rows() {
+        let same = Matrix::from_rows(&vec![vec![4.0, 4.0]; 7]).unwrap();
+        let g = RowGroups::of(&same);
+        assert_eq!(g.reps(), &[0]);
+        assert_eq!(g.group_of(), &[0; 7]);
+
+        // The first column agrees everywhere: the order looks past it.
+        let rows: Vec<Vec<f64>> = (0..40).map(|i| vec![9.0, ((i * 7) % 40) as f64]).collect();
+        let distinct = Matrix::from_rows(&rows).unwrap();
+        let g = RowGroups::of(&distinct);
+        assert_eq!(g.reps(), (0..40).collect::<Vec<_>>());
+        assert_eq!(g.group_of(), (0..40).collect::<Vec<_>>());
+        assert_well_formed(&g);
+    }
+
+    #[test]
+    fn row_groups_compare_bits_not_values() {
+        // `0.0 == -0.0`, and a NaN equals nothing, itself included: value
+        // equality would merge the first pair and never group a NaN.
+        let nan_a = f64::from_bits(0x7ff8_0000_0000_0001);
+        let nan_b = f64::from_bits(0x7ff8_0000_0000_0002);
+        let x = m(&[&[0.0], &[-0.0], &[nan_a], &[nan_b], &[nan_a], &[-0.0]]);
+        let g = RowGroups::of(&x);
+        assert_eq!(g.reps(), &[0, 1, 2, 3]);
+        assert_eq!(g.group_of(), &[0, 1, 2, 3, 2, 1]);
+        assert_well_formed(&g);
+    }
+
+    #[test]
+    fn row_groups_map_visits_one_row_per_group_on_any_pool() {
+        // More groups than one ROW_CHUNK, each row twice.
+        let n = ROW_CHUNK + 50;
+        let rows: Vec<Vec<f64>> = (0..2 * n).map(|i| vec![(i % n) as f64, 1.0]).collect();
+        let x = Matrix::from_rows(&rows).unwrap();
+        let g = RowGroups::of(&x);
+        let expected: Vec<f64> = (0..n).map(|i| i as f64 + 1.0).collect();
+        for threads in [1, 4] {
+            let got = g.map(&ThreadPool::new(threads), |row| row[0] + row[1]);
+            assert_eq!(got, expected, "{threads} threads");
+        }
+    }
+
     proptest! {
+        #[test]
+        fn prop_row_groups_partition_survives_row_permutation(
+            vectors in proptest::collection::vec(
+                proptest::collection::vec(-4.0f64..4.0, 2..3), 1..7),
+            picks in proptest::collection::vec(0usize..6, 1..60),
+            keys in proptest::collection::vec(any::<u64>(), 60..61),
+        ) {
+            let rows: Vec<Vec<f64>> = picks
+                .iter()
+                .map(|&p| vectors[p % vectors.len()].clone())
+                .collect();
+            // `perm[i]` is the original row that lands at position `i`.
+            let mut perm: Vec<usize> = (0..rows.len()).collect();
+            perm.sort_by_key(|&i| keys[i]);
+            let permuted: Vec<Vec<f64>> = perm.iter().map(|&i| rows[i].clone()).collect();
+            let (x, y) = (
+                Matrix::from_rows(&rows).unwrap(),
+                Matrix::from_rows(&permuted).unwrap(),
+            );
+            let (gx, gy) = (RowGroups::of(&x), RowGroups::of(&y));
+            assert_well_formed(&gx);
+            assert_well_formed(&gy);
+            // Same partition: the sets of original rows, as a sorted list.
+            let members = |g: &RowGroups<'_>, original: &dyn Fn(usize) -> usize| {
+                let mut sets = vec![Vec::new(); g.reps().len()];
+                for (r, &id) in g.group_of().iter().enumerate() {
+                    sets[id].push(original(r));
+                }
+                sets.iter_mut().for_each(|s| s.sort_unstable());
+                sets.sort();
+                sets
+            };
+            prop_assert_eq!(members(&gx, &|r| r), members(&gy, &|r| perm[r]));
+        }
+
         #[test]
         fn prop_transpose_twice_is_identity(
             rows in 1usize..8, cols in 1usize..8, seed in any::<u64>()
