@@ -261,6 +261,7 @@ impl TrainedModel {
             );
         }
         let scaled = scaler.transform(&raw)?;
+        drop(raw);
         scale_span.finish();
 
         let outlier_span = registry.span(fit_metric_names::OUTLIER_MICROS);
@@ -276,8 +277,15 @@ impl TrainedModel {
         let outlier_idx = forest.outlier_indices_with_pool(&scaled, config.contamination, pool)?;
         let outliers_removed = outlier_idx.len();
         let is_outlier: BTreeSet<usize> = outlier_idx.into_iter().collect();
-        let kept = data.filtered(|i| !is_outlier.contains(&i));
+        let kept_uas: Vec<UserAgent> = data
+            .user_agents()
+            .iter()
+            .enumerate()
+            .filter(|(i, _)| !is_outlier.contains(i))
+            .map(|(_, ua)| *ua)
+            .collect();
         let kept_scaled = scaled.filter_rows(|i| !is_outlier.contains(&i))?;
+        drop(scaled);
         outlier_span.finish();
 
         // 6.4.2: PCA.
@@ -305,8 +313,8 @@ impl TrainedModel {
             &scaler,
             &pca,
             &kmeans,
-            &kept,
-            data,
+            &kept_uas,
+            data.user_agents(),
             &assignments,
             &config,
         )?;
@@ -363,8 +371,8 @@ impl TrainedModel {
             &self.scaler,
             &self.pca,
             &kmeans,
-            data,
-            data,
+            data.user_agents(),
+            data.user_agents(),
             &assignments,
             &self.config,
         )?;
@@ -507,21 +515,22 @@ fn check_window(data: &TrainingSet, width: usize, k: usize) -> Result<(), Polygr
 /// manual alignments — sparse user-agents predicted from a genuine lab
 /// fingerprint instead of a thin majority, and user-agents that vanished
 /// from `kept` entirely (every session dropped as an outlier) aligned
-/// from the lab instance too.
+/// from the lab instance too. `kept` is parallel to `assignments`;
+/// `observed` is every user-agent of the window, outliers included.
 #[allow(clippy::too_many_arguments)] // the fitted stages travel together
 fn build_cluster_table(
     feature_set: &FeatureSet,
     scaler: &StandardScaler,
     pca: &Pca,
     kmeans: &KMeans,
-    kept: &TrainingSet,
-    observed: &TrainingSet,
+    kept: &[UserAgent],
+    observed: &[UserAgent],
     assignments: &[usize],
     config: &TrainConfig,
 ) -> Result<(ClusterTable, f64), PolygraphError> {
-    let accuracy = majority_cluster_accuracy(kept.user_agents(), assignments)?;
+    let accuracy = majority_cluster_accuracy(kept, assignments)?;
     let mut counts: BTreeMap<UserAgent, usize> = BTreeMap::new();
-    for ua in kept.user_agents() {
+    for ua in kept {
         *counts.entry(*ua).or_default() += 1;
     }
     let mut entries: Vec<(UserAgent, usize)> = Vec::new();
@@ -536,7 +545,7 @@ fn build_cluster_table(
     }
     if config.lab_alignment {
         let seen: BTreeSet<UserAgent> = entries.iter().map(|(ua, _)| *ua).collect();
-        let mut observed_uas: Vec<UserAgent> = observed.user_agents().to_vec();
+        let mut observed_uas: Vec<UserAgent> = observed.to_vec();
         observed_uas.sort();
         observed_uas.dedup();
         for ua in observed_uas {

@@ -300,15 +300,16 @@ impl Matrix {
     }
 
     /// Returns a new matrix keeping only the rows whose index satisfies
-    /// `keep`.
+    /// `keep`; [`MlError::EmptyInput`] if none does.
     pub fn filter_rows(&self, keep: impl Fn(usize) -> bool) -> Result<Matrix, MlError> {
-        let rows: Vec<Vec<f64>> = self
-            .iter_rows()
-            .enumerate()
-            .filter(|(i, _)| keep(*i))
-            .map(|(_, r)| r.to_vec())
-            .collect();
-        Matrix::from_rows(&rows)
+        let mut data = Vec::with_capacity(self.data.len());
+        for (i, row) in self.iter_rows().enumerate() {
+            if keep(i) {
+                data.extend_from_slice(row);
+            }
+        }
+        data.shrink_to_fit();
+        Matrix::from_vec(data.len() / self.cols, self.cols, data)
     }
 
     /// Returns a new matrix keeping only the listed columns, in order.
@@ -572,6 +573,8 @@ mod tests {
         let a = m(&[&[1.0], &[2.0], &[3.0]]);
         let f = a.filter_rows(|i| i != 1).unwrap();
         assert_eq!(f, m(&[&[1.0], &[3.0]]));
+        assert_eq!(a.filter_rows(|_| true).unwrap(), a);
+        assert_eq!(a.filter_rows(|_| false), Err(MlError::EmptyInput));
     }
 
     #[test]
