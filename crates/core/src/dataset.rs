@@ -98,6 +98,20 @@ impl TrainingSet {
         uas.len()
     }
 
+    /// Number of distinct feature rows, compared by bit pattern — what a
+    /// full fit evaluates its per-row kernels on. Coarse-grained
+    /// fingerprints collide by design: the paper-scale window of 205 000
+    /// simulated sessions holds a few hundred.
+    pub fn distinct_rows(&self) -> usize {
+        fn bits(row: &[f64]) -> impl Iterator<Item = u64> + '_ {
+            row.iter().map(|v| v.to_bits())
+        }
+        let mut rows: Vec<&[f64]> = self.rows.iter().map(Vec::as_slice).collect();
+        rows.sort_unstable_by(|a, b| bits(a).cmp(bits(b)));
+        rows.dedup_by(|a, b| bits(a).eq(bits(b)));
+        rows.len()
+    }
+
     /// The features as a matrix.
     pub fn to_matrix(&self) -> Result<Matrix, PolygraphError> {
         Matrix::from_rows(&self.rows).map_err(Into::into)
@@ -159,6 +173,24 @@ mod tests {
         )
         .unwrap();
         assert_eq!(set.distinct_user_agents(), 2);
+    }
+
+    #[test]
+    fn distinct_rows_counts_bit_patterns() {
+        let set = TrainingSet::from_rows(
+            vec![
+                vec![1.0, 2.0],
+                vec![1.0, 3.0],
+                vec![1.0, 2.0],
+                vec![0.0, 2.0],
+                vec![-0.0, 2.0],
+                vec![1.0, 3.0],
+            ],
+            vec![ua(100); 6],
+        )
+        .unwrap();
+        // Two pairs repeat; `0.0` and `-0.0` are equal values, not equal rows.
+        assert_eq!(set.distinct_rows(), 4);
     }
 
     #[test]

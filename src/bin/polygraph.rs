@@ -8,14 +8,19 @@
 //! polygraph serve   --registry DIR [--addr HOST:PORT] [--backend threaded|reactor]
 //! ```
 //!
-//! `train` fits a model on simulated traffic and publishes it to the
-//! registry; `table` prints the model's Table 3; `assess` runs Algorithm 1
+//! `train` fits a model on simulated traffic, prints what the window held
+//! (sessions, user-agents, distinct fingerprint rows) and where the fit's
+//! time went (the five `fit.*_micros` stages), and publishes the model to
+//! the registry; `table` prints the model's Table 3; `assess` runs Algorithm 1
 //! on one fingerprint; `drift` replays the late-2023 drift window against
 //! the registered model; `serve` starts the TCP risk service.
 
+use browser_polygraph::core::train::fit_metric_names;
 use browser_polygraph::core::{Detector, DriftDetector, TrainConfig, TrainedModel, TrainingSet};
 use browser_polygraph::engine::{UserAgent, Vendor};
 use browser_polygraph::fingerprint::FeatureSet;
+use browser_polygraph::ml::ThreadPool;
+use browser_polygraph::obs::Registry;
 use browser_polygraph::service::{ModelRegistry, RiskPolicy, Verdict};
 use browser_polygraph::traffic::{generate, TrafficConfig};
 use std::collections::HashMap;
@@ -120,14 +125,38 @@ fn cmd_train(opts: &Opts) -> Result<(), String> {
     let data = generate(&features, &base.with_seed(seed));
     let (rows, uas) = data.rows_and_user_agents();
     let training = TrainingSet::from_rows(rows, uas).map_err(|e| e.to_string())?;
+    println!(
+        "window: {} sessions, {} user-agents, {} distinct fingerprint rows",
+        training.len(),
+        training.distinct_user_agents(),
+        training.distinct_rows()
+    );
     eprintln!("training (scale -> outliers -> PCA(7) -> k-means(11)) ...");
-    let model = TrainedModel::fit(features, &training, TrainConfig::default())
-        .map_err(|e| e.to_string())?;
+    let timings = Registry::monotonic();
+    let model = TrainedModel::fit_observed(
+        features,
+        &training,
+        TrainConfig::default(),
+        &ThreadPool::serial(),
+        &timings,
+    )
+    .map_err(|e| e.to_string())?;
     println!(
         "accuracy {:.2}%, {} outliers removed, {} user-agents",
         model.train_accuracy() * 100.0,
         model.outliers_removed(),
         model.cluster_table().entries().len()
+    );
+    let histograms = timings.snapshot().histograms;
+    let ms = |name: &str| histograms.get(name).map_or(0.0, |h| h.sum as f64 / 1e3);
+    println!(
+        "fit {:.1} ms: scale {:.1}, outliers {:.1}, pca {:.1}, k-means {:.1}, table {:.1}",
+        ms(fit_metric_names::TOTAL_MICROS),
+        ms(fit_metric_names::SCALE_MICROS),
+        ms(fit_metric_names::OUTLIER_MICROS),
+        ms(fit_metric_names::PCA_MICROS),
+        ms(fit_metric_names::KMEANS_MICROS),
+        ms(fit_metric_names::TABLE_MICROS),
     );
     let version = registry.publish(&model).map_err(|e| e.to_string())?;
     println!("published model v{version} to {}", registry.dir().display());
