@@ -364,7 +364,6 @@ impl Matrix {
 /// equal yet `1.0 / x` tells them apart, and a NaN equals nothing, itself
 /// included. The pass is deterministic and seedless (an ordered map, no
 /// hasher): group `g` is the `g`-th distinct row in row order.
-#[derive(Debug)]
 pub(crate) struct RowGroups<'a> {
     x: &'a Matrix,
     /// First row of each group, so strictly ascending.
