@@ -20,11 +20,19 @@
 //! rows in the 20 500 fitted here. The `polygraph-ml` unit tests
 //! `duplicate_heavy_fits_are_pinned` and
 //! `grouped_scores_equal_per_row_scores` pin the two kernels on their own.
+//!
+//! The streaming side is pinned the same way. `refit_streaming` carries
+//! one row partition through its stages and `DriftStream::ingest`
+//! predicts through a fused loop; the candidate each full-fit model
+//! refits on a 5 000-session drift window, and the checkpoint a stream
+//! returns after ingesting that window, were recorded from the row-wise
+//! bodies (the commit before either changed) and hold both.
 
-use browser_polygraph::core::{TrainConfig, TrainedModel, TrainingSet};
+use browser_polygraph::core::{DriftStream, TrainConfig, TrainedModel, TrainingSet};
 use browser_polygraph::fingerprint::{fnv1a64, FeatureSet};
 use browser_polygraph::ml::ThreadPool;
 use browser_polygraph::traffic::{generate, TrafficConfig};
+use std::collections::BTreeSet;
 
 /// Sessions per fit: a tenth of the paper's window, so the four fits
 /// stay a few seconds in a debug build.
@@ -37,15 +45,38 @@ const PINS: [(u64, u64); 2] = [
     (7001, 0x2b39_b6ac_e10c_d8a1),
 ];
 
+/// Sessions in the drift window the streaming pins run on.
+const DRIFT_SESSIONS: usize = 5_000;
+
+/// `(traffic seed, fnv1a64 of the pretty-printed streaming candidate,
+/// fnv1a64 of the rendered checkpoint)`: the candidate is
+/// `refit_streaming(.., 4, pool)` from the seed's full-fit model on a
+/// `TrafficConfig::drift_window()` of [`DRIFT_SESSIONS`] sessions at
+/// `seed + 2`; the checkpoint is what a [`DriftStream`] returns for every
+/// release of that window after ingesting it, one
+/// `release cluster accuracy-bits sessions` line per observation.
+const STREAMING_PINS: [(u64, u64, u64); 2] = [
+    (1_582_633_077, 0x40c1_d1a0_10f5_b6ca, 0x25c9_83a5_e2ae_2e5a),
+    (7001, 0xd937_8ad7_3879_74a4, 0x6015_27dd_7c87_67e3),
+];
+
+fn training_window(features: &FeatureSet, seed: u64) -> TrainingSet {
+    let traffic = TrafficConfig::paper_training()
+        .with_sessions(SESSIONS)
+        .with_seed(seed);
+    let (rows, uas) = generate(features, &traffic).rows_and_user_agents();
+    TrainingSet::from_rows(rows, uas).expect("well-formed")
+}
+
+fn model_hash(model: &TrainedModel) -> u64 {
+    fnv1a64(&serde_json::to_vec_pretty(model).expect("model serialises"))
+}
+
 #[test]
 fn fitted_model_bytes_match_the_recorded_constants() {
     let features = FeatureSet::table8();
     for (seed, pinned) in PINS {
-        let traffic = TrafficConfig::paper_training()
-            .with_sessions(SESSIONS)
-            .with_seed(seed);
-        let (rows, uas) = generate(&features, &traffic).rows_and_user_agents();
-        let training = TrainingSet::from_rows(rows, uas).expect("well-formed");
+        let training = training_window(&features, seed);
         for pool in [ThreadPool::serial(), ThreadPool::new(2)] {
             let model = TrainedModel::fit_with_pool(
                 features.clone(),
@@ -54,13 +85,71 @@ fn fitted_model_bytes_match_the_recorded_constants() {
                 &pool,
             )
             .expect("fit");
-            let bytes = serde_json::to_vec_pretty(&model).expect("model serialises");
             assert_eq!(
-                fnv1a64(&bytes),
+                model_hash(&model),
                 pinned,
                 "model bytes moved: traffic seed {seed}, {} thread(s)",
                 pool.threads()
             );
         }
+    }
+}
+
+#[test]
+fn streaming_candidate_and_checkpoint_match_the_recorded_constants() {
+    let features = FeatureSet::table8();
+    for (seed, pinned_refit, pinned_checkpoint) in STREAMING_PINS {
+        let model = TrainedModel::fit(
+            features.clone(),
+            &training_window(&features, seed),
+            TrainConfig::default(),
+        )
+        .expect("fit");
+        let traffic = TrafficConfig::drift_window()
+            .with_sessions(DRIFT_SESSIONS)
+            .with_seed(seed + 2);
+        let (rows, uas) = generate(&features, &traffic).rows_and_user_agents();
+        let window = TrainingSet::from_rows(rows, uas).expect("well-formed");
+
+        for pool in [ThreadPool::serial(), ThreadPool::new(2)] {
+            let candidate = model.refit_streaming(&window, 4, &pool).expect("refit");
+            assert_eq!(
+                model_hash(&candidate),
+                pinned_refit,
+                "candidate bytes moved: traffic seed {seed}, {} thread(s)",
+                pool.threads()
+            );
+        }
+
+        let mut stream =
+            DriftStream::new(window.len(), window.width(), seed).expect("reservoir of the window");
+        for (row, &claimed) in window.rows().iter().zip(window.user_agents()) {
+            stream.ingest(&model, row, claimed).expect("row ingests");
+        }
+        let releases: Vec<_> = window
+            .user_agents()
+            .iter()
+            .copied()
+            .collect::<BTreeSet<_>>()
+            .into_iter()
+            .collect();
+        let (observations, _) = stream.checkpoint(&model, &releases).expect("checkpoint");
+        let rendered: String = observations
+            .iter()
+            .map(|o| {
+                format!(
+                    "{} {} {:#018x} {}\n",
+                    o.release.label(),
+                    o.cluster,
+                    o.accuracy.to_bits(),
+                    o.sessions
+                )
+            })
+            .collect();
+        assert_eq!(
+            fnv1a64(rendered.as_bytes()),
+            pinned_checkpoint,
+            "checkpoint moved: traffic seed {seed}\n{rendered}"
+        );
     }
 }
