@@ -152,13 +152,13 @@ impl KMeans {
     /// `groups` partitions (see the module docs for what is taken per
     /// group and what per row).
     fn fit_once(
-        groups: &RowGroups<'_>,
+        groups: &RowGroups,
         config: &KMeansConfig,
         rng: &mut ChaCha8Rng,
         pool: &ThreadPool,
         mut trace: Option<&mut Vec<f64>>,
     ) -> Result<Self, MlError> {
-        let x = groups.matrix();
+        let distinct = groups.distinct();
         let mut centroids = kmeans_pp_init(groups, config.k, rng);
 
         let mut iterations = 0;
@@ -168,12 +168,12 @@ impl KMeans {
             let nearest = groups.map(pool, |row| nearest_centroid(row, &centroids).0);
             // Update step: a reduction, so every row adds itself, in row
             // order, to the cluster its group was assigned.
-            let mut sums = Matrix::zeros(config.k, x.cols())?;
+            let mut sums = Matrix::zeros(config.k, distinct.cols())?;
             let mut counts = vec![0usize; config.k];
-            for (row, &g) in x.iter_rows().zip(groups.group_of()) {
+            for &g in groups.group_of() {
                 let c = nearest[g];
                 counts[c] += 1;
-                for (s, &v) in sums.row_mut(c).iter_mut().zip(row) {
+                for (s, &v) in sums.row_mut(c).iter_mut().zip(distinct.row(g)) {
                     *s += v;
                 }
             }
@@ -183,10 +183,9 @@ impl KMeans {
                 if counts[c] == 0 {
                     // Re-seed an empty cluster at the point farthest from
                     // its assigned centroid; keeps k populated clusters.
-                    let far = farthest_point(groups, &centroids, &nearest);
-                    let row = x.row(far).to_vec();
-                    movement += Matrix::sq_dist(centroids.row(c), &row);
-                    centroids.row_mut(c).copy_from_slice(&row);
+                    let row = farthest_point(groups, &centroids, &nearest);
+                    movement += Matrix::sq_dist(centroids.row(c), row);
+                    centroids.row_mut(c).copy_from_slice(row);
                     continue;
                 }
                 let inv = 1.0 / counts[c] as f64;
@@ -381,7 +380,7 @@ fn validate(x: &Matrix, config: &KMeansConfig) -> Result<(), MlError> {
 /// row, in row order within fixed [`ROW_CHUNK`] ranges whose partials fold
 /// in chunk order, so the float result is independent of the pool width
 /// and of how many rows repeat.
-fn wcss_of(groups: &RowGroups<'_>, centroids: &Matrix, pool: &ThreadPool) -> f64 {
+fn wcss_of(groups: &RowGroups, centroids: &Matrix, pool: &ThreadPool) -> f64 {
     let nearest = groups.map(pool, |row| nearest_centroid(row, centroids).1);
     let group_of = groups.group_of();
     pool.run_chunks(group_of.len(), ROW_CHUNK, |lo, hi| {
@@ -404,15 +403,14 @@ fn nearest_centroid(row: &[f64], centroids: &Matrix) -> (usize, f64) {
 
 /// The first row, in row order, farthest from the centroid it is assigned
 /// (`nearest`, per group). Rows of a group are equally far and groups are
-/// numbered by first row, so that is the first row of the first farthest
-/// group.
-fn farthest_point(groups: &RowGroups<'_>, centroids: &Matrix, nearest: &[usize]) -> usize {
-    let x = groups.matrix();
-    let mut best = (0usize, -1.0f64);
-    for (&rep, &c) in groups.reps().iter().zip(nearest) {
-        let d = Matrix::sq_dist(x.row(rep), centroids.row(c));
+/// numbered by first row, so that is the row of the first farthest group.
+fn farthest_point<'a>(groups: &'a RowGroups, centroids: &Matrix, nearest: &[usize]) -> &'a [f64] {
+    let distinct = groups.distinct();
+    let mut best = (distinct.row(0), -1.0f64);
+    for (row, &c) in distinct.iter_rows().zip(nearest) {
+        let d = Matrix::sq_dist(row, centroids.row(c));
         if d > best.1 {
-            best = (rep, d);
+            best = (row, d);
         }
     }
     best.0
@@ -422,17 +420,16 @@ fn farthest_point(groups: &RowGroups<'_>, centroids: &Matrix, nearest: &[usize])
 /// sampled proportionally to the squared distance from the nearest centroid
 /// chosen so far. The distances are kept per group; the total and the
 /// sampling walk are reductions and visit every row.
-fn kmeans_pp_init(groups: &RowGroups<'_>, k: usize, rng: &mut ChaCha8Rng) -> Matrix {
-    let x = groups.matrix();
-    let (reps, group_of) = (groups.reps(), groups.group_of());
-    let n = x.rows();
-    let mut centroids = Matrix::zeros(k, x.cols()).expect("k >= 1, cols >= 1");
+fn kmeans_pp_init(groups: &RowGroups, k: usize, rng: &mut ChaCha8Rng) -> Matrix {
+    let (distinct, group_of) = (groups.distinct(), groups.group_of());
+    let n = groups.rows();
+    let mut centroids = Matrix::zeros(k, distinct.cols()).expect("k >= 1, cols >= 1");
     let first = rng.gen_range(0..n);
-    centroids.row_mut(0).copy_from_slice(x.row(first));
+    centroids.row_mut(0).copy_from_slice(groups.row(first));
 
-    let mut dist: Vec<f64> = reps
-        .iter()
-        .map(|&r| Matrix::sq_dist(x.row(r), centroids.row(0)))
+    let mut dist: Vec<f64> = distinct
+        .iter_rows()
+        .map(|row| Matrix::sq_dist(row, centroids.row(0)))
         .collect();
 
     for c in 1..k {
@@ -453,9 +450,9 @@ fn kmeans_pp_init(groups: &RowGroups<'_>, k: usize, rng: &mut ChaCha8Rng) -> Mat
             }
             idx
         };
-        centroids.row_mut(c).copy_from_slice(x.row(chosen));
-        for (known, &r) in dist.iter_mut().zip(reps) {
-            let d = Matrix::sq_dist(x.row(r), centroids.row(c));
+        centroids.row_mut(c).copy_from_slice(groups.row(chosen));
+        for (known, row) in dist.iter_mut().zip(distinct.iter_rows()) {
+            let d = Matrix::sq_dist(row, centroids.row(c));
             if d < *known {
                 *known = d;
             }
@@ -770,7 +767,11 @@ mod tests {
                     far = (r, d);
                 }
             }
-            prop_assert_eq!(farthest_point(&groups, &centroids, &nearest), far.0);
+            let bits = |row: &[f64]| row.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            prop_assert_eq!(
+                bits(farthest_point(&groups, &centroids, &nearest)),
+                bits(x.row(far.0))
+            );
         }
 
         #[test]

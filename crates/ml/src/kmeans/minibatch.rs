@@ -16,6 +16,16 @@
 //! frozen-centroid assignment runs on the pool (in fixed
 //! [`ROW_CHUNK`]-order), while the stateful centroid updates always
 //! apply sequentially in batch order.
+//!
+//! An epoch runs on a [`RowGroups`] partition of its window
+//! ([`MiniBatchKMeans::step_grouped`]; the matrix entry points partition
+//! and delegate). The assignment is a pure function of one row under the
+//! batch's frozen centroids, so a batch searches once per group *present
+//! in it*; the grouping is per batch because the centroids move between
+//! batches. The updates are an order-dependent reduction — every row
+//! moves its centroid by a learning rate that row itself lowered — so
+//! they still take one step per row, in the permutation's order, and only
+//! read the row through its group.
 
 use super::{kmeans_pp_init, nearest_centroid, wcss_of, KMeans};
 use crate::error::MlError;
@@ -151,14 +161,26 @@ impl MiniBatchKMeans {
     /// fixed [`ROW_CHUNK`] boundaries in chunk order, and the centroid
     /// updates always apply sequentially in batch order.
     pub fn step_with_pool(&mut self, x: &Matrix, pool: &ThreadPool) -> Result<usize, MlError> {
-        if x.cols() != self.centroids.cols() {
+        self.step_grouped(&RowGroups::of(x), pool)
+    }
+
+    /// One epoch over an already partitioned window — the body every
+    /// `step*` runs; same centroids and counts, bit for bit, as visiting
+    /// the window row by row.
+    pub fn step_grouped(
+        &mut self,
+        groups: &RowGroups,
+        pool: &ThreadPool,
+    ) -> Result<usize, MlError> {
+        let (distinct, group_of) = (groups.distinct(), groups.group_of());
+        if distinct.cols() != self.centroids.cols() {
             return Err(MlError::DimensionMismatch {
-                got: x.cols(),
+                got: distinct.cols(),
                 expected: self.centroids.cols(),
                 what: "columns",
             });
         }
-        if x.rows() == 0 {
+        if group_of.is_empty() {
             return Err(MlError::InvalidParameter {
                 name: "rows",
                 reason: "mini-batch epoch needs at least one sample".into(),
@@ -168,31 +190,48 @@ impl MiniBatchKMeans {
         // epochs see different batch orders while the whole run replays
         // from `config.seed` alone.
         let mut rng = ChaCha8Rng::seed_from_u64(self.config.seed.wrapping_add(self.epochs));
-        let mut order: Vec<usize> = (0..x.rows()).collect();
+        let mut order: Vec<usize> = (0..group_of.len()).collect();
         order.shuffle(&mut rng);
 
+        // `searched_in[g]` stamps the last batch (counted from 1) that
+        // searched group `g`; `nearest[g]` is what that search found.
+        let mut searched_in = vec![0usize; distinct.rows()];
+        let mut nearest = vec![0usize; distinct.rows()];
+        let mut present: Vec<usize> = Vec::new();
         let mut batches = 0usize;
         for batch in order.chunks(self.config.batch_size) {
-            // Assignment under frozen centroids — the parallel part.
-            let assignment: Vec<usize> = pool
-                .run_chunks(batch.len(), ROW_CHUNK, |lo, hi| {
-                    (lo..hi)
-                        .map(|j| nearest_centroid(x.row(batch[j]), &self.centroids).0)
-                        .collect::<Vec<usize>>()
-                })
-                .into_iter()
-                .flatten()
-                .collect();
-            // Per-center learning-rate updates — always sequential, in
-            // batch order, so pool width cannot change the result.
-            for (&row_idx, &c) in batch.iter().zip(&assignment) {
+            batches += 1;
+            // Assignment under frozen centroids — the parallel part, one
+            // search per group present in the batch.
+            present.clear();
+            for &r in batch {
+                let g = group_of[r];
+                if searched_in[g] != batches {
+                    searched_in[g] = batches;
+                    present.push(g);
+                }
+            }
+            let found = pool.run_chunks(present.len(), ROW_CHUNK, |lo, hi| {
+                present[lo..hi]
+                    .iter()
+                    .map(|&g| nearest_centroid(distinct.row(g), &self.centroids).0)
+                    .collect::<Vec<usize>>()
+            });
+            for (&g, c) in present.iter().zip(found.into_iter().flatten()) {
+                nearest[g] = c;
+            }
+            // Per-center learning-rate updates — always sequential, one
+            // per row in batch order, so neither the pool width nor how
+            // many rows repeat can change the result.
+            for &r in batch {
+                let g = group_of[r];
+                let c = nearest[g];
                 self.counts[c] += 1;
                 let eta = 1.0 / self.counts[c] as f64;
-                for (ctr, &v) in self.centroids.row_mut(c).iter_mut().zip(x.row(row_idx)) {
+                for (ctr, &v) in self.centroids.row_mut(c).iter_mut().zip(distinct.row(g)) {
                     *ctr += eta * (v - *ctr);
                 }
             }
-            batches += 1;
         }
         self.epochs += 1;
         Ok(batches)
@@ -215,14 +254,23 @@ impl MiniBatchKMeans {
 
     /// Freezes the state into a servable [`KMeans`], scoring WCSS on `x`.
     pub fn into_kmeans(self, x: &Matrix, pool: &ThreadPool) -> Result<KMeans, MlError> {
-        if x.cols() != self.centroids.cols() {
+        self.into_kmeans_grouped(&RowGroups::of(x), pool)
+    }
+
+    /// [`MiniBatchKMeans::into_kmeans`] on an already partitioned window.
+    pub fn into_kmeans_grouped(
+        self,
+        groups: &RowGroups,
+        pool: &ThreadPool,
+    ) -> Result<KMeans, MlError> {
+        if groups.distinct().cols() != self.centroids.cols() {
             return Err(MlError::DimensionMismatch {
-                got: x.cols(),
+                got: groups.distinct().cols(),
                 expected: self.centroids.cols(),
                 what: "columns",
             });
         }
-        let wcss = wcss_of(&RowGroups::of(x), &self.centroids, pool);
+        let wcss = wcss_of(groups, &self.centroids, pool);
         Ok(KMeans {
             wcss,
             iterations: self.epochs as usize,
@@ -273,6 +321,35 @@ mod tests {
             }
         }
         next
+    }
+
+    /// One epoch visiting the window row by row — the body `step_with_pool`
+    /// had before it searched once per group: the same seeded permutation,
+    /// one nearest-centroid search per row under the batch's frozen
+    /// centroids, one learning-rate update per row in batch order.
+    fn row_wise_epoch(
+        x: &Matrix,
+        config: MiniBatchConfig,
+        epoch: u64,
+        centroids: &mut Matrix,
+        counts: &mut [u64],
+    ) {
+        let mut rng = ChaCha8Rng::seed_from_u64(config.seed.wrapping_add(epoch));
+        let mut order: Vec<usize> = (0..x.rows()).collect();
+        order.shuffle(&mut rng);
+        for batch in order.chunks(config.batch_size) {
+            let assignment: Vec<usize> = batch
+                .iter()
+                .map(|&r| nearest_centroid(x.row(r), centroids).0)
+                .collect();
+            for (&r, &c) in batch.iter().zip(&assignment) {
+                counts[c] += 1;
+                let eta = 1.0 / counts[c] as f64;
+                for (ctr, &v) in centroids.row_mut(c).iter_mut().zip(x.row(r)) {
+                    *ctr += eta * (v - *ctr);
+                }
+            }
+        }
     }
 
     #[test]
@@ -383,6 +460,48 @@ mod tests {
     }
 
     proptest! {
+        /// Grouped epochs against [`row_wise_epoch`], bit for bit, on
+        /// windows where nearly every row repeats another: up to eight
+        /// distinct vectors, two of them a `0.0` / `-0.0` pair (equal
+        /// values, different rows), `k` up to ten (so sometimes more
+        /// clusters than distinct rows), batches of one row, of a few, of
+        /// the default size and of the whole window, and a second epoch
+        /// (non-zero counts, the next permutation).
+        #[test]
+        fn prop_grouped_epoch_equals_row_wise_epoch(
+            vectors in proptest::collection::vec(
+                proptest::collection::vec(-9.0f64..9.0, 2..3), 0..7),
+            picks in proptest::collection::vec(0usize..8, 2..400),
+            centres in proptest::collection::vec(-9.0f64..9.0, 20..21),
+            k in 1usize..11,
+            seed in any::<u64>(),
+        ) {
+            let mut vectors = vectors;
+            vectors.push(vec![0.0, 2.5]);
+            vectors.push(vec![-0.0, 2.5]);
+            let rows: Vec<Vec<f64>> = picks
+                .iter()
+                .map(|&p| vectors[p % vectors.len()].clone())
+                .collect();
+            let x = Matrix::from_rows(&rows).unwrap();
+            let start = Matrix::from_vec(k, 2, centres[..2 * k].to_vec()).unwrap();
+            for batch_size in [1, 7, 256, x.rows() + 3] {
+                let cfg = MiniBatchConfig::new(k).with_seed(seed).with_batch_size(batch_size);
+                let mut grouped = MiniBatchKMeans::warm_start(start.clone(), cfg).unwrap();
+                let (mut centroids, mut counts) = (start.clone(), vec![0u64; k]);
+                for epoch in 0..2 {
+                    grouped.step(&x).unwrap();
+                    row_wise_epoch(&x, cfg, epoch, &mut centroids, &mut counts);
+                    let bits = |m: &Matrix| m.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+                    prop_assert_eq!(
+                        bits(grouped.centroids()), bits(&centroids),
+                        "batch {}, epoch {}", batch_size, epoch
+                    );
+                    prop_assert_eq!(grouped.counts(), &counts[..]);
+                }
+            }
+        }
+
         /// With `batch_size == n` and zero counts, one epoch is exactly
         /// one Lloyd iteration: the running-mean update over a full
         /// permutation equals each cluster's member mean (empty clusters

@@ -6,6 +6,8 @@
 //!
 //! * [`Matrix`] — a dense row-major `f64` matrix with the column statistics
 //!   used throughout the pipeline.
+//! * [`RowGroups`] — a window's rows partitioned by bit-identical content,
+//!   so a pure per-row kernel runs once per distinct row.
 //! * [`StandardScaler`] — per-column zero-mean / unit-variance scaling
 //!   (§6.4.1 of the paper).
 //! * [`Pca`] — principal component analysis via a cyclic Jacobi
@@ -47,7 +49,7 @@ pub use error::MlError;
 pub use iforest::IsolationForest;
 pub use kmeans::minibatch::{MiniBatchConfig, MiniBatchKMeans};
 pub use kmeans::{ElbowReport, KMeans};
-pub use matrix::Matrix;
+pub use matrix::{Matrix, RowGroups};
 pub use pca::Pca;
 pub use pool::{total_tasks_executed, ThreadPool};
 pub use quant::{QuantModel, QuantScratch};

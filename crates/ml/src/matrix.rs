@@ -346,29 +346,41 @@ impl Matrix {
     }
 }
 
-/// The rows of a matrix partitioned by bit-identical content.
+/// The rows of a window partitioned by bit-identical content: the distinct
+/// rows as a matrix of their own, and for every row the group it is in.
 ///
 /// Coarse-grained fingerprints collide by design — a 205 000-session
 /// training window holds a few hundred distinct rows — so a kernel that
 /// evaluates a *pure function of one row* (a forest traversal, a
-/// nearest-centroid search) over the whole window evaluates it once per
-/// group ([`RowGroups::map`]) and lets every row read its group's value.
+/// nearest-centroid search, a scaler or PCA transform) over the whole
+/// window evaluates it once per group ([`RowGroups::map`], or a
+/// matrix-wide transform of [`RowGroups::distinct`]) and lets every row
+/// read its group's value.
 ///
 /// That is the only thing a group may be used for. A *reduction over
-/// rows* (a sum of distances, a centroid's mean, a sampling walk) keeps
-/// its row order and its operand count and merely looks each operand up
-/// by group: `n` additions of `v` and one `n × v` round differently, and
-/// the fitted model is pinned byte for byte (`tests/fit_bytes.rs`).
+/// rows* (a sum of distances, a centroid's mean, a sampling walk, a
+/// learning-rate update) keeps its row order and its operand count and
+/// merely looks each operand up by group: `n` additions of `v` and one
+/// `n × v` round differently, and the fitted model is pinned byte for
+/// byte (`tests/fit_bytes.rs`).
 ///
 /// Identity is [`f64::to_bits`], never `==`: `0.0` and `-0.0` compare
 /// equal yet `1.0 / x` tells them apart, and a NaN equals nothing, itself
 /// included. The pass is deterministic and seedless (an ordered map, no
 /// hasher): group `g` is the `g`-th distinct row in row order.
-pub(crate) struct RowGroups<'a> {
-    x: &'a Matrix,
-    /// First row of each group, so strictly ascending.
-    reps: Vec<usize>,
-    /// Group of every row: `group_of[reps[g]] == g`.
+///
+/// The partition owns its distinct rows, so it outlives the window it was
+/// taken from and can be *carried* through a pipeline of per-row stages:
+/// [`RowGroups::with_distinct`] keeps `group_of` and swaps in each group's
+/// transformed row. Rows that were equal stay equal under any function of
+/// one row, so the carried partition is still a partition of the
+/// transformed window (two groups may now hold equal rows; that costs a
+/// repeated evaluation, never a wrong one).
+#[derive(Debug)]
+pub struct RowGroups {
+    /// Row `g` is the content of group `g`.
+    distinct: Matrix,
+    /// Group of every row of the window.
     group_of: Vec<usize>,
 }
 
@@ -396,51 +408,104 @@ impl PartialEq for RowBits<'_> {
 
 impl Eq for RowBits<'_> {}
 
-impl<'a> RowGroups<'a> {
+impl RowGroups {
     /// Partitions the rows of `x` in one pass over them.
-    pub(crate) fn of(x: &'a Matrix) -> Self {
+    pub fn of(x: &Matrix) -> Self {
+        Self::partition(x.cols(), x.iter_rows())
+    }
+
+    /// Partitions a window held as one vector per row, without first
+    /// copying it into a matrix. [`MlError::EmptyInput`] for no rows or
+    /// zero-width rows, [`MlError::DimensionMismatch`] for ragged ones.
+    pub fn of_rows(rows: &[Vec<f64>]) -> Result<Self, MlError> {
+        let cols = rows.first().map_or(0, Vec::len);
+        if cols == 0 {
+            return Err(MlError::EmptyInput);
+        }
+        if let Some(ragged) = rows.iter().find(|r| r.len() != cols) {
+            return Err(MlError::DimensionMismatch {
+                got: ragged.len(),
+                expected: cols,
+                what: "row length",
+            });
+        }
+        Ok(Self::partition(cols, rows.iter().map(Vec::as_slice)))
+    }
+
+    /// The one partitioning pass: at least one row, every row `cols` wide.
+    fn partition<'a>(cols: usize, rows: impl Iterator<Item = &'a [f64]>) -> Self {
         let mut ids: BTreeMap<RowBits<'a>, usize> = BTreeMap::new();
-        let mut reps = Vec::new();
-        let group_of = x
-            .iter_rows()
-            .enumerate()
-            .map(|(r, row)| {
+        let mut data = Vec::new();
+        let group_of = rows
+            .map(|row| {
+                let next = ids.len();
                 *ids.entry(RowBits(row)).or_insert_with(|| {
-                    reps.push(r);
-                    reps.len() - 1
+                    data.extend_from_slice(row);
+                    next
                 })
             })
             .collect();
-        Self { x, reps, group_of }
+        let distinct = Matrix {
+            rows: ids.len(),
+            cols,
+            data,
+        };
+        Self { distinct, group_of }
     }
 
-    /// The partitioned matrix.
-    pub(crate) fn matrix(&self) -> &'a Matrix {
-        self.x
+    /// The distinct rows: row `g` is the content of group `g`.
+    pub fn distinct(&self) -> &Matrix {
+        &self.distinct
     }
 
-    /// First row of each group, ascending.
-    pub(crate) fn reps(&self) -> &[usize] {
-        &self.reps
-    }
-
-    /// Group of every row.
-    pub(crate) fn group_of(&self) -> &[usize] {
+    /// Group of every row of the window.
+    pub fn group_of(&self) -> &[usize] {
         &self.group_of
     }
 
-    /// Evaluates `f` on one row of each group and returns the values in
-    /// group order. Groups are chunked over fixed [`ROW_CHUNK`] ranges, so
-    /// a pure `f` gives the same vector on any pool width.
-    pub(crate) fn map<T, F>(&self, pool: &ThreadPool, f: F) -> Vec<T>
+    /// Rows in the partitioned window.
+    pub fn rows(&self) -> usize {
+        self.group_of.len()
+    }
+
+    /// Row `r` of the window, read from its group.
+    ///
+    /// # Panics
+    /// Panics if `r >= self.rows()`.
+    #[inline]
+    pub fn row(&self, r: usize) -> &[f64] {
+        self.distinct.row(self.group_of[r])
+    }
+
+    /// The same partition over transformed rows: `distinct` holds, row for
+    /// row, a pure per-row function of [`RowGroups::distinct`] (a scaler
+    /// or PCA transform of it). [`MlError::DimensionMismatch`] unless it
+    /// has one row per group.
+    pub fn with_distinct(self, distinct: Matrix) -> Result<Self, MlError> {
+        if distinct.rows() != self.distinct.rows() {
+            return Err(MlError::DimensionMismatch {
+                got: distinct.rows(),
+                expected: self.distinct.rows(),
+                what: "rows per group",
+            });
+        }
+        Ok(Self {
+            distinct,
+            group_of: self.group_of,
+        })
+    }
+
+    /// Evaluates `f` on each group's row and returns the values in group
+    /// order. Groups are chunked over fixed [`ROW_CHUNK`] ranges, so a
+    /// pure `f` gives the same vector on any pool width.
+    pub fn map<T, F>(&self, pool: &ThreadPool, f: F) -> Vec<T>
     where
         T: Send,
         F: Fn(&[f64]) -> T + Sync,
     {
-        pool.run_chunks(self.reps.len(), ROW_CHUNK, |lo, hi| {
-            self.reps[lo..hi]
-                .iter()
-                .map(|&r| f(self.x.row(r)))
+        pool.run_chunks(self.distinct.rows(), ROW_CHUNK, |lo, hi| {
+            (lo..hi)
+                .map(|g| f(self.distinct.row(g)))
                 .collect::<Vec<T>>()
         })
         .into_iter()
@@ -619,19 +684,29 @@ mod tests {
         assert!(a.pairwise_sq_dists(&bad, &ThreadPool::serial()).is_err());
     }
 
-    /// The invariants every `RowGroups` must satisfy, whatever the input.
-    fn assert_well_formed(g: &RowGroups<'_>) {
-        let x = g.matrix();
+    /// The invariants every `RowGroups` of `x` must satisfy, whatever `x`.
+    fn assert_well_formed(g: &RowGroups, x: &Matrix) {
+        assert_eq!(g.rows(), x.rows());
         assert_eq!(g.group_of().len(), x.rows());
-        assert!(g.reps().windows(2).all(|w| w[0] < w[1]), "{:?}", g.reps());
-        for (id, &rep) in g.reps().iter().enumerate() {
-            assert_eq!(g.group_of()[rep], id);
-            // The representative is the group's first row.
-            assert_eq!(g.group_of().iter().position(|&o| o == id), Some(rep));
-        }
-        let bits = |r: usize| x.row(r).iter().map(|v| v.to_bits()).collect::<Vec<_>>();
-        for (r, &id) in g.group_of().iter().enumerate() {
-            assert_eq!(bits(r), bits(g.reps()[id]), "row {r}");
+        assert_eq!(g.distinct().cols(), x.cols());
+        let bits = |row: &[f64]| row.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        // Groups are numbered by first row: the first rows ascend, and no
+        // two groups hold the same bits.
+        let firsts: Vec<usize> = (0..g.distinct().rows())
+            .map(|id| {
+                g.group_of()
+                    .iter()
+                    .position(|&o| o == id)
+                    .expect("a group has a row")
+            })
+            .collect();
+        assert!(firsts.windows(2).all(|w| w[0] < w[1]), "{firsts:?}");
+        let mut contents: Vec<Vec<u64>> = g.distinct().iter_rows().map(bits).collect();
+        contents.sort();
+        contents.dedup();
+        assert_eq!(contents.len(), g.distinct().rows());
+        for r in 0..x.rows() {
+            assert_eq!(bits(g.row(r)), bits(x.row(r)), "row {r}");
         }
     }
 
@@ -640,25 +715,25 @@ mod tests {
         let (a, b, c): (&[f64], &[f64], &[f64]) = (&[1.0, 2.0], &[1.0, 3.0], &[0.5, 2.0]);
         let x = m(&[a, b, a, c, b, a]);
         let g = RowGroups::of(&x);
-        assert_eq!(g.reps(), &[0, 1, 3]);
+        assert_eq!(g.distinct(), &m(&[a, b, c]));
         assert_eq!(g.group_of(), &[0, 1, 0, 2, 1, 0]);
-        assert_well_formed(&g);
+        assert_well_formed(&g, &x);
     }
 
     #[test]
     fn row_groups_of_equal_rows_and_of_distinct_rows() {
         let same = Matrix::from_rows(&vec![vec![4.0, 4.0]; 7]).unwrap();
         let g = RowGroups::of(&same);
-        assert_eq!(g.reps(), &[0]);
+        assert_eq!(g.distinct(), &m(&[&[4.0, 4.0]]));
         assert_eq!(g.group_of(), &[0; 7]);
 
         // The first column agrees everywhere: the order looks past it.
         let rows: Vec<Vec<f64>> = (0..40).map(|i| vec![9.0, ((i * 7) % 40) as f64]).collect();
         let distinct = Matrix::from_rows(&rows).unwrap();
         let g = RowGroups::of(&distinct);
-        assert_eq!(g.reps(), (0..40).collect::<Vec<_>>());
+        assert_eq!(g.distinct(), &distinct);
         assert_eq!(g.group_of(), (0..40).collect::<Vec<_>>());
-        assert_well_formed(&g);
+        assert_well_formed(&g, &distinct);
     }
 
     #[test]
@@ -669,9 +744,63 @@ mod tests {
         let nan_b = f64::from_bits(0x7ff8_0000_0000_0002);
         let x = m(&[&[0.0], &[-0.0], &[nan_a], &[nan_b], &[nan_a], &[-0.0]]);
         let g = RowGroups::of(&x);
-        assert_eq!(g.reps(), &[0, 1, 2, 3]);
+        assert_eq!(g.distinct().rows(), 4);
         assert_eq!(g.group_of(), &[0, 1, 2, 3, 2, 1]);
-        assert_well_formed(&g);
+        assert_well_formed(&g, &x);
+    }
+
+    #[test]
+    fn row_groups_of_rows_equal_row_groups_of_the_matrix() {
+        let rows = vec![
+            vec![1.0, 2.0],
+            vec![0.0, 2.0],
+            vec![1.0, 2.0],
+            vec![-0.0, 2.0],
+            vec![0.0, 2.0],
+        ];
+        let x = Matrix::from_rows(&rows).unwrap();
+        let (from_rows, from_matrix) = (RowGroups::of_rows(&rows).unwrap(), RowGroups::of(&x));
+        assert_eq!(from_rows.group_of(), &[0, 1, 0, 2, 1]);
+        assert_eq!(from_rows.group_of(), from_matrix.group_of());
+        assert_eq!(from_rows.distinct(), from_matrix.distinct());
+        assert_well_formed(&from_rows, &x);
+    }
+
+    #[test]
+    fn row_groups_of_rows_reject_empty_and_ragged_input() {
+        assert!(matches!(RowGroups::of_rows(&[]), Err(MlError::EmptyInput)));
+        assert!(matches!(
+            RowGroups::of_rows(&[vec![], vec![]]),
+            Err(MlError::EmptyInput)
+        ));
+        assert!(matches!(
+            RowGroups::of_rows(&[vec![1.0, 2.0], vec![1.0, 2.0], vec![3.0]]),
+            Err(MlError::DimensionMismatch {
+                got: 1,
+                expected: 2,
+                ..
+            })
+        ));
+    }
+
+    #[test]
+    fn row_groups_carry_their_partition_over_transformed_rows() {
+        let x = m(&[&[1.0, 2.0], &[3.0, 4.0], &[1.0, 2.0]]);
+        // A per-row function of the distinct rows: the sum of each.
+        let carried = RowGroups::of(&x)
+            .with_distinct(m(&[&[3.0], &[7.0]]))
+            .unwrap();
+        assert_eq!(carried.group_of(), &[0, 1, 0]);
+        assert_eq!(carried.rows(), 3);
+        assert_eq!(
+            (carried.row(0), carried.row(1), carried.row(2)),
+            (&[3.0][..], &[7.0][..], &[3.0][..])
+        );
+        // One row per group, or it is not the same partition.
+        assert!(matches!(
+            RowGroups::of(&x).with_distinct(m(&[&[3.0]])),
+            Err(MlError::DimensionMismatch { .. })
+        ));
     }
 
     #[test]
@@ -708,12 +837,12 @@ mod tests {
                 Matrix::from_rows(&rows).unwrap(),
                 Matrix::from_rows(&permuted).unwrap(),
             );
-            let (gx, gy) = (RowGroups::of(&x), RowGroups::of(&y));
-            assert_well_formed(&gx);
-            assert_well_formed(&gy);
+            let (gx, gy) = (RowGroups::of(&x), RowGroups::of_rows(&permuted).unwrap());
+            assert_well_formed(&gx, &x);
+            assert_well_formed(&gy, &y);
             // Same partition: the sets of original rows, as a sorted list.
-            let members = |g: &RowGroups<'_>, original: &dyn Fn(usize) -> usize| {
-                let mut sets = vec![Vec::new(); g.reps().len()];
+            let members = |g: &RowGroups, original: &dyn Fn(usize) -> usize| {
+                let mut sets = vec![Vec::new(); g.distinct().rows()];
                 for (r, &id) in g.group_of().iter().enumerate() {
                     sets[id].push(original(r));
                 }
