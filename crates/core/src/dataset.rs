@@ -2,7 +2,7 @@
 
 use crate::error::PolygraphError;
 use browser_engine::UserAgent;
-use polygraph_ml::Matrix;
+use polygraph_ml::{Matrix, RowGroups};
 
 /// A labelled fingerprint dataset.
 ///
@@ -98,18 +98,13 @@ impl TrainingSet {
         uas.len()
     }
 
-    /// Number of distinct feature rows, compared by bit pattern — what a
-    /// full fit evaluates its per-row kernels on. Coarse-grained
+    /// Number of distinct feature rows, compared by bit pattern — the
+    /// groups of the [`RowGroups`] partition a fit or a streaming refit
+    /// evaluates its per-row kernels on. Coarse-grained
     /// fingerprints collide by design: the paper-scale window of 205 000
     /// simulated sessions holds a few hundred.
     pub fn distinct_rows(&self) -> usize {
-        fn bits(row: &[f64]) -> impl Iterator<Item = u64> + '_ {
-            row.iter().map(|v| v.to_bits())
-        }
-        let mut rows: Vec<&[f64]> = self.rows.iter().map(Vec::as_slice).collect();
-        rows.sort_unstable_by(|a, b| bits(a).cmp(bits(b)));
-        rows.dedup_by(|a, b| bits(a).eq(bits(b)));
-        rows.len()
+        RowGroups::of_rows(&self.rows).map_or(0, |groups| groups.distinct().rows())
     }
 
     /// The features as a matrix.

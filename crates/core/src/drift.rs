@@ -98,9 +98,10 @@ impl<'m> DriftDetector<'m> {
         release: UserAgent,
     ) -> Result<DriftObservation, PolygraphError> {
         let mut counters = DriftAccumulator::new();
+        let mut projected = Vec::new();
         for (row, ua) in data.rows().iter().zip(data.user_agents()) {
             if *ua == release {
-                counters.ingest(self.model, row, release)?;
+                counters.ingest_with(self.model, row, release, &mut projected)?;
             }
         }
         counters.observe(self.model, release)

@@ -67,7 +67,21 @@ impl DriftAccumulator {
         values: &[f64],
         claimed: UserAgent,
     ) -> Result<(), PolygraphError> {
-        let cluster = model.nearest_populated_cluster(model.predict_cluster(values)?);
+        self.ingest_with(model, values, claimed, &mut Vec::new())
+    }
+
+    /// [`DriftAccumulator::ingest`] predicting into a projection buffer
+    /// the caller keeps between sessions (scratch: overwritten each call),
+    /// so a stream of sessions allocates nothing per prediction.
+    pub(crate) fn ingest_with(
+        &mut self,
+        model: &TrainedModel,
+        values: &[f64],
+        claimed: UserAgent,
+        projected: &mut Vec<f64>,
+    ) -> Result<(), PolygraphError> {
+        let cluster =
+            model.nearest_populated_cluster(model.predict_cluster_with(values, projected)?);
         *self
             .counts
             .entry(claimed)
@@ -147,6 +161,8 @@ impl DriftAccumulator {
 pub struct DriftStream {
     accumulator: DriftAccumulator,
     window: ReservoirWindow,
+    /// Projection scratch reused by every [`DriftStream::ingest`].
+    projected: Vec<f64>,
 }
 
 impl DriftStream {
@@ -156,18 +172,21 @@ impl DriftStream {
         Ok(Self {
             accumulator: DriftAccumulator::new(),
             window: ReservoirWindow::new(capacity, width, seed)?,
+            projected: Vec::new(),
         })
     }
 
     /// Ingests one session: counts it for drift measurement and offers
-    /// it to the reservoir window.
+    /// it to the reservoir window. The copy of the row handed to the
+    /// reservoir is the one allocation a session costs.
     pub fn ingest(
         &mut self,
         model: &TrainedModel,
         values: &[f64],
         claimed: UserAgent,
     ) -> Result<(), PolygraphError> {
-        self.accumulator.ingest(model, values, claimed)?;
+        self.accumulator
+            .ingest_with(model, values, claimed, &mut self.projected)?;
         self.window.offer(values.to_vec(), claimed)
     }
 

@@ -48,4 +48,4 @@ pub use error::PolygraphError;
 pub use preprocess::{preprocess, PreprocessConfig, PreprocessReport};
 pub use risk::{risk_factor, MAX_RISK};
 pub use sampling::{stratified_sample, ReservoirWindow, StratifiedConfig};
-pub use train::{fit_metric_names, ClusterTable, TrainConfig, TrainedModel};
+pub use train::{fit_metric_names, refit_metric_names, ClusterTable, TrainConfig, TrainedModel};

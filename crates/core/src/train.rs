@@ -9,7 +9,9 @@ use polygraph_ml::iforest::IsolationForestConfig;
 use polygraph_ml::kmeans::minibatch::{MiniBatchConfig, MiniBatchKMeans};
 use polygraph_ml::kmeans::KMeansConfig;
 use polygraph_ml::metrics::majority_cluster_accuracy;
-use polygraph_ml::{IsolationForest, KMeans, Matrix, Pca, StandardScaler, ThreadPool};
+use polygraph_ml::{
+    IsolationForest, KMeans, Matrix, MlError, Pca, RowGroups, StandardScaler, ThreadPool,
+};
 use polygraph_obs::Registry;
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
@@ -35,6 +37,21 @@ pub mod fit_metric_names {
     pub const TABLE_MICROS: &str = "fit.table_micros";
     /// Whole-pipeline duration in µs (histogram).
     pub const TOTAL_MICROS: &str = "fit.total_micros";
+}
+
+/// Metric names an observed streaming refit
+/// ([`TrainedModel::refit_observed`]) records into its registry: one span
+/// histogram per stage, the three stages adding up to the whole.
+pub mod refit_metric_names {
+    /// Partitioning the window by distinct row, then scaling and
+    /// projecting the distinct rows, in µs (histogram).
+    pub const GROUP_MICROS: &str = "retrain.stage.group_micros";
+    /// The warm-started mini-batch epochs in µs (histogram).
+    pub const EPOCHS_MICROS: &str = "retrain.stage.epochs_micros";
+    /// WCSS, assignment, cluster table and accuracy in µs (histogram).
+    pub const TABLE_MICROS: &str = "retrain.stage.table_micros";
+    /// Whole-refit duration in µs (histogram).
+    pub const TOTAL_MICROS: &str = "retrain.stage.total_micros";
 }
 
 /// Hyper-parameters of the training pipeline. The defaults are the
@@ -126,6 +143,11 @@ impl ClusterTable {
             .filter(|(u, _)| u.vendor == ua.vendor)
             .min_by_key(|(u, _)| u.version.abs_diff(ua.version))
             .map(|(_, c)| *c)
+    }
+
+    /// Whether any user-agent is resident in `cluster`.
+    pub fn is_populated(&self, cluster: usize) -> bool {
+        self.entries.iter().any(|(_, c)| *c == cluster)
     }
 
     /// Every user-agent resident in `cluster`, ascending.
@@ -346,32 +368,67 @@ impl TrainedModel {
     /// Skipping the Isolation-Forest pass and the PCA eigensolve — plus
     /// replacing `n_init` full Lloyd restarts with a few warm-started
     /// mini-batch epochs — keeps a per-checkpoint candidate cheap enough
-    /// to run continuously: `core.train.refit_streaming_ms` reads 38 ms on
-    /// the 50 000-session drift window (`BENCHMARK.json`, `retrain_cycle`).
-    /// A full fit is no longer an order of magnitude away: it evaluates
-    /// each distinct row once, so `full_fit_s` (205 000 sessions) is
-    /// 0.36 s, not 1.55 s, and a full fit of that same drift window 65 ms,
-    /// not 356. What the streaming path buys beyond its 1.8× is
-    /// continuity: the frozen scaler and PCA, and centroids that keep
-    /// their indices from one candidate to the next.
+    /// to run continuously, and the window is partitioned once by distinct
+    /// row ([`RowGroups`]) with the partition carried through every stage:
+    /// the 50 000-session drift window holds 355–391 distinct rows, so the
+    /// scaler, the projection, the WCSS distance and the final assignment
+    /// run on those, and a mini-batch searches once per group present in
+    /// it. Only the centroid updates still take one step per row — they
+    /// are an order-dependent reduction — so the candidate is the same
+    /// bytes as a row-by-row refit (`tests/fit_bytes.rs`).
+    /// `core.train.refit_streaming_ms` reads REFIT_MS ms on that window
+    /// (`BENCHMARK.json`, `retrain_cycle`), against 65 ms for a full fit
+    /// of it (`full_fit_s`, 205 000 sessions, is 0.36 s). Beyond the
+    /// REFIT_RATIO× the streaming path buys continuity: the frozen scaler
+    /// and PCA, and centroids that keep their indices from one candidate
+    /// to the next. `pool` has nothing left to do here: a batch holds at
+    /// most 256 searches, under one [`polygraph_ml::pool::ROW_CHUNK`].
     pub fn refit_streaming(
         &self,
         data: &TrainingSet,
         epochs: usize,
         pool: &ThreadPool,
     ) -> Result<Self, PolygraphError> {
+        self.refit_observed(data, epochs, pool, &Registry::monotonic())
+    }
+
+    /// [`TrainedModel::refit_streaming`] with per-stage span timers
+    /// recorded into `registry` (see [`refit_metric_names`]). The
+    /// orchestrator passes the risk server's registry so the refit's
+    /// stages ride the same `STATS` snapshot as the serving metrics.
+    pub fn refit_observed(
+        &self,
+        data: &TrainingSet,
+        epochs: usize,
+        pool: &ThreadPool,
+        registry: &Registry,
+    ) -> Result<Self, PolygraphError> {
         check_window(data, self.feature_set.len(), self.config.k)?;
-        let scaled = self.scaler.transform(&data.to_matrix()?)?;
-        let projected = self.pca.transform(&scaled)?;
+        let total_span = registry.span(refit_metric_names::TOTAL_MICROS);
+
+        // Scaling and projection are pure functions of one row: they run
+        // on the distinct rows, and the partition of the raw window is
+        // still a partition of the projected one.
+        let group_span = registry.span(refit_metric_names::GROUP_MICROS);
+        let groups = RowGroups::of_rows(data.rows())?;
+        let scaled = self.scaler.transform(groups.distinct())?;
+        let groups = groups.with_distinct(self.pca.transform(&scaled)?)?;
+        group_span.finish();
+
+        let epochs_span = registry.span(refit_metric_names::EPOCHS_MICROS);
         let mut minibatch = MiniBatchKMeans::warm_start(
             self.kmeans.centroids().clone(),
             MiniBatchConfig::new(self.config.k).with_seed(self.config.seed),
         )?;
         for _ in 0..epochs {
-            minibatch.step_with_pool(&projected, pool)?;
+            minibatch.step_grouped(&groups, pool)?;
         }
-        let kmeans = minibatch.into_kmeans(&projected, pool)?;
-        let assignments = kmeans.predict(&projected)?;
+        epochs_span.finish();
+
+        let table_span = registry.span(refit_metric_names::TABLE_MICROS);
+        let kmeans = minibatch.into_kmeans_grouped(&groups, pool)?;
+        let nearest = kmeans.predict(groups.distinct())?;
+        let assignments: Vec<usize> = groups.group_of().iter().map(|&g| nearest[g]).collect();
         let (cluster_table, train_accuracy) = build_cluster_table(
             &self.feature_set,
             &self.scaler,
@@ -382,6 +439,9 @@ impl TrainedModel {
             &assignments,
             &self.config,
         )?;
+        table_span.finish();
+        total_span.finish();
+
         Ok(Self {
             feature_set: self.feature_set.clone(),
             scaler: self.scaler.clone(),
@@ -447,20 +507,33 @@ impl TrainedModel {
 
     /// Predicts the cluster of a raw fingerprint row.
     pub fn predict_cluster(&self, values: &[f64]) -> Result<usize, PolygraphError> {
+        self.predict_cluster_with(values, &mut Vec::new())
+    }
+
+    /// [`TrainedModel::predict_cluster`] projecting into a buffer the
+    /// caller keeps between rows, so a loop over sessions allocates
+    /// nothing per prediction. `projected` is scratch: overwritten, and
+    /// meaningless to the caller afterwards.
+    pub(crate) fn predict_cluster_with(
+        &self,
+        values: &[f64],
+        projected: &mut Vec<f64>,
+    ) -> Result<usize, PolygraphError> {
         if values.len() != self.feature_set.len() {
             return Err(PolygraphError::FeatureWidthMismatch {
                 got: values.len(),
                 expected: self.feature_set.len(),
             });
         }
-        predict_cluster_inner(&self.scaler, &self.pca, &self.kmeans, values)
+        predict_into(&self.scaler, &self.pca, &self.kmeans, values, projected)
     }
 
     /// Predicts clusters for a whole set (drift analysis, sweeps).
     pub fn predict_clusters(&self, data: &TrainingSet) -> Result<Vec<usize>, PolygraphError> {
+        let mut projected = Vec::new();
         data.rows()
             .iter()
-            .map(|r| self.predict_cluster(r))
+            .map(|r| self.predict_cluster_with(r, &mut projected))
             .collect()
     }
 
@@ -475,7 +548,7 @@ impl TrainedModel {
     /// against the nearest populated neighbourhood instead of an empty
     /// one. Returns `cluster` itself when it is populated (or nothing is).
     pub fn nearest_populated_cluster(&self, cluster: usize) -> usize {
-        if !self.cluster_table.user_agents_in(cluster).is_empty() {
+        if self.cluster_table.is_populated(cluster) {
             return cluster;
         }
         let centroids = self.kmeans.centroids();
@@ -485,7 +558,7 @@ impl TrainedModel {
         let own = centroids.row(cluster);
         let mut best: Option<(usize, f64)> = None;
         for c in 0..centroids.rows() {
-            if c == cluster || self.cluster_table.user_agents_in(c).is_empty() {
+            if c == cluster || !self.cluster_table.is_populated(c) {
                 continue;
             }
             let d = polygraph_ml::Matrix::sq_dist(own, centroids.row(c));
@@ -539,11 +612,15 @@ fn build_cluster_table(
     for ua in kept {
         *counts.entry(*ua).or_default() += 1;
     }
+    let mut projected = Vec::new();
+    let mut predict_lab = |ua: UserAgent| {
+        let lab = feature_set.extract(&BrowserInstance::genuine(ua));
+        predict_into(scaler, pca, kmeans, &lab.as_f64(), &mut projected)
+    };
     let mut entries: Vec<(UserAgent, usize)> = Vec::new();
     for (ua, cluster) in &accuracy.label_clusters {
         let cluster = if config.lab_alignment && counts[ua] < config.min_samples_for_majority {
-            let lab = feature_set.extract(&BrowserInstance::genuine(*ua));
-            predict_cluster_inner(scaler, pca, kmeans, &lab.as_f64()).unwrap_or(*cluster)
+            predict_lab(*ua).unwrap_or(*cluster)
         } else {
             *cluster
         };
@@ -558,8 +635,7 @@ fn build_cluster_table(
             if seen.contains(&ua) {
                 continue;
             }
-            let lab = feature_set.extract(&BrowserInstance::genuine(ua));
-            if let Ok(cluster) = predict_cluster_inner(scaler, pca, kmeans, &lab.as_f64()) {
+            if let Ok(cluster) = predict_lab(ua) {
                 entries.push((ua, cluster));
             }
         }
@@ -570,15 +646,42 @@ fn build_cluster_table(
     ))
 }
 
-fn predict_cluster_inner(
+/// The one prediction body: scale → centre → project in a single pass
+/// over the features, accumulated into `projected` (overwritten), then the
+/// nearest centroid. Feature by feature these are the operations of
+/// [`StandardScaler::transform_row`] followed by [`Pca::transform_row`],
+/// in their order — `(v − mean) / scale`, minus the PCA mean, skipped when
+/// exactly zero, else added into every component in turn — so the
+/// projection, and with it the cluster, is the same bits.
+fn predict_into(
     scaler: &StandardScaler,
     pca: &Pca,
     kmeans: &KMeans,
     values: &[f64],
+    projected: &mut Vec<f64>,
 ) -> Result<usize, PolygraphError> {
-    let scaled = scaler.transform_row(values)?;
-    let projected = pca.transform_row(&scaled)?;
-    Ok(kmeans.predict_row(&projected)?)
+    let (means, scales, centre) = (scaler.means(), scaler.scales(), pca.means());
+    if values.len() != means.len() || centre.len() != means.len() {
+        return Err(MlError::DimensionMismatch {
+            got: values.len(),
+            expected: means.len(),
+            what: "row length",
+        }
+        .into());
+    }
+    projected.clear();
+    projected.resize(pca.n_components(), 0.0);
+    let axes = pca.components();
+    for (i, (((&v, &m), &s), &pm)) in values.iter().zip(means).zip(scales).zip(centre).enumerate() {
+        let c = (v - m) / s - pm;
+        if c == 0.0 {
+            continue;
+        }
+        for (o, &axis) in projected.iter_mut().zip(axes.row(i)) {
+            *o += c * axis;
+        }
+    }
+    Ok(kmeans.predict_row(projected)?)
 }
 
 /// Picks the smallest component count whose cumulative explained variance
@@ -692,6 +795,40 @@ mod tests {
     }
 
     #[test]
+    fn fused_prediction_equals_the_staged_transforms_bit_for_bit() {
+        let set = toy_training_set();
+        let fs = fingerprint::FeatureSet::table8().subset(&[0, 1, 2]);
+        let config = TrainConfig {
+            k: 3,
+            n_components: 2,
+            min_samples_for_majority: 1,
+            ..Default::default()
+        };
+        let model = TrainedModel::fit(fs, &set, config).unwrap();
+        // Besides the training rows: one at the scaler's and the PCA's
+        // means (centred coordinates at or next to the `c == 0.0` skip)
+        // and one far outside the training range.
+        let on_the_means: Vec<f64> = (0..3)
+            .map(|i| {
+                model.pca().means()[i] * model.scaler().scales()[i] + model.scaler().means()[i]
+            })
+            .collect();
+        let mut projected = vec![f64::NAN; 5]; // stale scratch of another width
+        for row in set
+            .rows()
+            .iter()
+            .chain([&on_the_means, &vec![1e6, -3.0, 0.5]])
+        {
+            let cluster = model.predict_cluster_with(row, &mut projected).unwrap();
+            let scaled = model.scaler().transform_row(row).unwrap();
+            let staged = model.pca().transform_row(&scaled).unwrap();
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&projected), bits(&staged), "{row:?}");
+            assert_eq!(cluster, model.kmeans().predict_row(&staged).unwrap());
+        }
+    }
+
+    #[test]
     fn expected_cluster_falls_back_to_nearest_version() {
         let t = ClusterTable::from_entries(
             4,
@@ -731,6 +868,8 @@ mod tests {
         let t = ClusterTable::from_entries(5, vec![(ua(Vendor::Chrome, 100), 4)]);
         assert_eq!(t.rows().len(), 1);
         assert_eq!(t.rows()[0].0, 4);
+        assert!(t.is_populated(4));
+        assert!(!t.is_populated(3) && !t.is_populated(9));
     }
 
     #[test]

@@ -228,10 +228,16 @@ impl<'s> Orchestrator<'s> {
         };
 
         // Drift fired: now — and only now — copy the reservoir out and
-        // absorb it into a warm-started candidate.
+        // absorb it into a warm-started candidate. The refit records its
+        // stage timings (`retrain.stage.*`) into the server's registry.
         let retrain_span = obs.span(metric_names::RETRAIN_MICROS);
         let fitted = stream.training_window().and_then(|fresh| {
-            serving_model.refit_streaming(&fresh, self.config.refit_epochs, &ThreadPool::serial())
+            serving_model.refit_observed(
+                &fresh,
+                self.config.refit_epochs,
+                &ThreadPool::serial(),
+                &obs,
+            )
         });
         let outcome = self.finish_retrain(retrain_span, fitted, triggers)?;
         if matches!(

@@ -2,7 +2,7 @@ use super::*;
 use crate::server::start_risk_server;
 use browser_engine::Vendor;
 use fingerprint::FeatureSet;
-use polygraph_core::{Detector, TrainConfig};
+use polygraph_core::{refit_metric_names, Detector, TrainConfig};
 
 fn ua(vendor: Vendor, v: u32) -> UserAgent {
     UserAgent::new(vendor, v)
@@ -594,5 +594,15 @@ fn streaming_checkpoint_retrains_from_the_reservoir() {
         0,
         "drift counters reset after the swap"
     );
+    // The refit's stages ride the server's registry, one sample each.
+    let obs = server.registry();
+    for stage in [
+        refit_metric_names::GROUP_MICROS,
+        refit_metric_names::EPOCHS_MICROS,
+        refit_metric_names::TABLE_MICROS,
+        refit_metric_names::TOTAL_MICROS,
+    ] {
+        assert_eq!(obs.histogram(stage).count(), 1, "{stage}");
+    }
     server.shutdown();
 }

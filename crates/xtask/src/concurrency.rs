@@ -78,6 +78,7 @@ const BLOCKING_CALLS: &[&str] = &[
     "fit",
     "fit_observed",
     "fit_with_pool",
+    "refit_observed",
     "refit_streaming",
 ];
 
