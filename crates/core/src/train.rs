@@ -376,13 +376,14 @@ impl TrainedModel {
     /// it. Only the centroid updates still take one step per row — they
     /// are an order-dependent reduction — so the candidate is the same
     /// bytes as a row-by-row refit (`tests/fit_bytes.rs`).
-    /// `core.train.refit_streaming_ms` reads REFIT_MS ms on that window
-    /// (`BENCHMARK.json`, `retrain_cycle`), against 65 ms for a full fit
-    /// of it (`full_fit_s`, 205 000 sessions, is 0.36 s). Beyond the
-    /// REFIT_RATIO× the streaming path buys continuity: the frozen scaler
-    /// and PCA, and centroids that keep their indices from one candidate
-    /// to the next. `pool` has nothing left to do here: a batch holds at
-    /// most 256 searches, under one [`polygraph_ml::pool::ROW_CHUNK`].
+    /// `core.train.refit_streaming_ms` reads 13 ms on that window
+    /// (`BENCHMARK.json`, `retrain_cycle`; 38 ms row by row), against
+    /// 69 ms for a full fit of it (`full_fit_s`, 205 000 sessions, is
+    /// 0.36 s). Beyond that 5× the streaming path buys continuity: the
+    /// frozen scaler and PCA, and centroids that keep their indices from
+    /// one candidate to the next. `pool` has nothing left to do here: a
+    /// batch holds at most 256 searches, under one
+    /// [`polygraph_ml::pool::ROW_CHUNK`].
     pub fn refit_streaming(
         &self,
         data: &TrainingSet,

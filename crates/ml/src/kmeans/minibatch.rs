@@ -485,6 +485,7 @@ mod tests {
                 .collect();
             let x = Matrix::from_rows(&rows).unwrap();
             let start = Matrix::from_vec(k, 2, centres[..2 * k].to_vec()).unwrap();
+            let bits = |m: &Matrix| m.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
             for batch_size in [1, 7, 256, x.rows() + 3] {
                 let cfg = MiniBatchConfig::new(k).with_seed(seed).with_batch_size(batch_size);
                 let mut grouped = MiniBatchKMeans::warm_start(start.clone(), cfg).unwrap();
@@ -492,7 +493,6 @@ mod tests {
                 for epoch in 0..2 {
                     grouped.step(&x).unwrap();
                     row_wise_epoch(&x, cfg, epoch, &mut centroids, &mut counts);
-                    let bits = |m: &Matrix| m.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
                     prop_assert_eq!(
                         bits(grouped.centroids()), bits(&centroids),
                         "batch {}, epoch {}", batch_size, epoch
