@@ -4,7 +4,9 @@
 //! been answered.
 
 use fingerprint::MAX_SUBMISSION_BYTES;
-use polygraph_service::framing::{count_frames, frame_status, split_frames, FrameStatus};
+use polygraph_service::framing::{
+    count_frames, frame_status, split_frames, FrameAccumulator, FrameStatus,
+};
 use proptest::prelude::*;
 
 /// Deterministic pseudo-random byte for a (seed, index) pair.
@@ -116,6 +118,51 @@ proptest! {
         // the header left at the front of the buffer.
         prop_assert!(saw_oversize);
         prop_assert_eq!(frame_status(&pending), FrameStatus::Oversize);
+    }
+
+    /// The accumulator against the reference: fed the same chunks of an
+    /// arbitrary stream — zero-length frames, a cut-off tail, an oversize
+    /// header with complete-looking frames after it — and drained in the
+    /// same bounded batches, it hands out exactly `split_frames`'s
+    /// bodies and `oversize` flags and is left holding the same bytes.
+    #[test]
+    fn accumulator_agrees_with_split_frames(
+        lens in proptest::collection::vec(0u16..600, 0..10),
+        oversize_at in proptest::option::of(0usize..10),
+        oversize_len in (MAX_SUBMISSION_BYTES as u16 + 1)..u16::MAX,
+        body_seed in any::<u64>(),
+        chunk_seed in any::<u64>(),
+        truncate in 0usize..40,
+        max in 1usize..6,
+    ) {
+        let mut wire = Vec::new();
+        for (f, &len) in lens.iter().enumerate() {
+            if oversize_at == Some(f) {
+                wire.extend_from_slice(&oversize_len.to_le_bytes());
+            }
+            wire.extend_from_slice(&wire_image(&[len], body_seed ^ f as u64).0);
+        }
+        wire.truncate(wire.len().saturating_sub(truncate));
+
+        let mut pending: Vec<u8> = Vec::new();
+        let mut acc = FrameAccumulator::new();
+        for chunk in chunked(&wire, chunk_seed) {
+            pending.extend_from_slice(chunk);
+            acc.extend(chunk);
+            loop {
+                prop_assert_eq!(acc.ready_frames(), count_frames(&pending));
+                prop_assert_eq!(acc.status(), frame_status(&pending));
+                let (want, want_oversize) = split_frames(&mut pending, max);
+                let (got, got_oversize) = acc.split(max);
+                prop_assert_eq!(&got, &want);
+                prop_assert_eq!(got_oversize, want_oversize);
+                prop_assert_eq!(acc.buffered_bytes(), pending.len());
+                prop_assert_eq!(acc.is_empty(), pending.is_empty());
+                if want.is_empty() {
+                    break;
+                }
+            }
+        }
     }
 
     #[test]

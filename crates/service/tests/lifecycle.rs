@@ -365,6 +365,164 @@ fn oversize_header_answers_preceding_frames_then_closes_cleanly() {
     });
 }
 
+/// What one connection's pipelined backlog must look like from outside,
+/// whichever core serves it and however many batch cycles share a write:
+/// 5 × 32 frames in one `write_all` — cache hits under fresh session
+/// ids, four never-seen frames and one undecodable one (one miss at the
+/// head of each 32-frame block, so five guard acquisitions, no more and
+/// no fewer), and a `STATS` frame per block — answered in frame order,
+/// byte for byte what `assess_frame` says in process; every `STATS`
+/// snapshot sees every frame that preceded it and balanced cache books;
+/// and the final counters reconcile with the bytes on the wire.
+#[test]
+fn pipelined_backlog_is_answered_in_order_with_balanced_books() {
+    use polygraph_obs::{Registry, Snapshot};
+    use polygraph_service::proto::{
+        decode_stats_response_header, STATS_RESPONSE_HEADER_LEN, VERDICT_LEN,
+    };
+    use polygraph_service::server::{assess_frame, metric_names};
+
+    const BLOCK: usize = 32;
+    const BLOCKS: usize = 5;
+    const STATS_AT: usize = 7;
+    let chrome = UserAgent::new(Vendor::Chrome, 100).to_ua_string();
+    let submission = |tag: u8, values: Vec<u32>| {
+        let sub = Submission {
+            session_id: [tag; 16],
+            user_agent: chrome.clone(),
+            values,
+        };
+        encode_submission(&sub).unwrap().to_vec()
+    };
+    let oracle = parking_lot::RwLock::new(tiny_detector());
+    let expect = |frame: &[u8]| assess_frame(frame, &oracle, &Registry::monotonic());
+
+    for_each_backend(|config, backend| {
+        let config = RiskServerConfig {
+            cache_shards: 2,
+            cache_capacity: 64,
+            ..config
+        };
+        let server = start_risk_server_with("127.0.0.1:0", tiny_detector(), config).unwrap();
+        let mut stream = TcpStream::connect(server.local_addr()).unwrap();
+        stream.set_nodelay(true).unwrap();
+        stream
+            .set_read_timeout(Some(Duration::from_secs(10)))
+            .unwrap();
+
+        // Two round trips put the honest and the lying pair in the cache.
+        let primed = [submission(0, vec![10, 10]), submission(0, vec![0, 0])];
+        for frame in &primed {
+            send_frame(&mut stream, frame);
+            assert_eq!(read_verdict(&mut stream), expect(frame), "[{backend}]");
+        }
+        assert!(expect(&primed[1]).flagged && !expect(&primed[0]).flagged);
+
+        // `None` is a `STATS` frame.
+        let mut burst: Vec<Option<Vec<u8>>> = Vec::new();
+        for at in 0..BLOCK * BLOCKS {
+            let block = at / BLOCK;
+            burst.push(match at % BLOCK {
+                0 if block == BLOCKS - 1 => Some(vec![9, 9, 9]), // undecodable
+                0 => Some(submission(1, vec![10, 11 + block as u32])), // never seen
+                STATS_AT => None,
+                // A hit: a cached pair under a session id of its own.
+                slot => Some(submission(at as u8, vec![[10, 0][slot % 2]; 2])),
+            });
+        }
+        let stats_request = fingerprint::encode_stats_request();
+        let mut wire = Vec::new();
+        for frame in &burst {
+            let body = frame.as_deref().unwrap_or(&stats_request);
+            wire.extend_from_slice(&(body.len() as u16).to_le_bytes());
+            wire.extend_from_slice(body);
+        }
+        stream.write_all(&wire).unwrap();
+
+        let mut reply_bytes = 0usize;
+        let (mut assessed, mut flagged) = (primed.len() as u64, 1u64);
+        for (at, frame) in burst.iter().enumerate() {
+            let Some(frame) = frame else {
+                let mut header = [0u8; STATS_RESPONSE_HEADER_LEN];
+                stream.read_exact(&mut header).unwrap();
+                let mut body = vec![0u8; decode_stats_response_header(&header).unwrap()];
+                stream.read_exact(&mut body).unwrap();
+                reply_bytes += header.len() + body.len();
+                let snap = Snapshot::parse_json(std::str::from_utf8(&body).unwrap()).unwrap();
+                let count = |name: &str| snap.counters.get(name).copied().unwrap_or(0);
+                // Its own batch is folded before a snapshot renders, so
+                // it holds at least every frame sent before it …
+                assert!(
+                    count(metric_names::ASSESSED) >= assessed,
+                    "[{backend}] STATS at {at}: {} assessed, {assessed} sent before it",
+                    count(metric_names::ASSESSED)
+                );
+                // … and the cache books balance at every fold.
+                assert_eq!(
+                    count(metric_names::CACHE_HITS) + count(metric_names::CACHE_MISSES),
+                    count(metric_names::ASSESSED)
+                        + count(metric_names::MALFORMED)
+                        + count(metric_names::CACHE_SHED_EXEMPT),
+                    "[{backend}] STATS at {at}"
+                );
+                continue;
+            };
+            let want = expect(frame);
+            let mut got = [0u8; VERDICT_LEN];
+            stream.read_exact(&mut got).unwrap();
+            assert_eq!(got, want.encode(), "[{backend}] frame {at}");
+            reply_bytes += VERDICT_LEN;
+            assessed += u64::from(want.status == VerdictStatus::Assessed);
+            flagged += u64::from(want.flagged);
+        }
+        drop(stream);
+        wait_for(
+            &server,
+            Duration::from_secs(5),
+            |closed| closed >= 1,
+            |s| s.stats().connections_closed,
+        );
+
+        let stats = server.stats();
+        let misses = (primed.len() + BLOCKS) as u64;
+        assert_eq!(stats.assessed, assessed, "[{backend}]");
+        assert_eq!(stats.flagged, flagged, "[{backend}]");
+        assert_eq!(stats.malformed, 1, "[{backend}]");
+        assert_eq!(stats.shed, 0, "[{backend}]");
+        assert_eq!(stats.stats_requests, BLOCKS as u64, "[{backend}]");
+        // One miss per ≤ 32-frame batch: one guard acquisition each.
+        assert_eq!(stats.batches, misses, "[{backend}]");
+        assert_eq!(stats.cache_misses, misses, "[{backend}]");
+        assert_eq!(
+            stats.cache_hits,
+            (BLOCKS * (BLOCK - 2)) as u64,
+            "[{backend}]"
+        );
+        assert_eq!(stats.cache_stale_epoch, 0, "[{backend}]");
+        assert_eq!(
+            stats.cache_hits + stats.cache_misses,
+            stats.assessed + stats.malformed + stats.cache_shed_exempt,
+            "[{backend}]"
+        );
+        let snap = server.snapshot();
+        let batch_frames = snap.histograms.get(metric_names::BATCH_FRAMES).unwrap();
+        assert_eq!(batch_frames.count, stats.batches, "[{backend}]");
+        assert_eq!(batch_frames.sum, stats.cache_misses, "[{backend}]");
+        let primed_bytes: usize = primed.iter().map(|f| 2 + f.len()).sum();
+        assert_eq!(
+            stats.bytes_read as usize,
+            primed_bytes + wire.len(),
+            "[{backend}]"
+        );
+        assert_eq!(
+            stats.bytes_written as usize,
+            primed.len() * VERDICT_LEN + reply_bytes,
+            "[{backend}]"
+        );
+        server.shutdown();
+    });
+}
+
 /// Reactor shutdown is not coupled to the read timeout, pinned: with a
 /// read timeout of ten seconds — long enough that any tick-coupled
 /// shutdown would blow the assertion — the reactor still shuts down
