@@ -14,9 +14,9 @@
 //!
 //! * **Keys are caller-supplied 64-bit hashes** of the canonical encoded
 //!   submission (see `fingerprint::submission_cache_key`), computed with
-//!   a fixed FNV-1a — never `RandomState` — so the same frame maps to
-//!   the same slot in every process, every run. Replayability is a
-//!   workspace invariant (lint rule POLY-D004 pins it).
+//!   a fixed, seedless hash — never `RandomState` — so the same frame
+//!   maps to the same slot in every process, every run. Replayability is
+//!   a workspace invariant (lint rule POLY-D004 pins it).
 //! * **Power-of-two sharding**: the low key bits select one of N shards,
 //!   each an independent `RwLock`-protected bounded map. Lookups take a
 //!   read lock only; the reference bits CLOCK eviction needs are atomics,
@@ -28,7 +28,9 @@
 //! * **Epoch invalidation**: every entry carries the model epoch it was
 //!   assessed under. A model swap bumps one `AtomicU64` instead of
 //!   draining shards; entries from older epochs lazily miss (and report
-//!   as [`Lookup::Stale`] so the caller can count them).
+//!   as [`Lookup::Stale`] so the caller can count them). Each shard keeps
+//!   the count of its newest epoch's entries as it inserts, so "how many
+//!   entries can hit right now" is read per shard, never per slot.
 //!
 //! The cache is value-generic: the service stores its wire `Verdict`, the
 //! tests store small integers.
@@ -75,12 +77,18 @@ struct Slot<V> {
     value: V,
 }
 
-/// One shard: a bounded slot arena, a key→slot index, and the CLOCK hand.
+/// One shard: a bounded slot arena, a key→slot index, the CLOCK hand,
+/// and the count that answers [`VerdictCache::current_occupancy`].
 struct Shard<V> {
     slots: Vec<Slot<V>>,
     /// Deterministically ordered index (POLY-D004 zone: no `RandomState`).
     index: BTreeMap<u64, usize>,
     hand: usize,
+    /// The newest epoch an insert has brought to this shard.
+    live_epoch: u64,
+    /// Slots tagged `live_epoch`, kept exact by every [`Self::insert`]
+    /// (the only slot mutation) so that nobody has to count them.
+    live: usize,
 }
 
 impl<V: Clone> Shard<V> {
@@ -89,6 +97,8 @@ impl<V: Clone> Shard<V> {
             slots: Vec::with_capacity(capacity),
             index: BTreeMap::new(),
             hand: 0,
+            live_epoch: 0,
+            live: 0,
         }
     }
 
@@ -107,16 +117,11 @@ impl<V: Clone> Shard<V> {
     }
 
     fn insert(&mut self, key: u64, epoch: u64, value: V, capacity: usize) -> InsertOutcome {
-        if let Some(&pos) = self.index.get(&key) {
-            if let Some(slot) = self.slots.get_mut(pos) {
-                slot.epoch = epoch;
-                slot.value = value;
-                slot.referenced.store(true, Ordering::Relaxed);
-                return InsertOutcome {
-                    evicted: false,
-                    replaced: true,
-                };
-            }
+        if epoch > self.live_epoch {
+            // The first entry of a newer epoch: nothing resident carries
+            // it yet.
+            self.live_epoch = epoch;
+            self.live = 0;
         }
         let fresh = Slot {
             key,
@@ -124,21 +129,37 @@ impl<V: Clone> Shard<V> {
             referenced: AtomicBool::new(true),
             value,
         };
-        if self.slots.len() < capacity {
+        let (pos, outcome) = if let Some(&pos) = self.index.get(&key) {
+            let replaced = InsertOutcome {
+                evicted: false,
+                replaced: true,
+            };
+            (pos, replaced)
+        } else if self.slots.len() < capacity {
             self.index.insert(key, self.slots.len());
             self.slots.push(fresh);
+            self.live += usize::from(epoch == self.live_epoch);
             return InsertOutcome::default();
-        }
-        let pos = self.clock_victim(epoch);
+        } else {
+            let evicted = InsertOutcome {
+                evicted: true,
+                replaced: false,
+            };
+            (self.clock_victim(epoch), evicted)
+        };
         if let Some(slot) = self.slots.get_mut(pos) {
-            self.index.remove(&slot.key);
+            // The slot's old entry leaves the live count, the new one
+            // joins it — each only if it carries the live epoch (a late
+            // insert from an older epoch does not).
+            self.live -= usize::from(slot.epoch == self.live_epoch);
+            self.live += usize::from(epoch == self.live_epoch);
+            if outcome.evicted {
+                self.index.remove(&slot.key);
+                self.index.insert(key, pos);
+            }
             *slot = fresh;
-            self.index.insert(key, pos);
         }
-        InsertOutcome {
-            evicted: true,
-            replaced: false,
-        }
+        outcome
     }
 
     /// CLOCK sweep: clear reference bits until an unreferenced slot is
@@ -264,7 +285,29 @@ impl<V: Clone> VerdictCache<V> {
     /// only ones a [`Self::lookup`] can hit. After [`Self::bump_epoch`]
     /// this drops to zero immediately even though [`Self::occupancy`]
     /// still reports the stale slots until CLOCK sweeps them.
+    ///
+    /// One read lock and one comparison per shard: each shard counts its
+    /// newest epoch's slots as it inserts, so no slot is visited here —
+    /// the serve path publishes this gauge once per batch.
     pub fn current_occupancy(&self) -> usize {
+        let epoch = self.epoch();
+        self.shards
+            .iter()
+            .map(|s| {
+                let shard = s.read();
+                if shard.live_epoch == epoch {
+                    shard.live
+                } else {
+                    0
+                }
+            })
+            .sum()
+    }
+
+    /// [`Self::current_occupancy`] by visiting every slot — what it used
+    /// to cost, kept as the reference the per-shard count is held to.
+    #[cfg(test)]
+    fn scanned_current_occupancy(&self) -> usize {
         let epoch = self.epoch();
         self.shards
             .iter()
@@ -459,5 +502,40 @@ mod tests {
             h.join().unwrap();
         }
         assert!(cache.occupancy() <= cache.capacity());
+        assert_eq!(cache.current_occupancy(), cache.scanned_current_occupancy());
+    }
+
+    proptest::proptest! {
+        /// The per-shard count against the scan it replaced, after every
+        /// step of a random history on a cache small enough (2 shards of
+        /// 2 slots, 12 keys) that most inserts replace or evict: inserts
+        /// at the current epoch, epoch bumps, and inserts that read their
+        /// epoch any number of bumps ago (the swap race's late arrival).
+        #[test]
+        fn current_occupancy_equals_the_reference_scan(
+            ops in proptest::collection::vec(proptest::any::<u64>(), 0..200),
+        ) {
+            let cache: VerdictCache<u64> = VerdictCache::new(2, 4);
+            for op in ops {
+                let key = (op >> 8) % 12;
+                match op % 8 {
+                    0 => {
+                        cache.bump_epoch();
+                    }
+                    1 | 2 => {
+                        let late = cache.epoch().saturating_sub(1 + (op >> 16) % 3);
+                        cache.insert(key, late, op);
+                    }
+                    _ => {
+                        cache.insert(key, cache.epoch(), op);
+                    }
+                }
+                proptest::prop_assert_eq!(
+                    cache.current_occupancy(),
+                    cache.scanned_current_occupancy()
+                );
+                proptest::prop_assert!(cache.occupancy() <= cache.capacity());
+            }
+        }
     }
 }
