@@ -62,11 +62,13 @@ const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
 /// Hand-rolled FNV-1a over `bytes`: a fixed, platform-independent 64-bit
-/// hash. The verdict cache keys on this — never on `RandomState` — so
-/// the same frame maps to the same cache slot in every process and every
-/// replay (lint rule POLY-D004 pins the invariant). Public so the fleet
-/// ring and the server's user-agent memo hash with this one function
-/// instead of a copy of it.
+/// hash — never `RandomState` — so the same bytes hash the same in every
+/// process and every replay (lint rule POLY-D004 pins the invariant).
+/// Public so the fleet ring's node tags, the server's user-agent memo
+/// and the fit's byte pins hash with this one function instead of a copy
+/// of it. One multiply per *byte*: right for a tag or a digest, too slow
+/// for the per-frame cache key, which [`submission_cache_key`] computes
+/// eight bytes at a time instead.
 pub fn fnv1a64(bytes: &[u8]) -> u64 {
     let mut h = FNV_OFFSET;
     for &b in bytes {
@@ -74,6 +76,43 @@ pub fn fnv1a64(bytes: &[u8]) -> u64 {
         h = h.wrapping_mul(FNV_PRIME);
     }
     h
+}
+
+/// Odd multiplier of the cache-key hash's per-word step (2^64 / φ, the
+/// splitmix64 increment).
+const KEY_WORD_MUL: u64 = 0x9E37_79B9_7F4A_7C15;
+
+/// The cache-key hash: `bytes` taken as little-endian 64-bit words, the
+/// last one zero-padded, the length folded into the starting state so a
+/// padded tail cannot alias a longer input. Each word is absorbed by a
+/// xor, an odd multiply and a xorshift — a bijection of the state, so two
+/// inputs of one length that differ in a single word never collide — and
+/// the splitmix64 finaliser then spreads the state over all 64 output
+/// bits (the cache shards on the low ones). Fixed constants, no seed:
+/// the same suffix keys the same slot on every machine, which POLY-D004
+/// asks for and which also means a client can search for colliding
+/// suffixes offline — as it could under FNV-1a (DESIGN.md §5g).
+fn hash_words(mut bytes: &[u8]) -> u64 {
+    let mut h = FNV_OFFSET ^ (bytes.len() as u64).wrapping_mul(KEY_WORD_MUL);
+    let mut absorb = |word: u64| {
+        h = (h ^ word).wrapping_mul(KEY_WORD_MUL);
+        h ^= h >> 32;
+    };
+    while let Some((word, rest)) = bytes.split_first_chunk::<8>() {
+        absorb(u64::from_le_bytes(*word));
+        bytes = rest;
+    }
+    if !bytes.is_empty() {
+        absorb(
+            bytes
+                .iter()
+                .rev()
+                .fold(0, |word, &b| (word << 8) | u64::from(b)),
+        );
+    }
+    h = (h ^ (h >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    h = (h ^ (h >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    h ^ (h >> 31)
 }
 
 /// The deterministic cache key of a submission frame, or `None` when the
@@ -87,12 +126,13 @@ pub fn fnv1a64(bytes: &[u8]) -> u64 {
 /// fingerprint population is exactly what makes a verdict cache pay at
 /// FinOrg scale — while the verdict itself never depends on the session
 /// id. Because [`encode_submission`] is canonical (one byte sequence per
-/// submission), equal keys mean equal suffix bytes up to 64-bit FNV-1a
-/// collisions; see DESIGN.md §5g for the collision budget.
+/// submission), equal keys mean equal suffix bytes up to collisions of
+/// the 64-bit word hash above; see DESIGN.md §5g for the collision
+/// budget.
 pub fn submission_cache_key(frame: &[u8]) -> Option<u64> {
     match frame {
-        [m0, m1, v, rest @ ..] if [*m0, *m1] == MAGIC && *v == WIRE_VERSION && rest.len() >= 16 => {
-            rest.get(16..).map(fnv1a64)
+        [m0, m1, v, rest @ ..] if [*m0, *m1] == MAGIC && *v == WIRE_VERSION => {
+            rest.get(16..).map(hash_words)
         }
         _ => None,
     }
@@ -556,15 +596,9 @@ mod tests {
     fn cache_key_is_stable_across_calls_and_rejects_non_submissions() {
         let frame = encode_submission(&sample()).unwrap();
         let k1 = submission_cache_key(&frame);
-        let k2 = submission_cache_key(&frame);
+        let k2 = submission_cache_key(&frame.to_vec());
         assert_eq!(k1, k2);
         assert!(k1.is_some());
-        // Known-value pin: the hasher is part of the replay contract. If
-        // this changes, cached-state fixtures and bench baselines break.
-        assert_eq!(
-            submission_cache_key(&frame),
-            submission_cache_key(&frame.to_vec())
-        );
 
         assert_eq!(submission_cache_key(&[]), None);
         assert_eq!(
@@ -580,6 +614,49 @@ mod tests {
         let mut wrong_version = frame.to_vec();
         wrong_version[2] = 9;
         assert_eq!(submission_cache_key(&wrong_version), None);
+    }
+
+    /// The key hash is part of the replay contract (cache slot, fleet
+    /// node): pinned on the empty suffix and on every tail length around
+    /// one and two words, against an independent implementation. A
+    /// zero-padded tail must not alias the next length up.
+    #[test]
+    fn key_hash_matches_its_reference_vectors() {
+        const VECTORS: [u64; 18] = [
+            0xF52A_15E9_A9B5_E89B,
+            0xAAE1_FDC5_384C_1B41,
+            0x35C0_69B3_E0DF_56E9,
+            0xCA4A_17DF_63AE_A9B7,
+            0x1DFE_7A58_D86D_B920,
+            0x8CE2_3921_4E29_69C8,
+            0x943F_853A_6FD7_6A0B,
+            0xDCC1_C4F6_50E9_A955,
+            0x9AF1_3AA5_62E3_96B4,
+            0x6402_6168_2125_85DB,
+            0xF886_2EC0_2A13_CEDE,
+            0xD2F0_16DC_1F48_1BAC,
+            0x6461_6F41_5EC8_9D8A,
+            0xC466_AFE7_D339_DE95,
+            0xB844_5162_4CF6_5F67,
+            0x49C6_818F_88A7_BFC0,
+            0x18B0_13ED_7CE2_343D,
+            0xEDBE_8D12_5E59_C2D9,
+        ];
+        let bytes: Vec<u8> = (1..=17).collect();
+        for (len, want) in VECTORS.iter().enumerate() {
+            assert_eq!(hash_words(&bytes[..len]), *want, "suffix of {len} bytes");
+        }
+        let mut padded = bytes[..5].to_vec();
+        padded.push(0);
+        assert_ne!(hash_words(&padded), hash_words(&bytes[..5]));
+
+        // Through the public door: a frame's key is the hash of what
+        // follows its 19-byte header.
+        let mut frame = vec![b'B', b'P', WIRE_VERSION];
+        frame.extend_from_slice(&[0xAB; 16]);
+        assert_eq!(submission_cache_key(&frame), Some(VECTORS[0]));
+        frame.extend_from_slice(&bytes);
+        assert_eq!(submission_cache_key(&frame), Some(VECTORS[17]));
     }
 
     #[test]

@@ -128,9 +128,11 @@ impl FleetRouter {
     }
 
     /// Index of the first ring point at or after `key`'s place on the
-    /// circle, wrapping. The place is the key finalised by [`mix64`]:
-    /// cache keys are raw FNV-1a, whose high bits — what the ring orders
-    /// by — barely move between frames that differ only at the end.
+    /// circle, wrapping. The place is the key finalised by [`mix64`]: a
+    /// submission's cache key arrives already avalanched, but `route`
+    /// takes any `u64`, and an unkeyable frame is routed by raw FNV-1a,
+    /// whose high bits — what the ring orders by — barely move between
+    /// frames that differ only at the end.
     fn ring_start(&self, key: u64) -> usize {
         let place = mix64(key);
         let len = self.ring.len().max(1);
@@ -746,9 +748,11 @@ mod tests {
         assert_eq!(mix64(u64::MAX), 0xB4D0_55FC_F2CB_BD7B);
     }
 
-    /// A frame's cache key is FNV-1a over its bytes, so frames that
-    /// differ only at the end get keys whose high bits — what a ring
-    /// sorts by — barely differ. The ring must spread them anyway.
+    /// The worst keys the ring is handed: raw FNV-1a over whole frames
+    /// (how an unkeyable frame is routed, and what a caller of `route`
+    /// may bring), where frames that differ only at the end get keys
+    /// whose high bits — what a ring sorts by — barely differ. The ring
+    /// must spread them anyway.
     #[test]
     fn keys_differing_only_in_trailing_bytes_reach_every_node() {
         const KEYS: usize = 90;
