@@ -21,77 +21,61 @@ pub enum FrameStatus {
     Oversize,
 }
 
-/// Classifies the front of `pending`.
-pub fn frame_status(pending: &[u8]) -> FrameStatus {
+/// The one frame parser: the first frame's body and what follows it, or
+/// why there is no first frame yet (never [`FrameStatus::Ready`]).
+/// Everything below that classifies or steps over frames goes through
+/// this.
+fn split_first_frame(pending: &[u8]) -> Result<(&[u8], &[u8]), FrameStatus> {
     // Destructure instead of indexing: this parser faces the network, so
     // the panic-safety lint bans `pending[..]` on the serve path.
-    let [len0, len1, body @ ..] = pending else {
-        return FrameStatus::NeedMore;
+    let [len0, len1, rest @ ..] = pending else {
+        return Err(FrameStatus::NeedMore);
     };
     let len = u16::from_le_bytes([*len0, *len1]) as usize;
     if len > MAX_SUBMISSION_BYTES {
-        FrameStatus::Oversize
-    } else if body.len() < len {
-        FrameStatus::NeedMore
-    } else {
-        FrameStatus::Ready
+        return Err(FrameStatus::Oversize);
     }
+    rest.split_at_checked(len).ok_or(FrameStatus::NeedMore)
 }
 
-/// The declared body length of a buffered header, if two header bytes are
-/// present.
-fn header_len(pending: &[u8]) -> Option<usize> {
-    match pending {
-        [len0, len1, ..] => Some(u16::from_le_bytes([*len0, *len1]) as usize),
-        _ => None,
+/// Classifies the front of `pending`.
+pub fn frame_status(pending: &[u8]) -> FrameStatus {
+    match split_first_frame(pending) {
+        Ok(_) => FrameStatus::Ready,
+        Err(status) => status,
     }
 }
 
 /// Splits up to `max` complete length-prefixed frames off the front of
 /// `pending`, leaving any partial tail in place. The second return is true
-/// when parsing stopped at an oversize header.
+/// when parsing stopped at an oversize header. Every body is copied out;
+/// the server itself borrows them ([`FrameAccumulator::frames`]), and this
+/// owning form is the reference that walk is tested against.
 pub fn split_frames(pending: &mut Vec<u8>, max: usize) -> (Vec<Vec<u8>>, bool) {
     let mut frames = Vec::new();
-    let mut offset = 0;
-    let mut oversize = false;
+    let mut rest = pending.as_slice();
     while frames.len() < max {
-        let tail = pending.get(offset..).unwrap_or_default();
-        match frame_status(tail) {
-            FrameStatus::NeedMore => break,
-            FrameStatus::Oversize => {
-                oversize = true;
-                break;
-            }
-            FrameStatus::Ready => {
-                let Some(len) = header_len(tail) else { break };
-                let Some(body) = tail.get(2..2 + len) else {
-                    break;
-                };
-                frames.push(body.to_vec());
-                offset += 2 + len;
-            }
-        }
+        let Ok((body, after)) = split_first_frame(rest) else {
+            break;
+        };
+        frames.push(body.to_vec());
+        rest = after;
     }
-    pending.drain(..offset);
+    let oversize = frames.len() < max && frame_status(rest) == FrameStatus::Oversize;
+    let consumed = pending.len().saturating_sub(rest.len());
+    pending.drain(..consumed);
     (frames, oversize)
 }
 
 /// Number of complete frames buffered at the front of `pending` (stops
 /// at a partial tail or an oversize header).
-pub fn count_frames(pending: &[u8]) -> usize {
-    let mut offset = 0;
+pub fn count_frames(mut pending: &[u8]) -> usize {
     let mut n = 0;
-    loop {
-        let tail = pending.get(offset..).unwrap_or_default();
-        if frame_status(tail) != FrameStatus::Ready {
-            return n;
-        }
-        let Some(len) = header_len(tail) else {
-            return n;
-        };
-        offset += 2 + len;
+    while let Ok((_, after)) = split_first_frame(pending) {
+        pending = after;
         n += 1;
     }
+    n
 }
 
 /// Resumable per-connection parse state: the pending byte buffer plus
@@ -102,9 +86,20 @@ pub fn count_frames(pending: &[u8]) -> usize {
 /// scan's reads delivered — the parse position survives across
 /// arbitrarily split reads, so a frame torn over many scans
 /// reassembles exactly once.
+///
+/// Frames are handed out *borrowed* ([`Self::frames`]): the walk moves a
+/// read cursor and the bytes stay where the socket read put them until
+/// [`Self::compact`] — called once per drained backlog, when little or
+/// nothing is left to move — so answering a frame copies none of it.
 #[derive(Debug, Default)]
 pub struct FrameAccumulator {
     pending: Vec<u8>,
+    /// The read cursor: everything before it has been handed out.
+    head: usize,
+    /// How far [`Self::extend`] has counted complete frames (≥ `head`).
+    scanned: usize,
+    /// Complete frames between `head` and `scanned`.
+    ready: usize,
 }
 
 impl FrameAccumulator {
@@ -113,37 +108,115 @@ impl FrameAccumulator {
         Self::default()
     }
 
-    /// Appends freshly read bytes after the current partial tail.
+    /// Appends freshly read bytes after the current partial tail and
+    /// counts the frames they completed — each buffered byte is stepped
+    /// over once here, however many reads a backlog arrives in.
     pub fn extend(&mut self, bytes: &[u8]) {
         self.pending.extend_from_slice(bytes);
+        let mut rest = self.pending.get(self.scanned..).unwrap_or_default();
+        while let Ok((_, after)) = split_first_frame(rest) {
+            rest = after;
+            self.ready += 1;
+        }
+        self.scanned = self.pending.len().saturating_sub(rest.len());
+    }
+
+    /// The bytes not yet handed out.
+    fn unread(&self) -> &[u8] {
+        self.pending.get(self.head..).unwrap_or_default()
     }
 
     /// Classifies the front of the buffer (see [`frame_status`]).
     pub fn status(&self) -> FrameStatus {
-        frame_status(&self.pending)
+        frame_status(self.unread())
     }
 
-    /// Complete frames currently buffered (see [`count_frames`]).
+    /// Complete frames currently buffered, as [`Self::extend`] counted
+    /// them (what [`count_frames`] would say of the unread bytes).
     pub fn ready_frames(&self) -> usize {
-        count_frames(&self.pending)
+        self.ready
     }
 
     /// Whether any bytes are buffered at all — a timeout with an empty
     /// accumulator is keep-alive idleness, with a non-empty one a
     /// stalled partial frame.
     pub fn is_empty(&self) -> bool {
-        self.pending.is_empty()
+        self.unread().is_empty()
     }
 
     /// Bytes currently buffered (complete frames plus any partial tail).
     pub fn buffered_bytes(&self) -> usize {
-        self.pending.len()
+        self.unread().len()
     }
 
-    /// Splits up to `max` complete frames off the front, leaving any
-    /// partial tail in place (see [`split_frames`]).
+    /// The borrowed walk: up to `max` complete frames from the read
+    /// cursor on, each handed out as a slice of the buffer while the
+    /// cursor moves past it. The bodies stay valid for as long as the
+    /// accumulator stays borrowed — nothing moves before
+    /// [`Self::compact`].
+    pub fn frames(&mut self, max: usize) -> Frames<'_> {
+        Frames {
+            rest: self.pending.get(self.head..).unwrap_or_default(),
+            head: &mut self.head,
+            ready: &mut self.ready,
+            left: max,
+        }
+    }
+
+    /// Drops the bytes already handed out, moving what is left (a
+    /// partial tail, or whatever follows an oversize header) to the
+    /// front of the buffer.
+    pub fn compact(&mut self) {
+        self.pending.drain(..self.head.min(self.pending.len()));
+        self.scanned = self.scanned.saturating_sub(self.head);
+        self.head = 0;
+    }
+
+    /// Splits up to `max` complete frames off the front as owned copies,
+    /// leaving any partial tail in place: [`Self::frames`] collected,
+    /// then [`Self::compact`] (see [`split_frames`]).
     pub fn split(&mut self, max: usize) -> (Vec<Vec<u8>>, bool) {
-        split_frames(&mut self.pending, max)
+        let mut walk = self.frames(max);
+        let frames = walk.by_ref().map(<[u8]>::to_vec).collect();
+        let oversize = walk.oversize();
+        self.compact();
+        (frames, oversize)
+    }
+}
+
+/// [`FrameAccumulator::frames`]: yields borrowed frame bodies in arrival
+/// order, advancing the accumulator's read cursor as it goes.
+#[derive(Debug)]
+pub struct Frames<'a> {
+    rest: &'a [u8],
+    head: &'a mut usize,
+    ready: &'a mut usize,
+    /// Frames this walk may still hand out.
+    left: usize,
+}
+
+impl Frames<'_> {
+    /// Whether the walk stopped — short of its `max` — at an oversize
+    /// header: everything before it has been handed out, and there is no
+    /// way to resynchronise past it (what [`split_frames`] reports).
+    pub fn oversize(&self) -> bool {
+        self.left > 0 && frame_status(self.rest) == FrameStatus::Oversize
+    }
+}
+
+impl<'a> Iterator for Frames<'a> {
+    type Item = &'a [u8];
+
+    fn next(&mut self) -> Option<&'a [u8]> {
+        if self.left == 0 {
+            return None;
+        }
+        let (body, after) = split_first_frame(self.rest).ok()?;
+        *self.head += self.rest.len().saturating_sub(after.len());
+        *self.ready = self.ready.saturating_sub(1);
+        self.left -= 1;
+        self.rest = after;
+        Some(body)
     }
 }
 

@@ -26,7 +26,7 @@
 //! idle deadlines through its injected `Clock`), and it never unwinds on
 //! network input.
 
-use crate::framing::{FrameAccumulator, FrameStatus};
+use crate::framing::FrameAccumulator;
 use std::io::{self, Write};
 use std::time::Duration;
 
@@ -51,10 +51,10 @@ pub struct FlushProgress {
 /// the property tests.
 ///
 /// All I/O stays outside: the shard's scan reads into
-/// [`ConnMachine::accumulator_mut`], the server's batch path splits
-/// frames off the same accumulator, queues replies with
-/// [`ConnMachine::queue_output`], and drains them with
-/// [`ConnMachine::flush_into`] — which tolerates arbitrary partial
+/// [`ConnMachine::accumulator_mut`], the server's drive loop walks
+/// frames off the same accumulator and appends its replies to the reply
+/// buffer inside [`ConnMachine::answer_with`], and the shard drains them
+/// with [`ConnMachine::flush_into`] — which tolerates arbitrary partial
 /// writes (`WouldBlock`) and resumes where it stopped. No frame is ever
 /// dropped, duplicated, or reordered by construction: the accumulator
 /// consumes input in order and the output buffer is append-only until
@@ -100,23 +100,23 @@ impl ConnMachine {
         !self.acc.is_empty()
     }
 
-    /// Whether the front of the input buffer declares an oversize frame.
-    pub fn input_oversize(&self) -> bool {
-        self.acc.status() == FrameStatus::Oversize
-    }
-
-    /// The connection's parse state: socket reads are appended to it and
-    /// the server's shared batch-and-shed path splits frames off it.
+    /// The connection's parse state, for socket reads to append to.
     pub fn accumulator_mut(&mut self) -> &mut FrameAccumulator {
         &mut self.acc
     }
 
-    /// Appends reply bytes; with `close_after` the connection closes as
-    /// soon as everything queued so far has flushed (the oversize /
-    /// cannot-resynchronise path).
-    pub fn queue_output(&mut self, bytes: &[u8], close_after: bool) {
-        self.out.extend_from_slice(bytes);
-        if close_after {
+    /// The one way replies get queued: lets `answer` take frames off the
+    /// buffered input and append what it answers straight onto the
+    /// reply buffer — no intermediate copy — and closes the connection,
+    /// as soon as everything queued so far has flushed, when it returns
+    /// `true` (the oversize / cannot-resynchronise path). A machine
+    /// already closing takes no further frames, so `answer` is not
+    /// called on one.
+    pub fn answer_with(
+        &mut self,
+        answer: impl FnOnce(&mut FrameAccumulator, &mut Vec<u8>) -> bool,
+    ) {
+        if !self.close_after_flush && answer(&mut self.acc, &mut self.out) {
             self.close_after_flush = true;
         }
     }
@@ -186,6 +186,12 @@ impl ConnMachine {
 mod tests {
     use super::*;
 
+    /// An `answer_with` body that queues `bytes` and takes no frame.
+    fn reply(out: &mut Vec<u8>, bytes: &[u8], close: bool) -> bool {
+        out.extend_from_slice(bytes);
+        close
+    }
+
     #[test]
     fn conn_machine_buffers_a_torn_frame_and_flushes_its_reply() {
         let mut m = ConnMachine::new();
@@ -205,7 +211,7 @@ mod tests {
         assert_eq!(frames, vec![b"abc".to_vec()]);
         assert!(!m.has_partial_input());
 
-        m.queue_output(b"REPLY", false);
+        m.answer_with(|_, out| reply(out, b"REPLY", false));
         assert!(m.wants_write());
         let mut sink = Vec::new();
         let progress = m.flush_into(&mut sink).unwrap();
@@ -241,7 +247,7 @@ mod tests {
     #[test]
     fn partial_writes_resume_without_loss_or_duplication() {
         let mut m = ConnMachine::new();
-        m.queue_output(b"0123456789", false);
+        m.answer_with(|_, out| reply(out, b"0123456789", false));
         let mut sink = ThrottledSink {
             accepted: Vec::new(),
             budget: 4,
@@ -252,7 +258,7 @@ mod tests {
         assert!(m.wants_write());
 
         // More output queued while the first flush is stuck mid-buffer.
-        m.queue_output(b"ABC", false);
+        m.answer_with(|_, out| reply(out, b"ABC", false));
         sink.budget = 64;
         let p = m.flush_into(&mut sink).unwrap();
         assert!(p.complete);
@@ -263,7 +269,7 @@ mod tests {
     #[test]
     fn close_after_flush_waits_for_the_last_byte() {
         let mut m = ConnMachine::new();
-        m.queue_output(b"BYE", true);
+        m.answer_with(|_, out| reply(out, b"BYE", true));
         assert!(!m.should_close(), "output still pending");
         assert_eq!(m.frames_ready(), 0, "a closing machine takes no frames");
         let mut sink = Vec::new();

@@ -1,9 +1,12 @@
 //! The path both connection cores share, from buffered bytes to reply
 //! bytes: [`read_buffered`] fills a connection's accumulator without
-//! blocking, [`process_buffered`] runs one assess–reply–shed cycle over
-//! it, and [`assess_frame`] is the same assessment for one frame in
-//! process. Every serve-path counter is charged here, so the cores
-//! cannot disagree on one.
+//! blocking, [`drive_buffered`] answers everything it holds — one
+//! assess–reply–shed cycle ([`process_buffered`]) per ≤ 32-frame batch,
+//! into the connection's one reply buffer — and [`assess_frame`] is the
+//! same assessment for one frame in process. Every serve-path counter is
+//! charged here, so the cores cannot disagree on one; they differ only
+//! in how they wait for bytes and how the reply buffer reaches the
+//! socket.
 //!
 //! This is the only file that calls the detector under its read guard
 //! (twice: the batch's one `assess_many`, `assess_frame`'s one `assess`)
@@ -12,14 +15,14 @@
 use super::decode::{decode_session, verdict_from_assessment, UaMemo};
 use super::handle::ConnContext;
 use super::metrics::{metric_names, LocalCounters, ServerMetrics};
-use crate::framing::FrameAccumulator;
+use crate::framing::{FrameAccumulator, FrameStatus};
 use crate::proto::{encode_stats_response, Verdict, VerdictStatus};
 use browser_engine::UserAgent;
 use fingerprint::is_stats_request;
 use parking_lot::RwLock;
 use polygraph_core::detect::verdicts_agree;
 use polygraph_core::{Assessment, Detector, PolygraphError};
-use polygraph_obs::Registry;
+use polygraph_obs::{Registry, Span};
 use std::io::{self, Read};
 use std::net::TcpStream;
 use std::sync::Arc;
@@ -30,15 +33,32 @@ use std::sync::Arc;
 /// one busy connection.
 pub const MAX_BATCH_PER_GUARD: usize = 32;
 
+/// One `read` of at most 4 KiB off `stream` into `acc`, charged to
+/// `server.bytes.read`; returns the byte count (0 at end-of-stream). The
+/// only socket read on the serve path: a threaded worker blocks in it,
+/// [`read_buffered`] loops over it on a non-blocking socket.
+pub(super) fn read_chunk(
+    stream: &mut TcpStream,
+    acc: &mut FrameAccumulator,
+    ctx: &ConnContext,
+) -> io::Result<usize> {
+    let mut chunk = [0u8; 4096];
+    let n = stream.read(&mut chunk)?;
+    ctx.metrics.bytes_read.add(n as u64);
+    acc.extend(chunk.get(..n).unwrap_or_default());
+    Ok(n)
+}
+
 /// Pulls whatever the peer already sent off a non-blocking `stream` into
-/// `acc`, in 4 KiB chunks, until enough complete frames are buffered, the
-/// socket would block, or the peer closed; returns the bytes read and
+/// `acc`, a chunk at a time, until enough complete frames are buffered,
+/// the socket would block, or the peer closed; returns the bytes read and
 /// whether end-of-stream was seen. Both cores fill their accumulator
 /// through this one loop.
 ///
 /// "Enough" is one batch plus the shed threshold plus one, so an
 /// overloaded connection's backlog becomes *visible* instead of queueing
-/// invisibly (and unboundedly) in kernel buffers.
+/// invisibly (and unboundedly) in kernel buffers — and it is what bounds
+/// the reply buffer [`drive_buffered`] fills before anything is written.
 pub(super) fn read_buffered(
     stream: &mut TcpStream,
     acc: &mut FrameAccumulator,
@@ -47,16 +67,11 @@ pub(super) fn read_buffered(
     let target = MAX_BATCH_PER_GUARD
         .saturating_add(ctx.shed_limit)
         .saturating_add(1);
-    let mut chunk = [0u8; 4096];
     let mut total = 0usize;
     while acc.ready_frames() < target {
-        match stream.read(&mut chunk) {
+        match read_chunk(stream, acc, ctx) {
             Ok(0) => return Ok((total, true)),
-            Ok(n) => {
-                ctx.metrics.bytes_read.add(n as u64);
-                acc.extend(chunk.get(..n).unwrap_or_default());
-                total += n;
-            }
+            Ok(n) => total += n,
             Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
             Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
             Err(e) => return Err(e),
@@ -65,14 +80,31 @@ pub(super) fn read_buffered(
     Ok((total, false))
 }
 
-/// Outcome of one shared batch cycle over a connection's buffered input.
-pub(super) struct BatchOutcome {
-    /// Reply bytes in frame order: batch verdicts, then any shed-path
-    /// answers, then (on oversize) the final malformed verdict.
-    pub(super) out: Vec<u8>,
-    /// Parsing stopped at an oversize header: after flushing `out` the
-    /// connection must close — there is no way to resynchronise.
-    pub(super) close: bool,
+/// Answers everything `acc` holds: batch cycles for as long as a
+/// complete frame or an oversize header is buffered, every reply
+/// appended to `out` in frame order, then one compaction of what is left
+/// (a partial frame at most). Returns `true` when the connection must
+/// close once `out` is flushed.
+///
+/// Both cores call this once per drained backlog and write `out` once,
+/// so a backlog of `n` batches costs one write and one peer wake-up, not
+/// `n`. The price is that the first batch's verdicts wait for the last
+/// batch's: at most `1 + shed_limit / 32` cycles (the second cycle on
+/// sheds whatever exceeds the shed limit), which is what the reactor
+/// always did. The detector guard is still taken once per batch, so a
+/// pending swap waits for one batch, never for the backlog.
+pub(super) fn drive_buffered(
+    acc: &mut FrameAccumulator,
+    memo: &mut UaMemo,
+    ctx: &ConnContext,
+    out: &mut Vec<u8>,
+) -> bool {
+    let mut close = false;
+    while !close && acc.status() != FrameStatus::NeedMore {
+        close = process_buffered(acc, memo, ctx, out);
+    }
+    acc.compact();
+    close
 }
 
 /// One reply of a batch cycle, in the order its frame arrived.
@@ -108,53 +140,72 @@ impl Reply {
     }
 }
 
-/// The assess–reply–shed cycle both backends run once at least one
-/// complete frame (or an oversize header) is buffered. Splits one batch
-/// off `acc`, answers it (cache lookups, then one detector read guard for
-/// the misses, replies in frame order), sheds any backlog beyond the shed
-/// limit, and appends the closing malformed verdict when parsing stopped
-/// at an oversize header. Every counter is charged here, identically for
-/// both cores — the backends differ only in how `out` reaches the socket.
-pub(super) fn process_buffered(
+/// The assess–reply–shed cycle both backends run while at least one
+/// complete frame (or an oversize header) is buffered. Walks one batch
+/// off `acc` — borrowed, no frame is copied — answers it (cache lookups,
+/// then one detector read guard for the misses, replies in frame order),
+/// sheds any backlog beyond the shed limit, and appends the closing
+/// malformed verdict when parsing stopped at an oversize header, all
+/// onto the end of `out`. Returns whether it did: after flushing `out`
+/// the connection must then close — there is no way to resynchronise.
+/// Every counter is charged here, per batch, identically for both cores.
+fn process_buffered(
     acc: &mut FrameAccumulator,
     memo: &mut UaMemo,
     ctx: &ConnContext,
-) -> BatchOutcome {
+    out: &mut Vec<u8>,
+) -> bool {
     let metrics = &ctx.metrics;
     let cache = ctx.cache.as_deref();
-    let (frames, mut oversize) = acc.split(MAX_BATCH_PER_GUARD);
+    let answered = out.len();
 
     // Lookup phase: one reply per frame, in frame order. A cache hit is
     // final; a miss holds `Malformed` until the detector phase says
-    // otherwise, and is remembered as (reply index, cache key) — no key
-    // for an unkeyable frame or a disabled cache.
+    // otherwise, and is remembered as (reply index, cache key, frame) —
+    // no key for an unkeyable frame or a disabled cache. One span covers
+    // the whole pass: a clock pair costs more than the lookup it would
+    // time.
     let mut local = LocalCounters::default();
-    let mut replies: Vec<Reply> = Vec::with_capacity(frames.len());
-    let mut misses: Vec<(usize, Option<u64>)> = Vec::new();
-    let mut any_submission = false;
-    for f in &frames {
+    let mut replies: Vec<Reply> = Vec::with_capacity(MAX_BATCH_PER_GUARD);
+    let mut misses: Vec<(usize, Option<u64>, &[u8])> = Vec::new();
+    let lookup_span = cache.map(|c| {
+        Span::on(
+            Arc::clone(&c.lookup_micros),
+            Arc::clone(metrics.registry().clock()),
+        )
+    });
+    let mut frames = acc.frames(MAX_BATCH_PER_GUARD);
+    for f in frames.by_ref() {
         if is_stats_request(f) {
             replies.push(Reply::Stats);
             continue;
         }
-        any_submission = true;
         let (key, hit) = match cache {
             Some(cache) => cache.lookup_for_assess(f, &mut local),
             None => (None, None),
         };
         if hit.is_none() {
-            misses.push((replies.len(), key));
+            misses.push((replies.len(), key, f));
         }
         replies.push(Reply::Verdict(
             hit.unwrap_or(Verdict::error(VerdictStatus::Malformed)),
         ));
+    }
+    let mut oversize = frames.oversize();
+    let any_submission = local.hits > 0 || !misses.is_empty();
+    if let Some(span) = lookup_span {
+        if any_submission {
+            span.finish();
+        } else {
+            span.cancel();
+        }
     }
 
     // Detector phase: one read guard for whatever the cache could not
     // answer; a model swap therefore lands between batches, never inside
     // one.
     if !misses.is_empty() {
-        let span = polygraph_obs::Span::on(
+        let span = Span::on(
             Arc::clone(&metrics.batch_micros),
             Arc::clone(metrics.registry().clock()),
         );
@@ -166,18 +217,16 @@ pub(super) fn process_buffered(
         // `assess_many` call per batch — on a quantized server that is
         // one fused fixed-point pass over the whole batch.
         let mut sessions: Vec<(Vec<f64>, UserAgent)> = Vec::with_capacity(n_misses);
-        misses.retain(
-            |&(at, _)| match frames.get(at).and_then(|f| decode_session(f, memo)) {
-                Some(session) => {
-                    sessions.push(session);
-                    true
-                }
-                None => {
-                    local.malformed += 1;
-                    false
-                }
-            },
-        );
+        misses.retain(|&(_, _, f)| match decode_session(f, memo) {
+            Some(session) => {
+                sessions.push(session);
+                true
+            }
+            None => {
+                local.malformed += 1;
+                false
+            }
+        });
         // The insert epoch is read BEFORE the detector guard is taken: if
         // a swap lands in between, these verdicts are tagged with the
         // pre-swap epoch and harmlessly miss forever — a stale verdict
@@ -190,7 +239,7 @@ pub(super) fn process_buffered(
         };
         shadow_compare(ctx, &sessions, &assessments);
         // `assess_many` returns one result per session, in order.
-        for ((at, key), result) in misses.into_iter().zip(assessments) {
+        for ((at, key, _), result) in misses.into_iter().zip(assessments) {
             let v = verdict_from_assessment(result, &mut local);
             if let (Some(cache), Some(epoch), Some(key)) = (cache, insert_epoch, key) {
                 cache.store(key, epoch, v);
@@ -208,16 +257,17 @@ pub(super) fn process_buffered(
             cache.publish_occupancy();
         }
         // Folded before the replies render, so a `STATS` frame sees
-        // every assessment of its own batch.
-        local.fold_into(metrics);
+        // every assessment of its own batch — cache books included.
+        local.fold_into(metrics, cache);
     }
 
-    let mut out = Vec::with_capacity(replies.len() * crate::proto::VERDICT_LEN);
     let mut batch_snapshot = None;
     for reply in &replies {
-        reply.encode_into(&mut out, metrics, &mut batch_snapshot);
+        reply.encode_into(out, metrics, &mut batch_snapshot);
     }
-    metrics.bytes_written.add(out.len() as u64);
+    metrics
+        .bytes_written
+        .add(out.len().saturating_sub(answered) as u64);
 
     // Overload shedding: complete frames still queued beyond the shed
     // threshold after this batch are answered *now* with `Degraded` —
@@ -226,30 +276,31 @@ pub(super) fn process_buffered(
     // authentication flow; under overload a fast "could not assess"
     // beats an unbounded queue. `STATS` frames in the backlog are
     // still answered, each with a snapshot of its own (they are cheap
-    // and lock nothing). A backlog frame the verdict cache can answer
-    // is served from cache — also detector-free, so it respects the
-    // shedding contract — while a cache-missed shed frame is never
-    // assessed and therefore never cached.
+    // and lock nothing) that holds every backlog frame before it. A
+    // backlog frame the verdict cache can answer is served from cache —
+    // also detector-free, so it respects the shedding contract — while
+    // a cache-missed shed frame is never assessed and therefore never
+    // cached.
     if !oversize && acc.ready_frames() > ctx.shed_limit {
-        let (backlog, backlog_oversize) = acc.split(usize::MAX);
         let answered = out.len();
-        let mut shed_count = 0u64;
-        for f in &backlog {
+        let mut backlog = acc.frames(usize::MAX);
+        for f in backlog.by_ref() {
             let reply = if is_stats_request(f) {
+                local.fold_into(metrics, cache);
                 Reply::Stats
-            } else if let Some(v) = cache.and_then(|c| c.lookup_shed(f)) {
+            } else if let Some(v) = cache.and_then(|c| c.lookup_shed(f, &mut local)) {
                 Reply::Verdict(v)
             } else {
-                shed_count += 1;
+                local.shed += 1;
                 Reply::Verdict(Verdict::error(VerdictStatus::Degraded))
             };
-            reply.encode_into(&mut out, metrics, &mut None);
+            reply.encode_into(out, metrics, &mut None);
         }
-        metrics.shed.add(shed_count);
+        oversize = backlog.oversize();
+        local.fold_into(metrics, cache);
         metrics
             .bytes_written
             .add(out.len().saturating_sub(answered) as u64);
-        oversize = backlog_oversize;
     }
 
     if oversize {
@@ -258,10 +309,7 @@ pub(super) fn process_buffered(
         metrics.bytes_written.add(err.len() as u64);
         out.extend_from_slice(&err);
     }
-    BatchOutcome {
-        out,
-        close: oversize,
-    }
+    oversize
 }
 
 /// Double-scores one batch's decoded sessions against the shadow
@@ -318,7 +366,7 @@ pub fn assess_frame(frame: &[u8], detector: &RwLock<Detector>, registry: &Regist
         (local.malformed, metric_names::MALFORMED),
     ] {
         if count > 0 {
-            registry.counter(name).add(count as u64);
+            registry.counter(name).add(count);
         }
     }
     verdict
@@ -474,10 +522,11 @@ mod tests {
             let ctx = socketless_context(cache_capacity, 0);
             let mut acc = FrameAccumulator::new();
             acc.extend(&wire);
-            let outcome = process_buffered(&mut acc, &mut UaMemo::new(), &ctx);
-            assert!(outcome.close, "[{context}] an oversize header closes");
+            let mut out = Vec::new();
+            let close = process_buffered(&mut acc, &mut UaMemo::new(), &ctx, &mut out);
+            assert!(close, "[{context}] an oversize header closes");
 
-            let replies = parse_replies(&outcome.out);
+            let replies = parse_replies(&out);
             // `STATS` bodies are checked below; compare the rest by shape.
             let shape: Vec<Parsed> = replies
                 .iter()
@@ -538,7 +587,7 @@ mod tests {
             assert_eq!(stats.shed, if cached { 1 } else { 2 }, "[{context}]");
             assert_eq!(stats.stats_requests, 2, "[{context}]");
             assert_eq!(stats.batches, 1, "[{context}]");
-            assert_eq!(stats.bytes_written, outcome.out.len() as u64, "[{context}]");
+            assert_eq!(stats.bytes_written, out.len() as u64, "[{context}]");
             if let Some(cache) = ctx.cache.as_deref() {
                 // Lookups all precede the detector phase, so the second
                 // honest frame of the batch misses like the first.
@@ -554,6 +603,26 @@ mod tests {
                     "[{context}]"
                 );
             }
+
+            // The lookup span: one sample per batch that looked a
+            // submission up — not per frame, not for a batch of `STATS`
+            // frames alone, and not at all on a server without a cache.
+            let mut stats_only = FrameAccumulator::new();
+            stats_only.extend(&(stats_req.len() as u16).to_le_bytes());
+            stats_only.extend(&stats_req);
+            assert!(!drive_buffered(
+                &mut stats_only,
+                &mut UaMemo::new(),
+                &ctx,
+                &mut out
+            ));
+            assert!(stats_only.is_empty(), "[{context}]");
+            let snapshot = ctx.metrics.registry().snapshot();
+            let lookup_spans = snapshot
+                .histograms
+                .get(metric_names::STAGE_LOOKUP_MICROS)
+                .map(|h| h.count);
+            assert_eq!(lookup_spans, cached.then_some(1), "[{context}]");
         }
     }
 }

@@ -2,12 +2,14 @@
 //! `polygraph_cache::VerdictCache` plus the counters that keep the
 //! books — every looked-up frame is one hit or one miss, so
 //! `cache.hits + cache.misses == assessed + malformed + shed_exempt`.
+//! The lookups charge a batch's [`LocalCounters`]; the shared counters
+//! move when the batch folds them.
 
 use super::metrics::{metric_names, LocalCounters};
 use crate::proto::{Verdict, VerdictStatus};
 use fingerprint::submission_cache_key;
 use polygraph_cache::{Lookup, VerdictCache};
-use polygraph_obs::{Clock, Counter, Gauge, Histogram, Registry};
+use polygraph_obs::{Counter, Gauge, Histogram, Registry};
 use std::sync::Arc;
 
 /// The verdict cache plus its resolved metric handles. Constructed (and
@@ -17,48 +19,35 @@ use std::sync::Arc;
 #[derive(Debug)]
 pub(super) struct CacheLayer {
     pub(super) cache: VerdictCache<Verdict>,
-    pub(super) clock: Arc<dyn Clock>,
     pub(super) hits: Arc<Counter>,
     pub(super) misses: Arc<Counter>,
     pub(super) evictions: Arc<Counter>,
     pub(super) stale_epoch: Arc<Counter>,
     pub(super) shed_exempt: Arc<Counter>,
     pub(super) occupancy: Arc<Gauge>,
-    pub(super) hit_micros: Arc<Histogram>,
+    /// `server.stage.lookup_micros`: one span per batch, around its
+    /// whole lookup pass.
+    pub(super) lookup_micros: Arc<Histogram>,
 }
 
 impl CacheLayer {
     pub(super) fn new(registry: &Registry, shards: usize, capacity: usize) -> Self {
         Self {
             cache: VerdictCache::new(shards, capacity),
-            clock: Arc::clone(registry.clock()),
             hits: registry.counter(metric_names::CACHE_HITS),
             misses: registry.counter(metric_names::CACHE_MISSES),
             evictions: registry.counter(metric_names::CACHE_EVICTIONS),
             stale_epoch: registry.counter(metric_names::CACHE_STALE_EPOCH),
             shed_exempt: registry.counter(metric_names::CACHE_SHED_EXEMPT),
             occupancy: registry.gauge(metric_names::CACHE_OCCUPANCY),
-            hit_micros: registry.histogram(metric_names::CACHE_HIT_MICROS),
+            lookup_micros: registry.histogram(metric_names::STAGE_LOOKUP_MICROS),
         }
-    }
-
-    /// A cache lookup that charges a hit (`cache.hits`, `cache.hit_micros`)
-    /// where it happens; what a non-hit costs is the caller's to charge.
-    fn lookup(&self, key: u64) -> Lookup<Verdict> {
-        let start = self.clock.now_micros();
-        let found = self.cache.lookup(key);
-        if matches!(found, Lookup::Hit(_)) {
-            self.hits.inc();
-            self.hit_micros
-                .record(self.clock.now_micros().saturating_sub(start));
-        }
-        found
     }
 
     /// Normal-path lookup: every submission frame is charged as exactly
     /// one hit or one miss (unkeyable and stale-epoch frames are misses),
     /// so the cache counters balance against the verdict counters. A hit
-    /// also charges `local` — to the client a cached answer *is* an
+    /// also charges `assessed` — to the client a cached answer *is* an
     /// assessment. The frame's key comes back with the answer, so a miss
     /// is stored under it without hashing the frame again.
     pub(super) fn lookup_for_assess(
@@ -66,23 +55,19 @@ impl CacheLayer {
         frame: &[u8],
         local: &mut LocalCounters,
     ) -> (Option<u64>, Option<Verdict>) {
-        let Some(key) = submission_cache_key(frame) else {
-            self.misses.inc();
-            return (None, None);
-        };
-        match self.lookup(key) {
-            Lookup::Hit(v) => {
+        let key = submission_cache_key(frame);
+        match key.map(|key| self.cache.lookup(key)) {
+            Some(Lookup::Hit(v)) => {
+                local.hits += 1;
                 local.assessed += 1;
-                if v.flagged {
-                    local.flagged += 1;
-                }
-                return (Some(key), Some(v));
+                local.flagged += u64::from(v.flagged);
+                return (key, Some(v));
             }
-            Lookup::Stale => self.stale_epoch.inc(),
-            Lookup::Miss => {}
+            Some(Lookup::Stale) => local.stale_epoch += 1,
+            Some(Lookup::Miss) | None => {}
         }
-        self.misses.inc();
-        (Some(key), None)
+        local.misses += 1;
+        (key, None)
     }
 
     /// Shed-path lookup: a backlog frame the cache can answer is served
@@ -90,10 +75,11 @@ impl CacheLayer {
     /// shedding contract, which only promises not to *queue*. A frame
     /// the cache cannot answer charges nothing here; the caller answers
     /// `Degraded` and charges `server.frames.shed`.
-    pub(super) fn lookup_shed(&self, frame: &[u8]) -> Option<Verdict> {
-        match self.lookup(submission_cache_key(frame)?) {
+    pub(super) fn lookup_shed(&self, frame: &[u8], local: &mut LocalCounters) -> Option<Verdict> {
+        match self.cache.lookup(submission_cache_key(frame)?) {
             Lookup::Hit(v) => {
-                self.shed_exempt.inc();
+                local.hits += 1;
+                local.shed_exempt += 1;
                 Some(v)
             }
             Lookup::Stale | Lookup::Miss => None,

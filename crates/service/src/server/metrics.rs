@@ -3,6 +3,7 @@
 //! view tests and operators read ([`RiskServerStats`]), and the
 //! per-batch counters folded into the shared ones once per batch.
 
+use super::cache::CacheLayer;
 use polygraph_obs::{Counter, Gauge, Histogram, Registry};
 use std::sync::Arc;
 
@@ -72,8 +73,11 @@ pub mod metric_names {
     /// CLOCK eviction are deliberately excluded (they used to be
     /// counted, overreporting live entries after every swap).
     pub const CACHE_OCCUPANCY: &str = "cache.occupancy";
-    /// Per-hit cache lookup latency in µs (histogram).
-    pub const CACHE_HIT_MICROS: &str = "cache.hit_micros";
+    /// Time one batch spent in its lookup pass — key hash and cache
+    /// probe of every submission frame in it — in µs (histogram; one
+    /// sample per batch holding a submission, cache-enabled servers
+    /// only). The first of the per-batch `server.stage.*` spans.
+    pub const STAGE_LOOKUP_MICROS: &str = "server.stage.lookup_micros";
 }
 
 /// Point-in-time counters of a running risk server, read from the
@@ -206,25 +210,42 @@ impl ServerMetrics {
     }
 }
 
-/// Per-connection counters, folded into the shared [`ServerMetrics`]
-/// once per drained batch instead of once per frame.
+/// One batch's counters, folded into the shared atomics once per batch
+/// instead of once per frame — the only place a frame counter is
+/// charged.
 #[derive(Debug, Default)]
 pub(super) struct LocalCounters {
-    pub(super) assessed: usize,
-    pub(super) flagged: usize,
-    pub(super) malformed: usize,
+    pub(super) assessed: u64,
+    pub(super) flagged: u64,
+    pub(super) malformed: u64,
+    pub(super) shed: u64,
+    /// The cache's books; they stay zero on a server without one.
+    pub(super) hits: u64,
+    pub(super) misses: u64,
+    pub(super) stale_epoch: u64,
+    pub(super) shed_exempt: u64,
 }
 
 impl LocalCounters {
-    pub(super) fn fold_into(&self, metrics: &ServerMetrics) {
-        if self.assessed > 0 {
-            metrics.assessed.add(self.assessed as u64);
-        }
-        if self.flagged > 0 {
-            metrics.flagged.add(self.flagged as u64);
-        }
-        if self.malformed > 0 {
-            metrics.malformed.add(self.malformed as u64);
+    /// Adds every non-zero count to its shared counter and zeroes it.
+    /// A fold is whole: `hits + misses == assessed + malformed +
+    /// shed_exempt` holds of the shared counters after it if it held
+    /// before.
+    pub(super) fn fold_into(&mut self, metrics: &ServerMetrics, cache: Option<&CacheLayer>) {
+        let counts = std::mem::take(self);
+        for (count, counter) in [
+            (counts.assessed, Some(&metrics.assessed)),
+            (counts.flagged, Some(&metrics.flagged)),
+            (counts.malformed, Some(&metrics.malformed)),
+            (counts.shed, Some(&metrics.shed)),
+            (counts.hits, cache.map(|c| &c.hits)),
+            (counts.misses, cache.map(|c| &c.misses)),
+            (counts.stale_epoch, cache.map(|c| &c.stale_epoch)),
+            (counts.shed_exempt, cache.map(|c| &c.shed_exempt)),
+        ] {
+            if let (1.., Some(counter)) = (count, counter) {
+                counter.add(count);
+            }
         }
     }
 }

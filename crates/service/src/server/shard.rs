@@ -18,7 +18,7 @@
 //! sleeps. `server.reactor.passes` and `server.reactor.parks` (registered
 //! on reactor servers only) expose the duty cycle — DESIGN.md §5h.
 
-use super::batch::{process_buffered, read_buffered};
+use super::batch::{drive_buffered, read_buffered};
 use super::decode::UaMemo;
 use super::handle::ConnContext;
 use crate::reactor::{ConnMachine, SCAN_INTERVAL};
@@ -179,7 +179,7 @@ pub(super) fn reactor_shard_loop(listener: TcpListener, ctx: ConnContext, counte
 }
 
 /// Runs one scan's worth of work on a slot: non-blocking reads into the
-/// state machine, the shared batch path over whatever frames became
+/// state machine, the shared drive loop over whatever frames became
 /// complete, and a flush of queued output. Sets `progressed` when a byte
 /// moved in either direction.
 fn drive_slot(slot: &mut ConnSlot, ctx: &ConnContext, now: u64, progressed: &mut bool) -> SlotFate {
@@ -203,14 +203,11 @@ fn drive_slot(slot: &mut ConnSlot, ctx: &ConnContext, now: u64, progressed: &mut
         }
     }
 
-    // Process every complete frame now buffered, one batch cycle at a
-    // time — identical batch/shed accounting to the threaded backend.
-    while (slot.machine.frames_ready() > 0 || slot.machine.input_oversize())
-        && !slot.machine.close_requested()
-    {
-        let outcome = process_buffered(slot.machine.accumulator_mut(), &mut slot.memo, ctx);
-        slot.machine.queue_output(&outcome.out, outcome.close);
-    }
+    // Answer every complete frame now buffered, straight onto the slot's
+    // reply buffer — the same drive loop, batch cycles and accounting as
+    // the threaded backend.
+    slot.machine
+        .answer_with(|acc, out| drive_buffered(acc, &mut slot.memo, ctx, out));
 
     // Flush whatever is queued; `WouldBlock` pauses until the next scan,
     // so a slow reader never blocks the shard.

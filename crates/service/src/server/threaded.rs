@@ -1,14 +1,15 @@
 //! The thread-per-connection core ([`super::ServerBackend::Threaded`],
 //! the default): an acceptor that spawns and reaps one worker per
 //! socket, each worker alternating a blocking read, a non-blocking
-//! drain, one batch cycle and a blocking write.
+//! drain, the shared drive loop over everything buffered and one
+//! blocking write.
 
-use super::batch::{process_buffered, read_buffered};
+use super::batch::{drive_buffered, read_buffered, read_chunk};
 use super::decode::UaMemo;
 use super::handle::ConnContext;
 use super::metrics::ServerMetrics;
 use crate::framing::{FrameAccumulator, FrameStatus};
-use std::io::{self, Read, Write};
+use std::io::{self, Write};
 use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::Ordering;
 use std::thread;
@@ -77,10 +78,11 @@ fn serve_connection(mut stream: TcpStream, ctx: &ConnContext) -> io::Result<()> 
     // A peer that stops reading must not block shutdown forever either.
     stream.set_write_timeout(Some(ctx.read_timeout))?;
     stream.set_nodelay(true)?;
-    let metrics = &ctx.metrics;
     let mut acc = FrameAccumulator::new();
     let mut memo = UaMemo::new();
-    let mut chunk = [0u8; 4096];
+    // The connection's one reply buffer: refilled by every drive loop,
+    // written once per loop, never reallocated once it has grown.
+    let mut out = Vec::new();
     loop {
         // Blocking phase: wait until at least one complete frame (or an
         // oversize header) is buffered. Timeout ticks with an empty
@@ -90,15 +92,12 @@ fn serve_connection(mut stream: TcpStream, ctx: &ConnContext) -> io::Result<()> 
             if ctx.stop.load(Ordering::SeqCst) {
                 return Ok(());
             }
-            match stream.read(&mut chunk) {
+            match read_chunk(&mut stream, &mut acc, ctx) {
                 Ok(0) => return Ok(()), // peer closed at (or mid-) frame boundary
-                Ok(n) => {
-                    metrics.bytes_read.add(n as u64);
-                    acc.extend(chunk.get(..n).unwrap_or_default());
-                }
+                Ok(_) => {}
                 Err(e) if is_timeout(&e) => {
                     if acc.is_empty() {
-                        metrics.idle_timeouts.inc();
+                        ctx.metrics.idle_timeouts.inc();
                         continue;
                     }
                     return Err(e); // partial frame stalled past the timeout
@@ -112,21 +111,22 @@ fn serve_connection(mut stream: TcpStream, ctx: &ConnContext) -> io::Result<()> 
         }
 
         // Drain phase: pull in whatever else the client already pipelined,
-        // without blocking, so the whole backlog shares one read guard.
-        // (End-of-stream seen here is met again by the next blocking read.)
+        // without blocking, so the whole backlog is answered by one drive
+        // loop and one write. (End-of-stream seen here is met again by
+        // the next blocking read.)
         stream.set_nonblocking(true)?;
         let drained = read_buffered(&mut stream, &mut acc, ctx);
         stream.set_nonblocking(false)?;
         drained?;
 
-        let outcome = process_buffered(&mut acc, &mut memo, ctx);
-        if outcome.close {
+        out.clear();
+        if drive_buffered(&mut acc, &mut memo, ctx, &mut out) {
             // Cannot resynchronise past an unread oversize body: flush the
             // answered frames best-effort, then close cleanly.
-            let _ = stream.write_all(&outcome.out);
+            let _ = stream.write_all(&out);
             return Ok(());
         }
-        stream.write_all(&outcome.out)?;
+        stream.write_all(&out)?;
     }
 }
 

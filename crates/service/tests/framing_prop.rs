@@ -120,13 +120,15 @@ proptest! {
         prop_assert_eq!(frame_status(&pending), FrameStatus::Oversize);
     }
 
-    /// The accumulator against the reference: fed the same chunks of an
-    /// arbitrary stream — zero-length frames, a cut-off tail, an oversize
-    /// header with complete-looking frames after it — and drained in the
-    /// same bounded batches, it hands out exactly `split_frames`'s
-    /// bodies and `oversize` flags and is left holding the same bytes.
+    /// The borrowed walk against the reference: fed the same chunks of
+    /// an arbitrary stream — zero-length frames, a cut-off tail, an
+    /// oversize header with complete-looking frames after it — and
+    /// drained in the same bounded batches, the accumulator's cursor
+    /// hands out exactly `split_frames`'s bodies and `oversize` flags and
+    /// is left holding the same bytes, wherever it is compacted; and its
+    /// owning `split` is that walk, copied.
     #[test]
-    fn accumulator_agrees_with_split_frames(
+    fn borrowed_walk_agrees_with_split_frames(
         lens in proptest::collection::vec(0u16..600, 0..10),
         oversize_at in proptest::option::of(0usize..10),
         oversize_len in (MAX_SUBMISSION_BYTES as u16 + 1)..u16::MAX,
@@ -145,22 +147,35 @@ proptest! {
         wire.truncate(wire.len().saturating_sub(truncate));
 
         let mut pending: Vec<u8> = Vec::new();
+        let mut owned_pending: Vec<u8> = Vec::new();
         let mut acc = FrameAccumulator::new();
-        for chunk in chunked(&wire, chunk_seed) {
+        let mut owned = FrameAccumulator::new();
+        for (step, chunk) in chunked(&wire, chunk_seed).into_iter().enumerate() {
             pending.extend_from_slice(chunk);
+            owned_pending.extend_from_slice(chunk);
             acc.extend(chunk);
+            owned.extend(chunk);
+            prop_assert_eq!(owned.split(max), split_frames(&mut owned_pending, max));
             loop {
                 prop_assert_eq!(acc.ready_frames(), count_frames(&pending));
                 prop_assert_eq!(acc.status(), frame_status(&pending));
                 let (want, want_oversize) = split_frames(&mut pending, max);
-                let (got, got_oversize) = acc.split(max);
+                let mut walk = acc.frames(max);
+                let got: Vec<&[u8]> = walk.by_ref().collect();
+                prop_assert_eq!(walk.oversize(), want_oversize);
                 prop_assert_eq!(&got, &want);
-                prop_assert_eq!(got_oversize, want_oversize);
                 prop_assert_eq!(acc.buffered_bytes(), pending.len());
                 prop_assert_eq!(acc.is_empty(), pending.is_empty());
                 if want.is_empty() {
                     break;
                 }
+            }
+            // The server compacts once per drained backlog; any moment
+            // between walks must do.
+            if (chunk_seed >> (step % 64)) & 1 == 1 {
+                acc.compact();
+                prop_assert_eq!(acc.buffered_bytes(), pending.len());
+                prop_assert_eq!(acc.status(), frame_status(&pending));
             }
         }
     }

@@ -5,9 +5,10 @@
 //! if the connection had been served synchronously.
 //!
 //! The machine is pure with respect to I/O, so these tests drive it
-//! through the calls the reactor shard loop makes (bytes in and batches
-//! out through `accumulator_mut()`, replies out via `flush_into`) but
-//! with adversarial schedules no real socket would reliably produce.
+//! through the calls the reactor shard loop makes (bytes in through
+//! `accumulator_mut()`, frames taken and replies queued inside
+//! `answer_with`, replies out via `flush_into`) but with adversarial
+//! schedules no real socket would reliably produce.
 
 use polygraph_service::reactor::ConnMachine;
 use proptest::prelude::*;
@@ -109,15 +110,20 @@ proptest! {
             // wait — both must be safe.
             if !r.is_multiple_of(3) {
                 let max = 1 + r as usize % 4;
-                let (frames, oversize) = machine.accumulator_mut().split(max);
-                prop_assert!(!oversize, "no oversize frames were sent");
-                prop_assert!(frames.len() <= max);
-                for f in frames {
-                    let reply = reply_for(&f, taken.len());
-                    queued_total += reply.len();
-                    machine.queue_output(&reply, false);
-                    taken.push(f);
-                }
+                let mut took = 0;
+                machine.answer_with(|acc, out| {
+                    let (frames, oversize) = acc.split(max);
+                    took = frames.len();
+                    for f in frames {
+                        let reply = reply_for(&f, taken.len());
+                        queued_total += reply.len();
+                        out.extend_from_slice(&reply);
+                        taken.push(f);
+                    }
+                    oversize
+                });
+                prop_assert!(took <= max);
+                prop_assert!(!machine.close_requested(), "no oversize frames were sent");
             }
 
             // One writable event flushes under a random budget — often
@@ -137,16 +143,20 @@ proptest! {
         // The stream has fully arrived: drain every remaining frame,
         // then flush without throttling.
         loop {
-            let (frames, oversize) = machine.accumulator_mut().split(32);
-            prop_assert!(!oversize);
-            if frames.is_empty() {
+            let before = taken.len();
+            machine.answer_with(|acc, out| {
+                let (frames, oversize) = acc.split(32);
+                for f in frames {
+                    let reply = reply_for(&f, taken.len());
+                    queued_total += reply.len();
+                    out.extend_from_slice(&reply);
+                    taken.push(f);
+                }
+                oversize
+            });
+            prop_assert!(!machine.close_requested());
+            if taken.len() == before {
                 break;
-            }
-            for f in frames {
-                let reply = reply_for(&f, taken.len());
-                queued_total += reply.len();
-                machine.queue_output(&reply, false);
-                taken.push(f);
             }
         }
         sink.budget = usize::MAX;
@@ -191,17 +201,19 @@ proptest! {
         for chunk in chunked(&wire, chunk_seed) {
             machine.accumulator_mut().extend(chunk);
             loop {
-                let (frames, oversize) = machine.accumulator_mut().split(4);
-                let drained = frames.is_empty();
-                taken.extend(frames);
-                if oversize {
-                    saw_oversize = true;
-                    // The serve path answers what came before, then
-                    // requests a close.
-                    machine.queue_output(b"ERR", true);
-                    break;
-                }
-                if drained {
+                let before = taken.len();
+                machine.answer_with(|acc, out| {
+                    let (frames, oversize) = acc.split(4);
+                    taken.extend(frames);
+                    if oversize {
+                        // The serve path answers what came before, then
+                        // requests a close.
+                        out.extend_from_slice(b"ERR");
+                    }
+                    oversize
+                });
+                saw_oversize = machine.close_requested();
+                if saw_oversize || taken.len() == before {
                     break;
                 }
             }

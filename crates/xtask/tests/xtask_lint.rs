@@ -240,9 +240,9 @@ fn dogfooding_allows_are_load_bearing() {
         (
             "POLY-L002",
             "crates/service/src/server/batch.rs",
-            &[189, 306],
+            &[238, 354],
         ),
-        ("POLY-L003", "crates/cache/src/lib.rs", &[105, 114, 156]),
+        ("POLY-L003", "crates/cache/src/lib.rs", &[115, 177]),
         ("POLY-L003", "crates/ml/src/pool.rs", &[37, 101]),
     ];
     for (rule, file, lines) in cases {
