@@ -123,6 +123,10 @@ impl<V: Clone> Shard<V> {
             self.live_epoch = epoch;
             self.live = 0;
         }
+        // The new entry joins the live count, the entry it displaces (if
+        // any) leaves it — each only if it carries the live epoch, which
+        // a late insert from an older epoch does not.
+        self.live += usize::from(epoch == self.live_epoch);
         let fresh = Slot {
             key,
             epoch,
@@ -138,7 +142,6 @@ impl<V: Clone> Shard<V> {
         } else if self.slots.len() < capacity {
             self.index.insert(key, self.slots.len());
             self.slots.push(fresh);
-            self.live += usize::from(epoch == self.live_epoch);
             return InsertOutcome::default();
         } else {
             let evicted = InsertOutcome {
@@ -148,11 +151,7 @@ impl<V: Clone> Shard<V> {
             (self.clock_victim(epoch), evicted)
         };
         if let Some(slot) = self.slots.get_mut(pos) {
-            // The slot's old entry leaves the live count, the new one
-            // joins it — each only if it carries the live epoch (a late
-            // insert from an older epoch does not).
             self.live -= usize::from(slot.epoch == self.live_epoch);
-            self.live += usize::from(epoch == self.live_epoch);
             if outcome.evicted {
                 self.index.remove(&slot.key);
                 self.index.insert(key, pos);

@@ -167,6 +167,9 @@ impl FrameAccumulator {
     /// partial tail, or whatever follows an oversize header) to the
     /// front of the buffer.
     pub fn compact(&mut self) {
+        if self.head == 0 {
+            return; // nothing handed out since the last compaction
+        }
         self.pending.drain(..self.head.min(self.pending.len()));
         self.scanned = self.scanned.saturating_sub(self.head);
         self.head = 0;

@@ -89,9 +89,9 @@ pub(super) fn read_buffered(
 /// Both cores call this once per drained backlog and write `out` once,
 /// so a backlog of `n` batches costs one write and one peer wake-up, not
 /// `n`. The price is that the first batch's verdicts wait for the last
-/// batch's: at most `1 + shed_limit / 32` cycles (the second cycle on
-/// sheds whatever exceeds the shed limit), which is what the reactor
-/// always did. The detector guard is still taken once per batch, so a
+/// batch's: at most `1 + shed_limit / 32` cycles (a backlog larger than
+/// one batch plus the shed limit is shed down inside its first cycle),
+/// which is what the reactor always did. The detector guard is still taken once per batch, so a
 /// pending swap waits for one batch, never for the backlog.
 pub(super) fn drive_buffered(
     acc: &mut FrameAccumulator,

@@ -20,8 +20,9 @@
 //! * `handle` — [`RiskServerHandle`] (versioned publish, shadow slot,
 //!   stats, shutdown) and [`start_risk_server_with`].
 //! * `batch` — the path both cores share: the non-blocking read loop, the
-//!   assess–reply–shed cycle (`process_buffered`), the shadow comparison,
-//!   and [`assess_frame`]. The only file that assesses under the detector
+//!   drive loop that answers everything buffered (`drive_buffered`: one
+//!   assess–reply–shed cycle per ≤ 32-frame batch), the shadow
+//!   comparison, and [`assess_frame`]. The only file that assesses under the detector
 //!   read guard, and so the only one `lint.toml` exempts from POLY-L002.
 //! * `decode` — frame → session (with the per-connection user-agent
 //!   memo) and assessment → wire verdict.
@@ -46,9 +47,10 @@
 //!   only a reactor server registers, give the shards' duty cycle.
 //!
 //! Both backends fill the same [`crate::framing::FrameAccumulator`]
-//! parse state through the same read loop and run the same private
-//! batch path (`process_buffered`) over it, so their verdict byte
-//! streams and counter identities are exactly equal —
+//! parse state through the same read loop, run the same private drive
+//! loop (`drive_buffered`) over it and write the reply buffer it fills
+//! once per drained backlog, so their verdict byte streams and counter
+//! identities are exactly equal —
 //! pinned by the backend-parametrized conformance suites
 //! (`tests/common::for_each_backend`) and `tests/reactor_prop.rs`.
 //!

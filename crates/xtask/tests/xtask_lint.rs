@@ -242,7 +242,7 @@ fn dogfooding_allows_are_load_bearing() {
             "crates/service/src/server/batch.rs",
             &[238, 354],
         ),
-        ("POLY-L003", "crates/cache/src/lib.rs", &[115, 177]),
+        ("POLY-L003", "crates/cache/src/lib.rs", &[115, 176]),
         ("POLY-L003", "crates/ml/src/pool.rs", &[37, 101]),
     ];
     for (rule, file, lines) in cases {
