@@ -319,6 +319,25 @@ impl<V: Clone> VerdictCache<V> {
             })
             .sum()
     }
+
+    /// Every resident key (current and stale epochs alike), ascending —
+    /// how the model test below sees which key an insert evicted.
+    #[cfg(test)]
+    fn resident_keys(&self) -> Vec<u64> {
+        let mut keys: Vec<u64> = self
+            .shards
+            .iter()
+            .flat_map(|s| {
+                s.read()
+                    .slots
+                    .iter()
+                    .map(|slot| slot.key)
+                    .collect::<Vec<_>>()
+            })
+            .collect();
+        keys.sort_unstable();
+        keys
+    }
 }
 
 impl<V> std::fmt::Debug for VerdictCache<V> {
@@ -334,6 +353,7 @@ impl<V> std::fmt::Debug for VerdictCache<V> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::BTreeMap;
     use std::sync::Arc;
 
     #[test]
@@ -535,6 +555,216 @@ mod tests {
                 );
                 proptest::prop_assert!(cache.occupancy() <= cache.capacity());
             }
+        }
+    }
+
+    /// One shard of [`Model`]: the slot arena, the CLOCK hand, and the
+    /// ordered key→slot map this crate's shards were first written with.
+    #[derive(Default)]
+    struct ModelShard {
+        /// `(key, epoch, referenced, value)`.
+        slots: Vec<(u64, u64, bool, u64)>,
+        index: BTreeMap<u64, usize>,
+        hand: usize,
+    }
+
+    /// A straightforward sharded CLOCK cache, kept as the reference the
+    /// real one is compared against step by step: same shard choice, same
+    /// sweep, same victims — whatever the real shards index their slots
+    /// with.
+    struct Model {
+        shards: Vec<ModelShard>,
+        capacity_per_shard: usize,
+        epoch: u64,
+    }
+
+    impl Model {
+        fn new(shards: usize, capacity: usize) -> Self {
+            Self {
+                shards: (0..shards).map(|_| ModelShard::default()).collect(),
+                capacity_per_shard: capacity / shards,
+                epoch: 0,
+            }
+        }
+
+        fn shard(&mut self, key: u64) -> &mut ModelShard {
+            let at = (key % self.shards.len() as u64) as usize;
+            &mut self.shards[at]
+        }
+
+        fn lookup(&mut self, key: u64) -> Lookup<u64> {
+            let epoch = self.epoch;
+            let shard = self.shard(key);
+            let Some(&pos) = shard.index.get(&key) else {
+                return Lookup::Miss;
+            };
+            let slot = &mut shard.slots[pos];
+            if slot.1 != epoch {
+                return Lookup::Stale;
+            }
+            slot.2 = true;
+            Lookup::Hit(slot.3)
+        }
+
+        /// What the insert did, and the key it evicted (if it did).
+        fn insert(&mut self, key: u64, epoch: u64, value: u64) -> (InsertOutcome, Option<u64>) {
+            let capacity = self.capacity_per_shard;
+            let shard = self.shard(key);
+            let fresh = (key, epoch, true, value);
+            if let Some(&pos) = shard.index.get(&key) {
+                shard.slots[pos] = fresh;
+                let replaced = InsertOutcome {
+                    evicted: false,
+                    replaced: true,
+                };
+                return (replaced, None);
+            }
+            if shard.slots.len() < capacity {
+                shard.index.insert(key, shard.slots.len());
+                shard.slots.push(fresh);
+                return (InsertOutcome::default(), None);
+            }
+            // The sweep: a slot of another epoch than the insert's goes
+            // on sight, a referenced one loses its bit and is passed.
+            let victim = loop {
+                let pos = shard.hand;
+                shard.hand = (shard.hand + 1) % capacity;
+                let slot = &mut shard.slots[pos];
+                if slot.1 != epoch || !std::mem::replace(&mut slot.2, false) {
+                    break pos;
+                }
+            };
+            let evicted_key = shard.slots[victim].0;
+            shard.index.remove(&evicted_key);
+            shard.index.insert(key, victim);
+            shard.slots[victim] = fresh;
+            let evicted = InsertOutcome {
+                evicted: true,
+                replaced: false,
+            };
+            (evicted, Some(evicted_key))
+        }
+
+        fn resident_keys(&self) -> Vec<u64> {
+            let mut keys: Vec<u64> = self
+                .shards
+                .iter()
+                .flat_map(|s| s.index.keys().copied())
+                .collect();
+            keys.sort_unstable();
+            keys
+        }
+
+        fn current_occupancy(&self) -> usize {
+            self.shards
+                .iter()
+                .flat_map(|s| &s.slots)
+                .filter(|slot| slot.1 == self.epoch)
+                .count()
+        }
+    }
+
+    /// The cell of a `cells`-cell table (a power of two) a shard's index
+    /// probes from for `key`: the top bits of an odd multiple.
+    fn home_cell(key: u64, cells: u64) -> u64 {
+        key.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> (64 - cells.trailing_zeros())
+    }
+
+    /// The first `n` keys that land in shard 0 of `shards` and share the
+    /// last-but-one cell of a table twice a shard's capacity: resident
+    /// together they form one probe run that wraps past the table's end,
+    /// and evicting any but the last of them opens a hole in its middle.
+    fn keys_sharing_a_home(shards: u64, capacity: u64, n: usize) -> Vec<u64> {
+        let cells = (2 * capacity / shards).next_power_of_two();
+        (0..)
+            .step_by(shards as usize)
+            .filter(|&key| home_cell(key, cells) == cells - 2)
+            .take(n)
+            .collect()
+    }
+
+    /// Replays `ops` on the real cache and on [`Model`], comparing after
+    /// every step what the step returned, which key it evicted, and what
+    /// is resident. Keys come from a small uniform range or from
+    /// `crafted`, so that most inserts replace or evict.
+    fn replay_against_model(shards: usize, capacity: usize, uniform: u64, ops: &[u64]) {
+        let crafted = keys_sharing_a_home(shards as u64, capacity as u64, capacity);
+        let cache: VerdictCache<u64> = VerdictCache::new(shards, capacity);
+        let mut model = Model::new(shards, capacity);
+        assert_eq!(cache.capacity(), capacity);
+        for (step, &op) in ops.iter().enumerate() {
+            let pick = op >> 8;
+            let key = if pick & 1 == 0 {
+                (pick >> 1) % uniform
+            } else {
+                crafted[(pick >> 1) as usize % crafted.len()]
+            };
+            let context = format!("step {step}, op {op:#x}, key {key}");
+            match op % 8 {
+                0 => {
+                    model.epoch += 1;
+                    assert_eq!(cache.bump_epoch(), model.epoch, "{context}");
+                }
+                1 | 2 => assert_eq!(cache.lookup(key), model.lookup(key), "{context}"),
+                kind => {
+                    // The swap race's late arrival: an epoch read one to
+                    // three bumps ago.
+                    let epoch = if kind == 3 {
+                        model.epoch.saturating_sub(1 + (op >> 40) % 3)
+                    } else {
+                        model.epoch
+                    };
+                    let before = cache.resident_keys();
+                    let outcome = cache.insert(key, epoch, op);
+                    let after = cache.resident_keys();
+                    let evicted: Vec<u64> = before
+                        .iter()
+                        .copied()
+                        .filter(|k| after.binary_search(k).is_err())
+                        .collect();
+                    let (want_outcome, want_evicted) = model.insert(key, epoch, op);
+                    assert_eq!(outcome, want_outcome, "{context}");
+                    assert_eq!(
+                        evicted,
+                        want_evicted.into_iter().collect::<Vec<_>>(),
+                        "{context}"
+                    );
+                }
+            }
+            assert_eq!(cache.resident_keys(), model.resident_keys(), "{context}");
+            assert_eq!(
+                cache.current_occupancy(),
+                model.current_occupancy(),
+                "{context}"
+            );
+        }
+        // The index and the slots agree on who is resident: every key
+        // either cache ever saw answers as the model says.
+        for key in (0..uniform).chain(crafted) {
+            assert_eq!(
+                cache.lookup(key),
+                model.lookup(key),
+                "final lookup of {key}"
+            );
+        }
+    }
+
+    proptest::proptest! {
+        /// Two shards of four slots: nearly every insert evicts, and the
+        /// crafted keys fill shard 0 with one wrapped probe run.
+        #[test]
+        fn small_cache_matches_the_reference_clock(
+            ops in proptest::collection::vec(proptest::any::<u64>(), 0..300),
+        ) {
+            replay_against_model(2, 8, 24, &ops);
+        }
+
+        /// One shard of 64 slots: long runs, deletions in their middle.
+        #[test]
+        fn one_wide_shard_matches_the_reference_clock(
+            ops in proptest::collection::vec(proptest::any::<u64>(), 0..1500),
+        ) {
+            replay_against_model(1, 64, 96, &ops);
         }
     }
 }

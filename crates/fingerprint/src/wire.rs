@@ -452,20 +452,160 @@ mod tests {
         assert!(frame_range.contains(&(view.user_agent().as_ptr() as usize)));
     }
 
+    /// The decoder written the slow, obvious way — one byte at a time
+    /// off a cursor, every check in wire order — kept as the reference
+    /// [`decode_submission`] must agree with on every input: same
+    /// submission, or the same [`WireError`] with the same payload.
+    fn reference_decode(frame: &[u8]) -> Result<Submission, WireError> {
+        let mut at = 0usize;
+        let next = |at: &mut usize| -> Result<u8, WireError> {
+            let byte = *frame.get(*at).ok_or(WireError::Truncated)?;
+            *at += 1;
+            Ok(byte)
+        };
+        // A frame too short for its fixed header is truncated whatever
+        // its first bytes say.
+        if frame.len() < 2 + 1 + 16 + 2 {
+            return Err(WireError::Truncated);
+        }
+        if [next(&mut at)?, next(&mut at)?] != MAGIC {
+            return Err(WireError::BadMagic);
+        }
+        let version = next(&mut at)?;
+        if version != WIRE_VERSION {
+            return Err(WireError::UnsupportedVersion(version));
+        }
+        let mut session_id = [0u8; 16];
+        for byte in &mut session_id {
+            *byte = next(&mut at)?;
+        }
+        let ua_len = usize::from(next(&mut at)?) | usize::from(next(&mut at)?) << 8;
+        if ua_len > MAX_UA_LEN {
+            return Err(WireError::UserAgentTooLong(ua_len));
+        }
+        let mut ua = Vec::new();
+        for _ in 0..ua_len {
+            ua.push(next(&mut at)?);
+        }
+        let user_agent = String::from_utf8(ua).map_err(|_| WireError::UserAgentNotUtf8)?;
+        let count = usize::from(next(&mut at)?) | usize::from(next(&mut at)?) << 8;
+        if count > MAX_VALUES {
+            return Err(WireError::TooManyValues(count));
+        }
+        let mut values = Vec::new();
+        for _ in 0..count {
+            let mut value = 0u64;
+            let mut bytes = 0;
+            loop {
+                let byte = next(&mut at)?;
+                value |= u64::from(byte & 0x7f) << (7 * bytes);
+                bytes += 1;
+                if value > u64::from(u32::MAX) {
+                    return Err(WireError::VarintOverflow);
+                }
+                if byte & 0x80 == 0 {
+                    break;
+                }
+                if bytes == 5 {
+                    return Err(WireError::VarintOverflow);
+                }
+            }
+            values.push(value as u32);
+        }
+        if at < frame.len() {
+            return Err(WireError::TrailingBytes(frame.len() - at));
+        }
+        Ok(Submission {
+            session_id,
+            user_agent,
+            values,
+        })
+    }
+
+    /// Both decoders against the reference on `frame`; returns the
+    /// shared answer.
+    fn decode_like_the_reference(frame: &[u8]) -> Result<Submission, WireError> {
+        let want = reference_decode(frame);
+        assert_eq!(decode_submission(frame), want, "owned decode of {frame:?}");
+        let view = decode_submission_view(frame).map(|view| Submission {
+            session_id: view.session_id(),
+            user_agent: view.user_agent().to_string(),
+            values: view.values_u32().collect(),
+        });
+        assert_eq!(view, want, "borrowed decode of {frame:?}");
+        want
+    }
+
     #[test]
     fn view_rejects_exactly_what_owned_decode_rejects() {
         let bytes = encode_submission(&sample()).unwrap();
+        assert_eq!(decode_like_the_reference(&bytes), Ok(sample()));
         for cut in 0..bytes.len() {
-            let owned = decode_submission(&bytes[..cut]).map(|_| ());
-            let view = decode_submission_view(&bytes[..cut]).map(|_| ());
-            assert_eq!(owned, view, "cut at {cut} must agree");
+            assert!(
+                decode_like_the_reference(&bytes[..cut]).is_err(),
+                "cut at {cut}"
+            );
         }
         let mut trailing = bytes.to_vec();
         trailing.push(0);
         assert_eq!(
-            decode_submission_view(&trailing),
+            decode_like_the_reference(&trailing),
             Err(WireError::TrailingBytes(1))
         );
+
+        // The last value re-encoded every way a varint can go wrong (or
+        // just long): the frame ends in that varint, so each tail below
+        // is the whole of what follows the 27 good values.
+        let stem = &bytes[..bytes.len() - 1];
+        let tails: [(&[u8], Result<u32, WireError>); 9] = [
+            (&[0x81, 0x00], Ok(1)), // over-long but in range
+            (&[0x81, 0x80, 0x80, 0x80, 0x00], Ok(1)),
+            (&[0xff, 0xff, 0xff, 0xff, 0x0f], Ok(u32::MAX)),
+            (
+                &[0xff, 0xff, 0xff, 0xff, 0x10],
+                Err(WireError::VarintOverflow),
+            ),
+            (
+                &[0xff, 0xff, 0xff, 0xff, 0x8f],
+                Err(WireError::VarintOverflow),
+            ),
+            (
+                &[0x80, 0x80, 0x80, 0x80, 0x80, 0x00],
+                Err(WireError::VarintOverflow),
+            ),
+            (&[0x80, 0x80, 0x80, 0x80], Err(WireError::Truncated)),
+            (&[0x80], Err(WireError::Truncated)),
+            (&[0x01, 0x80], Err(WireError::TrailingBytes(1))),
+        ];
+        for (tail, want) in tails {
+            let frame = [stem, tail].concat();
+            let got = decode_like_the_reference(&frame).map(|sub| sub.values[27]);
+            assert_eq!(got, want, "tail {tail:02x?}");
+        }
+
+        // The header's checks, in the order the wire lists the fields.
+        let with = |at: usize, patch: &[u8]| {
+            let mut frame = bytes.to_vec();
+            frame[at..at + patch.len()].copy_from_slice(patch);
+            decode_like_the_reference(&frame).map(|_| ())
+        };
+        assert_eq!(with(1, b"X"), Err(WireError::BadMagic));
+        assert_eq!(with(2, &[9]), Err(WireError::UnsupportedVersion(9)));
+        assert_eq!(
+            with(19, &[0x01, 0x02]),
+            Err(WireError::UserAgentTooLong(513))
+        );
+        assert_eq!(with(19, &[0xff, 0x01]), Err(WireError::Truncated));
+        assert_eq!(with(30, &[0xff]), Err(WireError::UserAgentNotUtf8));
+        let count_at = 21 + sample().user_agent.len();
+        assert_eq!(
+            with(count_at, &[0x01, 0x04]),
+            Err(WireError::TooManyValues(1025))
+        );
+        assert_eq!(with(count_at, &[0x00, 0x04]), Err(WireError::Truncated));
+        assert_eq!(with(count_at, &[27, 0]), Err(WireError::TrailingBytes(1)));
+        // Too short for the fixed header: truncated, whatever the magic.
+        assert_eq!(decode_like_the_reference(b"XY"), Err(WireError::Truncated));
     }
 
     #[test]
@@ -726,16 +866,40 @@ mod tests {
             }
         }
 
+        /// One byte of a good frame overwritten, then the result cut
+        /// short and padded: never a panic, and always the reference
+        /// decoder's answer — the same submission or the same error.
         #[test]
         fn prop_mutated_frames_never_panic(
             flip in 0usize..200,
             byte in any::<u8>(),
+            cut in 0usize..200,
         ) {
             let bytes = encode_submission(&sample()).unwrap().to_vec();
             let mut mutated = bytes.clone();
             let idx = flip % mutated.len();
             mutated[idx] = byte;
-            let _ = decode_submission(&mutated);
+            let _ = decode_like_the_reference(&mutated);
+            let _ = decode_like_the_reference(&mutated[..cut % (mutated.len() + 1)]);
+            mutated.push(byte);
+            let _ = decode_like_the_reference(&mutated);
+        }
+
+        #[test]
+        fn prop_decoder_agrees_with_the_reference_on_noise(
+            noise in proptest::collection::vec(any::<u8>(), 0..300),
+            values in 0u16..40,
+        ) {
+            // Behind a good header, so the noise reaches the length
+            // fields and the varints instead of dying at the magic.
+            let _ = decode_like_the_reference(&noise);
+            let mut frame = vec![b'B', b'P', WIRE_VERSION];
+            frame.extend_from_slice(&[3; 16]);
+            frame.extend_from_slice(&[4, 0]);
+            frame.extend_from_slice(b"ua/1");
+            frame.extend_from_slice(&values.to_le_bytes());
+            frame.extend_from_slice(&noise);
+            let _ = decode_like_the_reference(&frame);
         }
     }
 }
