@@ -21,6 +21,12 @@
 //!   each an independent `RwLock`-protected bounded map. Lookups take a
 //!   read lock only; the reference bits CLOCK eviction needs are atomics,
 //!   so concurrent hits never serialize on a shard.
+//! * **An open-addressed index per shard**: the key is already a
+//!   finalised 64-bit hash, so a shard finds a key's slot in a flat
+//!   power-of-two table at most half full — linear probing from a cell
+//!   an odd multiply picks, backward-shift deletion, no tombstones — not
+//!   in an ordered tree. It is only the map; which slot a key gets and
+//!   which one CLOCK takes do not depend on it.
 //! * **CLOCK / second-chance eviction** per shard: a full shard evicts
 //!   the first slot whose reference bit is clear, clearing bits as the
 //!   hand sweeps. Entries whose epoch is stale are evicted on sight —
@@ -39,7 +45,6 @@
 #![warn(missing_docs)]
 
 use parking_lot::RwLock;
-use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
 /// Upper bound on the shard count (a power of two; more shards than this
@@ -77,12 +82,126 @@ struct Slot<V> {
     value: V,
 }
 
+/// Odd multiplier that spreads a key over an [`Index`]'s cells (2^64 / φ).
+/// Fixed, like everything that places a key (POLY-D004: no `RandomState`).
+const HOME_MUL: u64 = 0x9E37_79B9_7F4A_7C15;
+
+/// One cell of an [`Index`]: a key and, plus one, the slot holding it.
+/// `slot1 == 0` is an empty cell, so a zeroed table is an empty index and
+/// key 0 is a key like any other.
+#[derive(Clone, Copy, Default)]
+struct Cell {
+    key: u64,
+    slot1: usize,
+}
+
+/// A shard's key→slot map: open addressing with linear probing over a
+/// power-of-two table of at least twice the shard's capacity, so it is
+/// never more than half full and a probe always ends at an empty cell.
+///
+/// A key's home cell is the top bits of an odd multiple of it — the low
+/// bits chose the shard and are the same for every key here. Removal
+/// shifts the rest of the probe run back over the hole instead of
+/// leaving a tombstone: a shard at capacity removes one key per insert
+/// for as long as it lives, and tombstones would lengthen every probe
+/// until a rebuild; this way a probe is never longer than the run of
+/// resident keys it walks. Keys built to share a home make that run as
+/// long as the shard's resident count, and no longer (DESIGN.md §5g).
+struct Index {
+    cells: Vec<Cell>,
+    /// `64 - log2(cells.len())`: what is left of the multiplied key after
+    /// the shift is a cell number.
+    shift: u32,
+}
+
+impl Index {
+    fn new(capacity: usize) -> Self {
+        let len = capacity.saturating_mul(2).next_power_of_two().max(2);
+        Self {
+            cells: vec![Cell::default(); len],
+            shift: u64::BITS - len.trailing_zeros(),
+        }
+    }
+
+    fn home(&self, key: u64) -> usize {
+        (key.wrapping_mul(HOME_MUL) >> self.shift) as usize
+    }
+
+    /// The cells a probe for `key` visits, in order: every cell once,
+    /// from the key's home, wrapping at the table's end.
+    fn probe(&self, key: u64) -> impl Iterator<Item = usize> {
+        let (home, len) = (self.home(key), self.cells.len());
+        (0..len).map(move |step| (home + step) & (len - 1))
+    }
+
+    /// The cell holding `key` and the slot it names, if it is indexed.
+    fn find(&self, key: u64) -> Option<(usize, usize)> {
+        for at in self.probe(key) {
+            let cell = self.cells.get(at)?;
+            if cell.key == key || cell.slot1 == 0 {
+                return Some((at, cell.slot1.checked_sub(1)?));
+            }
+        }
+        None
+    }
+
+    fn get(&self, key: u64) -> Option<usize> {
+        self.find(key).map(|(_, slot)| slot)
+    }
+
+    /// Indexes `key` (not indexed yet) at `slot`.
+    fn insert(&mut self, key: u64, slot: usize) {
+        for at in self.probe(key) {
+            match self.cells.get_mut(at) {
+                Some(cell) if cell.slot1 == 0 => {
+                    *cell = Cell {
+                        key,
+                        slot1: slot + 1,
+                    };
+                    return;
+                }
+                _ => {}
+            }
+        }
+    }
+
+    /// Forgets `key` and closes the hole: each later cell of the run moves
+    /// back into it if the hole lies between that cell's home and the
+    /// cell — then every key is still reachable from its home without
+    /// crossing an empty cell — and leaves a new hole where it was.
+    fn remove(&mut self, key: u64) {
+        let Some((mut hole, _)) = self.find(key) else {
+            return;
+        };
+        let mask = self.cells.len() - 1;
+        let mut at = hole;
+        for _ in 0..mask {
+            at = (at + 1) & mask;
+            let Some(&cell) = self.cells.get(at) else {
+                break;
+            };
+            if cell.slot1 == 0 {
+                break;
+            }
+            let from_home = at.wrapping_sub(self.home(cell.key)) & mask;
+            if from_home >= (at.wrapping_sub(hole) & mask) {
+                if let Some(freed) = self.cells.get_mut(hole) {
+                    *freed = cell;
+                }
+                hole = at;
+            }
+        }
+        if let Some(freed) = self.cells.get_mut(hole) {
+            *freed = Cell::default();
+        }
+    }
+}
+
 /// One shard: a bounded slot arena, a key→slot index, the CLOCK hand,
 /// and the count that answers [`VerdictCache::current_occupancy`].
 struct Shard<V> {
     slots: Vec<Slot<V>>,
-    /// Deterministically ordered index (POLY-D004 zone: no `RandomState`).
-    index: BTreeMap<u64, usize>,
+    index: Index,
     hand: usize,
     /// The newest epoch an insert has brought to this shard.
     live_epoch: u64,
@@ -95,7 +214,7 @@ impl<V: Clone> Shard<V> {
     fn new(capacity: usize) -> Self {
         Self {
             slots: Vec::with_capacity(capacity),
-            index: BTreeMap::new(),
+            index: Index::new(capacity),
             hand: 0,
             live_epoch: 0,
             live: 0,
@@ -103,7 +222,7 @@ impl<V: Clone> Shard<V> {
     }
 
     fn lookup(&self, key: u64, current_epoch: u64) -> Lookup<V> {
-        let Some(&pos) = self.index.get(&key) else {
+        let Some(pos) = self.index.get(key) else {
             return Lookup::Miss;
         };
         let Some(slot) = self.slots.get(pos) else {
@@ -133,7 +252,7 @@ impl<V: Clone> Shard<V> {
             referenced: AtomicBool::new(true),
             value,
         };
-        let (pos, outcome) = if let Some(&pos) = self.index.get(&key) {
+        let (pos, outcome) = if let Some(pos) = self.index.get(key) {
             let replaced = InsertOutcome {
                 evicted: false,
                 replaced: true,
@@ -153,7 +272,7 @@ impl<V: Clone> Shard<V> {
         if let Some(slot) = self.slots.get_mut(pos) {
             self.live -= usize::from(slot.epoch == self.live_epoch);
             if outcome.evicted {
-                self.index.remove(&slot.key);
+                self.index.remove(slot.key);
                 self.index.insert(key, pos);
             }
             *slot = fresh;
@@ -664,23 +783,58 @@ mod tests {
         }
     }
 
-    /// The cell of a `cells`-cell table (a power of two) a shard's index
-    /// probes from for `key`: the top bits of an odd multiple.
-    fn home_cell(key: u64, cells: u64) -> u64 {
-        key.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> (64 - cells.trailing_zeros())
-    }
-
     /// The first `n` keys that land in shard 0 of `shards` and share the
-    /// last-but-one cell of a table twice a shard's capacity: resident
-    /// together they form one probe run that wraps past the table's end,
-    /// and evicting any but the last of them opens a hole in its middle.
-    fn keys_sharing_a_home(shards: u64, capacity: u64, n: usize) -> Vec<u64> {
-        let cells = (2 * capacity / shards).next_power_of_two();
+    /// last-but-one cell of that shard's index: resident together they
+    /// form one probe run that wraps past the table's end, and evicting
+    /// any but the last of them opens a hole in its middle.
+    fn keys_sharing_a_home(shards: usize, capacity: usize, n: usize) -> Vec<u64> {
+        let index = Index::new(capacity / shards);
+        let home = index.cells.len() - 2;
         (0..)
-            .step_by(shards as usize)
-            .filter(|&key| home_cell(key, cells) == cells - 2)
+            .step_by(shards)
+            .filter(|&key| index.home(key) == home)
             .take(n)
             .collect()
+    }
+
+    #[test]
+    fn index_closes_a_hole_in_the_middle_of_a_wrapped_run() {
+        // Four keys (a 4-slot shard's capacity) sharing cell 6 of its
+        // 8-cell table occupy cells 6, 7, 0, 1.
+        let keys = keys_sharing_a_home(1, 4, 4);
+        let mut index = Index::new(4);
+        assert_eq!(index.cells.len(), 8);
+        for (slot, &key) in keys.iter().enumerate() {
+            index.insert(key, slot);
+        }
+        let occupied = |index: &Index| -> Vec<usize> {
+            (0..8).filter(|&at| index.cells[at].slot1 != 0).collect()
+        };
+        assert_eq!(occupied(&index), [0, 1, 6, 7]);
+        // Removing the second key shifts the two behind it back across
+        // the table's end; the run stays gapless and one cell shorter.
+        index.remove(keys[1]);
+        assert_eq!(occupied(&index), [0, 6, 7]);
+        assert_eq!(index.get(keys[1]), None);
+        for slot in [0, 2, 3] {
+            assert_eq!(index.get(keys[slot]), Some(slot));
+        }
+        // A key whose home is past the hole is not dragged before it.
+        let homed_past_it = (0..).find(|&key| index.home(key) == 1).unwrap();
+        index.insert(homed_past_it, 1);
+        assert_eq!(occupied(&index), [0, 1, 6, 7]);
+        index.remove(keys[0]);
+        assert_eq!(occupied(&index), [1, 6, 7], "the run before cell 1 shrank");
+        assert_eq!(index.get(homed_past_it), Some(1));
+        assert_eq!(index.get(keys[2]), Some(2));
+        assert_eq!(index.get(keys[3]), Some(3));
+        // Key 0 and slot 0 are ordinary.
+        let mut index = Index::new(4);
+        assert_eq!(index.get(0), None);
+        index.insert(0, 0);
+        assert_eq!(index.get(0), Some(0));
+        index.remove(0);
+        assert_eq!(index.get(0), None);
     }
 
     /// Replays `ops` on the real cache and on [`Model`], comparing after
@@ -688,7 +842,7 @@ mod tests {
     /// is resident. Keys come from a small uniform range or from
     /// `crafted`, so that most inserts replace or evict.
     fn replay_against_model(shards: usize, capacity: usize, uniform: u64, ops: &[u64]) {
-        let crafted = keys_sharing_a_home(shards as u64, capacity as u64, capacity);
+        let crafted = keys_sharing_a_home(shards, capacity, capacity);
         let cache: VerdictCache<u64> = VerdictCache::new(shards, capacity);
         let mut model = Model::new(shards, capacity);
         assert_eq!(cache.capacity(), capacity);
