@@ -36,6 +36,6 @@ pub use script::{collection_script, ScriptOptions};
 pub use vector::{FeatureSet, Fingerprint};
 pub use wire::{
     decode_submission, decode_submission_view, encode_stats_request, encode_submission, fnv1a64,
-    is_stats_request, submission_cache_key, Submission, SubmissionView, WireError,
+    hash_words, is_stats_request, submission_cache_key, Submission, SubmissionView, WireError,
     MAX_SUBMISSION_BYTES,
 };

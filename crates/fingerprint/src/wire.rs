@@ -16,7 +16,7 @@
 //! submissions; decoding validates every field and never panics on
 //! malformed input — this is the parser that faces the network.
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use bytes::{BufMut, Bytes, BytesMut};
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
@@ -64,11 +64,11 @@ const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 /// Hand-rolled FNV-1a over `bytes`: a fixed, platform-independent 64-bit
 /// hash — never `RandomState` — so the same bytes hash the same in every
 /// process and every replay (lint rule POLY-D004 pins the invariant).
-/// Public so the fleet ring's node tags, the server's user-agent memo
-/// and the fit's byte pins hash with this one function instead of a copy
-/// of it. One multiply per *byte*: right for a tag or a digest, too slow
-/// for the per-frame cache key, which [`submission_cache_key`] computes
-/// eight bytes at a time instead.
+/// Public so the fleet ring's node tags and the fit's byte pins hash with
+/// this one function instead of a copy of it. One multiply per *byte*:
+/// right for a tag or a digest, too slow for anything hashed per frame —
+/// the cache key and the server's user-agent memo go through
+/// [`hash_words`], eight bytes at a time, instead.
 pub fn fnv1a64(bytes: &[u8]) -> u64 {
     let mut h = FNV_OFFSET;
     for &b in bytes {
@@ -82,17 +82,23 @@ pub fn fnv1a64(bytes: &[u8]) -> u64 {
 /// splitmix64 increment).
 const KEY_WORD_MUL: u64 = 0x9E37_79B9_7F4A_7C15;
 
-/// The cache-key hash: `bytes` taken as little-endian 64-bit words, the
-/// last one zero-padded, the length folded into the starting state so a
-/// padded tail cannot alias a longer input. Each word is absorbed by a
+/// The slot hash of the serve path — what [`submission_cache_key`] keys
+/// a frame's suffix with and what the server's per-connection user-agent
+/// memo picks a slot with: `bytes` taken as little-endian 64-bit words,
+/// the last one zero-padded, the length folded into the starting state so
+/// a padded tail cannot alias a longer input. Each word is absorbed by a
 /// xor, an odd multiply and a xorshift — a bijection of the state, so two
 /// inputs of one length that differ in a single word never collide — and
 /// the splitmix64 finaliser then spreads the state over all 64 output
-/// bits (the cache shards on the low ones). Fixed constants, no seed:
-/// the same suffix keys the same slot on every machine, which POLY-D004
-/// asks for and which also means a client can search for colliding
-/// suffixes offline — as it could under FNV-1a (DESIGN.md §5g).
-fn hash_words(mut bytes: &[u8]) -> u64 {
+/// bits (the cache shards on the low ones).
+///
+/// A fixed, seedless *slot* hash, not a digest: the same bytes pick the
+/// same slot on every machine, which POLY-D004 asks for and which also
+/// means a client can search for colliding inputs offline — as it could
+/// under FNV-1a (DESIGN.md §5g) — so whatever it indexes must compare
+/// what it finds, or bound what a collision costs. For a byte pin or a
+/// stable tag use [`fnv1a64`].
+pub fn hash_words(mut bytes: &[u8]) -> u64 {
     let mut h = FNV_OFFSET ^ (bytes.len() as u64).wrapping_mul(KEY_WORD_MUL);
     let mut absorb = |word: u64| {
         h = (h ^ word).wrapping_mul(KEY_WORD_MUL);
@@ -292,49 +298,49 @@ impl<'a> SubmissionView<'a> {
     }
 }
 
+/// Bytes before the user-agent: magic, version, session id, its length.
+const HEADER_LEN: usize = 2 + 1 + 16 + 2;
+
 /// Decodes a submission frame into a borrowed [`SubmissionView`],
 /// validating every field exactly as [`decode_submission`] does.
 pub fn decode_submission_view(frame: &[u8]) -> Result<SubmissionView<'_>, WireError> {
-    let mut rest = frame;
-    if rest.remaining() < 2 + 1 + 16 + 2 {
+    // A frame too short for its fixed header is truncated whatever its
+    // first bytes say.
+    let Some((&[m0, m1, version, session_id @ .., ua_lo, ua_hi], rest)) =
+        frame.split_first_chunk::<HEADER_LEN>()
+    else {
         return Err(WireError::Truncated);
-    }
-    let mut magic = [0u8; 2];
-    rest.copy_to_slice(&mut magic);
-    if magic != MAGIC {
+    };
+    if [m0, m1] != MAGIC {
         return Err(WireError::BadMagic);
     }
-    let version = rest.get_u8();
     if version != WIRE_VERSION {
         return Err(WireError::UnsupportedVersion(version));
     }
-    let mut session_id = [0u8; 16];
-    rest.copy_to_slice(&mut session_id);
-    let ua_len = rest.get_u16_le() as usize;
+    let ua_len = usize::from(u16::from_le_bytes([ua_lo, ua_hi]));
     if ua_len > MAX_UA_LEN {
         return Err(WireError::UserAgentTooLong(ua_len));
     }
-    if rest.remaining() < ua_len {
+    if rest.len() < ua_len {
         return Err(WireError::Truncated);
     }
-    let (ua_bytes, after_ua) = rest.split_at(ua_len);
+    let (ua_bytes, rest) = rest.split_at(ua_len);
     let user_agent = std::str::from_utf8(ua_bytes).map_err(|_| WireError::UserAgentNotUtf8)?;
-    let mut rest = after_ua;
-    if rest.remaining() < 2 {
+    let Some((&count, values)) = rest.split_first_chunk::<2>() else {
         return Err(WireError::Truncated);
-    }
-    let count = rest.get_u16_le() as usize;
+    };
+    let count = usize::from(u16::from_le_bytes(count));
     if count > MAX_VALUES {
         return Err(WireError::TooManyValues(count));
     }
     // Walk (and thereby validate) the whole varint region once, so the
     // view's value iterator can decode it infallibly.
-    let values = rest;
+    let mut rest = values;
     for _ in 0..count {
         get_varint(&mut rest)?;
     }
-    if rest.has_remaining() {
-        return Err(WireError::TrailingBytes(rest.remaining()));
+    if !rest.is_empty() {
+        return Err(WireError::TrailingBytes(rest.len()));
     }
     Ok(SubmissionView {
         session_id,
@@ -368,14 +374,17 @@ fn put_varint(buf: &mut BytesMut, mut v: u32) {
     }
 }
 
+/// Reads one LEB128 `u32` off the front of `frame` and advances it — a
+/// slice walk, no cursor trait in between: a frame's varints are most of
+/// what decoding it costs.
 fn get_varint(frame: &mut &[u8]) -> Result<u32, WireError> {
     let mut out: u32 = 0;
     for shift in 0..5 {
-        if !frame.has_remaining() {
+        let Some((&byte, rest)) = frame.split_first() else {
             return Err(WireError::Truncated);
-        }
-        let byte = frame.get_u8();
-        let chunk = (byte & 0x7f) as u32;
+        };
+        *frame = rest;
+        let chunk = u32::from(byte & 0x7f);
         // The 5th byte may only carry 4 bits.
         if shift == 4 && chunk > 0x0f {
             return Err(WireError::VarintOverflow);
