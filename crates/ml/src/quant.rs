@@ -65,9 +65,9 @@ const MAX_COMPONENTS: usize = 64;
 /// to the staged fallback.
 const X_TARGET: f64 = (1u64 << 24) as f64;
 
-/// A compiled model: one fixed-point affine transform plus a
-/// structure-of-arrays centroid table, with the precomputed error
-/// bounds that make its decisions certifiable.
+/// A compiled model: one fixed-point affine transform plus a flat
+/// centroid table (laid out as the `centroids_f` field says), with the
+/// precomputed error bounds that make its decisions certifiable.
 #[derive(Debug, Clone)]
 pub struct QuantModel {
     n_features: usize,

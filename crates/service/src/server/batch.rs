@@ -2,8 +2,9 @@
 //! bytes: [`read_buffered`] fills a connection's accumulator without
 //! blocking, [`drive_buffered`] answers everything it holds — one
 //! assess–reply–shed cycle ([`process_buffered`]) per ≤ 32-frame batch,
-//! into the connection's one reply buffer — and [`assess_frame`] is the
-//! same assessment for one frame in process. Every serve-path counter is
+//! into the connection's one reply buffer, through the connection's one
+//! [`ConnScratch`] — and [`assess_frame`] is the same assessment for one
+//! frame in process. Every serve-path counter is
 //! charged here, so the cores cannot disagree on one; they differ only
 //! in how they wait for bytes and how the reply buffer reaches the
 //! socket.
@@ -95,19 +96,20 @@ pub(super) fn read_buffered(
 /// pending swap waits for one batch, never for the backlog.
 pub(super) fn drive_buffered(
     acc: &mut FrameAccumulator,
-    memo: &mut UaMemo,
+    scratch: &mut ConnScratch,
     ctx: &ConnContext,
     out: &mut Vec<u8>,
 ) -> bool {
     let mut close = false;
     while !close && acc.status() != FrameStatus::NeedMore {
-        close = process_buffered(acc, memo, ctx, out);
+        close = process_buffered(acc, scratch, ctx, out);
     }
     acc.compact();
     close
 }
 
 /// One reply of a batch cycle, in the order its frame arrived.
+#[derive(Debug)]
 enum Reply {
     /// A `STATS` frame: answered with a rendered metrics snapshot.
     Stats,
@@ -140,6 +142,53 @@ impl Reply {
     }
 }
 
+/// What a connection keeps from one batch cycle to the next, so that a
+/// cache miss pays for its assessment and not for the allocator: the
+/// user-agent memo, the session rows the detector reads, and the batch's
+/// reply list. Each cycle refills them in place.
+///
+/// Retained capacity is bounded by one batch whatever a client sends:
+/// the memo by its own table (see [`UaMemo`]), the reply list by
+/// [`MAX_BATCH_PER_GUARD`] entries, the rows by [`MAX_BATCH_PER_GUARD`]
+/// of them, each as long as the longest value list one frame has
+/// carried in that position — at most `fingerprint::wire::MAX_VALUES`
+/// (a 1 KB frame holds fewer), so ≤ 32 × 1 024 × 8 B = 256 KiB, and
+/// 32 × 28 × 8 B = 7 KiB on Table-8 traffic.
+#[derive(Debug, Default)]
+pub(super) struct ConnScratch {
+    memo: UaMemo,
+    /// The first `live` are this batch's decoded misses, in frame order;
+    /// the rest keep their buffers for the next batch.
+    rows: Vec<(Vec<f64>, UserAgent)>,
+    live: usize,
+    replies: Vec<Reply>,
+}
+
+impl ConnScratch {
+    /// Decodes a missed frame into the next free row; `false` (and no
+    /// row taken) when the frame or its user-agent does not parse.
+    fn decode_miss(&mut self, frame: &[u8]) -> bool {
+        let decoded = match self.rows.get_mut(self.live) {
+            Some((row, claimed)) => decode_session(frame, &mut self.memo, row)
+                .map(|parsed| *claimed = parsed)
+                .is_some(),
+            None => {
+                let mut row = Vec::new();
+                let claimed = decode_session(frame, &mut self.memo, &mut row);
+                self.rows.extend(claimed.map(|claimed| (row, claimed)));
+                claimed.is_some()
+            }
+        };
+        self.live += usize::from(decoded);
+        decoded
+    }
+
+    /// This batch's decoded misses, as `Detector::assess_many` takes them.
+    fn sessions(&self) -> &[(Vec<f64>, UserAgent)] {
+        self.rows.get(..self.live).unwrap_or_default()
+    }
+}
+
 /// The assess–reply–shed cycle both backends run while at least one
 /// complete frame (or an oversize header) is buffered. Walks one batch
 /// off `acc` — borrowed, no frame is copied — answers it (cache lookups,
@@ -151,7 +200,7 @@ impl Reply {
 /// Every counter is charged here, per batch, identically for both cores.
 fn process_buffered(
     acc: &mut FrameAccumulator,
-    memo: &mut UaMemo,
+    scratch: &mut ConnScratch,
     ctx: &ConnContext,
     out: &mut Vec<u8>,
 ) -> bool {
@@ -166,7 +215,8 @@ fn process_buffered(
     // the whole pass: a clock pair costs more than the lookup it would
     // time.
     let mut local = LocalCounters::default();
-    let mut replies: Vec<Reply> = Vec::with_capacity(MAX_BATCH_PER_GUARD);
+    scratch.replies.clear();
+    scratch.live = 0;
     let mut misses: Vec<(usize, Option<u64>, &[u8])> = Vec::new();
     let lookup_span = cache.map(|c| {
         Span::on(
@@ -177,7 +227,7 @@ fn process_buffered(
     let mut frames = acc.frames(MAX_BATCH_PER_GUARD);
     for f in frames.by_ref() {
         if is_stats_request(f) {
-            replies.push(Reply::Stats);
+            scratch.replies.push(Reply::Stats);
             continue;
         }
         let (key, hit) = match cache {
@@ -185,9 +235,9 @@ fn process_buffered(
             None => (None, None),
         };
         if hit.is_none() {
-            misses.push((replies.len(), key, f));
+            misses.push((scratch.replies.len(), key, f));
         }
-        replies.push(Reply::Verdict(
+        scratch.replies.push(Reply::Verdict(
             hit.unwrap_or(Verdict::error(VerdictStatus::Malformed)),
         ));
     }
@@ -216,17 +266,12 @@ fn process_buffered(
         // dispatch, so the read guard is held for exactly one
         // `assess_many` call per batch — on a quantized server that is
         // one fused fixed-point pass over the whole batch.
-        let mut sessions: Vec<(Vec<f64>, UserAgent)> = Vec::with_capacity(n_misses);
-        misses.retain(|&(_, _, f)| match decode_session(f, memo) {
-            Some(session) => {
-                sessions.push(session);
-                true
-            }
-            None => {
-                local.malformed += 1;
-                false
-            }
+        misses.retain(|&(_, _, f)| {
+            let decoded = scratch.decode_miss(f);
+            local.malformed += u64::from(!decoded);
+            decoded
         });
+        let sessions = scratch.sessions();
         // The insert epoch is read BEFORE the detector guard is taken: if
         // a swap lands in between, these verdicts are tagged with the
         // pre-swap epoch and harmlessly miss forever — a stale verdict
@@ -235,16 +280,16 @@ fn process_buffered(
         let insert_epoch = cache.map(|c| c.cache.epoch());
         let assessments = {
             let guard = ctx.detector.read();
-            guard.assess_many(&sessions)
+            guard.assess_many(sessions)
         };
-        shadow_compare(ctx, &sessions, &assessments);
+        shadow_compare(ctx, sessions, &assessments);
         // `assess_many` returns one result per session, in order.
         for ((at, key, _), result) in misses.into_iter().zip(assessments) {
             let v = verdict_from_assessment(result, &mut local);
             if let (Some(cache), Some(epoch), Some(key)) = (cache, insert_epoch, key) {
-                cache.store(key, epoch, v);
+                local.evictions += u64::from(cache.store(key, epoch, v));
             }
-            if let Some(reply) = replies.get_mut(at) {
+            if let Some(reply) = scratch.replies.get_mut(at) {
                 *reply = Reply::Verdict(v);
             }
         }
@@ -262,7 +307,7 @@ fn process_buffered(
     }
 
     let mut batch_snapshot = None;
-    for reply in &replies {
+    for reply in &scratch.replies {
         reply.encode_into(out, metrics, &mut batch_snapshot);
     }
     metrics
@@ -347,8 +392,9 @@ fn shadow_compare(
 /// counters in `registry`; the TCP path amortises both over whole batches.
 pub fn assess_frame(frame: &[u8], detector: &RwLock<Detector>, registry: &Registry) -> Verdict {
     let mut local = LocalCounters::default();
-    let verdict = match decode_session(frame, &mut UaMemo::new()) {
-        Some((values, claimed)) => {
+    let mut values = Vec::new();
+    let verdict = match decode_session(frame, &mut UaMemo::default(), &mut values) {
+        Some(claimed) => {
             let result = {
                 let guard = detector.read();
                 guard.assess(&values, claimed)
@@ -523,7 +569,7 @@ mod tests {
             let mut acc = FrameAccumulator::new();
             acc.extend(&wire);
             let mut out = Vec::new();
-            let close = process_buffered(&mut acc, &mut UaMemo::new(), &ctx, &mut out);
+            let close = process_buffered(&mut acc, &mut ConnScratch::default(), &ctx, &mut out);
             assert!(close, "[{context}] an oversize header closes");
 
             let replies = parse_replies(&out);
@@ -612,7 +658,7 @@ mod tests {
             stats_only.extend(&stats_req);
             assert!(!drive_buffered(
                 &mut stats_only,
-                &mut UaMemo::new(),
+                &mut ConnScratch::default(),
                 &ctx,
                 &mut out
             ));
@@ -624,5 +670,116 @@ mod tests {
                 .map(|h| h.count);
             assert_eq!(lookup_spans, cached.then_some(1), "[{context}]");
         }
+    }
+
+    fn length_prefixed(bodies: &[Vec<u8>]) -> Vec<u8> {
+        let mut wire = Vec::new();
+        for body in bodies {
+            wire.extend_from_slice(&(body.len() as u16).to_le_bytes());
+            wire.extend_from_slice(body);
+        }
+        wire
+    }
+
+    /// Every buffer capacity a scratch retains: the row list's, each
+    /// row's, the reply list's.
+    fn retained(scratch: &ConnScratch) -> (usize, Vec<usize>, usize) {
+        (
+            scratch.rows.capacity(),
+            scratch.rows.iter().map(|(row, _)| row.capacity()).collect(),
+            scratch.replies.capacity(),
+        )
+    }
+
+    /// Three full batches of never-seen frames through one scratch: the
+    /// first sizes its rows and its reply list, the next two allocate
+    /// nothing there.
+    #[test]
+    fn a_scratch_stops_growing_after_its_first_full_batch() {
+        use crate::proto::VERDICT_LEN;
+        for cache_capacity in [0usize, 256] {
+            let ctx = socketless_context(cache_capacity, usize::MAX);
+            let mut scratch = ConnScratch::default();
+            let mut acc = FrameAccumulator::new();
+            let mut after_first = None;
+            for batch in 0..3u32 {
+                let bodies: Vec<Vec<u8>> = (0..MAX_BATCH_PER_GUARD as u32)
+                    .map(|n| {
+                        let v = batch * 100 + n;
+                        frame_for(vec![v, v], UserAgent::new(Vendor::Chrome, 100))
+                    })
+                    .collect();
+                acc.extend(&length_prefixed(&bodies));
+                let mut out = Vec::new();
+                assert!(!drive_buffered(&mut acc, &mut scratch, &ctx, &mut out));
+                assert_eq!(out.len(), MAX_BATCH_PER_GUARD * VERDICT_LEN);
+                assert_eq!(scratch.live, MAX_BATCH_PER_GUARD, "every frame missed");
+                let now = retained(&scratch);
+                assert_eq!(
+                    *after_first.get_or_insert(now.clone()),
+                    now,
+                    "batch {batch} grew the scratch"
+                );
+            }
+            let stats = ctx.metrics.stats();
+            assert_eq!((stats.batches, stats.assessed), (3, 96));
+        }
+    }
+
+    /// A batch of frames carrying as many values as a 1 KB frame holds
+    /// (each answered `SchemaMismatch`), then ordinary traffic through
+    /// the same scratch: what the long rows left behind stays within the
+    /// bound [`ConnScratch`] states, and every answer — before and after —
+    /// is byte for byte what `assess_frame` gives the frame on its own.
+    #[test]
+    fn long_rows_stay_within_the_stated_bound_and_change_no_answer() {
+        use crate::proto::VERDICT_LEN;
+        use fingerprint::wire::{MAX_SUBMISSION_BYTES, MAX_VALUES};
+        let chrome = UserAgent::new(Vendor::Chrome, 100);
+        let longest = MAX_SUBMISSION_BYTES - (2 + 1 + 16 + 2 + 2) - chrome.to_ua_string().len();
+        let long = frame_for(vec![1; longest], chrome);
+        assert_eq!(long.len(), MAX_SUBMISSION_BYTES);
+        let ordinary = [
+            frame_for(vec![10, 10], chrome),
+            frame_for(vec![20, 20], chrome),
+            frame_for(vec![1, 2, 3, 4], chrome),
+            frame_for(vec![0, 0], UserAgent::new(Vendor::Firefox, 100)),
+            vec![9, 9, 9],
+        ];
+        let batches: [Vec<Vec<u8>>; 3] = [
+            vec![long; MAX_BATCH_PER_GUARD],
+            (0..MAX_BATCH_PER_GUARD)
+                .map(|n| ordinary[n % ordinary.len()].clone())
+                .collect(),
+            ordinary[..3].to_vec(),
+        ];
+
+        let ctx = socketless_context(64, usize::MAX);
+        let reference = Registry::monotonic();
+        let mut scratch = ConnScratch::default();
+        let mut acc = FrameAccumulator::new();
+        for bodies in &batches {
+            acc.extend(&length_prefixed(bodies));
+            let mut out = Vec::new();
+            assert!(!drive_buffered(&mut acc, &mut scratch, &ctx, &mut out));
+            let want: Vec<u8> = bodies
+                .iter()
+                .flat_map(|f| assess_frame(f, &ctx.detector, &reference).encode())
+                .collect();
+            assert_eq!(out.len(), bodies.len() * VERDICT_LEN);
+            assert_eq!(out, want);
+
+            let (rows, each, replies) = retained(&scratch);
+            assert!(rows <= MAX_BATCH_PER_GUARD, "{rows} rows retained");
+            assert!(replies <= MAX_BATCH_PER_GUARD, "{replies} replies retained");
+            assert!(each.iter().all(|&values| values <= MAX_VALUES), "{each:?}");
+        }
+        // The long rows were really decoded into the scratch, and the
+        // ordinary ones reused their buffers.
+        assert!(scratch
+            .rows
+            .iter()
+            .all(|(row, _)| row.capacity() >= longest));
+        assert_eq!(ctx.metrics.stats().malformed, 32 + 6 + 6 + 1);
     }
 }

@@ -90,14 +90,10 @@ impl CacheLayer {
     /// the epoch read *before* the detector guard was taken. Error
     /// verdicts are never cached — a malformed frame must stay
     /// malformed-on-arrival, and a shed frame is never cached at all (it
-    /// is never assessed).
-    pub(super) fn store(&self, key: u64, epoch: u64, verdict: Verdict) {
-        if verdict.status != VerdictStatus::Assessed {
-            return;
-        }
-        if self.cache.insert(key, epoch, verdict).evicted {
-            self.evictions.inc();
-        }
+    /// is never assessed). Returns whether the insert evicted an entry,
+    /// for the batch's `cache.evictions` count.
+    pub(super) fn store(&self, key: u64, epoch: u64, verdict: Verdict) -> bool {
+        verdict.status == VerdictStatus::Assessed && self.cache.insert(key, epoch, verdict).evicted
     }
 
     pub(super) fn publish_occupancy(&self) {

@@ -224,6 +224,7 @@ pub(super) struct LocalCounters {
     pub(super) misses: u64,
     pub(super) stale_epoch: u64,
     pub(super) shed_exempt: u64,
+    pub(super) evictions: u64,
 }
 
 impl LocalCounters {
@@ -242,6 +243,7 @@ impl LocalCounters {
             (counts.misses, cache.map(|c| &c.misses)),
             (counts.stale_epoch, cache.map(|c| &c.stale_epoch)),
             (counts.shed_exempt, cache.map(|c| &c.shed_exempt)),
+            (counts.evictions, cache.map(|c| &c.evictions)),
         ] {
             if let (1.., Some(counter)) = (count, counter) {
                 counter.add(count);

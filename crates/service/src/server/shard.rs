@@ -18,8 +18,7 @@
 //! sleeps. `server.reactor.passes` and `server.reactor.parks` (registered
 //! on reactor servers only) expose the duty cycle — DESIGN.md §5h.
 
-use super::batch::{drive_buffered, read_buffered};
-use super::decode::UaMemo;
+use super::batch::{drive_buffered, read_buffered, ConnScratch};
 use super::handle::ConnContext;
 use crate::reactor::{ConnMachine, SCAN_INTERVAL};
 use polygraph_obs::{Counter, Registry};
@@ -34,8 +33,9 @@ use std::thread;
 struct ConnSlot {
     stream: TcpStream,
     machine: ConnMachine,
-    /// Per-connection user-agent parse memo (see [`UaMemo`]).
-    memo: UaMemo,
+    /// What the connection reuses from batch to batch (see
+    /// [`ConnScratch`]).
+    scratch: ConnScratch,
     /// Clock micros of the last read/write progress (or idle tick).
     last_activity: u64,
 }
@@ -115,7 +115,7 @@ pub(super) fn reactor_shard_loop(listener: TcpListener, ctx: ConnContext, counte
                     conns.push(ConnSlot {
                         stream,
                         machine: ConnMachine::new(),
-                        memo: UaMemo::new(),
+                        scratch: ConnScratch::default(),
                         last_activity: clock.now_micros(),
                     });
                 }
@@ -207,7 +207,7 @@ fn drive_slot(slot: &mut ConnSlot, ctx: &ConnContext, now: u64, progressed: &mut
     // reply buffer — the same drive loop, batch cycles and accounting as
     // the threaded backend.
     slot.machine
-        .answer_with(|acc, out| drive_buffered(acc, &mut slot.memo, ctx, out));
+        .answer_with(|acc, out| drive_buffered(acc, &mut slot.scratch, ctx, out));
 
     // Flush whatever is queued; `WouldBlock` pauses until the next scan,
     // so a slow reader never blocks the shard.

@@ -4,8 +4,7 @@
 //! drain, the shared drive loop over everything buffered and one
 //! blocking write.
 
-use super::batch::{drive_buffered, read_buffered, read_chunk};
-use super::decode::UaMemo;
+use super::batch::{drive_buffered, read_buffered, read_chunk, ConnScratch};
 use super::handle::ConnContext;
 use super::metrics::ServerMetrics;
 use crate::framing::{FrameAccumulator, FrameStatus};
@@ -79,7 +78,7 @@ fn serve_connection(mut stream: TcpStream, ctx: &ConnContext) -> io::Result<()> 
     stream.set_write_timeout(Some(ctx.read_timeout))?;
     stream.set_nodelay(true)?;
     let mut acc = FrameAccumulator::new();
-    let mut memo = UaMemo::new();
+    let mut scratch = ConnScratch::default();
     // The connection's one reply buffer: refilled by every drive loop,
     // written once per loop, never reallocated once it has grown.
     let mut out = Vec::new();
@@ -120,7 +119,7 @@ fn serve_connection(mut stream: TcpStream, ctx: &ConnContext) -> io::Result<()> 
         drained?;
 
         out.clear();
-        if drive_buffered(&mut acc, &mut memo, ctx, &mut out) {
+        if drive_buffered(&mut acc, &mut scratch, ctx, &mut out) {
             // Cannot resynchronise past an unread oversize body: flush the
             // answered frames best-effort, then close cleanly.
             let _ = stream.write_all(&out);
