@@ -149,19 +149,17 @@ impl Index {
         self.find(key).map(|(_, slot)| slot)
     }
 
-    /// Indexes `key` (not indexed yet) at `slot`.
+    /// Indexes `key` (not indexed yet) at `slot`: the first empty cell of
+    /// its probe.
     fn insert(&mut self, key: u64, slot: usize) {
-        for at in self.probe(key) {
-            match self.cells.get_mut(at) {
-                Some(cell) if cell.slot1 == 0 => {
-                    *cell = Cell {
-                        key,
-                        slot1: slot + 1,
-                    };
-                    return;
-                }
-                _ => {}
-            }
+        let free = self
+            .probe(key)
+            .find(|&at| self.cells.get(at).is_some_and(|cell| cell.slot1 == 0));
+        if let Some(cell) = free.and_then(|at| self.cells.get_mut(at)) {
+            *cell = Cell {
+                key,
+                slot1: slot + 1,
+            };
         }
     }
 

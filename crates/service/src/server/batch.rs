@@ -554,11 +554,7 @@ mod tests {
         // Fill the batch, so what follows is a backlog.
         bodies.resize(MAX_BATCH_PER_GUARD, &lying[..]);
         bodies.extend([&honest[..], &stats_req[..], &never_seen[..]]);
-        let mut wire = Vec::new();
-        for body in &bodies {
-            wire.extend_from_slice(&(body.len() as u16).to_le_bytes());
-            wire.extend_from_slice(body);
-        }
+        let mut wire = length_prefixed(&bodies);
         wire.extend_from_slice(&2000u16.to_le_bytes()); // oversize header
         let filler = MAX_BATCH_PER_GUARD - 6;
 
@@ -672,9 +668,11 @@ mod tests {
         }
     }
 
-    fn length_prefixed(bodies: &[Vec<u8>]) -> Vec<u8> {
+    /// `bodies` as the socket carries them: each behind its u16 length.
+    fn length_prefixed<B: AsRef<[u8]>>(bodies: &[B]) -> Vec<u8> {
         let mut wire = Vec::new();
         for body in bodies {
+            let body = body.as_ref();
             wire.extend_from_slice(&(body.len() as u16).to_le_bytes());
             wire.extend_from_slice(body);
         }

@@ -240,9 +240,9 @@ fn dogfooding_allows_are_load_bearing() {
         (
             "POLY-L002",
             "crates/service/src/server/batch.rs",
-            &[238, 354],
+            &[283, 400],
         ),
-        ("POLY-L003", "crates/cache/src/lib.rs", &[115, 176]),
+        ("POLY-L003", "crates/cache/src/lib.rs", &[232, 293]),
         ("POLY-L003", "crates/ml/src/pool.rs", &[37, 101]),
     ];
     for (rule, file, lines) in cases {
