@@ -21,11 +21,13 @@
 //!   stats, shutdown) and [`start_risk_server_with`].
 //! * `batch` — the path both cores share: the non-blocking read loop, the
 //!   drive loop that answers everything buffered (`drive_buffered`: one
-//!   assess–reply–shed cycle per ≤ 32-frame batch), the shadow
-//!   comparison, and [`assess_frame`]. The only file that assesses under the detector
+//!   assess–reply–shed cycle per ≤ 32-frame batch), the scratch a
+//!   connection refills batch after batch (`ConnScratch`: session rows,
+//!   reply list, user-agent memo), the shadow comparison, and
+//!   [`assess_frame`]. The only file that assesses under the detector
 //!   read guard, and so the only one `lint.toml` exempts from POLY-L002.
-//! * `decode` — frame → session (with the per-connection user-agent
-//!   memo) and assessment → wire verdict.
+//! * `decode` — frame → session (into a row the caller reuses, with the
+//!   per-connection user-agent memo) and assessment → wire verdict.
 //! * `threaded` / `shard` — the two connection cores.
 //!
 //! ## Backends
