@@ -17,14 +17,11 @@ use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Metric names an observed fit ([`TrainedModel::fit_observed`]) records
-/// into its registry: one span histogram per §6.4 phase plus run/task
-/// counters.
+/// into its registry: one span histogram per §6.4 phase plus a run
+/// counter.
 pub mod fit_metric_names {
     /// Fits completed (counter).
     pub const RUNS: &str = "fit.runs";
-    /// Thread-pool tasks executed during the fit (counter). Read as a
-    /// process-wide delta, so concurrent fits blur into each other.
-    pub const POOL_TASKS: &str = "fit.pool_tasks";
     /// Scaling phase duration in µs (histogram).
     pub const SCALE_MICROS: &str = "fit.scale_micros";
     /// Isolation-Forest outlier-removal phase duration in µs (histogram).
@@ -234,41 +231,31 @@ impl TrainedModel {
         data: &TrainingSet,
         config: TrainConfig,
     ) -> Result<Self, PolygraphError> {
-        Self::fit_with_pool(feature_set, data, config, &ThreadPool::serial())
-    }
-
-    /// [`TrainedModel::fit`] with the heavy stages (isolation forest,
-    /// covariance accumulation, k-means restarts) run on a thread pool.
-    ///
-    /// Produces a bit-identical model to the serial fit for any pool
-    /// width: every stage below splits work by index with per-index RNG
-    /// streams and folds reductions in a fixed order.
-    pub fn fit_with_pool(
-        feature_set: FeatureSet,
-        data: &TrainingSet,
-        config: TrainConfig,
-        pool: &ThreadPool,
-    ) -> Result<Self, PolygraphError> {
         // Unobserved fits record into a throwaway registry: a handful of
         // atomic writes per phase, dropped on return.
-        Self::fit_observed(feature_set, data, config, pool, &Registry::monotonic())
+        Self::fit_observed(
+            feature_set,
+            data,
+            config,
+            &ThreadPool::serial(),
+            &Registry::monotonic(),
+        )
     }
 
-    /// [`TrainedModel::fit_with_pool`] with per-phase span timers and
-    /// run/task counters recorded into `registry` (see
-    /// [`fit_metric_names`]). The orchestrator passes the risk server's
-    /// registry so retrain phase timings ride the same `STATS` snapshot
-    /// as the serving metrics.
+    /// [`TrainedModel::fit`] with per-phase span timers and a run counter
+    /// recorded into `registry` (see [`fit_metric_names`]). The
+    /// orchestrator passes the risk server's registry so retrain phase
+    /// timings ride the same `STATS` snapshot as the serving metrics.
+    /// `_pool` is ignored (see [`ThreadPool`]).
     pub fn fit_observed(
         feature_set: FeatureSet,
         data: &TrainingSet,
         config: TrainConfig,
-        pool: &ThreadPool,
+        _pool: &ThreadPool,
         registry: &Registry,
     ) -> Result<Self, PolygraphError> {
         check_window(data, feature_set.len(), config.k)?;
 
-        let tasks_before = polygraph_ml::total_tasks_executed();
         let total_span = registry.span(fit_metric_names::TOTAL_MICROS);
 
         // 6.4.1: scale the deviation-based columns only — "the time-based
@@ -287,16 +274,15 @@ impl TrainedModel {
         scale_span.finish();
 
         let outlier_span = registry.span(fit_metric_names::OUTLIER_MICROS);
-        let forest = IsolationForest::fit_with_pool(
+        let forest = IsolationForest::fit(
             &scaled,
             IsolationForestConfig {
                 n_trees: 100,
                 sample_size: 256,
                 seed: config.seed,
             },
-            pool,
         )?;
-        let outlier_idx = forest.outlier_indices_with_pool(&scaled, config.contamination, pool)?;
+        let outlier_idx = forest.outlier_indices(&scaled, config.contamination)?;
         let outliers_removed = outlier_idx.len();
         let is_outlier: BTreeSet<usize> = outlier_idx.into_iter().collect();
         let kept_uas: Vec<UserAgent> = data
@@ -312,18 +298,17 @@ impl TrainedModel {
 
         // 6.4.2: PCA.
         let pca_span = registry.span(fit_metric_names::PCA_MICROS);
-        let pca = Pca::fit_with_pool(&kept_scaled, config.n_components, pool)?;
+        let pca = Pca::fit(&kept_scaled, config.n_components)?;
         let projected = pca.transform(&kept_scaled)?;
         pca_span.finish();
 
         // 6.4.3: k-means.
         let kmeans_span = registry.span(fit_metric_names::KMEANS_MICROS);
-        let kmeans = KMeans::fit_with_pool(
+        let kmeans = KMeans::fit(
             &projected,
             KMeansConfig::new(config.k)
                 .with_seed(config.seed)
                 .with_n_init(config.n_init),
-            pool,
         )?;
         let assignments = kmeans.predict(&projected)?;
         kmeans_span.finish();
@@ -343,9 +328,6 @@ impl TrainedModel {
         table_span.finish();
         total_span.finish();
         registry.counter(fit_metric_names::RUNS).inc();
-        registry
-            .counter(fit_metric_names::POOL_TASKS)
-            .add(polygraph_ml::total_tasks_executed().saturating_sub(tasks_before));
 
         Ok(Self {
             feature_set,
@@ -381,16 +363,14 @@ impl TrainedModel {
     /// 69 ms for a full fit of it (`full_fit_s`, 205 000 sessions, is
     /// 0.36 s). Beyond that 5× the streaming path buys continuity: the
     /// frozen scaler and PCA, and centroids that keep their indices from
-    /// one candidate to the next. `pool` has nothing left to do here: a
-    /// batch holds at most 256 searches, under one
-    /// [`polygraph_ml::pool::ROW_CHUNK`].
+    /// one candidate to the next. `_pool` is ignored (see [`ThreadPool`]).
     pub fn refit_streaming(
         &self,
         data: &TrainingSet,
         epochs: usize,
-        pool: &ThreadPool,
+        _pool: &ThreadPool,
     ) -> Result<Self, PolygraphError> {
-        self.refit_observed(data, epochs, pool, &Registry::monotonic())
+        self.refit_observed(data, epochs, &Registry::monotonic())
     }
 
     /// [`TrainedModel::refit_streaming`] with per-stage span timers
@@ -401,7 +381,6 @@ impl TrainedModel {
         &self,
         data: &TrainingSet,
         epochs: usize,
-        pool: &ThreadPool,
         registry: &Registry,
     ) -> Result<Self, PolygraphError> {
         check_window(data, self.feature_set.len(), self.config.k)?;
@@ -422,12 +401,12 @@ impl TrainedModel {
             MiniBatchConfig::new(self.config.k).with_seed(self.config.seed),
         )?;
         for _ in 0..epochs {
-            minibatch.step_grouped(&groups, pool)?;
+            minibatch.step_grouped(&groups)?;
         }
         epochs_span.finish();
 
         let table_span = registry.span(refit_metric_names::TABLE_MICROS);
-        let kmeans = minibatch.into_kmeans_grouped(&groups, pool)?;
+        let kmeans = minibatch.into_kmeans_grouped(&groups)?;
         let nearest = kmeans.predict(groups.distinct())?;
         let assignments: Vec<usize> = groups.group_of().iter().map(|&g| nearest[g]).collect();
         let (cluster_table, train_accuracy) = build_cluster_table(

@@ -10,12 +10,11 @@
 //! pure function of the row, training windows are mostly repeated rows
 //! (coarse-grained fingerprints collide by design), and a leaf already
 //! holds the path length it credits. [`IsolationForest::score_row`] is the
-//! one traversal; [`IsolationForest::score_with_pool`] decides which rows
-//! it runs on.
+//! one traversal; [`IsolationForest::score`] decides which rows it runs
+//! on.
 
 use crate::error::MlError;
 use crate::matrix::{Matrix, RowGroups};
-use crate::pool::ThreadPool;
 use rand::Rng;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -82,20 +81,10 @@ impl Node {
 
 impl IsolationForest {
     /// Fits an isolation forest on the rows of `x`.
-    pub fn fit(x: &Matrix, config: IsolationForestConfig) -> Result<Self, MlError> {
-        Self::fit_with_pool(x, config, &ThreadPool::serial())
-    }
-
-    /// [`IsolationForest::fit`] on a thread pool.
     ///
     /// Each tree draws from its own ChaCha stream (same key, stream id =
-    /// tree index), so trees are independent of execution order and the
-    /// parallel forest is bit-identical to the serial one.
-    pub fn fit_with_pool(
-        x: &Matrix,
-        config: IsolationForestConfig,
-        pool: &ThreadPool,
-    ) -> Result<Self, MlError> {
+    /// tree index), so a tree does not depend on the ones built before it.
+    pub fn fit(x: &Matrix, config: IsolationForestConfig) -> Result<Self, MlError> {
         if config.n_trees == 0 {
             return Err(MlError::InvalidParameter {
                 name: "n_trees",
@@ -112,12 +101,14 @@ impl IsolationForest {
         let sample = config.sample_size.min(n);
         let height_limit = (sample as f64).log2().ceil() as usize;
 
-        let trees = pool.run(config.n_trees, |t| {
-            let mut rng = ChaCha8Rng::seed_from_u64(config.seed);
-            rng.set_stream(t as u64);
-            let indices: Vec<usize> = (0..sample).map(|_| rng.gen_range(0..n)).collect();
-            Tree::build(x, indices, height_limit, &mut rng)
-        });
+        let trees = (0..config.n_trees)
+            .map(|t| {
+                let mut rng = ChaCha8Rng::seed_from_u64(config.seed);
+                rng.set_stream(t as u64);
+                let indices: Vec<usize> = (0..sample).map(|_| rng.gen_range(0..n)).collect();
+                Tree::build(x, indices, height_limit, &mut rng)
+            })
+            .collect();
 
         Ok(Self {
             trees,
@@ -136,20 +127,14 @@ impl IsolationForest {
     }
 
     /// Anomaly scores for every row of `x`.
-    pub fn score(&self, x: &Matrix) -> Vec<f64> {
-        self.score_with_pool(x, &ThreadPool::serial())
-    }
-
-    /// [`IsolationForest::score`] on a thread pool.
     ///
     /// A score is a pure function of one row, so the forest is walked
     /// once per group of bit-identical rows — [`IsolationForest::score_row`]
-    /// on the group's first row, groups chunked over the pool — and every
-    /// row reads its group's score: the same bits as walking the forest
-    /// for each row, on any pool width.
-    pub fn score_with_pool(&self, x: &Matrix, pool: &ThreadPool) -> Vec<f64> {
+    /// on the group's row — and every row reads its group's score: the
+    /// same bits as walking the forest for each row.
+    pub fn score(&self, x: &Matrix) -> Vec<f64> {
         let groups = RowGroups::of(x);
-        let scores = groups.map(pool, |row| self.score_row(row));
+        let scores = groups.map(|row| self.score_row(row));
         groups.group_of().iter().map(|&g| scores[g]).collect()
     }
 
@@ -159,17 +144,6 @@ impl IsolationForest {
     /// This mirrors the paper's usage: a 0.002-ish contamination removes the
     /// handful of rows that match no legitimate browser.
     pub fn outlier_indices(&self, x: &Matrix, contamination: f64) -> Result<Vec<usize>, MlError> {
-        self.outlier_indices_with_pool(x, contamination, &ThreadPool::serial())
-    }
-
-    /// [`IsolationForest::outlier_indices`] with the scoring pass run on a
-    /// thread pool; the ranking itself is a deterministic sort.
-    pub fn outlier_indices_with_pool(
-        &self,
-        x: &Matrix,
-        contamination: f64,
-        pool: &ThreadPool,
-    ) -> Result<Vec<usize>, MlError> {
         if !(0.0..=0.5).contains(&contamination) {
             return Err(MlError::InvalidParameter {
                 name: "contamination",
@@ -179,17 +153,9 @@ impl IsolationForest {
         if contamination == 0.0 {
             return Ok(Vec::new());
         }
-        self.rank_outliers(self.score_with_pool(x, pool), x.rows(), contamination)
-    }
-
-    fn rank_outliers(
-        &self,
-        scores: Vec<f64>,
-        rows: usize,
-        contamination: f64,
-    ) -> Result<Vec<usize>, MlError> {
-        let n_out = ((rows as f64 * contamination).round() as usize).max(1);
-        let mut idx: Vec<usize> = (0..rows).collect();
+        let scores = self.score(x);
+        let n_out = ((x.rows() as f64 * contamination).round() as usize).max(1);
+        let mut idx: Vec<usize> = (0..x.rows()).collect();
         idx.sort_by(|&a, &b| {
             scores[b]
                 .partial_cmp(&scores[a])
@@ -408,31 +374,6 @@ mod tests {
             let c = c_factor(n);
             assert!(c > prev);
             prev = c;
-        }
-    }
-
-    #[test]
-    fn pool_fit_and_score_match_serial_bit_for_bit() {
-        let x = dataset_with_outlier();
-        let cfg = IsolationForestConfig {
-            n_trees: 40,
-            sample_size: 64,
-            seed: 9,
-        };
-        let serial = IsolationForest::fit(&x, cfg).unwrap();
-        let base = serial.score(&x);
-        for threads in [2, 8] {
-            let pool = ThreadPool::new(threads);
-            let par = IsolationForest::fit_with_pool(&x, cfg, &pool).unwrap();
-            let scores = par.score_with_pool(&x, &pool);
-            assert_eq!(base.len(), scores.len());
-            for (s, p) in base.iter().zip(&scores) {
-                assert_eq!(s.to_bits(), p.to_bits(), "{threads} threads");
-            }
-            assert_eq!(
-                serial.outlier_indices(&x, 0.01).unwrap(),
-                par.outlier_indices_with_pool(&x, 0.01, &pool).unwrap()
-            );
         }
     }
 

@@ -20,8 +20,7 @@
 //! no row repeats or all of them do.
 
 use crate::error::MlError;
-use crate::matrix::{Matrix, RowGroups};
-use crate::pool::{ThreadPool, ROW_CHUNK};
+use crate::matrix::{Matrix, RowGroups, ROW_CHUNK};
 use rand::Rng;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -84,63 +83,33 @@ impl KMeans {
     /// Fits k-means on the rows of `x`.
     ///
     /// Runs `config.n_init` k-means++-seeded restarts of Lloyd's algorithm
-    /// and keeps the solution with the lowest WCSS.
+    /// (restart `r` seeded with `seed + r`) and keeps the solution with the
+    /// lowest WCSS.
     pub fn fit(x: &Matrix, config: KMeansConfig) -> Result<Self, MlError> {
-        Self::fit_with_pool(x, config, &ThreadPool::serial())
-    }
-
-    /// [`KMeans::fit`] on a thread pool.
-    ///
-    /// Restarts are independently seeded (`seed + restart`), so with more
-    /// than one restart the pool runs whole restarts in parallel; with a
-    /// single restart it parallelises the per-group assignment step inside
-    /// Lloyd's loop instead. Either way the result is bit-identical to
-    /// the serial fit: per-restart RNG streams never interleave, and row
-    /// reductions fold over fixed [`ROW_CHUNK`] boundaries in chunk
-    /// order, regardless of the pool width.
-    pub fn fit_with_pool(
-        x: &Matrix,
-        config: KMeansConfig,
-        pool: &ThreadPool,
-    ) -> Result<Self, MlError> {
-        validate(x, &config)?;
-        let groups = RowGroups::of(x);
-        let runs: Vec<Result<KMeans, MlError>> = if config.n_init > 1 && !pool.is_serial() {
-            pool.run(config.n_init, |restart| {
-                let mut rng = ChaCha8Rng::seed_from_u64(config.seed.wrapping_add(restart as u64));
-                Self::fit_once(&groups, &config, &mut rng, &ThreadPool::serial(), None)
-            })
-        } else {
-            (0..config.n_init)
-                .map(|restart| {
-                    let mut rng =
-                        ChaCha8Rng::seed_from_u64(config.seed.wrapping_add(restart as u64));
-                    Self::fit_once(&groups, &config, &mut rng, pool, None)
-                })
-                .collect()
-        };
-        let mut best: Option<KMeans> = None;
-        for run in runs {
-            let run = run?;
-            if best.as_ref().is_none_or(|b| run.wcss < b.wcss) {
-                best = Some(run);
-            }
-        }
-        Ok(best.expect("n_init >= 1 guarantees at least one run"))
+        Self::best_restart(x, &config, false).map(|(best, _)| best)
     }
 
     /// Like [`KMeans::fit`], but also returns the winning restart's WCSS
     /// after every Lloyd iteration — the series is non-increasing, which
     /// the property tests assert.
     pub fn fit_traced(x: &Matrix, config: KMeansConfig) -> Result<(Self, Vec<f64>), MlError> {
-        validate(x, &config)?;
+        Self::best_restart(x, &config, true)
+    }
+
+    /// Every restart in order, the first of the lowest WCSS kept, with its
+    /// per-iteration WCSS if `traced` (empty otherwise).
+    fn best_restart(
+        x: &Matrix,
+        config: &KMeansConfig,
+        traced: bool,
+    ) -> Result<(Self, Vec<f64>), MlError> {
+        validate(x, config)?;
         let groups = RowGroups::of(x);
-        let pool = ThreadPool::serial();
         let mut best: Option<(KMeans, Vec<f64>)> = None;
         for restart in 0..config.n_init {
             let mut rng = ChaCha8Rng::seed_from_u64(config.seed.wrapping_add(restart as u64));
             let mut trace = Vec::new();
-            let run = Self::fit_once(&groups, &config, &mut rng, &pool, Some(&mut trace))?;
+            let run = Self::fit_once(&groups, config, &mut rng, traced.then_some(&mut trace))?;
             if best.as_ref().is_none_or(|(b, _)| run.wcss < b.wcss) {
                 best = Some((run, trace));
             }
@@ -155,7 +124,6 @@ impl KMeans {
         groups: &RowGroups,
         config: &KMeansConfig,
         rng: &mut ChaCha8Rng,
-        pool: &ThreadPool,
         mut trace: Option<&mut Vec<f64>>,
     ) -> Result<Self, MlError> {
         let distinct = groups.distinct();
@@ -165,7 +133,7 @@ impl KMeans {
         for it in 0..config.max_iter {
             iterations = it + 1;
             // Assignment step: one nearest-centroid search per group.
-            let nearest = groups.map(pool, |row| nearest_centroid(row, &centroids).0);
+            let nearest = groups.map(|row| nearest_centroid(row, &centroids).0);
             // Update step: a reduction, so every row adds itself, in row
             // order, to the cluster its group was assigned.
             let mut sums = Matrix::zeros(config.k, distinct.cols())?;
@@ -196,14 +164,14 @@ impl KMeans {
                 movement += Matrix::sq_dist(&old, centroids.row(c));
             }
             if let Some(t) = trace.as_deref_mut() {
-                t.push(wcss_of(groups, &centroids, pool));
+                t.push(wcss_of(groups, &centroids));
             }
             if movement <= config.tol {
                 break;
             }
         }
 
-        let wcss = wcss_of(groups, &centroids, pool);
+        let wcss = wcss_of(groups, &centroids);
         Ok(KMeans {
             centroids,
             wcss,
@@ -319,26 +287,10 @@ impl ElbowReport {
 
 /// Fits k-means for every `k` in `ks` and reports the WCSS curve.
 pub fn elbow_scan(x: &Matrix, ks: &[usize], seed: u64) -> Result<ElbowReport, MlError> {
-    elbow_scan_with_pool(x, ks, seed, &ThreadPool::serial())
-}
-
-/// [`elbow_scan`] on a thread pool: the candidate `k` fits are independent,
-/// so each runs as its own task. The relative-improvement series is derived
-/// afterwards in ascending-`k` order, so the report is bit-identical to the
-/// serial scan.
-pub fn elbow_scan_with_pool(
-    x: &Matrix,
-    ks: &[usize],
-    seed: u64,
-    pool: &ThreadPool,
-) -> Result<ElbowReport, MlError> {
-    let fits: Vec<Result<KMeans, MlError>> = pool.run(ks.len(), |i| {
-        KMeans::fit(x, KMeansConfig::new(ks[i]).with_seed(seed))
-    });
     let mut points = Vec::with_capacity(ks.len());
     let mut prev: Option<f64> = None;
-    for (&k, fit) in ks.iter().zip(fits) {
-        let wcss = fit?.wcss();
+    for &k in ks {
+        let wcss = KMeans::fit(x, KMeansConfig::new(k).with_seed(seed))?.wcss();
         let relative_improvement = match prev {
             Some(p) if p > 0.0 => (p - wcss) / p,
             _ => 0.0,
@@ -377,17 +329,16 @@ fn validate(x: &Matrix, config: &KMeansConfig) -> Result<(), MlError> {
 
 /// Total squared distance from each row to its nearest centroid. The
 /// distance is found once per group; the sum still takes one operand per
-/// row, in row order within fixed [`ROW_CHUNK`] ranges whose partials fold
-/// in chunk order, so the float result is independent of the pool width
-/// and of how many rows repeat.
-fn wcss_of(groups: &RowGroups, centroids: &Matrix, pool: &ThreadPool) -> f64 {
-    let nearest = groups.map(pool, |row| nearest_centroid(row, centroids).1);
-    let group_of = groups.group_of();
-    pool.run_chunks(group_of.len(), ROW_CHUNK, |lo, hi| {
-        group_of[lo..hi].iter().map(|&g| nearest[g]).sum::<f64>()
-    })
-    .into_iter()
-    .sum()
+/// row, in row order within each [`ROW_CHUNK`] block, and the blocks'
+/// partials are added in block order, so the float result does not
+/// depend on how many rows repeat.
+fn wcss_of(groups: &RowGroups, centroids: &Matrix) -> f64 {
+    let nearest = groups.map(|row| nearest_centroid(row, centroids).1);
+    groups
+        .group_of()
+        .chunks(ROW_CHUNK)
+        .map(|block| block.iter().map(|&g| nearest[g]).sum::<f64>())
+        .sum()
 }
 
 fn nearest_centroid(row: &[f64], centroids: &Matrix) -> (usize, f64) {
@@ -593,40 +544,6 @@ mod tests {
     }
 
     #[test]
-    fn pool_fit_matches_serial_bit_for_bit() {
-        let (x, _) = blobs();
-        for n_init in [1, 4] {
-            let cfg = KMeansConfig::new(3).with_seed(42).with_n_init(n_init);
-            let serial = KMeans::fit(&x, cfg).unwrap();
-            for threads in [2, 8] {
-                let par = KMeans::fit_with_pool(&x, cfg, &ThreadPool::new(threads)).unwrap();
-                assert_eq!(serial.centroids(), par.centroids(), "{threads} threads");
-                assert_eq!(
-                    serial.wcss().to_bits(),
-                    par.wcss().to_bits(),
-                    "{threads} threads"
-                );
-                assert_eq!(serial.iterations(), par.iterations(), "{threads} threads");
-            }
-        }
-    }
-
-    #[test]
-    fn pool_elbow_scan_matches_serial() {
-        let (x, _) = blobs();
-        let serial = elbow_scan(&x, &[1, 2, 3, 4], 7).unwrap();
-        let par = elbow_scan_with_pool(&x, &[1, 2, 3, 4], 7, &ThreadPool::new(4)).unwrap();
-        for (s, p) in serial.points.iter().zip(&par.points) {
-            assert_eq!(s.k, p.k);
-            assert_eq!(s.wcss.to_bits(), p.wcss.to_bits());
-            assert_eq!(
-                s.relative_improvement.to_bits(),
-                p.relative_improvement.to_bits()
-            );
-        }
-    }
-
-    #[test]
     fn traced_fit_agrees_with_plain_fit() {
         let (x, _) = blobs();
         let cfg = KMeansConfig::new(3).with_seed(42);
@@ -751,16 +668,15 @@ mod tests {
             let x = Matrix::from_rows(&rows).unwrap();
             let centroids = Matrix::from_vec(3, 2, centres).unwrap();
             let groups = RowGroups::of(&x);
-            let pool = ThreadPool::serial();
 
             let per_row: Vec<(usize, f64)> =
                 x.iter_rows().map(|row| nearest_centroid(row, &centroids)).collect();
-            let nearest = groups.map(&pool, |row| nearest_centroid(row, &centroids).0);
+            let nearest = groups.map(|row| nearest_centroid(row, &centroids).0);
             for (r, &g) in groups.group_of().iter().enumerate() {
                 prop_assert_eq!(nearest[g], per_row[r].0, "row {}", r);
             }
             let wcss: f64 = per_row.iter().map(|&(_, d)| d).sum();
-            prop_assert_eq!(wcss_of(&groups, &centroids, &pool).to_bits(), wcss.to_bits());
+            prop_assert_eq!(wcss_of(&groups, &centroids).to_bits(), wcss.to_bits());
             let mut far = (0usize, -1.0f64);
             for (r, &(_, d)) in per_row.iter().enumerate() {
                 if d > far.1 {

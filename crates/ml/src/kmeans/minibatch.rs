@@ -10,12 +10,8 @@
 //! members), which the property tests pin.
 //!
 //! Determinism follows the same discipline as the full fit: batch order
-//! is a ChaCha-seeded permutation derived from `(seed, epoch)`, and
-//! [`MiniBatchKMeans::step_with_pool`] is bit-identical to the serial
-//! [`MiniBatchKMeans::step`] because only the embarrassingly parallel
-//! frozen-centroid assignment runs on the pool (in fixed
-//! [`ROW_CHUNK`]-order), while the stateful centroid updates always
-//! apply sequentially in batch order.
+//! is a ChaCha-seeded permutation derived from `(seed, epoch)`, and the
+//! stateful centroid updates apply in batch order.
 //!
 //! An epoch runs on a [`RowGroups`] partition of its window
 //! ([`MiniBatchKMeans::step_grouped`]; the matrix entry points partition
@@ -30,7 +26,7 @@
 use super::{kmeans_pp_init, nearest_centroid, wcss_of, KMeans};
 use crate::error::MlError;
 use crate::matrix::{Matrix, RowGroups};
-use crate::pool::{ThreadPool, ROW_CHUNK};
+use crate::ThreadPool;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -93,7 +89,7 @@ impl MiniBatchConfig {
 /// per-center update counts that act as decaying learning rates. Feed it
 /// epochs of the current training window with [`MiniBatchKMeans::step`]
 /// and freeze it into a servable [`KMeans`] with
-/// [`MiniBatchKMeans::into_kmeans`].
+/// [`MiniBatchKMeans::into_kmeans_grouped`].
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct MiniBatchKMeans {
     config: MiniBatchConfig,
@@ -147,31 +143,24 @@ impl MiniBatchKMeans {
         })
     }
 
-    /// One epoch of mini-batch updates over `x`, serially.
+    /// One epoch of mini-batch updates over `x`.
     ///
     /// The epoch visits every row exactly once in a seeded
     /// without-replacement order and returns the number of batches
     /// applied.
     pub fn step(&mut self, x: &Matrix) -> Result<usize, MlError> {
-        self.step_with_pool(x, &ThreadPool::serial())
+        self.step_grouped(&RowGroups::of(x))
     }
 
-    /// [`MiniBatchKMeans::step`] on a thread pool, bit-identical to the
-    /// serial path: each batch's frozen-centroid assignment folds over
-    /// fixed [`ROW_CHUNK`] boundaries in chunk order, and the centroid
-    /// updates always apply sequentially in batch order.
-    pub fn step_with_pool(&mut self, x: &Matrix, pool: &ThreadPool) -> Result<usize, MlError> {
-        self.step_grouped(&RowGroups::of(x), pool)
+    /// [`MiniBatchKMeans::step`]; `_pool` is ignored (see [`ThreadPool`]).
+    pub fn step_with_pool(&mut self, x: &Matrix, _pool: &ThreadPool) -> Result<usize, MlError> {
+        self.step(x)
     }
 
     /// One epoch over an already partitioned window — the body every
     /// `step*` runs; same centroids and counts, bit for bit, as visiting
     /// the window row by row.
-    pub fn step_grouped(
-        &mut self,
-        groups: &RowGroups,
-        pool: &ThreadPool,
-    ) -> Result<usize, MlError> {
+    pub fn step_grouped(&mut self, groups: &RowGroups) -> Result<usize, MlError> {
         let (distinct, group_of) = (groups.distinct(), groups.group_of());
         if distinct.cols() != self.centroids.cols() {
             return Err(MlError::DimensionMismatch {
@@ -197,32 +186,20 @@ impl MiniBatchKMeans {
         // searched group `g`; `nearest[g]` is what that search found.
         let mut searched_in = vec![0usize; distinct.rows()];
         let mut nearest = vec![0usize; distinct.rows()];
-        let mut present: Vec<usize> = Vec::new();
         let mut batches = 0usize;
         for batch in order.chunks(self.config.batch_size) {
             batches += 1;
-            // Assignment under frozen centroids — the parallel part, one
-            // search per group present in the batch.
-            present.clear();
+            // Assignment under frozen centroids, one search per group
+            // present in the batch.
             for &r in batch {
                 let g = group_of[r];
                 if searched_in[g] != batches {
                     searched_in[g] = batches;
-                    present.push(g);
+                    nearest[g] = nearest_centroid(distinct.row(g), &self.centroids).0;
                 }
             }
-            let found = pool.run_chunks(present.len(), ROW_CHUNK, |lo, hi| {
-                present[lo..hi]
-                    .iter()
-                    .map(|&g| nearest_centroid(distinct.row(g), &self.centroids).0)
-                    .collect::<Vec<usize>>()
-            });
-            for (&g, c) in present.iter().zip(found.into_iter().flatten()) {
-                nearest[g] = c;
-            }
-            // Per-center learning-rate updates — always sequential, one
-            // per row in batch order, so neither the pool width nor how
-            // many rows repeat can change the result.
+            // Per-center learning-rate updates, one per row in batch
+            // order, so how many rows repeat cannot change the result.
             for &r in batch {
                 let g = group_of[r];
                 let c = nearest[g];
@@ -252,17 +229,9 @@ impl MiniBatchKMeans {
         self.epochs
     }
 
-    /// Freezes the state into a servable [`KMeans`], scoring WCSS on `x`.
-    pub fn into_kmeans(self, x: &Matrix, pool: &ThreadPool) -> Result<KMeans, MlError> {
-        self.into_kmeans_grouped(&RowGroups::of(x), pool)
-    }
-
-    /// [`MiniBatchKMeans::into_kmeans`] on an already partitioned window.
-    pub fn into_kmeans_grouped(
-        self,
-        groups: &RowGroups,
-        pool: &ThreadPool,
-    ) -> Result<KMeans, MlError> {
+    /// Freezes the state into a servable [`KMeans`], scoring WCSS on the
+    /// partitioned window `groups`.
+    pub fn into_kmeans_grouped(self, groups: &RowGroups) -> Result<KMeans, MlError> {
         if groups.distinct().cols() != self.centroids.cols() {
             return Err(MlError::DimensionMismatch {
                 got: groups.distinct().cols(),
@@ -270,7 +239,7 @@ impl MiniBatchKMeans {
                 what: "columns",
             });
         }
-        let wcss = wcss_of(groups, &self.centroids, pool);
+        let wcss = wcss_of(groups, &self.centroids);
         Ok(KMeans {
             wcss,
             iterations: self.epochs as usize,
@@ -323,8 +292,8 @@ mod tests {
         next
     }
 
-    /// One epoch visiting the window row by row — the body `step_with_pool`
-    /// had before it searched once per group: the same seeded permutation,
+    /// One epoch visiting the window row by row — the body `step` had
+    /// before it searched once per group: the same seeded permutation,
     /// one nearest-centroid search per row under the batch's frozen
     /// centroids, one learning-rate update per row in batch order.
     fn row_wise_epoch(
@@ -383,33 +352,6 @@ mod tests {
     }
 
     #[test]
-    fn pool_step_matches_serial_bit_for_bit() {
-        let x = blobs();
-        for batch_size in [5, 17, 60] {
-            let cfg = MiniBatchConfig::new(3)
-                .with_seed(42)
-                .with_batch_size(batch_size);
-            let mut serial = MiniBatchKMeans::init(&x, cfg).unwrap();
-            for _ in 0..3 {
-                serial.step(&x).unwrap();
-            }
-            for threads in [2, 8] {
-                let pool = ThreadPool::new(threads);
-                let mut par = MiniBatchKMeans::init(&x, cfg).unwrap();
-                for _ in 0..3 {
-                    par.step_with_pool(&x, &pool).unwrap();
-                }
-                assert_eq!(
-                    serial.centroids(),
-                    par.centroids(),
-                    "batch {batch_size}, {threads} threads"
-                );
-                assert_eq!(serial.counts(), par.counts());
-            }
-        }
-    }
-
-    #[test]
     fn warm_start_converges_toward_blob_centers() {
         let x = blobs();
         let cfg = MiniBatchConfig::new(3).with_seed(3).with_batch_size(16);
@@ -435,7 +377,7 @@ mod tests {
         for _ in 0..8 {
             m.step(&x).unwrap();
         }
-        let frozen = m.clone().into_kmeans(&x, &ThreadPool::serial()).unwrap();
+        let frozen = m.clone().into_kmeans_grouped(&RowGroups::of(&x)).unwrap();
         let pred = frozen.predict(&x).unwrap();
         let recomputed: f64 = x
             .iter_rows()

@@ -6,10 +6,18 @@
 //! enough. No BLAS, no SIMD tricks.
 
 use crate::error::MlError;
-use crate::pool::{ThreadPool, ROW_CHUNK};
 use serde::{Deserialize, Serialize};
 use std::cmp::Ordering;
 use std::collections::BTreeMap;
+
+/// Rows per partial sum of the row reductions that fold a whole window
+/// ([`Matrix::covariance`], the k-means WCSS): each block of `ROW_CHUNK`
+/// rows accumulates its own partial, and the partials are added in block
+/// order. Floating-point addition is not associative, so this constant
+/// fixes how those sums round — changing it, or summing in one flat loop,
+/// changes a fitted model's bytes (`tests/kernel_bytes.rs`,
+/// `tests/fit_bytes.rs`).
+pub(crate) const ROW_CHUNK: usize = 1024;
 
 /// A dense, row-major matrix of `f64`.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -217,18 +225,10 @@ impl Matrix {
 
     /// Sample covariance matrix of the columns (divides by `n - 1`; by `n`
     /// when there is a single row).
-    pub fn covariance(&self) -> Result<Matrix, MlError> {
-        self.covariance_with_pool(&ThreadPool::serial())
-    }
-
-    /// [`Matrix::covariance`] on a thread pool.
     ///
-    /// Rows are split into fixed [`ROW_CHUNK`] blocks; each block
-    /// accumulates its own upper-triangular partial, and the partials are
-    /// folded in block order. Because the block boundaries depend only on
-    /// the data (not the pool width), the result is bit-identical on any
-    /// thread count, including the serial path.
-    pub fn covariance_with_pool(&self, pool: &ThreadPool) -> Result<Matrix, MlError> {
+    /// Each `ROW_CHUNK` block of rows accumulates its own upper-triangular
+    /// partial, and the partials are added in block order.
+    pub fn covariance(&self) -> Result<Matrix, MlError> {
         let means = self.col_means();
         let denom = if self.rows > 1 {
             (self.rows - 1) as f64
@@ -236,10 +236,11 @@ impl Matrix {
             1.0
         };
         let cols = self.cols;
-        let partials = pool.run_chunks(self.rows, ROW_CHUNK, |lo, hi| {
-            let mut acc = vec![0.0f64; cols * cols];
-            for r in lo..hi {
-                let row = self.row(r);
+        let mut cov = Matrix::zeros(cols, cols)?;
+        let mut acc = vec![0.0f64; cols * cols];
+        for block in self.data.chunks(ROW_CHUNK * cols) {
+            acc.fill(0.0);
+            for row in block.chunks_exact(cols) {
                 for i in 0..cols {
                     let di = row[i] - means[i];
                     if di == 0.0 {
@@ -250,10 +251,6 @@ impl Matrix {
                     }
                 }
             }
-            acc
-        });
-        let mut cov = Matrix::zeros(cols, cols)?;
-        for acc in partials {
             for (c, a) in cov.data.iter_mut().zip(&acc) {
                 *c += a;
             }
@@ -265,38 +262,6 @@ impl Matrix {
             }
         }
         Ok(cov)
-    }
-
-    /// All-pairs squared Euclidean distances between the rows of `self` and
-    /// the rows of `other`: entry `(i, j)` is `sq_dist(self.row(i),
-    /// other.row(j))`.
-    ///
-    /// Each output row depends only on one input row, so the kernel chunks
-    /// rows of `self` across the pool and is trivially bit-identical to the
-    /// serial evaluation.
-    pub fn pairwise_sq_dists(&self, other: &Matrix, pool: &ThreadPool) -> Result<Matrix, MlError> {
-        if self.cols != other.cols {
-            return Err(MlError::DimensionMismatch {
-                got: other.cols,
-                expected: self.cols,
-                what: "columns",
-            });
-        }
-        let blocks = pool.run_chunks(self.rows, ROW_CHUNK, |lo, hi| {
-            let mut block = Vec::with_capacity((hi - lo) * other.rows);
-            for r in lo..hi {
-                let row = self.row(r);
-                for o in other.iter_rows() {
-                    block.push(Self::sq_dist(row, o));
-                }
-            }
-            block
-        });
-        let mut data = Vec::with_capacity(self.rows * other.rows);
-        for block in blocks {
-            data.extend_from_slice(&block);
-        }
-        Matrix::from_vec(self.rows, other.rows, data)
     }
 
     /// Returns a new matrix keeping only the rows whose index satisfies
@@ -496,21 +461,9 @@ impl RowGroups {
     }
 
     /// Evaluates `f` on each group's row and returns the values in group
-    /// order. Groups are chunked over fixed [`ROW_CHUNK`] ranges, so a
-    /// pure `f` gives the same vector on any pool width.
-    pub fn map<T, F>(&self, pool: &ThreadPool, f: F) -> Vec<T>
-    where
-        T: Send,
-        F: Fn(&[f64]) -> T + Sync,
-    {
-        pool.run_chunks(self.distinct.rows(), ROW_CHUNK, |lo, hi| {
-            (lo..hi)
-                .map(|g| f(self.distinct.row(g)))
-                .collect::<Vec<T>>()
-        })
-        .into_iter()
-        .flatten()
-        .collect()
+    /// order.
+    pub fn map<T>(&self, f: impl Fn(&[f64]) -> T) -> Vec<T> {
+        self.distinct.iter_rows().map(f).collect()
     }
 }
 
@@ -647,43 +600,6 @@ mod tests {
         assert_eq!(Matrix::sq_dist(&[1.0], &[1.0]), 0.0);
     }
 
-    #[test]
-    fn pool_covariance_matches_serial_bit_for_bit() {
-        // Span more than one ROW_CHUNK so the fold actually crosses chunks.
-        let rows: Vec<Vec<f64>> = (0..(ROW_CHUNK + 300))
-            .map(|i| {
-                let v = (i as f64).sin() * 10.0;
-                vec![v, v * 0.5 + 1.0, (i % 7) as f64]
-            })
-            .collect();
-        let a = Matrix::from_rows(&rows).unwrap();
-        let serial = a.covariance().unwrap();
-        for threads in [2, 8] {
-            let par = a.covariance_with_pool(&ThreadPool::new(threads)).unwrap();
-            for (s, p) in serial.as_slice().iter().zip(par.as_slice()) {
-                assert_eq!(s.to_bits(), p.to_bits(), "{threads} threads");
-            }
-        }
-    }
-
-    #[test]
-    fn pairwise_sq_dists_match_direct_evaluation() {
-        let a = m(&[&[0.0, 0.0], &[1.0, 1.0], &[3.0, 4.0]]);
-        let b = m(&[&[0.0, 0.0], &[-1.0, 0.0]]);
-        let serial = a.pairwise_sq_dists(&b, &ThreadPool::serial()).unwrap();
-        assert_eq!(serial.rows(), 3);
-        assert_eq!(serial.cols(), 2);
-        for i in 0..3 {
-            for j in 0..2 {
-                assert_eq!(serial[(i, j)], Matrix::sq_dist(a.row(i), b.row(j)));
-            }
-        }
-        let par = a.pairwise_sq_dists(&b, &ThreadPool::new(4)).unwrap();
-        assert_eq!(serial, par);
-        let bad = Matrix::zeros(2, 3).unwrap();
-        assert!(a.pairwise_sq_dists(&bad, &ThreadPool::serial()).is_err());
-    }
-
     /// The invariants every `RowGroups` of `x` must satisfy, whatever `x`.
     fn assert_well_formed(g: &RowGroups, x: &Matrix) {
         assert_eq!(g.rows(), x.rows());
@@ -803,17 +719,14 @@ mod tests {
     }
 
     #[test]
-    fn row_groups_map_visits_one_row_per_group_on_any_pool() {
-        // More groups than one ROW_CHUNK, each row twice.
-        let n = ROW_CHUNK + 50;
+    fn row_groups_map_visits_one_row_per_group() {
+        // Each row twice.
+        let n = 50;
         let rows: Vec<Vec<f64>> = (0..2 * n).map(|i| vec![(i % n) as f64, 1.0]).collect();
         let x = Matrix::from_rows(&rows).unwrap();
         let g = RowGroups::of(&x);
         let expected: Vec<f64> = (0..n).map(|i| i as f64 + 1.0).collect();
-        for threads in [1, 4] {
-            let got = g.map(&ThreadPool::new(threads), |row| row[0] + row[1]);
-            assert_eq!(got, expected, "{threads} threads");
-        }
+        assert_eq!(g.map(|row| row[0] + row[1]), expected);
     }
 
     proptest! {

@@ -8,7 +8,6 @@
 use crate::eigen::symmetric_eigen;
 use crate::error::MlError;
 use crate::matrix::Matrix;
-use crate::pool::ThreadPool;
 use serde::{Deserialize, Serialize};
 
 /// A fitted PCA transform.
@@ -30,19 +29,6 @@ impl Pca {
     ///
     /// `n_components` must be in `1..=x.cols()`.
     pub fn fit(x: &Matrix, n_components: usize) -> Result<Self, MlError> {
-        Self::fit_with_pool(x, n_components, &ThreadPool::serial())
-    }
-
-    /// [`Pca::fit`] with the covariance accumulation run on a thread pool.
-    ///
-    /// The eigendecomposition itself is sequential (it is `O(cols^3)` on a
-    /// few dozen columns — negligible next to the `O(rows * cols^2)`
-    /// covariance pass), so the fit stays bit-identical to the serial one.
-    pub fn fit_with_pool(
-        x: &Matrix,
-        n_components: usize,
-        pool: &ThreadPool,
-    ) -> Result<Self, MlError> {
         if n_components == 0 || n_components > x.cols() {
             return Err(MlError::InvalidParameter {
                 name: "n_components",
@@ -50,7 +36,7 @@ impl Pca {
             });
         }
         let means = x.col_means();
-        let cov = x.covariance_with_pool(pool)?;
+        let cov = x.covariance()?;
         let eig = symmetric_eigen(&cov)?;
         // Covariance eigenvalues are >= 0 up to round-off; clamp the noise.
         let values: Vec<f64> = eig.values.iter().map(|&v| v.max(0.0)).collect();
@@ -262,24 +248,6 @@ mod tests {
             }
         }
         assert!(pca.inverse_transform_row(&[1.0]).is_err());
-    }
-
-    #[test]
-    fn pool_fit_matches_serial_bit_for_bit() {
-        let x = diagonal_cloud();
-        let serial = Pca::fit(&x, 2).unwrap();
-        for threads in [2, 8] {
-            let par = Pca::fit_with_pool(&x, 2, &ThreadPool::new(threads)).unwrap();
-            assert_eq!(serial.means, par.means);
-            assert_eq!(serial.components, par.components);
-            for (s, p) in serial
-                .explained_variance
-                .iter()
-                .zip(&par.explained_variance)
-            {
-                assert_eq!(s.to_bits(), p.to_bits(), "{threads} threads");
-            }
-        }
     }
 
     #[test]

@@ -231,14 +231,9 @@ impl<'s> Orchestrator<'s> {
         // absorb it into a warm-started candidate. The refit records its
         // stage timings (`retrain.stage.*`) into the server's registry.
         let retrain_span = obs.span(metric_names::RETRAIN_MICROS);
-        let fitted = stream.training_window().and_then(|fresh| {
-            serving_model.refit_observed(
-                &fresh,
-                self.config.refit_epochs,
-                &ThreadPool::serial(),
-                &obs,
-            )
-        });
+        let fitted = stream
+            .training_window()
+            .and_then(|fresh| serving_model.refit_observed(&fresh, self.config.refit_epochs, &obs));
         let outcome = self.finish_retrain(retrain_span, fitted, triggers)?;
         if matches!(
             outcome,

@@ -24,10 +24,9 @@
 //!   for any other shape, to the end of the statement (a temporary).
 //! * **Blocking call** — socket/file I/O (`write_all`, `flush`,
 //!   arg-bearing `.read(…)`/`.write(…)`, …), thread waits (`join`,
-//!   `sleep`, `recv`, `wait`, `poll`, …), `ThreadPool` submit-and-wait
-//!   (`run`, `run_chunks`), and the detector assess/fit/checkpoint
-//!   family — work whose latency is unbounded or proportional to a whole
-//!   window, which no lock guard should span.
+//!   `sleep`, `recv`, `wait`, `poll`, …), and the detector
+//!   assess/fit/checkpoint family — work whose latency is unbounded or
+//!   proportional to a whole window, which no lock guard should span.
 //!
 //! Call propagation is one level deep and resolves bare names only: a
 //! zone function that *directly* contains a blocking call (or lock
@@ -67,9 +66,6 @@ const BLOCKING_CALLS: &[&str] = &[
     "wait_timeout",
     "park",
     "poll",
-    // ThreadPool submit-and-wait.
-    "run",
-    "run_chunks",
     // Detector / model work proportional to a whole batch or window.
     "assess",
     "assess_batch",
@@ -77,7 +73,6 @@ const BLOCKING_CALLS: &[&str] = &[
     "checkpoint",
     "fit",
     "fit_observed",
-    "fit_with_pool",
     "refit_observed",
     "refit_streaming",
 ];

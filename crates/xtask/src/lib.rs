@@ -85,7 +85,7 @@ pub fn classify(rel: &str, config: &LintConfig) -> FileClass {
 }
 
 /// Whether a workspace-relative path is library source code, subject to
-/// the hygiene rules (POLY-H002/H003). Binary targets (`src/bin/`,
+/// the hygiene rule (POLY-H002). Binary targets (`src/bin/`,
 /// `src/main.rs`) own the console; tests, benches, and examples are
 /// scanned for the other rules but may print.
 fn is_library_file(rel: &str) -> bool {

@@ -14,7 +14,6 @@
 //! | POLY-P004 | panic-safety    | slice/array indexing `expr[…]`                  |
 //! | POLY-H001 | everywhere      | `unsafe`                                        |
 //! | POLY-H002 | library sources | `println!` / `eprintln!` / `print!` / `eprint!` / `dbg!` |
-//! | POLY-H003 | library sources | `pub fn x_with_pool` without a delegating serial twin `fn x` |
 //! | POLY-H004 | lint.toml       | `[[allow]]` entries that match no finding (stale audits) |
 //! | POLY-L001 | concurrency     | cycles in the aggregated lock-order graph       |
 //! | POLY-L002 | concurrency     | lock guards held across blocking calls          |
@@ -57,7 +56,8 @@ pub struct FileClass {
     /// subject to the hygiene rules.
     pub library: bool,
     /// Concurrency zone (the sharded cache, the service crate, the
-    /// thread pool): subject to the POLY-L rules.
+    /// quantized kernel, the mini-batch refit): subject to the POLY-L
+    /// rules.
     pub concurrency: bool,
 }
 
@@ -113,10 +113,6 @@ pub const RULE_CATALOG: &[RuleInfo] = &[
         short: "console print macro in library code",
     },
     RuleInfo {
-        id: "POLY-H003",
-        short: "pooled function without a delegating serial twin",
-    },
-    RuleInfo {
         id: "POLY-H004",
         short: "stale [[allow]] entry matching no finding",
     },
@@ -153,7 +149,6 @@ pub fn check_file(rel_path: &str, tokens: &[Token], class: FileClass) -> Vec<Dia
     check_unsafe(rel_path, tokens, &mut out);
     if class.library {
         check_print_macros(rel_path, tokens, &mut out);
-        check_pool_twins(rel_path, tokens, &mut out);
     }
     if class.concurrency {
         crate::concurrency::check_relaxed_orderings(rel_path, tokens, &mut out);
@@ -379,59 +374,6 @@ fn check_print_macros(path: &str, tokens: &[Token], out: &mut Vec<Diagnostic>) {
     }
 }
 
-/// Enforces the PR-1 contract: every `pub fn x_with_pool` keeps a serial
-/// twin `fn x` in the same file, and the twin delegates (there is at least
-/// one call of `x_with_pool` that is not its declaration), so the serial
-/// and pooled paths cannot drift apart.
-fn check_pool_twins(path: &str, tokens: &[Token], out: &mut Vec<Diagnostic>) {
-    let live: Vec<&Token> = tokens.iter().filter(|t| !t.in_test).collect();
-    for (i, t) in live.iter().enumerate() {
-        let Some(id) = t.ident() else { continue };
-        let Some(base) = id.strip_suffix("_with_pool") else {
-            continue;
-        };
-        if base.is_empty() {
-            continue;
-        }
-        let is_decl = i > 0 && live[i - 1].is_ident("fn");
-        if !is_decl {
-            continue;
-        }
-        let is_pub = i >= 2 && live[i - 2].is_ident("pub") || i >= 3 && live[i - 3].is_ident("pub"); // pub(crate) fn …
-        if !is_pub {
-            continue;
-        }
-        let twin_declared = live
-            .windows(2)
-            .any(|w| w[0].is_ident("fn") && w[1].is_ident(base));
-        let delegated = live
-            .iter()
-            .enumerate()
-            .any(|(j, u)| u.is_ident(id) && (j == 0 || !live[j - 1].is_ident("fn")));
-        if !twin_declared {
-            out.push(Diagnostic {
-                rule: "POLY-H003",
-                file: path.into(),
-                line: t.line,
-                message: format!(
-                    "`pub fn {id}` has no serial twin: declare `pub fn {base}` in the same \
-                     file delegating to `{id}(…, &ThreadPool::serial())`"
-                ),
-            });
-        } else if !delegated {
-            out.push(Diagnostic {
-                rule: "POLY-H003",
-                file: path.into(),
-                line: t.line,
-                message: format!(
-                    "`{id}` is declared but never called in this file: the serial twin \
-                     `{base}` must delegate to it so the two paths cannot drift"
-                ),
-            });
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -554,18 +496,6 @@ mod tests {
         assert!(run("writeln!(sink, \"x\");", LIB).is_empty());
         // Test code may print while debugging.
         assert!(run("#[cfg(test)]\nmod t { fn f() { println!(\"x\"); } }", LIB).is_empty());
-    }
-
-    #[test]
-    fn pool_twin_contract() {
-        let good = "pub fn fit(x: u8) { fit_with_pool(x) }\npub fn fit_with_pool(x: u8) {}";
-        assert!(run(good, LIB).is_empty());
-        let missing_twin = "pub fn fit_with_pool(x: u8) {}";
-        let d = run(missing_twin, LIB);
-        assert_eq!(d.len(), 1);
-        assert_eq!(d[0].rule, "POLY-H003");
-        let non_delegating = "pub fn fit(x: u8) {}\npub fn fit_with_pool(x: u8) {}";
-        assert_eq!(run(non_delegating, LIB).len(), 1);
     }
 
     #[test]

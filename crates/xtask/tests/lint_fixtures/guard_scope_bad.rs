@@ -1,15 +1,9 @@
 //! Bad fixture: lock guards held across blocking calls — directly
-//! (socket flush, pool submit-and-wait, detector assess) and one
-//! propagated call level through `nap_briefly`.
+//! (socket flush, detector assess) and one propagated call level
+//! through `nap_briefly`.
 pub fn flush_under_guard(state: &RwLock<Vec<u8>>, sock: &mut TcpStream) {
     let snapshot = state.read();
     sock.write_all(&snapshot).ok();
-}
-
-pub fn submit_under_guard(state: &RwLock<Vec<u8>>, pool: &ThreadPool) {
-    let work = 4;
-    let snapshot = state.read();
-    pool.run(work, |i| snapshot.first().copied());
 }
 
 pub fn assess_under_guard(slot: &RwLock<Detector>, values: &[u8]) {

@@ -9,9 +9,9 @@ pub fn flush_after_clone(state: &RwLock<Vec<u8>>, sock: &mut TcpStream) {
     sock.write_all(&snapshot).ok();
 }
 
-pub fn drop_then_submit(state: &RwLock<Vec<u8>>, pool: &ThreadPool) {
-    let snapshot = state.read();
-    let work = snapshot.len();
-    drop(snapshot);
-    pool.run(work, |i| i);
+pub fn drop_then_assess(slot: &RwLock<Detector>, values: &[u8]) {
+    let detector = slot.read();
+    let model = detector.clone();
+    drop(detector);
+    model.assess(values);
 }
