@@ -17,6 +17,9 @@
 //! rows in the 20 500 fitted here. The `polygraph-ml` unit tests
 //! `duplicate_heavy_fits_are_pinned` and
 //! `grouped_scores_equal_per_row_scores` pin the two kernels on their own.
+//! The paper's own window (205 000 sessions, 543 distinct rows) is pinned
+//! too, in an ignored test: a debug build fits it too slowly for tier-1,
+//! so CI runs it in release with `--include-ignored`.
 //!
 //! The streaming side is pinned the same way. `refit_streaming` carries
 //! one row partition through its stages and `DriftStream::ingest`
@@ -42,6 +45,14 @@ const PINS: [(u64, u64); 2] = [
     (7001, 0x2b39_b6ac_e10c_d8a1),
 ];
 
+/// `(traffic seed, fnv1a64 of the pretty-printed model JSON)` for the
+/// paper's own window, `TrafficConfig::paper_training()` at 205 000
+/// sessions (543 distinct rows at the first seed).
+const PAPER_SCALE_PINS: [(u64, u64); 2] = [
+    (1_582_633_077, 0x127a_1b9e_8d84_92d4),
+    (7001, 0x0dc0_c8f6_12ee_46a3),
+];
+
 /// Sessions in the drift window the streaming pins run on.
 const DRIFT_SESSIONS: usize = 5_000;
 
@@ -57,9 +68,9 @@ const STREAMING_PINS: [(u64, u64, u64); 2] = [
     (7001, 0xd937_8ad7_3879_74a4, 0x6015_27dd_7c87_67e3),
 ];
 
-fn training_window(features: &FeatureSet, seed: u64) -> TrainingSet {
+fn training_window(features: &FeatureSet, seed: u64, sessions: usize) -> TrainingSet {
     let traffic = TrafficConfig::paper_training()
-        .with_sessions(SESSIONS)
+        .with_sessions(sessions)
         .with_seed(seed);
     let (rows, uas) = generate(features, &traffic).rows_and_user_agents();
     TrainingSet::from_rows(rows, uas).expect("well-formed")
@@ -73,7 +84,7 @@ fn model_hash(model: &TrainedModel) -> u64 {
 fn fitted_model_bytes_match_the_recorded_constants() {
     let features = FeatureSet::table8();
     for (seed, pinned) in PINS {
-        let training = training_window(&features, seed);
+        let training = training_window(&features, seed, SESSIONS);
         let model =
             TrainedModel::fit(features.clone(), &training, TrainConfig::default()).expect("fit");
         assert_eq!(
@@ -85,12 +96,28 @@ fn fitted_model_bytes_match_the_recorded_constants() {
 }
 
 #[test]
+#[ignore = "a debug 205 000-session fit is too slow for tier-1"]
+fn paper_scale_fit_bytes_match_the_recorded_constants() {
+    let features = FeatureSet::table8();
+    for (seed, pinned) in PAPER_SCALE_PINS {
+        let training = training_window(&features, seed, 205_000);
+        let model =
+            TrainedModel::fit(features.clone(), &training, TrainConfig::default()).expect("fit");
+        let got = model_hash(&model);
+        assert_eq!(
+            got, pinned,
+            "model bytes moved: traffic seed {seed}: {got:#018x}"
+        );
+    }
+}
+
+#[test]
 fn streaming_candidate_and_checkpoint_match_the_recorded_constants() {
     let features = FeatureSet::table8();
     for (seed, pinned_refit, pinned_checkpoint) in STREAMING_PINS {
         let model = TrainedModel::fit(
             features.clone(),
-            &training_window(&features, seed),
+            &training_window(&features, seed, SESSIONS),
             TrainConfig::default(),
         )
         .expect("fit");
