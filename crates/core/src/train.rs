@@ -258,59 +258,70 @@ impl TrainedModel {
 
         let total_span = registry.span(fit_metric_names::TOTAL_MICROS);
 
+        // The window is partitioned once by distinct row and the partition
+        // carried through every stage, as in `refit_observed`: scaling,
+        // scoring, projection and assignment run per group, every
+        // reduction (scaler statistics, covariance, k-means sums) over
+        // every row in row order, so the model is the same bits as a fit
+        // on the full matrix.
+        //
         // 6.4.1: scale the deviation-based columns only — "the time-based
         // attributes were already in the binary format which was
         // suitable" — then drop Isolation-Forest outliers.
         let scale_span = registry.span(fit_metric_names::SCALE_MICROS);
-        let raw = data.to_matrix()?;
-        let mut scaler = StandardScaler::fit(&raw)?;
+        let groups = RowGroups::of_rows(data.rows())?;
+        let mut scaler = StandardScaler::fit_grouped(&groups)?;
         if !config.scale_time_based {
             scaler.neutralize_columns(
                 &feature_set.indices_of_kind(fingerprint::FeatureKind::TimeBased),
             );
         }
-        let scaled = scaler.transform(&raw)?;
-        drop(raw);
+        let scaled = scaler.transform(groups.distinct())?;
+        let groups = groups.with_distinct(scaled)?;
         scale_span.finish();
 
         let outlier_span = registry.span(fit_metric_names::OUTLIER_MICROS);
-        let forest = IsolationForest::fit(
-            &scaled,
+        let forest = IsolationForest::fit_grouped(
+            &groups,
             IsolationForestConfig {
                 n_trees: 100,
                 sample_size: 256,
                 seed: config.seed,
             },
         )?;
-        let outlier_idx = forest.outlier_indices(&scaled, config.contamination)?;
+        let outlier_idx = forest.outlier_indices_grouped(&groups, config.contamination)?;
         let outliers_removed = outlier_idx.len();
-        let is_outlier: BTreeSet<usize> = outlier_idx.into_iter().collect();
+        let mut is_outlier = vec![false; data.len()];
+        for i in outlier_idx {
+            is_outlier[i] = true;
+        }
         let kept_uas: Vec<UserAgent> = data
             .user_agents()
             .iter()
-            .enumerate()
-            .filter(|(i, _)| !is_outlier.contains(i))
-            .map(|(_, ua)| *ua)
+            .zip(&is_outlier)
+            .filter(|(_, &out)| !out)
+            .map(|(ua, _)| *ua)
             .collect();
-        let kept_scaled = scaled.filter_rows(|i| !is_outlier.contains(&i))?;
-        drop(scaled);
+        let groups = groups.filter_rows(|i| !is_outlier[i])?;
         outlier_span.finish();
 
         // 6.4.2: PCA.
         let pca_span = registry.span(fit_metric_names::PCA_MICROS);
-        let pca = Pca::fit(&kept_scaled, config.n_components)?;
-        let projected = pca.transform(&kept_scaled)?;
+        let pca = Pca::fit_grouped(&groups, config.n_components)?;
+        let projected = pca.transform(groups.distinct())?;
+        let groups = groups.with_distinct(projected)?;
         pca_span.finish();
 
         // 6.4.3: k-means.
         let kmeans_span = registry.span(fit_metric_names::KMEANS_MICROS);
-        let kmeans = KMeans::fit(
-            &projected,
+        let kmeans = KMeans::fit_grouped(
+            &groups,
             KMeansConfig::new(config.k)
                 .with_seed(config.seed)
                 .with_n_init(config.n_init),
         )?;
-        let assignments = kmeans.predict(&projected)?;
+        let nearest = kmeans.predict(groups.distinct())?;
+        let assignments: Vec<usize> = groups.group_of().iter().map(|&g| nearest[g]).collect();
         kmeans_span.finish();
 
         // Semi-supervised table + accuracy.
@@ -358,12 +369,13 @@ impl TrainedModel {
     /// it. Only the centroid updates still take one step per row — they
     /// are an order-dependent reduction — so the candidate is the same
     /// bytes as a row-by-row refit (`tests/fit_bytes.rs`).
-    /// `core.train.refit_streaming_ms` reads 13 ms on that window
+    /// `core.train.refit_streaming_ms` reads ≈11 ms on that window
     /// (`BENCHMARK.json`, `retrain_cycle`; 38 ms row by row), against
-    /// 69 ms for a full fit of it (`full_fit_s`, 205 000 sessions, is
-    /// 0.36 s). Beyond that 5× the streaming path buys continuity: the
-    /// frozen scaler and PCA, and centroids that keep their indices from
-    /// one candidate to the next. `_pool` is ignored (see [`ThreadPool`]).
+    /// ≈35 ms for a full fit of it, which carries its own partition
+    /// (`full_fit_s`, 205 000 sessions, is 0.13 s; 2 vCPUs). Beyond that
+    /// 3× the streaming path buys continuity: the frozen scaler and PCA,
+    /// and centroids that keep their indices from one candidate to the
+    /// next. `_pool` is ignored (see [`ThreadPool`]).
     pub fn refit_streaming(
         &self,
         data: &TrainingSet,

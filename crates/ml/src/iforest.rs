@@ -10,8 +10,10 @@
 //! pure function of the row, training windows are mostly repeated rows
 //! (coarse-grained fingerprints collide by design), and a leaf already
 //! holds the path length it credits. [`IsolationForest::score_row`] is the
-//! one traversal; [`IsolationForest::score`] decides which rows it runs
-//! on.
+//! one traversal; [`IsolationForest::score`] and the outlier cut decide
+//! which rows it runs on. The `*_grouped` entry points take a window
+//! already partitioned ([`RowGroups`]); the `&Matrix` ones partition and
+//! delegate.
 
 use crate::error::MlError;
 use crate::matrix::{Matrix, RowGroups};
@@ -85,6 +87,13 @@ impl IsolationForest {
     /// Each tree draws from its own ChaCha stream (same key, stream id =
     /// tree index), so a tree does not depend on the ones built before it.
     pub fn fit(x: &Matrix, config: IsolationForestConfig) -> Result<Self, MlError> {
+        Self::fit_grouped(&RowGroups::of(x), config)
+    }
+
+    /// [`IsolationForest::fit`] on the rows `groups` partitions: a tree
+    /// subsamples row indices, and reads each sampled row through its
+    /// group.
+    pub fn fit_grouped(groups: &RowGroups, config: IsolationForestConfig) -> Result<Self, MlError> {
         if config.n_trees == 0 {
             return Err(MlError::InvalidParameter {
                 name: "n_trees",
@@ -97,7 +106,7 @@ impl IsolationForest {
                 reason: "must be at least 2".into(),
             });
         }
-        let n = x.rows();
+        let n = groups.rows();
         let sample = config.sample_size.min(n);
         let height_limit = (sample as f64).log2().ceil() as usize;
 
@@ -106,7 +115,7 @@ impl IsolationForest {
                 let mut rng = ChaCha8Rng::seed_from_u64(config.seed);
                 rng.set_stream(t as u64);
                 let indices: Vec<usize> = (0..sample).map(|_| rng.gen_range(0..n)).collect();
-                Tree::build(x, indices, height_limit, &mut rng)
+                Tree::build(groups, indices, height_limit, &mut rng)
             })
             .collect();
 
@@ -123,7 +132,7 @@ impl IsolationForest {
     pub fn score_row(&self, row: &[f64]) -> f64 {
         let avg_path: f64 =
             self.trees.iter().map(|t| t.path_length(row)).sum::<f64>() / self.trees.len() as f64;
-        2f64.powf(-avg_path / self.c_norm)
+        (-avg_path / self.c_norm).exp2()
     }
 
     /// Anomaly scores for every row of `x`.
@@ -144,6 +153,20 @@ impl IsolationForest {
     /// This mirrors the paper's usage: a 0.002-ish contamination removes the
     /// handful of rows that match no legitimate browser.
     pub fn outlier_indices(&self, x: &Matrix, contamination: f64) -> Result<Vec<usize>, MlError> {
+        self.outlier_indices_grouped(&RowGroups::of(x), contamination)
+    }
+
+    /// [`IsolationForest::outlier_indices`] of the rows `groups`
+    /// partitions, ascending. The cut is the one a stable sort of every
+    /// row by descending score would make — every row scoring above the
+    /// `n_out`-th highest score, then the first rows, in row order, of
+    /// those scoring exactly that — found from the scores and sizes of the
+    /// groups, so a cut may split a group.
+    pub fn outlier_indices_grouped(
+        &self,
+        groups: &RowGroups,
+        contamination: f64,
+    ) -> Result<Vec<usize>, MlError> {
         if !(0.0..=0.5).contains(&contamination) {
             return Err(MlError::InvalidParameter {
                 name: "contamination",
@@ -153,22 +176,57 @@ impl IsolationForest {
         if contamination == 0.0 {
             return Ok(Vec::new());
         }
-        let scores = self.score(x);
-        let n_out = ((x.rows() as f64 * contamination).round() as usize).max(1);
-        let mut idx: Vec<usize> = (0..x.rows()).collect();
-        idx.sort_by(|&a, &b| {
+        let n = groups.rows();
+        let n_out = ((n as f64 * contamination).round() as usize).clamp(1, n);
+        let scores = groups.map(|row| self.score_row(row));
+        let mut sizes = vec![0usize; scores.len()];
+        for &g in groups.group_of() {
+            sizes[g] += 1;
+        }
+        let mut ranked: Vec<usize> = (0..scores.len()).collect();
+        ranked.sort_by(|&a, &b| {
             scores[b]
                 .partial_cmp(&scores[a])
                 .expect("scores are finite")
         });
-        let mut out = idx[..n_out.min(idx.len())].to_vec();
-        out.sort_unstable();
+        // The `n_out`-th highest score, counting every row of a group.
+        let mut taken = 0;
+        let cut = ranked
+            .iter()
+            .find(|&&g| {
+                taken += sizes[g];
+                taken >= n_out
+            })
+            .map(|&g| scores[g])
+            .expect("n_out <= n");
+        let above: usize = (0..scores.len())
+            .filter(|&g| scores[g] > cut)
+            .map(|g| sizes[g])
+            .sum();
+        let mut at_cut = n_out - above;
+        let mut out = Vec::with_capacity(n_out);
+        for (r, &g) in groups.group_of().iter().enumerate() {
+            let keep = if scores[g] == cut && at_cut > 0 {
+                at_cut -= 1;
+                true
+            } else {
+                scores[g] > cut
+            };
+            if keep {
+                out.push(r);
+            }
+        }
         Ok(out)
     }
 }
 
 impl Tree {
-    fn build(x: &Matrix, indices: Vec<usize>, height_limit: usize, rng: &mut ChaCha8Rng) -> Self {
+    fn build(
+        x: &RowGroups,
+        indices: Vec<usize>,
+        height_limit: usize,
+        rng: &mut ChaCha8Rng,
+    ) -> Self {
         let mut nodes = Vec::new();
         Self::build_node(x, indices, 0, height_limit, rng, &mut nodes);
         Tree { nodes }
@@ -177,7 +235,7 @@ impl Tree {
     /// Builds the subtree for `indices`, pushes its nodes, and returns the
     /// root index of the subtree.
     fn build_node(
-        x: &Matrix,
+        x: &RowGroups,
         indices: Vec<usize>,
         depth: usize,
         height_limit: usize,
@@ -190,14 +248,14 @@ impl Tree {
         }
         // Pick a random feature with spread; fall back to a leaf if every
         // feature is constant over this partition.
-        let cols = x.cols();
+        let cols = x.distinct().cols();
         let start = rng.gen_range(0..cols);
         let mut chosen = None;
         for off in 0..cols {
             let f = (start + off) % cols;
             let (mut lo, mut hi) = (f64::INFINITY, f64::NEG_INFINITY);
             for &i in &indices {
-                let v = x[(i, f)];
+                let v = x.row(i)[f];
                 lo = lo.min(v);
                 hi = hi.max(v);
             }
@@ -212,7 +270,7 @@ impl Tree {
         };
         let value = rng.gen_range(lo..hi);
         let (left_idx, right_idx): (Vec<usize>, Vec<usize>) =
-            indices.iter().partition(|&&i| x[(i, feature)] < value);
+            indices.iter().partition(|&&i| x.row(i)[feature] < value);
 
         // Reserve our slot before recursing so children follow the parent.
         let slot = nodes.len();

@@ -8,8 +8,9 @@
 //! ## Equal rows are searched once
 //!
 //! Training windows are mostly repeated rows (coarse-grained fingerprints
-//! collide by design), so a fit partitions its rows by bit-identical
-//! content once, shares the partition between restarts, and runs every
+//! collide by design), so a fit runs on a partition of its rows by
+//! bit-identical content ([`KMeans::fit_grouped`]; [`KMeans::fit`]
+//! partitions once), shares it between restarts, and runs every
 //! *pure per-row function* — the k-means++ distance to the nearest chosen
 //! centroid, Lloyd's nearest-centroid search, the WCSS distance, the
 //! farthest-point search — once per group. Every *reduction over rows* —
@@ -86,30 +87,35 @@ impl KMeans {
     /// (restart `r` seeded with `seed + r`) and keeps the solution with the
     /// lowest WCSS.
     pub fn fit(x: &Matrix, config: KMeansConfig) -> Result<Self, MlError> {
-        Self::best_restart(x, &config, false).map(|(best, _)| best)
+        Self::fit_grouped(&RowGroups::of(x), config)
+    }
+
+    /// [`KMeans::fit`] on the rows `groups` partitions (see the module
+    /// docs for what is taken per group and what per row).
+    pub fn fit_grouped(groups: &RowGroups, config: KMeansConfig) -> Result<Self, MlError> {
+        Self::best_restart(groups, &config, false).map(|(best, _)| best)
     }
 
     /// Like [`KMeans::fit`], but also returns the winning restart's WCSS
     /// after every Lloyd iteration — the series is non-increasing, which
     /// the property tests assert.
     pub fn fit_traced(x: &Matrix, config: KMeansConfig) -> Result<(Self, Vec<f64>), MlError> {
-        Self::best_restart(x, &config, true)
+        Self::best_restart(&RowGroups::of(x), &config, true)
     }
 
     /// Every restart in order, the first of the lowest WCSS kept, with its
     /// per-iteration WCSS if `traced` (empty otherwise).
     fn best_restart(
-        x: &Matrix,
+        groups: &RowGroups,
         config: &KMeansConfig,
         traced: bool,
     ) -> Result<(Self, Vec<f64>), MlError> {
-        validate(x, config)?;
-        let groups = RowGroups::of(x);
+        validate(groups.rows(), config)?;
         let mut best: Option<(KMeans, Vec<f64>)> = None;
         for restart in 0..config.n_init {
             let mut rng = ChaCha8Rng::seed_from_u64(config.seed.wrapping_add(restart as u64));
             let mut trace = Vec::new();
-            let run = Self::fit_once(&groups, config, &mut rng, traced.then_some(&mut trace))?;
+            let run = Self::fit_once(groups, config, &mut rng, traced.then_some(&mut trace))?;
             if best.as_ref().is_none_or(|(b, _)| run.wcss < b.wcss) {
                 best = Some((run, trace));
             }
@@ -305,17 +311,17 @@ pub fn elbow_scan(x: &Matrix, ks: &[usize], seed: u64) -> Result<ElbowReport, Ml
     Ok(ElbowReport { points })
 }
 
-fn validate(x: &Matrix, config: &KMeansConfig) -> Result<(), MlError> {
+fn validate(rows: usize, config: &KMeansConfig) -> Result<(), MlError> {
     if config.k == 0 {
         return Err(MlError::InvalidParameter {
             name: "k",
             reason: "must be at least 1".into(),
         });
     }
-    if config.k > x.rows() {
+    if config.k > rows {
         return Err(MlError::InvalidParameter {
             name: "k",
-            reason: format!("k={} exceeds the {} samples", config.k, x.rows()),
+            reason: format!("k={} exceeds the {rows} samples", config.k),
         });
     }
     if config.n_init == 0 {

@@ -11,7 +11,7 @@ use std::cmp::Ordering;
 use std::collections::BTreeMap;
 
 /// Rows per partial sum of the row reductions that fold a whole window
-/// ([`Matrix::covariance`], the k-means WCSS): each block of `ROW_CHUNK`
+/// (the covariance, the k-means WCSS): each block of `ROW_CHUNK`
 /// rows accumulates its own partial, and the partials are added in block
 /// order. Floating-point addition is not associative, so this constant
 /// fixes how those sums round — changing it, or summing in one flat loop,
@@ -196,85 +196,19 @@ impl Matrix {
 
     /// Per-column means.
     pub fn col_means(&self) -> Vec<f64> {
-        let mut means = vec![0.0; self.cols];
-        for row in self.iter_rows() {
-            for (m, &v) in means.iter_mut().zip(row) {
-                *m += v;
-            }
-        }
-        let n = self.rows as f64;
-        for m in &mut means {
-            *m /= n;
-        }
-        means
+        col_means_of(self.cols, self.data.chunks_exact(self.cols))
     }
 
     /// Per-column population standard deviations.
     pub fn col_stds(&self) -> Vec<f64> {
-        let means = self.col_means();
-        let mut vars = vec![0.0; self.cols];
-        for row in self.iter_rows() {
-            for ((v, &x), &m) in vars.iter_mut().zip(row).zip(&means) {
-                let d = x - m;
-                *v += d * d;
-            }
-        }
-        let n = self.rows as f64;
-        vars.iter().map(|v| (v / n).sqrt()).collect()
+        col_stds_of(self.cols, self.data.chunks_exact(self.cols))
     }
 
     /// Sample covariance matrix of the columns (divides by `n - 1`; by `n`
-    /// when there is a single row).
-    ///
-    /// Each `ROW_CHUNK` block of rows accumulates its own upper-triangular
-    /// partial, and the partials are added in block order.
+    /// when there is a single row): [`RowGroups::of`] the rows, then the
+    /// covariance of the partition.
     pub fn covariance(&self) -> Result<Matrix, MlError> {
-        let means = self.col_means();
-        let denom = if self.rows > 1 {
-            (self.rows - 1) as f64
-        } else {
-            1.0
-        };
-        let cols = self.cols;
-        let mut cov = Matrix::zeros(cols, cols)?;
-        let mut acc = vec![0.0f64; cols * cols];
-        for block in self.data.chunks(ROW_CHUNK * cols) {
-            acc.fill(0.0);
-            for row in block.chunks_exact(cols) {
-                for i in 0..cols {
-                    let di = row[i] - means[i];
-                    if di == 0.0 {
-                        continue;
-                    }
-                    for j in i..cols {
-                        acc[i * cols + j] += di * (row[j] - means[j]);
-                    }
-                }
-            }
-            for (c, a) in cov.data.iter_mut().zip(&acc) {
-                *c += a;
-            }
-        }
-        for i in 0..cols {
-            for j in i..cols {
-                cov[(i, j)] /= denom;
-                cov[(j, i)] = cov[(i, j)];
-            }
-        }
-        Ok(cov)
-    }
-
-    /// Returns a new matrix keeping only the rows whose index satisfies
-    /// `keep`; [`MlError::EmptyInput`] if none does.
-    pub fn filter_rows(&self, keep: impl Fn(usize) -> bool) -> Result<Matrix, MlError> {
-        let mut data = Vec::with_capacity(self.data.len());
-        for (i, row) in self.iter_rows().enumerate() {
-            if keep(i) {
-                data.extend_from_slice(row);
-            }
-        }
-        data.shrink_to_fit();
-        Matrix::from_vec(data.len() / self.cols, self.cols, data)
+        RowGroups::of(self).covariance()
     }
 
     /// Returns a new matrix keeping only the listed columns, in order.
@@ -311,6 +245,38 @@ impl Matrix {
     }
 }
 
+/// The one body of the column means: every row added in the order given.
+fn col_means_of<'a>(cols: usize, rows: impl Iterator<Item = &'a [f64]>) -> Vec<f64> {
+    let mut means = vec![0.0; cols];
+    let mut n = 0usize;
+    for row in rows {
+        n += 1;
+        for (m, &v) in means.iter_mut().zip(row) {
+            *m += v;
+        }
+    }
+    for m in &mut means {
+        *m /= n as f64;
+    }
+    means
+}
+
+/// The one body of the population standard deviations: the means, then
+/// every row's squared deviation added in the order given.
+fn col_stds_of<'a>(cols: usize, rows: impl Iterator<Item = &'a [f64]> + Clone) -> Vec<f64> {
+    let means = col_means_of(cols, rows.clone());
+    let mut vars = vec![0.0; cols];
+    let mut n = 0usize;
+    for row in rows {
+        n += 1;
+        for ((v, &x), &m) in vars.iter_mut().zip(row).zip(&means) {
+            let d = x - m;
+            *v += d * d;
+        }
+    }
+    vars.iter().map(|v| (v / n as f64).sqrt()).collect()
+}
+
 /// The rows of a window partitioned by bit-identical content: the distinct
 /// rows as a matrix of their own, and for every row the group it is in.
 ///
@@ -340,7 +306,10 @@ impl Matrix {
 /// transformed row. Rows that were equal stay equal under any function of
 /// one row, so the carried partition is still a partition of the
 /// transformed window (two groups may now hold equal rows; that costs a
-/// repeated evaluation, never a wrong one).
+/// repeated evaluation, never a wrong one). [`RowGroups::filter_rows`]
+/// drops rows (the fit's outliers) and keeps groups numbered by first
+/// row, so the full fit carries one partition from the raw window to the
+/// cluster table.
 #[derive(Debug)]
 pub struct RowGroups {
     /// Row `g` is the content of group `g`.
@@ -465,6 +434,92 @@ impl RowGroups {
     pub fn map<T>(&self, f: impl Fn(&[f64]) -> T) -> Vec<T> {
         self.distinct.iter_rows().map(f).collect()
     }
+
+    /// The partition of the rows whose index satisfies `keep`, in their
+    /// order; [`MlError::EmptyInput`] if none does. A group left with no
+    /// row is dropped, and the groups are renumbered by their first *kept*
+    /// row, so the result is numbered exactly as [`RowGroups::of`] the
+    /// kept rows would be — which is what lets a tie-break on the lowest
+    /// group stand for one on the first row (`kmeans::farthest_point`).
+    pub fn filter_rows(&self, keep: impl Fn(usize) -> bool) -> Result<Self, MlError> {
+        let cols = self.distinct.cols();
+        let mut renumbered = vec![usize::MAX; self.distinct.rows()];
+        let mut data = Vec::new();
+        let mut group_of = Vec::new();
+        for (r, &g) in self.group_of.iter().enumerate() {
+            if !keep(r) {
+                continue;
+            }
+            if renumbered[g] == usize::MAX {
+                renumbered[g] = data.len() / cols;
+                data.extend_from_slice(self.distinct.row(g));
+            }
+            group_of.push(renumbered[g]);
+        }
+        let distinct = Matrix::from_vec(data.len() / cols, cols, data)?;
+        Ok(Self { distinct, group_of })
+    }
+
+    /// Every row of the window, in row order, read from its group.
+    fn rows_in_order(&self) -> impl Iterator<Item = &[f64]> + Clone {
+        self.group_of.iter().map(|&g| self.distinct.row(g))
+    }
+
+    /// [`Matrix::col_means`] of the window's rows.
+    pub(crate) fn col_means(&self) -> Vec<f64> {
+        col_means_of(self.distinct.cols(), self.rows_in_order())
+    }
+
+    /// [`Matrix::col_stds`] of the window's rows.
+    pub(crate) fn col_stds(&self) -> Vec<f64> {
+        col_stds_of(self.distinct.cols(), self.rows_in_order())
+    }
+
+    /// [`Matrix::covariance`] of the window's rows — its one body.
+    ///
+    /// A row's centred value `row − means` is a pure function of the row,
+    /// so each group's row is centred once. The sum of the centred
+    /// products is a reduction and visits every row, in row order: each
+    /// [`ROW_CHUNK`] block of rows accumulates its own upper-triangular
+    /// partial, and the partials are added in block order.
+    pub(crate) fn covariance(&self) -> Result<Matrix, MlError> {
+        let cols = self.distinct.cols();
+        let means = self.col_means();
+        let mut centred = self.distinct.clone();
+        for row in centred.data.chunks_exact_mut(cols) {
+            for (v, &m) in row.iter_mut().zip(&means) {
+                *v -= m;
+            }
+        }
+        let n = self.rows();
+        let denom = if n > 1 { (n - 1) as f64 } else { 1.0 };
+        let mut cov = Matrix::zeros(cols, cols)?;
+        let mut acc = vec![0.0f64; cols * cols];
+        for block in self.group_of.chunks(ROW_CHUNK) {
+            acc.fill(0.0);
+            for &g in block {
+                let d = centred.row(g);
+                for (i, &di) in d.iter().enumerate() {
+                    if di == 0.0 {
+                        continue;
+                    }
+                    for (a, &dj) in acc[i * cols + i..(i + 1) * cols].iter_mut().zip(&d[i..]) {
+                        *a += di * dj;
+                    }
+                }
+            }
+            for (c, a) in cov.data.iter_mut().zip(&acc) {
+                *c += a;
+            }
+        }
+        for i in 0..cols {
+            for j in i..cols {
+                cov[(i, j)] /= denom;
+                cov[(j, i)] = cov[(i, j)];
+            }
+        }
+        Ok(cov)
+    }
 }
 
 impl std::ops::Index<(usize, usize)> for Matrix {
@@ -485,6 +540,8 @@ impl std::ops::IndexMut<(usize, usize)> for Matrix {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::iforest::{IsolationForest, IsolationForestConfig};
+    use crate::kmeans::{KMeans, KMeansConfig};
     use proptest::prelude::*;
 
     fn m(rows: &[&[f64]]) -> Matrix {
@@ -583,15 +640,6 @@ mod tests {
         assert_eq!(s, m(&[&[3.0, 1.0], &[6.0, 4.0]]));
         assert!(s.select_columns(&[]).is_err());
         assert!(a.select_columns(&[3]).is_err());
-    }
-
-    #[test]
-    fn filter_rows_keeps_matching() {
-        let a = m(&[&[1.0], &[2.0], &[3.0]]);
-        let f = a.filter_rows(|i| i != 1).unwrap();
-        assert_eq!(f, m(&[&[1.0], &[3.0]]));
-        assert_eq!(a.filter_rows(|_| true).unwrap(), a);
-        assert_eq!(a.filter_rows(|_| false), Err(MlError::EmptyInput));
     }
 
     #[test]
@@ -719,6 +767,38 @@ mod tests {
     }
 
     #[test]
+    fn filter_rows_keeps_matching() {
+        let a = m(&[&[1.0], &[2.0], &[3.0]]);
+        let g = RowGroups::of(&a);
+        let f = g.filter_rows(|i| i != 1).unwrap();
+        assert_eq!(f.distinct(), &m(&[&[1.0], &[3.0]]));
+        assert_eq!(f.group_of(), &[0, 1]);
+        let all = g.filter_rows(|_| true).unwrap();
+        assert_eq!(
+            (all.distinct(), all.group_of()),
+            (g.distinct(), g.group_of())
+        );
+        assert!(matches!(g.filter_rows(|_| false), Err(MlError::EmptyInput)));
+    }
+
+    #[test]
+    fn row_groups_filter_renumbers_by_first_kept_row() {
+        // Group 0 (`a`) loses its first row and keeps a later one, behind
+        // `b` and `c`'s first rows: it must move behind them, or the
+        // lowest group would no longer hold the first row.
+        let (a, b, c): (&[f64], &[f64], &[f64]) = (&[1.0, 2.0], &[1.0, 3.0], &[0.5, 2.0]);
+        let x = m(&[a, b, c, a, b]);
+        let f = RowGroups::of(&x).filter_rows(|i| i != 0).unwrap();
+        assert_eq!(f.distinct(), &m(&[b, c, a]));
+        assert_eq!(f.group_of(), &[0, 1, 2, 0]);
+        assert_well_formed(&f, &m(&[b, c, a, b]));
+        // A group every row of which is cut is gone.
+        let f = RowGroups::of(&x).filter_rows(|i| i != 2).unwrap();
+        assert_eq!(f.distinct(), &m(&[a, b]));
+        assert_well_formed(&f, &m(&[a, b, a, b]));
+    }
+
+    #[test]
     fn row_groups_map_visits_one_row_per_group() {
         // Each row twice.
         let n = 50;
@@ -729,7 +809,162 @@ mod tests {
         assert_eq!(g.map(|row| row[0] + row[1]), expected);
     }
 
+    /// The row-order bodies `Matrix` had before it shared them with
+    /// `RowGroups`: column means, population deviations, and the
+    /// covariance centring each row as it goes, one partial per
+    /// [`ROW_CHUNK`] block, the partials added in block order.
+    fn row_order_stats(rows: &[Vec<f64>]) -> (Vec<f64>, Vec<f64>, Vec<f64>) {
+        let (n, cols) = (rows.len(), rows[0].len());
+        let mut means = vec![0.0; cols];
+        for row in rows {
+            for (m, &v) in means.iter_mut().zip(row) {
+                *m += v;
+            }
+        }
+        for m in &mut means {
+            *m /= n as f64;
+        }
+        let mut vars = vec![0.0; cols];
+        for row in rows {
+            for ((v, &x), &m) in vars.iter_mut().zip(row).zip(&means) {
+                *v += (x - m) * (x - m);
+            }
+        }
+        let stds = vars.iter().map(|v| (v / n as f64).sqrt()).collect();
+        let mut cov = vec![0.0; cols * cols];
+        for block in rows.chunks(ROW_CHUNK) {
+            let mut acc = vec![0.0; cols * cols];
+            for row in block {
+                for i in 0..cols {
+                    let di = row[i] - means[i];
+                    if di == 0.0 {
+                        continue;
+                    }
+                    for j in i..cols {
+                        acc[i * cols + j] += di * (row[j] - means[j]);
+                    }
+                }
+            }
+            for (c, a) in cov.iter_mut().zip(&acc) {
+                *c += a;
+            }
+        }
+        let denom = if n > 1 { (n - 1) as f64 } else { 1.0 };
+        for i in 0..cols {
+            for j in i..cols {
+                cov[i * cols + j] /= denom;
+                cov[j * cols + i] = cov[i * cols + j];
+            }
+        }
+        (means, stds, cov)
+    }
+
+    /// A per-row function that merges rows: `-v` and `v` in the first
+    /// column become equal, so a carried partition may hold two groups
+    /// with the same content.
+    fn fold(row: &[f64]) -> Vec<f64> {
+        let mut out: Vec<f64> = row.iter().map(|v| v * 1.75 - 0.3).collect();
+        out[0] = row[0].abs();
+        out
+    }
+
+    /// `rows`' partition cut by `keep` and carried through [`fold`],
+    /// beside the kept rows folded one by one.
+    fn carried(rows: &[Vec<f64>], keep: &[bool]) -> (RowGroups, Vec<Vec<f64>>) {
+        let filtered = RowGroups::of(&Matrix::from_rows(rows).unwrap())
+            .filter_rows(|i| keep[i])
+            .unwrap();
+        let kept: Vec<Vec<f64>> = rows
+            .iter()
+            .zip(keep)
+            .filter(|(_, &k)| k)
+            .map(|(r, _)| r.clone())
+            .collect();
+        assert_well_formed(&filtered, &Matrix::from_rows(&kept).unwrap());
+        let folded: Vec<Vec<f64>> = filtered.distinct().iter_rows().map(fold).collect();
+        let groups = filtered
+            .with_distinct(Matrix::from_rows(&folded).unwrap())
+            .unwrap();
+        (groups, kept.iter().map(|r| fold(r)).collect())
+    }
+
+    /// Bits of a slice of floats.
+    fn bits(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
     proptest! {
+        /// Filtered and carried partitions of duplicate-heavy windows —
+        /// at most eight vectors, scattered over more than one
+        /// [`ROW_CHUNK`] of rows, about one row in ten cut — are
+        /// well-formed, and their column statistics are the row-order
+        /// bodies' bits.
+        #[test]
+        fn prop_row_groups_carried_stats_equal_row_order_loops(
+            vectors in proptest::collection::vec(
+                proptest::collection::vec(-9.0f64..9.0, 3..4), 1..9),
+            picks in proptest::collection::vec(0usize..8, 1025..2600),
+            cuts in proptest::collection::vec(0u8..10, 2600..2601),
+        ) {
+            let rows: Vec<Vec<f64>> =
+                picks.iter().map(|&p| vectors[p % vectors.len()].clone()).collect();
+            let keep: Vec<bool> = cuts.iter().map(|&c| c != 0).collect();
+            let (groups, folded) = carried(&rows, &keep);
+            let (means, stds, cov) = row_order_stats(&folded);
+            prop_assert_eq!(bits(&groups.col_means()), bits(&means));
+            prop_assert_eq!(bits(&groups.col_stds()), bits(&stds));
+            prop_assert_eq!(bits(groups.covariance().unwrap().as_slice()), bits(&cov));
+            let matrix = Matrix::from_rows(&folded).unwrap();
+            prop_assert_eq!(bits(&matrix.col_means()), bits(&means));
+            prop_assert_eq!(bits(&matrix.col_stds()), bits(&stds));
+            prop_assert_eq!(bits(matrix.covariance().unwrap().as_slice()), bits(&cov));
+        }
+
+        /// The grouped k-means and forest bodies on a filtered, carried
+        /// partition against the `&Matrix` entry points on the filtered
+        /// matrix, and the outlier cut against a stable sort of every row
+        /// by descending score. One contamination cuts a single row, so
+        /// whenever the top-scoring group has two rows the cut splits it.
+        #[test]
+        fn prop_row_groups_carried_kernels_equal_the_filtered_matrix(
+            vectors in proptest::collection::vec(
+                proptest::collection::vec(-9.0f64..9.0, 3..4), 1..9),
+            picks in proptest::collection::vec(0usize..8, 1025..2600),
+            cuts in proptest::collection::vec(0u8..10, 2600..2601),
+            k in 1usize..7,
+            contamination in 0.001f64..0.5,
+            seed in any::<u64>(),
+        ) {
+            let rows: Vec<Vec<f64>> =
+                picks.iter().map(|&p| vectors[p % vectors.len()].clone()).collect();
+            let keep: Vec<bool> = cuts.iter().map(|&c| c != 0).collect();
+            let (groups, folded) = carried(&rows, &keep);
+            let x = Matrix::from_rows(&folded).unwrap();
+
+            let cfg = KMeansConfig::new(k).with_seed(seed).with_n_init(2);
+            let (grouped, plain) =
+                (KMeans::fit_grouped(&groups, cfg).unwrap(), KMeans::fit(&x, cfg).unwrap());
+            prop_assert_eq!(bits(grouped.centroids().as_slice()), bits(plain.centroids().as_slice()));
+            prop_assert_eq!(grouped.wcss().to_bits(), plain.wcss().to_bits());
+            prop_assert_eq!(grouped.iterations(), plain.iterations());
+
+            let cfg = IsolationForestConfig { n_trees: 20, sample_size: 64, seed };
+            let grouped = IsolationForest::fit_grouped(&groups, cfg).unwrap();
+            let plain = IsolationForest::fit(&x, cfg).unwrap();
+            let scores = plain.score(&x);
+            prop_assert_eq!(bits(&grouped.score(&x)), bits(&scores));
+            for c in [1.0 / x.rows() as f64, contamination] {
+                let cut = grouped.outlier_indices_grouped(&groups, c).unwrap();
+                prop_assert_eq!(&cut, &plain.outlier_indices(&x, c).unwrap());
+                let n_out = ((x.rows() as f64 * c).round() as usize).max(1);
+                let mut ranked: Vec<usize> = (0..x.rows()).collect();
+                ranked.sort_by(|&a, &b| scores[b].partial_cmp(&scores[a]).unwrap());
+                let mut expected = ranked[..n_out].to_vec();
+                expected.sort_unstable();
+                prop_assert_eq!(cut, expected, "contamination {}", c);
+            }
+        }
+
         #[test]
         fn prop_row_groups_partition_survives_row_permutation(
             vectors in proptest::collection::vec(

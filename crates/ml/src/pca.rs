@@ -7,7 +7,7 @@
 
 use crate::eigen::symmetric_eigen;
 use crate::error::MlError;
-use crate::matrix::Matrix;
+use crate::matrix::{Matrix, RowGroups};
 use serde::{Deserialize, Serialize};
 
 /// A fitted PCA transform.
@@ -29,14 +29,22 @@ impl Pca {
     ///
     /// `n_components` must be in `1..=x.cols()`.
     pub fn fit(x: &Matrix, n_components: usize) -> Result<Self, MlError> {
-        if n_components == 0 || n_components > x.cols() {
+        Self::fit_grouped(&RowGroups::of(x), n_components)
+    }
+
+    /// [`Pca::fit`] on the rows `groups` partitions: the means and the
+    /// covariance are reductions over every row, in row order, and the
+    /// covariance centres each group's row once.
+    pub fn fit_grouped(groups: &RowGroups, n_components: usize) -> Result<Self, MlError> {
+        let cols = groups.distinct().cols();
+        if n_components == 0 || n_components > cols {
             return Err(MlError::InvalidParameter {
                 name: "n_components",
-                reason: format!("must be in 1..={}, got {n_components}", x.cols()),
+                reason: format!("must be in 1..={cols}, got {n_components}"),
             });
         }
-        let means = x.col_means();
-        let cov = x.covariance()?;
+        let means = groups.col_means();
+        let cov = groups.covariance()?;
         let eig = symmetric_eigen(&cov)?;
         // Covariance eigenvalues are >= 0 up to round-off; clamp the noise.
         let values: Vec<f64> = eig.values.iter().map(|&v| v.max(0.0)).collect();
@@ -139,29 +147,6 @@ impl Pca {
         Ok(out)
     }
 
-    /// Maps a point in component space back to feature space:
-    /// `x̂ = components · z + means`.
-    ///
-    /// With fewer components than features this is the least-squares
-    /// reconstruction; composing it with [`Pca::transform_row`] recovers the
-    /// input exactly only at full rank.
-    pub fn inverse_transform_row(&self, z: &[f64]) -> Result<Vec<f64>, MlError> {
-        if z.len() != self.components.cols() {
-            return Err(MlError::DimensionMismatch {
-                got: z.len(),
-                expected: self.components.cols(),
-                what: "component count",
-            });
-        }
-        let mut out = self.means.clone();
-        for (i, o) in out.iter_mut().enumerate() {
-            for (j, &zj) in z.iter().enumerate() {
-                *o += self.components[(i, j)] * zj;
-            }
-        }
-        Ok(out)
-    }
-
     /// Computes the full explained-variance-ratio spectrum of `x` without
     /// retaining a transform — the cheap way to draw Figure 2 for every
     /// candidate component count at once.
@@ -181,6 +166,20 @@ impl Pca {
 mod tests {
     use super::*;
     use proptest::prelude::*;
+
+    /// Maps a point in component space back to feature space,
+    /// `x̂ = components · z + means`: the least-squares reconstruction,
+    /// which recovers a [`Pca::transform_row`] input exactly only at full
+    /// rank.
+    fn inverse_transform_row(pca: &Pca, z: &[f64]) -> Vec<f64> {
+        let mut out = pca.means().to_vec();
+        for (o, axis) in out.iter_mut().zip(pca.components().iter_rows()) {
+            for (&a, &zj) in axis.iter().zip(z) {
+                *o += a * zj;
+            }
+        }
+        out
+    }
 
     /// Builds a 2-D dataset stretched along the (1,1) diagonal with small
     /// orthogonal noise, so the first principal axis is known.
@@ -242,12 +241,11 @@ mod tests {
         let pca = Pca::fit(&x, 2).unwrap();
         for row in x.iter_rows() {
             let z = pca.transform_row(row).unwrap();
-            let back = pca.inverse_transform_row(&z).unwrap();
+            let back = inverse_transform_row(&pca, &z);
             for (a, b) in row.iter().zip(&back) {
                 assert!((a - b).abs() < 1e-9, "{a} vs {b}");
             }
         }
-        assert!(pca.inverse_transform_row(&[1.0]).is_err());
     }
 
     #[test]
@@ -312,7 +310,7 @@ mod tests {
                 let pca = Pca::fit(&x, n).unwrap();
                 let err: f64 = x.iter_rows().map(|row| {
                     let z = pca.transform_row(row).unwrap();
-                    let back = pca.inverse_transform_row(&z).unwrap();
+                    let back = inverse_transform_row(&pca, &z);
                     Matrix::sq_dist(row, &back)
                 }).sum();
                 prop_assert!(

@@ -7,7 +7,7 @@
 //! restricts it to a column subset.
 
 use crate::error::MlError;
-use crate::matrix::Matrix;
+use crate::matrix::{Matrix, RowGroups};
 use serde::{Deserialize, Serialize};
 
 /// Fitted per-column standardiser: `x -> (x - mean) / std`.
@@ -29,15 +29,27 @@ impl StandardScaler {
     /// requires a *finite* positive std — a NaN std must fall into the
     /// pass-through (divide by 1) branch, never be divided by.
     pub fn fit(x: &Matrix) -> Result<Self, MlError> {
-        for (r, row) in x.iter_rows().enumerate() {
-            for (c, v) in row.iter().enumerate() {
-                if !v.is_finite() {
-                    return Err(MlError::NonFiniteInput { row: r, col: c });
-                }
+        Self::fit_grouped(&RowGroups::of(x))
+    }
+
+    /// [`StandardScaler::fit`] on the rows `groups` partitions. The
+    /// finiteness check is a function of one row and runs per group; the
+    /// means and deviations are reductions and visit every row, in row
+    /// order.
+    pub fn fit_grouped(groups: &RowGroups) -> Result<Self, MlError> {
+        // Groups are numbered by first row, so the first group holding a
+        // non-finite cell holds the first row that does.
+        for (g, row) in groups.distinct().iter_rows().enumerate() {
+            if let Some(col) = row.iter().position(|v| !v.is_finite()) {
+                let first = groups.group_of().iter().position(|&o| o == g);
+                return Err(MlError::NonFiniteInput {
+                    row: first.expect("every group has a row"),
+                    col,
+                });
             }
         }
-        let means = x.col_means();
-        let scales = x
+        let means = groups.col_means();
+        let scales = groups
             .col_stds()
             .into_iter()
             .map(|s| if s.is_finite() && s > 0.0 { s } else { 1.0 })
@@ -120,30 +132,22 @@ impl StandardScaler {
             }
         }
     }
-
-    /// Inverts the transform (useful for inspecting centroids in the
-    /// original feature space).
-    pub fn inverse_transform_row(&self, row: &[f64]) -> Result<Vec<f64>, MlError> {
-        if row.len() != self.means.len() {
-            return Err(MlError::DimensionMismatch {
-                got: row.len(),
-                expected: self.means.len(),
-                what: "row length",
-            });
-        }
-        Ok(row
-            .iter()
-            .zip(&self.means)
-            .zip(&self.scales)
-            .map(|((&v, &m), &s)| v * s + m)
-            .collect())
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use proptest::prelude::*;
+
+    /// The transform inverted, `v · scale + mean`: what the round-trip
+    /// properties hold [`StandardScaler::transform_row`] to.
+    fn inverse_transform_row(s: &StandardScaler, row: &[f64]) -> Vec<f64> {
+        row.iter()
+            .zip(s.means())
+            .zip(s.scales())
+            .map(|((&v, &m), &s)| v * s + m)
+            .collect()
+    }
 
     #[test]
     fn scaled_columns_have_zero_mean_unit_variance() {
@@ -182,7 +186,6 @@ mod tests {
         let y = Matrix::from_rows(&[vec![1.0]]).unwrap();
         assert!(s.transform(&y).is_err());
         assert!(s.transform_row(&[1.0]).is_err());
-        assert!(s.inverse_transform_row(&[1.0]).is_err());
     }
 
     #[test]
@@ -204,6 +207,19 @@ mod tests {
                 Err(MlError::NonFiniteInput { row: 1, col: 1 })
             );
             assert!(StandardScaler::fit_transform(&x).is_err());
+            // Repeated rows: the position is the first row holding the
+            // cell (row 2), not the number of its group (1).
+            let x = Matrix::from_rows(&[
+                vec![1.0, 2.0],
+                vec![1.0, 2.0],
+                vec![poison, 2.0],
+                vec![poison, 2.0],
+            ])
+            .unwrap();
+            assert_eq!(
+                StandardScaler::fit(&x),
+                Err(MlError::NonFiniteInput { row: 2, col: 0 })
+            );
         }
     }
 
@@ -233,7 +249,7 @@ mod tests {
             let s = StandardScaler::fit(&x).unwrap();
             for row in x.iter_rows() {
                 let fwd = s.transform_row(row).unwrap();
-                let back = s.inverse_transform_row(&fwd).unwrap();
+                let back = inverse_transform_row(&s, &fwd);
                 for (a, b) in back.iter().zip(row) {
                     prop_assert!((a - b).abs() < 1e-6);
                 }
@@ -258,7 +274,7 @@ mod tests {
                 let fwd = s.transform_row(row).unwrap();
                 // The neutralised column passes through untouched.
                 prop_assert_eq!(fwd[neutral].to_bits(), row[neutral].to_bits());
-                let back = s.inverse_transform_row(&fwd).unwrap();
+                let back = inverse_transform_row(&s, &fwd);
                 for (a, b) in back.iter().zip(row) {
                     prop_assert!((a - b).abs() < 1e-6);
                 }
@@ -279,7 +295,7 @@ mod tests {
             let mut probe = probe;
             probe.resize(cols, 0.0);
             let fwd = s.transform_row(&probe).unwrap();
-            let back = s.inverse_transform_row(&fwd).unwrap();
+            let back = inverse_transform_row(&s, &fwd);
             for (a, b) in back.iter().zip(&probe) {
                 prop_assert!((a - b).abs() < 1e-6 * b.abs().max(1.0));
             }

@@ -28,23 +28,12 @@ const KMEANS_PINS: [(u64, usize, u64); 6] = [
     (0xDEAD_BEEF, 4, 0x01cd_dbab_198e_4839),
 ];
 
-/// `(seed, pin)`: every row's score, then the 1 % outlier set. A score
-/// ends in `2f64.powf(-path / c)`, which an optimised build computes as
-/// `exp2(-path / c)`; the two round some scores differently in the last
-/// bit, so an unoptimised (`debug_assertions`) build has pins of its own.
-const FOREST_PINS: [(u64, u64); 3] = if cfg!(debug_assertions) {
-    [
-        (1, 0x5ff6_7887_7568_0e08),
-        (42, 0x475d_5afe_ff5d_b6f0),
-        (0xDEAD_BEEF, 0x524b_bc15_38a5_985a),
-    ]
-} else {
-    [
-        (1, 0x1699_c3f5_1607_9bda),
-        (42, 0x475d_5afe_ff5d_b6f0),
-        (0xDEAD_BEEF, 0xd141_cd49_ef77_0057),
-    ]
-};
+/// `(seed, pin)`: every row's score, then the 1 % outlier set.
+const FOREST_PINS: [(u64, u64); 3] = [
+    (1, 0x1699_c3f5_1607_9bda),
+    (42, 0x475d_5afe_ff5d_b6f0),
+    (0xDEAD_BEEF, 0xd141_cd49_ef77_0057),
+];
 
 /// `(seed, pin)`: every point's WCSS and relative improvement, then every
 /// point's `k` and the knee.
