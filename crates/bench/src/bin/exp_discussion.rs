@@ -15,7 +15,7 @@
 //!   and compare accuracy.
 
 use browser_engine::UserAgent;
-use polygraph_bench::{header, parse_options, pct, report};
+use polygraph_bench::{header, parse_options, pct, report, report_timed};
 use polygraph_core::{
     stratified_sample, Detector, StratifiedConfig, TrainConfig, TrainedModel, TrainingSet,
 };
@@ -209,23 +209,17 @@ fn main() {
         .expect("metric")
         .accuracy;
 
-    report(
+    report_timed(
         &format!("k-means ({} rows): accuracy / time", sample.len()),
         "(the paper's choice)",
-        &format!(
-            "{} / {:.0} ms",
-            pct(kmeans_acc),
-            kmeans_time.as_secs_f64() * 1000.0
-        ),
+        &pct(kmeans_acc),
+        &format!("{:.0} ms", kmeans_time.as_secs_f64() * 1000.0),
     );
-    report(
+    report_timed(
         &format!("agglomerative ({} rows): accuracy / time", sample.len()),
         "(comparable accuracy, O(n^2) cost)",
-        &format!(
-            "{} / {:.0} ms",
-            pct(agg_acc),
-            agg_time.as_secs_f64() * 1000.0
-        ),
+        &pct(agg_acc),
+        &format!("{:.0} ms", agg_time.as_secs_f64() * 1000.0),
     );
     println!(
         "  (agglomerative needs the full distance matrix: at the paper's 205k\n\

@@ -11,7 +11,7 @@
 use baselines::collectors::{collect, BaselineTool};
 use browser_engine::{BrowserInstance, Os, UserAgent, Vendor};
 use fingerprint::{encode_submission, FeatureSet, Submission};
-use polygraph_bench::{header, parse_options, report, train_paper_model};
+use polygraph_bench::{header, parse_options, report, report_timed, train_paper_model};
 use polygraph_core::Detector;
 use std::time::Instant;
 use traffic::collect::{start_collector, CollectorClient};
@@ -83,9 +83,10 @@ fn main() {
         client.submit(&sub).expect("loopback submit");
     }
     let elapsed = start.elapsed();
-    report(
+    report_timed(
         "Browser Polygraph (measured: probe+wire+TCP)",
         "6ms",
+        "",
         &format!("{:.3} ms", elapsed.as_secs_f64() * 1000.0 / 5.0),
     );
     drop(client);
@@ -108,9 +109,10 @@ fn main() {
         }
     }
     let per_session = start.elapsed().as_secs_f64() * 1e6 / sample.len() as f64;
-    report(
+    report_timed(
         "model inference per session",
         "(within 6ms budget)",
+        "",
         &format!("{per_session:.2} µs"),
     );
     println!("  ({flagged} of {} sample sessions flagged)", sample.len());

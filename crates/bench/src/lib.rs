@@ -6,7 +6,9 @@
 //! Each binary accepts `--sessions N` to scale the simulated traffic
 //! (default 60 000 for quick runs; pass 205000 for the paper-scale
 //! window) and `--seed S` to vary the world. Every binary prints the
-//! paper's reported value next to the measured one.
+//! paper's reported value next to the measured one. Wall-clock times go
+//! to stderr ([`report_timed`]), so stdout is a function of the options
+//! and `run_experiments.sh` writes the same files on every run.
 
 use polygraph_core::{TrainConfig, TrainedModel};
 use std::io::Write;
@@ -98,9 +100,30 @@ pub fn train_paper_model(opts: ExpOptions) -> (TrainedModel, TrafficDataset) {
 
 /// Prints a `paper vs measured` line in a consistent format.
 pub fn report(metric: &str, paper: &str, measured: &str) {
-    emit(format_args!(
-        "  {metric:<52} paper: {paper:>10}   measured: {measured:>10}"
-    ));
+    emit(format_args!("{}", row(metric, paper, measured)));
+}
+
+/// [`report`] for a line whose measured cell holds a wall-clock `time`:
+/// stdout gets the line with `(time on stderr)` in the time's place and
+/// stderr gets it whole, so what a binary prints on stdout depends on its
+/// options alone and two runs of it `diff` clean. `measured` is the rest
+/// of the cell, if any.
+pub fn report_timed(metric: &str, paper: &str, measured: &str, time: &str) {
+    let cell = |time: &str| match measured {
+        "" => time.to_string(),
+        rest => format!("{rest} / {time}"),
+    };
+    report(metric, paper, &cell("(time on stderr)"));
+    let _ = writeln!(
+        std::io::stderr().lock(),
+        "{}",
+        row(metric, paper, &cell(time))
+    );
+}
+
+/// One `paper vs measured` line.
+fn row(metric: &str, paper: &str, measured: &str) -> String {
+    format!("  {metric:<52} paper: {paper:>10}   measured: {measured:>10}")
 }
 
 /// Prints a section header.

@@ -22,7 +22,13 @@ use crate::useragent::UserAgent;
 use serde::{Deserialize, Serialize};
 
 /// A probe-able browser instance.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+///
+/// Ordered field by field — engine, claim, perturbations in the order
+/// they were applied, pollution — so a whole instance can key an ordered
+/// map: two instances that compare equal answer every probe alike. (The
+/// claim compares as [`UserAgent`] does, without its OS, which no probe
+/// reads.)
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Serialize, Deserialize)]
 pub struct BrowserInstance {
     engine: Engine,
     claimed_user_agent: UserAgent,

@@ -14,7 +14,7 @@ use serde::{Deserialize, Serialize};
 
 /// A modification a user (or a derivative product) applies on top of a
 /// stock engine.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
 pub enum Perturbation {
     /// Firefox `dom.serviceWorkers.enabled = false`: zeroes every
     /// `ServiceWorker*` interface (the paper's first example).

@@ -16,7 +16,6 @@
 //! submissions; decoding validates every field and never panics on
 //! malformed input — this is the parser that faces the network.
 
-use bytes::{BufMut, Bytes, BytesMut};
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
@@ -220,27 +219,35 @@ impl std::error::Error for WireError {}
 /// assert!(frame.len() <= fingerprint::MAX_SUBMISSION_BYTES);
 /// assert_eq!(decode_submission(&frame).unwrap(), sub);
 /// ```
-pub fn encode_submission(sub: &Submission) -> Result<Bytes, WireError> {
-    if sub.user_agent.len() > MAX_UA_LEN {
-        return Err(WireError::UserAgentTooLong(sub.user_agent.len()));
+pub fn encode_submission(sub: &Submission) -> Result<Vec<u8>, WireError> {
+    let ua = sub.user_agent.as_bytes();
+    if ua.len() > MAX_UA_LEN {
+        return Err(WireError::UserAgentTooLong(ua.len()));
     }
     if sub.values.len() > MAX_VALUES {
         return Err(WireError::TooManyValues(sub.values.len()));
     }
-    let mut buf = BytesMut::with_capacity(64 + sub.user_agent.len() + sub.values.len() * 2);
-    buf.put_slice(&MAGIC);
-    buf.put_u8(WIRE_VERSION);
-    buf.put_slice(&sub.session_id);
-    buf.put_u16_le(sub.user_agent.len() as u16);
-    buf.put_slice(sub.user_agent.as_bytes());
-    buf.put_u16_le(sub.values.len() as u16);
-    for &v in &sub.values {
-        put_varint(&mut buf, v);
+    // Room for the longest frame these fields can make (five bytes per
+    // varint), so the writes below never reallocate.
+    let mut buf = Vec::with_capacity(HEADER_LEN + ua.len() + 2 + 5 * sub.values.len());
+    buf.extend_from_slice(&MAGIC);
+    buf.push(WIRE_VERSION);
+    buf.extend_from_slice(&sub.session_id);
+    // Both lengths were capped above, so neither cast truncates.
+    buf.extend_from_slice(&(ua.len() as u16).to_le_bytes());
+    buf.extend_from_slice(ua);
+    buf.extend_from_slice(&(sub.values.len() as u16).to_le_bytes());
+    for mut v in sub.values.iter().copied() {
+        while v >= 0x80 {
+            buf.push(v as u8 | 0x80);
+            v >>= 7;
+        }
+        buf.push(v as u8);
     }
     if buf.len() > MAX_SUBMISSION_BYTES {
         return Err(WireError::OverBudget(buf.len()));
     }
-    Ok(buf.freeze())
+    Ok(buf)
 }
 
 /// A borrowed, fully validated view of a submission frame: everything
@@ -360,18 +367,6 @@ pub fn decode_submission(frame: &[u8]) -> Result<Submission, WireError> {
         user_agent: view.user_agent().to_string(),
         values,
     })
-}
-
-fn put_varint(buf: &mut BytesMut, mut v: u32) {
-    loop {
-        let byte = (v & 0x7f) as u8;
-        v >>= 7;
-        if v == 0 {
-            buf.put_u8(byte);
-            return;
-        }
-        buf.put_u8(byte | 0x80);
-    }
 }
 
 /// Reads one LEB128 `u32` off the front of `frame` and advances it — a
@@ -555,7 +550,7 @@ mod tests {
                 "cut at {cut}"
             );
         }
-        let mut trailing = bytes.to_vec();
+        let mut trailing = bytes.clone();
         trailing.push(0);
         assert_eq!(
             decode_like_the_reference(&trailing),
@@ -594,7 +589,7 @@ mod tests {
 
         // The header's checks, in the order the wire lists the fields.
         let with = |at: usize, patch: &[u8]| {
-            let mut frame = bytes.to_vec();
+            let mut frame = bytes.clone();
             frame[at..at + patch.len()].copy_from_slice(patch);
             decode_like_the_reference(&frame).map(|_| ())
         };
@@ -619,7 +614,7 @@ mod tests {
 
     #[test]
     fn rejects_bad_magic_and_version() {
-        let bytes = encode_submission(&sample()).unwrap().to_vec();
+        let bytes = encode_submission(&sample()).unwrap();
         let mut bad = bytes.clone();
         bad[0] = b'X';
         assert_eq!(decode_submission(&bad), Err(WireError::BadMagic));
@@ -642,7 +637,7 @@ mod tests {
 
     #[test]
     fn rejects_trailing_bytes() {
-        let mut bytes = encode_submission(&sample()).unwrap().to_vec();
+        let mut bytes = encode_submission(&sample()).unwrap();
         bytes.push(0);
         assert_eq!(decode_submission(&bytes), Err(WireError::TrailingBytes(1)));
     }
@@ -676,10 +671,23 @@ mod tests {
 
     #[test]
     fn varint_boundaries() {
-        for v in [0u32, 1, 127, 128, 16383, 16384, u32::MAX] {
-            let mut buf = BytesMut::new();
-            put_varint(&mut buf, v);
-            let mut slice: &[u8] = &buf;
+        let cases: [(u32, &[u8]); 7] = [
+            (0, &[0x00]),
+            (1, &[0x01]),
+            (127, &[0x7f]),
+            (128, &[0x80, 0x01]),
+            (16383, &[0xff, 0x7f]),
+            (16384, &[0x80, 0x80, 0x01]),
+            (u32::MAX, &[0xff, 0xff, 0xff, 0xff, 0x0f]),
+        ];
+        for (v, leb128) in cases {
+            let sub = Submission {
+                values: vec![v],
+                ..sample()
+            };
+            let frame = encode_submission(&sub).unwrap();
+            let mut slice = &frame[HEADER_LEN + sub.user_agent.len() + 2..];
+            assert_eq!(slice, leb128, "{v}");
             assert_eq!(get_varint(&mut slice).unwrap(), v);
             assert!(slice.is_empty());
         }
@@ -760,7 +768,7 @@ mod tests {
             None,
             "truncated prefix has no key"
         );
-        let mut wrong_version = frame.to_vec();
+        let mut wrong_version = frame.clone();
         wrong_version[2] = 9;
         assert_eq!(submission_cache_key(&wrong_version), None);
     }
@@ -884,7 +892,7 @@ mod tests {
             byte in any::<u8>(),
             cut in 0usize..200,
         ) {
-            let bytes = encode_submission(&sample()).unwrap().to_vec();
+            let bytes = encode_submission(&sample()).unwrap();
             let mut mutated = bytes.clone();
             let idx = flip % mutated.len();
             mutated[idx] = byte;

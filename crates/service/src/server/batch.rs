@@ -169,12 +169,12 @@ impl ConnScratch {
     /// row taken) when the frame or its user-agent does not parse.
     fn decode_miss(&mut self, frame: &[u8]) -> bool {
         let decoded = match self.rows.get_mut(self.live) {
-            Some((row, claimed)) => decode_session(frame, &mut self.memo, row)
+            Some((row, claimed)) => decode_session(frame, |ua| self.memo.parse(ua), row)
                 .map(|parsed| *claimed = parsed)
                 .is_some(),
             None => {
                 let mut row = Vec::new();
-                let claimed = decode_session(frame, &mut self.memo, &mut row);
+                let claimed = decode_session(frame, |ua| self.memo.parse(ua), &mut row);
                 self.rows.extend(claimed.map(|claimed| (row, claimed)));
                 claimed.is_some()
             }
@@ -393,7 +393,7 @@ fn shadow_compare(
 pub fn assess_frame(frame: &[u8], detector: &RwLock<Detector>, registry: &Registry) -> Verdict {
     let mut local = LocalCounters::default();
     let mut values = Vec::new();
-    let verdict = match decode_session(frame, &mut UaMemo::default(), &mut values) {
+    let verdict = match decode_session(frame, |ua| ua.parse().ok(), &mut values) {
         Some(claimed) => {
             let result = {
                 let guard = detector.read();

@@ -140,6 +140,6 @@ pub(crate) mod test_support {
             user_agent: ua.to_ua_string(),
             values,
         };
-        encode_submission(&sub).unwrap().to_vec()
+        encode_submission(&sub).unwrap()
     }
 }

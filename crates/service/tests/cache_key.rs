@@ -29,7 +29,7 @@ fn real_traffic_keys_do_not_collide_and_spread_evenly() {
                 user_agent: s.claimed.to_ua_string(),
                 values: s.values.clone(),
             };
-            encode_submission(&sub).unwrap().to_vec()
+            encode_submission(&sub).unwrap()
         })
         .collect();
 

@@ -61,7 +61,7 @@ fn honest_frame() -> Vec<u8> {
         user_agent: UserAgent::new(Vendor::Chrome, 100).to_ua_string(),
         values: vec![10, 10],
     };
-    encode_submission(&sub).unwrap().to_vec()
+    encode_submission(&sub).unwrap()
 }
 
 fn send_frame(stream: &mut TcpStream, frame: &[u8]) {
@@ -392,7 +392,7 @@ fn pipelined_backlog_is_answered_in_order_with_balanced_books() {
             user_agent: chrome.clone(),
             values,
         };
-        encode_submission(&sub).unwrap().to_vec()
+        encode_submission(&sub).unwrap()
     };
     let oracle = parking_lot::RwLock::new(tiny_detector());
     let expect = |frame: &[u8]| assess_frame(frame, &oracle, &Registry::monotonic());

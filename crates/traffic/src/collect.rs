@@ -221,12 +221,11 @@ impl CollectorClient {
     /// Encodes, (maybe) mangles, sends one submission and awaits the
     /// status byte.
     pub fn submit(&mut self, sub: &Submission) -> io::Result<SubmitOutcome> {
-        let frame = encode_submission(sub)
+        let mut bytes = encode_submission(sub)
             .map_err(|e| io::Error::new(io::ErrorKind::InvalidInput, e.to_string()))?;
         if self.rng.gen::<f64>() < self.faults.drop_chance {
             return Ok(SubmitOutcome::Dropped);
         }
-        let mut bytes = frame.to_vec();
         if self.rng.gen::<f64>() < self.faults.corrupt_chance {
             let idx = self.rng.gen_range(0..bytes.len());
             bytes[idx] ^= 0xA5;

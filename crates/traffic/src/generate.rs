@@ -28,6 +28,7 @@ use fraud_browsers::{table1_products, FraudProduct, FraudProfile};
 use rand::Rng;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
+use std::collections::btree_map::{BTreeMap, Entry};
 
 /// Generator configuration.
 #[derive(Debug, Clone)]
@@ -139,7 +140,7 @@ impl TrafficDataset {
 pub fn generate(feature_set: &FeatureSet, config: &TrafficConfig) -> TrafficDataset {
     let mut rng = ChaCha8Rng::seed_from_u64(config.seed);
     let products = table1_products();
-    let mut sessions = Vec::with_capacity(config.sessions);
+    let mut sessions: Vec<Session> = Vec::with_capacity(config.sessions);
 
     // Market distributions are month-resolution; cache one per month.
     let months_spanned = (config.days as i32 / 30) + 1;
@@ -149,6 +150,14 @@ pub fn generate(feature_set: &FeatureSet, config: &TrafficConfig) -> TrafficData
             market_at(month)
         })
         .collect();
+
+    // Simulated browsers repeat (≈5 000 distinct instances in the paper's
+    // 205 000 sessions), so each distinct one runs the probes once: the
+    // map holds the index of the first session built from it, and later
+    // sessions copy that session's values. Keyed by the whole instance,
+    // so it stays right whatever fields a probe reads; only ever looked
+    // up, never iterated, so its order cannot reach the output.
+    let mut first_session: BTreeMap<BrowserInstance, usize> = BTreeMap::new();
 
     for i in 0..config.sessions {
         let day = (i as u64 * config.days as u64 / config.sessions.max(1) as u64) as u16;
@@ -168,8 +177,15 @@ pub fn generate(feature_set: &FeatureSet, config: &TrafficConfig) -> TrafficData
         };
 
         let claimed = browser.claimed_user_agent();
-        let values = feature_set.extract(&browser).values().to_vec();
         let tags = draw_tags(&truth, &browser, &mut rng);
+        let values = match first_session.entry(browser) {
+            Entry::Occupied(first) => sessions[*first.get()].values.clone(),
+            Entry::Vacant(slot) => {
+                let values = feature_set.extract(slot.key()).values().to_vec();
+                slot.insert(sessions.len());
+                values
+            }
+        };
         sessions.push(Session {
             session_id: rng.gen(),
             date,

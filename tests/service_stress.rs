@@ -82,7 +82,7 @@ fn frame_for(values: Vec<u32>, ua: UserAgent, session: u8) -> Vec<u8> {
         user_agent: ua.to_ua_string(),
         values,
     };
-    encode_submission(&sub).expect("encode").to_vec()
+    encode_submission(&sub).expect("encode")
 }
 
 #[test]
