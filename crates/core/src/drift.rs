@@ -20,6 +20,7 @@ use crate::error::PolygraphError;
 use crate::train::TrainedModel;
 use browser_engine::UserAgent;
 use serde::{Deserialize, Serialize};
+use std::collections::BTreeSet;
 
 /// The accuracy floor below which retraining is triggered (§6.6).
 pub const ACCURACY_THRESHOLD: f64 = 0.98;
@@ -97,29 +98,36 @@ impl<'m> DriftDetector<'m> {
         data: &TrainingSet,
         release: UserAgent,
     ) -> Result<DriftObservation, PolygraphError> {
-        let mut counters = DriftAccumulator::new();
-        let mut projected = Vec::new();
-        for (row, ua) in data.rows().iter().zip(data.user_agents()) {
-            if *ua == release {
-                counters.ingest_with(self.model, row, release, &mut projected)?;
-            }
-        }
-        counters.observe(self.model, release)
+        self.count(data, &[release])?.observe(self.model, release)
     }
 
     /// Runs a full checkpoint over several releases and renders the
-    /// retrain/stable decision.
+    /// retrain/stable decision: one counting pass over `data`, then one
+    /// observation per release.
     pub fn checkpoint(
         &self,
         data: &TrainingSet,
         releases: &[UserAgent],
     ) -> Result<(Vec<DriftObservation>, DriftDecision), PolygraphError> {
-        let mut observations = Vec::with_capacity(releases.len());
-        for &r in releases {
-            observations.push(self.observe(data, r)?);
+        self.count(data, releases)?.checkpoint(self.model, releases)
+    }
+
+    /// The rows of `data` claiming one of `releases`, counted in order
+    /// through a fresh [`DriftAccumulator`].
+    fn count(
+        &self,
+        data: &TrainingSet,
+        releases: &[UserAgent],
+    ) -> Result<DriftAccumulator, PolygraphError> {
+        let wanted: BTreeSet<UserAgent> = releases.iter().copied().collect();
+        let mut counters = DriftAccumulator::new();
+        let mut projected = Vec::new();
+        for (row, ua) in data.rows().iter().zip(data.user_agents()) {
+            if wanted.contains(ua) {
+                counters.ingest_with(self.model, row, *ua, &mut projected)?;
+            }
         }
-        let decision = DriftDecision::from_observations(&observations);
-        Ok((observations, decision))
+        Ok(counters)
     }
 }
 

@@ -2,18 +2,28 @@
 //!
 //! The batch [`crate::drift::DriftDetector`] needs the whole checkpoint
 //! window in memory. In production the collection service sees one
-//! submission at a time; [`DriftAccumulator`] ingests sessions as they
-//! arrive, keeps only per-(release, cluster) counters, and answers the
-//! same checkpoint question — predominant cluster and accuracy per new
-//! release — from O(releases × clusters) state instead of O(sessions).
-
+//! submission at a time; [`DriftAccumulator`] keeps only
+//! per-(release, cluster) counters and answers the same checkpoint
+//! question — predominant cluster and accuracy per new release — from
+//! them.
 //!
 //! [`DriftStream`] couples the accumulator with a seeded
 //! [`ReservoirWindow`] so the very same ingest path that measures drift
-//! also maintains the next retrain window. Checkpoints answer from the
-//! counters alone — the resident window is only copied out when a
-//! retrain actually triggers, which the no-allocation-on-stable
-//! regression test pins.
+//! also maintains the next retrain window. Coarse fingerprints collide (a
+//! 50 000-session drift window holds a few hundred distinct rows), so the
+//! stream keeps each distinct row once: ingest interns the row into the
+//! reservoir's table of distinct rows, counts the session per (row,
+//! claimed release) and offers the row's id to the reservoir; it predicts
+//! nothing and copies nothing. A checkpoint predicts each distinct row
+//! that arrived since the last one, once, under the model it is given,
+//! folds the counts into the accumulator, and drops every row no resident
+//! references. So a session is counted under the model of the first
+//! checkpoint after it arrived, and besides the reservoir's resident ids
+//! the state is O(releases × clusters + the reservoir's distinct rows +
+//! distinct rows since the last checkpoint), whatever the traffic.
+//! Checkpoints answer from the counters alone — the resident window is
+//! only copied out when a retrain actually triggers, which the
+//! no-allocation-on-stable regression test pins.
 
 use crate::dataset::TrainingSet;
 use crate::drift::{DriftDecision, DriftObservation};
@@ -80,16 +90,20 @@ impl DriftAccumulator {
         claimed: UserAgent,
         projected: &mut Vec<f64>,
     ) -> Result<(), PolygraphError> {
-        let cluster =
-            model.nearest_populated_cluster(model.predict_cluster_with(values, projected)?);
+        let cluster = predicted_cluster(model, values, projected)?;
+        self.add(claimed, cluster, 1);
+        Ok(())
+    }
+
+    /// Counts `sessions` sessions of `claimed` in `cluster`.
+    fn add(&mut self, claimed: UserAgent, cluster: usize, sessions: usize) {
         *self
             .counts
             .entry(claimed)
             .or_default()
             .entry(cluster)
-            .or_default() += 1;
-        self.ingested += 1;
-        Ok(())
+            .or_default() += sessions;
+        self.ingested += sessions;
     }
 
     /// The checkpoint measurement for one release, from the accumulated
@@ -149,19 +163,37 @@ impl DriftAccumulator {
     }
 }
 
+/// The cluster a session with `values` counts in under `model`: its
+/// predicted cluster, or the nearest populated one.
+fn predicted_cluster(
+    model: &TrainedModel,
+    values: &[f64],
+    projected: &mut Vec<f64>,
+) -> Result<usize, PolygraphError> {
+    Ok(model.nearest_populated_cluster(model.predict_cluster_with(values, projected)?))
+}
+
 /// Drift counters plus the live training window, fed from one stream.
 ///
-/// The serving loop calls [`DriftStream::ingest`] per session: the
-/// accumulator counts the session's (release, cluster) pair and the
+/// The serving loop calls [`DriftStream::ingest`] per session: the row is
+/// interned, the session counted per (row, claimed release), and the
 /// reservoir decides whether it joins the retrain window. Checkpoints
-/// ([`DriftStream::checkpoint`]) read only the counters — the window is
+/// ([`DriftStream::checkpoint`]) predict each distinct row that arrived
+/// since the last one and then read only the counters — the window is
 /// neither cloned nor materialised on the stable path; a triggered
 /// retrain copies it out once via [`DriftStream::training_window`].
 #[derive(Debug, Clone)]
 pub struct DriftStream {
+    /// Every session a checkpoint has predicted, per (release, cluster).
     accumulator: DriftAccumulator,
+    /// The retrain window; its table of distinct rows is the one the
+    /// pending counts index.
     window: ReservoirWindow,
-    /// Projection scratch reused by every [`DriftStream::ingest`].
+    /// Sessions since the last checkpoint: for each row id, the releases
+    /// that claimed it and how many sessions each. Emptied, not freed, by
+    /// a checkpoint, so a steady stream allocates nothing per session.
+    pending: Vec<Vec<(UserAgent, usize)>>,
+    /// Projection scratch reused by every prediction of a checkpoint.
     projected: Vec<f64>,
 }
 
@@ -172,43 +204,73 @@ impl DriftStream {
         Ok(Self {
             accumulator: DriftAccumulator::new(),
             window: ReservoirWindow::new(capacity, width, seed)?,
+            pending: Vec::new(),
             projected: Vec::new(),
         })
     }
 
-    /// Ingests one session: counts it for drift measurement and offers
-    /// it to the reservoir window. The copy of the row handed to the
-    /// reservoir is the one allocation a session costs.
+    /// Ingests one session: interns its row, counts it for its claimed
+    /// release and offers it to the reservoir window. Nothing is predicted
+    /// here — the session is counted under the model of the next
+    /// [`DriftStream::checkpoint`] — and `model` only sets the row width
+    /// the session must have, as a prediction under it would. A row of
+    /// the wrong width changes nothing.
     pub fn ingest(
         &mut self,
         model: &TrainedModel,
         values: &[f64],
         claimed: UserAgent,
     ) -> Result<(), PolygraphError> {
-        self.accumulator
-            .ingest_with(model, values, claimed, &mut self.projected)?;
-        self.window.offer(values.to_vec(), claimed)
+        let expected = model.feature_set().len();
+        if values.len() != expected {
+            return Err(PolygraphError::FeatureWidthMismatch {
+                got: values.len(),
+                expected,
+            });
+        }
+        let row = self.window.offer(values, claimed)?;
+        if row >= self.pending.len() {
+            self.pending.resize_with(row + 1, Vec::new);
+        }
+        let claims = &mut self.pending[row];
+        match claims.iter_mut().find(|(release, _)| *release == claimed) {
+            Some((_, sessions)) => *sessions += 1,
+            None => claims.push((claimed, 1)),
+        }
+        Ok(())
     }
 
     /// Total sessions ingested since the last reset.
     pub fn ingested(&self) -> usize {
-        self.accumulator.ingested()
+        let pending: usize = self.pending.iter().flatten().map(|(_, n)| n).sum();
+        self.accumulator.ingested() + pending
     }
 
-    /// The checkpoint decision, answered from the accumulated counters
-    /// alone — the resident window is borrowed by nobody and copied by
-    /// nothing on this path.
+    /// The checkpoint decision. Each distinct row ingested since the last
+    /// checkpoint is predicted once, under `model`, and its sessions are
+    /// counted in that cluster; rows no resident references are then
+    /// dropped. A session is therefore counted under the model of the
+    /// first checkpoint after it arrived, the model whose cluster table
+    /// then judges the counts: pass the model the stream is measured
+    /// against every time, and reset the counters when it changes (the
+    /// orchestrator does both). The resident window is copied by nothing
+    /// on this path.
     pub fn checkpoint(
-        &self,
+        &mut self,
         model: &TrainedModel,
         releases: &[UserAgent],
     ) -> Result<(Vec<DriftObservation>, DriftDecision), PolygraphError> {
+        for (row, claims) in self.pending.iter_mut().enumerate() {
+            if claims.is_empty() {
+                continue;
+            }
+            let cluster = predicted_cluster(model, self.window.row(row), &mut self.projected)?;
+            for (claimed, sessions) in claims.drain(..) {
+                self.accumulator.add(claimed, cluster, sessions);
+            }
+        }
+        self.retain_resident_rows();
         self.accumulator.checkpoint(model, releases)
-    }
-
-    /// The drift counters.
-    pub fn accumulator(&self) -> &DriftAccumulator {
-        &self.accumulator
     }
 
     /// The resident reservoir window (borrowed).
@@ -222,12 +284,22 @@ impl DriftStream {
         self.window.to_training_set()
     }
 
-    /// Clears the drift counters after a promotion so the next window is
-    /// measured against the new model only. The reservoir keeps its
-    /// residents: the sample stays representative of the recent stream,
-    /// which is exactly what the *next* candidate should train on.
+    /// Clears the drift counters, and the sessions no checkpoint has
+    /// counted yet, after a promotion so the next window is measured
+    /// against the new model only. The reservoir keeps its residents: the
+    /// sample stays representative of the recent stream, which is exactly
+    /// what the *next* candidate should train on.
     pub fn reset_counters(&mut self) {
         self.accumulator.reset();
+        self.pending.iter_mut().for_each(Vec::clear);
+        self.retain_resident_rows();
+    }
+
+    /// Drops the table rows no resident references; `pending` must be
+    /// empty, since the surviving rows are renumbered.
+    fn retain_resident_rows(&mut self) {
+        self.window.retain_resident_rows();
+        self.pending.truncate(self.window.distinct_rows());
     }
 }
 
@@ -411,6 +483,71 @@ mod tests {
         assert_eq!(stream.ingested(), 0);
         assert_eq!(stream.window().len(), 16, "residents survive the reset");
         assert_eq!(stream.window().seen(), 30);
+    }
+
+    #[test]
+    fn hostile_stream_keeps_no_more_rows_than_residents() {
+        // Untrusted traffic can make every row distinct: the table must
+        // still shrink to the residents' rows at every checkpoint.
+        let model = toy_model();
+        let chrome = ua(Vendor::Chrome, 111);
+        let mut stream = DriftStream::new(1_000, 2, 0xD1F7).unwrap();
+        for i in 0..20_000u32 {
+            stream
+                .ingest(&model, &[10.0 + f64::from(i) * 1e-6, 10.0], chrome)
+                .unwrap();
+            if i % 2_000 == 1_999 {
+                stream.checkpoint(&model, &[chrome]).unwrap();
+                let window = stream.window();
+                assert!(
+                    window.distinct_rows() <= window.len(),
+                    "{} rows for {} residents after {} sessions",
+                    window.distinct_rows(),
+                    window.len(),
+                    i + 1
+                );
+            }
+        }
+        assert_eq!(stream.ingested(), 20_000);
+
+        // A wrong-width row is refused as a prediction would refuse it,
+        // and leaves the counters and the window as they were.
+        let before = stream.training_window().unwrap();
+        assert_eq!(
+            stream.ingest(&model, &[1.0], chrome),
+            Err(PolygraphError::FeatureWidthMismatch {
+                got: 1,
+                expected: 2
+            })
+        );
+        assert_eq!(stream.ingested(), 20_000);
+        assert_eq!(stream.window().seen(), 20_000);
+        let after = stream.training_window().unwrap();
+        assert_eq!(before.rows(), after.rows());
+        assert_eq!(before.user_agents(), after.user_agents());
+    }
+
+    #[test]
+    fn successive_checkpoints_match_the_plain_accumulator() {
+        // Rows ingested between checkpoints are predicted once each, at
+        // the checkpoint, and every session is counted — across evictions
+        // and the renumbering that follows them.
+        let model = toy_model();
+        let mut stream = DriftStream::new(8, 2, 5).unwrap();
+        let mut acc = DriftAccumulator::new();
+        let releases = [ua(Vendor::Chrome, 111), ua(Vendor::Chrome, 112)];
+        for round in 0..3 {
+            for i in 0..30 {
+                let row = [10.0 * f64::from(i % 2), 10.0 * f64::from((i + round) % 2)];
+                let claimed = releases[i as usize % 2];
+                stream.ingest(&model, &row, claimed).unwrap();
+                acc.ingest(&model, &row, claimed).unwrap();
+            }
+            assert_eq!(stream.ingested(), acc.ingested());
+            let (observations, _) = stream.checkpoint(&model, &releases).unwrap();
+            assert_eq!(observations, acc.checkpoint(&model, &releases).unwrap().0);
+            assert!(stream.window().distinct_rows() <= stream.window().len());
+        }
     }
 
     #[test]

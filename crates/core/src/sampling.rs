@@ -20,6 +20,7 @@
 use crate::dataset::TrainingSet;
 use crate::error::PolygraphError;
 use browser_engine::UserAgent;
+use polygraph_ml::DistinctRows;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
@@ -88,12 +89,19 @@ pub fn stratified_sample(
 /// the whole stream while memory stays bounded. All randomness comes
 /// from one ChaCha stream seeded at construction: the same seed and the
 /// same offer sequence reproduce the same window bit for bit.
+///
+/// A resident is a row id and its claimed release. The rows themselves
+/// live once each in a table of distinct rows ([`DistinctRows`]): coarse
+/// fingerprints collide, so a 50 000-session window holds a few hundred.
+/// Every row offered is interned, resident or not, and stays in the table
+/// until [`ReservoirWindow::retain_resident_rows`].
 #[derive(Debug, Clone)]
 pub struct ReservoirWindow {
     capacity: usize,
     width: usize,
     rng: ChaCha8Rng,
-    window: Vec<(Vec<f64>, UserAgent)>,
+    rows: DistinctRows,
+    residents: Vec<(usize, UserAgent)>,
     seen: u64,
     /// Times the window was copied out into a [`TrainingSet`]. The
     /// checkpoint loop must answer Stable decisions from counters alone;
@@ -115,7 +123,8 @@ impl ReservoirWindow {
             capacity,
             width,
             rng: ChaCha8Rng::seed_from_u64(seed),
-            window: Vec::new(),
+            rows: DistinctRows::new(width),
+            residents: Vec::new(),
             seen: 0,
             materializations: Cell::new(0),
         })
@@ -123,34 +132,64 @@ impl ReservoirWindow {
 
     /// Offers one session to the reservoir. The first `capacity` offers
     /// always land; offer `t` then replaces a uniformly chosen resident
-    /// with probability `capacity / t`.
-    pub fn offer(&mut self, values: Vec<f64>, claimed: UserAgent) -> Result<(), PolygraphError> {
+    /// with probability `capacity / t`. Returns the row's id in the table
+    /// of distinct rows (whether or not the session landed), valid until
+    /// the next [`ReservoirWindow::retain_resident_rows`].
+    pub fn offer(&mut self, values: &[f64], claimed: UserAgent) -> Result<usize, PolygraphError> {
         if values.len() != self.width {
             return Err(PolygraphError::FeatureWidthMismatch {
                 got: values.len(),
                 expected: self.width,
             });
         }
+        let row = self.rows.intern(values);
         self.seen += 1;
-        if self.window.len() < self.capacity {
-            self.window.push((values, claimed));
-            return Ok(());
+        if self.residents.len() < self.capacity {
+            self.residents.push((row, claimed));
+            return Ok(row);
         }
         let j = self.rng.gen_range(0..self.seen);
         if (j as usize) < self.capacity {
-            self.window[j as usize] = (values, claimed);
+            self.residents[j as usize] = (row, claimed);
         }
-        Ok(())
+        Ok(row)
+    }
+
+    /// The content of row `id` of the table of distinct rows.
+    pub(crate) fn row(&self, id: usize) -> &[f64] {
+        self.rows.row(id)
+    }
+
+    /// Rows in the table of distinct rows.
+    pub(crate) fn distinct_rows(&self) -> usize {
+        self.rows.len()
+    }
+
+    /// Drops every row of the table that no resident references and
+    /// renumbers the rest, so the table holds at most [`Self::len`] rows.
+    /// Row ids returned by earlier offers are invalid afterwards.
+    pub fn retain_resident_rows(&mut self) {
+        let mut referenced = vec![false; self.rows.len()];
+        for &(row, _) in &self.residents {
+            referenced[row] = true;
+        }
+        if referenced.iter().all(|&r| r) {
+            return;
+        }
+        let renumbered = self.rows.retain(&referenced);
+        for (row, _) in &mut self.residents {
+            *row = renumbered[*row];
+        }
     }
 
     /// Sessions currently resident.
     pub fn len(&self) -> usize {
-        self.window.len()
+        self.residents.len()
     }
 
     /// Whether no session has landed yet.
     pub fn is_empty(&self) -> bool {
-        self.window.is_empty()
+        self.residents.is_empty()
     }
 
     /// Maximum resident sessions.
@@ -163,19 +202,13 @@ impl ReservoirWindow {
         self.seen
     }
 
-    /// Borrows the resident window — the stable-checkpoint path, which
-    /// must never copy.
-    pub fn window(&self) -> &[(Vec<f64>, UserAgent)] {
-        &self.window
-    }
-
     /// Copies the resident window out into a [`TrainingSet`] — the
     /// drift-triggered path only.
     pub fn to_training_set(&self) -> Result<TrainingSet, PolygraphError> {
         self.materializations.set(self.materializations.get() + 1);
         let mut set = TrainingSet::new(self.width);
-        for (values, claimed) in &self.window {
-            set.push(values.clone(), *claimed)?;
+        for &(row, claimed) in &self.residents {
+            set.push(self.rows.row(row).to_vec(), claimed)?;
         }
         Ok(set)
     }
@@ -280,7 +313,7 @@ mod tests {
     fn reservoir_fills_then_stays_at_capacity() {
         let mut r = ReservoirWindow::new(8, 1, 7).unwrap();
         for i in 0..100u32 {
-            r.offer(vec![i as f64], ua(110)).unwrap();
+            r.offer(&[i as f64], ua(110)).unwrap();
             assert!(r.len() <= 8);
         }
         assert_eq!(r.len(), 8);
@@ -301,10 +334,10 @@ mod tests {
         for seed in 0..STREAMS {
             let mut r = ReservoirWindow::new(K, 1, seed).unwrap();
             for i in 0..N {
-                r.offer(vec![i as f64], ua(110)).unwrap();
+                r.offer(&[i as f64], ua(110)).unwrap();
             }
-            for (values, _) in r.window() {
-                included[values[0] as usize] += 1;
+            for &(row, _) in &r.residents {
+                included[r.row(row)[0] as usize] += 1;
             }
         }
         let expected = K as f64 / N as f64;
@@ -323,11 +356,11 @@ mod tests {
         let mut a = ReservoirWindow::new(16, 2, 0xDEED).unwrap();
         let mut b = ReservoirWindow::new(16, 2, 0xDEED).unwrap();
         for i in 0..500u32 {
-            let row = vec![i as f64, (i * 3) as f64];
-            a.offer(row.clone(), ua(100 + i % 4)).unwrap();
-            b.offer(row, ua(100 + i % 4)).unwrap();
+            let row = [i as f64, (i * 3) as f64];
+            a.offer(&row, ua(100 + i % 4)).unwrap();
+            b.offer(&row, ua(100 + i % 4)).unwrap();
         }
-        assert_eq!(a.window(), b.window());
+        assert_eq!(a.residents, b.residents);
         let sa = a.to_training_set().unwrap();
         let sb = b.to_training_set().unwrap();
         assert_eq!(sa.rows(), sb.rows());
@@ -335,11 +368,35 @@ mod tests {
     }
 
     #[test]
+    fn retaining_resident_rows_keeps_the_window_and_its_draws() {
+        // Ten distinct rows, each offered many times, so residents share
+        // rows and the draws evict some rows entirely.
+        let mut pruned = ReservoirWindow::new(8, 1, 3).unwrap();
+        let mut plain = ReservoirWindow::new(8, 1, 3).unwrap();
+        for i in 0..400u32 {
+            let row = [(i * 7 % 10) as f64];
+            pruned.offer(&row, ua(100 + i % 3)).unwrap();
+            plain.offer(&row, ua(100 + i % 3)).unwrap();
+            if i % 50 == 49 {
+                pruned.retain_resident_rows();
+                assert!(pruned.distinct_rows() <= pruned.len());
+            }
+        }
+        assert_eq!(plain.distinct_rows(), 10);
+        let (a, b) = (
+            pruned.to_training_set().unwrap(),
+            plain.to_training_set().unwrap(),
+        );
+        assert_eq!(a.rows(), b.rows());
+        assert_eq!(a.user_agents(), b.user_agents());
+    }
+
+    #[test]
     fn reservoir_counts_materializations_and_rejects_bad_input() {
         assert!(ReservoirWindow::new(0, 1, 1).is_err());
         let mut r = ReservoirWindow::new(4, 2, 1).unwrap();
-        assert!(r.offer(vec![1.0], ua(110)).is_err());
-        r.offer(vec![1.0, 2.0], ua(110)).unwrap();
+        assert!(r.offer(&[1.0], ua(110)).is_err());
+        r.offer(&[1.0, 2.0], ua(110)).unwrap();
         assert_eq!(r.materializations(), 0);
         let set = r.to_training_set().unwrap();
         assert_eq!(set.len(), 1);

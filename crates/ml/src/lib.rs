@@ -47,7 +47,7 @@ pub use error::MlError;
 pub use iforest::IsolationForest;
 pub use kmeans::minibatch::{MiniBatchConfig, MiniBatchKMeans};
 pub use kmeans::{ElbowReport, KMeans};
-pub use matrix::{Matrix, RowGroups};
+pub use matrix::{DistinctRows, Matrix, RowGroups};
 pub use pca::Pca;
 pub use quant::{QuantModel, QuantScratch};
 pub use scaler::StandardScaler;

@@ -7,7 +7,6 @@
 
 use crate::error::MlError;
 use serde::{Deserialize, Serialize};
-use std::cmp::Ordering;
 use std::collections::BTreeMap;
 
 /// Rows per partial sum of the row reductions that fold a whole window
@@ -297,8 +296,9 @@ fn col_stds_of<'a>(cols: usize, rows: impl Iterator<Item = &'a [f64]> + Clone) -
 ///
 /// Identity is [`f64::to_bits`], never `==`: `0.0` and `-0.0` compare
 /// equal yet `1.0 / x` tells them apart, and a NaN equals nothing, itself
-/// included. The pass is deterministic and seedless (an ordered map, no
-/// hasher): group `g` is the `g`-th distinct row in row order.
+/// included. The pass is deterministic and seedless (one
+/// [`DistinctRows`] table): group `g` is the `g`-th distinct row in row
+/// order.
 ///
 /// The partition owns its distinct rows, so it outlives the window it was
 /// taken from and can be *carried* through a pipeline of per-row stages:
@@ -318,29 +318,97 @@ pub struct RowGroups {
     group_of: Vec<usize>,
 }
 
-/// A row ordered by the bits of its values, lexicographically.
-struct RowBits<'a>(&'a [f64]);
-
-impl Ord for RowBits<'_> {
-    fn cmp(&self, other: &Self) -> Ordering {
-        let bits = |v: &f64| v.to_bits();
-        self.0.iter().map(bits).cmp(other.0.iter().map(bits))
-    }
+/// The distinct rows of a sequence of rows, each kept once and numbered
+/// in order of first appearance: the one interning body, behind
+/// [`RowGroups`] and any table that holds each distinct row once.
+///
+/// Identity is [`f64::to_bits`], as for [`RowGroups`]. The table is an
+/// ordered map keyed by the bits (deterministic and seedless, no
+/// hasher); a lookup converts the probe into a scratch buffer the table
+/// keeps, so only a row never seen before allocates.
+#[derive(Debug, Clone)]
+pub struct DistinctRows {
+    cols: usize,
+    /// Id of every distinct row, keyed by its bits.
+    ids: BTreeMap<Box<[u64]>, usize>,
+    /// Row `id` is `data[id * cols..(id + 1) * cols]`.
+    data: Vec<f64>,
+    /// The probe's bits: scratch, overwritten by every lookup.
+    bits: Vec<u64>,
 }
 
-impl PartialOrd for RowBits<'_> {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
+impl DistinctRows {
+    /// An empty table of `cols`-wide rows.
+    pub fn new(cols: usize) -> Self {
+        Self {
+            cols,
+            ids: BTreeMap::new(),
+            data: Vec::new(),
+            bits: Vec::with_capacity(cols),
+        }
+    }
+
+    /// The id of `row`, adding it as the next id if it is new.
+    ///
+    /// # Panics
+    /// Panics if `row` is not `cols` wide.
+    pub fn intern(&mut self, row: &[f64]) -> usize {
+        assert_eq!(row.len(), self.cols, "row width");
+        self.bits.clear();
+        self.bits.extend(row.iter().map(|v| v.to_bits()));
+        if let Some(&id) = self.ids.get(self.bits.as_slice()) {
+            return id;
+        }
+        let id = self.ids.len();
+        self.ids.insert(self.bits.as_slice().into(), id);
+        self.data.extend_from_slice(row);
+        id
+    }
+
+    /// Distinct rows held.
+    pub fn len(&self) -> usize {
+        self.ids.len()
+    }
+
+    /// Whether no row is held.
+    pub fn is_empty(&self) -> bool {
+        self.ids.is_empty()
+    }
+
+    /// The content of row `id`.
+    ///
+    /// # Panics
+    /// Panics if `id >= self.len()`.
+    #[inline]
+    pub fn row(&self, id: usize) -> &[f64] {
+        &self.data[id * self.cols..(id + 1) * self.cols]
+    }
+
+    /// Keeps the rows whose id `keep` marks and renumbers them in their
+    /// old order; returns each old id's new id (`usize::MAX` for a dropped
+    /// row).
+    ///
+    /// # Panics
+    /// Panics unless `keep` has one entry per row.
+    pub fn retain(&mut self, keep: &[bool]) -> Vec<usize> {
+        assert_eq!(keep.len(), self.len(), "one keep flag per row");
+        let cols = self.cols;
+        let mut renumbered = vec![usize::MAX; keep.len()];
+        let mut kept = 0;
+        for (id, _) in keep.iter().enumerate().filter(|(_, &k)| k) {
+            renumbered[id] = kept;
+            self.data
+                .copy_within(id * cols..(id + 1) * cols, kept * cols);
+            kept += 1;
+        }
+        self.data.truncate(kept * cols);
+        self.ids.retain(|_, id| {
+            *id = renumbered[*id];
+            *id != usize::MAX
+        });
+        renumbered
     }
 }
-
-impl PartialEq for RowBits<'_> {
-    fn eq(&self, other: &Self) -> bool {
-        self.cmp(other) == Ordering::Equal
-    }
-}
-
-impl Eq for RowBits<'_> {}
 
 impl RowGroups {
     /// Partitions the rows of `x` in one pass over them.
@@ -368,21 +436,12 @@ impl RowGroups {
 
     /// The one partitioning pass: at least one row, every row `cols` wide.
     fn partition<'a>(cols: usize, rows: impl Iterator<Item = &'a [f64]>) -> Self {
-        let mut ids: BTreeMap<RowBits<'a>, usize> = BTreeMap::new();
-        let mut data = Vec::new();
-        let group_of = rows
-            .map(|row| {
-                let next = ids.len();
-                *ids.entry(RowBits(row)).or_insert_with(|| {
-                    data.extend_from_slice(row);
-                    next
-                })
-            })
-            .collect();
+        let mut table = DistinctRows::new(cols);
+        let group_of = rows.map(|row| table.intern(row)).collect();
         let distinct = Matrix {
-            rows: ids.len(),
+            rows: table.len(),
             cols,
-            data,
+            data: table.data,
         };
         Self { distinct, group_of }
     }
@@ -710,6 +769,29 @@ mod tests {
         assert_eq!(g.distinct().rows(), 4);
         assert_eq!(g.group_of(), &[0, 1, 2, 3, 2, 1]);
         assert_well_formed(&g, &x);
+    }
+
+    #[test]
+    fn distinct_rows_retain_renumbers_in_id_order_and_keeps_interning() {
+        let mut table = DistinctRows::new(2);
+        let rows: [&[f64]; 4] = [&[1.0, 0.0], &[2.0, 0.0], &[3.0, -0.0], &[4.0, 0.0]];
+        let ids: Vec<usize> = rows.iter().map(|r| table.intern(r)).collect();
+        assert_eq!(ids, [0, 1, 2, 3]);
+        assert_eq!(table.intern(&[2.0, 0.0]), 1, "a repeat keeps its id");
+        assert_eq!(table.intern(&[3.0, 0.0]), 4, "-0.0 and 0.0 are two rows");
+
+        let renumbered = table.retain(&[false, true, false, true, true]);
+        assert_eq!(renumbered, [usize::MAX, 0, usize::MAX, 1, 2]);
+        assert_eq!(table.len(), 3);
+        assert_eq!(
+            (table.row(0), table.row(1), table.row(2)),
+            (&[2.0, 0.0][..], &[4.0, 0.0][..], &[3.0, 0.0][..])
+        );
+        // A kept row is found under its new id; a dropped one comes back
+        // as the next id.
+        assert_eq!(table.intern(&[4.0, 0.0]), 1);
+        assert_eq!(table.intern(&[1.0, 0.0]), 3);
+        assert_eq!(table.row(3), &[1.0, 0.0]);
     }
 
     #[test]

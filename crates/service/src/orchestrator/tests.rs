@@ -589,11 +589,7 @@ fn streaming_checkpoint_retrains_from_the_reservoir() {
         1,
         "exactly one reservoir copy, for the retrain itself"
     );
-    assert_eq!(
-        stream.accumulator().ingested(),
-        0,
-        "drift counters reset after the swap"
-    );
+    assert_eq!(stream.ingested(), 0, "drift counters reset after the swap");
     // The refit's stages ride the server's registry, one sample each.
     let obs = server.registry();
     for stage in [

@@ -87,32 +87,26 @@ fn trained_model_matches_table3_structure() {
     );
 
     let table = model.cluster_table();
-    let ua = |vendor, v| UserAgent::new(vendor, v);
+    // Every release named below is in the window: a missing one fails
+    // here rather than passing a comparison of two `None`s.
+    let cluster = |vendor, v| {
+        let release = UserAgent::new(vendor, v);
+        table
+            .cluster_of(release)
+            .unwrap_or_else(|| panic!("{} is in the training window", release.label()))
+    };
     // Chrome and Edge of the same Blink era share a cluster.
-    assert_eq!(
-        table.cluster_of(ua(Vendor::Chrome, 111)),
-        table.cluster_of(ua(Vendor::Edge, 111))
-    );
+    assert_eq!(cluster(Vendor::Chrome, 111), cluster(Vendor::Edge, 111));
     // The newest era (114) is split from 110-113.
-    assert_ne!(
-        table.cluster_of(ua(Vendor::Chrome, 114)),
-        table.cluster_of(ua(Vendor::Chrome, 113))
-    );
+    assert_ne!(cluster(Vendor::Chrome, 114), cluster(Vendor::Chrome, 113));
     // Modern Firefox clusters apart from modern Chrome.
-    assert_ne!(
-        table.cluster_of(ua(Vendor::Firefox, 110)),
-        table.cluster_of(ua(Vendor::Chrome, 110))
-    );
+    assert_ne!(cluster(Vendor::Firefox, 110), cluster(Vendor::Chrome, 110));
     // The cross-vendor merge of cluster 2: old Chrome with Quantum Firefox.
-    if let (Some(c_old), Some(f_old)) = (
-        table.cluster_of(ua(Vendor::Chrome, 63)),
-        table.cluster_of(ua(Vendor::Firefox, 78)),
-    ) {
-        assert_eq!(
-            c_old, f_old,
-            "Chrome 59-68 and Firefox 51-92 share a cluster"
-        );
-    }
+    assert_eq!(
+        cluster(Vendor::Chrome, 63),
+        cluster(Vendor::Firefox, 78),
+        "Chrome 59-68 and Firefox 51-92 share a cluster"
+    );
 }
 
 #[test]
