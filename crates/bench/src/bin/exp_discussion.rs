@@ -139,7 +139,7 @@ fn main() {
     let mut idx: Vec<usize> = (0..training.len()).collect();
     idx.shuffle(&mut rng);
     idx.truncate(training.len() / 10);
-    let keep: std::collections::HashSet<usize> = idx.into_iter().collect();
+    let keep: std::collections::BTreeSet<usize> = idx.into_iter().collect();
     let uniform = training.filtered(|i| keep.contains(&i));
     let uniform_model = TrainedModel::fit(fs, &uniform, TrainConfig::default())
         .expect("training on the uniform sample");
@@ -191,6 +191,7 @@ fn main() {
     let pca = Pca::fit(&scaled, 7).expect("pca");
     let projected = pca.transform(&scaled).expect("projected");
 
+    #[expect(clippy::disallowed_methods, reason = "a timed cell, printed to stderr")]
     let t0 = std::time::Instant::now();
     let kmeans =
         KMeans::fit(&projected, KMeansConfig::new(11).with_seed(opts.seed)).expect("kmeans");
@@ -202,6 +203,7 @@ fn main() {
     .expect("metric")
     .accuracy;
 
+    #[expect(clippy::disallowed_methods, reason = "a timed cell, printed to stderr")]
     let t0 = std::time::Instant::now();
     let agg = Agglomerative::fit(&projected, 11).expect("agglomerative");
     let agg_time = t0.elapsed();

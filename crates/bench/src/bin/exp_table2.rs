@@ -73,6 +73,7 @@ fn main() {
     // paper did.
     let server = start_collector("127.0.0.1:0").expect("bind loopback");
     let mut client = CollectorClient::connect(server.local_addr()).expect("connect");
+    #[expect(clippy::disallowed_methods, reason = "a timed cell, printed to stderr")]
     let start = Instant::now();
     for visit in 0..5u8 {
         let sub = Submission {
@@ -97,6 +98,7 @@ fn main() {
     let (model, data) = train_paper_model(opts);
     let detector = Detector::new(model);
     let sample: Vec<_> = data.sessions.iter().take(10_000).collect();
+    #[expect(clippy::disallowed_methods, reason = "a timed cell, printed to stderr")]
     let start = Instant::now();
     let mut flagged = 0usize;
     for s in &sample {

@@ -10,6 +10,8 @@
 //! to stderr ([`report_timed`]), so stdout is a function of the options
 //! and `run_experiments.sh` writes the same files on every run.
 
+#![deny(clippy::print_stdout, clippy::print_stderr, clippy::dbg_macro)]
+
 use polygraph_core::{TrainConfig, TrainedModel};
 use std::io::Write;
 use traffic::{generate, TrafficConfig, TrafficDataset};
@@ -70,9 +72,8 @@ pub fn parse_options() -> ExpOptions {
 
 /// Writes a usage error to stderr and exits. The experiment harness is the
 /// one place library code talks to the console, and it does so through
-/// explicit [`Write`] sinks rather than `println!`/`eprintln!` so the
-/// workspace-hygiene lint (`cargo xtask lint`, rule POLY-H002) keeps every
-/// other library crate print-free.
+/// explicit [`Write`] sinks rather than `println!`/`eprintln!`: its root
+/// denies clippy's print lints, as every other library crate does.
 fn usage_error(msg: &str) -> ! {
     let _ = writeln!(std::io::stderr().lock(), "{msg}");
     std::process::exit(2);

@@ -191,9 +191,13 @@ mod tests {
     fn population_is_313_unique_probes() {
         let probes = browserprint_candidates();
         assert_eq!(probes.len(), 313);
-        let mut set = std::collections::HashSet::new();
+        let mut set = std::collections::BTreeSet::new();
         for p in &probes {
-            assert!(set.insert(p.clone()), "duplicate probe {}", p.expression());
+            assert!(
+                set.insert((&p.prototype, &p.property)),
+                "duplicate probe {}",
+                p.expression()
+            );
         }
     }
 

@@ -311,6 +311,10 @@ mod tests {
     }
 
     #[test]
+    #[expect(
+        clippy::disallowed_types,
+        reason = "the test's subject is the Hash impl"
+    )]
     fn equality_ignores_os() {
         let a = UserAgent::new(Vendor::Chrome, 100).with_os(Os::Windows10);
         let b = UserAgent::new(Vendor::Chrome, 100).with_os(Os::MacOsSonoma);

@@ -16,7 +16,7 @@
 //!   submission (see `fingerprint::submission_cache_key`), computed with
 //!   a fixed, seedless hash — never `RandomState` — so the same frame
 //!   maps to the same slot in every process, every run. Replayability is
-//!   a workspace invariant (lint rule POLY-D004 pins it).
+//!   a workspace invariant (`clippy.toml` bans the seeded std hashers).
 //! * **Power-of-two sharding**: the low key bits select one of N shards,
 //!   each an independent `RwLock`-protected bounded map. Lookups take a
 //!   read lock only; the reference bits CLOCK eviction needs are atomics,
@@ -83,7 +83,7 @@ struct Slot<V> {
 }
 
 /// Odd multiplier that spreads a key over an [`Index`]'s cells (2^64 / φ).
-/// Fixed, like everything that places a key (POLY-D004: no `RandomState`).
+/// Fixed, like everything that places a key (no `RandomState`).
 const HOME_MUL: u64 = 0x9E37_79B9_7F4A_7C15;
 
 /// One cell of an [`Index`]: a key and, plus one, the slot holding it.

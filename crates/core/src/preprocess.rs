@@ -26,7 +26,7 @@ use crate::dataset::TrainingSet;
 use crate::error::PolygraphError;
 use browser_engine::protodb::TABLE8_PROTOTYPES;
 use fingerprint::{FeatureKind, FeatureSet};
-use std::collections::HashMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 /// Tunables of the pre-processing funnel.
 #[derive(Debug, Clone, Copy)]
@@ -142,7 +142,7 @@ pub fn preprocess(
     // applies to deviation-based columns: the paper adjusted "particularly
     // the deviation-based attributes" for configuration effects, while the
     // time-based probes were filtered for constancy alone (§6.3).
-    let mut groups: HashMap<_, Vec<usize>> = HashMap::new();
+    let mut groups: BTreeMap<_, Vec<usize>> = BTreeMap::new();
     for (i, ua) in data.user_agents().iter().enumerate() {
         groups.entry(*ua).or_default().push(i);
     }
@@ -154,12 +154,13 @@ pub fn preprocess(
     let mut config_sensitive = Vec::new();
     let mut is_config_sensitive = vec![false; n_features];
     if !big_groups.is_empty() {
-        // Step A: modal value per (group, feature).
+        // Step A: modal value per (group, feature). Counts that tie go to
+        // the smallest tied value, so the mode depends on the values alone.
         let mut modes: Vec<Vec<f64>> = Vec::with_capacity(big_groups.len());
         for g in &big_groups {
             let mut group_modes = Vec::with_capacity(n_features);
             for f in 0..n_features {
-                let mut counts: HashMap<u64, (f64, usize)> = HashMap::new();
+                let mut counts: BTreeMap<u64, (f64, usize)> = BTreeMap::new();
                 for &i in g.iter() {
                     let v = data.rows()[i][f];
                     let e = counts.entry(v.to_bits()).or_insert((v, 0));
@@ -167,7 +168,7 @@ pub fn preprocess(
                 }
                 let (mode, _) = counts
                     .values()
-                    .max_by_key(|(_, c)| *c)
+                    .max_by(|(a, ca), (b, cb)| ca.cmp(cb).then(b.total_cmp(a)))
                     .copied()
                     .expect("non-empty group");
                 group_modes.push(mode);
@@ -192,7 +193,7 @@ pub fn preprocess(
 
         // Step C: per deviation feature, the relative deviation of the
         // remaining (configuration-driven) deviants.
-        let deviation_cols: std::collections::HashSet<usize> = candidates
+        let deviation_cols: BTreeSet<usize> = candidates
             .indices_of_kind(FeatureKind::DeviationBased)
             .into_iter()
             .collect();
@@ -274,7 +275,7 @@ mod tests {
     use super::*;
     use browser_engine::catalog::legitimate_releases;
     use browser_engine::{BrowserInstance, Perturbation, UserAgent, Vendor};
-    use fingerprint::FeatureSet;
+    use fingerprint::{FeatureSet, Probe};
 
     /// A small candidate-stage dataset: each catalogued release observed
     /// several times, with realistic configuration noise mixed in.
@@ -399,6 +400,22 @@ mod tests {
             .unwrap();
         assert!(!report.config_sensitive.contains(&element_idx));
         assert!(report.selected.contains(&element_idx));
+    }
+
+    #[test]
+    fn a_tied_mode_is_the_smallest_tied_value() {
+        // One group split 10/10 on a deviation column. From the mode 4.0 the
+        // relative deviation is 0.25, at the threshold: config-sensitive.
+        // From 5.0 it would be 0.20. The tie must resolve the same way on
+        // every call, not with the hash order of the call's map.
+        let candidates = FeatureSet::new(vec![Probe::count("Element")]);
+        let rows = (0..20).map(|i| vec![4.0 + (i % 2) as f64]).collect();
+        let uas = vec![UserAgent::new(Vendor::Chrome, 100); 20];
+        let data = TrainingSet::from_rows(rows, uas).unwrap();
+        for _ in 0..16 {
+            let report = preprocess(&candidates, &data, PreprocessConfig::default()).unwrap();
+            assert_eq!(report.config_sensitive, vec![0]);
+        }
     }
 
     #[test]

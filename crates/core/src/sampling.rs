@@ -25,7 +25,7 @@ use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use std::cell::Cell;
-use std::collections::HashMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 /// Configuration for [`stratified_sample`].
 #[derive(Debug, Clone, Copy)]
@@ -60,26 +60,19 @@ pub fn stratified_sample(
             config.fraction
         )));
     }
-    let mut strata: HashMap<UserAgent, Vec<usize>> = HashMap::new();
+    let mut strata: BTreeMap<UserAgent, Vec<usize>> = BTreeMap::new();
     for (i, ua) in data.user_agents().iter().enumerate() {
         strata.entry(*ua).or_default().push(i);
     }
     let mut rng = ChaCha8Rng::seed_from_u64(config.seed);
-    let mut keep: Vec<usize> = Vec::new();
-    // Deterministic iteration order: sort strata by user-agent.
-    let mut uas: Vec<UserAgent> = strata.keys().copied().collect();
-    uas.sort();
-    for ua in uas {
-        let members = &strata[&ua];
+    let mut keep = BTreeSet::new();
+    for members in strata.values() {
         let target = ((members.len() as f64 * config.fraction).round() as usize)
             .max(config.min_per_stratum)
             .min(members.len());
-        let mut chosen: Vec<usize> = members.choose_multiple(&mut rng, target).copied().collect();
-        keep.append(&mut chosen);
+        keep.extend(members.choose_multiple(&mut rng, target).copied());
     }
-    keep.sort_unstable();
-    let keep_set: std::collections::HashSet<usize> = keep.into_iter().collect();
-    Ok(data.filtered(|i| keep_set.contains(&i)))
+    Ok(data.filtered(|i| keep.contains(&i)))
 }
 
 /// A seeded uniform reservoir over streaming sessions (Algorithm R).

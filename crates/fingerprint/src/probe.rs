@@ -127,6 +127,10 @@ mod tests {
     }
 
     #[test]
+    #[expect(
+        clippy::disallowed_types,
+        reason = "the test's subject is the Hash impl"
+    )]
     fn probes_are_hashable_and_serializable() {
         use std::collections::HashSet;
         let set: HashSet<Probe> = [

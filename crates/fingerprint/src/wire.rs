@@ -62,7 +62,8 @@ const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
 /// Hand-rolled FNV-1a over `bytes`: a fixed, platform-independent 64-bit
 /// hash — never `RandomState` — so the same bytes hash the same in every
-/// process and every replay (lint rule POLY-D004 pins the invariant).
+/// process and every replay (`clippy.toml` disallows the seeded std
+/// hashers).
 /// Public so the fleet ring's node tags and the fit's byte pins hash with
 /// this one function instead of a copy of it. One multiply per *byte*:
 /// right for a tag or a digest, too slow for anything hashed per frame —
@@ -92,7 +93,7 @@ const KEY_WORD_MUL: u64 = 0x9E37_79B9_7F4A_7C15;
 /// bits (the cache shards on the low ones).
 ///
 /// A fixed, seedless *slot* hash, not a digest: the same bytes pick the
-/// same slot on every machine, which POLY-D004 asks for and which also
+/// same slot on every machine, which replays need and which also
 /// means a client can search for colliding inputs offline — as it could
 /// under FNV-1a (DESIGN.md §5g) — so whatever it indexes must compare
 /// what it finds, or bound what a collision costs. For a byte pin or a

@@ -7,9 +7,9 @@
 //! histogram bucket — is reproducible run-to-run, while production swaps
 //! in the [`MonotonicClock`] without touching the instrumented code.
 //!
-//! `crates/obs` sits in the `cargo xtask lint` determinism zone, so the
-//! single `Instant::now` call below is the workspace's one audited
-//! wall-clock exemption (see the `[[allow]]` entry in `lint.toml`).
+//! The workspace's `clippy.toml` disallows `Instant::now`, so the single
+//! call below is the one audited wall-clock read of the library crates
+//! (its `#[expect]` names the reason).
 
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -34,6 +34,11 @@ pub struct MonotonicClock {
 
 impl MonotonicClock {
     /// A clock anchored at the moment of construction.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "MonotonicClock is the injected production Clock; all other code receives \
+                  time via the Clock trait and tests use TestClock"
+    )]
     pub fn new() -> Self {
         Self {
             epoch: Instant::now(),

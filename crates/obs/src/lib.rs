@@ -11,8 +11,8 @@
 //!   [`Histogram`]s (power-of-two microsecond buckets, so the exposition
 //!   shape is platform-stable), plus lightweight [`Span`] timers.
 //! * [`Clock`] — the injected time source. Production uses
-//!   [`MonotonicClock`] (the workspace's one audited wall-clock
-//!   exemption, see `lint.toml`); tests use [`TestClock`] so every
+//!   [`MonotonicClock`] (the library crates' one audited wall-clock
+//!   read, an `#[expect]` against `clippy.toml`); tests use [`TestClock`] so every
 //!   recorded duration — and therefore every snapshot byte — is exactly
 //!   reproducible.
 //! * [`Snapshot`] — a frozen, `BTreeMap`-ordered copy of the registry

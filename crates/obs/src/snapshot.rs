@@ -3,7 +3,7 @@
 //! Both renderings iterate `BTreeMap`s, so for identical recorded values
 //! the output is byte-identical across runs, platforms, and hash seeds —
 //! the property the golden-file test (`results/obs_exposition.txt`) and
-//! the `cargo xtask lint` POLY-D rules enforce.
+//! the workspace's `clippy.toml` (no `HashMap`, no wall clock) enforce.
 //!
 //! Text exposition, one line per metric:
 //!

@@ -20,10 +20,11 @@
 //!   frames, read stalls past the client deadline, mid-verdict resets,
 //!   slow-loris byte drips, and delayed `STATS` responses.
 //!
-//! The module lives in the workspace's determinism *and* panic-safety
-//! lint zones (`lint.toml`): no wall-clock reads, no non-ChaCha RNG, no
-//! `unwrap`/indexing on the pump path — a fault injector that itself
-//! panics would mask the bug it was built to flush out.
+//! No wall-clock reads and no ambient RNG (`clippy.toml`, the vendored
+//! `rand`), and the module sits in the panic-safety lint zone
+//! (`lint.toml`): no `unwrap`/indexing on the pump path — a fault
+//! injector that itself panics would mask the bug it was built to flush
+//! out.
 
 use rand::{RngCore, SeedableRng};
 use rand_chacha::ChaCha8Rng;

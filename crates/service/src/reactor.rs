@@ -21,10 +21,9 @@
 //! [`ConnMachine::flush_into`] — so property tests drive it with
 //! arbitrary interleavings of partial reads and partial writes.
 //!
-//! This module sits in both the determinism and panic-safety lint zones
-//! (`cargo xtask lint`): it never reads a wall clock (the server tracks
-//! idle deadlines through its injected `Clock`), and it never unwinds on
-//! network input.
+//! It never reads a wall clock (`clippy.toml`; the server tracks idle
+//! deadlines through its injected `Clock`), and it never unwinds on
+//! network input (the `cargo xtask lint` panic-safety zone).
 
 use crate::framing::FrameAccumulator;
 use std::io::{self, Write};

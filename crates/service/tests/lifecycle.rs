@@ -79,6 +79,10 @@ fn read_verdict(stream: &mut TcpStream) -> Verdict {
 
 /// Polls `cond` against the server's stats until it holds or `deadline`
 /// elapses.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "a wall-clock deadline on a live server"
+)]
 fn wait_for(
     server: &RiskServerHandle,
     deadline: Duration,
@@ -301,6 +305,10 @@ fn shutdown_is_bounded_with_silent_connected_client() {
         let stream = TcpStream::connect(server.local_addr()).unwrap();
         std::thread::sleep(Duration::from_millis(50)); // let the accept land
 
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "times a shutdown against its bound"
+        )]
         let start = Instant::now();
         server.shutdown();
         let elapsed = start.elapsed();
@@ -543,6 +551,10 @@ fn reactor_shutdown_completes_within_one_scan_interval() {
     stream.write_all(&100u16.to_le_bytes()).unwrap();
     std::thread::sleep(Duration::from_millis(100)); // let accept + read land
 
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "times a shutdown against its bound"
+    )]
     let start = Instant::now();
     server.shutdown();
     let elapsed = start.elapsed();

@@ -162,7 +162,7 @@ mod tests {
         let date = SimDate::new(2023, 5);
         let m = market_at(date);
         let mut rng = ChaCha8Rng::seed_from_u64(7);
-        let mut seen = std::collections::HashSet::new();
+        let mut seen = std::collections::BTreeSet::new();
         for _ in 0..50_000 {
             seen.insert(sample_release(&m, &mut rng));
         }

@@ -17,7 +17,7 @@
 //!   (`ctx.detector.read()` acquires `detector`). There is no aliasing
 //!   analysis: the same lock reached through differently named bindings
 //!   counts as two locks, and two locks sharing a receiver name merge
-//!   (see DESIGN.md §5i for why that is the right trade for this
+//!   (see DESIGN.md §5d for why that is the right trade for this
 //!   codebase).
 //! * **Guard scope** — for `let g = path.read();`, from the acquisition
 //!   to the end of the enclosing brace block, truncated at `drop(g)`;

@@ -1,15 +1,12 @@
 //! Lint configuration: rule zones, scan excludes, and the `lint.toml`
 //! allowlist of audited exceptions.
 //!
-//! The zone map is read from `lint.toml` (there is no built-in copy) and
-//! mirrors the invariants PR 1 established dynamically:
+//! The zone map is read from `lint.toml` (there is no built-in copy):
 //!
-//! * **determinism zone** — code on the retraining path must produce
-//!   bit-identical models run-to-run (drift detection compares a
-//!   browser's *re-assigned* cluster against its old one, so hidden
-//!   nondeterminism silently disables retraining triggers);
 //! * **panic-safety zone** — code that parses network input must answer
-//!   `Malformed`, never unwind.
+//!   `Malformed`, never unwind;
+//! * **concurrency zone** — code that shares locks and atomics across
+//!   serving threads.
 //!
 //! `lint.toml` is parsed with a deliberately small hand-rolled reader (the
 //! workspace is vendored-offline; there is no `toml` crate). It supports
@@ -34,14 +31,7 @@ pub struct AllowEntry {
 #[derive(Debug, Clone, Default)]
 pub struct LintConfig {
     /// Path prefixes (relative to the workspace root, `/`-separated) whose
-    /// files must obey the determinism rules (POLY-D*).
-    pub determinism_zone: Vec<String>,
-    /// Path prefixes whose files must obey the key-determinism rule
-    /// (POLY-D004): the verdict cache and the service code that keys it
-    /// must never hash with a per-process-seeded std hasher.
-    pub key_determinism_zone: Vec<String>,
-    /// Path prefixes whose files must obey the panic-safety rules
-    /// (POLY-P*).
+    /// files must obey the panic-safety rules (POLY-P*).
     pub panic_zone: Vec<String>,
     /// Path prefixes whose files must obey the concurrency rules
     /// (POLY-L*): lock-order cycles, guards held across blocking calls,
@@ -61,12 +51,6 @@ impl LintConfig {
         let doc = parse_toml_subset(text)?;
         for (section, key, value) in &doc {
             match (section.as_str(), key.as_str(), value) {
-                ("zones", "determinism", Value::Array(a)) => {
-                    self.determinism_zone = a.clone();
-                }
-                ("zones", "key_determinism", Value::Array(a)) => {
-                    self.key_determinism_zone = a.clone();
-                }
                 ("zones", "panic_safety", Value::Array(a)) => {
                     self.panic_zone = a.clone();
                 }
@@ -343,9 +327,9 @@ line = 12
 reason = "audited: length checked two lines above"
 
 [[allow]]
-rule = "POLY-D001"
+rule = "POLY-L003"
 file = "crates/baz/src/qux.rs"
-reason = "scratch map is drained in sorted order"
+reason = "a heuristic bit; the data it marks is guarded by a lock"
 "#,
         )
         .unwrap();
@@ -371,13 +355,8 @@ reason = "scratch map is drained in sorted order"
     #[test]
     fn zones_can_be_overridden() {
         let mut c = LintConfig::default();
-        c.apply_toml(
-            "[zones]\ndeterminism = [\"det_\"]\nkey_determinism = [\"keys_\"]\n\
-             panic_safety = [\"panic_\"]\nconcurrency = [\"lock_\"]\n",
-        )
-        .unwrap();
-        assert_eq!(c.determinism_zone, vec!["det_".to_string()]);
-        assert_eq!(c.key_determinism_zone, vec!["keys_".to_string()]);
+        c.apply_toml("[zones]\npanic_safety = [\"panic_\"]\nconcurrency = [\"lock_\"]\n")
+            .unwrap();
         assert_eq!(c.panic_zone, vec!["panic_".to_string()]);
         assert_eq!(c.concurrency_zone, vec!["lock_".to_string()]);
     }

@@ -1,9 +1,12 @@
-//! polygraph-lint: the workspace's static-analysis pass.
+//! polygraph-lint: the workspace's lock and panic-safety pass.
 //!
 //! `cargo xtask lint` walks every `.rs` file in the workspace, tokenizes
-//! it with [`lexer`], and enforces the project invariants that `rustc`
-//! cannot see (see [`rules`] for the rule table and DESIGN.md for the
-//! rationale). Violations carry `file:line` positions; `lint.toml` holds
+//! it with [`lexer`], and enforces the project invariants that rustc and
+//! clippy cannot see (see [`rules`] for the rule table and DESIGN.md for
+//! the rationale). Determinism and hygiene are not here: the workspace's
+//! `clippy.toml` disallows hash-ordered collections, seeded std hashers
+//! and wall-clock reads, and rustc and clippy deny `unsafe` and console
+//! output. Violations carry `file:line` positions; `lint.toml` holds
 //! audited exceptions.
 //!
 //! The scan has two tiers. Tier one is per-file: tokenize, classify, run
@@ -14,6 +17,8 @@
 //! sorted order on the calling thread (the whole workspace scans in about
 //! 0.1 s) and the report is sorted by `(file, line, rule)`. The crate has
 //! no dependency, so the linter builds without anything it lints.
+
+#![deny(clippy::print_stdout, clippy::print_stderr, clippy::dbg_macro)]
 
 pub mod concurrency;
 pub mod config;
@@ -63,41 +68,11 @@ pub fn lint_workspace(root: &Path, config: &LintConfig) -> Result<LintReport, St
 
 /// Classifies one workspace-relative path against the configured zones.
 pub fn classify(rel: &str, config: &LintConfig) -> FileClass {
+    let in_zone = |zone: &[String]| zone.iter().any(|p| rel.starts_with(p.as_str()));
     FileClass {
-        determinism: config
-            .determinism_zone
-            .iter()
-            .any(|p| rel.starts_with(p.as_str())),
-        key_determinism: config
-            .key_determinism_zone
-            .iter()
-            .any(|p| rel.starts_with(p.as_str())),
-        panic_safety: config
-            .panic_zone
-            .iter()
-            .any(|p| rel.starts_with(p.as_str())),
-        library: is_library_file(rel),
-        concurrency: config
-            .concurrency_zone
-            .iter()
-            .any(|p| rel.starts_with(p.as_str())),
+        panic_safety: in_zone(&config.panic_zone),
+        concurrency: in_zone(&config.concurrency_zone),
     }
-}
-
-/// Whether a workspace-relative path is library source code, subject to
-/// the hygiene rule (POLY-H002). Binary targets (`src/bin/`,
-/// `src/main.rs`) own the console; tests, benches, and examples are
-/// scanned for the other rules but may print.
-fn is_library_file(rel: &str) -> bool {
-    let in_src = rel.contains("/src/") || rel.starts_with("src/");
-    if !in_src {
-        return false;
-    }
-    if rel.contains("/src/bin/") || rel.starts_with("src/bin/") {
-        return false;
-    }
-    let basename = rel.rsplit('/').next().unwrap_or(rel);
-    basename != "main.rs"
 }
 
 /// The zone map for the linter's own fixture corpus under
@@ -106,14 +81,6 @@ fn is_library_file(rel: &str) -> bool {
 /// `cargo xtask lint --self-check` so the two cannot drift.
 pub fn fixture_lint_config() -> LintConfig {
     LintConfig {
-        determinism_zone: vec![
-            "det_".into(),
-            "reactor_".into(),
-            "quant_".into(),
-            "fleet_".into(),
-            "minibatch_".into(),
-        ],
-        key_determinism_zone: vec!["keys_".into()],
         panic_zone: vec!["panic_".into(), "reactor_".into()],
         concurrency_zone: vec![
             "lock_order_".into(),
@@ -266,34 +233,22 @@ mod tests {
     use super::*;
 
     #[test]
-    fn library_classification() {
-        assert!(is_library_file("crates/ml/src/metrics.rs"));
-        assert!(is_library_file("crates/service/src/server/batch.rs"));
-        assert!(!is_library_file("crates/service/src/main.rs"));
-        assert!(!is_library_file("crates/bench/src/bin/exp_tables.rs"));
-        assert!(!is_library_file("crates/core/tests/train_integration.rs"));
-        assert!(!is_library_file("crates/ml/benches/kmodes.rs"));
-    }
-
-    #[test]
     fn zone_classification_uses_prefixes() {
         let c = LintConfig {
-            determinism_zone: vec!["crates/ml/src/".into()],
-            key_determinism_zone: vec!["crates/service/src/".into(), "crates/cache/src/".into()],
             panic_zone: vec![
                 "crates/service/src/server/".into(),
                 "crates/service/src/proto.rs".into(),
             ],
+            concurrency_zone: vec!["crates/service/src/".into(), "crates/cache/src/".into()],
             ..LintConfig::default()
         };
-        assert!(classify("crates/ml/src/kmodes.rs", &c).determinism);
-        assert!(!classify("crates/ml/src/kmodes.rs", &c).panic_safety);
         assert!(classify("crates/service/src/proto.rs", &c).panic_safety);
         assert!(!classify("crates/service/src/lib.rs", &c).panic_safety);
-        assert!(classify("crates/cache/src/lib.rs", &c).key_determinism);
-        assert!(classify("crates/service/src/server/batch.rs", &c).key_determinism);
+        assert!(classify("crates/service/src/lib.rs", &c).concurrency);
+        assert!(classify("crates/cache/src/lib.rs", &c).concurrency);
+        assert!(!classify("crates/cache/src/lib.rs", &c).panic_safety);
         assert!(classify("crates/service/src/server/batch.rs", &c).panic_safety);
-        assert!(!classify("crates/ml/src/kmodes.rs", &c).key_determinism);
+        assert!(!classify("crates/ml/src/kmodes.rs", &c).concurrency);
     }
 
     #[test]
@@ -328,7 +283,7 @@ mod tests {
     #[test]
     fn unused_allow_entries_are_reported() {
         let allow = vec![AllowEntry {
-            rule: "POLY-D001".into(),
+            rule: "POLY-L003".into(),
             file: "never.rs".into(),
             line: None,
             reason: "stale".into(),

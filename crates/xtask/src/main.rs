@@ -2,17 +2,17 @@
 //!
 //! Subcommands:
 //!
-//! * `lint [--format text|json|sarif] [--root PATH] [--config PATH]
-//!   [--self-check]` — run the polygraph-lint static-analysis pass
+//! * `lint [--format text|json] [--root PATH] [--config PATH]
+//!   [--self-check]` — run the polygraph-lint lock and panic-safety pass
 //!   (`--json` stays as an alias for `--format json`). Exit 0 when
 //!   clean, 1 when violations or stale allow entries survive, 2 on
 //!   usage or I/O errors — a missing `lint.toml` included: the file is
 //!   the only zone map. `--self-check` instead lints the linter's own
 //!   fixture corpus and verifies every rule still fires where expected.
 //!
-//! This is a binary target, so the console belongs to it (POLY-H002
-//! exempts `main.rs`); everything else lives in the `xtask` library so
-//! the integration tests can drive it in-process.
+//! This is a binary target, so the console belongs to it (the print lints
+//! are denied at the library root only); everything else lives in the
+//! `xtask` library so the integration tests can drive it in-process.
 
 use std::io::Write;
 use std::path::{Path, PathBuf};
@@ -35,14 +35,13 @@ fn main() -> ExitCode {
     }
 }
 
-const USAGE: &str = "usage: cargo xtask lint [--format text|json|sarif] [--root PATH] \
+const USAGE: &str = "usage: cargo xtask lint [--format text|json] [--root PATH] \
                      [--config PATH] [--self-check]";
 
 #[derive(Clone, Copy, PartialEq)]
 enum LintFormat {
     Text,
     Json,
-    Sarif,
 }
 
 fn lint_command(args: &[String]) -> ExitCode {
@@ -61,11 +60,10 @@ fn lint_command(args: &[String]) -> ExitCode {
                 format = match args.get(i + 1).map(String::as_str) {
                     Some("text") => LintFormat::Text,
                     Some("json") => LintFormat::Json,
-                    Some("sarif") => LintFormat::Sarif,
                     other => {
                         let _ = writeln!(
                             std::io::stderr(),
-                            "unknown --format {other:?} (expected text, json, or sarif)\n{USAGE}"
+                            "unknown --format {other:?} (expected text or json)\n{USAGE}"
                         );
                         return ExitCode::from(2);
                     }
@@ -130,7 +128,6 @@ fn lint_command(args: &[String]) -> ExitCode {
     let rendered = match format {
         LintFormat::Text => report.render_text(),
         LintFormat::Json => report.render_json(),
-        LintFormat::Sarif => report.render_sarif(),
     };
     let _ = write!(std::io::stdout(), "{rendered}");
     if report.is_clean() {

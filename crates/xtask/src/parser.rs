@@ -12,7 +12,7 @@
 //! `impl` blocks are transparent: the function scan is flat, so methods
 //! surface as plain named functions. That is exactly what the concurrency
 //! passes want — their call graph resolves bare names only (see the
-//! soundness notes in DESIGN.md §5i).
+//! soundness notes in DESIGN.md §5d).
 
 use crate::lexer::{matching_brace, Token, TokenKind};
 

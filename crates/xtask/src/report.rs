@@ -1,14 +1,14 @@
-//! Rendering of lint results as human-readable text, machine-readable
-//! JSON, or SARIF 2.1.0 for code-scanning UIs.
+//! Rendering of lint results as human-readable text or machine-readable
+//! JSON.
 //!
 //! The JSON report is committed to the repository as
 //! `results/lint_baseline.json`, so it must be byte-stable across runs:
 //! diagnostics are sorted, and no timestamps, host names, or absolute
-//! paths appear anywhere. The JSON and SARIF are hand-assembled —
+//! paths appear anywhere. The JSON is hand-assembled —
 //! `xtask` takes no external dependencies, by design.
 
 use crate::config::AllowEntry;
-use crate::rules::{Diagnostic, RULE_CATALOG};
+use crate::rules::Diagnostic;
 use std::fmt::Write as _;
 
 /// Result of a full lint run, post-allowlist.
@@ -111,70 +111,6 @@ impl LintReport {
         out.push_str("}\n");
         out
     }
-
-    /// SARIF 2.1.0 rendering for code-scanning UIs. One run, the full
-    /// rule catalog up front, one `result` per surviving diagnostic —
-    /// and one per stale allow entry (POLY-H004), anchored to
-    /// `lint.toml` line 1 since the hand-rolled TOML reader does not
-    /// track entry positions. Deterministic like the JSON rendering.
-    pub fn render_sarif(&self) -> String {
-        let mut out = String::new();
-        out.push_str("{\n");
-        out.push_str(
-            "  \"$schema\": \"https://json.schemastore.org/sarif-2.1.0.json\",\n  \
-             \"version\": \"2.1.0\",\n  \"runs\": [\n    {\n      \"tool\": {\n        \
-             \"driver\": {\n          \"name\": \"polygraph-lint\",\n          \"rules\": [",
-        );
-        for (i, r) in RULE_CATALOG.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(
-                out,
-                "\n            {{ \"id\": {}, \"shortDescription\": {{ \"text\": {} }} }}",
-                json_str(r.id),
-                json_str(r.short)
-            );
-        }
-        out.push_str("\n          ]\n        }\n      },\n      \"results\": [");
-        let mut first = true;
-        let mut push_result =
-            |out: &mut String, rule: &str, message: &str, uri: &str, line: u32| {
-                if !first {
-                    out.push(',');
-                }
-                first = false;
-                let _ = write!(
-                    out,
-                    "\n        {{ \"ruleId\": {}, \"level\": \"error\", \"message\": {{ \"text\": \
-                 {} }}, \"locations\": [ {{ \"physicalLocation\": {{ \"artifactLocation\": \
-                 {{ \"uri\": {} }}, \"region\": {{ \"startLine\": {} }} }} }} ] }}",
-                    json_str(rule),
-                    json_str(message),
-                    json_str(uri),
-                    line
-                );
-            };
-        for d in &self.diagnostics {
-            push_result(&mut out, d.rule, &d.message, &d.file, d.line.max(1));
-        }
-        for a in &self.unused_allows {
-            let message = format!(
-                "stale allow entry: {} in {}{} matches no finding — remove it from lint.toml",
-                a.rule,
-                a.file,
-                a.line.map(|l| format!(":{l}")).unwrap_or_default()
-            );
-            push_result(&mut out, "POLY-H004", &message, "lint.toml", 1);
-        }
-        if first {
-            out.push_str("]\n");
-        } else {
-            out.push_str("\n      ]\n");
-        }
-        out.push_str("    }\n  ]\n}\n");
-        out
-    }
 }
 
 /// Escapes a string as a JSON string literal.
@@ -268,36 +204,5 @@ mod tests {
         assert!(!r.is_clean(), "stale allows must exit nonzero");
         let text = r.render_text();
         assert!(text.contains("error: stale allow entry (POLY-H004: POLY-P001 in gone.rs:9)"));
-    }
-
-    #[test]
-    fn sarif_is_stable_and_carries_rules_and_locations() {
-        let a = sample().render_sarif();
-        assert_eq!(a, sample().render_sarif());
-        assert!(a.contains("\"version\": \"2.1.0\""));
-        assert!(a.contains("\"name\": \"polygraph-lint\""));
-        // Catalog: every rule is declared even when it did not fire.
-        assert!(a.contains("\"id\": \"POLY-L001\""));
-        assert!(a.contains("\"id\": \"POLY-H004\""));
-        // The one finding is anchored to its file and line.
-        assert!(a.contains("\"ruleId\": \"POLY-P001\""));
-        assert!(a.contains("\"uri\": \"crates/service/src/server.rs\""));
-        assert!(a.contains("\"startLine\": 42"));
-        assert!(!a.contains("timestamp"));
-    }
-
-    #[test]
-    fn sarif_reports_stale_allows_against_lint_toml() {
-        let mut r = sample();
-        r.diagnostics.clear();
-        r.unused_allows.push(AllowEntry {
-            rule: "POLY-D001".into(),
-            file: "gone.rs".into(),
-            line: None,
-            reason: "stale".into(),
-        });
-        let sarif = r.render_sarif();
-        assert!(sarif.contains("\"ruleId\": \"POLY-H004\""));
-        assert!(sarif.contains("\"uri\": \"lint.toml\""));
     }
 }

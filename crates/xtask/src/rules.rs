@@ -1,19 +1,13 @@
 //! The lint rules.
 //!
-//! Four rule families, matching the invariants the pipeline depends on:
+//! Two rule families, for the invariants rustc and clippy cannot hold:
 //!
 //! | Code      | Zone            | Forbids                                         |
 //! |-----------|-----------------|-------------------------------------------------|
-//! | POLY-D001 | determinism     | hash-ordered collections (`HashMap`/`HashSet`)  |
-//! | POLY-D002 | determinism     | wall-clock / OS entropy (`SystemTime`, `Instant::now`, `thread_rng`, `from_entropy`) |
-//! | POLY-D003 | determinism     | non-ChaCha RNG types (`StdRng`, `SmallRng`, …)  |
-//! | POLY-D004 | determinism, key-determinism | seeded std hashers (`RandomState`, `DefaultHasher`) |
 //! | POLY-P001 | panic-safety    | `unwrap(`                                       |
 //! | POLY-P002 | panic-safety    | `expect(`                                       |
 //! | POLY-P003 | panic-safety    | `panic!` / `todo!` / `unimplemented!`           |
-//! | POLY-P004 | panic-safety    | slice/array indexing `expr[…]`                  |
-//! | POLY-H001 | everywhere      | `unsafe`                                        |
-//! | POLY-H002 | library sources | `println!` / `eprintln!` / `print!` / `eprint!` / `dbg!` |
+//! | POLY-P004 | panic-safety    | indexing `expr[…]`, map indexing included       |
 //! | POLY-H004 | lint.toml       | `[[allow]]` entries that match no finding (stale audits) |
 //! | POLY-L001 | concurrency     | cycles in the aggregated lock-order graph       |
 //! | POLY-L002 | concurrency     | lock guards held across blocking calls          |
@@ -25,9 +19,10 @@
 //! runs them after every file is summarized. POLY-H004 is synthesized by
 //! the report from the allowlist outcome, not from source tokens.
 //!
-//! Zone rules skip `#[cfg(test)]` regions: tests may unwrap and may use
-//! hash sets to assert uniqueness. POLY-H001 applies to test code too —
-//! `unsafe` is never fine without an audit.
+//! The P rules skip `#[cfg(test)]` regions: tests may unwrap. P004 stays
+//! here rather than in clippy because `clippy::indexing_slicing` does not
+//! flag `map[&key]` on a `BTreeMap`, which panics on a missing key just as
+//! a slice does on an index past its end.
 
 use crate::lexer::{Token, TokenKind};
 
@@ -46,23 +41,16 @@ pub struct Diagnostic {
 /// How a file is classified for rule scoping.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct FileClass {
-    pub determinism: bool,
-    /// Key-determinism zone (the verdict cache and its service callers):
-    /// only POLY-D004 applies — cache keys must come from a fixed hasher
-    /// so replays and fixtures hash identically in every process.
-    pub key_determinism: bool,
+    /// Panic-safety zone (code that parses network input): subject to the
+    /// POLY-P rules.
     pub panic_safety: bool,
-    /// Library source (not a binary target, not tests/, not examples/):
-    /// subject to the hygiene rules.
-    pub library: bool,
     /// Concurrency zone (the sharded cache, the service crate, the
     /// quantized kernel, the mini-batch refit): subject to the POLY-L
     /// rules.
     pub concurrency: bool,
 }
 
-/// One catalog row: rule code plus the short description rendered into
-/// reports (SARIF requires the full rule table up front).
+/// One catalog row: rule code plus a short description.
 pub struct RuleInfo {
     pub id: &'static str,
     pub short: &'static str,
@@ -72,22 +60,6 @@ pub struct RuleInfo {
 /// table in the module docs; `--self-check` cross-checks the scan rules
 /// against the fixtures.
 pub const RULE_CATALOG: &[RuleInfo] = &[
-    RuleInfo {
-        id: "POLY-D001",
-        short: "hash-ordered collection in a determinism zone",
-    },
-    RuleInfo {
-        id: "POLY-D002",
-        short: "wall-clock or OS-entropy input in a determinism zone",
-    },
-    RuleInfo {
-        id: "POLY-D003",
-        short: "non-ChaCha RNG in a determinism zone",
-    },
-    RuleInfo {
-        id: "POLY-D004",
-        short: "per-process-seeded std hasher in a key-determinism zone",
-    },
     RuleInfo {
         id: "POLY-P001",
         short: "unwrap() in a panic-safety zone",
@@ -103,14 +75,6 @@ pub const RULE_CATALOG: &[RuleInfo] = &[
     RuleInfo {
         id: "POLY-P004",
         short: "slice/array indexing in a panic-safety zone",
-    },
-    RuleInfo {
-        id: "POLY-H001",
-        short: "unsafe outside the audited allowlist",
-    },
-    RuleInfo {
-        id: "POLY-H002",
-        short: "console print macro in library code",
     },
     RuleInfo {
         id: "POLY-H004",
@@ -133,127 +97,15 @@ pub const RULE_CATALOG: &[RuleInfo] = &[
 /// Runs every applicable rule over one file's token stream.
 pub fn check_file(rel_path: &str, tokens: &[Token], class: FileClass) -> Vec<Diagnostic> {
     let mut out = Vec::new();
-    if class.determinism {
-        check_hash_collections(rel_path, tokens, &mut out);
-        check_wall_clock_entropy(rel_path, tokens, &mut out);
-        check_non_chacha_rng(rel_path, tokens, &mut out);
-    }
-    if class.determinism || class.key_determinism {
-        check_random_hashers(rel_path, tokens, &mut out);
-    }
     if class.panic_safety {
         check_unwrap_expect(rel_path, tokens, &mut out);
         check_panic_macros(rel_path, tokens, &mut out);
         check_indexing(rel_path, tokens, &mut out);
     }
-    check_unsafe(rel_path, tokens, &mut out);
-    if class.library {
-        check_print_macros(rel_path, tokens, &mut out);
-    }
     if class.concurrency {
         crate::concurrency::check_relaxed_orderings(rel_path, tokens, &mut out);
     }
     out
-}
-
-const HASH_COLLECTIONS: &[&str] = &[
-    "HashMap",
-    "HashSet",
-    "FxHashMap",
-    "FxHashSet",
-    "AHashMap",
-    "AHashSet",
-];
-
-fn check_hash_collections(path: &str, tokens: &[Token], out: &mut Vec<Diagnostic>) {
-    for t in tokens.iter().filter(|t| !t.in_test) {
-        if let Some(id) = t.ident() {
-            if HASH_COLLECTIONS.contains(&id) {
-                out.push(Diagnostic {
-                    rule: "POLY-D001",
-                    file: path.into(),
-                    line: t.line,
-                    message: format!(
-                        "`{id}` in a determinism zone: iteration order varies with the \
-                         per-process hash seed, which breaks bit-identical retraining; \
-                         use BTreeMap/BTreeSet or drain through sorted keys"
-                    ),
-                });
-            }
-        }
-    }
-}
-
-fn check_wall_clock_entropy(path: &str, tokens: &[Token], out: &mut Vec<Diagnostic>) {
-    let live: Vec<&Token> = tokens.iter().filter(|t| !t.in_test).collect();
-    for (i, t) in live.iter().enumerate() {
-        let Some(id) = t.ident() else { continue };
-        let flagged = match id {
-            "SystemTime" | "thread_rng" | "from_entropy" => true,
-            // `Instant` alone can name a type in a signature; only the
-            // `Instant::now` call observes the wall clock.
-            "Instant" => {
-                live.get(i + 1).is_some_and(|t| t.is_punct(':'))
-                    && live.get(i + 2).is_some_and(|t| t.is_punct(':'))
-                    && live.get(i + 3).is_some_and(|t| t.is_ident("now"))
-            }
-            _ => false,
-        };
-        if flagged {
-            out.push(Diagnostic {
-                rule: "POLY-D002",
-                file: path.into(),
-                line: t.line,
-                message: format!(
-                    "`{id}` in a determinism zone: wall-clock or OS-entropy input makes \
-                     training runs unrepeatable; thread seeds and simulated dates through \
-                     the config instead"
-                ),
-            });
-        }
-    }
-}
-
-const NON_CHACHA_RNGS: &[&str] = &["StdRng", "SmallRng", "ThreadRng", "OsRng", "EntropyRng"];
-
-fn check_non_chacha_rng(path: &str, tokens: &[Token], out: &mut Vec<Diagnostic>) {
-    for t in tokens.iter().filter(|t| !t.in_test) {
-        if let Some(id) = t.ident() {
-            if NON_CHACHA_RNGS.contains(&id) {
-                out.push(Diagnostic {
-                    rule: "POLY-D003",
-                    file: path.into(),
-                    line: t.line,
-                    message: format!(
-                        "`{id}` in a determinism zone: only ChaCha RNGs are stable across \
-                         platforms and rand versions; construct ChaCha8Rng/ChaCha20Rng \
-                         from an explicit seed"
-                    ),
-                });
-            }
-        }
-    }
-}
-
-const RANDOM_HASHERS: &[&str] = &["RandomState", "DefaultHasher"];
-
-fn check_random_hashers(path: &str, tokens: &[Token], out: &mut Vec<Diagnostic>) {
-    for t in tokens.iter().filter(|t| !t.in_test) {
-        if let Some(id) = t.ident() {
-            if RANDOM_HASHERS.contains(&id) {
-                out.push(Diagnostic {
-                    rule: "POLY-D004",
-                    file: path.into(),
-                    line: t.line,
-                    message: format!(
-                        "`{id}` in a key-determinism zone: std hashers seed per process, so \
-                         cache keys and replays would not reproduce across runs; hash with \
-                         the fixed fingerprint::wire::fnv1a64 (or key a BTreeMap) instead"
-                    ),
-                });
-            }
-        }
-    }
 }
 
 fn check_unwrap_expect(path: &str, tokens: &[Token], out: &mut Vec<Diagnostic>) {
@@ -338,42 +190,6 @@ fn check_indexing(path: &str, tokens: &[Token], out: &mut Vec<Diagnostic>) {
     }
 }
 
-fn check_unsafe(path: &str, tokens: &[Token], out: &mut Vec<Diagnostic>) {
-    for t in tokens {
-        if t.is_ident("unsafe") {
-            out.push(Diagnostic {
-                rule: "POLY-H001",
-                file: path.into(),
-                line: t.line,
-                message: "`unsafe` outside the audited allowlist: every crate here builds \
-                          with #![forbid(unsafe_code)]; allowlist in lint.toml only with a \
-                          written audit"
-                    .into(),
-            });
-        }
-    }
-}
-
-const PRINT_MACROS: &[&str] = &["println", "eprintln", "print", "eprint", "dbg"];
-
-fn check_print_macros(path: &str, tokens: &[Token], out: &mut Vec<Diagnostic>) {
-    let live: Vec<&Token> = tokens.iter().filter(|t| !t.in_test).collect();
-    for (i, t) in live.iter().enumerate() {
-        let Some(id) = t.ident() else { continue };
-        if PRINT_MACROS.contains(&id) && live.get(i + 1).is_some_and(|n| n.is_punct('!')) {
-            out.push(Diagnostic {
-                rule: "POLY-H002",
-                file: path.into(),
-                line: t.line,
-                message: format!(
-                    "`{id}!` in a library crate: console output belongs to binaries or an \
-                     explicit Write sink (see polygraph-bench), not library code"
-                ),
-            });
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -383,69 +199,10 @@ mod tests {
         check_file("test.rs", &tokenize(src), class)
     }
 
-    const DET: FileClass = FileClass {
-        determinism: true,
-        key_determinism: false,
-        panic_safety: false,
-        library: false,
-        concurrency: false,
-    };
-    const KEYS: FileClass = FileClass {
-        determinism: false,
-        key_determinism: true,
-        panic_safety: false,
-        library: false,
-        concurrency: false,
-    };
     const PANIC: FileClass = FileClass {
-        determinism: false,
-        key_determinism: false,
         panic_safety: true,
-        library: false,
         concurrency: false,
     };
-    const LIB: FileClass = FileClass {
-        determinism: false,
-        key_determinism: false,
-        panic_safety: false,
-        library: true,
-        concurrency: false,
-    };
-
-    #[test]
-    fn hash_map_flagged_in_determinism_zone_only() {
-        let src = "use std::collections::HashMap;";
-        assert_eq!(run(src, DET).len(), 1);
-        assert_eq!(run(src, DET)[0].rule, "POLY-D001");
-        assert!(run(src, PANIC).is_empty());
-    }
-
-    #[test]
-    fn random_hashers_flagged_in_key_determinism_and_determinism_zones() {
-        let src = "use std::collections::hash_map::RandomState;\nlet mut h = DefaultHasher::new();";
-        let d = run(src, KEYS);
-        assert_eq!(d.len(), 2);
-        assert!(d.iter().all(|d| d.rule == "POLY-D004"));
-        assert_eq!(d[0].line, 1);
-        assert_eq!(d[1].line, 2);
-        // The wider determinism zone forbids them too …
-        assert_eq!(
-            run(src, DET)
-                .iter()
-                .filter(|d| d.rule == "POLY-D004")
-                .count(),
-            2
-        );
-        // … but the key-determinism zone applies no other D rules.
-        assert!(run("use std::collections::HashMap;", KEYS).is_empty());
-        assert!(run(src, PANIC).is_empty());
-    }
-
-    #[test]
-    fn instant_now_flagged_but_instant_type_is_not() {
-        assert_eq!(run("let t = Instant::now();", DET).len(), 1);
-        assert!(run("fn f(deadline: Instant) {}", DET).is_empty());
-    }
 
     #[test]
     fn unwrap_or_else_is_not_unwrap() {
@@ -477,25 +234,8 @@ mod tests {
 
     #[test]
     fn cfg_test_blocks_are_exempt_from_zone_rules() {
-        let src = "#[cfg(test)]\nmod tests { fn t() { x.unwrap(); let h = HashMap::new(); } }";
+        let src = "#[cfg(test)]\nmod tests { fn t() { x.unwrap(); let v = data[0]; } }";
         assert!(run(src, PANIC).is_empty());
-        assert!(run(src, DET).is_empty());
-    }
-
-    #[test]
-    fn unsafe_flagged_even_in_tests() {
-        let src = "#[cfg(test)]\nmod tests { fn t() { unsafe { core(); } } }";
-        let d = run(src, PANIC);
-        assert_eq!(d.len(), 1);
-        assert_eq!(d[0].rule, "POLY-H001");
-    }
-
-    #[test]
-    fn print_macros_flagged_in_library_code() {
-        assert_eq!(run("println!(\"x\");", LIB).len(), 1);
-        assert!(run("writeln!(sink, \"x\");", LIB).is_empty());
-        // Test code may print while debugging.
-        assert!(run("#[cfg(test)]\nmod t { fn f() { println!(\"x\"); } }", LIB).is_empty());
     }
 
     #[test]

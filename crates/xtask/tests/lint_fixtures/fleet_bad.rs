@@ -1,16 +1,6 @@
-//! Bad fixture: a fleet router that breaks the fleet zone disciplines —
-//! ambient hashing for ring placement and a wall-clock read on the
-//! routing path (determinism), a socket write under the ring guard, and
-//! a Relaxed publish of a node's rollout model version (concurrency).
-use std::collections::HashMap;
-
-pub fn build_ring(nodes: usize) -> HashMap<u64, usize> {
-    let started = Instant::now();
-    let mut ring = HashMap::new();
-    ring.insert(started.elapsed().as_nanos() as u64, nodes);
-    ring
-}
-
+//! Bad fixture: a fleet router that breaks the fleet's concurrency
+//! discipline — a socket write under the ring guard, and a Relaxed
+//! publish of a node's rollout model version.
 pub fn failover_write(ring: &RwLock<Ring>, stream: &mut TcpStream, frame: &[u8]) {
     let guard = ring.read();
     stream.write_all(frame);

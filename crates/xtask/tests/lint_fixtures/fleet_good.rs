@@ -1,16 +1,6 @@
-//! Good twin of `fleet_bad.rs`: the same router, but ring placement
-//! uses an ordered map keyed by stable node tags, time comes from an
-//! injected clock, the socket write happens only after the ring guard
-//! is dropped, and the version publish uses SeqCst.
-use std::collections::BTreeMap;
-
-pub fn build_ring(nodes: usize, clock: &dyn Clock) -> BTreeMap<u64, usize> {
-    let started = clock.now();
-    let mut ring = BTreeMap::new();
-    ring.insert(started, nodes);
-    ring
-}
-
+//! Good twin of `fleet_bad.rs`: the same router, but the socket write
+//! happens only after the ring guard is dropped, and the version publish
+//! uses SeqCst.
 pub fn failover_write(ring: &RwLock<Ring>, stream: &mut TcpStream, frame: &[u8]) {
     let target = {
         let guard = ring.read();

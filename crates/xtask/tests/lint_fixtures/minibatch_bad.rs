@@ -1,16 +1,6 @@
 //! Bad fixture: a mini-batch k-means refit that breaks the streaming
-//! retrain disciplines — ambient-ordered batch bookkeeping and a
-//! wall-clock batch cut (determinism), plus a warm-start refit run
-//! under the serving detector's read guard (concurrency).
-use std::collections::HashMap;
-
-pub fn batch_order(rows: usize) -> HashMap<usize, usize> {
-    let cut = Instant::now();
-    let mut order = HashMap::new();
-    order.insert(rows, cut.elapsed().as_micros() as usize);
-    order
-}
-
+//! retrain's concurrency discipline — a warm-start refit run under the
+//! serving detector's read guard.
 pub fn refit_under_guard(slot: &RwLock<DetectorSlot>, window: &TrainingSet) {
     let guard = slot.read();
     guard.model().refit_streaming(window);

@@ -1,16 +1,6 @@
-//! Good twin of `minibatch_bad.rs`: the same refit plumbing, but batch
-//! order comes from a seeded ChaCha draw over an ordered map, the batch
-//! cut is a counter instead of the wall clock, and the serving model is
-//! cloned out of the detector guard before the refit runs.
-use std::collections::BTreeMap;
-
-pub fn batch_order(rows: usize, rng: &mut ChaCha8Rng) -> BTreeMap<usize, usize> {
-    let cut = rng.next_u64() as usize;
-    let mut order = BTreeMap::new();
-    order.insert(rows, cut);
-    order
-}
-
+//! Good twin of `minibatch_bad.rs`: the same refit plumbing, but the
+//! serving model is cloned out of the detector guard before the refit
+//! runs.
 pub fn refit_outside_guard(slot: &RwLock<DetectorSlot>, window: &TrainingSet) {
     let serving = {
         let guard = slot.read();

@@ -1,17 +1,7 @@
-//! Bad fixture: a quantized batch drain that breaks both of the quant
-//! kernel's zone disciplines — ambient hashing and wall-clock reads on
-//! the compile/serve path (determinism), the detector guard held across
-//! the batched `assess_many` drain, and a Relaxed publish of the
-//! compiled model's epoch (concurrency).
-use std::collections::HashMap;
-
-pub fn compile_quantized(rows: &[Vec<f64>]) -> HashMap<usize, i64> {
-    let started = Instant::now();
-    let mut table = HashMap::new();
-    table.insert(0, started.elapsed().as_nanos() as i64);
-    table
-}
-
+//! Bad fixture: a quantized batch drain that breaks the quant kernel's
+//! concurrency discipline — the detector guard held across the batched
+//! `assess_many` drain, and a Relaxed publish of the compiled model's
+//! epoch.
 pub fn drain_under_guard(slot: &RwLock<Detector>, frames: &[Frame]) {
     let detector = slot.read();
     detector.assess_many(frames);

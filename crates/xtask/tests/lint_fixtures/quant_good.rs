@@ -1,16 +1,6 @@
-//! Good twin of `quant_bad.rs`: the same quantized drain, but the
-//! compile path uses ordered containers and an injected clock, the
-//! guard is dropped before the batched assess, and the epoch publish
-//! uses SeqCst.
-use std::collections::BTreeMap;
-
-pub fn compile_quantized(rows: &[Vec<f64>], clock: &dyn Clock) -> BTreeMap<usize, i64> {
-    let started = clock.now();
-    let mut table = BTreeMap::new();
-    table.insert(0, started);
-    table
-}
-
+//! Good twin of `quant_bad.rs`: the same quantized drain, but the guard
+//! is dropped before the batched assess, and the epoch publish uses
+//! SeqCst.
 pub fn drain_after_clone(slot: &RwLock<Detector>, frames: &[Frame]) {
     let detector = {
         let guard = slot.read();

@@ -17,8 +17,6 @@ fn fixture_config() -> LintConfig {
         .apply_toml(
             r#"
 [zones]
-determinism = ["det_", "reactor_", "quant_", "fleet_", "minibatch_"]
-key_determinism = ["keys_"]
 panic_safety = ["panic_", "reactor_"]
 concurrency = ["lock_order_", "guard_scope_", "atomic_", "quant_", "fleet_", "minibatch_"]
 "#,
@@ -43,50 +41,24 @@ fn bad_fixtures_fire_every_rule_at_the_expected_lines() {
         ("atomic_bad.rs", "POLY-L003", 6),       // epoch.store(…, Relaxed)
         ("atomic_bad.rs", "POLY-L003", 7),       // stop.store(…, Relaxed)
         ("atomic_bad.rs", "POLY-L003", 11),      // epoch.load(Relaxed)
-        ("det_bad.rs", "POLY-D001", 4),          // use HashMap
-        ("det_bad.rs", "POLY-D001", 5),          // use HashSet
-        ("det_bad.rs", "POLY-D001", 8),          // HashMap::new()
-        ("det_bad.rs", "POLY-D002", 9),          // Instant::now()
-        ("det_bad.rs", "POLY-D002", 10),         // thread_rng()
-        ("det_bad.rs", "POLY-D002", 11),         // from_entropy
-        ("det_bad.rs", "POLY-D003", 11),         // StdRng
-        ("fleet_bad.rs", "POLY-D001", 5),        // use HashMap in the router
-        ("fleet_bad.rs", "POLY-D001", 7),        // HashMap ring type
-        ("fleet_bad.rs", "POLY-D002", 8),        // Instant::now() on the routing path
-        ("fleet_bad.rs", "POLY-D001", 9),        // HashMap::new()
-        ("fleet_bad.rs", "POLY-L002", 16),       // write_all under ring.read()
-        ("fleet_bad.rs", "POLY-L003", 21),       // version.store(…, Relaxed)
+        ("fleet_bad.rs", "POLY-L002", 6),        // write_all under ring.read()
+        ("fleet_bad.rs", "POLY-L003", 11),       // version.store(…, Relaxed)
         ("guard_scope_bad.rs", "POLY-L002", 6),  // write_all under state.read()
         ("guard_scope_bad.rs", "POLY-L002", 11), // assess under slot.read()
         ("guard_scope_bad.rs", "POLY-L002", 16), // nap_briefly (propagated sleep)
-        ("keys_bad.rs", "POLY-D004", 4),         // use RandomState
-        ("keys_bad.rs", "POLY-D004", 5),         // use DefaultHasher
-        ("keys_bad.rs", "POLY-D004", 8),         // RandomState::new()
-        ("keys_bad.rs", "POLY-D004", 9),         // DefaultHasher::new()
         ("lock_order_bad.rs", "POLY-L001", 10),  // ledger → index
         ("lock_order_bad.rs", "POLY-L001", 17),  // index → ledger
         ("lock_order_bad.rs", "POLY-L001", 24),  // ledger → audit via grab_audit
         ("lock_order_bad.rs", "POLY-L001", 35),  // audit → ledger
-        ("minibatch_bad.rs", "POLY-D001", 5),    // use HashMap in the refit
-        ("minibatch_bad.rs", "POLY-D001", 7),    // HashMap batch-order type
-        ("minibatch_bad.rs", "POLY-D002", 8),    // Instant::now() batch cut
-        ("minibatch_bad.rs", "POLY-D001", 9),    // HashMap::new()
-        ("minibatch_bad.rs", "POLY-L002", 16),   // refit_streaming under slot.read()
+        ("minibatch_bad.rs", "POLY-L002", 6),    // refit_streaming under slot.read()
         ("panic_bad.rs", "POLY-P004", 5),        // frame[0]
         ("panic_bad.rs", "POLY-P001", 6),        // unwrap()
         ("panic_bad.rs", "POLY-P002", 7),        // expect(…)
         ("panic_bad.rs", "POLY-P003", 8),        // panic!
-        ("quant_bad.rs", "POLY-D001", 6),        // use HashMap in the kernel
-        ("quant_bad.rs", "POLY-D001", 8),        // HashMap return type
-        ("quant_bad.rs", "POLY-D002", 9),        // Instant::now() in compile
-        ("quant_bad.rs", "POLY-D001", 10),       // HashMap::new()
-        ("quant_bad.rs", "POLY-L002", 17),       // assess_many under slot.read()
-        ("quant_bad.rs", "POLY-L003", 21),       // epoch.store(…, Relaxed)
-        ("reactor_bad.rs", "POLY-D002", 6),      // Instant::now() in the poll loop
-        ("reactor_bad.rs", "POLY-P004", 7),      // events[0]
-        ("reactor_bad.rs", "POLY-P001", 8),      // unwrap()
-        ("src/hygiene_bad.rs", "POLY-H002", 4),  // println!
-        ("src/hygiene_bad.rs", "POLY-H001", 5),  // unsafe
+        ("quant_bad.rs", "POLY-L002", 7),        // assess_many under slot.read()
+        ("quant_bad.rs", "POLY-L003", 11),       // epoch.store(…, Relaxed)
+        ("reactor_bad.rs", "POLY-P004", 6),      // events[0]
+        ("reactor_bad.rs", "POLY-P001", 7),      // unwrap()
     ];
     let expected: Vec<(String, String, u32)> = expected
         .into_iter()
@@ -100,10 +72,8 @@ fn good_fixtures_are_clean() {
     let report = run_fixtures(&fixture_config());
     for clean in [
         "atomic_good.rs",
-        "det_good.rs",
         "fleet_good.rs",
         "guard_scope_good.rs",
-        "keys_good.rs",
         "lock_order_good.rs",
         "minibatch_good.rs",
         "panic_good.rs",
@@ -154,14 +124,14 @@ fn stale_allow_entries_are_flagged_not_silently_ignored() {
             r#"
 [[allow]]
 rule = "POLY-P001"
-file = "det_good.rs"
+file = "panic_good.rs"
 reason = "stale: this was fixed long ago"
 "#,
         )
         .expect("allow entry parses");
     let report = run_fixtures(&config);
     assert_eq!(report.unused_allows.len(), 1);
-    assert_eq!(report.unused_allows[0].file, "det_good.rs");
+    assert_eq!(report.unused_allows[0].file, "panic_good.rs");
     assert!(report
         .render_text()
         .contains("error: stale allow entry (POLY-H004"));
@@ -180,17 +150,6 @@ fn json_report_is_deterministic_and_carries_positions() {
     assert!(a.contains("\"file\": \"panic_bad.rs\""));
     assert!(a.contains("\"line\": 6"));
     assert!(!a.contains("timestamp"));
-}
-
-#[test]
-fn sarif_report_carries_fixture_findings() {
-    let sarif = run_fixtures(&fixture_config()).render_sarif();
-    assert!(sarif.contains("\"version\": \"2.1.0\""));
-    assert!(sarif.contains("\"name\": \"polygraph-lint\""));
-    assert!(sarif.contains("\"ruleId\": \"POLY-L001\""));
-    assert!(sarif.contains("\"uri\": \"lock_order_bad.rs\""));
-    assert!(sarif.contains("\"ruleId\": \"POLY-L002\""));
-    assert!(sarif.contains("\"ruleId\": \"POLY-L003\""));
 }
 
 /// The `--self-check` pass must hold on the committed fixture corpus:

@@ -23,7 +23,7 @@ use browser_polygraph::ml::ThreadPool;
 use browser_polygraph::obs::Registry;
 use browser_polygraph::service::{ModelRegistry, RiskPolicy, Verdict};
 use browser_polygraph::traffic::{generate, TrafficConfig};
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
@@ -68,7 +68,7 @@ const USAGE: &str = "usage:
   polygraph serve   --registry DIR [--addr HOST:PORT] [--backend threaded|reactor]";
 
 struct Opts {
-    flags: HashMap<String, String>,
+    flags: BTreeMap<String, String>,
 }
 
 impl Opts {
@@ -100,7 +100,7 @@ impl Opts {
 }
 
 fn parse_flags(args: &[String]) -> Result<Opts, String> {
-    let mut flags = HashMap::new();
+    let mut flags = BTreeMap::new();
     let mut i = 0;
     while i < args.len() {
         let Some(name) = args[i].strip_prefix("--") else {

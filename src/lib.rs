@@ -24,6 +24,7 @@
 //! paper-vs-measured record of every table and figure.
 
 #![forbid(unsafe_code)]
+#![deny(clippy::print_stdout, clippy::print_stderr, clippy::dbg_macro)]
 
 pub use baselines;
 pub use browser_engine as engine;

@@ -47,7 +47,7 @@ fn candidate_generation_feeds_collection() {
     let kept = generate_deviation_candidates(&lab);
     assert_eq!(kept.len(), DEVIATION_CANDIDATES);
     let collection_schema = FeatureSet::candidates_513();
-    let deployed: std::collections::HashSet<String> =
+    let deployed: std::collections::BTreeSet<String> =
         collection_schema.names().into_iter().collect();
     for name in kept.names() {
         assert!(

@@ -225,6 +225,10 @@ fn churn_round_trip(stream: &mut TcpStream, honest: &[u8], lying: &[u8], k: usiz
 /// server sustained (read from the `server.connections.open` gauge while
 /// the full standing pool was live), after asserting that every slot was
 /// reaped, the gauge returned to zero, and the counters reconcile.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "a wall-clock deadline on a live server"
+)]
 fn churn_storm(backend: ServerBackend, long_lived: usize) -> i64 {
     let config = RiskServerConfig {
         backend,
@@ -370,6 +374,10 @@ const DET_FRAMES: usize = 50;
 /// exposition: injected `TestClock` stepping 7 µs per read, one strictly
 /// sequential client (each batch is exactly one frame), one detector
 /// swap, one `STATS` round trip.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "a wall-clock deadline on a live server"
+)]
 fn deterministic_exposition() -> String {
     let clock = Arc::new(TestClock::with_step(7));
     let config = RiskServerConfig {
