@@ -10,7 +10,7 @@
 
 use browser_engine::{UserAgent, Vendor};
 use polygraph_bench::{header, parse_options, train_paper_model};
-use polygraph_core::{DriftDecision, DriftDetector, TrainingSet};
+use polygraph_core::{drift, DriftDecision, TrainingSet};
 use traffic::{generate, TrafficConfig};
 
 fn main() {
@@ -28,8 +28,6 @@ fn main() {
     let drift_data = generate(&fs, &drift_cfg);
     let (rows, uas) = drift_data.rows_and_user_agents();
     let batch = TrainingSet::from_rows(rows, uas).expect("well-formed");
-
-    let detector = DriftDetector::new(&model);
 
     header("Table 6: drift analysis (late-July to October 2023)");
     println!(
@@ -92,8 +90,7 @@ fn main() {
             UserAgent::new(Vendor::Firefox, version),
             UserAgent::new(Vendor::Edge, version),
         ];
-        let (observations, decision) = detector
-            .checkpoint(&batch, &releases)
+        let (observations, decision) = drift::checkpoint(&model, &batch, &releases)
             .expect("all releases observed in the drift window");
         for (obs, (vendor, paper)) in observations.iter().zip(paper_rows) {
             let marker = if obs.triggers_retraining() {

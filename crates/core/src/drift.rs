@@ -15,10 +15,11 @@
 //! accuracy dipped below threshold (Table 6).
 
 use crate::dataset::TrainingSet;
-use crate::drift_stream::DriftAccumulator;
+use crate::drift_stream::{DriftAccumulator, Pending};
 use crate::error::PolygraphError;
 use crate::train::TrainedModel;
 use browser_engine::UserAgent;
+use polygraph_ml::DistinctRows;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
 
@@ -77,58 +78,26 @@ impl DriftDecision {
     }
 }
 
-/// Evaluates new releases against a trained model.
-#[derive(Debug, Clone)]
-pub struct DriftDetector<'m> {
-    model: &'m TrainedModel,
-}
-
-impl<'m> DriftDetector<'m> {
-    /// Wraps the production model.
-    pub fn new(model: &'m TrainedModel) -> Self {
-        Self { model }
-    }
-
-    /// Measures one release from freshly collected data. `data` may
-    /// contain many releases; only rows whose user-agent equals `release`
-    /// are considered. This is the streaming measurement fed from a
-    /// slice: the rows go, in order, through a fresh [`DriftAccumulator`].
-    pub fn observe(
-        &self,
-        data: &TrainingSet,
-        release: UserAgent,
-    ) -> Result<DriftObservation, PolygraphError> {
-        self.count(data, &[release])?.observe(self.model, release)
-    }
-
-    /// Runs a full checkpoint over several releases and renders the
-    /// retrain/stable decision: one counting pass over `data`, then one
-    /// observation per release.
-    pub fn checkpoint(
-        &self,
-        data: &TrainingSet,
-        releases: &[UserAgent],
-    ) -> Result<(Vec<DriftObservation>, DriftDecision), PolygraphError> {
-        self.count(data, releases)?.checkpoint(self.model, releases)
-    }
-
-    /// The rows of `data` claiming one of `releases`, counted in order
-    /// through a fresh [`DriftAccumulator`].
-    fn count(
-        &self,
-        data: &TrainingSet,
-        releases: &[UserAgent],
-    ) -> Result<DriftAccumulator, PolygraphError> {
-        let wanted: BTreeSet<UserAgent> = releases.iter().copied().collect();
-        let mut counters = DriftAccumulator::new();
-        let mut projected = Vec::new();
-        for (row, ua) in data.rows().iter().zip(data.user_agents()) {
-            if wanted.contains(ua) {
-                counters.ingest_with(self.model, row, *ua, &mut projected)?;
-            }
+/// Runs one checkpoint over a collected `window`: the observation of
+/// each of `releases`, in order, and the retrain/stable decision. Rows
+/// claiming a release outside `releases` are never predicted; each
+/// distinct row that claims one is predicted once, under `model`.
+pub fn checkpoint(
+    model: &TrainedModel,
+    window: &TrainingSet,
+    releases: &[UserAgent],
+) -> Result<(Vec<DriftObservation>, DriftDecision), PolygraphError> {
+    let wanted: BTreeSet<UserAgent> = releases.iter().copied().collect();
+    let mut rows = DistinctRows::new(window.width());
+    let mut pending = Pending::default();
+    for (row, claimed) in window.rows().iter().zip(window.user_agents()) {
+        if wanted.contains(claimed) {
+            pending.claim(rows.intern(row), *claimed);
         }
-        Ok(counters)
     }
+    let mut counters = DriftAccumulator::new();
+    pending.count(model, |id| rows.row(id), &mut counters, &mut Vec::new())?;
+    counters.checkpoint(model, releases)
 }
 
 #[cfg(test)]
@@ -173,17 +142,25 @@ mod tests {
         TrainingSet::from_rows(r, u).unwrap()
     }
 
+    /// The checkpoint of `release` alone.
+    fn observe(
+        model: &TrainedModel,
+        data: &TrainingSet,
+        release: UserAgent,
+    ) -> Result<DriftObservation, PolygraphError> {
+        checkpoint(model, data, &[release]).map(|(mut obs, _)| obs.remove(0))
+    }
+
     #[test]
     fn stable_release_is_not_flagged() {
         let model = toy_model();
-        let d = DriftDetector::new(&model);
         // Chrome 111 shipping with era-110 features.
         let data = batch(
             (0..50)
                 .map(|_| (vec![10.0, 10.0], ua(Vendor::Chrome, 111)))
                 .collect(),
         );
-        let obs = d.observe(&data, ua(Vendor::Chrome, 111)).unwrap();
+        let obs = observe(&model, &data, ua(Vendor::Chrome, 111)).unwrap();
         assert!(!obs.triggers_retraining());
         assert_eq!(obs.accuracy, 1.0);
         assert_eq!(obs.expected_cluster, Some(obs.cluster));
@@ -192,7 +169,6 @@ mod tests {
     #[test]
     fn cluster_flip_triggers_retraining() {
         let model = toy_model();
-        let d = DriftDetector::new(&model);
         // Chrome 111 shipping with era-100 features: lands in the old
         // cluster while its closest release (110) sits in the new one.
         let data = batch(
@@ -200,20 +176,19 @@ mod tests {
                 .map(|_| (vec![0.0, 0.0], ua(Vendor::Chrome, 111)))
                 .collect(),
         );
-        let obs = d.observe(&data, ua(Vendor::Chrome, 111)).unwrap();
+        let obs = observe(&model, &data, ua(Vendor::Chrome, 111)).unwrap();
         assert!(obs.triggers_retraining());
     }
 
     #[test]
     fn accuracy_drop_triggers_retraining() {
         let model = toy_model();
-        let d = DriftDetector::new(&model);
         // 95% of Chrome 111 sessions in the right cluster, 5% scattered.
         let mut rows: Vec<(Vec<f64>, UserAgent)> = (0..95)
             .map(|_| (vec![10.0, 10.0], ua(Vendor::Chrome, 111)))
             .collect();
         rows.extend((0..5).map(|_| (vec![0.0, 0.0], ua(Vendor::Chrome, 111))));
-        let obs = d.observe(&batch(rows), ua(Vendor::Chrome, 111)).unwrap();
+        let obs = observe(&model, &batch(rows), ua(Vendor::Chrome, 111)).unwrap();
         assert_eq!(
             obs.expected_cluster,
             Some(obs.cluster),
@@ -226,15 +201,17 @@ mod tests {
     #[test]
     fn checkpoint_aggregates_releases() {
         let model = toy_model();
-        let d = DriftDetector::new(&model);
         let mut rows: Vec<(Vec<f64>, UserAgent)> = (0..50)
             .map(|_| (vec![10.0, 10.0], ua(Vendor::Chrome, 111)))
             .collect();
         rows.extend((0..50).map(|_| (vec![0.0, 0.0], ua(Vendor::Chrome, 112))));
         let data = batch(rows);
-        let (obs, decision) = d
-            .checkpoint(&data, &[ua(Vendor::Chrome, 111), ua(Vendor::Chrome, 112)])
-            .unwrap();
+        let (obs, decision) = checkpoint(
+            &model,
+            &data,
+            &[ua(Vendor::Chrome, 111), ua(Vendor::Chrome, 112)],
+        )
+        .unwrap();
         assert_eq!(obs.len(), 2);
         match decision {
             DriftDecision::Retrain { triggers } => {
@@ -247,11 +224,23 @@ mod tests {
     #[test]
     fn missing_release_is_an_error() {
         let model = toy_model();
-        let d = DriftDetector::new(&model);
         let data = batch(vec![(vec![0.0, 0.0], ua(Vendor::Chrome, 100))]);
         assert!(matches!(
-            d.observe(&data, ua(Vendor::Firefox, 119)),
+            observe(&model, &data, ua(Vendor::Firefox, 119)),
             Err(PolygraphError::NoObservations(_))
         ));
+    }
+
+    #[test]
+    fn window_of_the_wrong_width_is_refused() {
+        let model = toy_model();
+        let data = batch(vec![(vec![10.0, 10.0, 10.0], ua(Vendor::Chrome, 111))]);
+        assert_eq!(
+            checkpoint(&model, &data, &[ua(Vendor::Chrome, 111)]),
+            Err(PolygraphError::FeatureWidthMismatch {
+                got: 3,
+                expected: 2
+            })
+        );
     }
 }

@@ -1,29 +1,28 @@
-//! Streaming drift accumulation: §6.6 without batch storage.
+//! Drift counting (§6.6): every checkpoint predicts each distinct row once.
 //!
-//! The batch [`crate::drift::DriftDetector`] needs the whole checkpoint
-//! window in memory. In production the collection service sees one
-//! submission at a time; [`DriftAccumulator`] keeps only
-//! per-(release, cluster) counters and answers the same checkpoint
-//! question — predominant cluster and accuracy per new release — from
-//! them.
+//! Coarse fingerprints collide: a 50 000-session drift window holds a few
+//! hundred distinct rows. So both checkpoint doors run one body,
+//! `Pending`: sessions are tallied per (distinct row, claimed release),
+//! and a checkpoint predicts each tallied row once, under the model it is
+//! given, and adds its sessions in that cluster to per-(release, cluster)
+//! counters, `DriftAccumulator`. The predominant cluster and accuracy of
+//! each release are read from those counters alone.
 //!
-//! [`DriftStream`] couples the accumulator with a seeded
-//! [`ReservoirWindow`] so the very same ingest path that measures drift
-//! also maintains the next retrain window. Coarse fingerprints collide (a
-//! 50 000-session drift window holds a few hundred distinct rows), so the
-//! stream keeps each distinct row once: ingest interns the row into the
-//! reservoir's table of distinct rows, counts the session per (row,
-//! claimed release) and offers the row's id to the reservoir; it predicts
-//! nothing and copies nothing. A checkpoint predicts each distinct row
-//! that arrived since the last one, once, under the model it is given,
-//! folds the counts into the accumulator, and drops every row no resident
-//! references. So a session is counted under the model of the first
-//! checkpoint after it arrived, and besides the reservoir's resident ids
-//! the state is O(releases × clusters + the reservoir's distinct rows +
-//! distinct rows since the last checkpoint), whatever the traffic.
-//! Checkpoints answer from the counters alone — the resident window is
-//! only copied out when a retrain actually triggers, which the
-//! no-allocation-on-stable regression test pins.
+//! - [`crate::drift::checkpoint`] is the batch door. It interns the rows of
+//!   a collected window that claim one of the checkpoint's releases,
+//!   tallies them, and counts them once.
+//! - [`DriftStream`] is the streaming door. The serving loop ingests one
+//!   session at a time. Ingest interns the row into the reservoir's table
+//!   of distinct rows, tallies the session and offers the row's id to the
+//!   reservoir; it predicts nothing and copies nothing. A checkpoint counts
+//!   the rows tallied since the last one and then drops every row no
+//!   resident references. So a session is counted under the model of the
+//!   first checkpoint after it arrived. Besides the reservoir's resident
+//!   ids, the state is O(releases × clusters + the reservoir's distinct
+//!   rows + distinct rows since the last checkpoint), whatever the
+//!   traffic. The resident window is copied out only when a retrain
+//!   actually triggers, which the no-allocation-on-stable regression test
+//!   pins.
 
 use crate::dataset::TrainingSet;
 use crate::drift::{DriftDecision, DriftObservation};
@@ -31,68 +30,32 @@ use crate::error::PolygraphError;
 use crate::sampling::ReservoirWindow;
 use crate::train::TrainedModel;
 use browser_engine::UserAgent;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
-/// Incremental per-release cluster counters over a trained model.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct DriftAccumulator {
+/// Per-release cluster counters over a trained model.
+#[derive(Debug, Clone)]
+pub(crate) struct DriftAccumulator {
     /// (release → (cluster → sessions)) counters. BTreeMap: the majority
     /// scan in `observe` must break count ties identically on every run,
     /// or a 50/50 release would flip its predominant cluster between
     /// checkpoints.
     counts: BTreeMap<UserAgent, BTreeMap<usize, usize>>,
-    /// Total sessions ingested (all releases).
+    /// Total sessions counted (all releases).
     ingested: usize,
-}
-
-impl Default for DriftAccumulator {
-    fn default() -> Self {
-        Self::new()
-    }
 }
 
 impl DriftAccumulator {
     /// An empty accumulator.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self {
             counts: BTreeMap::new(),
             ingested: 0,
         }
     }
 
-    /// Total sessions ingested since the last reset.
-    pub fn ingested(&self) -> usize {
+    /// Total sessions counted since the last reset.
+    pub(crate) fn ingested(&self) -> usize {
         self.ingested
-    }
-
-    /// Ingests one session: predicts its cluster under `model` and counts
-    /// it for its claimed release. Same satellite semantics as the
-    /// detector: a session in an unpopulated configuration-variant
-    /// cluster counts for its nearest populated cluster, so extension
-    /// users do not read as release drift.
-    pub fn ingest(
-        &mut self,
-        model: &TrainedModel,
-        values: &[f64],
-        claimed: UserAgent,
-    ) -> Result<(), PolygraphError> {
-        self.ingest_with(model, values, claimed, &mut Vec::new())
-    }
-
-    /// [`DriftAccumulator::ingest`] predicting into a projection buffer
-    /// the caller keeps between sessions (scratch: overwritten each call),
-    /// so a stream of sessions allocates nothing per prediction.
-    pub(crate) fn ingest_with(
-        &mut self,
-        model: &TrainedModel,
-        values: &[f64],
-        claimed: UserAgent,
-        projected: &mut Vec<f64>,
-    ) -> Result<(), PolygraphError> {
-        let cluster = predicted_cluster(model, values, projected)?;
-        self.add(claimed, cluster, 1);
-        Ok(())
     }
 
     /// Counts `sessions` sessions of `claimed` in `cluster`.
@@ -106,11 +69,8 @@ impl DriftAccumulator {
         self.ingested += sessions;
     }
 
-    /// The checkpoint measurement for one release, from the accumulated
-    /// counters — the one §6.6 measurement: the batch
-    /// [`crate::drift::DriftDetector::observe`] feeds its rows through
-    /// an accumulator and returns this.
-    pub fn observe(
+    /// The checkpoint measurement for one release, from the counters.
+    fn observe(
         &self,
         model: &TrainedModel,
         release: UserAgent,
@@ -141,8 +101,8 @@ impl DriftAccumulator {
         })
     }
 
-    /// Runs a checkpoint over several releases and renders the decision.
-    pub fn checkpoint(
+    /// Observes each of `releases`, in order, and renders the decision.
+    pub(crate) fn checkpoint(
         &self,
         model: &TrainedModel,
         releases: &[UserAgent],
@@ -157,20 +117,57 @@ impl DriftAccumulator {
 
     /// Clears the counters — called after a retrain, so the next window
     /// is measured against the new model only.
-    pub fn reset(&mut self) {
+    fn reset(&mut self) {
         self.counts.clear();
         self.ingested = 0;
     }
 }
 
-/// The cluster a session with `values` counts in under `model`: its
-/// predicted cluster, or the nearest populated one.
-fn predicted_cluster(
-    model: &TrainedModel,
-    values: &[f64],
-    projected: &mut Vec<f64>,
-) -> Result<usize, PolygraphError> {
-    Ok(model.nearest_populated_cluster(model.predict_cluster_with(values, projected)?))
+/// Sessions no checkpoint has counted yet: for each distinct row id, the
+/// releases that claimed it and how many sessions each. The one counting
+/// body of both checkpoint doors.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct Pending(Vec<Vec<(UserAgent, usize)>>);
+
+impl Pending {
+    /// Tallies one session of `release` on row `row_id`.
+    pub(crate) fn claim(&mut self, row_id: usize, release: UserAgent) {
+        if row_id >= self.0.len() {
+            self.0.resize_with(row_id + 1, Vec::new);
+        }
+        let claims = &mut self.0[row_id];
+        match claims.iter_mut().find(|(claimed, _)| *claimed == release) {
+            Some((_, sessions)) => *sessions += 1,
+            None => claims.push((release, 1)),
+        }
+    }
+
+    /// Predicts each tallied row once under `model` (`row_of` gives a row
+    /// id's values) and adds its sessions in that cluster, or in the
+    /// nearest populated one: a session in an unpopulated
+    /// configuration-variant cluster is an extension user, not release
+    /// drift. Empties the tally and keeps its allocations, so a steady
+    /// stream allocates nothing per session; `projected` is prediction
+    /// scratch.
+    pub(crate) fn count<'r>(
+        &mut self,
+        model: &TrainedModel,
+        row_of: impl Fn(usize) -> &'r [f64],
+        accumulator: &mut DriftAccumulator,
+        projected: &mut Vec<f64>,
+    ) -> Result<(), PolygraphError> {
+        for (row, claims) in self.0.iter_mut().enumerate() {
+            if claims.is_empty() {
+                continue;
+            }
+            let cluster = model
+                .nearest_populated_cluster(model.predict_cluster_with(row_of(row), projected)?);
+            for (claimed, sessions) in claims.drain(..) {
+                accumulator.add(claimed, cluster, sessions);
+            }
+        }
+        Ok(())
+    }
 }
 
 /// Drift counters plus the live training window, fed from one stream.
@@ -184,15 +181,13 @@ fn predicted_cluster(
 /// retrain copies it out once via [`DriftStream::training_window`].
 #[derive(Debug, Clone)]
 pub struct DriftStream {
-    /// Every session a checkpoint has predicted, per (release, cluster).
+    /// Every session a checkpoint has counted, per (release, cluster).
     accumulator: DriftAccumulator,
     /// The retrain window; its table of distinct rows is the one the
-    /// pending counts index.
+    /// pending tally indexes.
     window: ReservoirWindow,
-    /// Sessions since the last checkpoint: for each row id, the releases
-    /// that claimed it and how many sessions each. Emptied, not freed, by
-    /// a checkpoint, so a steady stream allocates nothing per session.
-    pending: Vec<Vec<(UserAgent, usize)>>,
+    /// Sessions since the last checkpoint.
+    pending: Pending,
     /// Projection scratch reused by every prediction of a checkpoint.
     projected: Vec<f64>,
 }
@@ -204,7 +199,7 @@ impl DriftStream {
         Ok(Self {
             accumulator: DriftAccumulator::new(),
             window: ReservoirWindow::new(capacity, width, seed)?,
-            pending: Vec::new(),
+            pending: Pending::default(),
             projected: Vec::new(),
         })
     }
@@ -229,20 +224,13 @@ impl DriftStream {
             });
         }
         let row = self.window.offer(values, claimed)?;
-        if row >= self.pending.len() {
-            self.pending.resize_with(row + 1, Vec::new);
-        }
-        let claims = &mut self.pending[row];
-        match claims.iter_mut().find(|(release, _)| *release == claimed) {
-            Some((_, sessions)) => *sessions += 1,
-            None => claims.push((claimed, 1)),
-        }
+        self.pending.claim(row, claimed);
         Ok(())
     }
 
     /// Total sessions ingested since the last reset.
     pub fn ingested(&self) -> usize {
-        let pending: usize = self.pending.iter().flatten().map(|(_, n)| n).sum();
+        let pending: usize = self.pending.0.iter().flatten().map(|(_, n)| n).sum();
         self.accumulator.ingested() + pending
     }
 
@@ -260,15 +248,12 @@ impl DriftStream {
         model: &TrainedModel,
         releases: &[UserAgent],
     ) -> Result<(Vec<DriftObservation>, DriftDecision), PolygraphError> {
-        for (row, claims) in self.pending.iter_mut().enumerate() {
-            if claims.is_empty() {
-                continue;
-            }
-            let cluster = predicted_cluster(model, self.window.row(row), &mut self.projected)?;
-            for (claimed, sessions) in claims.drain(..) {
-                self.accumulator.add(claimed, cluster, sessions);
-            }
-        }
+        self.pending.count(
+            model,
+            |row| self.window.row(row),
+            &mut self.accumulator,
+            &mut self.projected,
+        )?;
         self.retain_resident_rows();
         self.accumulator.checkpoint(model, releases)
     }
@@ -291,7 +276,7 @@ impl DriftStream {
     /// what the *next* candidate should train on.
     pub fn reset_counters(&mut self) {
         self.accumulator.reset();
-        self.pending.iter_mut().for_each(Vec::clear);
+        self.pending.0.iter_mut().for_each(Vec::clear);
         self.retain_resident_rows();
     }
 
@@ -299,7 +284,7 @@ impl DriftStream {
     /// empty, since the surviving rows are renumbered.
     fn retain_resident_rows(&mut self) {
         self.window.retain_resident_rows();
-        self.pending.truncate(self.window.distinct_rows());
+        self.pending.0.truncate(self.window.distinct_rows());
     }
 }
 
@@ -307,10 +292,22 @@ impl DriftStream {
 mod tests {
     use super::*;
     use crate::dataset::TrainingSet;
-    use crate::drift::DriftDetector;
+    use crate::drift;
     use crate::train::{TrainConfig, TrainedModel};
     use browser_engine::Vendor;
     use fingerprint::FeatureSet;
+
+    /// The per-session reference the shared body must equal: each session
+    /// predicted on its own and counted for its claimed release.
+    fn count_one(
+        acc: &mut DriftAccumulator,
+        model: &TrainedModel,
+        values: &[f64],
+        claimed: UserAgent,
+    ) {
+        let cluster = model.nearest_populated_cluster(model.predict_cluster(values).unwrap());
+        acc.add(claimed, cluster, 1);
+    }
 
     fn ua(vendor: Vendor, v: u32) -> UserAgent {
         UserAgent::new(vendor, v)
@@ -342,7 +339,7 @@ mod tests {
     }
 
     #[test]
-    fn streaming_matches_batch_observation() {
+    fn batch_checkpoint_matches_the_per_session_reference() {
         let model = toy_model();
         // A mixed window: Chrome 111 stable, Chrome 112 shifted.
         let mut rows: Vec<(Vec<f64>, UserAgent)> = Vec::new();
@@ -356,41 +353,38 @@ mod tests {
             rows.push((vec![0.0, 0.0], ua(Vendor::Chrome, 112)));
         }
         // Chrome 113 split exactly 50/50 between the two eras: the count
-        // tie must break the same way on both paths.
+        // tie must break the same way in the body and the reference.
         for i in 0..40 {
             let base = if i % 2 == 0 { 0.0 } else { 10.0 };
             rows.push((vec![base, base], ua(Vendor::Chrome, 113)));
         }
 
-        // Batch path.
         let (r, u): (Vec<_>, Vec<_>) = rows.clone().into_iter().unzip();
         let batch = TrainingSet::from_rows(r, u).unwrap();
-        let batch_monitor = DriftDetector::new(&model);
-
-        // Streaming path.
-        let mut acc = DriftAccumulator::new();
+        let mut reference = DriftAccumulator::new();
         for (row, claimed) in &rows {
-            acc.ingest(&model, row, *claimed).unwrap();
+            count_one(&mut reference, &model, row, *claimed);
         }
-        assert_eq!(acc.ingested(), rows.len());
+        assert_eq!(reference.ingested(), rows.len());
 
-        for release in [
+        let releases = [
             ua(Vendor::Chrome, 111),
             ua(Vendor::Chrome, 112),
             ua(Vendor::Chrome, 113),
-        ] {
-            let batch_obs = batch_monitor.observe(&batch, release).unwrap();
-            let stream_obs = acc.observe(&model, release).unwrap();
-            assert_eq!(stream_obs, batch_obs, "{}", release.label());
-        }
-        let tied = acc.observe(&model, ua(Vendor::Chrome, 113)).unwrap();
+        ];
+        let (observations, decision) = drift::checkpoint(&model, &batch, &releases).unwrap();
+        assert_eq!(
+            (observations.clone(), decision),
+            reference.checkpoint(&model, &releases).unwrap()
+        );
+        let tied = &observations[2];
         assert_eq!((tied.sessions, tied.accuracy), (40, 0.5));
 
-        // A release absent from the window: the same error on both paths.
+        // A release absent from the window: the same error from both.
         let absent = ua(Vendor::Firefox, 119);
         let expected = Err(PolygraphError::NoObservations(absent.label()));
-        assert_eq!(batch_monitor.observe(&batch, absent), expected);
-        assert_eq!(acc.observe(&model, absent), expected);
+        assert_eq!(drift::checkpoint(&model, &batch, &[absent]), expected);
+        assert_eq!(reference.checkpoint(&model, &[absent]), expected);
     }
 
     #[test]
@@ -398,8 +392,7 @@ mod tests {
         let model = toy_model();
         let mut acc = DriftAccumulator::new();
         for _ in 0..50 {
-            acc.ingest(&model, &[0.0, 0.0], ua(Vendor::Chrome, 111))
-                .unwrap();
+            count_one(&mut acc, &model, &[0.0, 0.0], ua(Vendor::Chrome, 111));
         }
         let (obs, decision) = acc.checkpoint(&model, &[ua(Vendor::Chrome, 111)]).unwrap();
         assert_eq!(obs.len(), 1);
@@ -419,7 +412,7 @@ mod tests {
             stream
                 .ingest(&model, &row, ua(Vendor::Chrome, 111))
                 .unwrap();
-            acc.ingest(&model, &row, ua(Vendor::Chrome, 111)).unwrap();
+            count_one(&mut acc, &model, &row, ua(Vendor::Chrome, 111));
         }
         assert_eq!(stream.ingested(), 50);
         let (obs, decision) = stream
@@ -541,7 +534,7 @@ mod tests {
                 let row = [10.0 * f64::from(i % 2), 10.0 * f64::from((i + round) % 2)];
                 let claimed = releases[i as usize % 2];
                 stream.ingest(&model, &row, claimed).unwrap();
-                acc.ingest(&model, &row, claimed).unwrap();
+                count_one(&mut acc, &model, &row, claimed);
             }
             assert_eq!(stream.ingested(), acc.ingested());
             let (observations, _) = stream.checkpoint(&model, &releases).unwrap();
@@ -555,8 +548,7 @@ mod tests {
         let model = toy_model();
         let mut acc = DriftAccumulator::new();
         assert!(acc.observe(&model, ua(Vendor::Firefox, 119)).is_err());
-        acc.ingest(&model, &[10.0, 10.0], ua(Vendor::Chrome, 111))
-            .unwrap();
+        count_one(&mut acc, &model, &[10.0, 10.0], ua(Vendor::Chrome, 111));
         assert!(acc.observe(&model, ua(Vendor::Chrome, 111)).is_ok());
         acc.reset();
         assert_eq!(acc.ingested(), 0);

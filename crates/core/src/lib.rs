@@ -14,9 +14,9 @@
 //! * [`risk`] — Algorithm 1: the `risk_factor` of a session given its
 //!   claimed user-agent and predicted cluster;
 //! * [`detect`] — the §6.5 online fraud-detection path;
-//! * [`drift`] — the §6.6 drift detector that decides when retraining is
-//!   needed, and [`drift_stream`] — its streaming counterpart over
-//!   per-release counters;
+//! * [`drift`] — the §6.6 drift checkpoint that decides when retraining
+//!   is needed, over a collected window, and [`drift_stream`] — the same
+//!   checkpoint over a live stream, and the one counting body both run;
 //! * [`sampling`] — stratified sampling for oversized training sets
 //!   (§8, "Scale of the database");
 //! * [`sweeps`] — the Appendix-4 sensitivity analyses (Tables 10–12).
@@ -42,8 +42,8 @@ pub mod train;
 
 pub use dataset::TrainingSet;
 pub use detect::{Assessment, Detector};
-pub use drift::{DriftDecision, DriftDetector, DriftObservation};
-pub use drift_stream::{DriftAccumulator, DriftStream};
+pub use drift::{DriftDecision, DriftObservation};
+pub use drift_stream::DriftStream;
 pub use error::PolygraphError;
 pub use preprocess::{preprocess, PreprocessConfig, PreprocessReport};
 pub use risk::{risk_factor, MAX_RISK};

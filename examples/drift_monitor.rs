@@ -5,9 +5,7 @@
 //! cargo run --release --example drift_monitor
 //! ```
 
-use browser_polygraph::core::{
-    DriftDecision, DriftDetector, TrainConfig, TrainedModel, TrainingSet,
-};
+use browser_polygraph::core::{drift, DriftDecision, TrainConfig, TrainedModel, TrainingSet};
 use browser_polygraph::engine::{UserAgent, Vendor};
 use browser_polygraph::fingerprint::FeatureSet;
 use browser_polygraph::traffic::{generate, TrafficConfig};
@@ -35,7 +33,6 @@ fn main() {
     );
     let (rows, uas) = autumn.rows_and_user_agents();
     let batch = TrainingSet::from_rows(rows, uas).expect("well-formed");
-    let monitor = DriftDetector::new(&model);
 
     // Checkpoints run a few days after each release wave.
     for (date, version) in [
@@ -50,9 +47,8 @@ fn main() {
             UserAgent::new(Vendor::Firefox, version),
             UserAgent::new(Vendor::Edge, version),
         ];
-        let (observations, decision) = monitor
-            .checkpoint(&batch, &releases)
-            .expect("releases observed");
+        let (observations, decision) =
+            drift::checkpoint(&model, &batch, &releases).expect("releases observed");
         println!("checkpoint {date}:");
         for obs in &observations {
             println!(

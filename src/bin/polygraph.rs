@@ -16,7 +16,7 @@
 //! the registered model; `serve` starts the TCP risk service.
 
 use browser_polygraph::core::train::fit_metric_names;
-use browser_polygraph::core::{Detector, DriftDetector, TrainConfig, TrainedModel, TrainingSet};
+use browser_polygraph::core::{drift, Detector, TrainConfig, TrainedModel, TrainingSet};
 use browser_polygraph::engine::{UserAgent, Vendor};
 use browser_polygraph::fingerprint::FeatureSet;
 use browser_polygraph::ml::ThreadPool;
@@ -220,16 +220,14 @@ fn cmd_drift(opts: &Opts) -> Result<(), String> {
     let data = generate(&FeatureSet::table8(), &base.with_seed(seed));
     let (rows, uas) = data.rows_and_user_agents();
     let batch = TrainingSet::from_rows(rows, uas).map_err(|e| e.to_string())?;
-    let monitor = DriftDetector::new(&model);
     for version in 115..=119u32 {
         let releases = [
             UserAgent::new(Vendor::Chrome, version),
             UserAgent::new(Vendor::Firefox, version),
             UserAgent::new(Vendor::Edge, version),
         ];
-        let (observations, decision) = monitor
-            .checkpoint(&batch, &releases)
-            .map_err(|e| e.to_string())?;
+        let (observations, decision) =
+            drift::checkpoint(&model, &batch, &releases).map_err(|e| e.to_string())?;
         for o in &observations {
             println!(
                 "{:<12} cluster {:>2} (expected {:?}) accuracy {:>6.2}%{}",

@@ -5,8 +5,8 @@
 //! drift detection (§6.6), each stage feeding the next.
 
 use browser_polygraph::core::{
-    preprocess, Detector, DriftDecision, DriftDetector, PreprocessConfig, TrainConfig,
-    TrainedModel, TrainingSet,
+    drift, preprocess, Detector, DriftDecision, PreprocessConfig, TrainConfig, TrainedModel,
+    TrainingSet,
 };
 use browser_polygraph::engine::catalog::legitimate_releases;
 use browser_polygraph::engine::{BrowserInstance, UserAgent, Vendor};
@@ -179,7 +179,6 @@ fn drift_monitoring_triggers_in_autumn_not_summer() {
     );
     let (rows, uas) = autumn.rows_and_user_agents();
     let batch = TrainingSet::from_rows(rows, uas).expect("well-formed");
-    let monitor = DriftDetector::new(&model);
 
     // Summer releases: stable.
     let summer = [
@@ -187,7 +186,7 @@ fn drift_monitoring_triggers_in_autumn_not_summer() {
         UserAgent::new(Vendor::Firefox, 115),
         UserAgent::new(Vendor::Edge, 115),
     ];
-    let (_, decision) = monitor.checkpoint(&batch, &summer).expect("observed");
+    let (_, decision) = drift::checkpoint(&model, &batch, &summer).expect("observed");
     assert_eq!(
         decision,
         DriftDecision::Stable,
@@ -200,9 +199,8 @@ fn drift_monitoring_triggers_in_autumn_not_summer() {
         UserAgent::new(Vendor::Firefox, 119),
         UserAgent::new(Vendor::Edge, 119),
     ];
-    let (observations, decision) = monitor
-        .checkpoint(&batch, &autumn_releases)
-        .expect("observed");
+    let (observations, decision) =
+        drift::checkpoint(&model, &batch, &autumn_releases).expect("observed");
     match decision {
         DriftDecision::Retrain { triggers } => {
             assert!(
