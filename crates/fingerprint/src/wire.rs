@@ -16,6 +16,20 @@
 //! submissions; decoding validates every field and never panics on
 //! malformed input — this is the parser that faces the network.
 
+// The decoder answers a refusal, it never unwinds: the same lints the
+// service crate denies at its root. Tests keep their unwraps.
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::indexing_slicing
+    )
+)]
+
 use serde::{Deserialize, Serialize};
 use std::fmt;
 

@@ -21,10 +21,9 @@
 //!   slow-loris byte drips, and delayed `STATS` responses.
 //!
 //! No wall-clock reads and no ambient RNG (`clippy.toml`, the vendored
-//! `rand`), and the module sits in the panic-safety lint zone
-//! (`lint.toml`): no `unwrap`/indexing on the pump path — a fault
-//! injector that itself panics would mask the bug it was built to flush
-//! out.
+//! `rand`), and no `unwrap`/indexing on the pump path (the crate's
+//! clippy panic lints) — a fault injector that itself panics would mask
+//! the bug it was built to flush out.
 
 use rand::{RngCore, SeedableRng};
 use rand_chacha::ChaCha8Rng;

@@ -1,8 +1,8 @@
 //! Request-stream framing for the risk server.
 //!
 //! Requests arrive as u16-LE length-prefixed frames. These helpers parse
-//! a connection's pending byte buffer without ever panicking (this code
-//! sits in the `cargo xtask lint` panic-safety zone): they destructure
+//! a connection's pending byte buffer without ever panicking (the crate
+//! denies clippy's panic and indexing lints): they destructure
 //! and `get` instead of indexing, and an oversize header is reported as
 //! a status rather than unwinding, so the server can answer every frame
 //! that preceded it before failing the connection.
@@ -27,7 +27,7 @@ pub enum FrameStatus {
 /// this.
 fn split_first_frame(pending: &[u8]) -> Result<(&[u8], &[u8]), FrameStatus> {
     // Destructure instead of indexing: this parser faces the network, so
-    // the panic-safety lint bans `pending[..]` on the serve path.
+    // `clippy::indexing_slicing` bans `pending[..]` on the serve path.
     let [len0, len1, rest @ ..] = pending else {
         return Err(FrameStatus::NeedMore);
     };

@@ -45,9 +45,9 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
-// The deployment layer answers `Malformed`, it never unwinds: backs the
-// panic-safety zone of `cargo xtask lint` (POLY-P001..P004) with clippy's
-// equivalents. Tests keep their unwraps.
+// The deployment layer answers `Malformed`, it never unwinds: no unwrap,
+// expect, panicking macro or indexing outside tests. `fingerprint::wire`,
+// the decoder in front of it, denies the same lints.
 #![cfg_attr(
     not(test),
     deny(

@@ -23,7 +23,7 @@
 //!
 //! It never reads a wall clock (`clippy.toml`; the server tracks idle
 //! deadlines through its injected `Clock`), and it never unwinds on
-//! network input (the `cargo xtask lint` panic-safety zone).
+//! network input (the crate's clippy panic lints).
 
 use crate::framing::FrameAccumulator;
 use std::io::{self, Write};

@@ -1,16 +1,17 @@
-//! polygraph-lint: the workspace's lock and panic-safety pass.
+//! polygraph-lint: the workspace's lock pass.
 //!
 //! `cargo xtask lint` walks every `.rs` file in the workspace, tokenizes
 //! it with [`lexer`], and enforces the project invariants that rustc and
 //! clippy cannot see (see [`rules`] for the rule table and DESIGN.md for
-//! the rationale). Determinism and hygiene are not here: the workspace's
-//! `clippy.toml` disallows hash-ordered collections, seeded std hashers
-//! and wall-clock reads, and rustc and clippy deny `unsafe` and console
-//! output. Violations carry `file:line` positions; `lint.toml` holds
-//! audited exceptions.
+//! the rationale). Determinism, hygiene and panic safety are not here:
+//! the workspace's `clippy.toml` disallows hash-ordered collections,
+//! seeded std hashers and wall-clock reads, rustc and clippy deny
+//! `unsafe` and console output, and the network-facing code denies
+//! clippy's unwrap, panic and indexing lints. Violations carry
+//! `file:line` positions; `lint.toml` holds audited exceptions.
 //!
 //! The scan has two tiers. Tier one is per-file: tokenize, classify, run
-//! the token-level rules, and (for concurrency-zone files) summarize lock
+//! the token-level rule, and (for concurrency-zone files) summarize lock
 //! behaviour per function. Tier two aggregates those
 //! [`concurrency::FnSummary`] values zone-wide for the lock-order and
 //! guard-scope rules, which need a call graph. Files are visited in
@@ -70,7 +71,6 @@ pub fn lint_workspace(root: &Path, config: &LintConfig) -> Result<LintReport, St
 pub fn classify(rel: &str, config: &LintConfig) -> FileClass {
     let in_zone = |zone: &[String]| zone.iter().any(|p| rel.starts_with(p.as_str()));
     FileClass {
-        panic_safety: in_zone(&config.panic_zone),
         concurrency: in_zone(&config.concurrency_zone),
     }
 }
@@ -81,7 +81,6 @@ pub fn classify(rel: &str, config: &LintConfig) -> FileClass {
 /// `cargo xtask lint --self-check` so the two cannot drift.
 pub fn fixture_lint_config() -> LintConfig {
     LintConfig {
-        panic_zone: vec!["panic_".into(), "reactor_".into()],
         concurrency_zone: vec![
             "lock_order_".into(),
             "guard_scope_".into(),
@@ -127,7 +126,7 @@ pub fn self_check(fixtures: &Path) -> Result<(), String> {
     // surface as unused, and unused entries alone must fail the run.
     let mut stale = config.clone();
     stale.allow.push(AllowEntry {
-        rule: "POLY-P001".into(),
+        rule: "POLY-L003".into(),
         file: "no_such_fixture.rs".into(),
         line: None,
         reason: "self-check: deliberately stale".into(),
@@ -235,19 +234,12 @@ mod tests {
     #[test]
     fn zone_classification_uses_prefixes() {
         let c = LintConfig {
-            panic_zone: vec![
-                "crates/service/src/server/".into(),
-                "crates/service/src/proto.rs".into(),
-            ],
             concurrency_zone: vec!["crates/service/src/".into(), "crates/cache/src/".into()],
             ..LintConfig::default()
         };
-        assert!(classify("crates/service/src/proto.rs", &c).panic_safety);
-        assert!(!classify("crates/service/src/lib.rs", &c).panic_safety);
         assert!(classify("crates/service/src/lib.rs", &c).concurrency);
+        assert!(classify("crates/service/src/server/batch.rs", &c).concurrency);
         assert!(classify("crates/cache/src/lib.rs", &c).concurrency);
-        assert!(!classify("crates/cache/src/lib.rs", &c).panic_safety);
-        assert!(classify("crates/service/src/server/batch.rs", &c).panic_safety);
         assert!(!classify("crates/ml/src/kmodes.rs", &c).concurrency);
     }
 
@@ -255,20 +247,20 @@ mod tests {
     fn allowlist_matches_rule_file_and_optional_line() {
         let diags = vec![
             Diagnostic {
-                rule: "POLY-P001",
+                rule: "POLY-L003",
                 file: "a.rs".into(),
                 line: 3,
                 message: String::new(),
             },
             Diagnostic {
-                rule: "POLY-P001",
+                rule: "POLY-L003",
                 file: "a.rs".into(),
                 line: 9,
                 message: String::new(),
             },
         ];
         let allow = vec![AllowEntry {
-            rule: "POLY-P001".into(),
+            rule: "POLY-L003".into(),
             file: "a.rs".into(),
             line: Some(3),
             reason: "test".into(),

@@ -3,7 +3,7 @@
 //! Subcommands:
 //!
 //! * `lint [--format text|json] [--root PATH] [--config PATH]
-//!   [--self-check]` — run the polygraph-lint lock and panic-safety pass
+//!   [--self-check]` — run the polygraph-lint lock pass
 //!   (`--json` stays as an alias for `--format json`). Exit 0 when
 //!   clean, 1 when violations or stale allow entries survive, 2 on
 //!   usage or I/O errors — a missing `lint.toml` included: the file is

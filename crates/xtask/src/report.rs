@@ -141,10 +141,10 @@ mod tests {
     fn sample() -> LintReport {
         LintReport {
             diagnostics: vec![Diagnostic {
-                rule: "POLY-P001",
+                rule: "POLY-L003",
                 file: "crates/service/src/server.rs".into(),
                 line: 42,
-                message: "`unwrap()` in a panic-safety zone".into(),
+                message: "`Ordering::Relaxed` without an audit".into(),
             }],
             files_scanned: 7,
             suppressed: 1,
@@ -155,7 +155,7 @@ mod tests {
     #[test]
     fn text_has_file_line_rule() {
         let text = sample().render_text();
-        assert!(text.contains("crates/service/src/server.rs:42: [POLY-P001]"));
+        assert!(text.contains("crates/service/src/server.rs:42: [POLY-L003]"));
         assert!(text.contains("7 file(s) scanned, 1 violation(s), 1 suppressed"));
     }
 
@@ -165,7 +165,7 @@ mod tests {
         let b = sample().render_json();
         assert_eq!(a, b);
         assert!(a.contains("\"violations\": 1"));
-        assert!(a.contains("\"rule\": \"POLY-P001\""));
+        assert!(a.contains("\"rule\": \"POLY-L003\""));
         assert!(!a.contains("timestamp"));
     }
 
@@ -195,7 +195,7 @@ mod tests {
             files_scanned: 3,
             suppressed: 0,
             unused_allows: vec![AllowEntry {
-                rule: "POLY-P001".into(),
+                rule: "POLY-L003".into(),
                 file: "gone.rs".into(),
                 line: Some(9),
                 reason: "stale".into(),
@@ -203,6 +203,6 @@ mod tests {
         };
         assert!(!r.is_clean(), "stale allows must exit nonzero");
         let text = r.render_text();
-        assert!(text.contains("error: stale allow entry (POLY-H004: POLY-P001 in gone.rs:9)"));
+        assert!(text.contains("error: stale allow entry (POLY-H004: POLY-L003 in gone.rs:9)"));
     }
 }

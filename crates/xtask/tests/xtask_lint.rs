@@ -17,7 +17,6 @@ fn fixture_config() -> LintConfig {
         .apply_toml(
             r#"
 [zones]
-panic_safety = ["panic_", "reactor_"]
 concurrency = ["lock_order_", "guard_scope_", "atomic_", "quant_", "fleet_", "minibatch_"]
 "#,
         )
@@ -51,14 +50,8 @@ fn bad_fixtures_fire_every_rule_at_the_expected_lines() {
         ("lock_order_bad.rs", "POLY-L001", 24),  // ledger → audit via grab_audit
         ("lock_order_bad.rs", "POLY-L001", 35),  // audit → ledger
         ("minibatch_bad.rs", "POLY-L002", 6),    // refit_streaming under slot.read()
-        ("panic_bad.rs", "POLY-P004", 5),        // frame[0]
-        ("panic_bad.rs", "POLY-P001", 6),        // unwrap()
-        ("panic_bad.rs", "POLY-P002", 7),        // expect(…)
-        ("panic_bad.rs", "POLY-P003", 8),        // panic!
         ("quant_bad.rs", "POLY-L002", 7),        // assess_many under slot.read()
         ("quant_bad.rs", "POLY-L003", 11),       // epoch.store(…, Relaxed)
-        ("reactor_bad.rs", "POLY-P004", 6),      // events[0]
-        ("reactor_bad.rs", "POLY-P001", 7),      // unwrap()
     ];
     let expected: Vec<(String, String, u32)> = expected
         .into_iter()
@@ -76,7 +69,6 @@ fn good_fixtures_are_clean() {
         "guard_scope_good.rs",
         "lock_order_good.rs",
         "minibatch_good.rs",
-        "panic_good.rs",
         "quant_good.rs",
     ] {
         assert!(
@@ -94,10 +86,10 @@ fn allow_entry_suppresses_exactly_one_diagnostic() {
         .apply_toml(
             r#"
 [[allow]]
-rule = "POLY-P004"
-file = "panic_bad.rs"
-line = 5
-reason = "fixture test: index is bounds-checked by construction"
+rule = "POLY-L003"
+file = "atomic_bad.rs"
+line = 6
+reason = "fixture test: audited as a heuristic counter"
 "#,
         )
         .expect("allow entry parses");
@@ -109,7 +101,7 @@ reason = "fixture test: index is bounds-checked by construction"
         report
             .diagnostics
             .iter()
-            .all(|d| !(d.rule == "POLY-P004" && d.file == "panic_bad.rs")),
+            .all(|d| !(d.rule == "POLY-L003" && d.file == "atomic_bad.rs" && d.line == 6)),
         "the allowed diagnostic must be gone:\n{}",
         report.render_text()
     );
@@ -123,15 +115,15 @@ fn stale_allow_entries_are_flagged_not_silently_ignored() {
         .apply_toml(
             r#"
 [[allow]]
-rule = "POLY-P001"
-file = "panic_good.rs"
+rule = "POLY-L003"
+file = "atomic_good.rs"
 reason = "stale: this was fixed long ago"
 "#,
         )
         .expect("allow entry parses");
     let report = run_fixtures(&config);
     assert_eq!(report.unused_allows.len(), 1);
-    assert_eq!(report.unused_allows[0].file, "panic_good.rs");
+    assert_eq!(report.unused_allows[0].file, "atomic_good.rs");
     assert!(report
         .render_text()
         .contains("error: stale allow entry (POLY-H004"));
@@ -146,8 +138,8 @@ fn json_report_is_deterministic_and_carries_positions() {
     let a = run_fixtures(&fixture_config()).render_json();
     let b = run_fixtures(&fixture_config()).render_json();
     assert_eq!(a, b, "same input must render byte-identical JSON");
-    assert!(a.contains("\"rule\": \"POLY-P001\""));
-    assert!(a.contains("\"file\": \"panic_bad.rs\""));
+    assert!(a.contains("\"rule\": \"POLY-L003\""));
+    assert!(a.contains("\"file\": \"atomic_bad.rs\""));
     assert!(a.contains("\"line\": 6"));
     assert!(!a.contains("timestamp"));
 }
