@@ -295,13 +295,14 @@ impl TrainedModel {
         for i in outlier_idx {
             is_outlier[i] = true;
         }
-        let kept_uas: Vec<UserAgent> = data
-            .user_agents()
-            .iter()
-            .zip(&is_outlier)
-            .filter(|(_, &out)| !out)
-            .map(|(ua, _)| *ua)
-            .collect();
+        let (mut kept_uas, mut dropped_uas) = (Vec::with_capacity(data.len()), Vec::new());
+        for (&ua, &out) in data.user_agents().iter().zip(&is_outlier) {
+            if out {
+                dropped_uas.push(ua);
+            } else {
+                kept_uas.push(ua);
+            }
+        }
         let groups = groups.filter_rows(|i| !is_outlier[i])?;
         outlier_span.finish();
 
@@ -332,7 +333,7 @@ impl TrainedModel {
             &pca,
             &kmeans,
             &kept_uas,
-            data.user_agents(),
+            &dropped_uas,
             &assignments,
             &config,
         )?;
@@ -427,7 +428,7 @@ impl TrainedModel {
             &self.pca,
             &kmeans,
             data.user_agents(),
-            data.user_agents(),
+            &[],
             &assignments,
             &self.config,
         )?;
@@ -587,7 +588,14 @@ fn check_window(data: &TrainingSet, width: usize, k: usize) -> Result<(), Polygr
 /// fingerprint instead of a thin majority, and user-agents that vanished
 /// from `kept` entirely (every session dropped as an outlier) aligned
 /// from the lab instance too. `kept` is parallel to `assignments`;
-/// `observed` is every user-agent of the window, outliers included.
+/// `dropped` holds the user-agents of the sessions the fit dropped, in
+/// window order.
+///
+/// The vote is [`majority_cluster_accuracy`]'s one dense pass, whose
+/// per-release totals decide what is sparse. A release keeps the value
+/// its first session claimed (`UserAgent` equality ignores the OS, and
+/// the lab instance is built on it), in `kept` or, for a vanished one,
+/// in `dropped`.
 #[allow(clippy::too_many_arguments)] // the fitted stages travel together
 fn build_cluster_table(
     feature_set: &FeatureSet,
@@ -595,36 +603,33 @@ fn build_cluster_table(
     pca: &Pca,
     kmeans: &KMeans,
     kept: &[UserAgent],
-    observed: &[UserAgent],
+    dropped: &[UserAgent],
     assignments: &[usize],
     config: &TrainConfig,
 ) -> Result<(ClusterTable, f64), PolygraphError> {
     let accuracy = majority_cluster_accuracy(kept, assignments)?;
-    let mut counts: BTreeMap<UserAgent, usize> = BTreeMap::new();
-    for ua in kept {
-        *counts.entry(*ua).or_default() += 1;
-    }
     let mut projected = Vec::new();
     let mut predict_lab = |ua: UserAgent| {
         let lab = feature_set.extract(&BrowserInstance::genuine(ua));
         predict_into(scaler, pca, kmeans, &lab.as_f64(), &mut projected)
     };
     let mut entries: Vec<(UserAgent, usize)> = Vec::new();
-    for (ua, cluster) in &accuracy.label_clusters {
-        let cluster = if config.lab_alignment && counts[ua] < config.min_samples_for_majority {
-            predict_lab(*ua).unwrap_or(*cluster)
+    let voted = accuracy
+        .label_clusters
+        .iter()
+        .zip(accuracy.label_totals.values());
+    for ((ua, &cluster), &sessions) in voted {
+        let cluster = if config.lab_alignment && sessions < config.min_samples_for_majority {
+            predict_lab(*ua).unwrap_or(cluster)
         } else {
-            *cluster
+            cluster
         };
         entries.push((*ua, cluster));
     }
     if config.lab_alignment {
-        let seen: BTreeSet<UserAgent> = entries.iter().map(|(ua, _)| *ua).collect();
-        let mut observed_uas: Vec<UserAgent> = observed.to_vec();
-        observed_uas.sort();
-        observed_uas.dedup();
-        for ua in observed_uas {
-            if seen.contains(&ua) {
+        let mut vanished = BTreeSet::new();
+        for &ua in dropped {
+            if accuracy.label_clusters.contains_key(&ua) || !vanished.insert(ua) {
                 continue;
             }
             if let Ok(cluster) = predict_lab(ua) {
@@ -907,6 +912,41 @@ mod tests {
             .refit_streaming(&set, 4, &ThreadPool::serial())
             .unwrap();
         assert_eq!(again.cluster_table(), refit.cluster_table());
+    }
+
+    #[test]
+    fn cluster_table_keeps_a_release_as_its_first_session_claimed_it() {
+        // Two sessions claim Chrome 100 from different OSes; `UserAgent`
+        // equality ignores the OS, so the release is one label, and the
+        // table must hold it as the first session had it.
+        let set = toy_training_set();
+        let mut uas = set.user_agents().to_vec();
+        let first = uas
+            .iter()
+            .position(|u| *u == ua(Vendor::Chrome, 100))
+            .unwrap();
+        uas[first].os = browser_engine::Os::Linux;
+        let set = TrainingSet::from_rows(set.rows().to_vec(), uas).unwrap();
+        let fs = fingerprint::FeatureSet::table8().subset(&[0, 1, 2]);
+        let config = TrainConfig {
+            k: 3,
+            n_components: 2,
+            min_samples_for_majority: 1,
+            ..Default::default()
+        };
+        let model = TrainedModel::fit(fs, &set, config).unwrap();
+        let refit = model
+            .refit_streaming(&set, 4, &ThreadPool::serial())
+            .unwrap();
+        for table in [model.cluster_table(), refit.cluster_table()] {
+            let chrome = table
+                .entries
+                .iter()
+                .filter(|(u, _)| *u == ua(Vendor::Chrome, 100))
+                .map(|(u, _)| u.os)
+                .collect::<Vec<_>>();
+            assert_eq!(chrome, [browser_engine::Os::Linux]);
+        }
     }
 
     #[test]

@@ -36,6 +36,7 @@ pub mod error;
 pub mod iforest;
 pub mod kmeans;
 pub mod matrix;
+mod memo;
 pub mod metrics;
 pub mod pca;
 pub mod privacy;
