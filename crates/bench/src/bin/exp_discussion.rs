@@ -21,7 +21,7 @@ use polygraph_core::{
 };
 use polygraph_ml::kmeans::KMeansConfig;
 use polygraph_ml::metrics::majority_cluster_accuracy;
-use polygraph_ml::{Agglomerative, KMeans, Matrix, Pca, StandardScaler};
+use polygraph_ml::{Agglomerative, KMeans, Pca, StandardScaler};
 use rand::seq::SliceRandom;
 use rand::Rng;
 use rand::SeedableRng;
@@ -182,7 +182,7 @@ fn main() {
         },
     )
     .expect("sampling");
-    let x = Matrix::from_rows(sample.rows()).expect("well-formed");
+    let x = sample.to_matrix().expect("well-formed");
     let mut scaler = StandardScaler::fit(&x).expect("finite training data");
     scaler.neutralize_columns(
         &fingerprint::FeatureSet::table8().indices_of_kind(fingerprint::FeatureKind::TimeBased),

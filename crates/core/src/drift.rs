@@ -19,7 +19,6 @@ use crate::drift_stream::{DriftAccumulator, Pending};
 use crate::error::PolygraphError;
 use crate::train::TrainedModel;
 use browser_engine::UserAgent;
-use polygraph_ml::DistinctRows;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
 
@@ -79,24 +78,26 @@ impl DriftDecision {
 }
 
 /// Runs one checkpoint over a collected `window`: the observation of
-/// each of `releases`, in order, and the retrain/stable decision. Rows
-/// claiming a release outside `releases` are never predicted; each
-/// distinct row that claims one is predicted once, under `model`.
+/// each of `releases`, in order, and the retrain/stable decision. The
+/// window's sessions are tallied by its own distinct-row ids, so no row
+/// is interned again; rows claiming a release outside `releases` are
+/// never predicted, and each distinct row that claims one is predicted
+/// once, under `model`.
 pub fn checkpoint(
     model: &TrainedModel,
     window: &TrainingSet,
     releases: &[UserAgent],
 ) -> Result<(Vec<DriftObservation>, DriftDecision), PolygraphError> {
     let wanted: BTreeSet<UserAgent> = releases.iter().copied().collect();
-    let mut rows = DistinctRows::new(window.width());
     let mut pending = Pending::default();
-    for (row, claimed) in window.rows().iter().zip(window.user_agents()) {
+    for (&row, claimed) in window.group_of().iter().zip(window.user_agents()) {
         if wanted.contains(claimed) {
-            pending.claim(rows.intern(row), *claimed);
+            pending.claim(row, *claimed);
         }
     }
+    let table = window.table();
     let mut counters = DriftAccumulator::new();
-    pending.count(model, |id| rows.row(id), &mut counters, &mut Vec::new())?;
+    pending.count(model, |id| table.row(id), &mut counters, &mut Vec::new())?;
     counters.checkpoint(model, releases)
 }
 

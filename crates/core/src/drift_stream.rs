@@ -8,9 +8,10 @@
 //! counters, `DriftAccumulator`. The predominant cluster and accuracy of
 //! each release are read from those counters alone.
 //!
-//! - [`crate::drift::checkpoint`] is the batch door. It interns the rows of
-//!   a collected window that claim one of the checkpoint's releases,
-//!   tallies them, and counts them once.
+//! - [`crate::drift::checkpoint`] is the batch door. A collected window is
+//!   already its own partition by distinct row ([`TrainingSet`]), so it
+//!   tallies the sessions that claim one of the checkpoint's releases by
+//!   their row ids and counts them once; no row is interned again.
 //! - [`DriftStream`] is the streaming door. The serving loop ingests one
 //!   session at a time. Ingest interns the row into the reservoir's table
 //!   of distinct rows, tallies the session and offers the row's id to the
@@ -20,9 +21,9 @@
 //!   first checkpoint after it arrived. Besides the reservoir's resident
 //!   ids, the state is O(releases × clusters + the reservoir's distinct
 //!   rows + distinct rows since the last checkpoint), whatever the
-//!   traffic. The resident window is copied out only when a retrain
-//!   actually triggers, which the no-allocation-on-stable regression test
-//!   pins.
+//!   traffic. The resident window is handed over, by row id, only when a
+//!   retrain actually triggers, which the no-allocation-on-stable
+//!   regression test pins.
 
 use crate::dataset::TrainingSet;
 use crate::drift::{DriftDecision, DriftObservation};
@@ -178,7 +179,7 @@ impl Pending {
 /// ([`DriftStream::checkpoint`]) predict each distinct row that arrived
 /// since the last one and then read only the counters — the window is
 /// neither cloned nor materialised on the stable path; a triggered
-/// retrain copies it out once via [`DriftStream::training_window`].
+/// retrain takes it over once via [`DriftStream::training_window`].
 #[derive(Debug, Clone)]
 pub struct DriftStream {
     /// Every session a checkpoint has counted, per (release, cluster).
@@ -263,7 +264,7 @@ impl DriftStream {
         &self.window
     }
 
-    /// Copies the resident window out as a retrain [`TrainingSet`] —
+    /// Hands the resident window over as a retrain [`TrainingSet`] —
     /// called only when a checkpoint actually triggered.
     pub fn training_window(&self) -> Result<TrainingSet, PolygraphError> {
         self.window.to_training_set()

@@ -96,7 +96,7 @@ pub struct ReservoirWindow {
     rows: DistinctRows,
     residents: Vec<(usize, UserAgent)>,
     seen: u64,
-    /// Times the window was copied out into a [`TrainingSet`]. The
+    /// Times the window was handed over as a [`TrainingSet`]. The
     /// checkpoint loop must answer Stable decisions from counters alone;
     /// the no-allocation-on-stable regression test pins this at zero
     /// across stable checkpoints.
@@ -195,15 +195,19 @@ impl ReservoirWindow {
         self.seen
     }
 
-    /// Copies the resident window out into a [`TrainingSet`] — the
-    /// drift-triggered path only.
+    /// Hands the resident window over as a [`TrainingSet`] — the
+    /// drift-triggered path only. The residents go over by id: each
+    /// distinct resident row is interned once into the set's table, on
+    /// its first resident, and each resident adds one renumbered id, so
+    /// no row is copied per session and the set is numbered exactly as
+    /// copying every resident row out and partitioning them would number
+    /// it.
     pub fn to_training_set(&self) -> Result<TrainingSet, PolygraphError> {
         self.materializations.set(self.materializations.get() + 1);
-        let mut set = TrainingSet::new(self.width);
-        for &(row, claimed) in &self.residents {
-            set.push(self.rows.row(row).to_vec(), claimed)?;
-        }
-        Ok(set)
+        Ok(TrainingSet::gather(
+            &self.rows,
+            self.residents.iter().copied(),
+        ))
     }
 
     /// Times [`ReservoirWindow::to_training_set`] ran — the regression
@@ -216,7 +220,13 @@ impl ReservoirWindow {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::drift_stream::DriftStream;
+    use crate::train::{TrainConfig, TrainedModel};
     use browser_engine::Vendor;
+    use fingerprint::FeatureSet;
+    use polygraph_ml::{Matrix, RowGroups};
+    use proptest::prelude::*;
+    use std::sync::OnceLock;
 
     fn ua(v: u32) -> UserAgent {
         UserAgent::new(Vendor::Chrome, v)
@@ -394,6 +404,109 @@ mod tests {
         let set = r.to_training_set().unwrap();
         assert_eq!(set.len(), 1);
         assert_eq!(r.materializations(), 1);
+    }
+
+    /// The values rows are drawn from: few enough that rows repeat, with
+    /// both zeros and two NaN payloads, which only the bits tell apart.
+    const ALPHABET: [f64; 6] = [
+        0.0,
+        -0.0,
+        1.0,
+        2.5,
+        f64::from_bits(0x7ff8_0000_0000_0001),
+        f64::from_bits(0x7ff8_0000_0000_0002),
+    ];
+
+    fn bits(row: &[f64]) -> Vec<u64> {
+        row.iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// A two-feature model for a `DriftStream` to ingest under: ingest
+    /// only checks a row's width against it.
+    fn two_feature_model() -> &'static TrainedModel {
+        static MODEL: OnceLock<TrainedModel> = OnceLock::new();
+        MODEL.get_or_init(|| {
+            let mut set = TrainingSet::new(2);
+            for (base, version) in [(0.0, 100), (10.0, 110)] {
+                for j in 0..40 {
+                    set.push(vec![base + (j % 2) as f64 * 0.1, base], ua(version))
+                        .unwrap();
+                }
+            }
+            let config = TrainConfig {
+                k: 2,
+                n_components: 2,
+                min_samples_for_majority: 1,
+                ..Default::default()
+            };
+            TrainedModel::fit(FeatureSet::table8().subset(&[0, 1]), &set, config).unwrap()
+        })
+    }
+
+    /// The hand-over by id equals the body it replaced: every resident
+    /// row copied out in resident order, then the copies partitioned.
+    fn assert_hands_over_as_copied(window: &ReservoirWindow) {
+        let (rows, uas): (Vec<Vec<f64>>, Vec<UserAgent>) = window
+            .residents
+            .iter()
+            .map(|&(row, claimed)| (window.row(row).to_vec(), claimed))
+            .unzip();
+        let copied = RowGroups::of(&Matrix::from_rows(&rows).unwrap());
+        let set = window.to_training_set().unwrap();
+        assert_eq!(set.user_agents(), &uas[..]);
+        let read: Vec<Vec<u64>> = set.rows().iter().map(bits).collect();
+        assert_eq!(read, rows.iter().map(|row| bits(row)).collect::<Vec<_>>());
+        let handed = set.row_groups().unwrap();
+        assert_eq!(handed.group_of(), copied.group_of());
+        assert_eq!(
+            bits(handed.distinct().as_slice()),
+            bits(copied.distinct().as_slice())
+        );
+    }
+
+    proptest! {
+        /// `to_training_set` hands the residents over exactly as copying
+        /// them out and partitioning the copies did, with Algorithm R
+        /// replacing residents (the stream outgrows the capacity), after
+        /// `retain_resident_rows` renumbers the reservoir's table, and
+        /// after a `DriftStream::reset_counters` does.
+        #[test]
+        fn prop_hand_over_equals_copying_then_partitioning(
+            width in 1usize..4,
+            picks in proptest::collection::vec(0usize..6, 60..900),
+            versions in proptest::collection::vec(100u32..103, 900..901),
+            prunes in proptest::collection::vec(0u8..8, 900..901),
+            capacity in 1usize..16,
+            seed in any::<u64>(),
+        ) {
+            let mut window = ReservoirWindow::new(capacity, width, seed).unwrap();
+            for (i, w) in picks.chunks_exact(width).enumerate() {
+                let row: Vec<f64> = w.iter().map(|&p| ALPHABET[p]).collect();
+                window.offer(&row, ua(versions[i])).unwrap();
+                if prunes[i] == 0 {
+                    window.retain_resident_rows();
+                    assert_hands_over_as_copied(&window);
+                }
+            }
+            prop_assert!(window.seen() > window.capacity() as u64);
+            assert_hands_over_as_copied(&window);
+            window.retain_resident_rows();
+            assert_hands_over_as_copied(&window);
+
+            let model = two_feature_model();
+            let mut stream = DriftStream::new(capacity, 2, seed).unwrap();
+            for (i, pair) in picks.chunks_exact(2).enumerate() {
+                let row = [ALPHABET[pair[0]], ALPHABET[pair[1]]];
+                stream.ingest(model, &row, ua(versions[i])).unwrap();
+                if prunes[i] == 0 {
+                    stream.reset_counters();
+                    assert_hands_over_as_copied(stream.window());
+                }
+            }
+            assert_hands_over_as_copied(stream.window());
+            stream.reset_counters();
+            assert_hands_over_as_copied(stream.window());
+        }
     }
 
     #[test]

@@ -9,9 +9,7 @@ use polygraph_ml::iforest::IsolationForestConfig;
 use polygraph_ml::kmeans::minibatch::{MiniBatchConfig, MiniBatchKMeans};
 use polygraph_ml::kmeans::KMeansConfig;
 use polygraph_ml::metrics::majority_cluster_accuracy;
-use polygraph_ml::{
-    IsolationForest, KMeans, Matrix, MlError, Pca, RowGroups, StandardScaler, ThreadPool,
-};
+use polygraph_ml::{IsolationForest, KMeans, Matrix, MlError, Pca, StandardScaler, ThreadPool};
 use polygraph_obs::Registry;
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
@@ -40,7 +38,7 @@ pub mod fit_metric_names {
 /// ([`TrainedModel::refit_observed`]) records into its registry: one span
 /// histogram per stage, the three stages adding up to the whole.
 pub mod refit_metric_names {
-    /// Partitioning the window by distinct row, then scaling and
+    /// Reading the window's partition by distinct row, then scaling and
     /// projecting the distinct rows, in µs (histogram).
     pub const GROUP_MICROS: &str = "retrain.stage.group_micros";
     /// The warm-started mini-batch epochs in µs (histogram).
@@ -258,8 +256,8 @@ impl TrainedModel {
 
         let total_span = registry.span(fit_metric_names::TOTAL_MICROS);
 
-        // The window is partitioned once by distinct row and the partition
-        // carried through every stage, as in `refit_observed`: scaling,
+        // The set is its own partition by distinct row, and the partition
+        // is carried through every stage, as in `refit_observed`: scaling,
         // scoring, projection and assignment run per group, every
         // reduction (scaler statistics, covariance, k-means sums) over
         // every row in row order, so the model is the same bits as a fit
@@ -269,7 +267,7 @@ impl TrainedModel {
         // attributes were already in the binary format which was
         // suitable" — then drop Isolation-Forest outliers.
         let scale_span = registry.span(fit_metric_names::SCALE_MICROS);
-        let groups = RowGroups::of_rows(data.rows())?;
+        let groups = data.row_groups()?;
         let mut scaler = StandardScaler::fit_grouped(&groups)?;
         if !config.scale_time_based {
             scaler.neutralize_columns(
@@ -362,21 +360,21 @@ impl TrainedModel {
     /// Skipping the Isolation-Forest pass and the PCA eigensolve — plus
     /// replacing `n_init` full Lloyd restarts with a few warm-started
     /// mini-batch epochs — keeps a per-checkpoint candidate cheap enough
-    /// to run continuously, and the window is partitioned once by distinct
-    /// row ([`RowGroups`]) with the partition carried through every stage:
-    /// the 50 000-session drift window holds 355–391 distinct rows, so the
-    /// scaler, the projection, the WCSS distance and the final assignment
-    /// run on those, and a mini-batch searches once per group present in
-    /// it. Only the centroid updates still take one step per row — they
-    /// are an order-dependent reduction — so the candidate is the same
-    /// bytes as a row-by-row refit (`tests/fit_bytes.rs`).
-    /// `core.train.refit_streaming_ms` reads ≈11 ms on that window
-    /// (`BENCHMARK.json`, `retrain_cycle`; 38 ms row by row), against
-    /// ≈35 ms for a full fit of it, which carries its own partition
-    /// (`full_fit_s`, 205 000 sessions, is 0.13 s; 2 vCPUs). Beyond that
-    /// 3× the streaming path buys continuity: the frozen scaler and PCA,
-    /// and centroids that keep their indices from one candidate to the
-    /// next. `_pool` is ignored (see [`ThreadPool`]).
+    /// to run continuously. The window is its own partition by distinct
+    /// row ([`TrainingSet::row_groups`]; a reservoir hands its residents
+    /// over by id), so nothing is interned here, and the partition is
+    /// carried through every stage: the 50 000-session drift window holds
+    /// 355–391 distinct rows, so the scaler, the projection, the WCSS
+    /// distance and the final assignment run on those, and a mini-batch
+    /// searches once per group present in it. Only the centroid updates
+    /// still take one step per row — they are an order-dependent
+    /// reduction — so the candidate is the same bytes as a row-by-row
+    /// refit (`tests/fit_bytes.rs`). `core.train.refit_streaming_ms` reads
+    /// ≈9–10 ms on that window (`BENCHMARK.json`, `retrain_cycle`, 2 vCPUs;
+    /// 38 ms row by row). Beyond its speed the streaming path buys
+    /// continuity: the frozen scaler and PCA, and centroids that keep
+    /// their indices from one candidate to the next. `_pool` is ignored
+    /// (see [`ThreadPool`]).
     pub fn refit_streaming(
         &self,
         data: &TrainingSet,
@@ -403,7 +401,7 @@ impl TrainedModel {
         // on the distinct rows, and the partition of the raw window is
         // still a partition of the projected one.
         let group_span = registry.span(refit_metric_names::GROUP_MICROS);
-        let groups = RowGroups::of_rows(data.rows())?;
+        let groups = data.row_groups()?;
         let scaled = self.scaler.transform(groups.distinct())?;
         let groups = groups.with_distinct(self.pca.transform(&scaled)?)?;
         group_span.finish();
@@ -814,7 +812,7 @@ mod tests {
         for row in set
             .rows()
             .iter()
-            .chain([&on_the_means, &vec![1e6, -3.0, 0.5]])
+            .chain([on_the_means.as_slice(), &[1e6, -3.0, 0.5]])
         {
             let cluster = model.predict_cluster_with(row, &mut projected).unwrap();
             let scaled = model.scaler().transform_row(row).unwrap();
@@ -926,7 +924,8 @@ mod tests {
             .position(|u| *u == ua(Vendor::Chrome, 100))
             .unwrap();
         uas[first].os = browser_engine::Os::Linux;
-        let set = TrainingSet::from_rows(set.rows().to_vec(), uas).unwrap();
+        let set =
+            TrainingSet::from_rows(set.rows().iter().map(<[f64]>::to_vec).collect(), uas).unwrap();
         let fs = fingerprint::FeatureSet::table8().subset(&[0, 1, 2]);
         let config = TrainConfig {
             k: 3,

@@ -297,11 +297,13 @@ fn col_stds_of<'a>(cols: usize, rows: impl Iterator<Item = &'a [f64]> + Clone) -
 ///
 /// Identity is [`f64::to_bits`], never `==`: `0.0` and `-0.0` compare
 /// equal yet `1.0 / x` tells them apart, and a NaN equals nothing, itself
-/// included. The pass interns every row once through a [`DistinctRows`]
+/// included. Every row is interned once through a [`DistinctRows`]
 /// table — a seedless memo in front of an ordered map, the map deciding
-/// every id — so it is deterministic: group `g` is the `g`-th distinct
-/// row in row order, and a repeated row costs one hash and one bit
-/// comparison.
+/// every id — so the partition is deterministic: group `g` is the `g`-th
+/// distinct row in row order, and a repeated row costs one hash and one
+/// bit comparison. [`RowGroups::of`] interns a matrix's rows;
+/// [`RowGroups::from_table`] takes a window interned when it was
+/// collected (a training set holds its rows so) and interns nothing.
 ///
 /// The partition owns its distinct rows, so it outlives the window it was
 /// taken from and can be *carried* through a pipeline of per-row stages:
@@ -323,7 +325,8 @@ pub struct RowGroups {
 
 /// The distinct rows of a sequence of rows, each kept once and numbered
 /// in order of first appearance: the one interning body, behind
-/// [`RowGroups`] and any table that holds each distinct row once.
+/// [`RowGroups`] and any table that holds each distinct row once (a
+/// training set, a reservoir window).
 ///
 /// Identity is [`f64::to_bits`], as for [`RowGroups`]. The source of
 /// truth is an ordered map keyed by the bits; in front of it sits a
@@ -394,6 +397,11 @@ impl DistinctRows {
         id
     }
 
+    /// Width of every row.
+    pub fn cols(&self) -> usize {
+        self.cols
+    }
+
     /// Distinct rows held.
     pub fn len(&self) -> usize {
         self.ids.len()
@@ -456,37 +464,51 @@ fn same_bits(a: &[f64], b: &[f64]) -> bool {
 impl RowGroups {
     /// Partitions the rows of `x` in one pass over them.
     pub fn of(x: &Matrix) -> Self {
-        Self::partition(x.cols(), x.iter_rows())
-    }
-
-    /// Partitions a window held as one vector per row, without first
-    /// copying it into a matrix. [`MlError::EmptyInput`] for no rows or
-    /// zero-width rows, [`MlError::DimensionMismatch`] for ragged ones.
-    pub fn of_rows(rows: &[Vec<f64>]) -> Result<Self, MlError> {
-        let cols = rows.first().map_or(0, Vec::len);
-        if cols == 0 {
-            return Err(MlError::EmptyInput);
-        }
-        if let Some(ragged) = rows.iter().find(|r| r.len() != cols) {
-            return Err(MlError::DimensionMismatch {
-                got: ragged.len(),
-                expected: cols,
-                what: "row length",
-            });
-        }
-        Ok(Self::partition(cols, rows.iter().map(Vec::as_slice)))
-    }
-
-    /// The one partitioning pass: at least one row, every row `cols` wide.
-    fn partition<'a>(cols: usize, rows: impl Iterator<Item = &'a [f64]>) -> Self {
-        let mut table = DistinctRows::new(cols);
-        let group_of = rows.map(|row| table.intern(row)).collect();
+        let mut table = DistinctRows::new(x.cols());
+        let group_of = x.iter_rows().map(|row| table.intern(row)).collect();
         let distinct = Matrix {
             rows: table.len(),
-            cols,
+            cols: x.cols(),
             data: table.data,
         };
         Self { distinct, group_of }
+    }
+
+    /// The partition of a window already interned: row `r` of the window
+    /// is `table.row(group_of[r])`. Nothing is interned again; the table's
+    /// rows are copied once and the ids once.
+    ///
+    /// The ids must number the table's rows by first appearance and use
+    /// every one of them — what interning the window row by row into an
+    /// empty [`DistinctRows`] leaves — so the result is [`RowGroups::of`]
+    /// the window, group for group. [`MlError::EmptyInput`] for no rows or
+    /// zero-width rows, [`MlError::InvalidParameter`] for ids that break
+    /// that numbering.
+    pub fn from_table(table: &DistinctRows, group_of: &[usize]) -> Result<Self, MlError> {
+        if group_of.is_empty() || table.cols == 0 {
+            return Err(MlError::EmptyInput);
+        }
+        let mut next = 0;
+        let numbered = group_of.iter().all(|&g| {
+            if g == next {
+                next += 1;
+            }
+            g < next
+        });
+        if !numbered || next != table.len() {
+            return Err(MlError::InvalidParameter {
+                name: "group_of",
+                reason: format!(
+                    "ids must number the table's {} rows by first appearance",
+                    table.len()
+                ),
+            });
+        }
+        let distinct = Matrix::from_vec(table.len(), table.cols, table.data.clone())?;
+        Ok(Self {
+            distinct,
+            group_of: group_of.to_vec(),
+        })
     }
 
     /// The distinct rows: row `g` is the content of group `g`.
@@ -916,7 +938,7 @@ mod tests {
     }
 
     #[test]
-    fn row_groups_of_rows_equal_row_groups_of_the_matrix() {
+    fn row_groups_from_a_table_equal_row_groups_of_the_matrix() {
         let rows = vec![
             vec![1.0, 2.0],
             vec![0.0, 2.0],
@@ -925,28 +947,46 @@ mod tests {
             vec![0.0, 2.0],
         ];
         let x = Matrix::from_rows(&rows).unwrap();
-        let (from_rows, from_matrix) = (RowGroups::of_rows(&rows).unwrap(), RowGroups::of(&x));
-        assert_eq!(from_rows.group_of(), &[0, 1, 0, 2, 1]);
-        assert_eq!(from_rows.group_of(), from_matrix.group_of());
-        assert_eq!(from_rows.distinct(), from_matrix.distinct());
-        assert_well_formed(&from_rows, &x);
+        let mut table = DistinctRows::new(2);
+        let ids: Vec<usize> = rows.iter().map(|r| table.intern(r)).collect();
+        let (from_table, from_matrix) = (
+            RowGroups::from_table(&table, &ids).unwrap(),
+            RowGroups::of(&x),
+        );
+        assert_eq!(from_table.group_of(), &[0, 1, 0, 2, 1]);
+        assert_eq!(from_table.group_of(), from_matrix.group_of());
+        assert_eq!(from_table.distinct(), from_matrix.distinct());
+        assert_well_formed(&from_table, &x);
     }
 
     #[test]
-    fn row_groups_of_rows_reject_empty_and_ragged_input() {
-        assert!(matches!(RowGroups::of_rows(&[]), Err(MlError::EmptyInput)));
+    fn row_groups_from_a_table_reject_empty_input_and_misnumbered_ids() {
+        let mut table = DistinctRows::new(1);
+        for v in [1.0, 2.0, 3.0] {
+            table.intern(&[v]);
+        }
         assert!(matches!(
-            RowGroups::of_rows(&[vec![], vec![]]),
+            RowGroups::from_table(&table, &[]),
             Err(MlError::EmptyInput)
         ));
+        let mut flat = DistinctRows::new(0);
+        flat.intern(&[]);
         assert!(matches!(
-            RowGroups::of_rows(&[vec![1.0, 2.0], vec![1.0, 2.0], vec![3.0]]),
-            Err(MlError::DimensionMismatch {
-                got: 1,
-                expected: 2,
-                ..
-            })
+            RowGroups::from_table(&flat, &[0, 0]),
+            Err(MlError::EmptyInput)
         ));
+        assert!(RowGroups::from_table(&table, &[0, 1, 0, 2]).is_ok());
+        // Out of first-appearance order, past the table, or leaving a
+        // table row unused: none is the partition `of` would give.
+        for ids in [&[0, 2, 1][..], &[0, 2, 1, 2], &[0, 1, 2, 3], &[0, 1, 1]] {
+            assert!(
+                matches!(
+                    RowGroups::from_table(&table, ids),
+                    Err(MlError::InvalidParameter { .. })
+                ),
+                "{ids:?}"
+            );
+        }
     }
 
     #[test]
@@ -1187,7 +1227,7 @@ mod tests {
                 Matrix::from_rows(&rows).unwrap(),
                 Matrix::from_rows(&permuted).unwrap(),
             );
-            let (gx, gy) = (RowGroups::of(&x), RowGroups::of_rows(&permuted).unwrap());
+            let (gx, gy) = (RowGroups::of(&x), RowGroups::of(&y));
             assert_well_formed(&gx, &x);
             assert_well_formed(&gy, &y);
             // Same partition: the sets of original rows, as a sorted list.

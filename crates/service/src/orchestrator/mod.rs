@@ -228,7 +228,7 @@ impl<'s> Orchestrator<'s> {
             DriftDecision::Retrain { triggers } => triggers,
         };
 
-        // Drift fired: now — and only now — copy the reservoir out and
+        // Drift fired: now — and only now — hand the reservoir over and
         // absorb it into a warm-started candidate. The refit records its
         // stage timings (`retrain.stage.*`) into the server's registry.
         let retrain_span = obs.span(metric_names::RETRAIN_MICROS);

@@ -242,8 +242,10 @@ fn half_reservoir_stream_matches_the_recorded_constants() {
         let mut checkpoints = Vec::new();
         for end in [half, window.len()] {
             let done = stream.ingested();
-            for (row, &claimed) in window.rows()[done..end]
+            for (row, &claimed) in window
+                .rows()
                 .iter()
+                .skip(done)
                 .zip(&window.user_agents()[done..end])
             {
                 stream.ingest(&model, row, claimed).expect("row ingests");
