@@ -258,10 +258,12 @@ impl TrainedModel {
 
         // The set is its own partition by distinct row, and the partition
         // is carried through every stage, as in `refit_observed`: scaling,
-        // scoring, projection and assignment run per group, every
-        // reduction (scaler statistics, covariance, k-means sums) over
-        // every row in row order, so the model is the same bits as a fit
-        // on the full matrix.
+        // scoring, projection and assignment run per group, and every sum
+        // (scaler statistics, covariance, Lloyd's sums, the WCSS) once per
+        // group times its count. Only the draws (the forest's subsamples,
+        // the k-means++ walk) visit every row. The model is the same bits
+        // as a fit on the full matrix, whose partition numbers its groups
+        // the same way.
         //
         // 6.4.1: scale the deviation-based columns only — "the time-based
         // attributes were already in the binary format which was
@@ -368,8 +370,8 @@ impl TrainedModel {
     /// distance and the final assignment run on those, and a mini-batch
     /// searches once per group present in it. Only the centroid updates
     /// still take one step per row — they are an order-dependent
-    /// reduction — so the candidate is the same bytes as a row-by-row
-    /// refit (`tests/fit_bytes.rs`). `core.train.refit_streaming_ms` reads
+    /// reduction — and the WCSS sums each group once times its count
+    /// (`tests/fit_bytes.rs` pins the candidate's bytes). `core.train.refit_streaming_ms` reads
     /// ≈9–10 ms on that window (`BENCHMARK.json`, `retrain_cycle`, 2 vCPUs;
     /// 38 ms row by row). Beyond its speed the streaming path buys
     /// continuity: the frozen scaler and PCA, and centroids that keep

@@ -4,10 +4,11 @@
 //! for the Browser Polygraph reproduction. It provides exactly the blocks the
 //! paper's pipeline needs:
 //!
-//! * [`Matrix`] — a dense row-major `f64` matrix with the column statistics
-//!   used throughout the pipeline.
+//! * [`Matrix`] — a dense row-major `f64` matrix.
 //! * [`RowGroups`] — a window's rows partitioned by bit-identical content,
-//!   so a pure per-row kernel runs once per distinct row.
+//!   with each group's row count, so a pure per-row kernel runs once per
+//!   distinct row and a sum over rows takes each distinct row once, times
+//!   its count.
 //! * [`StandardScaler`] — per-column zero-mean / unit-variance scaling
 //!   (§6.4.1 of the paper).
 //! * [`Pca`] — principal component analysis via a cyclic Jacobi

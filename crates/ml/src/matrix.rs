@@ -1,23 +1,18 @@
-//! Dense row-major matrix with the column statistics the pipeline needs.
+//! Dense row-major matrix, and a window's rows partitioned by content
+//! ([`RowGroups`]), which carries the column statistics a fit needs.
 //!
 //! This is intentionally a *small* matrix type: the Polygraph pipeline works
 //! on datasets of a few hundred thousand rows by a few dozen columns, so a
 //! contiguous `Vec<f64>` with straightforward loops is both simple and fast
-//! enough. No BLAS, no SIMD tricks.
+//! enough. No BLAS, no SIMD tricks. The window's rows collide by design (a
+//! few hundred distinct rows in 205 000), so the column means, deviations
+//! and covariance are sums over the distinct rows, each weighted by its
+//! count, never a walk over every row.
 
 use crate::error::MlError;
 use crate::memo::{mix_row, Memo, MEMO_SLOTS};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
-
-/// Rows per partial sum of the row reductions that fold a whole window
-/// (the covariance, the k-means WCSS): each block of `ROW_CHUNK`
-/// rows accumulates its own partial, and the partials are added in block
-/// order. Floating-point addition is not associative, so this constant
-/// fixes how those sums round — changing it, or summing in one flat loop,
-/// changes a fitted model's bytes (`tests/kernel_bytes.rs`,
-/// `tests/fit_bytes.rs`).
-pub(crate) const ROW_CHUNK: usize = 1024;
 
 /// A dense, row-major matrix of `f64`.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -194,16 +189,6 @@ impl Matrix {
         Ok(out)
     }
 
-    /// Per-column means.
-    pub fn col_means(&self) -> Vec<f64> {
-        col_means_of(self.cols, self.data.chunks_exact(self.cols))
-    }
-
-    /// Per-column population standard deviations.
-    pub fn col_stds(&self) -> Vec<f64> {
-        col_stds_of(self.cols, self.data.chunks_exact(self.cols))
-    }
-
     /// Sample covariance matrix of the columns (divides by `n - 1`; by `n`
     /// when there is a single row): [`RowGroups::of`] the rows, then the
     /// covariance of the partition.
@@ -245,38 +230,6 @@ impl Matrix {
     }
 }
 
-/// The one body of the column means: every row added in the order given.
-fn col_means_of<'a>(cols: usize, rows: impl Iterator<Item = &'a [f64]>) -> Vec<f64> {
-    let mut means = vec![0.0; cols];
-    let mut n = 0usize;
-    for row in rows {
-        n += 1;
-        for (m, &v) in means.iter_mut().zip(row) {
-            *m += v;
-        }
-    }
-    for m in &mut means {
-        *m /= n as f64;
-    }
-    means
-}
-
-/// The one body of the population standard deviations: the means, then
-/// every row's squared deviation added in the order given.
-fn col_stds_of<'a>(cols: usize, rows: impl Iterator<Item = &'a [f64]> + Clone) -> Vec<f64> {
-    let means = col_means_of(cols, rows.clone());
-    let mut vars = vec![0.0; cols];
-    let mut n = 0usize;
-    for row in rows {
-        n += 1;
-        for ((v, &x), &m) in vars.iter_mut().zip(row).zip(&means) {
-            let d = x - m;
-            *v += d * d;
-        }
-    }
-    vars.iter().map(|v| (v / n as f64).sqrt()).collect()
-}
-
 /// The rows of a window partitioned by bit-identical content: the distinct
 /// rows as a matrix of their own, and for every row the group it is in.
 ///
@@ -288,12 +241,17 @@ fn col_stds_of<'a>(cols: usize, rows: impl Iterator<Item = &'a [f64]> + Clone) -
 /// matrix-wide transform of [`RowGroups::distinct`]) and lets every row
 /// read its group's value.
 ///
-/// That is the only thing a group may be used for. A *reduction over
-/// rows* (a sum of distances, a centroid's mean, a sampling walk, a
-/// learning-rate update) keeps its row order and its operand count and
-/// merely looks each operand up by group: `n` additions of `v` and one
-/// `n × v` round differently, and the fitted model is pinned byte for
-/// byte (`tests/fit_bytes.rs`).
+/// A *sum over rows* (the column means and deviations, the covariance,
+/// Lloyd's centroid sums, the WCSS) is taken once per group, its term
+/// multiplied by the group's row count (`counts`), in group
+/// order: it costs O(distinct rows), not O(rows). `n` additions of `v`
+/// and one `n × v` round differently, so the result is the per-row sum
+/// up to rounding, not bit for bit; the oracle proptests hold it to
+/// textbook per-row loops over the expanded, shuffled window within a
+/// stated tolerance. A *draw that walks rows* (the k-means++ sampling
+/// walk, the forest's subsamples) and an update whose order matters (a
+/// mini-batch learning rate) still visit every row and look its value up
+/// by group.
 ///
 /// Identity is [`f64::to_bits`], never `==`: `0.0` and `-0.0` compare
 /// equal yet `1.0 / x` tells them apart, and a NaN equals nothing, itself
@@ -307,8 +265,8 @@ fn col_stds_of<'a>(cols: usize, rows: impl Iterator<Item = &'a [f64]> + Clone) -
 ///
 /// The partition owns its distinct rows, so it outlives the window it was
 /// taken from and can be *carried* through a pipeline of per-row stages:
-/// [`RowGroups::with_distinct`] keeps `group_of` and swaps in each group's
-/// transformed row. Rows that were equal stay equal under any function of
+/// [`RowGroups::with_distinct`] keeps `group_of` and the counts and swaps
+/// in each group's transformed row. Rows that were equal stay equal under any function of
 /// one row, so the carried partition is still a partition of the
 /// transformed window (two groups may now hold equal rows; that costs a
 /// repeated evaluation, never a wrong one). [`RowGroups::filter_rows`]
@@ -321,6 +279,9 @@ pub struct RowGroups {
     distinct: Matrix,
     /// Group of every row of the window.
     group_of: Vec<usize>,
+    /// Rows in each group: `counts[g]` is how often `g` occurs in
+    /// `group_of`, never zero.
+    counts: Vec<usize>,
 }
 
 /// The distinct rows of a sequence of rows, each kept once and numbered
@@ -465,13 +426,18 @@ impl RowGroups {
     /// Partitions the rows of `x` in one pass over them.
     pub fn of(x: &Matrix) -> Self {
         let mut table = DistinctRows::new(x.cols());
-        let group_of = x.iter_rows().map(|row| table.intern(row)).collect();
+        let group_of: Vec<usize> = x.iter_rows().map(|row| table.intern(row)).collect();
+        let counts = tally(&group_of, table.len());
         let distinct = Matrix {
             rows: table.len(),
             cols: x.cols(),
             data: table.data,
         };
-        Self { distinct, group_of }
+        Self {
+            distinct,
+            group_of,
+            counts,
+        }
     }
 
     /// The partition of a window already interned: row `r` of the window
@@ -508,6 +474,7 @@ impl RowGroups {
         Ok(Self {
             distinct,
             group_of: group_of.to_vec(),
+            counts: tally(group_of, table.len()),
         })
     }
 
@@ -519,6 +486,12 @@ impl RowGroups {
     /// Group of every row of the window.
     pub fn group_of(&self) -> &[usize] {
         &self.group_of
+    }
+
+    /// Rows in each group, in group order; they sum to
+    /// [`RowGroups::rows`].
+    pub(crate) fn counts(&self) -> &[usize] {
+        &self.counts
     }
 
     /// Rows in the partitioned window.
@@ -550,6 +523,7 @@ impl RowGroups {
         Ok(Self {
             distinct,
             group_of: self.group_of,
+            counts: self.counts,
         })
     }
 
@@ -581,59 +555,74 @@ impl RowGroups {
             group_of.push(renumbered[g]);
         }
         let distinct = Matrix::from_vec(data.len() / cols, cols, data)?;
-        Ok(Self { distinct, group_of })
+        let counts = tally(&group_of, distinct.rows());
+        Ok(Self {
+            distinct,
+            group_of,
+            counts,
+        })
     }
 
-    /// Every row of the window, in row order, read from its group.
-    fn rows_in_order(&self) -> impl Iterator<Item = &[f64]> + Clone {
-        self.group_of.iter().map(|&g| self.distinct.row(g))
-    }
-
-    /// [`Matrix::col_means`] of the window's rows.
+    /// The column means: each group's row times its count, summed in
+    /// group order, over the rows.
     pub(crate) fn col_means(&self) -> Vec<f64> {
-        col_means_of(self.distinct.cols(), self.rows_in_order())
+        let mut means = vec![0.0; self.distinct.cols()];
+        for (row, &count) in self.distinct.iter_rows().zip(&self.counts) {
+            let w = count as f64;
+            for (m, &v) in means.iter_mut().zip(row) {
+                *m += w * v;
+            }
+        }
+        let n = self.rows() as f64;
+        for m in &mut means {
+            *m /= n;
+        }
+        means
     }
 
-    /// [`Matrix::col_stds`] of the window's rows.
+    /// The population standard deviations: each group's squared
+    /// deviation from [`RowGroups::col_means`] times its count, summed in
+    /// group order, over the rows.
     pub(crate) fn col_stds(&self) -> Vec<f64> {
-        col_stds_of(self.distinct.cols(), self.rows_in_order())
+        let means = self.col_means();
+        let mut vars = vec![0.0; means.len()];
+        for (row, &count) in self.distinct.iter_rows().zip(&self.counts) {
+            let w = count as f64;
+            for ((v, &x), &m) in vars.iter_mut().zip(row).zip(&means) {
+                let d = x - m;
+                *v += w * d * d;
+            }
+        }
+        let n = self.rows() as f64;
+        vars.iter().map(|v| (v / n).sqrt()).collect()
     }
 
-    /// [`Matrix::covariance`] of the window's rows — its one body.
-    ///
-    /// A row's centred value `row − means` is a pure function of the row,
-    /// so each group's row is centred once. The sum of the centred
-    /// products is a reduction and visits every row, in row order: each
-    /// [`ROW_CHUNK`] block of rows accumulates its own upper-triangular
-    /// partial, and the partials are added in block order.
+    /// [`Matrix::covariance`] of the window's rows — its one body. Each
+    /// group's row is centred once, and its upper-triangular products,
+    /// times its count, are summed in group order.
     pub(crate) fn covariance(&self) -> Result<Matrix, MlError> {
         let cols = self.distinct.cols();
         let means = self.col_means();
-        let mut centred = self.distinct.clone();
-        for row in centred.data.chunks_exact_mut(cols) {
-            for (v, &m) in row.iter_mut().zip(&means) {
-                *v -= m;
-            }
-        }
         let n = self.rows();
         let denom = if n > 1 { (n - 1) as f64 } else { 1.0 };
         let mut cov = Matrix::zeros(cols, cols)?;
-        let mut acc = vec![0.0f64; cols * cols];
-        for block in self.group_of.chunks(ROW_CHUNK) {
-            acc.fill(0.0);
-            for &g in block {
-                let d = centred.row(g);
-                for (i, &di) in d.iter().enumerate() {
-                    if di == 0.0 {
-                        continue;
-                    }
-                    for (a, &dj) in acc[i * cols + i..(i + 1) * cols].iter_mut().zip(&d[i..]) {
-                        *a += di * dj;
-                    }
-                }
+        let mut d = vec![0.0; cols];
+        for (row, &count) in self.distinct.iter_rows().zip(&self.counts) {
+            for ((di, &x), &m) in d.iter_mut().zip(row).zip(&means) {
+                *di = x - m;
             }
-            for (c, a) in cov.data.iter_mut().zip(&acc) {
-                *c += a;
+            let w = count as f64;
+            for (i, &di) in d.iter().enumerate() {
+                if di == 0.0 {
+                    continue;
+                }
+                let wi = w * di;
+                for (c, &dj) in cov.data[i * cols + i..(i + 1) * cols]
+                    .iter_mut()
+                    .zip(&d[i..])
+                {
+                    *c += wi * dj;
+                }
             }
         }
         for i in 0..cols {
@@ -644,6 +633,15 @@ impl RowGroups {
         }
         Ok(cov)
     }
+}
+
+/// How often each of `groups` ids occurs in `group_of`.
+fn tally(group_of: &[usize], groups: usize) -> Vec<usize> {
+    let mut counts = vec![0; groups];
+    for &g in group_of {
+        counts[g] += 1;
+    }
+    counts
 }
 
 impl std::ops::Index<(usize, usize)> for Matrix {
@@ -739,9 +737,15 @@ mod tests {
 
     #[test]
     fn col_means_and_stds() {
-        let a = m(&[&[1.0, 10.0], &[3.0, 10.0]]);
-        assert_eq!(a.col_means(), vec![2.0, 10.0]);
-        let stds = a.col_stds();
+        let g = RowGroups::of(&m(&[
+            &[1.0, 10.0],
+            &[3.0, 10.0],
+            &[1.0, 10.0],
+            &[3.0, 10.0],
+        ]));
+        assert_eq!(g.counts(), &[2, 2]);
+        assert_eq!(g.col_means(), vec![2.0, 10.0]);
+        let stds = g.col_stds();
         assert!((stds[0] - 1.0).abs() < 1e-12);
         assert_eq!(stds[1], 0.0);
     }
@@ -795,6 +799,11 @@ mod tests {
         for r in 0..x.rows() {
             assert_eq!(bits(g.row(r)), bits(x.row(r)), "row {r}");
         }
+        let mut counts = vec![0; g.distinct().rows()];
+        for &o in g.group_of() {
+            counts[o] += 1;
+        }
+        assert_eq!(g.counts(), counts);
     }
 
     #[test]
@@ -1052,11 +1061,10 @@ mod tests {
         assert_eq!(g.map(|row| row[0] + row[1]), expected);
     }
 
-    /// The row-order bodies `Matrix` had before it shared them with
-    /// `RowGroups`: column means, population deviations, and the
-    /// covariance centring each row as it goes, one partial per
-    /// [`ROW_CHUNK`] block, the partials added in block order.
-    fn row_order_stats(rows: &[Vec<f64>]) -> (Vec<f64>, Vec<f64>, Vec<f64>) {
+    /// The textbook statistics of `rows`, one row at a time in the order
+    /// given: column means, population deviations and the sample
+    /// covariance (`n - 1`), each centred product added as it comes.
+    fn per_row_stats(rows: &[Vec<f64>]) -> (Vec<f64>, Vec<f64>, Vec<f64>) {
         let (n, cols) = (rows.len(), rows[0].len());
         let mut means = vec![0.0; cols];
         for row in rows {
@@ -1068,38 +1076,49 @@ mod tests {
             *m /= n as f64;
         }
         let mut vars = vec![0.0; cols];
+        let mut cov = vec![0.0; cols * cols];
         for row in rows {
-            for ((v, &x), &m) in vars.iter_mut().zip(row).zip(&means) {
-                *v += (x - m) * (x - m);
+            for i in 0..cols {
+                let di = row[i] - means[i];
+                vars[i] += di * di;
+                for j in 0..cols {
+                    cov[i * cols + j] += di * (row[j] - means[j]);
+                }
             }
         }
         let stds = vars.iter().map(|v| (v / n as f64).sqrt()).collect();
-        let mut cov = vec![0.0; cols * cols];
-        for block in rows.chunks(ROW_CHUNK) {
-            let mut acc = vec![0.0; cols * cols];
-            for row in block {
-                for i in 0..cols {
-                    let di = row[i] - means[i];
-                    if di == 0.0 {
-                        continue;
-                    }
-                    for j in i..cols {
-                        acc[i * cols + j] += di * (row[j] - means[j]);
-                    }
-                }
-            }
-            for (c, a) in cov.iter_mut().zip(&acc) {
-                *c += a;
-            }
-        }
         let denom = if n > 1 { (n - 1) as f64 } else { 1.0 };
-        for i in 0..cols {
-            for j in i..cols {
-                cov[i * cols + j] /= denom;
-                cov[j * cols + i] = cov[i * cols + j];
-            }
-        }
+        cov.iter_mut().for_each(|c| *c /= denom);
         (means, stds, cov)
+    }
+
+    /// The window `groups` partitions, back as rows: each group's row
+    /// [`RowGroups::counts`] times, then shuffled by `seed`.
+    fn expand_shuffled(groups: &RowGroups, seed: u64) -> Vec<Vec<f64>> {
+        use rand::seq::SliceRandom;
+        use rand::SeedableRng;
+        let mut rows: Vec<Vec<f64>> = groups
+            .distinct()
+            .iter_rows()
+            .zip(groups.counts())
+            .flat_map(|(row, &c)| std::iter::repeat_n(row.to_vec(), c))
+            .collect();
+        rows.shuffle(&mut rand_chacha::ChaCha8Rng::seed_from_u64(seed));
+        rows
+    }
+
+    /// How far a weighted statistic may sit from the per-row loops': this
+    /// share of the window's largest |value| (its square for a
+    /// covariance). Both sides round differently — `n` additions of `v`
+    /// against one `n × v`, in another order — by ≈`n` ulps at most.
+    const STATS_TOLERANCE: f64 = 1e-9;
+
+    /// `got` agrees with `want` entry for entry within `tolerance`.
+    fn assert_close(got: &[f64], want: &[f64], tolerance: f64, what: &str) {
+        assert_eq!(got.len(), want.len(), "{what}");
+        for (i, (g, w)) in got.iter().zip(want).enumerate() {
+            assert!((g - w).abs() <= tolerance, "{what}[{i}]: {g} against {w}");
+        }
     }
 
     /// A per-row function that merges rows: `-v` and `v` in the first
@@ -1137,30 +1156,64 @@ mod tests {
     }
 
     proptest! {
-        /// Filtered and carried partitions of duplicate-heavy windows —
-        /// at most eight vectors, scattered over more than one
-        /// [`ROW_CHUNK`] of rows, about one row in ten cut — are
-        /// well-formed, and their column statistics are the row-order
-        /// bodies' bits.
+        /// The oracle of the weighted sums. Filtered and carried
+        /// partitions of duplicate-heavy windows — at most eight vectors,
+        /// a thousand rows and more, about one row in ten cut — are
+        /// well-formed, and their column means, deviations and covariance
+        /// agree, within [`STATS_TOLERANCE`], with the per-row loops over
+        /// the window expanded from the counts and shuffled. So does
+        /// `Matrix::covariance` of the kept rows in their own order.
         #[test]
-        fn prop_row_groups_carried_stats_equal_row_order_loops(
+        fn prop_oracle_weighted_stats_equal_per_row_loops_on_shuffled_rows(
             vectors in proptest::collection::vec(
                 proptest::collection::vec(-9.0f64..9.0, 3..4), 1..9),
             picks in proptest::collection::vec(0usize..8, 1025..2600),
             cuts in proptest::collection::vec(0u8..10, 2600..2601),
+            seed in any::<u64>(),
         ) {
             let rows: Vec<Vec<f64>> =
                 picks.iter().map(|&p| vectors[p % vectors.len()].clone()).collect();
             let keep: Vec<bool> = cuts.iter().map(|&c| c != 0).collect();
             let (groups, folded) = carried(&rows, &keep);
-            let (means, stds, cov) = row_order_stats(&folded);
-            prop_assert_eq!(bits(&groups.col_means()), bits(&means));
-            prop_assert_eq!(bits(&groups.col_stds()), bits(&stds));
-            prop_assert_eq!(bits(groups.covariance().unwrap().as_slice()), bits(&cov));
+            let (means, stds, cov) = per_row_stats(&expand_shuffled(&groups, seed));
+            let scale = folded.iter().flatten().fold(1.0f64, |a, v| a.max(v.abs()));
+            let tolerance = STATS_TOLERANCE * scale;
+            assert_close(&groups.col_means(), &means, tolerance, "means");
+            assert_close(&groups.col_stds(), &stds, tolerance, "stds");
+            let tolerance = tolerance * scale;
+            assert_close(groups.covariance().unwrap().as_slice(), &cov, tolerance, "covariance");
             let matrix = Matrix::from_rows(&folded).unwrap();
-            prop_assert_eq!(bits(&matrix.col_means()), bits(&means));
-            prop_assert_eq!(bits(&matrix.col_stds()), bits(&stds));
-            prop_assert_eq!(bits(matrix.covariance().unwrap().as_slice()), bits(&cov));
+            assert_close(matrix.covariance().unwrap().as_slice(), &cov, tolerance, "matrix");
+        }
+
+        /// Repeating every row of a window `m` times leaves its means and
+        /// deviations, and its covariance times `(n - 1) / n`, within
+        /// [`STATS_TOLERANCE`]: a sum weighted by counts sees only the
+        /// window's histogram, up to rounding.
+        #[test]
+        fn prop_oracle_repeating_every_row_leaves_the_weighted_stats(
+            vectors in proptest::collection::vec(
+                proptest::collection::vec(-9.0f64..9.0, 3..4), 1..9),
+            picks in proptest::collection::vec(0usize..8, 2..600),
+            m in 2usize..6,
+        ) {
+            let rows: Vec<Vec<f64>> =
+                picks.iter().map(|&p| vectors[p % vectors.len()].clone()).collect();
+            let repeated: Vec<Vec<f64>> =
+                rows.iter().flat_map(|r| std::iter::repeat_n(r.clone(), m)).collect();
+            let once = RowGroups::of(&Matrix::from_rows(&rows).unwrap());
+            let many = RowGroups::of(&Matrix::from_rows(&repeated).unwrap());
+            prop_assert_eq!(once.distinct(), many.distinct());
+            let scale = rows.iter().flatten().fold(1.0f64, |a, v| a.max(v.abs()));
+            let tolerance = STATS_TOLERANCE * scale;
+            assert_close(&many.col_means(), &once.col_means(), tolerance, "means");
+            assert_close(&many.col_stds(), &once.col_stds(), tolerance, "stds");
+            let population = |g: &RowGroups| {
+                let n = g.rows() as f64;
+                let cov = g.covariance().unwrap();
+                cov.as_slice().iter().map(|c| c * (n - 1.0) / n).collect::<Vec<_>>()
+            };
+            assert_close(&population(&many), &population(&once), tolerance * scale, "covariance");
         }
 
         /// The grouped k-means and forest bodies on a filtered, carried

@@ -33,8 +33,8 @@ impl Pca {
     }
 
     /// [`Pca::fit`] on the rows `groups` partitions: the means and the
-    /// covariance are reductions over every row, in row order, and the
-    /// covariance centres each group's row once.
+    /// covariance are sums taken once per group, weighted by its row
+    /// count, and the covariance centres each group's row once.
     pub fn fit_grouped(groups: &RowGroups, n_components: usize) -> Result<Self, MlError> {
         let cols = groups.distinct().cols();
         if n_components == 0 || n_components > cols {

@@ -34,8 +34,8 @@ impl StandardScaler {
 
     /// [`StandardScaler::fit`] on the rows `groups` partitions. The
     /// finiteness check is a function of one row and runs per group; the
-    /// means and deviations are reductions and visit every row, in row
-    /// order.
+    /// means and deviations are sums taken once per group, weighted by
+    /// its row count.
     pub fn fit_grouped(groups: &RowGroups) -> Result<Self, MlError> {
         // Groups are numbered by first row, so the first group holding a
         // non-finite cell holds the first row that does.
@@ -159,8 +159,8 @@ mod tests {
         ])
         .unwrap();
         let (_, t) = StandardScaler::fit_transform(&x).unwrap();
-        let means = t.col_means();
-        let stds = t.col_stds();
+        let groups = RowGroups::of(&t);
+        let (means, stds) = (groups.col_means(), groups.col_stds());
         for m in means {
             assert!(m.abs() < 1e-12);
         }
