@@ -259,11 +259,10 @@ impl TrainedModel {
         // The set is its own partition by distinct row, and the partition
         // is carried through every stage, as in `refit_observed`: scaling,
         // scoring, projection and assignment run per group, and every sum
-        // (scaler statistics, covariance, Lloyd's sums, the WCSS) once per
-        // group times its count. Only the draws (the forest's subsamples,
-        // the k-means++ walk) visit every row. The model is the same bits
-        // as a fit on the full matrix, whose partition numbers its groups
-        // the same way.
+        // (scaler statistics, covariance, Lloyd's sums, the WCSS) and the
+        // k-means++ draw once per group times its count. Only the forest's
+        // subsamples draw rows. The model is the same bits as a fit on the
+        // full matrix, whose partition numbers its groups the same way.
         //
         // 6.4.1: scale the deviation-based columns only — "the time-based
         // attributes were already in the binary format which was

@@ -179,10 +179,7 @@ impl IsolationForest {
         let n = groups.rows();
         let n_out = ((n as f64 * contamination).round() as usize).clamp(1, n);
         let scores = groups.map(|row| self.score_row(row));
-        let mut sizes = vec![0usize; scores.len()];
-        for &g in groups.group_of() {
-            sizes[g] += 1;
-        }
+        let sizes = groups.counts();
         let mut ranked: Vec<usize> = (0..scores.len()).collect();
         ranked.sort_by(|&a, &b| {
             scores[b]

@@ -15,10 +15,12 @@
 //! centroid, Lloyd's nearest-centroid search, the WCSS distance, the
 //! farthest-point search — once per group. Every *sum* — Lloyd's
 //! per-cluster Σc·x and Σc, the WCSS Σc·d² — is taken once per group, its
-//! term times the group's row count `c`, in group order. The k-means++
-//! total and its sampling walk are a *draw*: they still take one operand
-//! per row, in row order, so which row a seed picks does not depend on
-//! how the rows are grouped.
+//! term times the group's row count `c`, in group order. So is every
+//! k-means++ *draw*: a centroid is a group drawn with weight c·D², its
+//! total and walk taken in group order, which on an all-distinct window
+//! is the textbook per-row walk bit for bit. No step reads the order of
+//! the rows, so a fit depends only on the distinct rows, numbered by
+//! first appearance, and their counts.
 
 use crate::error::MlError;
 use crate::matrix::{Matrix, RowGroups};
@@ -380,41 +382,45 @@ fn farthest_point<'a>(groups: &'a RowGroups, centroids: &Matrix, nearest: &[usiz
     best.0
 }
 
-/// k-means++ seeding: the first centroid is uniform, each subsequent one is
-/// sampled proportionally to the squared distance from the nearest centroid
-/// chosen so far. The distances are kept per group; the total and the
-/// sampling walk are a draw and visit every row, in row order.
+/// k-means++ seeding: the first centroid is uniform over the rows, each
+/// subsequent one is sampled proportionally to the squared distance from
+/// the nearest centroid chosen so far. Every draw picks a group, so each
+/// pick costs O(distinct rows) whatever the window's size: group `g` is
+/// drawn with probability `counts[g] · D²[g] / Σ counts · D²`, the chance
+/// that a per-row walk lands on one of its rows, the weights summed and
+/// walked in group order. On an all-distinct window every count is one
+/// and group order is row order, so this is the per-row walk, bit for
+/// bit.
+///
+/// A uniform draw (the first centroid, or every remaining distance zero)
+/// takes row `r` of the window laid out group by group ([`group_at`]), so
+/// no draw reads the order of the rows: the seeding, and the fit after
+/// it, depend only on the distinct rows in id order and their counts.
 fn kmeans_pp_init(groups: &RowGroups, k: usize, rng: &mut ChaCha8Rng) -> Matrix {
-    let (distinct, group_of) = (groups.distinct(), groups.group_of());
+    let (distinct, counts) = (groups.distinct(), groups.counts());
     let n = groups.rows();
     let mut centroids = Matrix::zeros(k, distinct.cols()).expect("k >= 1, cols >= 1");
-    let first = rng.gen_range(0..n);
-    centroids.row_mut(0).copy_from_slice(groups.row(first));
+    let first = group_at(counts, rng.gen_range(0..n));
+    centroids.row_mut(0).copy_from_slice(distinct.row(first));
 
     let mut dist: Vec<f64> = distinct
         .iter_rows()
         .map(|row| Matrix::sq_dist(row, centroids.row(0)))
         .collect();
+    let mut weight = vec![0.0f64; dist.len()];
 
     for c in 1..k {
-        let total: f64 = group_of.iter().map(|&g| dist[g]).sum();
+        for ((w, &d), &count) in weight.iter_mut().zip(&dist).zip(counts) {
+            *w = count as f64 * d;
+        }
+        let total: f64 = weight.iter().sum();
         let chosen = if total <= 0.0 {
             // All points coincide with existing centroids; pick uniformly.
-            rng.gen_range(0..n)
+            group_at(counts, rng.gen_range(0..n))
         } else {
-            let mut target = rng.gen::<f64>() * total;
-            let mut idx = n - 1;
-            for (i, &g) in group_of.iter().enumerate() {
-                let d = dist[g];
-                if target < d {
-                    idx = i;
-                    break;
-                }
-                target -= d;
-            }
-            idx
+            weighted_pick(&weight, rng.gen::<f64>() * total)
         };
-        centroids.row_mut(c).copy_from_slice(groups.row(chosen));
+        centroids.row_mut(c).copy_from_slice(distinct.row(chosen));
         for (known, row) in dist.iter_mut().zip(distinct.iter_rows()) {
             let d = Matrix::sq_dist(row, centroids.row(c));
             if d < *known {
@@ -423,6 +429,36 @@ fn kmeans_pp_init(groups: &RowGroups, k: usize, rng: &mut ChaCha8Rng) -> Matrix 
         }
     }
     centroids
+}
+
+/// The group holding row `r` of the window laid out group by group: every
+/// row of group 0, then every row of group 1, and so on.
+fn group_at(counts: &[usize], mut r: usize) -> usize {
+    for (g, &count) in counts.iter().enumerate() {
+        if r < count {
+            return g;
+        }
+        r -= count;
+    }
+    panic!("row {r} past the window's end")
+}
+
+/// The first group, in group order, at which `target` falls below the
+/// group's weight after the weights before it are taken off. When
+/// rounding leaves `target` at or above the walk's total, the last group
+/// of positive weight: a weight of zero is a group on a chosen centroid.
+fn weighted_pick(weight: &[f64], mut target: f64) -> usize {
+    weight
+        .iter()
+        .position(|&w| {
+            if target < w {
+                return true;
+            }
+            target -= w;
+            false
+        })
+        .or_else(|| weight.iter().rposition(|&w| w > 0.0))
+        .expect("a positive total has a positive weight")
 }
 
 #[cfg(test)]
@@ -613,10 +649,11 @@ mod tests {
     }
 
     /// Fits on matrices that are almost all repeated rows, pinned to
-    /// constants recorded when Lloyd's sums and the WCSS became weighted
-    /// by group counts. The oracle proptests hold those sums to per-row
-    /// loops within a tolerance; these constants hold their bits, so a
-    /// change of summation order shows here first.
+    /// constants recorded when k-means++ began to draw groups. The oracle
+    /// proptests hold Lloyd's sums to per-row loops within a tolerance and
+    /// the draw to the per-row walk exactly; these constants hold their
+    /// bits, so a change of summation order or of the walk shows here
+    /// first.
     #[test]
     fn duplicate_heavy_fits_are_pinned() {
         // 37 vectors, unequal multiplicities, 2 170 rows.
@@ -633,20 +670,20 @@ mod tests {
         let starved = duplicated(&[50; 6], 2);
         // Rows: seeds 1, 42, 0xDEAD_BEEF, each with `n_init` 1 then 4.
         let heavy_pins = [
-            (0x919d28a60902c175, 0x40e0ccc57e899ca2, 5),
-            (0xc32ccc893542deaa, 0x40de1a127d324613, 7),
-            (0xd3b4f37ddbe25b81, 0x40e00a8ae301c79e, 6),
-            (0xd3b4f37ddbe25b81, 0x40e00a8ae301c79e, 6),
-            (0x86c836ab2a3a0aff, 0x40e0d270f36112c4, 3),
-            (0x4a914c829d87c5fc, 0x40df7a30ddd5f2d4, 3),
+            (0x1f98232eac004824, 0x40e043b3b5b23691, 4),
+            (0xc8e8b80f3a2e91b3, 0x40dded845a100cd5, 5),
+            (0x2d71e623016653e6, 0x40df6eef2c10ad18, 4),
+            (0x2cc7b97193a107ad, 0x40de686566fd9edd, 10),
+            (0x997c674d3f1ed3f7, 0x40e0191bba3ac4c2, 7),
+            (0xe52d07e535ced02c, 0x40de460c570b06a2, 6),
         ];
         let starved_pins = [
-            (0x3dac9bb5d342beae, 0x0, 5),
-            (0x3dac9bb5d342beae, 0x0, 5),
-            (0x20f45dbe70e4ce52, 0x0, 5),
-            (0x20f45dbe70e4ce52, 0x0, 5),
-            (0xbbe59d9d88001e12, 0x0, 5),
-            (0xbbe59d9d88001e12, 0x0, 5),
+            (0x0817b1bb62e7c21e, 0x0, 5),
+            (0x0817b1bb62e7c21e, 0x0, 5),
+            (0x1d09289affd7306e, 0x0, 5),
+            (0x1d09289affd7306e, 0x0, 5),
+            (0xf8e29f5e69c29d22, 0x0, 5),
+            (0xf8e29f5e69c29d22, 0x0, 5),
         ];
         for (x, k, expected) in [(&heavy, 5, heavy_pins), (&starved, 8, starved_pins)] {
             let mut got = Vec::new();
@@ -732,7 +769,166 @@ mod tests {
         (rows, groups)
     }
 
+    /// k-means++ seeding as it was when the total and the walk took one
+    /// operand per row, in row order, falling back to the last row: the
+    /// reference the grouped draw is held to.
+    fn per_row_pp_init(groups: &RowGroups, k: usize, rng: &mut ChaCha8Rng) -> Matrix {
+        let (distinct, group_of) = (groups.distinct(), groups.group_of());
+        let n = groups.rows();
+        let mut centroids = Matrix::zeros(k, distinct.cols()).unwrap();
+        let first = rng.gen_range(0..n);
+        centroids.row_mut(0).copy_from_slice(groups.row(first));
+        let mut dist: Vec<f64> = distinct
+            .iter_rows()
+            .map(|row| Matrix::sq_dist(row, centroids.row(0)))
+            .collect();
+        for c in 1..k {
+            let total: f64 = group_of.iter().map(|&g| dist[g]).sum();
+            let chosen = if total <= 0.0 {
+                rng.gen_range(0..n)
+            } else {
+                let mut target = rng.gen::<f64>() * total;
+                let mut idx = n - 1;
+                for (i, &g) in group_of.iter().enumerate() {
+                    let d = dist[g];
+                    if target < d {
+                        idx = i;
+                        break;
+                    }
+                    target -= d;
+                }
+                idx
+            };
+            centroids.row_mut(c).copy_from_slice(groups.row(chosen));
+            for (known, row) in dist.iter_mut().zip(distinct.iter_rows()) {
+                let d = Matrix::sq_dist(row, centroids.row(c));
+                if d < *known {
+                    *known = d;
+                }
+            }
+        }
+        centroids
+    }
+
+    fn bits(m: &Matrix) -> Vec<u64> {
+        m.as_slice().iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// Forces the walk past its end: in group order the weights sum to
+    /// 0.30000000000000004, and taking 0.1 and 0.2 off that leaves
+    /// ≈2.8e-17, which is not below the zero weights after them. The
+    /// zero-weight groups lie on chosen centroids; the last row's group
+    /// is one of them, so a per-row fallback to the last row would pick a
+    /// centroid twice.
+    #[test]
+    fn pp_draw_fallback_never_picks_a_group_at_zero_distance() {
+        let weight = [0.1, 0.2, 0.0, 0.0];
+        let total: f64 = weight.iter().sum();
+        assert_eq!(weighted_pick(&weight, 0.05), 0);
+        assert_eq!(weighted_pick(&weight, 0.25), 1);
+        let picked = weighted_pick(&weight, total);
+        assert!(weight[picked] > 0.0, "picked group {picked} at D² = 0");
+        assert_eq!(picked, 1);
+        assert_eq!(weighted_pick(&[0.0, 0.3, 0.0], 0.5), 1);
+    }
+
     proptest! {
+        /// On an all-distinct window every count is one and groups are
+        /// rows, so the grouped draw is the per-row walk bit for bit.
+        #[test]
+        fn prop_oracle_pp_draw_is_the_per_row_walk_on_distinct_rows(
+            vectors in proptest::collection::vec(
+                proptest::collection::vec(-9.0f64..9.0, 3..4), 1..80),
+            k in 1usize..10,
+            seed in any::<u64>(),
+        ) {
+            let distinct = RowGroups::of(&Matrix::from_rows(&vectors).unwrap()).distinct().clone();
+            let groups = RowGroups::of(&distinct);
+            prop_assert!(groups.counts().iter().all(|&c| c == 1));
+            let k = k.min(groups.rows());
+            let want = per_row_pp_init(&groups, k, &mut ChaCha8Rng::seed_from_u64(seed));
+            let got = kmeans_pp_init(&groups, k, &mut ChaCha8Rng::seed_from_u64(seed));
+            prop_assert_eq!(bits(&got), bits(&want));
+        }
+
+        /// On a duplicate-heavy window of small integers every c·D², every
+        /// total and every partial sum of the walk is an integer below
+        /// 2⁵³, and taking an integer off the drawn target is exact, so
+        /// subtracting a group's weight once is subtracting its D² once
+        /// per row. With the window laid out group by group, the group
+        /// each draw picks (every centroid is a distinct group's row) is
+        /// the group of the row the per-row walk picks from the same RNG,
+        /// uniform draws included (`k` may exceed the distinct rows).
+        #[test]
+        fn prop_oracle_pp_draw_lands_in_the_group_of_the_per_row_pick(
+            vectors in proptest::collection::vec(
+                proptest::collection::vec(-20i32..20, 3..4), 1..9),
+            copies in proptest::collection::vec(1usize..300, 9..10),
+            k in 1usize..12,
+            seed in any::<u64>(),
+        ) {
+            let mut unique: Vec<Vec<f64>> = Vec::new();
+            for v in &vectors {
+                let row: Vec<f64> = v.iter().map(|&x| f64::from(x)).collect();
+                if !unique.contains(&row) {
+                    unique.push(row);
+                }
+            }
+            let laid: Vec<Vec<f64>> = unique
+                .iter()
+                .zip(&copies)
+                .flat_map(|(row, &c)| std::iter::repeat_n(row.clone(), c))
+                .collect();
+            let groups = RowGroups::of(&Matrix::from_rows(&laid).unwrap());
+            prop_assert!(groups.group_of().windows(2).all(|w| w[0] <= w[1]));
+            let k = k.min(groups.rows());
+            let want = per_row_pp_init(&groups, k, &mut ChaCha8Rng::seed_from_u64(seed));
+            let got = kmeans_pp_init(&groups, k, &mut ChaCha8Rng::seed_from_u64(seed));
+            prop_assert_eq!(bits(&got), bits(&want));
+        }
+
+        /// A fit reads the distinct rows, numbered by first appearance,
+        /// and their counts, never the order of the rows: re-laying the
+        /// window at random — each step takes another row of a group seen
+        /// already or the first row of the next group — leaves the
+        /// centroids, the WCSS and the iterations the same bits.
+        #[test]
+        fn prop_oracle_pp_draw_fit_ignores_row_order_within_first_appearance(
+            vectors in proptest::collection::vec(
+                proptest::collection::vec(-9.0f64..9.0, 2..3), 1..9),
+            picks in proptest::collection::vec(0usize..8, 2..800),
+            k in 1usize..9,
+            n_init in 1usize..4,
+            seed in any::<u64>(),
+        ) {
+            let (rows, groups) = picked(&vectors, &picks);
+            let mut rng = ChaCha8Rng::seed_from_u64(seed ^ 2);
+            let mut left = groups.counts().to_vec();
+            let mut seen = 0;
+            let mut relaid = Vec::with_capacity(rows.len());
+            while relaid.len() < rows.len() {
+                let open: Vec<usize> = (0..seen)
+                    .filter(|&g| left[g] > 0)
+                    .chain((seen < left.len()).then_some(seen))
+                    .collect();
+                let g = open[rng.gen_range(0..open.len())];
+                if g == seen {
+                    seen += 1;
+                }
+                left[g] -= 1;
+                relaid.push(groups.distinct().row(g).to_vec());
+            }
+            let regrouped = RowGroups::of(&Matrix::from_rows(&relaid).unwrap());
+            prop_assert_eq!(regrouped.distinct(), groups.distinct());
+            prop_assert_eq!(regrouped.counts(), groups.counts());
+            let config = KMeansConfig::new(k.min(rows.len())).with_seed(seed).with_n_init(n_init);
+            let a = KMeans::fit_grouped(&groups, config).unwrap();
+            let b = KMeans::fit_grouped(&regrouped, config).unwrap();
+            prop_assert_eq!(bits(a.centroids()), bits(b.centroids()));
+            prop_assert_eq!(a.wcss().to_bits(), b.wcss().to_bits());
+            prop_assert_eq!(a.iterations(), b.iterations());
+        }
+
         /// The oracle of the weighted Lloyd. On a duplicate-heavy window,
         /// from the centroids a seeded k-means++ draw picks, the grouped
         /// Lloyd and the textbook one over the window expanded from the

@@ -3,18 +3,19 @@
 //! `TrainedModel::fit` evaluates its per-row kernels (isolation-forest
 //! scoring, k-means++ distances, Lloyd assignment, the scaler and PCA
 //! transforms) once per group of bit-identical rows, takes every sum
-//! (scaler statistics, covariance, Lloyd's sums, the WCSS) once per group
-//! times its count, and walks every row only for its draws (the forest's
-//! subsamples, the k-means++ walk). A recorded constant is what holds the
-//! bits of that on repeated rows — the one input on which grouping does
-//! anything: `kernel_bytes.rs::synthetic()` draws all-distinct values,
-//! and the `polygraph-ml` oracle proptests (`prop_oracle_*`) hold the
-//! weighted sums to per-row loops only within a tolerance.
+//! (scaler statistics, covariance, Lloyd's sums, the WCSS) and every
+//! k-means++ draw once per group times its count, and draws rows only for
+//! the forest's subsamples. A recorded constant is what holds the bits of
+//! that on repeated rows — the one input on which grouping does anything:
+//! `kernel_bytes.rs::synthetic()` draws all-distinct values, and the
+//! `polygraph-ml` oracle proptests (`prop_oracle_*`) hold the weighted
+//! sums to per-row loops only within a tolerance.
 //!
-//! The model and streaming-candidate constants below were recorded when
-//! the sums became weighted, on simulated traffic whose coarse-grained
-//! fingerprints collide by design: 252 and 263 distinct rows in the
-//! 20 500 fitted here. The `polygraph-ml` unit tests
+//! The model, streaming-candidate and checkpoint constants below were
+//! recorded when k-means++ began to draw groups with weight count × D²
+//! (the reservoir window's hashes did not move), on simulated traffic
+//! whose coarse-grained fingerprints collide by design: 252 and 263
+//! distinct rows in the 20 500 fitted here. The `polygraph-ml` unit tests
 //! `duplicate_heavy_fits_are_pinned` and
 //! `grouped_scores_equal_per_row_scores` pin the two kernels on their own.
 //! The paper's own window (205 000 sessions, 543 distinct rows) is pinned
@@ -29,9 +30,8 @@
 //! window. A second streaming pin sizes the reservoir to half the window,
 //! so Algorithm R's replacement draws run, and checkpoints twice: the
 //! materialised window, the candidate refit from it and both checkpoints.
-//! The checkpoints and the window were recorded from the stream that
-//! predicted every session at ingest and copied every row into the
-//! reservoir.
+//! The window's hashes were recorded from the stream that predicted every
+//! session at ingest and copied every row into the reservoir.
 
 use browser_polygraph::core::{
     drift, DriftObservation, DriftStream, TrainConfig, TrainedModel, TrainingSet,
@@ -49,16 +49,16 @@ const SESSIONS: usize = 20_500;
 /// `(traffic seed, fnv1a64 of the pretty-printed model JSON)`. The first
 /// seed is `TrafficConfig::paper_training()`'s own.
 const PINS: [(u64, u64); 2] = [
-    (1_582_633_077, 0x948e_8f8b_37ff_fa02),
-    (7001, 0x45be_1f39_6d28_e1c6),
+    (1_582_633_077, 0x2cb1_7809_de0f_8798),
+    (7001, 0xae22_aece_4a6e_8f41),
 ];
 
 /// `(traffic seed, fnv1a64 of the pretty-printed model JSON)` for the
 /// paper's own window, `TrafficConfig::paper_training()` at 205 000
 /// sessions (543 distinct rows at the first seed).
 const PAPER_SCALE_PINS: [(u64, u64); 2] = [
-    (1_582_633_077, 0xcabd_14ec_58e6_eddb),
-    (7001, 0x751d_5a08_bd44_547d),
+    (1_582_633_077, 0xc9ef_8bd6_7b91_009f),
+    (7001, 0x6177_6b72_5bc4_1641),
 ];
 
 /// Sessions in the drift window the streaming pins run on.
@@ -73,8 +73,8 @@ const DRIFT_SESSIONS: usize = 5_000;
 /// `release cluster accuracy-bits sessions` line per observation, and what
 /// the batch checkpoint returns for the same window and releases.
 const STREAMING_PINS: [(u64, u64, u64); 2] = [
-    (1_582_633_077, 0x1f2a_f931_e6f6_16d3, 0x25c9_83a5_e2ae_2e5a),
-    (7001, 0x3992_f1b5_74ae_53a2, 0x6015_27dd_7c87_67e3),
+    (1_582_633_077, 0xcb07_f369_8b00_459b, 0x0bd3_42e2_96b7_7d66),
+    (7001, 0x9fea_dea3_eedf_0a4a, 0xcbad_7027_a862_cb49),
 ];
 
 /// `(traffic seed, fnv1a64 of the materialised reservoir window, fnv1a64
@@ -88,16 +88,16 @@ const HALF_RESERVOIR_PINS: [(u64, u64, u64, u64, u64); 2] = [
     (
         1_582_633_077,
         0x207e_73c1_f219_07ed,
-        0x76d4_8bce_dea1_611d,
-        0xe10f_db42_37ba_2e76,
-        0x25c9_83a5_e2ae_2e5a,
+        0x4349_59da_e034_16ab,
+        0xfbb8_9fba_0f07_2af9,
+        0x0bd3_42e2_96b7_7d66,
     ),
     (
         7001,
         0xcd9f_7b3c_4296_e784,
-        0x7897_db4a_6884_0d0f,
-        0xa291_3af5_a648_7a79,
-        0x6015_27dd_7c87_67e3,
+        0x4be9_bd24_4e9a_b997,
+        0x09d8_dfe3_71f8_aa3e,
+        0xcbad_7027_a862_cb49,
     ),
 ];
 

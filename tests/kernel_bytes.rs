@@ -51,7 +51,7 @@ const PCA_PIN: u64 = 0x1d4c_4b20_d70e_2210;
 
 /// The cluster table's JSON, the accuracy, the outliers removed and the
 /// predicted cluster of 200 training rows.
-const FIT_PIN: u64 = 0x5f29_ec61_2c4c_024b;
+const FIT_PIN: u64 = 0xa003_0924_3d1e_9e6b;
 
 /// Deterministic synthetic data: all-distinct rows, so every group counts
 /// one.
