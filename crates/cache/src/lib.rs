@@ -44,7 +44,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use parking_lot::RwLock;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
 /// Upper bound on the shard count (a power of two; more shards than this
@@ -229,6 +228,10 @@ impl<V: Clone> Shard<V> {
         if slot.epoch != current_epoch {
             return Lookup::Stale;
         }
+        // `Relaxed` on purpose (CI's `Relaxed` grep allows this file
+        // alone): the bit is a CLOCK hint, not a publication. Slot data
+        // changes only under the shard's write lock, so a racy mark can
+        // at worst cost a recently hit entry its second chance.
         slot.referenced.store(true, Ordering::Relaxed);
         Lookup::Hit(slot.value.clone())
     }
@@ -290,6 +293,7 @@ impl<V: Clone> Shard<V> {
             let Some(slot) = self.slots.get(pos) else {
                 continue;
             };
+            // `Relaxed`: the reference bit is a hint, see `Shard::lookup`.
             if slot.epoch != current_epoch || !slot.referenced.swap(false, Ordering::Relaxed) {
                 return pos;
             }
@@ -301,8 +305,14 @@ impl<V: Clone> Shard<V> {
 
 /// A sharded, bounded, epoch-invalidated map from 64-bit keys to verdict
 /// values. See the crate docs for the design.
+#[expect(
+    clippy::disallowed_types,
+    reason = "one lock per shard: a lookup's read guard spans one probe and one clone, an \
+              insert's write guard one probe and at most one CLOCK sweep; shards are locked \
+              one at a time and no guard spans I/O"
+)]
 pub struct VerdictCache<V> {
-    shards: Vec<RwLock<Shard<V>>>,
+    shards: Vec<parking_lot::RwLock<Shard<V>>>,
     /// `shards.len() - 1`; shard selection is `key & mask`.
     mask: u64,
     capacity_per_shard: usize,
@@ -317,12 +327,16 @@ impl<V: Clone> VerdictCache<V> {
     /// so the total never falls below the request. A zero `capacity`
     /// still yields one slot per shard — callers gate "cache disabled"
     /// above this type.
+    #[expect(
+        clippy::disallowed_types,
+        reason = "builds the shard locks `VerdictCache` describes"
+    )]
     pub fn new(shards: usize, capacity: usize) -> Self {
         let shard_count = shards.clamp(1, MAX_SHARDS).next_power_of_two();
         let capacity_per_shard = capacity.div_ceil(shard_count).max(1);
         Self {
             shards: (0..shard_count)
-                .map(|_| RwLock::new(Shard::new(capacity_per_shard)))
+                .map(|_| parking_lot::RwLock::new(Shard::new(capacity_per_shard)))
                 .collect(),
             mask: (shard_count - 1) as u64,
             capacity_per_shard,
@@ -350,15 +364,19 @@ impl<V: Clone> VerdictCache<V> {
     /// entries lazily miss as [`Lookup::Stale`] and are preferred CLOCK
     /// victims.
     ///
-    /// Callers must bump *after* the new model is visible to readers
-    /// (e.g. after the detector slot's write guard is released): a
-    /// verdict assessed under the old model is then always tagged with a
-    /// pre-bump epoch and can never be served at the new one.
+    /// Callers publish the new model together with the epoch this
+    /// returns, and tag each insert with the epoch published beside the
+    /// model that assessed it: a verdict of the old model then always
+    /// carries a pre-bump epoch and can never be served at the new one.
     pub fn bump_epoch(&self) -> u64 {
         self.epoch.fetch_add(1, Ordering::SeqCst) + 1
     }
 
-    fn shard(&self, key: u64) -> Option<&RwLock<Shard<V>>> {
+    #[expect(
+        clippy::disallowed_types,
+        reason = "hands out one shard's lock; see `VerdictCache`"
+    )]
+    fn shard(&self, key: u64) -> Option<&parking_lot::RwLock<Shard<V>>> {
         self.shards.get((key & self.mask) as usize)
     }
 
@@ -373,11 +391,10 @@ impl<V: Clone> VerdictCache<V> {
 
     /// Inserts (or refreshes) `key` with a value assessed under `epoch`.
     ///
-    /// `epoch` must have been read via [`Self::epoch`] *before* the
-    /// assessment borrowed the model: if a swap landed in between, the
-    /// entry is tagged with the old epoch and harmlessly misses forever;
-    /// the reverse — an old-model verdict tagged with the new epoch —
-    /// cannot happen (see [`Self::bump_epoch`]).
+    /// `epoch` must be the one published with the model that assessed
+    /// `value` (see [`Self::bump_epoch`]): if a newer epoch has been
+    /// bumped since, the entry is tagged with the old one and harmlessly
+    /// misses forever.
     pub fn insert(&self, key: u64, epoch: u64, value: V) -> InsertOutcome {
         match self.shard(key) {
             Some(shard) => shard

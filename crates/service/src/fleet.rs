@@ -610,7 +610,7 @@ impl RolloutController {
     /// model over the fixed sample; divergence is the negation of
     /// [`verdicts_agree`].
     fn divergence_against(&self, node: &RiskServerHandle) -> (u64, u64) {
-        let serving = Detector::new(node.serving_model());
+        let serving = node.serving_detector();
         let diverged = self
             .sample
             .iter()

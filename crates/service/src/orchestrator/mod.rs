@@ -162,11 +162,11 @@ impl<'s> Orchestrator<'s> {
             return Ok(outcome);
         }
 
-        // Measure against the *currently serving* model — a copy, so no
-        // detector guard is held across `drift::checkpoint` (a prediction
-        // per distinct row of the fresh window).
-        let serving_model = self.server.serving_model();
-        let (observations, decision) = drift::checkpoint(&serving_model, fresh, releases)?;
+        // Measure against the *currently serving* model. Holding its
+        // detector holds no lock, so a publish during `drift::checkpoint`
+        // (a prediction per distinct row of the fresh window) goes ahead.
+        let serving = self.server.serving_detector();
+        let (observations, decision) = drift::checkpoint(serving.model(), fresh, releases)?;
         obs.counter(metric_names::DRIFT_EVALUATIONS)
             .add(observations.len() as u64);
 
@@ -182,7 +182,7 @@ impl<'s> Orchestrator<'s> {
         // slot: if a concurrent swap landed mid-checkpoint, retraining
         // against the schema that produced `decision` stays coherent.
         let retrain_span = obs.span(metric_names::RETRAIN_MICROS);
-        let feature_set = serving_model.feature_set().clone();
+        let feature_set = serving.model().feature_set().clone();
         let fitted = TrainedModel::fit_observed(
             feature_set,
             fresh,
@@ -218,8 +218,8 @@ impl<'s> Orchestrator<'s> {
             return Ok(outcome);
         }
 
-        let serving_model = self.server.serving_model();
-        let (observations, decision) = stream.checkpoint(&serving_model, releases)?;
+        let serving = self.server.serving_detector();
+        let (observations, decision) = stream.checkpoint(serving.model(), releases)?;
         obs.counter(metric_names::DRIFT_EVALUATIONS)
             .add(observations.len() as u64);
 
@@ -232,9 +232,11 @@ impl<'s> Orchestrator<'s> {
         // absorb it into a warm-started candidate. The refit records its
         // stage timings (`retrain.stage.*`) into the server's registry.
         let retrain_span = obs.span(metric_names::RETRAIN_MICROS);
-        let fitted = stream
-            .training_window()
-            .and_then(|fresh| serving_model.refit_observed(&fresh, self.config.refit_epochs, &obs));
+        let fitted = stream.training_window().and_then(|fresh| {
+            serving
+                .model()
+                .refit_observed(&fresh, self.config.refit_epochs, &obs)
+        });
         let outcome = self.finish_retrain(retrain_span, fitted, triggers)?;
         if matches!(
             outcome,

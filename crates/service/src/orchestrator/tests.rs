@@ -85,59 +85,49 @@ fn stable_checkpoint_keeps_the_model() {
     server.shutdown();
 }
 
-/// Regression for the POLY-L002 dogfooding fix: `checkpoint` must
-/// release the detector-slot read guard before the drift measurement
-/// runs (it clones the model out), so a writer — `swap_detector` —
-/// can take the slot while a measurement is in flight. Before the
-/// fix, the guard spanned the whole measurement and every
-/// `try_write` below would fail until the checkpoint finished.
+/// A checkpoint measures against the detector it took from the server,
+/// and holding that detector holds no lock: with it held, a publish
+/// returns, the version and the cache epoch advance, and the held
+/// detector still answers with the model it was taken from.
 #[test]
-fn checkpoint_releases_the_detector_slot_before_measuring() {
-    use std::sync::atomic::{AtomicBool, Ordering};
+fn a_held_serving_detector_does_not_hold_back_a_publish() {
+    use crate::server::{start_risk_server_with, RiskServerConfig};
 
-    let server = start_risk_server("127.0.0.1:0", Detector::new(serving_model())).unwrap();
-    let mut orch = Orchestrator::new(&server, temp_registry("guard-scope"), config());
-    // A large stable window: the measurement runs long enough for
-    // the main thread to probe the slot, and Stable means no swap
-    // interferes with the probe.
-    let mut fresh = training(0.0);
-    for j in 0..20_000 {
-        fresh
-            .push(
-                vec![10.0 + (j % 3) as f64 * 0.05, 10.0],
-                ua(Vendor::Chrome, 111),
-            )
-            .unwrap();
-    }
-    let checkpoints = server.registry().counter(metric_names::CHECKPOINTS);
-    let done = AtomicBool::new(false);
-    let acquired_mid_checkpoint = std::thread::scope(|scope| {
-        scope.spawn(|| {
-            let outcome = orch.checkpoint(&fresh, &[ua(Vendor::Chrome, 111)]).unwrap();
-            assert!(matches!(outcome, RetrainOutcome::Stable { .. }));
-            done.store(true, Ordering::SeqCst);
-        });
-        // Wait for the checkpoint to begin …
-        while checkpoints.get() == 0 && !done.load(Ordering::SeqCst) {
-            std::thread::yield_now();
-        }
-        // … then take a write lock on the slot mid-measurement.
-        let slot = server.detector_slot();
-        let mut acquired = false;
-        while !done.load(Ordering::SeqCst) {
-            if let Some(guard) = slot.try_write() {
-                drop(guard);
-                acquired = true;
-                break;
-            }
-            std::thread::yield_now();
-        }
-        acquired
-    });
+    let cached = RiskServerConfig {
+        cache_capacity: 64,
+        ..RiskServerConfig::default()
+    };
+    let server =
+        start_risk_server_with("127.0.0.1:0", Detector::new(serving_model()), cached).unwrap();
+    let held = server.serving_detector();
+    assert_eq!(
+        (server.active_model_version(), server.cache_epoch()),
+        (0, Some(0))
+    );
+
+    // The republished model puts Chrome 100's era at (20,20), so (0,0)
+    // falls in Chrome 110's cluster.
+    let fs = FeatureSet::table8().subset(&[0, 1]);
+    let moved = TrainedModel::fit(fs, &training(20.0), config().train).unwrap();
+    server.publish_model_versioned(moved, 1);
+
+    assert_eq!(
+        (server.active_model_version(), server.cache_epoch()),
+        (1, Some(1))
+    );
+    let chrome_100_at_origin = |detector: &Detector| {
+        detector
+            .assess(&[0.0, 0.0], ua(Vendor::Chrome, 100))
+            .unwrap()
+            .flagged
+    };
     assert!(
-        acquired_mid_checkpoint,
-        "a writer must be able to take the detector slot while a drift \
-         measurement is running"
+        !chrome_100_at_origin(&held),
+        "the held detector answers with the model it was taken from"
+    );
+    assert!(
+        chrome_100_at_origin(&server.serving_detector()),
+        "the server answers with the published one"
     );
     server.shutdown();
 }
@@ -204,7 +194,8 @@ fn drift_triggers_retrain_publish_and_swap() {
         .cluster_of(ua(Vendor::Chrome, 111))
         .is_some());
     // And the serving detector now accepts the new shape.
-    let verdict = Detector::new(server.serving_model())
+    let verdict = server
+        .serving_detector()
         .assess(&[-0.5, -0.5], ua(Vendor::Chrome, 111))
         .unwrap();
     assert!(!verdict.flagged, "after the swap the new shape is known");
@@ -261,7 +252,8 @@ fn corrupt_window_falls_back_to_last_good_registry_model() {
     assert_eq!(server.active_model_version(), 1);
     // The serving detector is the registry model, not a half-trained
     // candidate: known shapes still assess cleanly.
-    let verdict = Detector::new(server.serving_model())
+    let verdict = server
+        .serving_detector()
         .assess(&[0.0, 0.0], ua(Vendor::Chrome, 100))
         .unwrap();
     assert!(!verdict.flagged);

@@ -9,18 +9,18 @@
 //! in how they wait for bytes and how the reply buffer reaches the
 //! socket.
 //!
-//! This is the only file that calls the detector under its read guard
-//! (twice: the batch's one `assess_many`, `assess_frame`'s one `assess`)
-//! — the bounded-batch design `lint.toml` audits as its POLY-L002 allow.
+//! A batch with misses loads the serving snapshot once and assesses
+//! holding no lock; `assess_frame`, the one-frame door, assesses under
+//! its caller's read guard.
 
 use super::decode::{decode_session, verdict_from_assessment, UaMemo};
 use super::handle::ConnContext;
 use super::metrics::{metric_names, LocalCounters, ServerMetrics};
+use super::serving::ShadowScorer;
 use crate::framing::{FrameAccumulator, FrameStatus};
 use crate::proto::{encode_stats_response, Verdict, VerdictStatus};
 use browser_engine::UserAgent;
 use fingerprint::is_stats_request;
-use parking_lot::RwLock;
 use polygraph_core::detect::verdicts_agree;
 use polygraph_core::{Assessment, Detector, PolygraphError};
 use polygraph_obs::{Registry, Span};
@@ -28,10 +28,10 @@ use std::io::{self, Read};
 use std::net::TcpStream;
 use std::sync::Arc;
 
-/// Frames a connection worker may assess under a single read-guard
-/// acquisition. Bounds both verdict latency for the frames at the back of
-/// a drained batch and how long a pending model swap can be starved by
-/// one busy connection.
+/// Frames a connection worker answers per batch, from one load of the
+/// serving snapshot. Bounds verdict latency for the frames at the back
+/// of a drained batch, and how many frames a busy connection answers
+/// with a model that a publish has already replaced.
 pub const MAX_BATCH_PER_GUARD: usize = 32;
 
 /// One `read` of at most 4 KiB off `stream` into `acc`, charged to
@@ -92,8 +92,9 @@ pub(super) fn read_buffered(
 /// `n`. The price is that the first batch's verdicts wait for the last
 /// batch's: at most `1 + shed_limit / 32` cycles (a backlog larger than
 /// one batch plus the shed limit is shed down inside its first cycle),
-/// which is what the reactor always did. The detector guard is still taken once per batch, so a
-/// pending swap waits for one batch, never for the backlog.
+/// which is what the reactor always did. The snapshot is still loaded once
+/// per batch, so a publish reaches the next batch, not the end of the
+/// backlog.
 pub(super) fn drive_buffered(
     acc: &mut FrameAccumulator,
     scratch: &mut ConnScratch,
@@ -192,7 +193,7 @@ impl ConnScratch {
 /// The assess–reply–shed cycle both backends run while at least one
 /// complete frame (or an oversize header) is buffered. Walks one batch
 /// off `acc` — borrowed, no frame is copied — answers it (cache lookups,
-/// then one detector read guard for the misses, replies in frame order),
+/// then one snapshot load for the misses, replies in frame order),
 /// sheds any backlog beyond the shed limit, and appends the closing
 /// malformed verdict when parsing stopped at an oversize header, all
 /// onto the end of `out`. Returns whether it did: after flushing `out`
@@ -251,43 +252,40 @@ fn process_buffered(
         }
     }
 
-    // Detector phase: one read guard for whatever the cache could not
-    // answer; a model swap therefore lands between batches, never inside
-    // one.
+    // Detector phase: one snapshot load for whatever the cache could not
+    // answer, so one model answers the whole batch.
     if !misses.is_empty() {
         let span = Span::on(
             Arc::clone(&metrics.batch_micros),
             Arc::clone(metrics.registry().clock()),
         );
         let n_misses = misses.len();
-        // Decode the missed frames BEFORE taking the guard: frames that
-        // fail to decode never need the detector at all (they keep their
-        // `Malformed`), and the surviving sessions feed one batched
-        // dispatch, so the read guard is held for exactly one
-        // `assess_many` call per batch — on a quantized server that is
-        // one fused fixed-point pass over the whole batch.
+        // Decode the missed frames first: frames that fail to decode
+        // never need the detector at all (they keep their `Malformed`),
+        // and the surviving sessions feed one `assess_many` call per
+        // batch — on a quantized server one fused fixed-point pass over
+        // the whole batch.
         misses.retain(|&(_, _, f)| {
             let decoded = scratch.decode_miss(f);
             local.malformed += u64::from(!decoded);
             decoded
         });
         let sessions = scratch.sessions();
-        // The insert epoch is read BEFORE the detector guard is taken: if
-        // a swap lands in between, these verdicts are tagged with the
-        // pre-swap epoch and harmlessly miss forever — a stale verdict
-        // can never be served at the new epoch (see
-        // `RiskServerHandle::swap_detector`).
-        let insert_epoch = cache.map(|c| c.cache.epoch());
-        let assessments = {
-            let guard = ctx.detector.read();
-            guard.assess_many(sessions)
-        };
-        shadow_compare(ctx, sessions, &assessments);
+        // A verdict's cache tag and its model come from one load: the
+        // batch assesses, shadow-compares and caches at the epoch
+        // published with the detector that answers it. If a publish
+        // lands meanwhile, these verdicts carry the old epoch and
+        // harmlessly miss forever.
+        let serving = ctx.serving.load();
+        let assessments = serving.detector.assess_many(sessions);
+        if let Some(shadow) = &serving.shadow {
+            shadow_compare(shadow, sessions, &assessments);
+        }
         // `assess_many` returns one result per session, in order.
         for ((at, key, _), result) in misses.into_iter().zip(assessments) {
             let v = verdict_from_assessment(result, &mut local);
-            if let (Some(cache), Some(epoch), Some(key)) = (cache, insert_epoch, key) {
-                local.evictions += u64::from(cache.store(key, epoch, v));
+            if let (Some(cache), Some(key)) = (cache, key) {
+                local.evictions += u64::from(cache.store(key, serving.epoch, v));
             }
             if let Some(reply) = scratch.replies.get_mut(at) {
                 *reply = Reply::Verdict(v);
@@ -316,16 +314,15 @@ fn process_buffered(
 
     // Overload shedding: complete frames still queued beyond the shed
     // threshold after this batch are answered *now* with `Degraded` —
-    // no assessment, no detector lock — instead of waiting behind
-    // future batches. The risk verdict is one signal in a risk-based
-    // authentication flow; under overload a fast "could not assess"
-    // beats an unbounded queue. `STATS` frames in the backlog are
-    // still answered, each with a snapshot of its own (they are cheap
-    // and lock nothing) that holds every backlog frame before it. A
-    // backlog frame the verdict cache can answer is served from cache —
-    // also detector-free, so it respects the shedding contract — while
-    // a cache-missed shed frame is never assessed and therefore never
-    // cached.
+    // no assessment — instead of waiting behind future batches. The
+    // risk verdict is one signal in a risk-based authentication flow;
+    // under overload a fast "could not assess" beats an unbounded
+    // queue. `STATS` frames in the backlog are still answered, each with
+    // a snapshot of its own (they are cheap) that holds every backlog
+    // frame before it. A backlog frame the verdict cache can answer is
+    // served from cache — also detector-free, so it respects the
+    // shedding contract — while a cache-missed shed frame is never
+    // assessed and therefore never cached.
     if !oversize && acc.ready_frames() > ctx.shed_limit {
         let answered = out.len();
         let mut backlog = acc.frames(usize::MAX);
@@ -358,22 +355,16 @@ fn process_buffered(
 }
 
 /// Double-scores one batch's decoded sessions against the shadow
-/// candidate, if one is attached. The slot guard is released before the
-/// candidate assesses (the detector handle is cloned out), so shadow
-/// scoring never holds a lock and can never extend a pending model
-/// swap's wait. Shadow verdicts are discarded after comparison — only
-/// the agreement counters survive.
+/// candidate of the snapshot that assessed them. Shadow verdicts are
+/// discarded after comparison — only the agreement counters survive.
 fn shadow_compare(
-    ctx: &ConnContext,
+    scorer: &ShadowScorer,
     sessions: &[(Vec<f64>, UserAgent)],
     live: &[Result<Assessment, PolygraphError>],
 ) {
     if sessions.is_empty() {
         return;
     }
-    let Some(scorer) = ctx.shadow.read().clone() else {
-        return;
-    };
     let shadow = scorer.detector.assess_many(sessions);
     let disagreements = live
         .iter()
@@ -390,7 +381,16 @@ fn shadow_compare(
 /// — the single-frame form of the TCP path, for in-process callers (the
 /// CLI). Takes the detector lock for the one assessment and charges the
 /// counters in `registry`; the TCP path amortises both over whole batches.
-pub fn assess_frame(frame: &[u8], detector: &RwLock<Detector>, registry: &Registry) -> Verdict {
+#[expect(
+    clippy::disallowed_types,
+    reason = "the one-frame door's detector comes behind its caller's lock; the read guard \
+              spans one pure-CPU `assess`, never I/O"
+)]
+pub fn assess_frame(
+    frame: &[u8],
+    detector: &parking_lot::RwLock<Detector>,
+    registry: &Registry,
+) -> Verdict {
     let mut local = LocalCounters::default();
     let mut values = Vec::new();
     let verdict = match decode_session(frame, |ua| ua.parse().ok(), &mut values) {
@@ -422,6 +422,7 @@ pub fn assess_frame(frame: &[u8], detector: &RwLock<Detector>, registry: &Regist
 mod tests {
     use super::*;
     use crate::server::cache::CacheLayer;
+    use crate::server::serving::ServingSlot;
     use crate::server::test_support::{frame_for, tiny_detector};
     use browser_engine::Vendor;
     use fingerprint::{encode_submission, Submission};
@@ -430,7 +431,7 @@ mod tests {
 
     #[test]
     fn assess_frame_honest_and_lying() {
-        let detector = RwLock::new(tiny_detector());
+        let detector = tiny_detector().into();
         let registry = Registry::monotonic();
 
         let honest = frame_for(vec![10, 10], UserAgent::new(Vendor::Chrome, 100));
@@ -448,7 +449,7 @@ mod tests {
 
     #[test]
     fn assess_frame_rejects_garbage_and_bad_ua() {
-        let detector = RwLock::new(tiny_detector());
+        let detector = tiny_detector().into();
         let registry = Registry::monotonic();
         let v = assess_frame(&[1, 2, 3], &detector, &registry);
         assert_eq!(v.status, VerdictStatus::Malformed);
@@ -466,7 +467,7 @@ mod tests {
 
     #[test]
     fn assess_frame_schema_mismatch() {
-        let detector = RwLock::new(tiny_detector());
+        let detector = tiny_detector().into();
         let registry = Registry::monotonic();
         let frame = frame_for(vec![1, 2, 3, 4], UserAgent::new(Vendor::Chrome, 100));
         let v = assess_frame(&frame, &detector, &registry);
@@ -480,10 +481,9 @@ mod tests {
         let cache =
             (cache_capacity > 0).then(|| Arc::new(CacheLayer::new(&registry, 8, cache_capacity)));
         ConnContext {
-            detector: Arc::new(RwLock::new(tiny_detector())),
+            serving: Arc::new(ServingSlot::boot(tiny_detector())),
             metrics: Arc::new(ServerMetrics::new(registry)),
             cache,
-            shadow: Arc::new(RwLock::new(None)),
             stop: Arc::new(AtomicBool::new(false)),
             read_timeout: Duration::from_secs(5),
             shed_limit,
@@ -753,6 +753,7 @@ mod tests {
         ];
 
         let ctx = socketless_context(64, usize::MAX);
+        let oracle = tiny_detector().into();
         let reference = Registry::monotonic();
         let mut scratch = ConnScratch::default();
         let mut acc = FrameAccumulator::new();
@@ -762,7 +763,7 @@ mod tests {
             assert!(!drive_buffered(&mut acc, &mut scratch, &ctx, &mut out));
             let want: Vec<u8> = bodies
                 .iter()
-                .flat_map(|f| assess_frame(f, &ctx.detector, &reference).encode())
+                .flat_map(|f| assess_frame(f, &oracle, &reference).encode())
                 .collect();
             assert_eq!(out.len(), bodies.len() * VERDICT_LEN);
             assert_eq!(out, want);

@@ -71,7 +71,7 @@ impl CacheLayer {
     }
 
     /// Shed-path lookup: a backlog frame the cache can answer is served
-    /// (hit + shed-exempt) with no detector lock — consistent with the
+    /// (hit + shed-exempt) without assessing — consistent with the
     /// shedding contract, which only promises not to *queue*. A frame
     /// the cache cannot answer charges nothing here; the caller answers
     /// `Degraded` and charges `server.frames.shed`.
@@ -87,7 +87,7 @@ impl CacheLayer {
     }
 
     /// Caches an assessed verdict under the key its lookup returned and
-    /// the epoch read *before* the detector guard was taken. Error
+    /// the epoch of the serving snapshot that assessed it. Error
     /// verdicts are never cached — a malformed frame must stay
     /// malformed-on-arrival, and a shed frame is never cached at all (it
     /// is never assessed). Returns whether the insert evicted an entry,

@@ -44,8 +44,8 @@ pub struct RiskServerConfig {
     pub clock: Arc<dyn Clock>,
     /// Overload-shedding threshold: after a batch is taken, any complete
     /// frames still queued beyond this count are answered immediately
-    /// with a [`crate::proto::VerdictStatus::Degraded`] verdict (no assessment, no
-    /// detector lock) instead of queueing unboundedly. Each guard cycle
+    /// with a [`crate::proto::VerdictStatus::Degraded`] verdict (no
+    /// assessment) instead of queueing unboundedly. Each batch cycle
     /// still assesses up to [`MAX_BATCH_PER_GUARD`] frames normally, so a
     /// flooding connection keeps bounded goodput while its backlog drains
     /// in constant time.

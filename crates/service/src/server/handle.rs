@@ -1,20 +1,20 @@
 //! The running server: [`RiskServerHandle`] (stats, the versioned
-//! publish that is the only door into the serving slot, the shadow
-//! slot, shutdown), the context every connection shares, and
+//! publish that is the only door into the serving slot, shadow attach
+//! and detach, shutdown), the context every connection shares, and
 //! [`start_risk_server_with`], which binds the listener and spawns the
 //! chosen connection core.
 
 use super::cache::CacheLayer;
 use super::config::{RiskServerConfig, ServerBackend};
 use super::metrics::{RiskServerStats, ServerMetrics};
+use super::serving::{Serving, ServingSlot, ShadowScorer};
 use super::shard::{reactor_shard_loop, ShardCounters};
 use super::threaded::acceptor_loop;
-use parking_lot::RwLock;
 use polygraph_core::{Detector, TrainedModel};
-use polygraph_obs::{Counter, Registry, Snapshot};
+use polygraph_obs::{Registry, Snapshot};
 use std::io;
 use std::net::{SocketAddr, TcpListener};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread;
 use std::time::Duration;
@@ -23,22 +23,14 @@ use std::time::Duration;
 pub struct RiskServerHandle {
     addr: SocketAddr,
     stop: Arc<AtomicBool>,
-    detector: Arc<RwLock<Detector>>,
     metrics: Arc<ServerMetrics>,
     cache: Option<Arc<CacheLayer>>,
-    /// The shadow-candidate slot shared with every connection worker;
-    /// `None` (the common case) costs one uncontended read-guard check
-    /// per batch.
-    shadow: Arc<RwLock<Option<ShadowScorer>>>,
+    /// What serves — detector, version, cache epoch, shadow — shared
+    /// with every connection worker.
+    serving: Arc<ServingSlot>,
     /// Whether published models are compiled onto the quantized fast
     /// path ([`RiskServerConfig::quantized`]).
     quantized: bool,
-    /// Registry version of the serving model; `0` while the server still
-    /// serves its boot detector (no versioned publish yet). Stored after
-    /// the swap, so a reader observing version `v` is guaranteed the
-    /// serving detector is at least `v` — fleet rollout relies on this
-    /// to prove a node has (or has not) been reached.
-    model_version: Arc<AtomicU64>,
     /// The acceptor thread (threaded backend) or the shard scan-loop
     /// threads (reactor backend).
     workers: Vec<thread::JoinHandle<()>>,
@@ -82,59 +74,42 @@ impl RiskServerHandle {
         self.metrics.registry().snapshot()
     }
 
-    /// The serving detector slot, for unit tests that probe the lock. Not
-    /// a way to swap: a write through it would skip the epoch bump.
-    #[cfg(test)]
-    pub(crate) fn detector_slot(&self) -> Arc<RwLock<Detector>> {
-        Arc::clone(&self.detector)
-    }
-
-    /// A copy of the serving model, cloned out so the slot's read guard
-    /// is released before the caller measures against it: a drift
-    /// checkpoint or a rollout replay under the guard would starve
-    /// [`Self::publish_model_versioned`] and every serving writer for
-    /// its whole duration (POLY-L002).
-    pub(crate) fn serving_model(&self) -> TrainedModel {
-        self.detector.read().model().clone()
-    }
-
-    /// Atomically replaces the serving detector and invalidates the
-    /// verdict cache.
-    ///
-    /// Ordering matters: the epoch is bumped *after* the detector write
-    /// guard is released. A concurrent batch that assessed under the old
-    /// model read its insert epoch before taking the detector read guard
-    /// — i.e. before this write guard could have been acquired — so its
-    /// entries always carry a pre-bump epoch and can never be served at
-    /// the new one. The benign race (a new-model verdict tagged with the
-    /// old epoch) costs one extra miss, never a stale answer.
-    fn swap_detector(&self, detector: Detector) {
-        *self.detector.write() = detector;
-        self.metrics.swaps.inc();
-        if let Some(cache) = &self.cache {
-            cache.cache.bump_epoch();
-        }
+    /// The serving detector. Holding it holds no lock: a drift
+    /// checkpoint or a rollout replay measures against it while
+    /// [`Self::publish_model_versioned`] goes ahead, and keeps answering
+    /// with the model it was taken from.
+    pub(crate) fn serving_detector(&self) -> Arc<Detector> {
+        Arc::clone(&self.serving.load().detector)
     }
 
     /// The one way a model reaches the serving slot: builds a detector
-    /// for `model`, swaps it in, and records the registry `version` it
-    /// was published under. In-flight assessments finish on the old
-    /// model; the next frame uses the new one. With the verdict cache
-    /// enabled the swap also invalidates every cached verdict by bumping
-    /// the model epoch — O(1), no shard draining; stale entries lazily
-    /// miss.
+    /// for `model` and publishes it under the registry `version`, in one
+    /// snapshot with the shadow candidate it leaves in place and, with
+    /// the verdict cache enabled, a freshly bumped cache epoch — O(1),
+    /// no shard draining; every cached verdict of the old model lazily
+    /// misses. In-flight batches finish on the snapshot they loaded (and
+    /// cache at its epoch, which is now stale); the next batch uses the
+    /// new one. When this returns, `active_model_version() == version`
+    /// and the new detector serves, which fleet rollout relies on.
     ///
     /// This is also the quantize-at-publish step: on a
     /// [`RiskServerConfig::quantized`] server the detector is compiled
     /// onto the fused fixed-point path first — best-effort, because a
     /// retrained model the compiler rejects must still replace the old
     /// one; it then serves on the staged path, which answers identically
-    /// (just slower). The version is stored *after* the swap: observing
-    /// `active_model_version() == v` proves the serving detector is at
-    /// least version `v`, which fleet rollout relies on.
+    /// (just slower).
     pub fn publish_model_versioned(&self, model: TrainedModel, version: u64) {
-        self.swap_detector(self.prepare_detector(model));
-        self.model_version.store(version, Ordering::SeqCst);
+        let detector = Arc::new(self.prepare_detector(model));
+        self.serving.publish(|now| Serving {
+            detector,
+            version,
+            epoch: self
+                .cache
+                .as_ref()
+                .map_or(now.epoch, |c| c.cache.bump_epoch()),
+            shadow: now.shadow.clone(),
+        });
+        self.metrics.swaps.inc();
     }
 
     /// A detector for `model`, compiled onto the quantized fast path on a
@@ -148,11 +123,10 @@ impl RiskServerHandle {
         detector
     }
 
-    /// The registry version stored by the last
-    /// [`Self::publish_model_versioned`], or `0` while the server still
-    /// serves its boot detector.
+    /// The registry version of the serving detector, or `0` while the
+    /// server still serves its boot detector.
     pub fn active_model_version(&self) -> u64 {
-        self.model_version.load(Ordering::SeqCst)
+        self.serving.load().version
     }
 
     /// Attaches `model` as a shadow candidate on the live serve path.
@@ -172,7 +146,10 @@ impl RiskServerHandle {
             compared: registry.counter(crate::orchestrator::metric_names::SHADOW_COMPARED),
             diverged: registry.counter(crate::orchestrator::metric_names::SHADOW_DIVERGED),
         };
-        *self.shadow.write() = Some(scorer);
+        self.serving.publish(|now| Serving {
+            shadow: Some(scorer),
+            ..now.clone()
+        });
     }
 
     /// Detaches the shadow candidate, if any; double-scoring stops with
@@ -180,19 +157,23 @@ impl RiskServerHandle {
     /// their totals — callers track a candidate's window by delta from
     /// the values read at attach time.
     pub fn detach_shadow(&self) {
-        *self.shadow.write() = None;
+        self.serving.publish(|now| Serving {
+            shadow: None,
+            ..now.clone()
+        });
     }
 
     /// Whether a shadow candidate is currently attached.
     pub fn shadow_attached(&self) -> bool {
-        self.shadow.read().is_some()
+        self.serving.load().shadow.is_some()
     }
 
     /// Cumulative `(compared, diverged)` shadow counters, or `None`
     /// when no candidate is attached.
     pub fn shadow_counts(&self) -> Option<(u64, u64)> {
-        self.shadow
-            .read()
+        self.serving
+            .load()
+            .shadow
             .as_ref()
             .map(|s| (s.compared.get(), s.diverged.get()))
     }
@@ -210,31 +191,12 @@ impl RiskServerHandle {
     }
 }
 
-/// A retrain candidate riding the live serve path. The candidate
-/// assesses the same decoded sessions as the serving detector; its
-/// verdicts are compared and then discarded — a shadow verdict never
-/// reaches the wire. Both counters are resolved at attach time, so a
-/// server that never shadows registers nothing and its metrics
-/// exposition is byte-identical to a build without this feature.
-#[derive(Clone)]
-pub(super) struct ShadowScorer {
-    /// Behind an `Arc` so the batch path can clone the scorer out of
-    /// the slot and assess with no lock held.
-    pub(super) detector: Arc<Detector>,
-    /// `orchestrator.shadow.compared` — sessions double-scored.
-    pub(super) compared: Arc<Counter>,
-    /// `orchestrator.shadow.diverged` — double-scored sessions where
-    /// the candidate disagreed with the serving verdict.
-    pub(super) diverged: Arc<Counter>,
-}
-
 /// Everything a connection worker needs, cloned per accept.
 #[derive(Clone)]
 pub(super) struct ConnContext {
-    pub(super) detector: Arc<RwLock<Detector>>,
+    pub(super) serving: Arc<ServingSlot>,
     pub(super) metrics: Arc<ServerMetrics>,
     pub(super) cache: Option<Arc<CacheLayer>>,
-    pub(super) shadow: Arc<RwLock<Option<ShadowScorer>>>,
     pub(super) stop: Arc<AtomicBool>,
     pub(super) read_timeout: Duration,
     pub(super) shed_limit: usize,
@@ -267,7 +229,7 @@ pub fn start_risk_server_with(
             .map_err(|e| io::Error::new(io::ErrorKind::InvalidInput, e.to_string()))?;
     }
     let stop = Arc::new(AtomicBool::new(false));
-    let detector = Arc::new(RwLock::new(detector));
+    let serving = Arc::new(ServingSlot::boot(detector));
     let registry = Arc::new(Registry::new(Arc::clone(&config.clock)));
     let cache = (config.cache_capacity > 0).then(|| {
         Arc::new(CacheLayer::new(
@@ -277,13 +239,11 @@ pub fn start_risk_server_with(
         ))
     });
     let metrics = Arc::new(ServerMetrics::new(registry));
-    let shadow: Arc<RwLock<Option<ShadowScorer>>> = Arc::new(RwLock::new(None));
 
     let ctx = ConnContext {
-        detector: Arc::clone(&detector),
+        serving: Arc::clone(&serving),
         metrics: Arc::clone(&metrics),
         cache: cache.clone(),
-        shadow: Arc::clone(&shadow),
         stop: Arc::clone(&stop),
         read_timeout: config.read_timeout,
         shed_limit: config.shed_limit,
@@ -310,12 +270,10 @@ pub fn start_risk_server_with(
     Ok(RiskServerHandle {
         addr: local,
         stop,
-        detector,
         metrics,
         cache,
-        shadow,
+        serving,
         quantized: config.quantized,
-        model_version: Arc::new(AtomicU64::new(0)),
         workers,
     })
 }
@@ -466,9 +424,56 @@ mod tests {
             "model B: (0,0) is Firefox territory"
         );
         assert_eq!(server.stats().swaps, 1);
-        assert!(server.detector_slot().read().is_quantized());
+        assert!(server.serving_detector().is_quantized());
         assert_eq!(server.cache_epoch(), Some(1));
         assert_eq!(server.active_model_version(), 7);
         server.shutdown();
+    }
+
+    /// A publish and a shadow attach or detach, racing from two threads,
+    /// never lose each other's change: each writer builds the next
+    /// snapshot from the one it replaces, under the slot's write lock.
+    /// The last publish waits for the last attach, so the final snapshot
+    /// must carry both the last version and the attached shadow.
+    #[test]
+    fn concurrent_writers_keep_each_others_change() {
+        const ROUNDS: u64 = 40;
+        let cached = RiskServerConfig {
+            cache_capacity: 64,
+            ..RiskServerConfig::default()
+        };
+        let handle = start_risk_server_with("127.0.0.1:0", tiny_detector(), cached).unwrap();
+        let server = &handle;
+        let model = &tiny_detector().model().clone();
+        let (attached, last_attach) = std::sync::mpsc::channel();
+        thread::scope(|scope| {
+            scope.spawn(move || {
+                for version in 1..=ROUNDS {
+                    if version == ROUNDS {
+                        last_attach.recv().unwrap();
+                    }
+                    server.publish_model_versioned(model.clone(), version);
+                    assert!(
+                        server.active_model_version() >= version,
+                        "a publish was lost"
+                    );
+                }
+            });
+            scope.spawn(move || {
+                for _ in 0..ROUNDS {
+                    server.detach_shadow();
+                    server.attach_shadow(model.clone());
+                    assert!(server.shadow_attached(), "an attach was lost");
+                }
+                attached.send(()).unwrap();
+            });
+        });
+        let last = server.serving.load();
+        assert_eq!(last.version, ROUNDS);
+        assert!(last.shadow.is_some(), "the last publish dropped the shadow");
+        assert_eq!(server.cache_epoch(), Some(ROUNDS));
+        assert_eq!(Some(last.epoch), server.cache_epoch());
+        assert_eq!(server.stats().swaps, ROUNDS);
+        handle.shutdown();
     }
 }

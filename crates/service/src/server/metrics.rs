@@ -20,7 +20,7 @@ pub mod metric_names {
     pub const MALFORMED: &str = "server.frames.malformed";
     /// Detector swaps performed (counter).
     pub const SWAPS: &str = "server.swaps";
-    /// Detector read-guard acquisitions taken to assess frames (counter).
+    /// Batches assessed, one serving-snapshot load each (counter).
     pub const BATCHES: &str = "server.batches";
     /// Per-batch assessment latency in µs (histogram).
     pub const BATCH_MICROS: &str = "server.assess.batch_micros";
@@ -93,9 +93,9 @@ pub struct RiskServerStats {
     pub malformed: u64,
     /// Detector swaps performed.
     pub swaps: u64,
-    /// Detector read-guard acquisitions taken to assess frames. With
-    /// pipelined clients this grows slower than `assessed`: each batch of
-    /// up to [`super::MAX_BATCH_PER_GUARD`] queued frames shares one acquisition.
+    /// Batches assessed, one serving-snapshot load each. With pipelined
+    /// clients this grows slower than `assessed`: each batch of up to
+    /// [`super::MAX_BATCH_PER_GUARD`] queued frames shares one load.
     pub batches: u64,
     /// Read-timeout ticks survived by idle keep-alive clients.
     pub idle_timeouts: u64,

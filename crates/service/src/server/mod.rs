@@ -2,11 +2,12 @@
 //!
 //! Each connection streams length-prefixed fingerprint submission frames
 //! (the same format the collection service accepts) and receives one
-//! fixed-size [`crate::proto::Verdict`] per frame. The serving detector
-//! sits behind an `Arc<RwLock<…>>` so the [`crate::orchestrator`] can
-//! swap in a retrained model without interrupting traffic — the paper's
-//! "ongoing system enhancements … minimises delays during user
-//! interaction" property (§6.5).
+//! fixed-size [`crate::proto::Verdict`] per frame. What serves — the
+//! detector, its registry version, the verdict-cache epoch and the shadow
+//! candidate — is one immutable snapshot that a publish replaces whole,
+//! so the [`crate::orchestrator`] can swap in a retrained model without
+//! interrupting traffic — the paper's "ongoing system enhancements …
+//! minimises delays during user interaction" property (§6.5).
 //!
 //! ## Layout
 //!
@@ -17,15 +18,18 @@
 //! * `metrics` — the [`metric_names`] catalogue, the resolved
 //!   [`ServerMetrics`] handles and the [`RiskServerStats`] they read into.
 //! * `cache` — the verdict cache with its counters.
-//! * `handle` — [`RiskServerHandle`] (versioned publish, shadow slot,
-//!   stats, shutdown) and [`start_risk_server_with`].
+//! * `serving` — the serving snapshot and the slot it is published
+//!   through: `load` for readers, a serialised `publish` for writers. The
+//!   only file that names a lock the serve path takes.
+//! * `handle` — [`RiskServerHandle`] (versioned publish, shadow attach
+//!   and detach, stats, shutdown) and [`start_risk_server_with`].
 //! * `batch` — the path both cores share: the non-blocking read loop, the
 //!   drive loop that answers everything buffered (`drive_buffered`: one
 //!   assess–reply–shed cycle per ≤ 32-frame batch), the scratch a
 //!   connection refills batch after batch (`ConnScratch`: session rows,
 //!   reply list, user-agent memo), the shadow comparison, and
-//!   [`assess_frame`]. The only file that assesses under the detector
-//!   read guard, and so the only one `lint.toml` exempts from POLY-L002.
+//!   [`assess_frame`]. A batch with misses loads the snapshot once and
+//!   assesses holding no lock.
 //! * `decode` — frame → session (into a row the caller reuses, with the
 //!   per-connection user-agent memo) and assessment → wire verdict.
 //! * `threaded` / `shard` — the two connection cores.
@@ -84,7 +88,7 @@
 //! ## Overload shedding
 //!
 //! A connection may pipeline more frames than the detector can assess
-//! promptly. Instead of queueing unboundedly, each guard cycle assesses
+//! promptly. Instead of queueing unboundedly, each batch cycle assesses
 //! up to [`MAX_BATCH_PER_GUARD`] frames and then answers any backlog
 //! beyond [`RiskServerConfig::shed_limit`] immediately with
 //! [`crate::proto::VerdictStatus::Degraded`] (`server.frames.shed`) —
@@ -97,6 +101,7 @@ mod config;
 mod decode;
 mod handle;
 mod metrics;
+mod serving;
 mod shard;
 mod threaded;
 

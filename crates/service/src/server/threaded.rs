@@ -145,8 +145,8 @@ mod tests {
     #[test]
     fn pipelined_frames_drain_in_batches() {
         // Write many frames before reading a single verdict: the server
-        // should answer all of them, in order, using far fewer guard
-        // acquisitions than frames.
+        // should answer all of them, in order, in far fewer batches than
+        // frames.
         let server = start_risk_server("127.0.0.1:0", tiny_detector()).unwrap();
         let mut stream = TcpStream::connect(server.local_addr()).unwrap();
         stream.set_nodelay(true).unwrap();
@@ -304,7 +304,7 @@ mod tests {
         }
         assert_eq!(assessed + degraded, total);
         assert!(degraded > 0, "a 400-frame burst at shed_limit 0 must shed");
-        assert!(assessed > 0, "each guard cycle still assesses a batch");
+        assert!(assessed > 0, "each batch cycle still assesses a batch");
 
         drop(stream);
         thread::sleep(Duration::from_millis(20));

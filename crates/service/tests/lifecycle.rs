@@ -383,6 +383,10 @@ fn oversize_header_answers_preceding_frames_then_closes_cleanly() {
 /// snapshot sees every frame that preceded it and balanced cache books;
 /// and the final counters reconcile with the bytes on the wire.
 #[test]
+#[expect(
+    clippy::disallowed_types,
+    reason = "`assess_frame` takes its detector behind a lock; its read guard spans one assess"
+)]
 fn pipelined_backlog_is_answered_in_order_with_balanced_books() {
     use polygraph_obs::{Registry, Snapshot};
     use polygraph_service::proto::{
