@@ -8,7 +8,6 @@ use fingerprint::FeatureSet;
 use polygraph_ml::iforest::IsolationForestConfig;
 use polygraph_ml::kmeans::minibatch::{MiniBatchConfig, MiniBatchKMeans};
 use polygraph_ml::kmeans::KMeansConfig;
-use polygraph_ml::metrics::majority_cluster_accuracy;
 use polygraph_ml::{IsolationForest, KMeans, Matrix, MlError, Pca, StandardScaler, ThreadPool};
 use polygraph_obs::Registry;
 use serde::{Deserialize, Serialize};
@@ -16,19 +15,25 @@ use std::collections::{BTreeMap, BTreeSet};
 
 /// Metric names an observed fit ([`TrainedModel::fit_observed`]) records
 /// into its registry: one span histogram per §6.4 phase plus a run
-/// counter.
+/// counter. The phases add up to the whole.
 pub mod fit_metric_names {
     /// Fits completed (counter).
     pub const RUNS: &str = "fit.runs";
-    /// Scaling phase duration in µs (histogram).
+    /// Reading the set's partition, fitting the scaler and scaling the
+    /// distinct rows, in µs (histogram).
     pub const SCALE_MICROS: &str = "fit.scale_micros";
-    /// Isolation-Forest outlier-removal phase duration in µs (histogram).
+    /// Outlier removal in µs (histogram): the Isolation-Forest build over
+    /// each tree's distinct draws, the cut (every group scored once), and
+    /// the one pass over the sessions that applies it, renumbers the kept
+    /// groups and counts the kept sessions per (group, release).
     pub const OUTLIER_MICROS: &str = "fit.outlier_micros";
-    /// PCA phase duration in µs (histogram).
+    /// PCA fit and projection of the kept distinct rows in µs (histogram).
     pub const PCA_MICROS: &str = "fit.pca_micros";
-    /// k-means phase duration in µs (histogram).
+    /// k-means fit and the nearest centroid of each kept distinct row in
+    /// µs (histogram).
     pub const KMEANS_MICROS: &str = "fit.kmeans_micros";
-    /// Cluster-table + accuracy phase duration in µs (histogram).
+    /// The majority vote over the (group, release) counts, the lab
+    /// alignments and the cluster table, in µs (histogram).
     pub const TABLE_MICROS: &str = "fit.table_micros";
     /// Whole-pipeline duration in µs (histogram).
     pub const TOTAL_MICROS: &str = "fit.total_micros";
@@ -43,7 +48,9 @@ pub mod refit_metric_names {
     pub const GROUP_MICROS: &str = "retrain.stage.group_micros";
     /// The warm-started mini-batch epochs in µs (histogram).
     pub const EPOCHS_MICROS: &str = "retrain.stage.epochs_micros";
-    /// WCSS, assignment, cluster table and accuracy in µs (histogram).
+    /// WCSS, the nearest centroid of each distinct row, the count of the
+    /// sessions per (group, release), the vote and the cluster table, in µs
+    /// (histogram).
     pub const TABLE_MICROS: &str = "retrain.stage.table_micros";
     /// Whole-refit duration in µs (histogram).
     pub const TOTAL_MICROS: &str = "retrain.stage.total_micros";
@@ -260,9 +267,11 @@ impl TrainedModel {
         // is carried through every stage, as in `refit_observed`: scaling,
         // scoring, projection and assignment run per group, and every sum
         // (scaler statistics, covariance, Lloyd's sums, the WCSS) and the
-        // k-means++ draw once per group times its count. Only the forest's
-        // subsamples draw rows. The model is the same bits as a fit on the
-        // full matrix, whose partition numbers its groups the same way.
+        // k-means++ draw once per group times its count. The forest's
+        // subsamples draw rows but build over the groups drawn, and the
+        // cluster table votes on counts per (group, release). The model is
+        // the same bits as a fit on the full matrix, whose partition numbers
+        // its groups the same way.
         //
         // 6.4.1: scale the deviation-based columns only — "the time-based
         // attributes were already in the binary format which was
@@ -288,21 +297,25 @@ impl TrainedModel {
                 seed: config.seed,
             },
         )?;
-        let outlier_idx = forest.outlier_indices_grouped(&groups, config.contamination)?;
-        let outliers_removed = outlier_idx.len();
-        let mut is_outlier = vec![false; data.len()];
-        for i in outlier_idx {
-            is_outlier[i] = true;
-        }
-        let (mut kept_uas, mut dropped_uas) = (Vec::with_capacity(data.len()), Vec::new());
-        for (&ua, &out) in data.user_agents().iter().zip(&is_outlier) {
-            if out {
-                dropped_uas.push(ua);
-            } else {
-                kept_uas.push(ua);
-            }
-        }
-        let groups = groups.filter_rows(|i| !is_outlier[i])?;
+        // One pass over the sessions applies the cut, renumbers the kept
+        // groups by first kept session and counts the kept sessions per
+        // (group, release); the dropped ones keep their release, in window
+        // order, for the vanished-release alignment.
+        let mut cut = forest.outlier_cut(&groups, config.contamination)?;
+        let user_agents = data.user_agents();
+        let mut tally = ReleaseTally::new(groups.distinct().rows());
+        let mut dropped = Vec::new();
+        let groups = groups.filter_rows_with(
+            |r, g| {
+                let out = cut.drops(g);
+                if out {
+                    dropped.push(user_agents[r]);
+                }
+                !out
+            },
+            |r, g| tally.count(user_agents[r], g),
+        )?;
+        let outliers_removed = dropped.len();
         outlier_span.finish();
 
         // 6.4.2: PCA.
@@ -321,7 +334,6 @@ impl TrainedModel {
                 .with_n_init(config.n_init),
         )?;
         let nearest = kmeans.predict(groups.distinct())?;
-        let assignments: Vec<usize> = groups.group_of().iter().map(|&g| nearest[g]).collect();
         kmeans_span.finish();
 
         // Semi-supervised table + accuracy.
@@ -331,9 +343,9 @@ impl TrainedModel {
             &scaler,
             &pca,
             &kmeans,
-            &kept_uas,
-            &dropped_uas,
-            &assignments,
+            &tally,
+            &dropped,
+            &nearest,
             &config,
         )?;
         table_span.finish();
@@ -420,15 +432,18 @@ impl TrainedModel {
         let table_span = registry.span(refit_metric_names::TABLE_MICROS);
         let kmeans = minibatch.into_kmeans_grouped(&groups)?;
         let nearest = kmeans.predict(groups.distinct())?;
-        let assignments: Vec<usize> = groups.group_of().iter().map(|&g| nearest[g]).collect();
+        let mut tally = ReleaseTally::new(groups.distinct().rows());
+        for (&g, &ua) in groups.group_of().iter().zip(data.user_agents()) {
+            tally.count(ua, g);
+        }
         let (cluster_table, train_accuracy) = build_cluster_table(
             &self.feature_set,
             &self.scaler,
             &self.pca,
             &kmeans,
-            data.user_agents(),
+            &tally,
             &[],
-            &assignments,
+            &nearest,
             &self.config,
         )?;
         table_span.finish();
@@ -581,54 +596,162 @@ fn check_window(data: &TrainingSet, width: usize, k: usize) -> Result<(), Polygr
     Ok(())
 }
 
+/// Versions below this are looked up in a table; later ones, which
+/// generated or collected traffic never claims, in an ordered map.
+const DENSE_VERSIONS: usize = 1 << 10;
+
+/// Releases numbered by first counted session, looked up with no hashing:
+/// one table slot per vendor and version. Each release keeps the value its
+/// first counted session claimed, OS included (`UserAgent` equality
+/// ignores the OS, and the lab instance is built on the value kept).
+#[derive(Debug)]
+struct ReleaseIds {
+    /// Slot `vendor × DENSE_VERSIONS + version` holds the release's id plus
+    /// one; 0 is unseen.
+    dense: Vec<usize>,
+    /// Ids of the releases at or past [`DENSE_VERSIONS`].
+    beyond: BTreeMap<UserAgent, usize>,
+    /// Release `id`, as its first counted session claimed it.
+    first: Vec<UserAgent>,
+}
+
+impl ReleaseIds {
+    fn new() -> Self {
+        Self {
+            dense: vec![0; Vendor::ALL.len() * DENSE_VERSIONS],
+            beyond: BTreeMap::new(),
+            first: Vec::new(),
+        }
+    }
+
+    /// `ua`'s slot in the dense table, if its version has one.
+    #[inline]
+    fn slot(ua: UserAgent) -> Option<usize> {
+        let version = ua.version as usize;
+        (version < DENSE_VERSIONS).then(|| ua.vendor as usize * DENSE_VERSIONS + version)
+    }
+
+    /// The id of `ua`'s release, numbering it next if it is new.
+    #[inline]
+    fn intern(&mut self, ua: UserAgent) -> usize {
+        let next = self.first.len();
+        let id = match Self::slot(ua) {
+            Some(slot) => {
+                if self.dense[slot] == 0 {
+                    self.dense[slot] = next + 1;
+                }
+                self.dense[slot] - 1
+            }
+            None => *self.beyond.entry(ua).or_insert(next),
+        };
+        if id == next {
+            self.first.push(ua);
+        }
+        id
+    }
+
+    /// Whether any session of `ua`'s release was counted.
+    fn contains(&self, ua: UserAgent) -> bool {
+        match Self::slot(ua) {
+            Some(slot) => self.dense[slot] != 0,
+            None => self.beyond.contains_key(&ua),
+        }
+    }
+}
+
+/// The sessions a fit keeps, counted per (group, release): what the
+/// cluster table's vote reads. Counting is one dense increment per
+/// session, and the vote then costs O(groups × releases), not O(sessions).
+#[derive(Debug)]
+struct ReleaseTally {
+    /// Groups of the partition counted: the stride of `counts`.
+    groups: usize,
+    releases: ReleaseIds,
+    /// `counts[id * groups + g]`: sessions of release `id` in group `g`.
+    counts: Vec<usize>,
+}
+
+impl ReleaseTally {
+    /// An empty tally over a partition of at most `groups` groups.
+    fn new(groups: usize) -> Self {
+        Self {
+            groups,
+            releases: ReleaseIds::new(),
+            counts: Vec::new(),
+        }
+    }
+
+    /// Counts one session of group `g` claiming `ua`.
+    #[inline]
+    fn count(&mut self, ua: UserAgent, g: usize) {
+        let id = self.releases.intern(ua);
+        if self.counts.len() <= id * self.groups {
+            self.counts.resize((id + 1) * self.groups, 0);
+        }
+        self.counts[id * self.groups + g] += 1;
+    }
+}
+
 /// The semi-supervised table-building tail shared by the full fit and
 /// the streaming refit: majority vote per user-agent, then the §6.4.3
 /// manual alignments — sparse user-agents predicted from a genuine lab
 /// fingerprint instead of a thin majority, and user-agents that vanished
-/// from `kept` entirely (every session dropped as an outlier) aligned
-/// from the lab instance too. `kept` is parallel to `assignments`;
-/// `dropped` holds the user-agents of the sessions the fit dropped, in
-/// window order.
+/// from the kept sessions entirely (every session dropped as an outlier)
+/// aligned from the lab instance too. `tally` counts the kept sessions per
+/// (group, release), `nearest` is each group's cluster, and `dropped`
+/// holds the user-agents of the sessions the fit dropped, in window order.
 ///
-/// The vote is [`majority_cluster_accuracy`]'s one dense pass, whose
-/// per-release totals decide what is sparse. A release keeps the value
-/// its first session claimed (`UserAgent` equality ignores the OS, and
-/// the lab instance is built on it), in `kept` or, for a vanished one,
-/// in `dropped`.
+/// A release's majority is its cluster holding the most of its sessions,
+/// the lowest on a tie; its total decides what is sparse; and the accuracy
+/// is the share of kept sessions in their release's majority — the
+/// paper's Formula 1, as `metrics::majority_cluster_accuracy` computes it
+/// session by session. A release keeps the value its first kept session
+/// claimed, or, for a vanished one, its first dropped session.
 #[allow(clippy::too_many_arguments)] // the fitted stages travel together
 fn build_cluster_table(
     feature_set: &FeatureSet,
     scaler: &StandardScaler,
     pca: &Pca,
     kmeans: &KMeans,
-    kept: &[UserAgent],
+    tally: &ReleaseTally,
     dropped: &[UserAgent],
-    assignments: &[usize],
+    nearest: &[usize],
     config: &TrainConfig,
 ) -> Result<(ClusterTable, f64), PolygraphError> {
-    let accuracy = majority_cluster_accuracy(kept, assignments)?;
     let mut projected = Vec::new();
     let mut predict_lab = |ua: UserAgent| {
         let lab = feature_set.extract(&BrowserInstance::genuine(ua));
         predict_into(scaler, pca, kmeans, &lab.as_f64(), &mut projected)
     };
+    let mut per_cluster = vec![0usize; kmeans.centroids().rows()];
+    let (mut correct, mut total) = (0, 0);
     let mut entries: Vec<(UserAgent, usize)> = Vec::new();
-    let voted = accuracy
-        .label_clusters
-        .iter()
-        .zip(accuracy.label_totals.values());
-    for ((ua, &cluster), &sessions) in voted {
+    let rows = tally.counts.chunks_exact(tally.groups);
+    for (&ua, counts) in tally.releases.first.iter().zip(rows) {
+        per_cluster.fill(0);
+        for (&n, &c) in counts.iter().zip(nearest) {
+            per_cluster[c] += n;
+        }
+        let (mut cluster, mut most, mut sessions) = (0, 0, 0);
+        for (c, &n) in per_cluster.iter().enumerate() {
+            sessions += n;
+            if n > most {
+                (cluster, most) = (c, n);
+            }
+        }
+        correct += most;
+        total += sessions;
         let cluster = if config.lab_alignment && sessions < config.min_samples_for_majority {
-            predict_lab(*ua).unwrap_or(cluster)
+            predict_lab(ua).unwrap_or(cluster)
         } else {
             cluster
         };
-        entries.push((*ua, cluster));
+        entries.push((ua, cluster));
     }
     if config.lab_alignment {
         let mut vanished = BTreeSet::new();
         for &ua in dropped {
-            if accuracy.label_clusters.contains_key(&ua) || !vanished.insert(ua) {
+            if tally.releases.contains(ua) || !vanished.insert(ua) {
                 continue;
             }
             if let Ok(cluster) = predict_lab(ua) {
@@ -638,7 +761,7 @@ fn build_cluster_table(
     }
     Ok((
         ClusterTable::from_entries(config.k, entries),
-        accuracy.accuracy,
+        correct as f64 / total as f64,
     ))
 }
 
@@ -698,6 +821,8 @@ pub fn pick_pca_components(scaled: &Matrix, threshold: f64) -> Result<usize, Pol
 mod tests {
     use super::*;
     use browser_engine::Vendor;
+    use polygraph_ml::metrics::majority_cluster_accuracy;
+    use proptest::prelude::*;
 
     fn ua(vendor: Vendor, v: u32) -> UserAgent {
         UserAgent::new(vendor, v)
@@ -992,6 +1117,255 @@ mod tests {
             back.predict_cluster(&[10.0, 20.0, 11.0]).unwrap(),
             model.predict_cluster(&[10.0, 20.0, 11.0]).unwrap()
         );
+    }
+
+    /// The fit as it ran before the keyed pass: the cut as a stable sort
+    /// of every row by descending score, per-session `is_outlier`,
+    /// `kept_uas` and `dropped_uas` vectors, `filter_rows`, a per-session
+    /// assignment vector and `majority_cluster_accuracy`'s vote. The keyed
+    /// pass and the vote on counts must give the same model, bit for bit.
+    fn fit_per_session(
+        feature_set: FeatureSet,
+        data: &TrainingSet,
+        config: TrainConfig,
+    ) -> TrainedModel {
+        let groups = data.row_groups().unwrap();
+        let mut scaler = StandardScaler::fit_grouped(&groups).unwrap();
+        if !config.scale_time_based {
+            scaler.neutralize_columns(
+                &feature_set.indices_of_kind(fingerprint::FeatureKind::TimeBased),
+            );
+        }
+        let scaled = scaler.transform(groups.distinct()).unwrap();
+        let groups = groups.with_distinct(scaled).unwrap();
+        let forest = IsolationForest::fit_grouped(&groups, forest_config(&config)).unwrap();
+        let scores: Vec<f64> = (0..groups.rows())
+            .map(|r| forest.score_row(groups.row(r)))
+            .collect();
+        let mut is_outlier = vec![false; data.len()];
+        for r in ranked_cut(&scores, config.contamination) {
+            is_outlier[r] = true;
+        }
+        let (mut kept_uas, mut dropped_uas) = (Vec::new(), Vec::new());
+        for (&ua, &out) in data.user_agents().iter().zip(&is_outlier) {
+            if out {
+                dropped_uas.push(ua);
+            } else {
+                kept_uas.push(ua);
+            }
+        }
+        let groups = groups.filter_rows(|i| !is_outlier[i]).unwrap();
+        let pca = Pca::fit_grouped(&groups, config.n_components).unwrap();
+        let projected = pca.transform(groups.distinct()).unwrap();
+        let groups = groups.with_distinct(projected).unwrap();
+        let kmeans = KMeans::fit_grouped(
+            &groups,
+            KMeansConfig::new(config.k)
+                .with_seed(config.seed)
+                .with_n_init(config.n_init),
+        )
+        .unwrap();
+        let nearest = kmeans.predict(groups.distinct()).unwrap();
+        let assignments: Vec<usize> = groups.group_of().iter().map(|&g| nearest[g]).collect();
+
+        let accuracy = majority_cluster_accuracy(&kept_uas, &assignments).unwrap();
+        let mut projected = Vec::new();
+        let mut predict_lab = |ua: UserAgent| {
+            let lab = feature_set.extract(&BrowserInstance::genuine(ua));
+            predict_into(&scaler, &pca, &kmeans, &lab.as_f64(), &mut projected)
+        };
+        let mut entries = Vec::new();
+        let voted = accuracy
+            .label_clusters
+            .iter()
+            .zip(accuracy.label_totals.values());
+        for ((ua, &cluster), &sessions) in voted {
+            let cluster = if config.lab_alignment && sessions < config.min_samples_for_majority {
+                predict_lab(*ua).unwrap_or(cluster)
+            } else {
+                cluster
+            };
+            entries.push((*ua, cluster));
+        }
+        if config.lab_alignment {
+            let mut vanished = BTreeSet::new();
+            for &ua in &dropped_uas {
+                if accuracy.label_clusters.contains_key(&ua) || !vanished.insert(ua) {
+                    continue;
+                }
+                if let Ok(cluster) = predict_lab(ua) {
+                    entries.push((ua, cluster));
+                }
+            }
+        }
+        TrainedModel {
+            feature_set,
+            scaler,
+            pca,
+            kmeans,
+            cluster_table: ClusterTable::from_entries(config.k, entries),
+            train_accuracy: accuracy.accuracy,
+            outliers_removed: is_outlier.iter().filter(|&&o| o).count(),
+            config,
+        }
+    }
+
+    fn forest_config(config: &TrainConfig) -> IsolationForestConfig {
+        IsolationForestConfig {
+            n_trees: 100,
+            sample_size: 256,
+            seed: config.seed,
+        }
+    }
+
+    /// The rows a stable sort of every row by descending score puts
+    /// first, `round(n × contamination)` of them (at least one).
+    fn ranked_cut(scores: &[f64], contamination: f64) -> Vec<usize> {
+        if contamination == 0.0 {
+            return Vec::new();
+        }
+        let n = scores.len();
+        let n_out = ((n as f64 * contamination).round() as usize).clamp(1, n);
+        let mut ranked: Vec<usize> = (0..n).collect();
+        ranked.sort_by(|&a, &b| scores[b].partial_cmp(&scores[a]).unwrap());
+        ranked.truncate(n_out);
+        ranked
+    }
+
+    /// The values of a window's rows: `0.0` and `-0.0` are different rows
+    /// but, in a column whose mean is not zero, the same scaled row — so
+    /// their groups score exactly alike.
+    const VALUES: [f64; 5] = [0.0, -0.0, 1.0, 2.5, 40.0];
+
+    const OSES: [browser_engine::Os; 3] = [
+        browser_engine::Os::Windows10,
+        browser_engine::Os::Linux,
+        browser_engine::Os::MacOsSonoma,
+    ];
+
+    proptest! {
+        /// The keyed pass and the vote on counts hold to the per-session
+        /// body: outliers removed, accuracy bits, table entries with their
+        /// OS, and the model's bytes. Every window carries a rare pair of
+        /// groups, `[40, ±0, …]`, equal once scaled, so ≥ 2 groups tie at
+        /// their score; the contamination puts the cut strictly inside
+        /// that tie, so it splits the tie, and a group of it whenever the
+        /// rows it takes do not end one. The
+        /// rare rows open the window and claim a common release from
+        /// another OS than its other sessions, or a release no other
+        /// session claims: dropping the tie's last rows instead of its
+        /// first, or keeping a release's first value over all sessions
+        /// instead of its first kept one, moves the table.
+        #[test]
+        fn prop_oracle_keyed_pass_and_vote_equal_the_per_session_body(
+            vectors in proptest::collection::vec(
+                proptest::collection::vec(0usize..4, 3..4), 2..6),
+            picks in proptest::collection::vec(0usize..5, 120..400),
+            releases in proptest::collection::vec(0usize..4, 400..401),
+            oses in proptest::collection::vec(0usize..3, 400..401),
+            rare in proptest::collection::vec(0usize..4, 3..9),
+            tail in proptest::collection::vec(0usize..400, 0..4),
+            take in any::<u64>(),
+            min_samples in proptest::collection::vec(1usize..80, 1..2),
+            seed in any::<u64>(),
+        ) {
+            // Common rows: vectors over 0.0, 1.0 and 2.5 (never -0.0, so
+            // common rows never collide once scaled), column 1 never zero,
+            // so its mean is not.
+            let common: Vec<Vec<f64>> = vectors
+                .iter()
+                .map(|v| {
+                    let mut row: Vec<f64> =
+                        v.iter().map(|&c| VALUES[if c == 1 { 2 } else { c }]).collect();
+                    row[1] = VALUES[2 + v[1] % 2];
+                    row
+                })
+                .collect();
+            // Release 3 is past the dense version table.
+            let claim = |r: usize| {
+                let mut ua = ua(Vendor::Chrome, [100, 101, 102, 100_000][releases[r]]);
+                ua.os = OSES[oses[r]];
+                ua
+            };
+            let mut rows = Vec::new();
+            let mut uas = Vec::new();
+            // The rare rows: `rare[i]` picks the sign of zero and the
+            // release — 100 from Linux (a common release, whose other
+            // sessions claim it from any OS), or 120, claimed nowhere else.
+            let rare_row = |code: usize| {
+                let zero = if code.is_multiple_of(2) { 0.0 } else { -0.0 };
+                vec![40.0, zero, 1.0]
+            };
+            let rare_ua = |code: usize| {
+                let mut ua = ua(Vendor::Chrome, if code < 2 { 100 } else { 120 });
+                ua.os = browser_engine::Os::Linux;
+                ua
+            };
+            for (i, &code) in rare.iter().enumerate() {
+                // Both signs of zero among the first two.
+                rows.push(rare_row(if i < 2 { i } else { code }));
+                uas.push(rare_ua(code));
+            }
+            for (r, &p) in picks.iter().enumerate() {
+                rows.push(common[p % common.len()].clone());
+                uas.push(claim(r));
+            }
+            // A few more rare rows later in the window.
+            for (i, &at) in tail.iter().enumerate() {
+                let at = rare.len() + at % picks.len();
+                rows.insert(at, rare_row(i));
+                uas.insert(at, rare_ua(rare.len() + i));
+            }
+            let set = TrainingSet::from_rows(rows, uas).unwrap();
+            let fs = fingerprint::FeatureSet::table8().subset(&[0, 1, 2]);
+            let mut config = TrainConfig {
+                k: 3,
+                n_components: 2,
+                seed,
+                min_samples_for_majority: min_samples[0],
+                ..Default::default()
+            };
+
+            // Where the rare rows score, and how many rows score above.
+            let groups = set.row_groups().unwrap();
+            let scaler = StandardScaler::fit_grouped(&groups).unwrap();
+            let scaled = scaler.transform(groups.distinct()).unwrap();
+            let groups = groups.with_distinct(scaled).unwrap();
+            let forest = IsolationForest::fit_grouped(&groups, forest_config(&config)).unwrap();
+            let tied = forest.score_row(groups.row(0));
+            let scores: Vec<f64> =
+                (0..set.len()).map(|r| forest.score_row(groups.row(r))).collect();
+            let above = scores.iter().filter(|&&s| s > tied).count();
+            let at = scores.iter().filter(|&&s| s == tied).count();
+            let tied_groups: BTreeSet<usize> = (0..set.len())
+                .filter(|&r| scores[r] == tied)
+                .map(|r| groups.group_of()[r])
+                .collect();
+            prop_assert!(tied_groups.len() >= 2, "the rare pair ties");
+            let n_out = above + 1 + (take as usize) % (at - 1);
+            prop_assert!(2 * n_out <= set.len(), "the cut fits the contamination bound");
+            config.contamination = n_out as f64 / set.len() as f64;
+            prop_assert_eq!(ranked_cut(&scores, config.contamination).len(), n_out);
+
+            let model = TrainedModel::fit(fs.clone(), &set, config).unwrap();
+            let reference = fit_per_session(fs, &set, config);
+            prop_assert_eq!(model.outliers_removed(), reference.outliers_removed());
+            prop_assert_eq!(
+                model.train_accuracy().to_bits(),
+                reference.train_accuracy().to_bits()
+            );
+            let with_os = |t: &ClusterTable| {
+                t.entries().iter().map(|&(u, c)| (u, u.os, c)).collect::<Vec<_>>()
+            };
+            prop_assert_eq!(
+                with_os(model.cluster_table()),
+                with_os(reference.cluster_table())
+            );
+            prop_assert_eq!(
+                serde_json::to_string(&model).unwrap(),
+                serde_json::to_string(&reference).unwrap()
+            );
+        }
     }
 
     #[test]

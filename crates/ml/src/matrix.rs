@@ -270,10 +270,10 @@ impl Matrix {
 /// one row, so the carried partition is still a partition of the
 /// transformed window (two groups may now hold equal rows; that costs a
 /// repeated evaluation, never a wrong one). [`RowGroups::filter_rows`]
-/// drops rows (the fit's outliers) and keeps groups numbered by first
-/// row, so the full fit carries one partition from the raw window to the
-/// cluster table.
-#[derive(Debug)]
+/// drops rows and keeps groups numbered by first row; the full fit drops
+/// its outliers through its one-pass form, [`RowGroups::filter_rows_with`],
+/// and so carries one partition from the raw window to the cluster table.
+#[derive(Debug, Clone)]
 pub struct RowGroups {
     /// Row `g` is the content of group `g`.
     distinct: Matrix,
@@ -454,12 +454,18 @@ impl RowGroups {
         if group_of.is_empty() || table.cols == 0 {
             return Err(MlError::EmptyInput);
         }
+        // One pass checks the numbering and counts the groups.
+        let mut counts = vec![0; table.len()];
         let mut next = 0;
         let numbered = group_of.iter().all(|&g| {
-            if g == next {
+            if g == next && next < counts.len() {
                 next += 1;
             }
-            g < next
+            let seen = g < next;
+            if seen {
+                counts[g] += 1;
+            }
+            seen
         });
         if !numbered || next != table.len() {
             return Err(MlError::InvalidParameter {
@@ -474,7 +480,7 @@ impl RowGroups {
         Ok(Self {
             distinct,
             group_of: group_of.to_vec(),
-            counts: tally(group_of, table.len()),
+            counts,
         })
     }
 
@@ -540,25 +546,48 @@ impl RowGroups {
     /// kept rows would be — which is what lets a tie-break on the lowest
     /// group stand for one on the first row (`kmeans::farthest_point`).
     pub fn filter_rows(&self, keep: impl Fn(usize) -> bool) -> Result<Self, MlError> {
+        self.clone().filter_rows_with(|r, _| keep(r), |_, _| {})
+    }
+
+    /// [`RowGroups::filter_rows`] in place, in one pass that also tells
+    /// the caller about each row: `keep(r, g)` is asked once for every row
+    /// `r`, in row order, with its group `g`, and `kept(r, id)` is told each
+    /// kept row's id in the result. A caller that counts something per kept
+    /// row and group (the fit's sessions per group and release) needs no
+    /// second pass over the rows, and the kept ids overwrite the old ones,
+    /// so no second window-sized buffer is written.
+    pub fn filter_rows_with(
+        mut self,
+        mut keep: impl FnMut(usize, usize) -> bool,
+        mut kept: impl FnMut(usize, usize),
+    ) -> Result<Self, MlError> {
         let cols = self.distinct.cols();
         let mut renumbered = vec![usize::MAX; self.distinct.rows()];
         let mut data = Vec::new();
-        let mut group_of = Vec::new();
-        for (r, &g) in self.group_of.iter().enumerate() {
-            if !keep(r) {
+        let mut counts = Vec::new();
+        let mut len = 0;
+        for r in 0..self.group_of.len() {
+            let g = self.group_of[r];
+            if !keep(r, g) {
                 continue;
             }
             if renumbered[g] == usize::MAX {
-                renumbered[g] = data.len() / cols;
+                renumbered[g] = counts.len();
+                counts.push(0);
                 data.extend_from_slice(self.distinct.row(g));
             }
-            group_of.push(renumbered[g]);
+            let id = renumbered[g];
+            counts[id] += 1;
+            // `len <= r`: row `r`'s old id has been read.
+            self.group_of[len] = id;
+            len += 1;
+            kept(r, id);
         }
-        let distinct = Matrix::from_vec(data.len() / cols, cols, data)?;
-        let counts = tally(&group_of, distinct.rows());
+        self.group_of.truncate(len);
+        let distinct = Matrix::from_vec(counts.len(), cols, data)?;
         Ok(Self {
             distinct,
-            group_of,
+            group_of: self.group_of,
             counts,
         })
     }
@@ -1247,10 +1276,16 @@ mod tests {
             let cfg = IsolationForestConfig { n_trees: 20, sample_size: 64, seed };
             let grouped = IsolationForest::fit_grouped(&groups, cfg).unwrap();
             let plain = IsolationForest::fit(&x, cfg).unwrap();
-            let scores = plain.score(&x);
-            prop_assert_eq!(bits(&grouped.score(&x)), bits(&scores));
+            let scores_of = |f: &IsolationForest| -> Vec<f64> {
+                x.iter_rows().map(|row| f.score_row(row)).collect()
+            };
+            let scores = scores_of(&plain);
+            prop_assert_eq!(bits(&scores_of(&grouped)), bits(&scores));
             for c in [1.0 / x.rows() as f64, contamination] {
-                let cut = grouped.outlier_indices_grouped(&groups, c).unwrap();
+                let mut grouped_cut = grouped.outlier_cut(&groups, c).unwrap();
+                let cut: Vec<usize> = (0..groups.rows())
+                    .filter(|&r| grouped_cut.drops(groups.group_of()[r]))
+                    .collect();
                 prop_assert_eq!(&cut, &plain.outlier_indices(&x, c).unwrap());
                 let n_out = ((x.rows() as f64 * c).round() as usize).max(1);
                 let mut ranked: Vec<usize> = (0..x.rows()).collect();

@@ -377,8 +377,9 @@ fn oversize_header_answers_preceding_frames_then_closes_cleanly() {
 /// whichever core serves it and however many batch cycles share a write:
 /// 5 × 32 frames in one `write_all` — cache hits under fresh session
 /// ids, four never-seen frames and one undecodable one (one miss at the
-/// head of each 32-frame block, so five guard acquisitions, no more and
-/// no fewer), and a `STATS` frame per block — answered in frame order,
+/// head of each 32-frame block, so five batches that assess, each from
+/// one load of the serving snapshot, no more and no fewer), and a `STATS`
+/// frame per block — answered in frame order,
 /// byte for byte what `assess_frame` says in process; every `STATS`
 /// snapshot sees every frame that preceded it and balanced cache books;
 /// and the final counters reconcile with the bytes on the wire.
@@ -502,7 +503,7 @@ fn pipelined_backlog_is_answered_in_order_with_balanced_books() {
         assert_eq!(stats.malformed, 1, "[{backend}]");
         assert_eq!(stats.shed, 0, "[{backend}]");
         assert_eq!(stats.stats_requests, BLOCKS as u64, "[{backend}]");
-        // One miss per ≤ 32-frame batch: one guard acquisition each.
+        // One miss per ≤ 32-frame batch: one assessing batch each.
         assert_eq!(stats.batches, misses, "[{backend}]");
         assert_eq!(stats.cache_misses, misses, "[{backend}]");
         assert_eq!(

@@ -2,8 +2,9 @@
 //! the detector is hot-swapped underneath them.
 //!
 //! Eight client threads each stream a pipelined burst of frames (write
-//! everything, then read everything — exercising the server's
-//! batch-per-guard drain) while the main thread swaps the serving
+//! everything, then read everything — exercising the server's drain of
+//! ≤ 32-frame batches, each assessed from one load of the serving
+//! snapshot) while the main thread swaps the serving
 //! detector fifty times. No verdict may be lost, duplicated or
 //! reordered, and the shared counters must reconcile exactly with what
 //! the clients saw.
