@@ -15,8 +15,8 @@
 //! accuracy dipped below threshold (Table 6).
 
 use crate::dataset::TrainingSet;
-use crate::drift_stream::{DriftAccumulator, Pending};
 use crate::error::PolygraphError;
+use crate::tally::ReleaseTally;
 use crate::train::TrainedModel;
 use browser_engine::UserAgent;
 use serde::{Deserialize, Serialize};
@@ -79,26 +79,89 @@ impl DriftDecision {
 
 /// Runs one checkpoint over a collected `window`: the observation of
 /// each of `releases`, in order, and the retrain/stable decision. The
-/// window's sessions are tallied by its own distinct-row ids, so no row
-/// is interned again; rows claiming a release outside `releases` are
-/// never predicted, and each distinct row that claims one is predicted
-/// once, under `model`.
+/// window's sessions that claim one of `releases` are tallied by its own
+/// distinct-row ids, so no row is interned again, and each row holding
+/// one is predicted once, under `model`.
 pub fn checkpoint(
     model: &TrainedModel,
     window: &TrainingSet,
     releases: &[UserAgent],
 ) -> Result<(Vec<DriftObservation>, DriftDecision), PolygraphError> {
     let wanted: BTreeSet<UserAgent> = releases.iter().copied().collect();
-    let mut pending = Pending::default();
-    for (&row, claimed) in window.group_of().iter().zip(window.user_agents()) {
-        if wanted.contains(claimed) {
-            pending.claim(row, *claimed);
+    let mut tally = ReleaseTally::new();
+    for (&row, &claimed) in window.group_of().iter().zip(window.user_agents()) {
+        if wanted.contains(&claimed) {
+            tally.add(row, claimed, 1);
         }
     }
-    let table = window.table();
-    let mut counters = DriftAccumulator::new();
-    pending.count(model, |id| table.row(id), &mut counters, &mut Vec::new())?;
-    counters.checkpoint(model, releases)
+    let (table, mut projected) = (window.table(), Vec::new());
+    decide(
+        model,
+        &tally,
+        |row| populated_cluster(model, table.row(row), &mut projected),
+        releases,
+    )
+}
+
+/// The cluster a drift session of `row` is counted in: its predicted
+/// cluster, or the nearest populated one — a session in an unpopulated
+/// configuration-variant cluster is an extension user, not release drift.
+/// `projected` is prediction scratch.
+pub(crate) fn populated_cluster(
+    model: &TrainedModel,
+    row: &[f64],
+    projected: &mut Vec<f64>,
+) -> Result<usize, PolygraphError> {
+    Ok(model.nearest_populated_cluster(model.predict_cluster_with(row, projected)?))
+}
+
+/// The checkpoint of both doors: `tally` folded through `cluster_of`
+/// (each of its rows asked once), then each of `releases` observed, in
+/// order, from its sessions per cluster. A release's predominant cluster
+/// is the one holding most of its sessions, the *highest* on a tie (the
+/// last maximum `max_by_key` finds), unlike the cluster table's vote,
+/// which takes the lowest.
+pub(crate) fn decide(
+    model: &TrainedModel,
+    tally: &ReleaseTally,
+    cluster_of: impl FnMut(usize) -> Result<usize, PolygraphError>,
+    releases: &[UserAgent],
+) -> Result<(Vec<DriftObservation>, DriftDecision), PolygraphError> {
+    let k = model.kmeans().centroids().rows();
+    let counts = tally.fold(k, cluster_of)?;
+    let observations = releases
+        .iter()
+        .map(|&release| {
+            let id = tally
+                .release_id(release)
+                .ok_or_else(|| PolygraphError::NoObservations(release.label()))?;
+            let per_cluster = &counts[id * k..][..k];
+            let (cluster, &majority) = per_cluster
+                .iter()
+                .enumerate()
+                .max_by_key(|&(_, &n)| n)
+                .expect("a model has at least one cluster");
+            // "Closest release" excludes the release itself: the question
+            // is whether the *new* release behaves like its predecessor.
+            let expected_cluster = model
+                .cluster_table()
+                .entries()
+                .iter()
+                .filter(|(u, _)| u.vendor == release.vendor && *u != release)
+                .min_by_key(|(u, _)| u.version.abs_diff(release.version))
+                .map(|(_, c)| *c);
+            let sessions = per_cluster.iter().sum();
+            Ok(DriftObservation {
+                release,
+                cluster,
+                expected_cluster,
+                accuracy: majority as f64 / sessions as f64,
+                sessions,
+            })
+        })
+        .collect::<Result<Vec<_>, PolygraphError>>()?;
+    let decision = DriftDecision::from_observations(&observations);
+    Ok((observations, decision))
 }
 
 #[cfg(test)]

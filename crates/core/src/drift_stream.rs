@@ -1,175 +1,31 @@
-//! Drift counting (§6.6): every checkpoint predicts each distinct row once.
+//! Drift counting (§6.6) over a live stream: every checkpoint predicts
+//! each distinct row once.
 //!
 //! Coarse fingerprints collide: a 50 000-session drift window holds a few
-//! hundred distinct rows. So both checkpoint doors run one body,
-//! `Pending`: sessions are tallied per (distinct row, claimed release),
-//! and a checkpoint predicts each tallied row once, under the model it is
-//! given, and adds its sessions in that cluster to per-(release, cluster)
-//! counters, `DriftAccumulator`. The predominant cluster and accuracy of
-//! each release are read from those counters alone.
-//!
-//! - [`crate::drift::checkpoint`] is the batch door. A collected window is
-//!   already its own partition by distinct row ([`TrainingSet`]), so it
-//!   tallies the sessions that claim one of the checkpoint's releases by
-//!   their row ids and counts them once; no row is interned again.
-//! - [`DriftStream`] is the streaming door. The serving loop ingests one
-//!   session at a time. Ingest interns the row into the reservoir's table
-//!   of distinct rows, tallies the session and offers the row's id to the
-//!   reservoir; it predicts nothing and copies nothing. A checkpoint counts
-//!   the rows tallied since the last one and then drops every row no
-//!   resident references. So a session is counted under the model of the
-//!   first checkpoint after it arrived. Besides the reservoir's resident
-//!   ids, the state is O(releases × clusters + the reservoir's distinct
-//!   rows + distinct rows since the last checkpoint), whatever the
-//!   traffic. The resident window is handed over, by row id, only when a
-//!   retrain actually triggers, which the no-allocation-on-stable
-//!   regression test pins.
+//! hundred distinct rows. The serving loop ingests one session at a time.
+//! Ingest interns the row into the reservoir's table of distinct rows,
+//! tallies the session per (row id, claimed release) and offers the row's
+//! id to the reservoir; it predicts nothing and copies nothing. A
+//! checkpoint predicts each row tallied since the last one once, under
+//! the model it is given, moves its sessions into a second tally keyed by
+//! cluster, and then drops every row no resident references. So a session
+//! is counted under the model of the first checkpoint after it arrived,
+//! and the predominant cluster and accuracy of each release are read from
+//! the counted tally alone, by the body the batch door
+//! ([`crate::drift::checkpoint`]) runs too. Besides the reservoir's
+//! resident ids, the state is at most one entry per (cluster, release)
+//! counted and per (row, release) since the last checkpoint, never more
+//! than the sessions behind them. The resident window is handed over, by
+//! row id, only when a retrain actually triggers, which the
+//! no-allocation-on-stable regression test pins.
 
 use crate::dataset::TrainingSet;
-use crate::drift::{DriftDecision, DriftObservation};
+use crate::drift::{self, DriftDecision, DriftObservation};
 use crate::error::PolygraphError;
 use crate::sampling::ReservoirWindow;
+use crate::tally::ReleaseTally;
 use crate::train::TrainedModel;
 use browser_engine::UserAgent;
-use std::collections::BTreeMap;
-
-/// Per-release cluster counters over a trained model.
-#[derive(Debug, Clone)]
-pub(crate) struct DriftAccumulator {
-    /// (release → (cluster → sessions)) counters. BTreeMap: the majority
-    /// scan in `observe` must break count ties identically on every run,
-    /// or a 50/50 release would flip its predominant cluster between
-    /// checkpoints.
-    counts: BTreeMap<UserAgent, BTreeMap<usize, usize>>,
-    /// Total sessions counted (all releases).
-    ingested: usize,
-}
-
-impl DriftAccumulator {
-    /// An empty accumulator.
-    pub(crate) fn new() -> Self {
-        Self {
-            counts: BTreeMap::new(),
-            ingested: 0,
-        }
-    }
-
-    /// Total sessions counted since the last reset.
-    pub(crate) fn ingested(&self) -> usize {
-        self.ingested
-    }
-
-    /// Counts `sessions` sessions of `claimed` in `cluster`.
-    fn add(&mut self, claimed: UserAgent, cluster: usize, sessions: usize) {
-        *self
-            .counts
-            .entry(claimed)
-            .or_default()
-            .entry(cluster)
-            .or_default() += sessions;
-        self.ingested += sessions;
-    }
-
-    /// The checkpoint measurement for one release, from the counters.
-    fn observe(
-        &self,
-        model: &TrainedModel,
-        release: UserAgent,
-    ) -> Result<DriftObservation, PolygraphError> {
-        let Some(clusters) = self.counts.get(&release) else {
-            return Err(PolygraphError::NoObservations(release.label()));
-        };
-        let sessions: usize = clusters.values().sum();
-        let (&cluster, &majority) = clusters
-            .iter()
-            .max_by_key(|(_, &count)| count)
-            .expect("a present release has at least one session");
-        // "Closest release" excludes the release itself: the question is
-        // whether the *new* release behaves like its predecessor.
-        let expected_cluster = model
-            .cluster_table()
-            .entries()
-            .iter()
-            .filter(|(u, _)| u.vendor == release.vendor && *u != release)
-            .min_by_key(|(u, _)| u.version.abs_diff(release.version))
-            .map(|(_, c)| *c);
-        Ok(DriftObservation {
-            release,
-            cluster,
-            expected_cluster,
-            accuracy: majority as f64 / sessions as f64,
-            sessions,
-        })
-    }
-
-    /// Observes each of `releases`, in order, and renders the decision.
-    pub(crate) fn checkpoint(
-        &self,
-        model: &TrainedModel,
-        releases: &[UserAgent],
-    ) -> Result<(Vec<DriftObservation>, DriftDecision), PolygraphError> {
-        let mut observations = Vec::with_capacity(releases.len());
-        for &r in releases {
-            observations.push(self.observe(model, r)?);
-        }
-        let decision = DriftDecision::from_observations(&observations);
-        Ok((observations, decision))
-    }
-
-    /// Clears the counters — called after a retrain, so the next window
-    /// is measured against the new model only.
-    fn reset(&mut self) {
-        self.counts.clear();
-        self.ingested = 0;
-    }
-}
-
-/// Sessions no checkpoint has counted yet: for each distinct row id, the
-/// releases that claimed it and how many sessions each. The one counting
-/// body of both checkpoint doors.
-#[derive(Debug, Clone, Default)]
-pub(crate) struct Pending(Vec<Vec<(UserAgent, usize)>>);
-
-impl Pending {
-    /// Tallies one session of `release` on row `row_id`.
-    pub(crate) fn claim(&mut self, row_id: usize, release: UserAgent) {
-        if row_id >= self.0.len() {
-            self.0.resize_with(row_id + 1, Vec::new);
-        }
-        let claims = &mut self.0[row_id];
-        match claims.iter_mut().find(|(claimed, _)| *claimed == release) {
-            Some((_, sessions)) => *sessions += 1,
-            None => claims.push((release, 1)),
-        }
-    }
-
-    /// Predicts each tallied row once under `model` (`row_of` gives a row
-    /// id's values) and adds its sessions in that cluster, or in the
-    /// nearest populated one: a session in an unpopulated
-    /// configuration-variant cluster is an extension user, not release
-    /// drift. Empties the tally and keeps its allocations, so a steady
-    /// stream allocates nothing per session; `projected` is prediction
-    /// scratch.
-    pub(crate) fn count<'r>(
-        &mut self,
-        model: &TrainedModel,
-        row_of: impl Fn(usize) -> &'r [f64],
-        accumulator: &mut DriftAccumulator,
-        projected: &mut Vec<f64>,
-    ) -> Result<(), PolygraphError> {
-        for (row, claims) in self.0.iter_mut().enumerate() {
-            if claims.is_empty() {
-                continue;
-            }
-            let cluster = model
-                .nearest_populated_cluster(model.predict_cluster_with(row_of(row), projected)?);
-            for (claimed, sessions) in claims.drain(..) {
-                accumulator.add(claimed, cluster, sessions);
-            }
-        }
-        Ok(())
-    }
-}
 
 /// Drift counters plus the live training window, fed from one stream.
 ///
@@ -182,13 +38,13 @@ impl Pending {
 /// retrain takes it over once via [`DriftStream::training_window`].
 #[derive(Debug, Clone)]
 pub struct DriftStream {
-    /// Every session a checkpoint has counted, per (release, cluster).
-    accumulator: DriftAccumulator,
+    /// Every session a checkpoint has counted, per (cluster, release).
+    counted: ReleaseTally,
     /// The retrain window; its table of distinct rows is the one the
     /// pending tally indexes.
     window: ReservoirWindow,
-    /// Sessions since the last checkpoint.
-    pending: Pending,
+    /// Sessions since the last checkpoint, per (row id, release).
+    pending: ReleaseTally,
     /// Projection scratch reused by every prediction of a checkpoint.
     projected: Vec<f64>,
 }
@@ -198,9 +54,9 @@ impl DriftStream {
     /// of `width` features each.
     pub fn new(capacity: usize, width: usize, seed: u64) -> Result<Self, PolygraphError> {
         Ok(Self {
-            accumulator: DriftAccumulator::new(),
+            counted: ReleaseTally::new(),
             window: ReservoirWindow::new(capacity, width, seed)?,
-            pending: Pending::default(),
+            pending: ReleaseTally::new(),
             projected: Vec::new(),
         })
     }
@@ -225,14 +81,13 @@ impl DriftStream {
             });
         }
         let row = self.window.offer(values, claimed)?;
-        self.pending.claim(row, claimed);
+        self.pending.add(row, claimed, 1);
         Ok(())
     }
 
     /// Total sessions ingested since the last reset.
     pub fn ingested(&self) -> usize {
-        let pending: usize = self.pending.0.iter().flatten().map(|(_, n)| n).sum();
-        self.accumulator.ingested() + pending
+        self.counted.sessions() + self.pending.sessions()
     }
 
     /// The checkpoint decision. Each distinct row ingested since the last
@@ -249,14 +104,21 @@ impl DriftStream {
         model: &TrainedModel,
         releases: &[UserAgent],
     ) -> Result<(Vec<DriftObservation>, DriftDecision), PolygraphError> {
-        self.pending.count(
-            model,
-            |row| self.window.row(row),
-            &mut self.accumulator,
-            &mut self.projected,
-        )?;
+        let k = model.kmeans().centroids().rows();
+        let (window, projected) = (&self.window, &mut self.projected);
+        let pending = self.pending.fold(k, |row| {
+            drift::populated_cluster(model, window.row(row), projected)
+        })?;
+        for (&release, per_cluster) in self.pending.releases().iter().zip(pending.chunks_exact(k)) {
+            for (cluster, &sessions) in per_cluster.iter().enumerate() {
+                if sessions > 0 {
+                    self.counted.add(cluster, release, sessions);
+                }
+            }
+        }
+        self.pending.clear();
         self.retain_resident_rows();
-        self.accumulator.checkpoint(model, releases)
+        drift::decide(model, &self.counted, Ok, releases)
     }
 
     /// The resident reservoir window (borrowed).
@@ -276,16 +138,16 @@ impl DriftStream {
     /// sample stays representative of the recent stream, which is exactly
     /// what the *next* candidate should train on.
     pub fn reset_counters(&mut self) {
-        self.accumulator.reset();
-        self.pending.0.iter_mut().for_each(Vec::clear);
+        self.counted.clear();
+        self.pending.clear();
         self.retain_resident_rows();
     }
 
     /// Drops the table rows no resident references; `pending` must be
     /// empty, since the surviving rows are renumbered.
     fn retain_resident_rows(&mut self) {
+        debug_assert_eq!(self.pending.sessions(), 0, "pending rows renumbered");
         self.window.retain_resident_rows();
-        self.pending.0.truncate(self.window.distinct_rows());
     }
 }
 
@@ -293,12 +155,108 @@ impl DriftStream {
 mod tests {
     use super::*;
     use crate::dataset::TrainingSet;
-    use crate::drift;
     use crate::train::{TrainConfig, TrainedModel};
     use browser_engine::Vendor;
     use fingerprint::FeatureSet;
+    use proptest::prelude::*;
+    use std::collections::BTreeMap;
 
-    /// The per-session reference the shared body must equal: each session
+    // The counters both doors ran before they shared the core tally, kept
+    // as the per-session reference: one map per release of sessions per
+    // cluster, each session predicted on its own (`count_one`).
+
+    /// Per-release cluster counters over a trained model.
+    #[derive(Debug, Clone)]
+    pub(crate) struct DriftAccumulator {
+        /// (release → (cluster → sessions)) counters. BTreeMap: the majority
+        /// scan in `observe` must break count ties identically on every run,
+        /// or a 50/50 release would flip its predominant cluster between
+        /// checkpoints.
+        counts: BTreeMap<UserAgent, BTreeMap<usize, usize>>,
+        /// Total sessions counted (all releases).
+        ingested: usize,
+    }
+
+    impl DriftAccumulator {
+        /// An empty accumulator.
+        pub(crate) fn new() -> Self {
+            Self {
+                counts: BTreeMap::new(),
+                ingested: 0,
+            }
+        }
+
+        /// Total sessions counted since the last reset.
+        pub(crate) fn ingested(&self) -> usize {
+            self.ingested
+        }
+
+        /// Counts `sessions` sessions of `claimed` in `cluster`.
+        fn add(&mut self, claimed: UserAgent, cluster: usize, sessions: usize) {
+            *self
+                .counts
+                .entry(claimed)
+                .or_default()
+                .entry(cluster)
+                .or_default() += sessions;
+            self.ingested += sessions;
+        }
+
+        /// The checkpoint measurement for one release, from the counters.
+        fn observe(
+            &self,
+            model: &TrainedModel,
+            release: UserAgent,
+        ) -> Result<DriftObservation, PolygraphError> {
+            let Some(clusters) = self.counts.get(&release) else {
+                return Err(PolygraphError::NoObservations(release.label()));
+            };
+            let sessions: usize = clusters.values().sum();
+            let (&cluster, &majority) = clusters
+                .iter()
+                .max_by_key(|(_, &count)| count)
+                .expect("a present release has at least one session");
+            // "Closest release" excludes the release itself: the question is
+            // whether the *new* release behaves like its predecessor.
+            let expected_cluster = model
+                .cluster_table()
+                .entries()
+                .iter()
+                .filter(|(u, _)| u.vendor == release.vendor && *u != release)
+                .min_by_key(|(u, _)| u.version.abs_diff(release.version))
+                .map(|(_, c)| *c);
+            Ok(DriftObservation {
+                release,
+                cluster,
+                expected_cluster,
+                accuracy: majority as f64 / sessions as f64,
+                sessions,
+            })
+        }
+
+        /// Observes each of `releases`, in order, and renders the decision.
+        pub(crate) fn checkpoint(
+            &self,
+            model: &TrainedModel,
+            releases: &[UserAgent],
+        ) -> Result<(Vec<DriftObservation>, DriftDecision), PolygraphError> {
+            let mut observations = Vec::with_capacity(releases.len());
+            for &r in releases {
+                observations.push(self.observe(model, r)?);
+            }
+            let decision = DriftDecision::from_observations(&observations);
+            Ok((observations, decision))
+        }
+
+        /// Clears the counters — called after a retrain, so the next window
+        /// is measured against the new model only.
+        fn reset(&mut self) {
+            self.counts.clear();
+            self.ingested = 0;
+        }
+    }
+
+    /// The per-session reference the doors must equal: each session
     /// predicted on its own and counted for its claimed release.
     fn count_one(
         acc: &mut DriftAccumulator,
@@ -389,18 +347,58 @@ mod tests {
     }
 
     #[test]
-    fn checkpoint_decision_matches_batch() {
+    fn an_exact_tie_reads_as_the_highest_cluster_at_both_doors() {
+        // The drift checkpoint breaks an exact count tie to the highest
+        // cluster (the last maximum `max_by_key` finds); the cluster
+        // table's vote breaks it to the lowest. Pinned as it stands.
         let model = toy_model();
+        let eras = [[0.0, 0.0], [10.0, 10.0]];
+        let highest = eras
+            .iter()
+            .map(|row| model.predict_cluster(row).unwrap())
+            .max()
+            .unwrap();
+        assert_ne!(
+            model.predict_cluster(&eras[0]).unwrap(),
+            model.predict_cluster(&eras[1]).unwrap(),
+            "the two eras sit in two clusters"
+        );
+        let chrome = ua(Vendor::Chrome, 113);
+        let mut stream = DriftStream::new(64, 2, 3).unwrap();
+        let mut rows = Vec::new();
+        for i in 0..10 {
+            let row = eras[i % 2].to_vec();
+            stream.ingest(&model, &row, chrome).unwrap();
+            rows.push((row, chrome));
+        }
+        let (r, u): (Vec<_>, Vec<_>) = rows.into_iter().unzip();
+        let batch = TrainingSet::from_rows(r, u).unwrap();
+        for (observations, _) in [
+            stream.checkpoint(&model, &[chrome]).unwrap(),
+            drift::checkpoint(&model, &batch, &[chrome]).unwrap(),
+        ] {
+            assert_eq!(observations[0].cluster, highest);
+            assert_eq!(observations[0].accuracy, 0.5);
+        }
+    }
+
+    #[test]
+    fn checkpoint_decision_matches_the_reference_on_an_era_flip() {
+        let model = toy_model();
+        let chrome = ua(Vendor::Chrome, 111);
+        let mut stream = DriftStream::new(16, 2, 9).unwrap();
         let mut acc = DriftAccumulator::new();
         for _ in 0..50 {
-            count_one(&mut acc, &model, &[0.0, 0.0], ua(Vendor::Chrome, 111));
+            stream.ingest(&model, &[0.0, 0.0], chrome).unwrap();
+            count_one(&mut acc, &model, &[0.0, 0.0], chrome);
         }
-        let (obs, decision) = acc.checkpoint(&model, &[ua(Vendor::Chrome, 111)]).unwrap();
+        let (obs, decision) = stream.checkpoint(&model, &[chrome]).unwrap();
         assert_eq!(obs.len(), 1);
         assert!(
             matches!(decision, DriftDecision::Retrain { .. }),
             "era flip must trigger"
         );
+        assert_eq!((obs, decision), acc.checkpoint(&model, &[chrome]).unwrap());
     }
 
     #[test]
@@ -426,6 +424,89 @@ mod tests {
             matches!(decision, DriftDecision::Stable),
             matches!(plain_decision, DriftDecision::Stable)
         );
+    }
+
+    /// Releases the proptest claims: two versions past the dense table.
+    const RELEASES: [(Vendor, u32); 6] = [
+        (Vendor::Chrome, 111),
+        (Vendor::Chrome, 112),
+        (Vendor::Firefox, 119),
+        (Vendor::Edge, 1_024),
+        (Vendor::Chrome, 70_000),
+        (Vendor::Edge, 112),
+    ];
+
+    /// Rows the proptest draws from, around both eras and between them.
+    const ROWS: [[f64; 2]; 6] = [
+        [0.0, 0.0],
+        [0.1, 0.0],
+        [10.0, 10.0],
+        [10.1, 10.0],
+        [4.0, 6.0],
+        [-0.0, 0.0],
+    ];
+
+    proptest! {
+        /// Both doors equal the per-session reference, checkpoint after
+        /// checkpoint: the stream through a small reservoir (evictions,
+        /// then the renumbering of the rows that survive), the batch door
+        /// on the sessions since the last reset; with 50/50 ties between
+        /// the eras, counter resets, releases absent from the window and
+        /// versions past the dense table.
+        #[test]
+        fn prop_oracle_both_doors_equal_the_per_session_counters(
+            rounds in proptest::collection::vec(
+                proptest::collection::vec(0usize..6 * 6 * 2, 0..60), 1..5),
+            ties in proptest::collection::vec(0usize..6 * 4, 1..5),
+            resets in proptest::collection::vec(any::<bool>(), 5..6),
+            asked in proptest::collection::vec(0usize..6, 1..4),
+            capacity in 1usize..12,
+            seed in any::<u64>(),
+        ) {
+            let model = toy_model();
+            let claim = |code: usize| {
+                let (vendor, version) = RELEASES[code % 6];
+                let mut ua = ua(vendor, version);
+                if code / 6 == 1 {
+                    ua.os = browser_engine::Os::Linux;
+                }
+                ua
+            };
+            let releases: Vec<UserAgent> = asked.iter().map(|&r| claim(r)).collect();
+            let mut stream = DriftStream::new(capacity, 2, seed).unwrap();
+            let mut reference = DriftAccumulator::new();
+            let mut since_reset: Vec<(Vec<f64>, UserAgent)> = Vec::new();
+            for (round, draws) in rounds.iter().enumerate() {
+                let mut sessions: Vec<(Vec<f64>, UserAgent)> = draws
+                    .iter()
+                    .map(|&x| (ROWS[x % 6].to_vec(), claim(x / 6)))
+                    .collect();
+                // An exact tie: the release's sessions alternate between
+                // an era-0 and an era-10 row.
+                let (release, pairs) = (ties[round % ties.len()] % 6, 1 + ties[round % ties.len()] / 6);
+                for i in 0..2 * pairs {
+                    sessions.push((ROWS[2 * (i % 2)].to_vec(), claim(release)));
+                }
+                for (row, claimed) in &sessions {
+                    stream.ingest(&model, row, *claimed).unwrap();
+                    count_one(&mut reference, &model, row, *claimed);
+                }
+                since_reset.extend(sessions);
+                prop_assert_eq!(stream.ingested(), reference.ingested());
+                let want = reference.checkpoint(&model, &releases);
+                prop_assert_eq!(stream.checkpoint(&model, &releases), want.clone());
+                let (rows, uas): (Vec<_>, Vec<_>) = since_reset.iter().cloned().unzip();
+                let batch = TrainingSet::from_rows(rows, uas).unwrap();
+                prop_assert_eq!(drift::checkpoint(&model, &batch, &releases), want);
+                prop_assert!(stream.window().distinct_rows() <= stream.window().len());
+                if resets[round] {
+                    stream.reset_counters();
+                    reference.reset();
+                    since_reset.clear();
+                    prop_assert_eq!(stream.ingested(), 0);
+                }
+            }
+        }
     }
 
     #[test]
@@ -522,37 +603,16 @@ mod tests {
     }
 
     #[test]
-    fn successive_checkpoints_match_the_plain_accumulator() {
-        // Rows ingested between checkpoints are predicted once each, at
-        // the checkpoint, and every session is counted — across evictions
-        // and the renumbering that follows them.
-        let model = toy_model();
-        let mut stream = DriftStream::new(8, 2, 5).unwrap();
-        let mut acc = DriftAccumulator::new();
-        let releases = [ua(Vendor::Chrome, 111), ua(Vendor::Chrome, 112)];
-        for round in 0..3 {
-            for i in 0..30 {
-                let row = [10.0 * f64::from(i % 2), 10.0 * f64::from((i + round) % 2)];
-                let claimed = releases[i as usize % 2];
-                stream.ingest(&model, &row, claimed).unwrap();
-                count_one(&mut acc, &model, &row, claimed);
-            }
-            assert_eq!(stream.ingested(), acc.ingested());
-            let (observations, _) = stream.checkpoint(&model, &releases).unwrap();
-            assert_eq!(observations, acc.checkpoint(&model, &releases).unwrap().0);
-            assert!(stream.window().distinct_rows() <= stream.window().len());
-        }
-    }
-
-    #[test]
     fn unseen_release_is_an_error_and_reset_clears() {
         let model = toy_model();
-        let mut acc = DriftAccumulator::new();
-        assert!(acc.observe(&model, ua(Vendor::Firefox, 119)).is_err());
-        count_one(&mut acc, &model, &[10.0, 10.0], ua(Vendor::Chrome, 111));
-        assert!(acc.observe(&model, ua(Vendor::Chrome, 111)).is_ok());
-        acc.reset();
-        assert_eq!(acc.ingested(), 0);
-        assert!(acc.observe(&model, ua(Vendor::Chrome, 111)).is_err());
+        let chrome = ua(Vendor::Chrome, 111);
+        let mut stream = DriftStream::new(8, 2, 1).unwrap();
+        let unseen = Err(PolygraphError::NoObservations(chrome.label()));
+        assert_eq!(stream.checkpoint(&model, &[chrome]), unseen);
+        stream.ingest(&model, &[10.0, 10.0], chrome).unwrap();
+        assert!(stream.checkpoint(&model, &[chrome]).is_ok());
+        stream.reset_counters();
+        assert_eq!(stream.ingested(), 0);
+        assert_eq!(stream.checkpoint(&model, &[chrome]), unseen);
     }
 }

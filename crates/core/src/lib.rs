@@ -16,7 +16,8 @@
 //! * [`detect`] — the §6.5 online fraud-detection path;
 //! * [`drift`] — the §6.6 drift checkpoint that decides when retraining
 //!   is needed, over a collected window, and [`drift_stream`] — the same
-//!   checkpoint over a live stream, and the one counting body both run;
+//!   checkpoint over a live stream. Both, the fit's vote and the sweeps
+//!   read one count: sessions per (distinct row, claimed release);
 //! * [`sampling`] — stratified sampling for oversized training sets
 //!   (§8, "Scale of the database");
 //! * [`sweeps`] — the Appendix-4 sensitivity analyses (Tables 10–12).
@@ -38,6 +39,7 @@ pub mod preprocess;
 pub mod risk;
 pub mod sampling;
 pub mod sweeps;
+mod tally;
 pub mod train;
 
 pub use dataset::TrainingSet;

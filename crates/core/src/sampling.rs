@@ -154,6 +154,7 @@ impl ReservoirWindow {
     }
 
     /// Rows in the table of distinct rows.
+    #[cfg(test)]
     pub(crate) fn distinct_rows(&self) -> usize {
         self.rows.len()
     }

@@ -7,9 +7,9 @@
 
 use crate::dataset::TrainingSet;
 use crate::error::PolygraphError;
+use crate::tally::ReleaseTally;
 use crate::train::{TrainConfig, TrainedModel};
 use fingerprint::FeatureSet;
-use polygraph_ml::metrics::majority_cluster_accuracy;
 use serde::{Deserialize, Serialize};
 
 /// One sweep point.
@@ -25,9 +25,24 @@ pub struct SweepPoint {
     pub n_components: usize,
 }
 
-fn accuracy_of(model: &TrainedModel, data: &TrainingSet) -> Result<f64, PolygraphError> {
-    let clusters = model.predict_clusters(data)?;
-    Ok(majority_cluster_accuracy(data.user_agents(), &clusters)?.accuracy)
+/// Formula 1 of `model` on `data`, whose sessions `tally` counts
+/// ([`ReleaseTally::of`]): each distinct row is predicted once, and a
+/// release's sessions in its majority cluster are correct.
+fn accuracy_of(
+    model: &TrainedModel,
+    data: &TrainingSet,
+    tally: &ReleaseTally,
+) -> Result<f64, PolygraphError> {
+    let (table, mut projected) = (data.table(), Vec::new());
+    let k = model.kmeans().centroids().rows();
+    let counts = tally.fold(k, |row| {
+        model.predict_cluster_with(table.row(row), &mut projected)
+    })?;
+    let correct: usize = counts
+        .chunks_exact(k)
+        .map(|per_cluster| per_cluster.iter().max().copied().unwrap_or(0))
+        .sum();
+    Ok(correct as f64 / tally.sessions() as f64)
 }
 
 /// Table 10: accuracy versus the number of clusters, at fixed features and
@@ -38,13 +53,14 @@ pub fn sweep_clusters(
     ks: &[usize],
     base: TrainConfig,
 ) -> Result<Vec<SweepPoint>, PolygraphError> {
+    let tally = ReleaseTally::of(data);
     ks.iter()
         .map(|&k| {
             let config = TrainConfig { k, ..base };
             let model = TrainedModel::fit(feature_set.clone(), data, config)?;
             Ok(SweepPoint {
                 value: k,
-                accuracy: accuracy_of(&model, data)?,
+                accuracy: accuracy_of(&model, data, &tally)?,
                 k,
                 n_components: config.n_components,
             })
@@ -60,6 +76,7 @@ pub fn sweep_pca(
     components: &[usize],
     base: TrainConfig,
 ) -> Result<Vec<SweepPoint>, PolygraphError> {
+    let tally = ReleaseTally::of(data);
     components
         .iter()
         .map(|&n| {
@@ -70,7 +87,7 @@ pub fn sweep_pca(
             let model = TrainedModel::fit(feature_set.clone(), data, config)?;
             Ok(SweepPoint {
                 value: n,
-                accuracy: accuracy_of(&model, data)?,
+                accuracy: accuracy_of(&model, data, &tally)?,
                 k: config.k,
                 n_components: n,
             })
@@ -108,7 +125,7 @@ pub fn sweep_features(
     out.push(FeatureSweepStep {
         added: Vec::new(),
         n_features: base_set.len(),
-        accuracy: accuracy_of(&model, base_data)?,
+        accuracy: accuracy_of(&model, base_data, &ReleaseTally::of(base_data))?,
         k: base.k,
     });
 
@@ -122,7 +139,7 @@ pub fn sweep_features(
         out.push(FeatureSweepStep {
             added: extra.iter().map(|p| p.expression()).collect(),
             n_features: set.len(),
-            accuracy: accuracy_of(&model, &data)?,
+            accuracy: accuracy_of(&model, &data, &ReleaseTally::of(&data))?,
             k: *k,
         });
     }
@@ -167,7 +184,54 @@ pub fn table12_steps() -> Vec<(Vec<fingerprint::Probe>, usize)> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use browser_engine::BrowserInstance;
+    use browser_engine::{BrowserInstance, UserAgent, Vendor};
+    use polygraph_ml::metrics::majority_cluster_accuracy;
+    use proptest::prelude::*;
+
+    /// Rows the proptest draws from: `-0.0` and `0.0` are two distinct
+    /// rows that predict alike.
+    const ROWS: [[f64; 3]; 6] = [
+        [0.0, 1.0, 2.0],
+        [-0.0, 1.0, 2.0],
+        [0.5, 1.0, 2.5],
+        [9.0, 8.0, 1.0],
+        [9.5, 8.0, 1.0],
+        [20.0, 0.0, 4.0],
+    ];
+
+    proptest! {
+        /// The sweeps' accuracy is Formula 1 over one prediction per
+        /// session, `majority_cluster_accuracy`'s, bit for bit. Releases
+        /// share rows, so majorities fall short of every session, and one
+        /// version is past the dense table.
+        #[test]
+        fn prop_oracle_accuracy_equals_the_per_session_form(
+            picks in proptest::collection::vec(0usize..6 * 5, 20..200),
+            k in 2usize..5,
+            seed in any::<u64>(),
+        ) {
+            let claim = |r: usize| {
+                let (vendor, version) =
+                    [(Vendor::Chrome, 100), (Vendor::Chrome, 101), (Vendor::Edge, 100),
+                     (Vendor::Firefox, 119), (Vendor::Chrome, 5_000)][r];
+                UserAgent::new(vendor, version)
+            };
+            // Every row once, then the draws.
+            let draws = (0..ROWS.len()).map(|row| (row, row % 5));
+            let draws = draws.chain(picks.iter().map(|&x| (x % 6, x / 6)));
+            let (rows, uas): (Vec<_>, Vec<_>) =
+                draws.map(|(row, r)| (ROWS[row].to_vec(), claim(r))).unzip();
+            let set = TrainingSet::from_rows(rows, uas).unwrap();
+            let config = TrainConfig { k, n_components: 2, seed, n_init: 1, ..quick_config() };
+            let fs = FeatureSet::table8().subset(&[0, 1, 2]);
+            let model = TrainedModel::fit(fs, &set, config).unwrap();
+            let per_session: Vec<usize> =
+                set.rows().iter().map(|row| model.predict_cluster(row).unwrap()).collect();
+            let want = majority_cluster_accuracy(set.user_agents(), &per_session).unwrap();
+            let got = accuracy_of(&model, &set, &ReleaseTally::of(&set)).unwrap();
+            prop_assert_eq!(got.to_bits(), want.accuracy.to_bits());
+        }
+    }
 
     /// Small lab dataset over the genuine catalog for a given feature set.
     fn lab_data(fs: &FeatureSet) -> TrainingSet {

@@ -3,6 +3,7 @@
 
 use crate::dataset::TrainingSet;
 use crate::error::PolygraphError;
+use crate::tally::ReleaseTally;
 use browser_engine::{BrowserInstance, UserAgent, Vendor};
 use fingerprint::FeatureSet;
 use polygraph_ml::iforest::IsolationForestConfig;
@@ -303,7 +304,7 @@ impl TrainedModel {
         // order, for the vanished-release alignment.
         let mut cut = forest.outlier_cut(&groups, config.contamination)?;
         let user_agents = data.user_agents();
-        let mut tally = ReleaseTally::new(groups.distinct().rows());
+        let mut tally = ReleaseTally::new();
         let mut dropped = Vec::new();
         let groups = groups.filter_rows_with(
             |r, g| {
@@ -313,7 +314,7 @@ impl TrainedModel {
                 }
                 !out
             },
-            |r, g| tally.count(user_agents[r], g),
+            |r, g| tally.add(g, user_agents[r], 1),
         )?;
         let outliers_removed = dropped.len();
         outlier_span.finish();
@@ -370,10 +371,9 @@ impl TrainedModel {
     /// seeded epochs of `data`, and rebuilds the cluster table and
     /// majority accuracy on the same window.
     ///
-    /// Skipping the Isolation-Forest pass and the PCA eigensolve — plus
-    /// replacing `n_init` full Lloyd restarts with a few warm-started
-    /// mini-batch epochs — keeps a per-checkpoint candidate cheap enough
-    /// to run continuously. The window is its own partition by distinct
+    /// It skips the Isolation-Forest pass and the PCA eigensolve and
+    /// replaces `n_init` full Lloyd restarts with a few warm-started
+    /// mini-batch epochs. The window is its own partition by distinct
     /// row ([`TrainingSet::row_groups`]; a reservoir hands its residents
     /// over by id), so nothing is interned here, and the partition is
     /// carried through every stage: the 50 000-session drift window holds
@@ -382,9 +382,9 @@ impl TrainedModel {
     /// searches once per group present in it. Only the centroid updates
     /// still take one step per row — they are an order-dependent
     /// reduction — and the WCSS sums each group once times its count
-    /// (`tests/fit_bytes.rs` pins the candidate's bytes). `core.train.refit_streaming_ms` reads
-    /// ≈9–10 ms on that window (`BENCHMARK.json`, `retrain_cycle`, 2 vCPUs;
-    /// 38 ms row by row). Beyond its speed the streaming path buys
+    /// (`tests/fit_bytes.rs` pins the candidate's bytes). It is no longer
+    /// the cheaper candidate: a full fit of that window is faster (README,
+    /// the "streaming refit ≥ 2× a full fit" row). What it buys is
     /// continuity: the frozen scaler and PCA, and centroids that keep
     /// their indices from one candidate to the next. `_pool` is ignored
     /// (see [`ThreadPool`]).
@@ -432,10 +432,7 @@ impl TrainedModel {
         let table_span = registry.span(refit_metric_names::TABLE_MICROS);
         let kmeans = minibatch.into_kmeans_grouped(&groups)?;
         let nearest = kmeans.predict(groups.distinct())?;
-        let mut tally = ReleaseTally::new(groups.distinct().rows());
-        for (&g, &ua) in groups.group_of().iter().zip(data.user_agents()) {
-            tally.count(ua, g);
-        }
+        let tally = ReleaseTally::of(data);
         let (cluster_table, train_accuracy) = build_cluster_table(
             &self.feature_set,
             &self.scaler,
@@ -535,15 +532,6 @@ impl TrainedModel {
         predict_into(&self.scaler, &self.pca, &self.kmeans, values, projected)
     }
 
-    /// Predicts clusters for a whole set (drift analysis, sweeps).
-    pub fn predict_clusters(&self, data: &TrainingSet) -> Result<Vec<usize>, PolygraphError> {
-        let mut projected = Vec::new();
-        data.rows()
-            .iter()
-            .map(|r| self.predict_cluster_with(r, &mut projected))
-            .collect()
-    }
-
     /// The populated cluster whose centroid is nearest to `cluster`'s.
     ///
     /// With k = 11 over ~9 natural release groups, k-means' spare
@@ -596,102 +584,6 @@ fn check_window(data: &TrainingSet, width: usize, k: usize) -> Result<(), Polygr
     Ok(())
 }
 
-/// Versions below this are looked up in a table; later ones, which
-/// generated or collected traffic never claims, in an ordered map.
-const DENSE_VERSIONS: usize = 1 << 10;
-
-/// Releases numbered by first counted session, looked up with no hashing:
-/// one table slot per vendor and version. Each release keeps the value its
-/// first counted session claimed, OS included (`UserAgent` equality
-/// ignores the OS, and the lab instance is built on the value kept).
-#[derive(Debug)]
-struct ReleaseIds {
-    /// Slot `vendor × DENSE_VERSIONS + version` holds the release's id plus
-    /// one; 0 is unseen.
-    dense: Vec<usize>,
-    /// Ids of the releases at or past [`DENSE_VERSIONS`].
-    beyond: BTreeMap<UserAgent, usize>,
-    /// Release `id`, as its first counted session claimed it.
-    first: Vec<UserAgent>,
-}
-
-impl ReleaseIds {
-    fn new() -> Self {
-        Self {
-            dense: vec![0; Vendor::ALL.len() * DENSE_VERSIONS],
-            beyond: BTreeMap::new(),
-            first: Vec::new(),
-        }
-    }
-
-    /// `ua`'s slot in the dense table, if its version has one.
-    #[inline]
-    fn slot(ua: UserAgent) -> Option<usize> {
-        let version = ua.version as usize;
-        (version < DENSE_VERSIONS).then(|| ua.vendor as usize * DENSE_VERSIONS + version)
-    }
-
-    /// The id of `ua`'s release, numbering it next if it is new.
-    #[inline]
-    fn intern(&mut self, ua: UserAgent) -> usize {
-        let next = self.first.len();
-        let id = match Self::slot(ua) {
-            Some(slot) => {
-                if self.dense[slot] == 0 {
-                    self.dense[slot] = next + 1;
-                }
-                self.dense[slot] - 1
-            }
-            None => *self.beyond.entry(ua).or_insert(next),
-        };
-        if id == next {
-            self.first.push(ua);
-        }
-        id
-    }
-
-    /// Whether any session of `ua`'s release was counted.
-    fn contains(&self, ua: UserAgent) -> bool {
-        match Self::slot(ua) {
-            Some(slot) => self.dense[slot] != 0,
-            None => self.beyond.contains_key(&ua),
-        }
-    }
-}
-
-/// The sessions a fit keeps, counted per (group, release): what the
-/// cluster table's vote reads. Counting is one dense increment per
-/// session, and the vote then costs O(groups × releases), not O(sessions).
-#[derive(Debug)]
-struct ReleaseTally {
-    /// Groups of the partition counted: the stride of `counts`.
-    groups: usize,
-    releases: ReleaseIds,
-    /// `counts[id * groups + g]`: sessions of release `id` in group `g`.
-    counts: Vec<usize>,
-}
-
-impl ReleaseTally {
-    /// An empty tally over a partition of at most `groups` groups.
-    fn new(groups: usize) -> Self {
-        Self {
-            groups,
-            releases: ReleaseIds::new(),
-            counts: Vec::new(),
-        }
-    }
-
-    /// Counts one session of group `g` claiming `ua`.
-    #[inline]
-    fn count(&mut self, ua: UserAgent, g: usize) {
-        let id = self.releases.intern(ua);
-        if self.counts.len() <= id * self.groups {
-            self.counts.resize((id + 1) * self.groups, 0);
-        }
-        self.counts[id * self.groups + g] += 1;
-    }
-}
-
 /// The semi-supervised table-building tail shared by the full fit and
 /// the streaming refit: majority vote per user-agent, then the §6.4.3
 /// manual alignments — sparse user-agents predicted from a genuine lab
@@ -723,15 +615,11 @@ fn build_cluster_table(
         let lab = feature_set.extract(&BrowserInstance::genuine(ua));
         predict_into(scaler, pca, kmeans, &lab.as_f64(), &mut projected)
     };
-    let mut per_cluster = vec![0usize; kmeans.centroids().rows()];
-    let (mut correct, mut total) = (0, 0);
+    let k = kmeans.centroids().rows();
+    let counts = tally.fold(k, |g| Ok(nearest[g]))?;
+    let mut correct = 0;
     let mut entries: Vec<(UserAgent, usize)> = Vec::new();
-    let rows = tally.counts.chunks_exact(tally.groups);
-    for (&ua, counts) in tally.releases.first.iter().zip(rows) {
-        per_cluster.fill(0);
-        for (&n, &c) in counts.iter().zip(nearest) {
-            per_cluster[c] += n;
-        }
+    for (&ua, per_cluster) in tally.releases().iter().zip(counts.chunks_exact(k)) {
         let (mut cluster, mut most, mut sessions) = (0, 0, 0);
         for (c, &n) in per_cluster.iter().enumerate() {
             sessions += n;
@@ -740,7 +628,6 @@ fn build_cluster_table(
             }
         }
         correct += most;
-        total += sessions;
         let cluster = if config.lab_alignment && sessions < config.min_samples_for_majority {
             predict_lab(ua).unwrap_or(cluster)
         } else {
@@ -751,7 +638,7 @@ fn build_cluster_table(
     if config.lab_alignment {
         let mut vanished = BTreeSet::new();
         for &ua in dropped {
-            if tally.releases.contains(ua) || !vanished.insert(ua) {
+            if tally.release_id(ua).is_some() || !vanished.insert(ua) {
                 continue;
             }
             if let Ok(cluster) = predict_lab(ua) {
@@ -761,7 +648,7 @@ fn build_cluster_table(
     }
     Ok((
         ClusterTable::from_entries(config.k, entries),
-        correct as f64 / total as f64,
+        correct as f64 / tally.sessions() as f64,
     ))
 }
 
@@ -1366,6 +1253,39 @@ mod tests {
                 serde_json::to_string(&reference).unwrap()
             );
         }
+    }
+
+    #[test]
+    fn tallies_hold_no_more_entries_than_sessions_on_an_all_distinct_window() {
+        // Every row distinct, each claiming its own release past the dense
+        // version table: a count dense over groups × releases would take
+        // 16 M cells here; the fit's and the refit's tallies hold at most
+        // one entry per session.
+        const SESSIONS: usize = 4_000;
+        let (rows, uas): (Vec<_>, Vec<_>) = (0..SESSIONS)
+            .map(|i| {
+                let x = i as f64;
+                let release = ua(Vendor::ALL[i % 3], 1_024 + i as u32);
+                (vec![x, (x * 7.0) % 13.0, (x * 3.0) % 17.0], release)
+            })
+            .unzip();
+        let set = TrainingSet::from_rows(rows, uas).unwrap();
+        assert_eq!(set.distinct_rows(), SESSIONS);
+        let fs = fingerprint::FeatureSet::table8().subset(&[0, 1, 2]);
+        let config = TrainConfig {
+            k: 3,
+            n_components: 2,
+            lab_alignment: false,
+            ..Default::default()
+        };
+        let peak = || crate::tally::PEAK_ENTRIES.with(|peak| peak.replace(0));
+        peak();
+        let model = TrainedModel::fit(fs, &set, config).unwrap();
+        assert_eq!(peak(), SESSIONS - model.outliers_removed());
+        model
+            .refit_streaming(&set, 1, &ThreadPool::serial())
+            .unwrap();
+        assert_eq!(peak(), SESSIONS);
     }
 
     #[test]

@@ -1,23 +1,21 @@
-//! The direct-mapped memo that sits in front of an ordered map wherever a
-//! window's many repeats are numbered by first appearance: the rows of
-//! [`crate::DistinctRows`] and the labels of
-//! [`crate::metrics::majority_cluster_accuracy`].
+//! The direct-mapped memo in front of [`crate::DistinctRows`]' ordered
+//! map, which numbers a window's rows by first appearance: coarse
+//! fingerprints collide, so most rows interned are repeats, and a repeat
+//! found in the memo skips the map walk.
 //!
 //! A slot holds `id + 1` (zero is empty) and is picked by a seedless mix
-//! of the key. The caller guards every hit with an exact comparison and
-//! answers a miss from its ordered map, which stays the source of truth,
-//! then writes the slot. A collision therefore costs one ordered-map
-//! lookup, never a wrong id, and a stream crafted to collide costs the
-//! map's O(log n) lookup plus one hash per key.
-
-use std::hash::Hasher;
+//! of the row's bits ([`mix_row`]). The caller guards every hit with an
+//! exact comparison and answers a miss from its ordered map, which stays
+//! the source of truth, then writes the slot. A collision therefore costs
+//! one ordered-map lookup, never a wrong id, and a stream crafted to
+//! collide costs the map's O(log n) lookup plus one hash per row.
 
 /// Slots in a memo, 16 KiB: about ten times the few hundred distinct
-/// rows or releases a traffic window holds, so only a few percent of
-/// them share a slot with another.
+/// rows a traffic window holds, so only a few percent of them share a
+/// slot with another.
 pub(crate) const MEMO_SLOTS: usize = 4096;
 
-/// Multiplier of the word mixes (the golden-ratio constant, odd).
+/// Multiplier of the row mix's lanes (the golden-ratio constant, odd).
 const MIX: u64 = 0x9E37_79B9_7F4A_7C15;
 
 /// A fixed table of `id + 1`, indexed by the low bits of a key's hash.
@@ -101,45 +99,4 @@ pub(crate) fn mix_row(row: &[f64]) -> u64 {
     finalise(
         lanes[0] ^ lanes[1].rotate_left(16) ^ lanes[2].rotate_left(32) ^ lanes[3].rotate_left(48),
     )
-}
-
-/// A seedless [`Hasher`] for memo slots: each written word is mixed in by
-/// one multiply, and [`Hasher::finish`] finalises. The same key hashes
-/// the same in every process, so a tally's memo behaves identically run
-/// to run.
-#[derive(Debug, Default)]
-pub(crate) struct WordHasher(u64);
-
-impl Hasher for WordHasher {
-    fn write(&mut self, bytes: &[u8]) {
-        for chunk in bytes.chunks(8) {
-            let mut word = [0u8; 8];
-            word[..chunk.len()].copy_from_slice(chunk);
-            self.write_u64(u64::from_le_bytes(word));
-        }
-    }
-
-    fn write_u64(&mut self, word: u64) {
-        self.0 = (self.0 ^ word).wrapping_mul(MIX);
-    }
-
-    fn write_u8(&mut self, word: u8) {
-        self.write_u64(u64::from(word));
-    }
-
-    fn write_u32(&mut self, word: u32) {
-        self.write_u64(u64::from(word));
-    }
-
-    fn write_usize(&mut self, word: usize) {
-        self.write_u64(word as u64);
-    }
-
-    fn write_isize(&mut self, word: isize) {
-        self.write_u64(word as u64);
-    }
-
-    fn finish(&self) -> u64 {
-        finalise(self.0)
-    }
 }
